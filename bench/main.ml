@@ -420,12 +420,24 @@ let silently f =
       Unix.close saved)
     f
 
+(* Seconds of one table sweep at ring size [n], on Bechamel's monotonic
+   clock: one untimed warm-up, then the median of 5 timed sweeps.  Both
+   caches are emptied before every sweep, so each sample pays for its
+   compiles and verdicts instead of replaying the previous sweep's. *)
 let time_report_per_n ns =
+  let sweep n =
+    Cr_guarded.Program.clear_compile_cache ();
+    Cr_core.Check_cache.clear_all ();
+    let t0 = Toolkit.Monotonic_clock.get () in
+    silently (fun () -> Cr_experiments.Report.all ~ns:[ n ] ());
+    (Toolkit.Monotonic_clock.get () -. t0) /. 1e9
+  in
   List.map
     (fun n ->
-      let t0 = Unix.gettimeofday () in
-      silently (fun () -> Cr_experiments.Report.all ~ns:[ n ] ());
-      (n, Unix.gettimeofday () -. t0))
+      ignore (sweep n);
+      let samples = Array.init 5 (fun _ -> sweep n) in
+      Array.sort Float.compare samples;
+      (n, samples.(2)))
     ns
 
 (* ---------- JSON output (hand-rolled; keep the repo dependency-free) ---------- *)

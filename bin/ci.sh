@@ -135,11 +135,16 @@ cmp -s "$spdef" "$spsparse" || {
 }
 
 # The sparse engine's reason to exist: an init-anchored query at a ring
-# size whose dense space (3^20 states) cannot be materialized at all.
+# size whose dense space (3^26 states) cannot be materialized at all.
 # refine reports failures (exit 1) — only exit > 1 or a hang fails CI.
 rc=0
-timeout 120 env CR_SPACE=sparse dune exec bin/crcheck.exe -- refine rw-dijkstra3 -n 6 > /dev/null 2>&1 || rc=$?
-[ "$rc" -le 1 ] || { echo "ci: sparse refine rw-dijkstra3 -n 6 failed (rc=$rc)" >&2; exit 1; }
+timeout 120 env CR_SPACE=sparse dune exec bin/crcheck.exe -- refine rw-dijkstra3 -n 8 > /dev/null 2>&1 || rc=$?
+[ "$rc" -le 1 ] || { echo "ci: sparse refine rw-dijkstra3 -n 8 failed (rc=$rc)" >&2; exit 1; }
+
+# Known-answer gate: every query of the scenario benchmark runs once and
+# must print the verdict lines and exit codes its workload table
+# expects.
+bash scenario_bench/run.sh --check
 
 # The committed benchmark artifacts must stay well-formed JSON.
 dune exec bin/trace_lint.exe -- --json-only BENCH_PR4.json

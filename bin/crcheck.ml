@@ -127,7 +127,7 @@ let refine name n stats space =
          default, so failure anchors resolve against the right graph *)
       let ep = Cr_experiments.Registry.init_explicit e n in
       let spec = Cr_experiments.Registry.spec_explicit e n in
-      let reports = Cr_experiments.Registry.refinements e n in
+      let reports = Cr_experiments.Registry.refinements ~ep ~spec e n in
       List.iter
         (fun (label, report) ->
           pf "%-14s %a@." label Cr_core.Refine.pp_report report;

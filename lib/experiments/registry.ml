@@ -187,8 +187,9 @@ let stabilization ?fair e n =
   let alpha = Cr_semantics.Abstraction.tabulate (e.alpha n) ep spec in
   Cr_core.Stabilize.stabilizing_to ~alpha ?fair ~c:ep ~a:spec ()
 
-let refinements e n =
-  let ep = init_explicit e n and spec = spec_explicit e n in
+let refinements ?ep ?spec e n =
+  let ep = match ep with Some ep -> ep | None -> init_explicit e n in
+  let spec = match spec with Some s -> s | None -> spec_explicit e n in
   let alpha = Cr_semantics.Abstraction.tabulate (e.alpha n) ep spec in
   [
     ("init", Cr_core.Refine.init_refinement ~alpha ~c:ep ~a:spec ());

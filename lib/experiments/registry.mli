@@ -46,10 +46,18 @@ val stabilization :
     process-wide {!Cr_core.Check_cache}: every driver asking the same
     registry question shares one computed verdict. *)
 
-val refinements : entry -> int -> (string * Cr_core.Refine.report) list
+val refinements :
+  ?ep:Layout.state Cr_semantics.Explicit.t ->
+  ?spec:Layout.state Cr_semantics.Explicit.t ->
+  entry ->
+  int ->
+  (string * Cr_core.Refine.report) list
 (** The four refinement relations ("init" / "everywhere" / "convergence"
     / "ee") for the entry at ring size [n], through the same cache.
     The concrete system is compiled with {!init_explicit}, so under the
     default (sparse) engine the relations quantify over the
     init-reachable fragment — the graybox premise of DESIGN.md
-    section 2.  [CR_SPACE=dense] restores full-space quantification. *)
+    section 2.  [CR_SPACE=dense] restores full-space quantification.
+    A caller that already holds these compiles passes them as [ep]
+    ({!init_explicit}) and [spec] ({!spec_explicit}), which spares a
+    second build of the program and its initial-state closure. *)

@@ -130,6 +130,36 @@ let checked_rank t (s : state) =
     if !ok then !k else -1
   end
 
+(* Hash tables keyed by whole states.  The polymorphic [Hashtbl.hash]
+   reads at most 10 fields of an array, so the states of any layout
+   wider than that collide on everything past slot 9; this hash folds
+   every slot (FNV-1a over native ints, like the compile fingerprint's
+   probe) and then xors the well-mixed high bits down, because the table
+   indexes buckets by the low bits.  Keys are whole arrays rather than
+   ranks: closures may hold domain-invalid states, which have no rank. *)
+let hash (s : state) =
+  let h = ref 0x3bf29ce484222325 in
+  for i = 0 to Array.length s - 1 do
+    h := (!h lxor Array.unsafe_get s i) * 0x100000001b3
+  done;
+  (!h lxor (!h lsr 32)) land max_int
+
+module Tbl = Hashtbl.Make (struct
+  type t = state
+
+  let equal (a : state) (b : state) =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let i = ref 0 in
+    while !i < n && Array.unsafe_get a !i = Array.unsafe_get b !i do
+      incr i
+    done;
+    !i = n
+
+  let hash = hash
+end)
+
 let valid t (s : state) =
   Array.length s = num_vars t
   &&

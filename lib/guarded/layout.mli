@@ -53,5 +53,15 @@ val iter_states : t -> (int -> state -> unit) -> unit
 
 val valid : t -> state -> bool
 
+val hash : state -> int
+(** Non-negative hash of a whole state, valid or not.  It folds every
+    slot, unlike the polymorphic [Hashtbl.hash], which stops after 10
+    fields and so collides on all states of a wider layout that agree on
+    their first 10 slots. *)
+
+module Tbl : Hashtbl.S with type key = state
+(** Hash tables keyed by whole states, hashed with {!hash} and compared
+    slot by slot. *)
+
 val pp_state : t -> Format.formatter -> state -> unit
 (** Prints [{x=0 y=1 ...}], hiding fixed (domain-1) variables. *)

@@ -570,11 +570,11 @@ let to_explicit_synchronous ?(space = Space.Dense) t = compile ~mode:Sync ~space
    configurations (the paper's "initial states follow from those of BTR
    using the mapping"). *)
 let reachable_from t seeds =
-  let seen : (state, unit) Hashtbl.t = Hashtbl.create 1024 in
+  let seen = Layout.Tbl.create 1024 in
   let queue = Queue.create () in
   let push s =
-    if not (Hashtbl.mem seen s) then begin
-      Hashtbl.replace seen s ();
+    if not (Layout.Tbl.mem seen s) then begin
+      Layout.Tbl.replace seen s ();
       Queue.push s queue
     end
   in
@@ -589,11 +589,11 @@ let with_initial_closure ~seeds t =
   let closure = lazy (reachable_from t seeds) in
   {
     t with
-    initial = (fun s -> Hashtbl.mem (Lazy.force closure) s);
+    initial = (fun s -> Layout.Tbl.mem (Lazy.force closure) s);
     init_enum =
       Some
         (fun () ->
-          Hashtbl.fold (fun s () acc -> s :: acc) (Lazy.force closure) []);
+          Layout.Tbl.fold (fun s () acc -> s :: acc) (Lazy.force closure) []);
   }
 
 let pp fmt t =

@@ -108,8 +108,9 @@ val to_explicit_synchronous :
     space-routed like {!to_explicit} (the cache key's mode tag keeps the
     two semantics of one program distinct). *)
 
-val reachable_from : t -> state list -> (state, unit) Hashtbl.t
-(** All states reachable from the seeds under the program's transitions. *)
+val reachable_from : t -> state list -> unit Layout.Tbl.t
+(** All states reachable from the seeds under the program's transitions,
+    domain-invalid successors included. *)
 
 val with_initial_closure : seeds:state list -> t -> t
 (** Replace the initial states by the (lazily computed) reachability

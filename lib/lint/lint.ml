@@ -300,7 +300,7 @@ let check_liveness mk_prov ~reachable ~init_dead info =
     | Some tbl ->
         let alive = ref false in
         (try
-           Hashtbl.iter
+           Layout.Tbl.iter
              (fun s () ->
                if a.Action.guard s then begin
                  alive := true;

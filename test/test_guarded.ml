@@ -126,11 +126,34 @@ let test_closure () =
   let seen = Program.reachable_from prog [ [| 0; 2; 0 |] ] in
   (* reachable: x 0->1, y 2->1->0: all (x,y) with x in {0,1}, y <= 2 that
      are coordinatewise moves: {0,1}x{0,1,2} = 6 states *)
-  check_int "closure size" 6 (Hashtbl.length seen);
+  check_int "closure size" 6 (Layout.Tbl.length seen);
   let p' = Program.with_initial_closure ~seeds:[ [| 1; 1; 0 |] ] prog in
   check "seed initial" true (Program.initial p' [| 1; 1; 0 |]);
   check "downstream initial" true (Program.initial p' [| 1; 0; 0 |]);
   check "not upstream" false (Program.initial p' [| 0; 2; 0 |])
+
+(* An rw-dijkstra3 state has 20 slots at N = 6 and the polymorphic
+   Hashtbl.hash reads only the first 10, which puts this closure into a
+   handful of buckets with long chains.  The whole-state hash must tell
+   nearly all closure states apart. *)
+let test_closure_hash_spread () =
+  let n = 6 in
+  let p = Cr_tokenring.Rw_atomicity.program n in
+  let closure =
+    Program.reachable_from p [ Cr_tokenring.Rw_atomicity.canonical n ]
+  in
+  let states = Layout.Tbl.length closure in
+  check_int "rw-dijkstra3(6) closure size" 4896 states;
+  let hashes = Hashtbl.create states in
+  Layout.Tbl.iter (fun s () -> Hashtbl.replace hashes (Layout.hash s) ()) closure;
+  let spread = float_of_int (Hashtbl.length hashes) /. float_of_int states in
+  check (Printf.sprintf "distinct hashes / states = %.3f >= 0.9" spread) true
+    (spread >= 0.9);
+  let stats = Layout.Tbl.stats closure in
+  check
+    (Printf.sprintf "longest bucket chain %d <= 8" stats.Hashtbl.max_bucket_length)
+    true
+    (stats.Hashtbl.max_bucket_length <= 8)
 
 let test_faults_program () =
   let f = Cr_fault.Injector.faults layout in
@@ -139,7 +162,7 @@ let test_faults_program () =
   (* fault saturation: from any single state the whole space is reachable *)
   let b = Program.box prog f in
   let seen = Program.reachable_from b [ [| 0; 0; 0 |] ] in
-  check_int "fault span is everything" 6 (Hashtbl.length seen)
+  check_int "fault span is everything" 6 (Layout.Tbl.length seen)
 
 let test_injector () =
   let rng = Random.State.make [| 3 |] in
@@ -171,6 +194,7 @@ let () =
           Alcotest.test_case "box" `Quick test_box;
           Alcotest.test_case "box priority" `Quick test_box_priority;
           Alcotest.test_case "closure" `Quick test_closure;
+          Alcotest.test_case "closure hash spread" `Quick test_closure_hash_spread;
         ] );
       ( "faults",
         [

@@ -32,9 +32,15 @@ let gen_prog =
     in
     return { doms; acts })
 
-let build { doms; acts } =
+(* [pad] prepends that many constant (domain-1) slots to the layout and
+   shifts every generated slot past them. *)
+let build ?(pad = 0) { doms; acts } =
   let nv = List.length doms in
-  let layout = Layout.make (List.mapi (fun i d -> (Printf.sprintf "v%d" i, d)) doms) in
+  let layout =
+    Layout.make
+      (List.init pad (fun i -> (Printf.sprintf "k%d" i, 1))
+      @ List.mapi (fun i d -> (Printf.sprintf "v%d" i, d)) doms)
+  in
   let clamp slot v = v mod Layout.dom layout slot in
   let actions =
     List.mapi
@@ -42,7 +48,8 @@ let build { doms; acts } =
         (* slot indices are taken modulo the layout size so that programs
            generated against one layout can be rebuilt against another
            (used by the box/priority properties) *)
-        let slot = ra.slot mod nv and guard_slot = ra.guard_slot mod nv in
+        let slot = pad + (ra.slot mod nv)
+        and guard_slot = pad + (ra.guard_slot mod nv) in
         Action.make
           ~label:(Printf.sprintf "a%d" i)
           ~proc:ra.proc ~writes:[ slot ]
@@ -157,10 +164,10 @@ let prop_closure =
           let closure = Program.reachable_from p [ seed ] in
           (* closed under step *)
           let closed =
-            Hashtbl.fold
+            Layout.Tbl.fold
               (fun s () acc ->
                 acc
-                && List.for_all (fun t -> Hashtbl.mem closure t) (Program.step p s))
+                && List.for_all (fun t -> Layout.Tbl.mem closure t) (Program.step p s))
               closure true
           in
           (* minimal: every member is reachable by an explicit path *)
@@ -171,12 +178,46 @@ let prop_closure =
               ~seeds:[ Cr_semantics.Explicit.find e seed ]
           in
           let minimal =
-            Hashtbl.fold
+            Layout.Tbl.fold
               (fun s () acc ->
                 acc && Cr_kernel.Bitset.get reach (Cr_semantics.Explicit.find e s))
               closure true
           in
           closed && minimal)
+
+(* Reference closure for the property below: a plain worklist search
+   over the polymorphic Hashtbl, independent of Layout.Tbl. *)
+let reference_closure p seeds =
+  let seen = Hashtbl.create 64 in
+  let rec go = function
+    | [] -> ()
+    | s :: rest ->
+        if Hashtbl.mem seen s then go rest
+        else begin
+          Hashtbl.replace seen s ();
+          go (Program.step p s @ rest)
+        end
+  in
+  go seeds;
+  seen
+
+(* The closure's initial-state predicate on wide layouts: with 12
+   constant slots in front, every varying slot sits past the 10 fields
+   the polymorphic Hashtbl.hash reads, so all states collide under it;
+   the whole-state table must still decide membership exactly. *)
+let prop_closure_wide =
+  QCheck2.Test.make ~name:"with_initial_closure agrees with a reference BFS past field 10"
+    ~count:200
+    QCheck2.Gen.(pair gen_prog nat)
+    (fun (raw, k) ->
+      let p = build ~pad:12 raw in
+      let states = Layout.enumerate (Program.layout p) in
+      let seed = List.nth states (k mod List.length states) in
+      let reference = reference_closure p [ seed ] in
+      let closed = Program.with_initial_closure ~seeds:[ seed ] p in
+      List.for_all
+        (fun s -> Program.initial closed s = Hashtbl.mem reference s)
+        states)
 
 (* synchronous steps write only declared slots and respect guards *)
 let prop_synchronous_writes =
@@ -210,6 +251,7 @@ let () =
             prop_box_union;
             prop_priority_semantics;
             prop_closure;
+            prop_closure_wide;
             prop_synchronous_writes;
           ] );
     ]
