@@ -19,11 +19,14 @@ bench:
 bench-tables:
 	dune exec bench/main.exe -- --no-micro
 
+# Refresh the rolling baseline (commit it when a change moves the numbers).
 bench-json:
-	dune exec bench/main.exe -- --json BENCH_PR10.json
+	dune exec bench/main.exe -- --json BENCH.json
 
-perfdiff: bench-json
-	dune exec bin/perfdiff.exe -- --gate 100 BENCH_PR9.json BENCH_PR10.json
+# Gate a fresh artifact against the committed baseline without touching it.
+perfdiff:
+	dune exec bench/main.exe -- --json bench-fresh.json
+	dune exec bin/perfdiff.exe -- --gate 100 BENCH.json bench-fresh.json
 
 ci:
 	bin/ci.sh

@@ -58,14 +58,13 @@ let micro_tests () =
      instance for the two Space engines *)
   let rw3_prog = Cr_tokenring.Rw_atomicity.program n in
   let space_refine space () =
-    Cr_semantics.Compile_cache.bypass (fun () ->
-        Cr_core.Check_cache.bypass (fun () ->
-            let c = Cr_guarded.Program.to_explicit ~space rw3_prog in
-            let tab =
-              Cr_semantics.Abstraction.tabulate
-                (Cr_tokenring.Rw_atomicity.alpha n) c btr
-            in
-            ignore (Cr_core.Refine.init_refinement ~alpha:tab ~c ~a:btr ())))
+    Cr_kernel.Memo.bypass (fun () ->
+        let c = Cr_guarded.Program.to_explicit ~space rw3_prog in
+        let tab =
+          Cr_semantics.Abstraction.tabulate
+            (Cr_tokenring.Rw_atomicity.alpha n) c btr
+        in
+        ignore (Cr_core.Refine.init_refinement ~alpha:tab ~c ~a:btr ()))
   in
   [
     (* one Test.make per experiment table *)
@@ -82,7 +81,7 @@ let micro_tests () =
     ( Normal,
       Test.make ~name:"E4-compile-btr-cold"
         (Staged.stage (fun () ->
-             Cr_semantics.Compile_cache.bypass (fun () ->
+             Cr_kernel.Memo.bypass (fun () ->
                  ignore
                    (Cr_guarded.Program.to_explicit (Cr_tokenring.Btr.program n))))) );
     (* guaranteed miss: insert into an emptied cache every iteration *)
@@ -97,14 +96,14 @@ let micro_tests () =
     ( Normal,
       Test.make ~name:"compile-seq-dijkstra3-n7"
         (Staged.stage (fun () ->
-             Cr_semantics.Compile_cache.bypass (fun () ->
+             Cr_kernel.Memo.bypass (fun () ->
                  ignore
                    (Cr_guarded.Program.to_explicit (Cr_tokenring.Btr3.dijkstra3 7))))) );
     ( Normal,
       Test.make ~name:"compile-par2-dijkstra3-n7"
         (Staged.stage (fun () ->
              Cr_kernel.Par.with_jobs 2 (fun () ->
-                 Cr_semantics.Compile_cache.bypass (fun () ->
+                 Cr_kernel.Memo.bypass (fun () ->
                      ignore
                        (Cr_guarded.Program.to_explicit
                           (Cr_tokenring.Btr3.dijkstra3 7)))))) );
@@ -112,7 +111,7 @@ let micro_tests () =
       Test.make ~name:"compile-par4-dijkstra3-n7"
         (Staged.stage (fun () ->
              Cr_kernel.Par.with_jobs 4 (fun () ->
-                 Cr_semantics.Compile_cache.bypass (fun () ->
+                 Cr_kernel.Memo.bypass (fun () ->
                      ignore
                        (Cr_guarded.Program.to_explicit
                           (Cr_tokenring.Btr3.dijkstra3 7)))))) );
@@ -131,14 +130,14 @@ let micro_tests () =
     ( Slow,
       Test.make ~name:"space-dense-compile-rw-n3"
         (Staged.stage (fun () ->
-             Cr_semantics.Compile_cache.bypass (fun () ->
+             Cr_kernel.Memo.bypass (fun () ->
                  ignore
                    (Cr_guarded.Program.to_explicit
                       ~space:Cr_semantics.Space.Dense rw3_prog)))) );
     ( Normal,
       Test.make ~name:"space-sparse-compile-rw-n3"
         (Staged.stage (fun () ->
-             Cr_semantics.Compile_cache.bypass (fun () ->
+             Cr_kernel.Memo.bypass (fun () ->
                  ignore
                    (Cr_guarded.Program.to_explicit
                       ~space:Cr_semantics.Space.Sparse rw3_prog)))) );
@@ -153,21 +152,21 @@ let micro_tests () =
     ( Normal,
       Test.make ~name:"E5-lemma7-convergence-check"
         (Staged.stage (fun () ->
-             Cr_core.Check_cache.bypass (fun () ->
+             Cr_kernel.Memo.bypass (fun () ->
                  ignore
                    (Cr_core.Refine.convergence_refinement ~alpha:alpha4 ~c:c1
                       ~a:btr ())))) );
     ( Normal,
       Test.make ~name:"E6-thm8-stabilization-check"
         (Staged.stage (fun () ->
-             Cr_core.Check_cache.bypass (fun () ->
+             Cr_kernel.Memo.bypass (fun () ->
                  ignore
                    (Cr_core.Stabilize.stabilizing_to ~alpha:alpha4 ~c:c1 ~a:btr
                       ())))) );
     ( Normal,
       Test.make ~name:"E8-thm11-stabilization-check"
         (Staged.stage (fun () ->
-             Cr_core.Check_cache.bypass (fun () ->
+             Cr_kernel.Memo.bypass (fun () ->
                  ignore
                    (Cr_core.Stabilize.stabilizing_to ~alpha:alpha3 ~c:d3 ~a:btr
                       ())))) );
@@ -198,7 +197,7 @@ let micro_tests () =
     ( Slow,
       Test.make ~name:"stabilize-sweep-seq-dijkstra3-n6"
         (Staged.stage (fun () ->
-             Cr_core.Check_cache.bypass (fun () ->
+             Cr_kernel.Memo.bypass (fun () ->
                  ignore
                    (Cr_core.Stabilize.stabilizing_to ~alpha:alpha3_6 ~c:d3_6
                       ~a:btr_6 ())))) );
@@ -206,7 +205,7 @@ let micro_tests () =
       Test.make ~name:"stabilize-sweep-par2-dijkstra3-n6"
         (Staged.stage (fun () ->
              Cr_kernel.Par.with_jobs 2 (fun () ->
-                 Cr_core.Check_cache.bypass (fun () ->
+                 Cr_kernel.Memo.bypass (fun () ->
                      ignore
                        (Cr_core.Stabilize.stabilizing_to ~alpha:alpha3_6
                           ~c:d3_6 ~a:btr_6 ()))))) );
@@ -214,7 +213,7 @@ let micro_tests () =
       Test.make ~name:"stabilize-sweep-par4-dijkstra3-n6"
         (Staged.stage (fun () ->
              Cr_kernel.Par.with_jobs 4 (fun () ->
-                 Cr_core.Check_cache.bypass (fun () ->
+                 Cr_kernel.Memo.bypass (fun () ->
                      ignore
                        (Cr_core.Stabilize.stabilizing_to ~alpha:alpha3_6
                           ~c:d3_6 ~a:btr_6 ()))))) );
@@ -233,7 +232,7 @@ let micro_tests () =
     ( Normal,
       Test.make ~name:"verdict-cold-stabilize-d3-n5"
         (Staged.stage (fun () ->
-             Cr_core.Check_cache.bypass (fun () ->
+             Cr_kernel.Memo.bypass (fun () ->
                  ignore
                    (Cr_core.Stabilize.stabilizing_to ~alpha:alpha3_5 ~c:d3_5
                       ~a:btr_5 ())))) );

@@ -56,12 +56,15 @@ hits=$(sed -n 's/^ *compile\.cache\.hits *\([0-9][0-9]*\)$/\1/p' "$cachelog")
 
 # Verdict-cache smoke: the experiment tables ask the same refinement /
 # stabilization questions more than once, so the content-addressed
-# Check_cache must report hits — and disabling it with CR_CHECK_CACHE=0
-# must not change a single output byte.
+# verdict memo must report hits — and disabling every memo with
+# CR_CACHE=0 (compiles and verdicts alike) must not change a single
+# output byte.  CR_CACHE_PARANOID=1 re-computes every hit and asserts it
+# equals the memoized value: it must exit 0 with identical output too.
 expout=$(mktemp /tmp/cr.exp.XXXXXX)
 expout0=$(mktemp /tmp/cr.exp0.XXXXXX)
+expoutp=$(mktemp /tmp/cr.expp.XXXXXX)
 explog=$(mktemp /tmp/cr.explog.XXXXXX)
-trap 'rm -f "$trace" "$lintjson" "$flowjson" "$flowjournal" "$cachelog" "$expout" "$expout0" "$explog"' EXIT
+trap 'rm -f "$trace" "$lintjson" "$flowjson" "$flowjournal" "$cachelog" "$expout" "$expout0" "$expoutp" "$explog"' EXIT
 CR_JOBS=2 CR_STATS=1 dune exec bin/crcheck.exe -- experiments --max-n 3 \
   > /dev/null 2> "$explog"
 checkhits=$(sed -n 's/^ *check\.cache\.hits *\([0-9][0-9]*\)$/\1/p' "$explog")
@@ -71,14 +74,24 @@ checkhits=$(sed -n 's/^ *check\.cache\.hits *\([0-9][0-9]*\)$/\1/p' "$explog")
   exit 1
 }
 # Byte-compare without CR_STATS: the stats cost appendix carries cache
-# counters that legitimately differ between the two runs.
+# counters that legitimately differ between the runs.
 CR_JOBS=2 dune exec bin/crcheck.exe -- experiments --max-n 3 \
   > "$expout" 2> /dev/null
-CR_JOBS=2 CR_CHECK_CACHE=0 dune exec bin/crcheck.exe -- experiments --max-n 3 \
+CR_JOBS=2 CR_CACHE=0 dune exec bin/crcheck.exe -- experiments --max-n 3 \
   > "$expout0" 2> /dev/null
 cmp -s "$expout" "$expout0" || {
-  echo "ci: verdicts differ between cached and CR_CHECK_CACHE=0 runs" >&2
+  echo "ci: verdicts differ between cached and CR_CACHE=0 runs" >&2
   diff "$expout" "$expout0" >&2 || true
+  exit 1
+}
+CR_CACHE_PARANOID=1 dune exec bin/crcheck.exe -- experiments --max-n 3 \
+  > "$expoutp" 2> /dev/null || {
+  echo "ci: CR_CACHE_PARANOID=1 experiments run failed" >&2
+  exit 1
+}
+cmp -s "$expout" "$expoutp" || {
+  echo "ci: verdicts differ between cached and CR_CACHE_PARANOID=1 runs" >&2
+  diff "$expout" "$expoutp" >&2 || true
   exit 1
 }
 
@@ -88,7 +101,7 @@ cmp -s "$expout" "$expout0" || {
 # lifts the busy-domain cap so the pool really spawns even on a
 # single-core CI host.
 journal=$(mktemp /tmp/cr.journal.XXXXXX)
-trap 'rm -f "$trace" "$lintjson" "$flowjson" "$flowjournal" "$cachelog" "$expout" "$expout0" "$explog" "$journal"' EXIT
+trap 'rm -f "$trace" "$lintjson" "$flowjson" "$flowjournal" "$cachelog" "$expout" "$expout0" "$expoutp" "$explog" "$journal"' EXIT
 : > "$journal"
 CR_JOBS=4 CR_PAR_CAP=4 CR_JOURNAL="$journal" dune exec bin/crcheck.exe -- verify dijkstra3 -n 3 > /dev/null
 test -s "$journal" || { echo "ci: CR_JOURNAL produced no output" >&2; exit 1; }
@@ -108,7 +121,7 @@ timeout 120 env CR_JOBS=4 CR_PAR_CAP=4 dune exec bin/crcheck.exe -- verify btr >
 # sweeps and the shared oracle must not change a single output byte.
 jout1=$(mktemp /tmp/cr.jobs1.XXXXXX)
 jout4=$(mktemp /tmp/cr.jobs4.XXXXXX)
-trap 'rm -f "$trace" "$lintjson" "$flowjson" "$flowjournal" "$cachelog" "$expout" "$expout0" "$explog" "$journal" "$jout1" "$jout4"' EXIT
+trap 'rm -f "$trace" "$lintjson" "$flowjson" "$flowjournal" "$cachelog" "$expout" "$expout0" "$expoutp" "$explog" "$journal" "$jout1" "$jout4"' EXIT
 CR_JOBS=1 dune exec bin/crcheck.exe -- experiments --max-n 3 > "$jout1" 2> /dev/null
 CR_JOBS=4 CR_PAR_CAP=4 dune exec bin/crcheck.exe -- experiments --max-n 3 > "$jout4" 2> /dev/null
 cmp -s "$jout1" "$jout4" || {
@@ -123,7 +136,7 @@ cmp -s "$jout1" "$jout4" || {
 # verify exits 1; only exit > 1 is a crash.
 spdef=$(mktemp /tmp/cr.spdef.XXXXXX)
 spsparse=$(mktemp /tmp/cr.spsparse.XXXXXX)
-trap 'rm -f "$trace" "$lintjson" "$flowjson" "$flowjournal" "$cachelog" "$expout" "$expout0" "$explog" "$journal" "$jout1" "$jout4" "$spdef" "$spsparse"' EXIT
+trap 'rm -f "$trace" "$lintjson" "$flowjson" "$flowjournal" "$cachelog" "$expout" "$expout0" "$expoutp" "$explog" "$journal" "$jout1" "$jout4" "$spdef" "$spsparse"' EXIT
 rc=0; dune exec bin/crcheck.exe -- verify btr > "$spdef" 2> /dev/null || rc=$?
 [ "$rc" -le 1 ] || { echo "ci: verify btr crashed (rc=$rc)" >&2; exit 1; }
 rc=0; CR_SPACE=sparse dune exec bin/crcheck.exe -- verify btr > "$spsparse" 2> /dev/null || rc=$?
@@ -146,38 +159,32 @@ timeout 120 env CR_SPACE=sparse dune exec bin/crcheck.exe -- refine rw-dijkstra3
 # expects.
 bash scenario_bench/run.sh --check
 
-# The committed benchmark artifacts must stay well-formed JSON.
-dune exec bin/trace_lint.exe -- --json-only BENCH_PR4.json
-dune exec bin/trace_lint.exe -- --json-only BENCH_PR6.json
-dune exec bin/trace_lint.exe -- --json-only BENCH_PR7.json
-dune exec bin/trace_lint.exe -- --json-only BENCH_PR8.json
-dune exec bin/trace_lint.exe -- --json-only BENCH_PR9.json
-dune exec bin/trace_lint.exe -- --json-only BENCH_PR10.json
-
-# The PR 10 artifact must carry the space-engine head-to-head rows (the
-# PR 9 jobs-scaling matrix rides along in the same sweep).
+# The committed benchmark artifact must stay well-formed JSON and carry
+# the space-engine head-to-head rows plus the jobs-scaling matrix.
+dune exec bin/trace_lint.exe -- --json-only BENCH.json
 for row in space-dense-compile-rw-n3 space-sparse-compile-rw-n3 \
            space-dense-refine-rw-n3 space-sparse-refine-rw-n3 \
            classify-seq-dijkstra3-n6 compile-seq-dijkstra3-n7 \
            stabilize-sweep-seq-dijkstra3-n6; do
-  grep -q "\"$row\"" BENCH_PR10.json || {
-    echo "ci: BENCH_PR10.json is missing row $row" >&2
+  grep -q "\"$row\"" BENCH.json || {
+    echo "ci: BENCH.json is missing row $row" >&2
     exit 1
   }
 done
 
 # Perf-regression gate: the committed baseline must self-diff cleanly
-# (exit 0, no regressions), the PR 10 artifact must stay within the
-# generous cross-machine gate of the PR 9 baseline, and a fresh artifact
-# from this machine must stay within it too.  Low-r^2 rows are never
-# gated and sub-microsecond rows get 4x slack, so this catches
-# order-of-magnitude regressions without flaking on scheduler noise.
-dune exec bin/perfdiff.exe -- BENCH_PR9.json BENCH_PR9.json > /dev/null
-dune exec bin/perfdiff.exe -- --gate 100 BENCH_PR9.json BENCH_PR10.json > /dev/null
+# (exit 0, no regressions), and with CI_BENCH=1 a fresh artifact from
+# this machine must stay within the generous cross-machine gate of it.
+# Low-r^2 rows are never gated and sub-microsecond rows get 4x slack, so
+# this catches order-of-magnitude regressions without flaking on
+# scheduler noise.
+dune exec bin/perfdiff.exe -- BENCH.json BENCH.json > /dev/null
 if [ "${CI_BENCH:-0}" = "1" ]; then
-  dune exec bench/main.exe -- --json BENCH_PR10.json > /dev/null
-  dune exec bin/trace_lint.exe -- --json-only BENCH_PR10.json
-  dune exec bin/perfdiff.exe -- --gate 100 BENCH_PR9.json BENCH_PR10.json
+  fresh=$(mktemp /tmp/cr.bench.XXXXXX)
+  trap 'rm -f "$trace" "$lintjson" "$flowjson" "$flowjournal" "$cachelog" "$expout" "$expout0" "$expoutp" "$explog" "$journal" "$jout1" "$jout4" "$spdef" "$spsparse" "$fresh"' EXIT
+  dune exec bench/main.exe -- --json "$fresh" > /dev/null
+  dune exec bin/trace_lint.exe -- --json-only "$fresh"
+  dune exec bin/perfdiff.exe -- --gate 100 BENCH.json "$fresh"
 fi
 
 echo "ci: OK"

@@ -1,189 +1,37 @@
-(* Content-addressed memoization of checker verdicts.
+(* Verdict keys for the [check] memos of [Refine] and [Stabilize] (see
+   [Cr_kernel.Memo]).
 
-   The same shape as [Cr_semantics.Compile_cache], one level up: keys
-   fingerprint everything a refinement or stabilization verdict depends
-   on — the transition structure and initial states of both systems, the
-   abstraction table, the relation, fairness tables, stuttering options —
-   and values are whole reports.  Experiment tables that re-check the
-   same pair (the registry instantiates each system once per size but
-   several tables ask the same question) share one verdict.
-
-   Lookups are single-flight across domains: concurrent requesters of a
-   missing key block while one domain checks, then count a hit — so the
-   [check.cache.hits]/[check.cache.misses] counters are invariant under
-   the CR_JOBS fan-out, like every other [Cr_obs] counter.
-
-   A cached report is returned as-is, including its [cost] snapshot:
-   the attached cost is that of the original (miss) run, which is the
-   honest answer to "what did this verdict cost to establish".
-
-   [CR_CHECK_CACHE=0] disables the cache (every call re-checks);
-   [CR_CHECK_PARANOID=1] re-checks on every hit and asserts the cached
-   report equals the fresh one (modulo [cost]). *)
+   A key fingerprints everything a refinement or stabilization verdict
+   depends on — the transition structure and initial states of both
+   systems, the abstraction table, the fairness tables — plus a readable
+   prefix carrying the relation tag and both names.  An explicit system
+   is already fully tabulated, so hashing all of it is cheap and leaves
+   nothing unkeyed. *)
 
 open Cr_semantics
 module Csr = Cr_kernel.Csr
+module Fp = Cr_kernel.Memo.Fp
 
-let c_hits = Cr_obs.Obs.counter "check.cache.hits"
-let c_misses = Cr_obs.Obs.counter "check.cache.misses"
+(* Structure and initial states; the name is deliberately not folded
+   (it goes into the readable part of the key instead). *)
+let add_explicit fp e =
+  Fp.add_int fp (Explicit.num_states e);
+  let g = Explicit.csr e in
+  Fp.add_int_array fp (Csr.row_ptr g);
+  Fp.add_int_array fp (Csr.targets g);
+  Fp.add_int_array fp (Explicit.initials e)
 
-(* Time spent blocked behind another domain's in-flight check.  Only
-   populated under CR_JOBS > 1, so (unlike hit/miss totals) it is
-   schedule-dependent — a distribution to eyeball, not an invariant. *)
-let h_wait = Cr_obs.Obs.histogram "check.cache.wait_us"
+let key ~relation ~alpha ~fair ~(c : _ Explicit.t) ~(a : _ Explicit.t) =
+  let fp = Fp.create () in
+  add_explicit fp c;
+  add_explicit fp a;
+  Fp.add_int_array fp alpha;
+  (match fair with
+  | None -> Fp.add_int fp (-1)
+  | Some rows ->
+      Fp.add_int fp (Array.length rows);
+      Array.iter (Fp.add_int_array fp) rows);
+  Printf.sprintf "%s|%s|%s|%s" relation (Explicit.name c) (Explicit.name a)
+    (Fp.to_hex fp)
 
-type 'v slot = Inflight | Done of 'v
-
-type 'v t = {
-  m : Mutex.t;
-  cv : Condition.t;
-  tbl : (string, 'v slot) Hashtbl.t;
-}
-
-(* Registry of clear thunks, one per cache instance; instances are
-   created at module-initialization time (single domain), so a plain ref
-   suffices. *)
-let clearers : (unit -> unit) list ref = ref []
-
-(* Per-domain bypass, for benchmarks/tests that need a guaranteed fresh
-   verdict without touching the process environment. *)
-let bypassed : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
-
-let bypass f =
-  let saved = Domain.DLS.get bypassed in
-  Domain.DLS.set bypassed true;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set bypassed saved) f
-
-let enabled () =
-  (not (Domain.DLS.get bypassed))
-  &&
-  match Sys.getenv_opt "CR_CHECK_CACHE" with
-  | Some s when String.trim s = "0" -> false
-  | _ -> true
-
-let paranoid () =
-  match Sys.getenv_opt "CR_CHECK_PARANOID" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
-
-let length c = Mutex.protect c.m (fun () -> Hashtbl.length c.tbl)
-
-let clear c =
-  Mutex.protect c.m (fun () ->
-      (* never drop an in-flight marker: its checker will publish into
-         the (now smaller) table and broadcast as usual *)
-      let keep =
-        Hashtbl.fold
-          (fun k v acc -> match v with Inflight -> (k, v) :: acc | Done _ -> acc)
-          c.tbl []
-      in
-      Hashtbl.reset c.tbl;
-      List.iter (fun (k, v) -> Hashtbl.add c.tbl k v) keep)
-
-let create () =
-  let c =
-    { m = Mutex.create (); cv = Condition.create (); tbl = Hashtbl.create 64 }
-  in
-  clearers := (fun () -> clear c) :: !clearers;
-  c
-
-let clear_all () = List.iter (fun f -> f ()) !clearers
-
-let find_or_check c ~key ~same ~check =
-  if not (enabled ()) then check ()
-  else begin
-    Mutex.lock c.m;
-    let wait_start = ref None in
-    let rec lookup () =
-      match Hashtbl.find_opt c.tbl key with
-      | Some (Done v) -> `Hit v
-      | Some Inflight ->
-          if !wait_start = None then wait_start := Some (Cr_obs.Obs.now_us ());
-          Condition.wait c.cv c.m;
-          lookup ()
-      | None ->
-          Hashtbl.add c.tbl key Inflight;
-          `Miss
-    in
-    let outcome = lookup () in
-    Mutex.unlock c.m;
-    (match !wait_start with
-    | None -> ()
-    | Some t0 ->
-        let waited = Cr_obs.Obs.now_us () -. t0 in
-        Cr_obs.Obs.observe h_wait (int_of_float waited);
-        Cr_obs.Journal.emit "check.cache.wait"
-          [ ("key", Cr_obs.Journal.S key); ("wait_us", Cr_obs.Journal.F waited) ]);
-    match outcome with
-    | `Hit v ->
-        Cr_obs.Obs.incr c_hits;
-        Cr_obs.Journal.emit "check.cache.hit" [ ("key", Cr_obs.Journal.S key) ];
-        if paranoid () then begin
-          let fresh = check () in
-          if not (same v fresh) then
-            invalid_arg
-              (Printf.sprintf
-                 "Check_cache: paranoid mode: cached verdict differs from a \
-                  fresh check (key %s)"
-                 key)
-        end;
-        v
-    | `Miss -> (
-        Cr_obs.Obs.incr c_misses;
-        Cr_obs.Journal.emit "check.cache.miss" [ ("key", Cr_obs.Journal.S key) ];
-        match check () with
-        | v ->
-            Mutex.protect c.m (fun () ->
-                Hashtbl.replace c.tbl key (Done v);
-                Condition.broadcast c.cv);
-            v
-        | exception e ->
-            (* let waiters retry (and re-raise for themselves) *)
-            Mutex.protect c.m (fun () ->
-                Hashtbl.remove c.tbl key;
-                Condition.broadcast c.cv);
-            raise e)
-  end
-
-(* Key fingerprints: the same double-FNV rolling hash the
-   guarded-command compile fingerprint uses (two independent 63-bit
-   folds ≈ 126 bits), here folded over exact transition structure rather
-   than a probe — an explicit system is already fully tabulated, so
-   hashing all of it is cheap and leaves nothing unkeyed. *)
-module Fp = struct
-  let fnv1 = 0x100000001b3
-  let fnv2 = 0x27d4eb2f165667c5
-
-  type t = { mutable h1 : int; mutable h2 : int }
-
-  let create () = { h1 = 0x3bf29ce484222325; h2 = 0x1e3779b97f4a7c15 }
-
-  let add_int t x =
-    t.h1 <- (t.h1 lxor x) * fnv1;
-    t.h2 <- (t.h2 lxor x) * fnv2
-
-  let add_string t s =
-    add_int t (String.length s);
-    String.iter (fun ch -> add_int t (Char.code ch)) s
-
-  let add_int_array t a =
-    add_int t (Array.length a);
-    Array.iter (fun x -> add_int t x) a
-
-  let add_option_int_array_array t = function
-    | None -> add_int t (-1)
-    | Some rows ->
-        add_int t (Array.length rows);
-        Array.iter (fun row -> add_int_array t row) rows
-
-  (* Structure and initial states; the name is deliberately not folded
-     (it goes into the readable part of the key instead). *)
-  let add_explicit t e =
-    add_int t (Explicit.num_states e);
-    let g = Explicit.csr e in
-    add_int_array t (Csr.row_ptr g);
-    add_int_array t (Csr.targets g);
-    add_int_array t (Explicit.initials e)
-
-  let to_hex t = Printf.sprintf "%x.%x" t.h1 t.h2
-end
+let clear_all = Cr_kernel.Memo.clear_all

@@ -1,75 +1,29 @@
-(** Content-addressed memoization of checker verdicts.
+(** Verdict keys for the content-addressed checker memos.
 
-    A cache maps fingerprints of everything a verdict depends on — both
-    systems' exact transition structure and initial states, the
-    abstraction table, the relation, fairness tables, stuttering options
-    — to whole reports, so experiment tables that ask the same question
-    twice (e.g. the registry's direct-stabilization and wrapper tables
-    over the same pair) share one check.  {!Refine} and {!Stabilize}
-    each own an instance and build the keys; nothing else needs to.
-
-    Lookups are single-flight across domains: concurrent requesters of a
-    missing key block while one domain checks, then count a hit — the
-    [check.cache.hits]/[check.cache.misses] counters are invariant under
-    the [CR_JOBS] fan-out, like every other [Cr_obs] counter.
+    {!Refine} and {!Stabilize} each memoize whole reports in a
+    {!Cr_kernel.Memo} named [check] (counters [check.cache.hits] /
+    [check.cache.misses]), so experiment tables that ask the same
+    question twice — e.g. the registry's direct-stabilization and
+    wrapper tables over the same pair — share one check.  This module
+    builds their keys.
 
     A cached report keeps the [cost] snapshot of the original (miss)
-    run: that is what the verdict cost to establish.
+    run: that is what the verdict cost to establish. *)
 
-    Environment switches: [CR_CHECK_CACHE=0] disables caching entirely;
-    [CR_CHECK_PARANOID=1] (a test mode) re-checks on every hit and
-    asserts the cached report equals the fresh one modulo [cost]. *)
-
-type 'v t
-
-val create : unit -> 'v t
-(** A fresh cache, registered with {!clear_all}.  Intended to be called
-    once per checker module at initialization. *)
-
-val enabled : unit -> bool
-(** Is the cache active?  False when [CR_CHECK_CACHE=0] or inside
-    {!bypass}. *)
-
-val paranoid : unit -> bool
-(** Is [CR_CHECK_PARANOID] set to a truthy value? *)
-
-val bypass : (unit -> 'b) -> 'b
-(** Run with the cache disabled in the calling domain (benchmarks and
-    tests that need a guaranteed fresh verdict). *)
-
-val find_or_check :
-  'v t -> key:string -> same:('v -> 'v -> bool) -> check:(unit -> 'v) -> 'v
-(** [find_or_check c ~key ~same ~check] returns the cached verdict for
-    [key], or runs [check], stores its result and returns it.  [same] is
-    the paranoid-mode comparison (equality modulo the cost snapshot).
-    If [check] raises, the error propagates and nothing is cached. *)
-
-val length : _ t -> int
-(** Number of cached verdicts (test support). *)
-
-val clear : _ t -> unit
-(** Drop every completed entry (test/bench support; in-flight checks
-    publish normally). *)
+val key :
+  relation:string ->
+  alpha:int array ->
+  fair:int array array option ->
+  c:_ Cr_semantics.Explicit.t ->
+  a:_ Cr_semantics.Explicit.t ->
+  string
+(** The memo key of one verdict question: [relation] (a readable tag
+    that must separate every check variant), both system names, and a
+    double-FNV fingerprint ({!Cr_kernel.Memo.Fp}) of both systems' exact
+    transition structure and initial states, the abstraction table and
+    the fairness tables (or their absence, distinctly). *)
 
 val clear_all : unit -> unit
-(** {!clear} every cache created so far (test/bench support). *)
-
-(** Rolling fingerprints for key construction: the compile fingerprint's
-    double-FNV fold, applied to exact structure. *)
-module Fp : sig
-  type t
-
-  val create : unit -> t
-  val add_int : t -> int -> unit
-  val add_string : t -> string -> unit
-  val add_int_array : t -> int array -> unit
-
-  val add_option_int_array_array : t -> int array array option -> unit
-  (** Fold fairness tables (or their absence, distinctly). *)
-
-  val add_explicit : t -> _ Cr_semantics.Explicit.t -> unit
-  (** Fold a system's exact transition structure (CSR offsets and
-      targets) and initial states. *)
-
-  val to_hex : t -> string
-end
+(** {!Cr_kernel.Memo.clear_all}: drop every memoized verdict — and,
+    since there is one memo implementation, every memoized compile too
+    (test/bench support). *)

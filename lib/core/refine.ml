@@ -31,7 +31,7 @@ module Par = Cr_kernel.Par
    All sweeps run over the systems' flat CSR graphs (zero-copy views);
    the classification sweep is domain-chunked under the CR_JOBS contract
    of [Par], and every verdict is memoized in a content-addressed
-   [Check_cache]. *)
+   [Cr_kernel.Memo] keyed by [Check_cache.key]. *)
 
 type edge_class = Stutter | Exact | Compression of int
 
@@ -398,27 +398,6 @@ let classify ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) :
   ( { srcs; dsts; cls },
     { edges = m; exact; stutter; compressions; max_dropped } )
 
-(* CSR of the stutter edges alone, built flat by count-then-fill (rows
-   inherit the sorted order of the classified edges). *)
-let stutter_csr n (classified : classified) =
-  let row_ptr = Array.make (n + 1) 0 in
-  iter_classified classified (fun i _ cls ->
-      match cls with
-      | Some Stutter -> row_ptr.(i + 1) <- row_ptr.(i + 1) + 1
-      | _ -> ());
-  for i = 0 to n - 1 do
-    row_ptr.(i + 1) <- row_ptr.(i + 1) + row_ptr.(i)
-  done;
-  let targets = Array.make row_ptr.(n) 0 in
-  let fill = Array.copy row_ptr in
-  iter_classified classified (fun i j cls ->
-      match cls with
-      | Some Stutter ->
-          targets.(fill.(i)) <- j;
-          fill.(i) <- fill.(i) + 1
-      | _ -> ());
-  Cr_kernel.Csr.unsafe_of_raw ~row_ptr ~targets
-
 let initial_failures ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) =
   Array.to_list (Explicit.initials c)
   |> List.filter_map (fun i ->
@@ -482,13 +461,12 @@ let with_cost span_name f =
     { report with cost = Some cost }
   end
 
-(* Verdict cache shared by all four relations: the key covers the
+(* Verdict memo shared by all four relations: the key covers the
    relation tag, both systems (names, exact transition structure,
    initial states), the resolved abstraction table and the fairness
    tables, so a hit can only return a report computed for an identical
-   question.  [CR_CHECK_CACHE=0] / [Check_cache.bypass] opt out;
-   [CR_CHECK_PARANOID=1] re-checks every hit. *)
-let check_cache : report Check_cache.t = Check_cache.create ()
+   question (see [Check_cache.key]). *)
+let memo : report Cr_kernel.Memo.t = Cr_kernel.Memo.create ~name:"check"
 
 let same_report r1 r2 = { r1 with cost = None } = { r2 with cost = None }
 
@@ -496,18 +474,9 @@ let resolve_alpha ~c = function
   | Some t -> t
   | None -> Abstraction.identity_table (Explicit.num_states c)
 
-let cache_key ~relation ~alpha ~fair ~(c : _ Explicit.t) ~(a : _ Explicit.t) =
-  let fp = Check_cache.Fp.create () in
-  Check_cache.Fp.add_explicit fp c;
-  Check_cache.Fp.add_explicit fp a;
-  Check_cache.Fp.add_int_array fp alpha;
-  Check_cache.Fp.add_option_int_array_array fp fair;
-  Printf.sprintf "%s|%s|%s|%s" relation (Explicit.name c) (Explicit.name a)
-    (Check_cache.Fp.to_hex fp)
-
 (* One journal event per verdict delivered to a caller.  [cached] is
    true when the report came out of the verdict cache without running
-   the checker (under CR_CHECK_PARANOID the paranoid re-check makes a
+   the checker (under CR_CACHE_PARANOID the paranoid re-check makes a
    hit look fresh — the honest reading, since the work was done). *)
 let emit_verdict ~was_cached (r : report) =
   if Cr_obs.Journal.enabled () then begin
@@ -532,20 +501,59 @@ let emit_verdict ~was_cached (r : report) =
   end
 
 let cached ~relation ~alpha ~fair ~c ~a check =
-  let computed = ref false in
-  let check () =
-    computed := true;
-    check ()
+  let r, ran =
+    Cr_kernel.Memo.find memo
+      ~key:(fun () -> Check_cache.key ~relation ~alpha ~fair ~c ~a)
+      ~same:same_report check
   in
-  let r =
-    if not (Check_cache.enabled ()) then check ()
-    else
-      Check_cache.find_or_check check_cache
-        ~key:(cache_key ~relation ~alpha ~fair ~c ~a)
-        ~same:same_report ~check
-  in
-  emit_verdict ~was_cached:(not !computed) r;
+  emit_verdict ~was_cached:(not ran) r;
   r
+
+(* Does edge (i, j) of [c] lie on a cycle — a weakly-fair one under
+   [?fair] (computations are restricted to weakly fair ones; see
+   {!Fair})?  Without fairness the SCCs are computed on demand: only
+   edges that can fail query them. *)
+let edge_on_cycle ~fair (succ_c : Cr_kernel.Csr.t) =
+  match fair with
+  | None ->
+      let scc = lazy (Cr_checker.Scc.compute_csr succ_c) in
+      fun i j -> Cr_checker.Scc.edge_on_cycle (Lazy.force scc) i j
+  | Some tables ->
+      let analysis =
+        Fair.analyze_csr tables ~succ:succ_c
+          ~mask:(Cr_kernel.Bitset.full (Cr_kernel.Csr.num_states succ_c))
+      in
+      fun i j -> Fair.edge_on_fair_cycle analysis i j
+
+(* Stutter-only cycles: an infinite computation of C whose image is
+   eventually constant normalizes to a finite sequence, so its (constant)
+   image must be able to end a computation of A, i.e. be A-terminal.
+   Prepends one [Stutter_cycle] failure per offending state.  A system
+   with no stutter edge has no such cycle — the pass is skipped. *)
+let stutter_check ~alpha ~fair ~(c : _ Explicit.t) ~(a : _ Explicit.t)
+    ~(stats : stats) failures =
+  if stats.stutter > 0 then
+    Cr_obs.Obs.span "refine.stutter_check" @@ fun () ->
+    let n = Explicit.num_states c in
+    let stutter_adj =
+      Cr_kernel.Csr.filter (Explicit.csr c) (fun i j -> alpha.(i) = alpha.(j))
+    in
+    let on_stutter_cycle =
+      match fair with
+      | None ->
+          let stutter_scc = Cr_checker.Scc.compute_csr stutter_adj in
+          fun i -> Cr_checker.Scc.on_cycle stutter_scc i
+      | Some tables ->
+          let analysis =
+            Fair.analyze_csr tables ~succ:stutter_adj
+              ~mask:(Cr_kernel.Bitset.full n)
+          in
+          fun i -> analysis.Fair.fair.(i)
+    in
+    for i = 0 to n - 1 do
+      if on_stutter_cycle i && not (Explicit.is_terminal a alpha.(i)) then
+        failures := Stutter_cycle i :: !failures
+    done
 
 (* [C ⊑ A]_init *)
 let init_refinement ?alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
@@ -583,29 +591,15 @@ let everywhere_refinement ?alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
   make_report ~relation:"⊑" ~c ~a ~stats failures
 
 (* [C ⪯ A] — convergence refinement.  With [?fair], "on a cycle" means
-   "on a weakly-fair cycle" (computations are restricted to weakly fair
-   ones; see {!Fair}). *)
+   "on a weakly-fair cycle" (see [edge_on_cycle]). *)
 let convergence_refinement ?alpha ?fair ~(c : _ Explicit.t)
     ~(a : _ Explicit.t) () =
   let alpha = resolve_alpha ~c alpha in
   cached ~relation:"⪯" ~alpha ~fair ~c ~a @@ fun () ->
   with_cost "refine.convergence" @@ fun () ->
   let classified, stats = classify ~alpha ~c ~a in
-  let n = Explicit.num_states c in
   let succ_c = Explicit.csr c in
-  let edge_on_cycle =
-    match fair with
-    | None ->
-        (* computed on demand: only compression edges query it *)
-        let scc = lazy (Cr_checker.Scc.compute_csr succ_c) in
-        fun i j -> Cr_checker.Scc.edge_on_cycle (Lazy.force scc) i j
-    | Some tables ->
-        let analysis =
-          Fair.analyze_csr tables ~succ:succ_c
-            ~mask:(Cr_kernel.Bitset.full n)
-        in
-        fun i j -> Fair.edge_on_fair_cycle analysis i j
-  in
+  let edge_on_cycle = edge_on_cycle ~fair succ_c in
   let failures = ref (initial_failures ~alpha ~c ~a) in
   (* 1. Init refinement: reachable edges must be Exact.  The forward
      reachability reuses [succ_c] — no adjacency rebuild. *)
@@ -628,29 +622,8 @@ let convergence_refinement ?alpha ?fair ~(c : _ Explicit.t)
           | Some (Compression _) when edge_on_cycle i j ->
               failures := Compression_on_cycle (i, j) :: !failures
           | Some _ -> ()));
-  (* 3. Stutter-only cycles: an infinite computation of C whose image is
-     eventually constant normalizes to a finite sequence, so its (constant)
-     image must be able to end a computation of A, i.e. be A-terminal.
-     A system with no stutter edge has no such cycle — skip the pass. *)
-  (if stats.stutter > 0 then
-     Cr_obs.Obs.span "refine.stutter_check" @@ fun () ->
-     let stutter_adj = stutter_csr n classified in
-     let on_stutter_cycle =
-       match fair with
-       | None ->
-           let stutter_scc = Cr_checker.Scc.compute_csr stutter_adj in
-           fun i -> Cr_checker.Scc.on_cycle stutter_scc i
-       | Some tables ->
-           let analysis =
-             Fair.analyze_csr tables ~succ:stutter_adj
-               ~mask:(Cr_kernel.Bitset.full n)
-           in
-           fun i -> analysis.Fair.fair.(i)
-     in
-     for i = 0 to n - 1 do
-       if on_stutter_cycle i && not (Explicit.is_terminal a alpha.(i)) then
-         failures := Stutter_cycle i :: !failures
-     done);
+  (* 3. Stutter-only cycles. *)
+  stutter_check ~alpha ~fair ~c ~a ~stats failures;
   (* 4. Terminal matching (everywhere). *)
   let failures = !failures @ terminal_failures ~alpha ~c ~a ~restrict:None in
   make_report ~relation:"⪯" ~c ~a ~stats failures
@@ -667,21 +640,8 @@ let everywhere_eventually_refinement ?alpha ?fair ~(c : _ Explicit.t)
   cached ~relation:"⊑_ee" ~alpha ~fair ~c ~a @@ fun () ->
   with_cost "refine.everywhere_eventually" @@ fun () ->
   let classified, stats = classify ~alpha ~c ~a in
-  let n = Explicit.num_states c in
   let succ_c = Explicit.csr c in
-  let edge_on_cycle =
-    match fair with
-    | None ->
-        (* computed on demand: only non-exact, non-stutter edges query it *)
-        let scc = lazy (Cr_checker.Scc.compute_csr succ_c) in
-        fun i j -> Cr_checker.Scc.edge_on_cycle (Lazy.force scc) i j
-    | Some tables ->
-        let analysis =
-          Fair.analyze_csr tables ~succ:succ_c
-            ~mask:(Cr_kernel.Bitset.full n)
-        in
-        fun i j -> Fair.edge_on_fair_cycle analysis i j
-  in
+  let edge_on_cycle = edge_on_cycle ~fair succ_c in
   let failures = ref (initial_failures ~alpha ~c ~a) in
   Cr_obs.Obs.span "refine.cycle_check" (fun () ->
       let reach =
@@ -698,24 +658,6 @@ let everywhere_eventually_refinement ?alpha ?fair ~(c : _ Explicit.t)
             | Some (Compression _) | None ->
                 if edge_on_cycle i j then
                   failures := Non_exact_on_cycle (i, j) :: !failures));
-  (if stats.stutter > 0 then
-     Cr_obs.Obs.span "refine.stutter_check" @@ fun () ->
-     let stutter_adj = stutter_csr n classified in
-     let on_stutter_cycle =
-       match fair with
-       | None ->
-           let stutter_scc = Cr_checker.Scc.compute_csr stutter_adj in
-           fun i -> Cr_checker.Scc.on_cycle stutter_scc i
-       | Some tables ->
-           let analysis =
-             Fair.analyze_csr tables ~succ:stutter_adj
-               ~mask:(Cr_kernel.Bitset.full n)
-           in
-           fun i -> analysis.Fair.fair.(i)
-     in
-     for i = 0 to n - 1 do
-       if on_stutter_cycle i && not (Explicit.is_terminal a alpha.(i)) then
-         failures := Stutter_cycle i :: !failures
-     done);
+  stutter_check ~alpha ~fair ~c ~a ~stats failures;
   let failures = !failures @ terminal_failures ~alpha ~c ~a ~restrict:None in
   make_report ~relation:"⊑_ee" ~c ~a ~stats failures

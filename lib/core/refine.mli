@@ -11,10 +11,10 @@
     The checkers are sound: [holds = true] implies the trace-theoretic
     relation.
 
-    Verdicts are memoized in a content-addressed {!Check_cache} keyed on
-    the relation, both systems' exact structure, the abstraction and the
-    fairness tables — disable with [CR_CHECK_CACHE=0], audit with
-    [CR_CHECK_PARANOID=1].  The classification sweep is domain-chunked
+    Verdicts are memoized in a content-addressed {!Cr_kernel.Memo} keyed
+    ({!Check_cache.key}) on the relation, both systems' exact structure,
+    the abstraction and the fairness tables — disable with [CR_CACHE=0],
+    audit with [CR_CACHE_PARANOID=1].  The classification sweep is domain-chunked
     under [CR_JOBS] ({!Cr_kernel.Par}) with job-count-independent
     results. *)
 

@@ -24,7 +24,7 @@ module Par = Cr_kernel.Par
    All sweeps run over the systems' flat CSR graphs and packed bitsets;
    the bad-seed sweep is domain-chunked under the CR_JOBS contract of
    [Par], and verdicts are memoized in a content-addressed
-   [Check_cache]. *)
+   [Cr_kernel.Memo] keyed by [Check_cache.key]. *)
 
 type report = {
   holds : bool;
@@ -110,10 +110,10 @@ let find_cycle_within (succ : Cr_kernel.Csr.t) (mask : Cr_kernel.Bitset.t) =
 let c_runs = Cr_obs.Obs.counter "stabilize.runs"
 let c_bad_seeds = Cr_obs.Obs.counter "stabilize.bad_seeds"
 
-(* Verdict cache (see [Check_cache]): keyed on both systems' exact
-   structure, the abstraction, the fairness tables and the stutter
-   mode. *)
-let check_cache : report Check_cache.t = Check_cache.create ()
+(* Verdict memo: keyed on both systems' exact structure, the
+   abstraction, the fairness tables and the stutter mode (see
+   [Check_cache.key]). *)
+let memo : report Cr_kernel.Memo.t = Cr_kernel.Memo.create ~name:"check"
 
 let same_report r1 r2 = { r1 with cost = None } = { r2 with cost = None }
 
@@ -181,23 +181,9 @@ let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
         end);
     (if stutter_ok then begin
        (* pure-stutter cycles must sit at an [a]-terminal image *)
-       let srow_ptr = Array.make (n + 1) 0 in
-       Explicit.iter_edges c (fun i j ->
-           if alpha.(i) = alpha.(j) then
-             srow_ptr.(i + 1) <- srow_ptr.(i + 1) + 1);
-       for i = 0 to n - 1 do
-         srow_ptr.(i + 1) <- srow_ptr.(i + 1) + srow_ptr.(i)
-       done;
-       let stargets = Array.make srow_ptr.(n) 0 in
-       let fill = Array.copy srow_ptr in
-       Explicit.iter_edges c (fun i j ->
-           if alpha.(i) = alpha.(j) then begin
-             stargets.(fill.(i)) <- j;
-             fill.(i) <- fill.(i) + 1
-           end);
        let sscc =
          Cr_checker.Scc.compute_csr
-           (Cr_kernel.Csr.unsafe_of_raw ~row_ptr:srow_ptr ~targets:stargets)
+           (Cr_kernel.Csr.filter succ_c (fun i j -> alpha.(i) = alpha.(j)))
        in
        for i = 0 to n - 1 do
          if Cr_checker.Scc.on_cycle sscc i
@@ -300,26 +286,13 @@ let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
           cost_before;
     }
   in
-  let computed = ref false in
-  let check () =
-    computed := true;
-    check ()
-  in
-  let r =
-    if not (Check_cache.enabled ()) then check ()
-    else begin
-      let fp = Check_cache.Fp.create () in
-      Check_cache.Fp.add_explicit fp c;
-      Check_cache.Fp.add_explicit fp a;
-      Check_cache.Fp.add_int_array fp alpha;
-      Check_cache.Fp.add_option_int_array_array fp fair;
-      Check_cache.Fp.add_int fp (if stutter_ok then 1 else 0);
-      let key =
-        Printf.sprintf "stab|%s|%s|%s" (Explicit.name c) (Explicit.name a)
-          (Check_cache.Fp.to_hex fp)
-      in
-      Check_cache.find_or_check check_cache ~key ~same:same_report ~check
-    end
+  let r, ran =
+    Cr_kernel.Memo.find memo
+      ~key:(fun () ->
+        Check_cache.key
+          ~relation:(if stutter_ok then "stab+stutter" else "stab")
+          ~alpha ~fair ~c ~a)
+      ~same:same_report check
   in
   (if Cr_obs.Journal.enabled () then begin
      let open Cr_obs.Journal in
@@ -331,7 +304,7 @@ let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
          ("states", I r.states);
          ("legitimate", I r.legitimate);
          ("good", I r.good);
-         ("cached", B (not !computed));
+         ("cached", B (not ran));
        ]
      in
      let fields =

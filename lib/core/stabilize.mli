@@ -4,9 +4,9 @@
     that is a suffix of some computation of [A] starting at an initial
     state of [A].
 
-    Verdicts are memoized in a content-addressed {!Check_cache}
-    ([CR_CHECK_CACHE=0] disables, [CR_CHECK_PARANOID=1] audits every
-    hit); the bad-seed sweep is domain-chunked under [CR_JOBS] with a
+    Verdicts are memoized in a content-addressed {!Cr_kernel.Memo}
+    keyed by {!Check_cache.key} ([CR_CACHE=0] disables,
+    [CR_CACHE_PARANOID=1] audits every hit); the bad-seed sweep is domain-chunked under [CR_JOBS] with a
     job-count-independent result. *)
 
 type report = {

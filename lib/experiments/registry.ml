@@ -175,7 +175,7 @@ let spec_explicit e n = Program.to_explicit (e.spec n)
 
 (* Verdict routing.  Every driver (crcheck, the report tables, tests)
    that asks the same registry question goes through these, so the
-   content-addressed Check_cache inside Refine/Stabilize serves one
+   content-addressed verdict memo inside Refine/Stabilize serves one
    computed verdict to all of them. *)
 
 let alpha_table e n =

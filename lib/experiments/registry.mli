@@ -43,8 +43,8 @@ val alpha_table : entry -> int -> int array
 val stabilization :
   ?fair:Cr_core.Fair.tables -> entry -> int -> Cr_core.Stabilize.report
 (** [stabilizing_to] for the entry at ring size [n].  Routed through the
-    process-wide {!Cr_core.Check_cache}: every driver asking the same
-    registry question shares one computed verdict. *)
+    process-wide verdict memo ({!Cr_core.Check_cache}): every driver
+    asking the same registry question shares one computed verdict. *)
 
 val refinements :
   ?ep:Layout.state Cr_semantics.Explicit.t ->

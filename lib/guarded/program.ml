@@ -2,6 +2,7 @@
    every system in the paper (rings, wrappers and their compositions). *)
 
 module Space = Cr_semantics.Space
+module Memo = Cr_kernel.Memo
 
 type state = Layout.state
 
@@ -270,8 +271,8 @@ let row_builder ~mode t state_of =
 
 (* Telemetry satellite of the two-engine compile path: which engine
    built the graph and how much of the product space it materialized.
-   Emitted by both engines, between the cache's compile.start/finish
-   pair on a miss. *)
+   Emitted by both engines, between the compile.start/finish pair of
+   every compile that actually runs. *)
 let emit_space ~name ~engine ~states ~full =
   Cr_obs.Journal.emit "compile.space"
     [
@@ -416,17 +417,10 @@ let compile_sparse ~mode t ~seed_ranks:seeds =
    structural part below. *)
 let probe_budget = 256
 
-(* Two independent FNV-1a-style folds over native ints: 126 bits of
-   accumulated probe state, no allocation per step.  Native-int
-   multiplication wraps silently, which is exactly what a rolling hash
-   wants. *)
-let fnv1 = 0x100000001b3
-let fnv2 = 0x27d4eb2f165667c5
-
-(* Semantic probe: fold the complete firing observations — per sampled
-   state, per action in order, the successor's rank (or a disabled
-   marker) — of up to [probe_budget] evenly spread states (every state
-   when the space is that small).  The raw firing sequence determines
+(* Semantic probe: fold ([Memo.Fp]) the complete firing observations —
+   per sampled state, per action in order, the successor's rank (or a
+   disabled marker) — of up to [probe_budget] evenly spread states
+   (every state when the space is that small).  The raw firing sequence determines
    the compiled graph for the plain AND priority modes (the wrapper bits
    live in the structural header), so one probe serves both; the
    synchronous mode folds its deterministic step instead.  Escaping
@@ -437,11 +431,8 @@ let probe ~mode t =
   let n = Layout.num_states layout in
   let budget = min n probe_budget in
   let name = mode_name ~mode t in
-  let h1 = ref 0x3bf29ce484222325 and h2 = ref 0x1e3779b97f4a7c15 in
-  let fold x =
-    h1 := (!h1 lxor x) * fnv1;
-    h2 := (!h2 lxor x) * fnv2
-  in
+  let fp = Memo.Fp.create () in
+  let fold = Memo.Fp.add_int fp in
   (match mode with
   | Sync ->
       for k = 0 to budget - 1 do
@@ -464,7 +455,7 @@ let probe ~mode t =
             else fold (-1))
           actions
       done);
-  (!h1, !h2)
+  Memo.Fp.to_hex fp
 
 (* Content-addressed cache key: execution mode, layout (variable names
    and domain sizes), per-action metadata (label, owning process,
@@ -473,7 +464,7 @@ let probe ~mode t =
    different guards or effects.  The initial-state predicate is
    deliberately NOT part of the key: a cached graph is re-targeted via
    [Explicit.with_initials] on every hit.  (The probe is a 126-bit
-   rolling hash, not the exact rows; CR_COMPILE_PARANOID=1 turns every
+   rolling hash, not the exact rows; CR_CACHE_PARANOID=1 turns every
    hit into a checked recompile for the paranoid.) *)
 let fingerprint ~mode t =
   let layout = t.layout in
@@ -498,23 +489,14 @@ let fingerprint ~mode t =
            | Priority bits when bits.(i) -> ";W"
            | _ -> "")))
     t.actions;
-  let p1, p2 = probe ~mode t in
-  Buffer.add_string buf (Printf.sprintf "|%x.%x" p1 p2);
+  Buffer.add_char buf '|';
+  Buffer.add_string buf (probe ~mode t);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let compile_fingerprint ?priority_of t =
-  let mode =
-    match priority_of with
-    | None -> Plain
-    | Some is_wrapper ->
-        Priority (Array.of_list (List.map is_wrapper t.actions))
-  in
-  fingerprint ~mode t
+let memo : Layout.state Cr_semantics.Explicit.t Memo.t =
+  Memo.create ~name:"compile"
 
-let compile_cache : Layout.state Cr_semantics.Compile_cache.t =
-  Cr_semantics.Compile_cache.create ()
-
-let clear_compile_cache () = Cr_semantics.Compile_cache.clear compile_cache
+let clear_compile_cache () = Memo.clear memo
 
 (* Cache keys carry the engine: a dense and a sparse compile of the
    same program must never alias (their graphs are different objects).
@@ -523,36 +505,50 @@ let clear_compile_cache () = Cr_semantics.Compile_cache.clear compile_cache
    fingerprint but differ in initial states get distinct sparse entries,
    while dense entries keep being shared and re-targeted via [reinit]. *)
 let sparse_key ~mode t seeds =
-  let h1 = ref 0x3bf29ce484222325 and h2 = ref 0x1e3779b97f4a7c15 in
-  Array.iter
-    (fun r ->
-      h1 := (!h1 lxor r) * fnv1;
-      h2 := (!h2 lxor r) * fnv2)
-    seeds;
-  Printf.sprintf "%s|space:sparse:%d:%x.%x" (fingerprint ~mode t)
-    (Array.length seeds) !h1 !h2
+  let fp = Memo.Fp.create () in
+  Array.iter (Memo.Fp.add_int fp) seeds;
+  Printf.sprintf "%s|space:sparse:%d:%s" (fingerprint ~mode t)
+    (Array.length seeds) (Memo.Fp.to_hex fp)
 
 let compile ~mode ~space t =
-  let reinit e =
-    Cr_semantics.Explicit.with_initials
-      (Cr_semantics.Explicit.rename (mode_name ~mode t) e)
-      t.initial
+  let module E = Cr_semantics.Explicit in
+  let reinit e = E.with_initials (E.rename (mode_name ~mode t) e) t.initial in
+  let key, compile =
+    match (space : Space.engine) with
+    | Space.Dense ->
+        ( (fun () -> fingerprint ~mode t ^ "|space:dense"),
+          fun () -> compile_fresh ~mode t )
+    | Space.Sparse ->
+        let seeds = seed_ranks t in
+        ( (fun () -> sparse_key ~mode t seeds),
+          fun () -> compile_sparse ~mode t ~seed_ranks:seeds )
   in
-  match (space : Space.engine) with
-  | Space.Dense ->
-      let compile = fun () -> compile_fresh ~mode t in
-      if not (Cr_semantics.Compile_cache.enabled ()) then compile ()
-      else
-        Cr_semantics.Compile_cache.find_or_compile compile_cache
-          ~key:(fingerprint ~mode t ^ "|space:dense")
-          ~reinit ~compile
-  | Space.Sparse ->
-      let seeds = seed_ranks t in
-      let compile = fun () -> compile_sparse ~mode t ~seed_ranks:seeds in
-      if not (Cr_semantics.Compile_cache.enabled ()) then compile ()
-      else
-        Cr_semantics.Compile_cache.find_or_compile compile_cache
-          ~key:(sparse_key ~mode t seeds) ~reinit ~compile
+  let key = lazy (key ()) in
+  let compile () =
+    let open Cr_obs.Journal in
+    let journal = enabled () in
+    if journal then emit "compile.start" [ ("key", S (Lazy.force key)) ];
+    let t0 = Cr_obs.Obs.now_us () in
+    let e = compile () in
+    if journal then
+      emit "compile.finish"
+        [
+          ("key", S (Lazy.force key));
+          ("states", I (E.num_states e));
+          ("transitions", I (E.num_transitions e));
+          ("wall_us", F (Cr_obs.Obs.now_us () -. t0));
+        ];
+    e
+  in
+  (* paranoid mode: the re-targeted cached graph must equal a fresh
+     compile, transitions and initial states alike *)
+  let same cached fresh =
+    let cached = reinit cached in
+    E.same_transitions fresh cached && E.initials fresh = E.initials cached
+  in
+  match Memo.find memo ~key:(fun () -> Lazy.force key) ~same compile with
+  | e, true -> e
+  | e, false -> reinit e
 
 let to_explicit ?priority_of ?(space = Space.Dense) t =
   let mode =

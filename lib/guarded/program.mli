@@ -75,20 +75,15 @@ val to_explicit :
     domain-chunked under the [CR_JOBS] contract of {!Cr_kernel.Par} —
     identical output for every job count.
 
-    Compiles are memoized in a process-wide
-    {!Cr_semantics.Compile_cache} keyed by a content-addressed
-    fingerprint (execution mode, layout, per-action metadata, and a
-    semantic successor probe over up to 256 evenly spread states) plus
-    an engine tag, so dense and sparse graphs can never alias; the
-    sparse key also folds the seed-rank set, since a sparse graph
-    depends on its BFS roots.  On a dense hit the cached graph is
-    re-targeted to this program's name and initial predicate.
-    [CR_COMPILE_CACHE=0] disables the cache. *)
-
-val compile_fingerprint : ?priority_of:(Action.t -> bool) -> t -> string
-(** The content-addressed cache key {!to_explicit} would use for this
-    program (diagnostics and tests): a digest of the execution mode,
-    layout, action metadata and the semantic successor probe. *)
+    Compiles are memoized in the process-wide [compile]
+    {!Cr_kernel.Memo} keyed by a content-addressed fingerprint
+    (execution mode, layout, per-action metadata, and a semantic
+    successor probe over up to 256 evenly spread states) plus an engine
+    tag, so dense and sparse graphs can never alias; the sparse key also
+    folds the seed-rank set, since a sparse graph depends on its BFS
+    roots.  On a dense hit the cached graph is re-targeted to this
+    program's name and initial predicate.  [CR_CACHE=0] disables the
+    memo. *)
 
 val clear_compile_cache : unit -> unit
 (** Empty the process-wide compile cache (tests and benchmarks that need

@@ -93,28 +93,26 @@ let transpose t =
       fill.(j) <- fill.(j) + 1);
   { row_ptr; targets }
 
-(* Subgraph induced by the masked states: rows of unmasked states are
-   empty, surviving rows keep only masked targets.  Two flat passes, no
-   per-row allocation. *)
-let restrict t (mask : Bitset.t) : t =
+(* Count-then-fill over the edges in row order, so surviving rows stay
+   sorted; no per-row allocation. *)
+let filter t keep : t =
   let n = num_states t in
   let row_ptr = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
     let kept = ref 0 in
-    if Bitset.get mask i then
-      iter_row t i (fun j -> if Bitset.get mask j then incr kept);
+    iter_row t i (fun j -> if keep i j then incr kept);
     row_ptr.(i + 1) <- row_ptr.(i) + !kept
   done;
   let targets = Array.make row_ptr.(n) 0 in
   let k = ref 0 in
-  for i = 0 to n - 1 do
-    if Bitset.get mask i then
-      iter_row t i (fun j ->
-          if Bitset.get mask j then begin
-            targets.(!k) <- j;
-            incr k
-          end)
-  done;
+  iter_edges t (fun i j ->
+      if keep i j then begin
+        targets.(!k) <- j;
+        incr k
+      end);
   { row_ptr; targets }
+
+let restrict t (mask : Bitset.t) =
+  filter t (fun i j -> Bitset.get mask i && Bitset.get mask j)
 
 let equal t1 t2 = t1.row_ptr = t2.row_ptr && t1.targets = t2.targets

@@ -46,6 +46,11 @@ val to_rows : t -> int array array
 val transpose : t -> t
 (** Predecessor graph; rows stay sorted. *)
 
+val filter : t -> (int -> int -> bool) -> t
+(** [filter t keep] is the subgraph of the edges [(i, j)] with [keep i j]
+    (same states; rows keep their sorted order).  [keep] is called
+    twice per edge. *)
+
 val restrict : t -> Bitset.t -> t
 (** Subgraph induced by the masked states (rows of unmasked states are
     empty, surviving rows keep only masked targets). *)

@@ -1,12 +1,12 @@
 (* Tests of the chunked, memoized explicit compiler: domain-chunked
    [Program.to_explicit] must be byte-identical to the sequential path
-   for every execution mode, the compile cache must be transparent
-   (including under CR_COMPILE_PARANOID and when disabled), and
+   for every execution mode, the compile memo must be transparent
+   (including under CR_CACHE_PARANOID) and bypassable with CR_CACHE=0, and
    predecessor rows must stay lazy until a backward query needs them. *)
 
 open Cr_guarded
 module E = Cr_semantics.Explicit
-module Cache = Cr_semantics.Compile_cache
+module Memo = Cr_kernel.Memo
 module Par = Cr_kernel.Par
 module Obs = Cr_obs.Obs
 
@@ -63,7 +63,7 @@ let build { doms; acts } =
 let same a b = E.same_transitions a b && E.initials a = E.initials b
 
 let fresh_with_jobs jobs f =
-  Cache.bypass (fun () -> Par.with_jobs jobs (fun () -> f ()))
+  Memo.bypass (fun () -> Par.with_jobs jobs (fun () -> f ()))
 
 (* ---- chunked compilation is byte-identical to sequential ---- *)
 
@@ -98,7 +98,7 @@ let test_env_jobs () =
   let p = Cr_tokenring.Btr3.dijkstra3 4 in
   let seq = fresh_with_jobs 1 (fun () -> Program.to_explicit p) in
   Unix.putenv "CR_JOBS" "4";
-  let par = Cache.bypass (fun () -> Program.to_explicit p) in
+  let par = Memo.bypass (fun () -> Program.to_explicit p) in
   Unix.putenv "CR_JOBS" "1";
   Alcotest.(check bool) "CR_JOBS=4 graph equals sequential" true (same seq par)
 
@@ -151,9 +151,9 @@ let test_cache_retargets_initials () =
 
 let test_cache_paranoid () =
   Program.clear_compile_cache ();
-  Unix.putenv "CR_COMPILE_PARANOID" "1";
+  Unix.putenv "CR_CACHE_PARANOID" "1";
   Fun.protect
-    ~finally:(fun () -> Unix.putenv "CR_COMPILE_PARANOID" "")
+    ~finally:(fun () -> Unix.putenv "CR_CACHE_PARANOID" "")
     (fun () ->
       let e1 = Program.to_explicit (Cr_tokenring.Btr3.dijkstra3 3) in
       (* hit: paranoid mode recompiles and asserts equality — must not
@@ -163,9 +163,9 @@ let test_cache_paranoid () =
 
 let test_cache_disabled () =
   Program.clear_compile_cache ();
-  Unix.putenv "CR_COMPILE_CACHE" "0";
+  Unix.putenv "CR_CACHE" "0";
   Fun.protect
-    ~finally:(fun () -> Unix.putenv "CR_COMPILE_CACHE" "")
+    ~finally:(fun () -> Unix.putenv "CR_CACHE" "")
     (fun () ->
       let (e1, e2), snap =
         with_counters (fun () ->
@@ -211,7 +211,7 @@ let prop_cache_never_aliases =
 
 let test_lazy_pred () =
   let e =
-    Cache.bypass (fun () -> Program.to_explicit (Cr_tokenring.Btr3.dijkstra3 3))
+    Memo.bypass (fun () -> Program.to_explicit (Cr_tokenring.Btr3.dijkstra3 3))
   in
   Alcotest.(check bool) "pred not forced by compile" false (E.pred_forced e);
   ignore (E.successors e 0);
@@ -256,8 +256,7 @@ let () =
             test_cache_retargets_initials;
           Alcotest.test_case "paranoid mode accepts honest hits" `Quick
             test_cache_paranoid;
-          Alcotest.test_case "CR_COMPILE_CACHE=0 disables" `Quick
-            test_cache_disabled;
+          Alcotest.test_case "CR_CACHE=0 disables" `Quick test_cache_disabled;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_cache_never_aliases ] );
       ( "lazy-pred",

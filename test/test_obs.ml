@@ -231,7 +231,7 @@ let test_verdict_cost () =
   (* bypass the verdict cache: a warm hit would replay an older run's
      cost snapshot instead of counting this one *)
   let r =
-    Cr_core.Check_cache.bypass (fun () ->
+    Cr_kernel.Memo.bypass (fun () ->
         Cr_core.Stabilize.stabilizing_to ~alpha ~c:d3 ~a:btr ())
   in
   match r.Cr_core.Stabilize.cost with

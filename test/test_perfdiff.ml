@@ -112,10 +112,10 @@ let test_run_exit_codes () =
 
 let test_committed_artifact_identity () =
   (* the artifact ci.sh gates against must diff cleanly against itself *)
-  let path = "../BENCH_PR6.json" in
-  let path = if Sys.file_exists path then path else "BENCH_PR6.json" in
+  let path = "../BENCH.json" in
+  let path = if Sys.file_exists path then path else "BENCH.json" in
   if not (Sys.file_exists path) then
-    Alcotest.fail "BENCH_PR6.json not found (missing test dep?)";
+    Alcotest.fail "BENCH.json not found (missing test dep?)";
   match P.compare_artifacts (Result.get_ok (J.parse_file path))
           (Result.get_ok (J.parse_file path)) with
   | Ok r ->

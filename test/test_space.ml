@@ -17,7 +17,7 @@ let compile ~space e n = Program.to_explicit ~space (e.Registry.program n)
 
 (* Fresh compile, no cache, with the job count forced. *)
 let fresh ~space ~jobs e n =
-  Compile_cache.bypass @@ fun () ->
+  Cr_kernel.Memo.bypass @@ fun () ->
   Cr_kernel.Par.with_jobs jobs @@ fun () -> compile ~space e n
 
 (* Keep the dense side of each comparison small: the point of sparse is
