@@ -36,9 +36,10 @@ test -s "$flowjson" || { echo "ci: flow --json produced no output" >&2; exit 1; 
 dune exec bin/trace_lint.exe -- --json-only "$flowjson"
 dune exec bin/journal_lint.exe -- "$flowjournal" --expect flow.report
 
-# Compile-cache smoke: verifying btr compiles the program and its spec,
-# which are the same system, so the chunked+memoized compiler must report
-# at least one cache hit in the CR_STATS summary.  btr itself is the
+# Compile-cache smoke: verify builds every graph exactly once — the
+# dense program and the spec's sparse legitimate orbit, two compiles
+# even for btr, whose spec is its program — so the CR_STATS summary
+# must count exactly 2 compile-cache misses.  btr itself is the
 # fault-INtolerant abstract ring, so verify may exit 1 — only a crash or
 # a usage error (exit > 1) fails the gate.
 cachelog=$(mktemp /tmp/cr.cache.XXXXXX)
@@ -47,16 +48,18 @@ rc=0
 CR_JOBS=2 CR_STATS=1 dune exec bin/crcheck.exe -- verify btr --stats \
   > /dev/null 2> "$cachelog" || rc=$?
 [ "$rc" -le 1 ] || { echo "ci: verify btr crashed (rc=$rc)" >&2; cat "$cachelog" >&2; exit 1; }
-hits=$(sed -n 's/^ *compile\.cache\.hits *\([0-9][0-9]*\)$/\1/p' "$cachelog")
-[ -n "$hits" ] && [ "$hits" -ge 1 ] || {
-  echo "ci: expected nonzero compile.cache.hits in CR_STATS summary" >&2
+misses=$(sed -n 's/^ *compile\.cache\.misses *\([0-9][0-9]*\)$/\1/p' "$cachelog")
+[ "$misses" = 2 ] || {
+  echo "ci: expected exactly 2 compile.cache.misses for verify btr" >&2
   cat "$cachelog" >&2
   exit 1
 }
 
-# Verdict-cache smoke: the experiment tables ask the same refinement /
-# stabilization questions more than once, so the content-addressed
-# verdict memo must report hits — and disabling every memo with
+# Cache smoke on the experiment tables: they compile the same registry
+# systems for several tables and ask the same refinement /
+# stabilization questions more than once, so both the memoized compiler
+# and the content-addressed verdict memo must report hits — and
+# disabling every memo with
 # CR_CACHE=0 (compiles and verdicts alike) must not change a single
 # output byte.  CR_CACHE_PARANOID=1 re-computes every hit and asserts it
 # equals the memoized value: it must exit 0 with identical output too.
@@ -67,12 +70,14 @@ explog=$(mktemp /tmp/cr.explog.XXXXXX)
 trap 'rm -f "$trace" "$lintjson" "$flowjson" "$flowjournal" "$cachelog" "$expout" "$expout0" "$expoutp" "$explog"' EXIT
 CR_JOBS=2 CR_STATS=1 dune exec bin/crcheck.exe -- experiments --max-n 3 \
   > /dev/null 2> "$explog"
-checkhits=$(sed -n 's/^ *check\.cache\.hits *\([0-9][0-9]*\)$/\1/p' "$explog")
-[ -n "$checkhits" ] && [ "$checkhits" -ge 1 ] || {
-  echo "ci: expected nonzero check.cache.hits in CR_STATS summary" >&2
-  cat "$explog" >&2
-  exit 1
-}
+for counter in compile check; do
+  hits=$(sed -n "s/^ *$counter\\.cache\\.hits *\\([0-9][0-9]*\\)\$/\\1/p" "$explog")
+  [ -n "$hits" ] && [ "$hits" -ge 1 ] || {
+    echo "ci: expected nonzero $counter.cache.hits in CR_STATS summary" >&2
+    cat "$explog" >&2
+    exit 1
+  }
+done
 # Byte-compare without CR_STATS: the stats cost appendix carries cache
 # counters that legitimately differ between the runs.
 CR_JOBS=2 dune exec bin/crcheck.exe -- experiments --max-n 3 \
@@ -130,22 +135,26 @@ cmp -s "$jout1" "$jout4" || {
   exit 1
 }
 
-# Space-engine smoke: verify (a stabilization question) quantifies over
-# ALL states, so it is dense by construction — forcing CR_SPACE=sparse
-# must not change a single output byte.  btr is fault-INtolerant, so
-# verify exits 1; only exit > 1 is a crash.
+# Space-engine smoke: verify checks against the spec's legitimate orbit
+# (a sparse compile by default), and a stabilization verdict reads the
+# spec only through that orbit — so forcing the full dense spec with
+# CR_SPACE=dense must not change a single output byte or exit code.
+# Covers the btr self-check, a stabilizing ring, the failing and weakly
+# fair re-check path (c2-wrapped) and kstate's UTR spec.  Exit 1 is a
+# "not stabilizing" verdict; only exit > 1 is a crash.
 spdef=$(mktemp /tmp/cr.spdef.XXXXXX)
-spsparse=$(mktemp /tmp/cr.spsparse.XXXXXX)
-trap 'rm -f "$trace" "$lintjson" "$flowjson" "$flowjournal" "$cachelog" "$expout" "$expout0" "$expoutp" "$explog" "$journal" "$jout1" "$jout4" "$spdef" "$spsparse"' EXIT
-rc=0; dune exec bin/crcheck.exe -- verify btr > "$spdef" 2> /dev/null || rc=$?
-[ "$rc" -le 1 ] || { echo "ci: verify btr crashed (rc=$rc)" >&2; exit 1; }
-rc=0; CR_SPACE=sparse dune exec bin/crcheck.exe -- verify btr > "$spsparse" 2> /dev/null || rc=$?
-[ "$rc" -le 1 ] || { echo "ci: CR_SPACE=sparse verify btr crashed (rc=$rc)" >&2; exit 1; }
-cmp -s "$spdef" "$spsparse" || {
-  echo "ci: verify output differs under CR_SPACE=sparse (verify must stay dense)" >&2
-  diff "$spdef" "$spsparse" >&2 || true
-  exit 1
-}
+spdense=$(mktemp /tmp/cr.spdense.XXXXXX)
+trap 'rm -f "$trace" "$lintjson" "$flowjson" "$flowjournal" "$cachelog" "$expout" "$expout0" "$expoutp" "$explog" "$journal" "$jout1" "$jout4" "$spdef" "$spdense"' EXIT
+for q in "btr" "dijkstra3 -n 4" "c2-wrapped -n 4" "kstate -n 3"; do
+  rc=0; dune exec bin/crcheck.exe -- verify $q > "$spdef" 2> /dev/null || rc=$?
+  [ "$rc" -le 1 ] || { echo "ci: verify $q crashed (rc=$rc)" >&2; exit 1; }
+  rcd=0; CR_SPACE=dense dune exec bin/crcheck.exe -- verify $q > "$spdense" 2> /dev/null || rcd=$?
+  [ "$rc" = "$rcd" ] && cmp -s "$spdef" "$spdense" || {
+    echo "ci: verify $q differs under CR_SPACE=dense (exit $rc vs $rcd)" >&2
+    diff "$spdef" "$spdense" >&2 || true
+    exit 1
+  }
+done
 
 # The sparse engine's reason to exist: an init-anchored query at a ring
 # size whose dense space (3^26 states) cannot be materialized at all.
@@ -181,7 +190,7 @@ done
 dune exec bin/perfdiff.exe -- BENCH.json BENCH.json > /dev/null
 if [ "${CI_BENCH:-0}" = "1" ]; then
   fresh=$(mktemp /tmp/cr.bench.XXXXXX)
-  trap 'rm -f "$trace" "$lintjson" "$flowjson" "$flowjournal" "$cachelog" "$expout" "$expout0" "$expoutp" "$explog" "$journal" "$jout1" "$jout4" "$spdef" "$spsparse" "$fresh"' EXIT
+  trap 'rm -f "$trace" "$lintjson" "$flowjson" "$flowjournal" "$cachelog" "$expout" "$expout0" "$expoutp" "$explog" "$journal" "$jout1" "$jout4" "$spdef" "$spdense" "$fresh"' EXIT
   dune exec bench/main.exe -- --json "$fresh" > /dev/null
   dune exec bin/trace_lint.exe -- --json-only "$fresh"
   dune exec bin/perfdiff.exe -- --gate 100 BENCH.json "$fresh"

@@ -32,10 +32,11 @@ let stats_arg =
 let space_arg =
   let doc =
     "State-space engine for init-anchored compiles: $(b,sparse) \
-     (reachable fragment only, the default for refine), $(b,dense) \
-     (full product space) or $(b,auto) (each call site's default).  \
-     Equivalent to setting CR_SPACE; full-space checks (stabilization, \
-     whole-space lint facts) are dense by construction either way."
+     (reachable fragment only: the default for refine's concrete system \
+     and for the spec side of verify), $(b,dense) (full product space) \
+     or $(b,auto) (each call site's default).  Equivalent to setting \
+     CR_SPACE.  verify prints the same under every engine; its concrete \
+     side and whole-space lint facts are dense by construction."
   in
   Arg.(
     value
@@ -86,8 +87,15 @@ let verify name n stats space =
   set_space space;
   with_entry name (fun e ->
       let p = e.Cr_experiments.Registry.program n in
+      (* every graph and the α-table once, shared with the fair re-check *)
       let ep = Cr_experiments.Registry.explicit e n in
-      let r = Cr_experiments.Registry.stabilization e n in
+      let spec = Cr_experiments.Registry.legit_explicit e n in
+      let alpha =
+        Cr_semantics.Abstraction.tabulate ~partial:true
+          (e.Cr_experiments.Registry.alpha n) ep spec
+      in
+      let stabilization = Cr_experiments.Registry.stabilization ~ep ~spec ~alpha in
+      let r = stabilization e n in
       pf "%a@." Cr_core.Stabilize.pp_report r;
       if stats then pp_cost "stabilize" r.Cr_core.Stabilize.cost;
       (match r.Cr_core.Stabilize.bad_cycle with
@@ -105,7 +113,7 @@ let verify name n stats space =
       (* also report the weakly-fair verdict when the strict one fails *)
       if not r.Cr_core.Stabilize.holds then begin
         let fair = Cr_sim.Glue.fair_tables p ep in
-        let rf = Cr_experiments.Registry.stabilization ~fair e n in
+        let rf = stabilization ~fair e n in
         pf "under a weakly fair daemon: %s@."
           (if rf.Cr_core.Stabilize.holds then "stabilizing" else "still not stabilizing")
       end;
@@ -242,7 +250,7 @@ let kstate_cmd =
 let dot name n output =
   with_entry name (fun e ->
       let ep = Cr_experiments.Registry.explicit e n in
-      let r = Cr_experiments.Registry.stabilization e n in
+      let r = Cr_experiments.Registry.stabilization ~ep e n in
       let good = r.Cr_core.Stabilize.good_mask in
       let highlight i = if good.(i) then Some "palegreen" else None in
       let dot_text = Cr_semantics.Dot.to_string ~highlight ep in

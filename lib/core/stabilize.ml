@@ -21,6 +21,12 @@ module Par = Cr_kernel.Par
    cycle outside Good yields a computation that never acquires a correct
    suffix, as does a bad terminal.
 
+   A enters only through L: [legit], and [has_edge]/[is_terminal] on
+   states of L.  So [a] may be any successor-closed fragment of the spec
+   that contains I_A — e.g. a sparse compile of the legitimate orbit —
+   with the alpha-table marking images outside the fragment by -1, which
+   every test below reads as "outside L".
+
    All sweeps run over the systems' flat CSR graphs and packed bitsets;
    the bad-seed sweep is domain-chunked under the CR_JOBS contract of
    [Par], and verdicts are memoized in a content-addressed
@@ -135,6 +141,7 @@ let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
       else None
     in
     let legit = Cr_checker.Reach.reachable_from_initial a in
+    let in_legit ai = ai >= 0 && Cr_kernel.Bitset.get legit ai in
     let n = Explicit.num_states c in
     let succ_c = Explicit.csr c in
     let rp = Cr_kernel.Csr.row_ptr succ_c
@@ -154,8 +161,7 @@ let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
               while (not !bad) && !k < khi do
                 let aj = alpha.(tg.(!k)) in
                 let fine =
-                  Cr_kernel.Bitset.get legit ai
-                  && Cr_kernel.Bitset.get legit aj
+                  in_legit ai && in_legit aj
                   && (Explicit.has_edge a ai aj || (stutter_ok && ai = aj))
                 in
                 if not fine then bad := true;
@@ -180,14 +186,16 @@ let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
             (Par.map_array (fun (lo, hi) -> sweep lo hi) chunks : unit array)
         end);
     (if stutter_ok then begin
-       (* pure-stutter cycles must sit at an [a]-terminal image *)
+       (* pure-stutter cycles must sit at an [a]-terminal image; a state
+          imaged outside L is already a bad seed (its in-cycle edge
+          leaves L) *)
        let sscc =
          Cr_checker.Scc.compute_csr
            (Cr_kernel.Csr.filter succ_c (fun i j -> alpha.(i) = alpha.(j)))
        in
        for i = 0 to n - 1 do
          if Cr_checker.Scc.on_cycle sscc i
-            && not (Explicit.is_terminal a alpha.(i))
+            && not (in_legit alpha.(i) && Explicit.is_terminal a alpha.(i))
          then Cr_kernel.Bitset.set bad_seed i
        done
      end);
@@ -195,9 +203,7 @@ let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
     for i = 0 to n - 1 do
       if Explicit.is_terminal c i then
         let ai = alpha.(i) in
-        if
-          not (Cr_kernel.Bitset.get legit ai && Explicit.is_terminal a ai)
-        then begin
+        if not (in_legit ai && Explicit.is_terminal a ai) then begin
           Cr_kernel.Bitset.set bad_seed i;
           if !bad_terminal = None then bad_terminal := Some i
         end

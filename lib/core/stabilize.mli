@@ -42,7 +42,14 @@ val stabilizing_to :
     abstraction.  With [?fair] (action tables for [c]), divergence is
     checked over weakly-fair computations only; [worst_case_recovery] is
     [None] when recovery is finite but unbounded.  [?stutter:`Allow]
-    compares the converged suffix modulo τ-steps (default [`Forbid]). *)
+    compares the converged suffix modulo τ-steps (default [`Forbid]).
+
+    The verdict reads [a] only through its legitimate states L (those
+    reachable from I_A).  So [a] may be any successor-closed fragment of
+    the spec that contains I_A — e.g. a sparse compile of the spec — with
+    [alpha] from {!Cr_semantics.Abstraction.tabulate} [~partial:true]:
+    an entry [< 0] (image outside the fragment) counts as outside L.  The
+    report is then the one the full spec with a total [alpha] gives. *)
 
 val self_stabilizing : 'a Cr_semantics.Explicit.t -> report
 (** [self_stabilizing a] = [stabilizing_to ~c:a ~a ()]. *)

@@ -33,18 +33,37 @@ val init_explicit : entry -> int -> Layout.state Cr_semantics.Explicit.t
     the initial states, which the sparse engine materializes exactly. *)
 
 val spec_explicit : entry -> int -> Layout.state Cr_semantics.Explicit.t
-(** Same for the entry's specification (always dense: the abstract
-    specs are small and their graphs are shared full-space). *)
+(** The entry's specification over its full product space (dense
+    engine): what {!refinements} checks against, since a refinement's
+    concrete images may land anywhere in the spec's space. *)
 
-val alpha_table : entry -> int -> int array
-(** The entry's abstraction tabulated between program and spec at ring
-    size [n]. *)
+val legit_explicit : entry -> int -> Layout.state Cr_semantics.Explicit.t
+(** The entry's specification over its legitimate orbit only: the
+    fragment reachable from its initial states, compiled by the sparse
+    engine ({!Cr_semantics.Space.resolve} with default [Sparse], so
+    [CR_SPACE=dense] restores the full spec).  What {!stabilization}
+    checks against: a stabilization verdict reads the spec only through
+    that orbit (see {!Cr_core.Stabilize.stabilizing_to}). *)
 
 val stabilization :
-  ?fair:Cr_core.Fair.tables -> entry -> int -> Cr_core.Stabilize.report
-(** [stabilizing_to] for the entry at ring size [n].  Routed through the
+  ?ep:Layout.state Cr_semantics.Explicit.t ->
+  ?spec:Layout.state Cr_semantics.Explicit.t ->
+  ?alpha:int array ->
+  ?fair:Cr_core.Fair.tables ->
+  entry ->
+  int ->
+  Cr_core.Stabilize.report
+(** [stabilizing_to] for the entry at ring size [n]: the program over
+    its full space ({!explicit}; stabilization quantifies over all of
+    Sigma_C) against the spec's legitimate orbit ({!legit_explicit}),
+    through the partial α-table
+    ({!Cr_semantics.Abstraction.tabulate} [~partial:true]).  The report
+    is the one the full dense spec gives.  Routed through the
     process-wide verdict memo ({!Cr_core.Check_cache}): every driver
-    asking the same registry question shares one computed verdict. *)
+    asking the same registry question shares one computed verdict.  A
+    caller that already holds these passes them as [ep], [spec] and
+    [alpha], which spares re-targeting the cached compiles and a second
+    tabulation. *)
 
 val refinements :
   ?ep:Layout.state Cr_semantics.Explicit.t ->

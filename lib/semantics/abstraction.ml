@@ -1,7 +1,8 @@
 (* Abstraction functions between state spaces (Section 2.3 of the paper):
    total mappings from the concrete Sigma_C onto the abstract Sigma_A.
-   [tabulate] compiles the mapping to an index array and checks totality;
-   [check_onto] verifies surjectivity. *)
+   [tabulate] compiles the mapping to an index array and checks totality
+   (or, with [~partial:true], marks images outside a compiled fragment of
+   Sigma_A with -1); [is_onto] verifies surjectivity. *)
 
 type ('c, 'a) t = { name : string; apply : 'c -> 'a }
 
@@ -21,12 +22,14 @@ let compose ?name outer inner =
 
 exception Not_total of string
 
-let tabulate t (c : 'c Explicit.t) (a : 'a Explicit.t) : int array =
+let tabulate ?(partial = false) t (c : 'c Explicit.t) (a : 'a Explicit.t) :
+    int array =
   Cr_obs.Obs.span "abstraction.tabulate" @@ fun () ->
   Array.init (Explicit.num_states c) (fun i ->
       let img = t.apply (Explicit.state c i) in
       match Explicit.find_opt a img with
       | Some j -> j
+      | None when partial -> -1
       | None ->
           raise
             (Not_total

@@ -12,10 +12,14 @@ val compose : ?name:string -> ('b, 'a) t -> ('c, 'b) t -> ('c, 'a) t
 
 exception Not_total of string
 
-val tabulate : ('c, 'a) t -> 'c Explicit.t -> 'a Explicit.t -> int array
+val tabulate :
+  ?partial:bool -> ('c, 'a) t -> 'c Explicit.t -> 'a Explicit.t -> int array
 (** [tabulate alpha c a] is the index table [t] with [t.(i)] the abstract
     index of the image of concrete state [i].  Raises {!Not_total} if some
-    image is not a state of [a] (the mapping must be total). *)
+    image is not a state of [a] (the mapping must be total).  With
+    [~partial:true] ([a] is a compiled fragment of the abstract space,
+    e.g. a sparse compile of its legitimate orbit) such an image maps to
+    [-1] instead. *)
 
 val is_onto : int array -> num_abstract:int -> bool
 (** Surjectivity of a tabulated abstraction. *)

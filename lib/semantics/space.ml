@@ -8,9 +8,12 @@
    Because the fragment is closed under successors, every checker that
    only quantifies over init-reachable states (the refinement premise of
    the graybox theorems) computes the same verdict on the sparse graph
-   as on the dense one — at a fraction of the states.  Full-space
-   checks (stabilization, whole-space lint facts) stay dense by
-   construction and never see this module's sparse side.
+   as on the dense one — at a fraction of the states.  A stabilization
+   check is both: it quantifies over all of the concrete Sigma, so that
+   side stays dense, but it reads the spec only through its legitimate
+   orbit (the states reachable from the spec's initial states), so the
+   spec side is init-anchored and sparse by default.  Whole-space lint
+   facts stay dense by construction.
 
    The sparse index is keyed by the dense rank: [Layout.checked_rank]
    is injective on Sigma, validity-checking and allocation-free, and

@@ -10,10 +10,12 @@
       discovered by a frontier BFS ({!discover}) that hash-conses each
       state under its dense rank into a compact index.
 
-    Full-space checks (stabilization bad-seed sweeps, whole-space lint
-    facts) are dense by construction; init-anchored queries (the
-    refinement premise of the graybox theorems, DESIGN.md section 2)
-    only ever look at the reachable fragment and default to sparse.
+    Full-space checks (the concrete side of a stabilization check,
+    whole-space lint facts) are dense by construction; init-anchored
+    queries only ever look at the reachable fragment and default to
+    sparse: the refinement premise of the graybox theorems (DESIGN.md
+    section 2), and the spec side of a stabilization check, which reads
+    the spec only through its legitimate orbit.
     [CR_SPACE=dense|sparse|auto] overrides the per-call default. *)
 
 type engine = Dense | Sparse

@@ -274,6 +274,61 @@ let test_strength_chain () =
       (c_shortcut, a_cycle);
     ]
 
+(* ---- the spec enters a stabilization verdict only through its
+   legitimate orbit L: checking against A's init-reachable sub-system,
+   with images outside it tabulated to -1, gives the report of the full
+   A — in every stutter mode, with and without weak fairness. *)
+
+let edge_sys name states edges init =
+  mk name states
+    (fun s ->
+      List.filter_map (fun (i, j) -> if i = s && i <> j then Some j else None) edges)
+    (fun s -> s = init)
+
+let rec orbit edges seen =
+  let next =
+    List.sort_uniq compare
+      (seen @ List.filter_map (fun (i, j) -> if List.mem i seen then Some j else None) edges)
+  in
+  if next = seen then seen else orbit edges next
+
+let gen_orbit_case =
+  QCheck2.Gen.(
+    let* nc = int_range 1 7 in
+    let* na = int_range 1 5 in
+    let edges n m = list_size (int_bound m) (pair (int_bound (n - 1)) (int_bound (n - 1))) in
+    let* cedges = edges nc 14 in
+    let* aedges = edges na 8 in
+    let* ainit = int_bound (na - 1) in
+    let* img = array_size (return nc) (int_bound (na - 1)) in
+    return (nc, cedges, na, aedges, ainit, img))
+
+let prop_legit_orbit =
+  QCheck2.Test.make ~name:"stabilization reads the spec only through L"
+    ~count:500 gen_orbit_case (fun (nc, cedges, na, aedges, ainit, img) ->
+      let c = edge_sys "C" (List.init nc Fun.id) cedges 0 in
+      let a = edge_sys "A" (List.init na Fun.id) aedges ainit in
+      (* reversed, so sub-system indices differ from the full ones *)
+      let a_l = edge_sys "A" (List.rev (orbit aedges [ ainit ])) aedges ainit in
+      let f = Abstraction.make ~name:"img" (fun s -> img.(s)) in
+      let alpha = Abstraction.tabulate f c a in
+      let alpha_l = Abstraction.tabulate ~partial:true f c a_l in
+      (* one action per successor rank: action k takes the k-th edge *)
+      let tables =
+        Array.init nc (fun k ->
+            Array.init nc (fun i ->
+                if k < Explicit.out_degree c i then Explicit.successor c i k
+                else -1))
+      in
+      List.for_all
+        (fun (stutter, fair) ->
+          let run a alpha =
+            { (Cr_core.Stabilize.stabilizing_to ~alpha ?fair ~stutter ~c ~a ())
+              with Cr_core.Stabilize.cost = None }
+          in
+          run a alpha = run a_l alpha_l)
+        [ (`Forbid, None); (`Allow, None); (`Forbid, Some tables); (`Allow, Some tables) ])
+
 let () =
   Alcotest.run "core"
     [
@@ -309,5 +364,6 @@ let () =
           Alcotest.test_case "stutter-tolerant mode" `Quick test_stutter_allow;
           Alcotest.test_case "weak fairness" `Quick test_fair_stabilization;
           Alcotest.test_case "strength chain" `Quick test_strength_chain;
+          QCheck_alcotest.to_alcotest prop_legit_orbit;
         ] );
     ]

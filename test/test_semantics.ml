@@ -191,6 +191,16 @@ let test_abstraction () =
     (try
        ignore (Abstraction.tabulate bad e p);
        false
+     with Abstraction.Not_total _ -> true);
+  (* ... unless partial: images outside the compiled fragment map to -1 *)
+  let part = Abstraction.make ~name:"part" (fun v -> if v < 2 then v else v + 100) in
+  let ptable = Abstraction.tabulate ~partial:true part e p in
+  check_int "partial: 1 maps to 1" (Explicit.find p 1) ptable.(Explicit.find e 1);
+  check_int "partial: 3 maps to -1" (-1) ptable.(Explicit.find e 3);
+  check "partial: default still raises" true
+    (try
+       ignore (Abstraction.tabulate part e p);
+       false
      with Abstraction.Not_total _ -> true)
 
 let test_abstraction_compose () =

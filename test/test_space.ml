@@ -24,7 +24,7 @@ let fresh ~space ~jobs e n =
    ring sizes where dense is NOT cheap, which is bench territory. *)
 let dense_cap = 1_000_000
 
-let cases =
+let cases_at ns =
   List.concat_map
     (fun e ->
       List.filter_map
@@ -33,8 +33,10 @@ let cases =
           if Cr_guarded.Layout.num_states layout <= dense_cap then
             Some (e, n)
           else None)
-        [ 3; 4 ])
+        ns)
     Registry.entries
+
+let cases = cases_at [ 3; 4 ]
 
 let case_name (e, n) = Printf.sprintf "%s n=%d" e.Registry.name n
 
@@ -153,6 +155,20 @@ let test_refine (e, n) () =
         r.Refine.total_failures s.Refine.total_failures)
     (verdicts sparse) (verdicts restr)
 
+(* Registry.stabilization checks against the spec's legitimate orbit
+   (a sparse compile) through a partial α-table; its report must be the
+   one the full dense spec with a total α-table gives. *)
+let test_stabilization (e, n) () =
+  let ep = Registry.explicit e n in
+  let spec = Registry.spec_explicit e n in
+  let alpha = Abstraction.tabulate (e.Registry.alpha n) ep spec in
+  let strip r = { r with Cr_core.Stabilize.cost = None } in
+  Alcotest.(check bool)
+    (case_name (e, n) ^ ": legitimate-orbit report = dense-spec report")
+    true
+    (strip (Registry.stabilization e n)
+    = strip (Cr_core.Stabilize.stabilizing_to ~alpha ~c:ep ~a:spec ()))
+
 (* Sparse discovery is chunked under the CR_JOBS contract of
    Cr_kernel.Par; the compiled graph must be identical for every job
    count. *)
@@ -196,7 +212,7 @@ let test_choice_parse () =
   check "" (Some Auto)
 
 let () =
-  let per_case mk label =
+  let per_case ?(cases = cases) mk label =
     List.map
       (fun c -> Alcotest.test_case (label ^ " " ^ case_name c) `Quick (mk c))
       cases
@@ -207,5 +223,7 @@ let () =
       ("agreement", per_case test_agreement "fragment");
       ("alpha", per_case test_alpha "alpha");
       ("refine", per_case test_refine "verdicts");
+      ( "stabilization",
+        per_case ~cases:(cases_at [ 2; 3; 4 ]) test_stabilization "orbit" );
       ("jobs", [ Alcotest.test_case "CR_JOBS byte-invariance" `Quick test_jobs_invariance ]);
     ]
