@@ -26,7 +26,7 @@ bench-json:
 # Gate a fresh artifact against the committed baseline without touching it.
 perfdiff:
 	dune exec bench/main.exe -- --json bench-fresh.json
-	dune exec bin/perfdiff.exe -- --gate 100 BENCH.json bench-fresh.json
+	dune exec bin/crcheck.exe -- perfdiff --gate 100 BENCH.json bench-fresh.json
 
 ci:
 	bin/ci.sh

@@ -44,8 +44,7 @@ let micro_tests () =
   in
   let d3_6_prog = Cr_tokenring.Btr3.dijkstra3 6 in
   let d3_7 = Cr_guarded.Program.to_explicit (Cr_tokenring.Btr3.dijkstra3 7) in
-  let d3_7_csr = Cr_checker.Reach.of_explicit d3_7 in
-  let d3_7_rows = Cr_kernel.Csr.to_rows d3_7_csr in
+  let d3_7_csr = Cr_semantics.Explicit.csr d3_7 in
   let d3_7_inits = Array.to_list (Cr_semantics.Explicit.initials d3_7) in
   let btr_5 = Cr_guarded.Program.to_explicit (Cr_tokenring.Btr.program 5) in
   let d3_5 = Cr_guarded.Program.to_explicit (Cr_tokenring.Btr3.dijkstra3 5) in
@@ -170,10 +169,11 @@ let micro_tests () =
                  ignore
                    (Cr_core.Stabilize.stabilizing_to ~alpha:alpha3 ~c:d3 ~a:btr
                       ())))) );
-    (* chunked classification sweep on a ring big enough for the fan-out
-       to matter (Dijkstra-3 at N = 6 against BTR at N = 6: 7290 edges,
-       ~29 ms sequential) — the classify column of the jobs-scaling
-       matrix (sequential vs two vs four domains on the warm pool) *)
+    (* edge classification on a ring big enough for the fan-out to
+       matter (Dijkstra-3 at N = 6 against BTR at N = 6: 7290 edges) —
+       the classify column of the jobs-scaling matrix: the same chunked
+       sweep, batched BFS oracle and chunked resolve, run as one chunk
+       vs fanned out over two and four domains on the warm pool *)
     ( Slow,
       Test.make ~name:"classify-seq-dijkstra3-n6"
         (Staged.stage (fun () ->
@@ -217,17 +217,12 @@ let micro_tests () =
                      ignore
                        (Cr_core.Stabilize.stabilizing_to ~alpha:alpha3_6
                           ~c:d3_6 ~a:btr_6 ()))))) );
-    (* reachability: legacy array-of-rows kernel vs the CSR kernel on the
-       same graph (both adjacency representations prebuilt) *)
-    ( Normal,
-      Test.make ~name:"reach-rows-dijkstra3-n7"
-        (Staged.stage (fun () ->
-             ignore (Cr_checker.Reach.forward ~succ:d3_7_rows ~seeds:d3_7_inits))) );
+    (* forward reachability over the system's stored CSR graph *)
     ( Normal,
       Test.make ~name:"reach-csr-dijkstra3-n7"
         (Staged.stage (fun () ->
              ignore
-               (Cr_checker.Reach.forward_csr ~succ:d3_7_csr ~seeds:d3_7_inits))) );
+               (Cr_checker.Reach.forward ~succ:d3_7_csr ~seeds:d3_7_inits))) );
     (* verdict cache: the true cold check vs a warm hit on the same key *)
     ( Normal,
       Test.make ~name:"verdict-cold-stabilize-d3-n5"
@@ -291,8 +286,7 @@ let low_r2 = function
    reruns: their retries escalate on a steeper quota ladder (6x per
    attempt instead of 4x) so the final attempt has a real chance to
    stabilize before the row ships flagged. *)
-let boosted_rows =
-  [ "classify-seq-dijkstra3-n6"; "reach-rows-dijkstra3-n7"; "E14-recovery-episode" ]
+let boosted_rows = [ "classify-seq-dijkstra3-n6"; "E14-recovery-episode" ]
 
 (* Measurement budget for attempt [k] of a test (0 = first run): each
    retry multiplies the time quota (4x; 6x for the [boosted_rows]) so

@@ -10,9 +10,11 @@ cd "$(dirname "$0")/.."
 dune build @all
 dune runtest
 
-trace=$(mktemp /tmp/cr.trace.XXXXXX)
-lintjson=$(mktemp /tmp/cr.lint.XXXXXX)
-trap 'rm -f "$trace" "$lintjson"' EXIT
+# One scratch directory for every artifact below, removed on exit.
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+trace="$work/trace"
+lintjson="$work/lint.json"
 
 CR_STATS=1 CR_TRACE="$trace" dune exec bin/crcheck.exe -- verify dijkstra3 --stats
 test -s "$trace" || { echo "ci: CR_TRACE produced no output" >&2; exit 1; }
@@ -26,9 +28,8 @@ dune exec bin/trace_lint.exe -- --json-only "$lintjson"
 # the whole registry, its definite verdicts must agree with exact
 # enumeration at N = 3 (--check-exact), its --json artifact must be
 # well-formed, and the journal stream must carry the flow.report events.
-flowjson=$(mktemp /tmp/cr.flow.XXXXXX)
-flowjournal=$(mktemp /tmp/cr.flowj.XXXXXX)
-trap 'rm -f "$trace" "$lintjson" "$flowjson" "$flowjournal"' EXIT
+flowjson="$work/flow.json"
+flowjournal="$work/flow.jsonl"
 : > "$flowjournal"
 CR_JOURNAL="$flowjournal" dune exec bin/crcheck.exe -- flow --all -n 3 \
   --check-exact --json "$flowjson" > /dev/null
@@ -42,8 +43,7 @@ dune exec bin/journal_lint.exe -- "$flowjournal" --expect flow.report
 # must count exactly 2 compile-cache misses.  btr itself is the
 # fault-INtolerant abstract ring, so verify may exit 1 — only a crash or
 # a usage error (exit > 1) fails the gate.
-cachelog=$(mktemp /tmp/cr.cache.XXXXXX)
-trap 'rm -f "$trace" "$lintjson" "$flowjson" "$flowjournal" "$cachelog"' EXIT
+cachelog="$work/cache.log"
 rc=0
 CR_JOBS=2 CR_STATS=1 dune exec bin/crcheck.exe -- verify btr --stats \
   > /dev/null 2> "$cachelog" || rc=$?
@@ -63,11 +63,10 @@ misses=$(sed -n 's/^ *compile\.cache\.misses *\([0-9][0-9]*\)$/\1/p' "$cachelog"
 # CR_CACHE=0 (compiles and verdicts alike) must not change a single
 # output byte.  CR_CACHE_PARANOID=1 re-computes every hit and asserts it
 # equals the memoized value: it must exit 0 with identical output too.
-expout=$(mktemp /tmp/cr.exp.XXXXXX)
-expout0=$(mktemp /tmp/cr.exp0.XXXXXX)
-expoutp=$(mktemp /tmp/cr.expp.XXXXXX)
-explog=$(mktemp /tmp/cr.explog.XXXXXX)
-trap 'rm -f "$trace" "$lintjson" "$flowjson" "$flowjournal" "$cachelog" "$expout" "$expout0" "$expoutp" "$explog"' EXIT
+expout="$work/exp.out"
+expout0="$work/exp0.out"
+expoutp="$work/expp.out"
+explog="$work/exp.log"
 CR_JOBS=2 CR_STATS=1 dune exec bin/crcheck.exe -- experiments --max-n 3 \
   > /dev/null 2> "$explog"
 for counter in compile check; do
@@ -105,8 +104,7 @@ cmp -s "$expout" "$expoutp" || {
 # and, under CR_JOBS=4, the persistent pool's spawn event.  CR_PAR_CAP
 # lifts the busy-domain cap so the pool really spawns even on a
 # single-core CI host.
-journal=$(mktemp /tmp/cr.journal.XXXXXX)
-trap 'rm -f "$trace" "$lintjson" "$flowjson" "$flowjournal" "$cachelog" "$expout" "$expout0" "$expoutp" "$explog" "$journal"' EXIT
+journal="$work/journal.jsonl"
 : > "$journal"
 CR_JOBS=4 CR_PAR_CAP=4 CR_JOURNAL="$journal" dune exec bin/crcheck.exe -- verify dijkstra3 -n 3 > /dev/null
 test -s "$journal" || { echo "ci: CR_JOURNAL produced no output" >&2; exit 1; }
@@ -124,9 +122,8 @@ timeout 120 env CR_JOBS=4 CR_PAR_CAP=4 dune exec bin/crcheck.exe -- verify btr >
 
 # Byte-identical checker output across job counts: the pool, the chunked
 # sweeps and the shared oracle must not change a single output byte.
-jout1=$(mktemp /tmp/cr.jobs1.XXXXXX)
-jout4=$(mktemp /tmp/cr.jobs4.XXXXXX)
-trap 'rm -f "$trace" "$lintjson" "$flowjson" "$flowjournal" "$cachelog" "$expout" "$expout0" "$expoutp" "$explog" "$journal" "$jout1" "$jout4"' EXIT
+jout1="$work/jobs1.out"
+jout4="$work/jobs4.out"
 CR_JOBS=1 dune exec bin/crcheck.exe -- experiments --max-n 3 > "$jout1" 2> /dev/null
 CR_JOBS=4 CR_PAR_CAP=4 dune exec bin/crcheck.exe -- experiments --max-n 3 > "$jout4" 2> /dev/null
 cmp -s "$jout1" "$jout4" || {
@@ -142,9 +139,8 @@ cmp -s "$jout1" "$jout4" || {
 # Covers the btr self-check, a stabilizing ring, the failing and weakly
 # fair re-check path (c2-wrapped) and kstate's UTR spec.  Exit 1 is a
 # "not stabilizing" verdict; only exit > 1 is a crash.
-spdef=$(mktemp /tmp/cr.spdef.XXXXXX)
-spdense=$(mktemp /tmp/cr.spdense.XXXXXX)
-trap 'rm -f "$trace" "$lintjson" "$flowjson" "$flowjournal" "$cachelog" "$expout" "$expout0" "$expoutp" "$explog" "$journal" "$jout1" "$jout4" "$spdef" "$spdense"' EXIT
+spdef="$work/space-default.out"
+spdense="$work/space-dense.out"
 for q in "btr" "dijkstra3 -n 4" "c2-wrapped -n 4" "kstate -n 3"; do
   rc=0; dune exec bin/crcheck.exe -- verify $q > "$spdef" 2> /dev/null || rc=$?
   [ "$rc" -le 1 ] || { echo "ci: verify $q crashed (rc=$rc)" >&2; exit 1; }
@@ -187,13 +183,12 @@ done
 # Low-r^2 rows are never gated and sub-microsecond rows get 4x slack, so
 # this catches order-of-magnitude regressions without flaking on
 # scheduler noise.
-dune exec bin/perfdiff.exe -- BENCH.json BENCH.json > /dev/null
+dune exec bin/crcheck.exe -- perfdiff BENCH.json BENCH.json > /dev/null
 if [ "${CI_BENCH:-0}" = "1" ]; then
-  fresh=$(mktemp /tmp/cr.bench.XXXXXX)
-  trap 'rm -f "$trace" "$lintjson" "$flowjson" "$flowjournal" "$cachelog" "$expout" "$expout0" "$expoutp" "$explog" "$journal" "$jout1" "$jout4" "$spdef" "$spdense" "$fresh"' EXIT
+  fresh="$work/bench.json"
   dune exec bench/main.exe -- --json "$fresh" > /dev/null
   dune exec bin/trace_lint.exe -- --json-only "$fresh"
-  dune exec bin/perfdiff.exe -- --gate 100 BENCH.json "$fresh"
+  dune exec bin/crcheck.exe -- perfdiff --gate 100 BENCH.json "$fresh"
 fi
 
 echo "ci: OK"

@@ -14,13 +14,13 @@ let campaign ~name (p : Cr_guarded.Program.t) ~converged ~n =
     (Cr_guarded.Layout.num_states (Cr_guarded.Program.layout p));
   (* exact worst case via the explicit graph *)
   let e = Cr_guarded.Program.to_explicit p in
-  let succ = Cr_checker.Reach.of_explicit e in
+  let succ = Cr_semantics.Explicit.csr e in
   let mask =
     Cr_kernel.Bitset.of_bool_array
       (Array.init (Cr_semantics.Explicit.num_states e) (fun i ->
            not (converged (Cr_semantics.Explicit.state e i))))
   in
-  let depth = Cr_checker.Paths.longest_within_csr ~succ ~mask in
+  let depth = Cr_checker.Paths.longest_within ~succ ~mask in
   let worst = Array.fold_left max 0 depth in
   pf "exact worst-case recovery: %d steps@." worst;
   (* Monte-Carlo under random and round-robin daemons *)

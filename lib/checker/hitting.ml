@@ -18,70 +18,24 @@ let c_runs = Cr_obs.Obs.counter "hitting.runs"
 let c_iterations = Cr_obs.Obs.counter "hitting.iterations"
 
 let expected ?(epsilon = 1e-9) ?(max_iter = 1_000_000) ?pred
-    ~(succ : int array array) ~(target : bool array) () : float array =
-  Cr_obs.Obs.span "hitting.expected" @@ fun () ->
-  let n = Array.length succ in
-  (* states that cannot reach the target at all diverge; callers that hold
-     an explicit system pass its stored predecessor arrays to skip the
-     transposition *)
-  let can_reach =
-    match pred with
-    | Some p -> Reach.forward ~succ:p ~seeds:(Reach.members target)
-    | None -> Reach.backward ~succ ~seeds:(Reach.members target)
-  in
-  (* states from which the daemon might forever avoid the target do not
-     have finite expectation only if avoidance has probability 1; under
-     uniform choice, any state that CAN reach the target reaches it a.s.
-     iff no reachable closed component avoids it.  For expectation
-     purposes value iteration handles this: expectations of states inside
-     avoidance-possible regions still converge iff escape is a.s.  We
-     mark states that cannot reach the target as infinite up front. *)
-  let e = Array.make n 0.0 in
-  let next = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    if not can_reach.(i) then e.(i) <- infinity
-  done;
-  let iter = ref 0 in
-  let delta = ref infinity in
-  while !delta > epsilon && !iter < max_iter do
-    delta := 0.0;
-    for i = 0 to n - 1 do
-      if target.(i) then next.(i) <- 0.0
-      else if not can_reach.(i) then next.(i) <- infinity
-      else begin
-        let js = succ.(i) in
-        let d = Array.length js in
-        if d = 0 then next.(i) <- infinity (* non-target deadlock *)
-        else begin
-          let sum = ref 0.0 in
-          Array.iter (fun j -> sum := !sum +. e.(j)) js;
-          next.(i) <- 1.0 +. (!sum /. float_of_int d)
-        end
-      end;
-      let diff = Float.abs (next.(i) -. e.(i)) in
-      if Float.is_nan diff then ()
-      else if diff > !delta then delta := diff
-    done;
-    Array.blit next 0 e 0 n;
-    incr iter
-  done;
-  Cr_obs.Obs.incr c_runs;
-  Cr_obs.Obs.add c_iterations !iter;
-  e
-
-(* The same value iteration over the flat CSR arrays: no per-state row
-   fetch, [can_reach] marked in a packed bitset. *)
-let expected_csr ?(epsilon = 1e-9) ?(max_iter = 1_000_000) ?pred
     ~(succ : Csr.t) ~(target : bool array) () : float array =
   Cr_obs.Obs.span "hitting.expected" @@ fun () ->
   let n = Csr.num_states succ in
   let rp = Csr.row_ptr succ and tg = Csr.targets succ in
-  let seeds = Reach.members target in
+  (* states that cannot reach the target at all diverge; callers that hold
+     an explicit system pass its stored predecessor CSR to skip the
+     transposition *)
+  let seeds = List.filter (fun i -> target.(i)) (List.init n Fun.id) in
   let can_reach =
     match pred with
-    | Some p -> Reach.forward_csr ~succ:p ~seeds
-    | None -> Reach.backward_csr ~succ ~seeds
+    | Some p -> Reach.forward ~succ:p ~seeds
+    | None -> Reach.backward ~succ ~seeds
   in
+  (* Any state that CAN reach the target reaches it almost surely under
+     uniform choice iff no reachable closed component avoids it; value
+     iteration handles that case (expectations converge iff escape is
+     a.s.), so only the states that cannot reach the target are marked
+     infinite up front. *)
   let e = Array.make n 0.0 in
   let next = Array.make n 0.0 in
   for i = 0 to n - 1 do

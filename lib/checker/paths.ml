@@ -1,9 +1,6 @@
-(* Shortest-path queries (BFS) and DAG longest paths.
-
-   The CSR kernels are the production path (the memoized oracle is
-   CSR-backed since the classify sweep feeds it the explicit system's
-   flat graph directly); the array-of-rows kernels remain as the
-   independent reference implementation for the qcheck properties. *)
+(* Shortest-path queries (a batched BFS oracle, one shortest path) and
+   DAG longest paths, over CSR graphs.  The textbook references they
+   are property-tested against live in the test suite. *)
 
 module Csr = Cr_kernel.Csr
 module Par = Cr_kernel.Par
@@ -18,36 +15,9 @@ let c_bfs_expansions = Cr_obs.Obs.counter "paths.bfs.expansions"
 let c_oracle_hits = Cr_obs.Obs.counter "paths.oracle.hits"
 let c_oracle_misses = Cr_obs.Obs.counter "paths.oracle.misses"
 
-(* Flat-array FIFO: every node is enqueued at most once, so capacity n
-   suffices and the BFS allocates nothing but the two arrays. *)
-let bfs_distances ~succ ~src =
-  let n = Array.length succ in
-  let dist = Array.make n (-1) in
-  let q = Array.make n 0 in
-  let head = ref 0 and tail = ref 0 in
-  dist.(src) <- 0;
-  q.(0) <- src;
-  tail := 1;
-  while !head < !tail do
-    let i = q.(!head) in
-    incr head;
-    let d = dist.(i) + 1 in
-    Array.iter
-      (fun j ->
-        if dist.(j) = -1 then begin
-          dist.(j) <- d;
-          q.(!tail) <- j;
-          incr tail
-        end)
-      succ.(i)
-  done;
-  Cr_obs.Obs.incr c_bfs_runs;
-  Cr_obs.Obs.add c_bfs_expansions !tail;
-  dist
-
-(* Same BFS over the flat CSR arrays.  [q] is caller-provided scratch of
-   capacity >= n so the memoizing oracle shares one queue across
-   sources. *)
+(* BFS distances from [src] over the flat CSR arrays.  [q] is
+   caller-provided scratch of capacity >= n (every node is enqueued at
+   most once), so one queue serves a whole batch of sources. *)
 let bfs_into ~(g : Csr.t) ~(q : int array) ~src =
   let rp = Csr.row_ptr g and tg = Csr.targets g in
   let dist = Array.make (Csr.num_states g) (-1) in
@@ -72,162 +42,57 @@ let bfs_into ~(g : Csr.t) ~(q : int array) ~src =
   Cr_obs.Obs.add c_bfs_expansions !tail;
   dist
 
-let bfs_distances_csr ~succ ~src =
-  bfs_into ~g:succ ~q:(Array.make (max (Csr.num_states succ) 1) 0) ~src
+(* The BFS distance rows of a batch of query sources over a fixed graph,
+   all computed up front, so a checker run that asks many (src, dst)
+   questions (one per path-query edge of [Refine.classify]) pays one BFS
+   per distinct source.  [sources] holds the source of every upcoming
+   query, duplicates expected.  Distinct sources are searched in [Par]
+   chunks; the accounting records one miss per distinct source and one hit
+   per remaining entry — what a memo queried in batch order would record
+   — so the merged counters do not depend on the job count.  The oracle
+   is never mutated after construction, so domains may share it. *)
+type oracle = int array option array  (* src -> BFS distance row *)
 
-(* A shortest-path oracle over a fixed graph: per-source BFS distance rows
-   computed on demand and memoized, so a checker run that queries many
-   (src, dst) pairs (one per non-exact edge in [Refine.classify]) pays one
-   BFS per distinct source instead of one per query — including the
-   successor BFSs of the src = dst cycle case, which are shared with the
-   plain queries. *)
-type oracle = {
-  osucc : Csr.t;
-  rows : int array option array;  (* src -> memoized distance row *)
-  q : int array;  (* scratch BFS queue, shared across sources *)
-}
-
-let make_oracle ~succ =
+let oracle ~succ ~(sources : int array) : oracle =
   let n = Csr.num_states succ in
-  { osucc = succ; rows = Array.make n None; q = Array.make (max n 1) 0 }
-
-let oracle_dist o ~src =
-  match o.rows.(src) with
-  | Some d ->
-      Cr_obs.Obs.incr c_oracle_hits;
-      d
-  | None ->
-      Cr_obs.Obs.incr c_oracle_misses;
-      let dist = bfs_into ~g:o.osucc ~q:o.q ~src in
-      o.rows.(src) <- Some dist;
-      dist
-
-(* Pre-seed the memo for a batch of upcoming queries, one entry per
-   query *occurrence* (duplicates expected — pass the source of every
-   pending query, not the distinct set).  Fresh sources get their BFS
-   rows computed through [Par] — each an independent item with its own
-   scratch queue — and installed in the memo.  The hit/miss accounting
-   reproduces what querying the batch in order would have recorded (one
-   miss per fresh source, one hit per remaining entry), so the merged
-   oracle counters stay CR_JOBS-invariant.  After preseeding, queries
-   with a listed source are pure memo reads ({!shortest_nonempty_seeded}),
-   which is what makes one oracle safe to share across classify chunks. *)
-let preseed_oracle o ~(sources : int array) =
-  let n = Csr.num_states o.osucc in
-  let seen = Bitset.create n in
-  let fresh = ref [] and nfresh = ref 0 in
-  Array.iter
-    (fun s ->
-      if o.rows.(s) = None && not (Bitset.get seen s) then begin
-        Bitset.set seen s;
-        fresh := s :: !fresh;
-        incr nfresh
-      end)
-    sources;
-  let fresh = Array.of_list (List.rev !fresh) in
+  let rows = Array.make n None in
+  let distinct = Bitset.create n in
+  Array.iter (Bitset.set distinct) sources;
+  let fresh = Array.of_list (Bitset.members distinct) in
   let nf = Array.length fresh in
   if nf > 0 then begin
     (* Chunked so each executor allocates one scratch queue for its whole
-       share (a queue per source is n words of garbage per BFS); sources
-       are distinct, so each memo slot has a unique writer. *)
-    let nchunks = max 1 (min nf (Par.current_jobs () * 8)) in
+       share (a queue per source is n words of garbage per BFS); one
+       chunk at CR_JOBS = 1.  Sources are distinct, so each row slot has
+       a unique writer. *)
+    let jobs = Par.current_jobs () in
+    let nchunks = if jobs <= 1 then 1 else min nf (jobs * 8) in
     let chunks =
-      Array.init nchunks (fun d ->
-          (d * nf / nchunks, (d + 1) * nf / nchunks))
+      Array.init nchunks (fun d -> (d * nf / nchunks, (d + 1) * nf / nchunks))
     in
     ignore
       (Par.map_array
          (fun (lo, hi) ->
-           let q = Array.make (max n 1) 0 in
+           let q = Array.make n 0 in
            for k = lo to hi - 1 do
              let src = fresh.(k) in
-             o.rows.(src) <- Some (bfs_into ~g:o.osucc ~q ~src)
+             rows.(src) <- Some (bfs_into ~g:succ ~q ~src)
            done)
          chunks
         : unit array)
   end;
-  Cr_obs.Obs.add c_oracle_misses !nfresh;
-  Cr_obs.Obs.add c_oracle_hits (Array.length sources - !nfresh)
+  Cr_obs.Obs.add c_oracle_misses nf;
+  Cr_obs.Obs.add c_oracle_hits (Array.length sources - nf);
+  rows
 
-let shortest_nonempty_memo o ~src ~dst =
-  if src <> dst then
-    let d = oracle_dist o ~src in
-    if d.(dst) >= 1 then Some d.(dst) else None
-  else begin
-    (* shortest cycle through src *)
-    let best = ref None in
-    Csr.iter_row o.osucc src (fun j ->
-        let d = oracle_dist o ~src:j in
-        if d.(dst) >= 0 then
-          let len = 1 + d.(dst) in
-          match !best with
-          | Some b when b <= len -> ()
-          | _ -> best := Some len);
-    !best
-  end
-
-(* Query a preseeded source: no accounting (the preseed batch already
-   charged this query) and no mutation, so concurrent domains may share
-   one oracle.  A source the preseed batch did not cover — or a src =
-   dst cycle query — falls back to the memoizing path, which is correct
-   but mutating: parallel callers must preseed every source they will
-   query and never ask for cycles. *)
-let shortest_nonempty_seeded o ~src ~dst =
-  match o.rows.(src) with
-  | Some d when src <> dst -> if d.(dst) >= 1 then Some d.(dst) else None
-  | _ -> shortest_nonempty_memo o ~src ~dst
-
-(* Length of the shortest nonempty path from [src] to [dst]; [None] when
-   unreachable by a nonempty path.  (src = dst requires a cycle.) *)
-let shortest_nonempty ~succ ~src ~dst =
-  if src <> dst then
-    let d = bfs_distances ~succ ~src in
-    if d.(dst) >= 1 then Some d.(dst) else None
-  else
-    (* shortest cycle through src *)
-    let best = ref None in
-    Array.iter
-      (fun j ->
-        let d = bfs_distances ~succ ~src:j in
-        if d.(dst) >= 0 then
-          let len = 1 + d.(dst) in
-          match !best with
-          | Some b when b <= len -> ()
-          | _ -> best := Some len)
-      succ.(src);
-    !best
+let distance (o : oracle) ~src ~dst =
+  match o.(src) with
+  | Some d -> d.(dst)
+  | None -> invalid_arg "Paths.distance: source not in the oracle's batch"
 
 (* Reconstruct one shortest path src -> dst (list of states, inclusive);
-   requires dst reachable. *)
+   [None] when dst is unreachable. *)
 let shortest_path ~succ ~src ~dst =
-  if src = dst then Some [ src ]
-  else
-    let n = Array.length succ in
-    let parent = Array.make n (-1) in
-    let dist = Array.make n (-1) in
-    let q = Queue.create () in
-    dist.(src) <- 0;
-    Queue.push src q;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty q) do
-      let i = Queue.pop q in
-      Array.iter
-        (fun j ->
-          if dist.(j) = -1 then begin
-            dist.(j) <- dist.(i) + 1;
-            parent.(j) <- i;
-            if j = dst then found := true;
-            Queue.push j q
-          end)
-        succ.(i)
-    done;
-    if not !found then None
-    else begin
-      let rec build acc i = if i = src then src :: acc else build (i :: acc) parent.(i) in
-      Some (build [] dst)
-    end
-
-let shortest_path_csr ~succ ~src ~dst =
   if src = dst then Some [ src ]
   else begin
     let n = Csr.num_states succ in
@@ -273,59 +138,6 @@ exception Cyclic
    call stack and allocation-free per visit. *)
 let longest_within ~succ ~mask =
   Cr_obs.Obs.span "paths.longest_within" @@ fun () ->
-  let n = Array.length succ in
-  let memo = Array.make n (-1) in
-  let visiting = Array.make n false in
-  let call_v = Array.make n 0 in
-  let call_c = Array.make n 0 in
-  let cp = ref 0 in
-  let compute root =
-    visiting.(root) <- true;
-    call_v.(0) <- root;
-    call_c.(0) <- 0;
-    cp := 1;
-    while !cp > 0 do
-      let i = call_v.(!cp - 1) in
-      let c = call_c.(!cp - 1) in
-      let row = succ.(i) in
-      if c < Array.length row then begin
-        let j = row.(c) in
-        call_c.(!cp - 1) <- c + 1;
-        if mask.(j) then begin
-          if visiting.(j) then raise Cyclic;
-          if memo.(j) < 0 then begin
-            visiting.(j) <- true;
-            call_v.(!cp) <- j;
-            call_c.(!cp) <- 0;
-            incr cp
-          end
-        end
-      end
-      else begin
-        decr cp;
-        visiting.(i) <- false;
-        (* leaving the masked region (or stopping there) costs one step
-           for the edge itself, nothing beyond *)
-        let best = ref 0 in
-        Array.iter
-          (fun j ->
-            let v = 1 + if mask.(j) then memo.(j) else 0 in
-            if v > !best then best := v)
-          row;
-        memo.(i) <- !best
-      end
-    done
-  in
-  Array.init n (fun i ->
-      if not mask.(i) then 0
-      else begin
-        if memo.(i) < 0 then compute i;
-        memo.(i)
-      end)
-
-(* The same DFS over the flat CSR arrays and a packed mask. *)
-let longest_within_csr ~succ ~mask =
-  Cr_obs.Obs.span "paths.longest_within" @@ fun () ->
   let n = Csr.num_states succ in
   let rp = Csr.row_ptr succ and tg = Csr.targets succ in
   let memo = Array.make n (-1) in
@@ -357,6 +169,8 @@ let longest_within_csr ~succ ~mask =
       else begin
         decr cp;
         visiting.(i) <- false;
+        (* leaving the masked region (or stopping there) costs one step
+           for the edge itself, nothing beyond *)
         let best = ref 0 in
         for k = rp.(i) to rp.(i + 1) - 1 do
           let j = tg.(k) in

@@ -1,64 +1,30 @@
-(** BFS shortest paths and DAG longest paths.
-
-    The memoized {!oracle} and the [_csr] kernels run over {!Csr} graphs
-    (the production path); the array-of-rows functions are the reference
-    implementation the qcheck equivalence properties compare against. *)
-
-val bfs_distances : succ:int array array -> src:int -> int array
-(** [dist.(j)] = shortest path length from [src], or [-1]. *)
-
-val bfs_distances_csr : succ:Cr_kernel.Csr.t -> src:int -> int array
-(** {!bfs_distances} over a CSR graph. *)
-
-val shortest_nonempty : succ:int array array -> src:int -> dst:int -> int option
-(** Length of the shortest path of length >= 1 (for [src = dst], the
-    shortest cycle).  Used to classify compression edges in the
-    convergence-refinement checker. *)
+(** BFS shortest paths and DAG longest paths over CSR graphs. *)
 
 type oracle
-(** Memoized shortest-path queries over a fixed CSR graph: one BFS per
-    distinct source across the oracle's lifetime, shared by all queries
-    (e.g. every non-exact edge of one [Refine.classify] run). *)
+(** The BFS distance rows of a fixed batch of sources over a fixed
+    graph, computed once; read-only afterwards, so domains may share
+    it. *)
 
-val make_oracle : succ:Cr_kernel.Csr.t -> oracle
+val oracle : succ:Cr_kernel.Csr.t -> sources:int array -> oracle
+(** BFS from every source in [sources], one entry per upcoming query
+    (duplicates expected; each distinct source is searched once).
+    Distinct sources are searched in parallel through [Par] (one chunk
+    at CR_JOBS = 1); the hit/miss accounting matches querying the batch
+    in order through a memo, so merged counters are CR_JOBS-invariant. *)
 
-val oracle_dist : oracle -> src:int -> int array
-(** The (memoized) BFS distance row from [src]; same contents as
-    {!bfs_distances}.  Callers must not mutate the returned array. *)
+val distance : oracle -> src:int -> dst:int -> int
+(** BFS distance from [src] to [dst], or [-1] when unreachable.  A pure
+    lookup.  Raises [Invalid_argument] when [src] was not in the
+    oracle's batch. *)
 
-val shortest_nonempty_memo : oracle -> src:int -> dst:int -> int option
-(** Same results as {!shortest_nonempty}, through the memo. *)
-
-val preseed_oracle : oracle -> sources:int array -> unit
-(** Pre-compute and memoize the BFS rows for a batch of upcoming
-    queries, one entry per query occurrence (duplicates expected).
-    Distinct fresh sources are computed in parallel through [Par]; the
-    hit/miss accounting matches querying the batch sequentially, so
-    merged counters stay CR_JOBS-invariant.  Afterwards the listed
-    sources can be queried read-only with {!shortest_nonempty_seeded}
-    from several domains sharing one oracle. *)
-
-val shortest_nonempty_seeded : oracle -> src:int -> dst:int -> int option
-(** Same results as {!shortest_nonempty_memo}, served without mutation
-    or accounting from a row installed by {!preseed_oracle}.  Falls back
-    to the (mutating) memoizing path when the row is missing or
-    [src = dst] — parallel callers must preseed every source they query
-    and never ask for cycles. *)
-
-val shortest_path : succ:int array array -> src:int -> dst:int -> int list option
+val shortest_path : succ:Cr_kernel.Csr.t -> src:int -> dst:int -> int list option
 (** One shortest path, inclusive of endpoints ([src = dst] gives [[src]]). *)
-
-val shortest_path_csr : succ:Cr_kernel.Csr.t -> src:int -> dst:int -> int list option
-(** {!shortest_path} over a CSR graph. *)
 
 exception Cyclic
 
-val longest_within : succ:int array array -> mask:bool array -> int array
+val longest_within : succ:Cr_kernel.Csr.t -> mask:Cr_kernel.Bitset.t -> int array
 (** [longest_within ~succ ~mask] gives, for each masked state, the maximum
     number of consecutive transitions that remain inside the masked region
     starting there.  Raises {!Cyclic} if the masked subgraph has a cycle.
     This is the exact worst-case convergence time when [mask] is the set of
     illegitimate states of a stabilizing system. *)
-
-val longest_within_csr : succ:Cr_kernel.Csr.t -> mask:Cr_kernel.Bitset.t -> int array
-(** {!longest_within} over a CSR graph and a packed mask. *)

@@ -1,52 +1,18 @@
-(* Reachability kernels.
+(* Reachability kernels over CSR graphs.
 
-   The CSR entry points ([forward_csr], [backward_of_explicit],
-   [reachable_from_initial]) are the production path: they walk the flat
-   [Csr] arrays an explicit system already stores and mark a packed
-   [Bitset] — no row copying, no per-row allocation.  The historical
-   array-of-rows kernels ([forward]/[backward] over [int array array])
-   are kept as the independent reference implementation the qcheck
-   properties compare against. *)
+   Each walks the flat [Csr] arrays (an explicit system's own graph, or
+   its stored predecessor graph) and marks a packed [Bitset] — no row
+   copying, no per-row allocation.  The textbook reference they are
+   property-tested against lives in the test suite. *)
 
 module Csr = Cr_kernel.Csr
 module Bitset = Cr_kernel.Bitset
 
-let forward ~succ ~(seeds : int list) : bool array =
-  let n = Array.length succ in
-  let seen = Array.make n false in
-  (* flat int stack: each node is pushed at most once *)
-  let stack = Array.make n 0 in
-  let sp = ref 0 in
-  let push i =
-    if not seen.(i) then begin
-      seen.(i) <- true;
-      stack.(!sp) <- i;
-      incr sp
-    end
-  in
-  List.iter push seeds;
-  while !sp > 0 do
-    decr sp;
-    Array.iter push succ.(stack.(!sp))
-  done;
-  seen
-
-let transpose succ =
-  let n = Array.length succ in
-  let preds = Array.make n [] in
-  Array.iteri
-    (fun i js -> Array.iter (fun j -> preds.(j) <- i :: preds.(j)) js)
-    succ;
-  Array.map (fun l -> Array.of_list l) preds
-
-(* States that can reach some seed. *)
-let backward ~succ ~seeds = forward ~succ:(transpose succ) ~seeds
-
-(* Same DFS over the flat CSR arrays, marking a packed bitset. *)
-let forward_csr ~succ ~(seeds : int list) : Bitset.t =
+let forward ~succ ~(seeds : int list) : Bitset.t =
   let n = Csr.num_states succ in
   let rp = Csr.row_ptr succ and tg = Csr.targets succ in
   let seen = Bitset.create n in
+  (* flat int stack: each node is pushed at most once *)
   let stack = Array.make (max n 1) 0 in
   let sp = ref 0 in
   let push i =
@@ -66,26 +32,14 @@ let forward_csr ~succ ~(seeds : int list) : Bitset.t =
   done;
   seen
 
-let backward_csr ~succ ~seeds = forward_csr ~succ:(Csr.transpose succ) ~seeds
-
-(* Zero-copy views of the CSRs an explicit system already stores. *)
-let of_explicit = Cr_semantics.Explicit.csr
-
-let pred_of_explicit = Cr_semantics.Explicit.pred_csr
+let backward ~succ ~seeds = forward ~succ:(Csr.transpose succ) ~seeds
 
 (* Backward reachability straight off the stored predecessor CSR — no
    transposition pass here, no row copying. *)
 let backward_of_explicit expl ~seeds =
-  forward_csr ~succ:(Cr_semantics.Explicit.pred_csr expl) ~seeds
+  forward ~succ:(Cr_semantics.Explicit.pred_csr expl) ~seeds
 
 let reachable_from_initial expl =
-  forward_csr
+  forward
     ~succ:(Cr_semantics.Explicit.csr expl)
     ~seeds:(Array.to_list (Cr_semantics.Explicit.initials expl))
-
-let count mask = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 mask
-
-let members mask =
-  let acc = ref [] in
-  Array.iteri (fun i b -> if b then acc := i :: !acc) mask;
-  List.rev !acc

@@ -1,34 +1,17 @@
-(** Reachability kernels.
+(** Reachability kernels over CSR graphs, marking packed bitsets.
 
-    The production path is CSR + packed bitsets: {!forward_csr} over the
-    flat graph an explicit system hands out via {!of_explicit} (a
-    zero-copy view).  The array-of-rows kernels ({!forward}/{!backward})
-    are the independent reference implementation used by the qcheck
-    equivalence properties. *)
+    An explicit system hands out its graph and its predecessor graph as
+    zero-copy views ({!Cr_semantics.Explicit.csr},
+    {!Cr_semantics.Explicit.pred_csr}); these kernels walk them
+    directly. *)
 
-val forward : succ:int array array -> seeds:int list -> bool array
+val forward : succ:Cr_kernel.Csr.t -> seeds:int list -> Cr_kernel.Bitset.t
 (** States reachable from [seeds] (inclusive). *)
 
-val backward : succ:int array array -> seeds:int list -> bool array
-(** States that can reach some member of [seeds] (inclusive). *)
-
-val transpose : int array array -> int array array
-
-val forward_csr : succ:Cr_kernel.Csr.t -> seeds:int list -> Cr_kernel.Bitset.t
-(** {!forward} over a CSR graph, marking a packed bitset. *)
-
-val backward_csr : succ:Cr_kernel.Csr.t -> seeds:int list -> Cr_kernel.Bitset.t
-(** {!backward} over a CSR graph (transposes internally; prefer
-    {!backward_of_explicit} when the system's stored transpose is
-    available). *)
-
-val of_explicit : _ Cr_semantics.Explicit.t -> Cr_kernel.Csr.t
-(** The transition CSR of an explicit system — a zero-copy view of what
-    the system already stores. *)
-
-val pred_of_explicit : _ Cr_semantics.Explicit.t -> Cr_kernel.Csr.t
-(** The predecessor CSR an explicit system stores (forced on first use);
-    also zero-copy. *)
+val backward : succ:Cr_kernel.Csr.t -> seeds:int list -> Cr_kernel.Bitset.t
+(** States that can reach some member of [seeds] (inclusive).
+    Transposes internally; prefer {!backward_of_explicit} when the
+    system's stored transpose is available. *)
 
 val backward_of_explicit :
   _ Cr_semantics.Explicit.t -> seeds:int list -> Cr_kernel.Bitset.t
@@ -38,6 +21,3 @@ val backward_of_explicit :
 val reachable_from_initial : _ Cr_semantics.Explicit.t -> Cr_kernel.Bitset.t
 (** States reachable from the initial states — for a specification [A]
     these are the "legitimate" states used by the stabilization checker. *)
-
-val count : bool array -> int
-val members : bool array -> int list

@@ -1,7 +1,10 @@
-(** Strongly connected components (iterative Tarjan) and cycle queries.
+(** Strongly connected components (iterative Tarjan over a CSR graph)
+    and cycle queries.
 
     Graphs here never contain self-loops (explicit systems drop them), so a
-    state lies on a cycle iff its component has at least two states. *)
+    state lies on a cycle iff its component has at least two states.  To
+    ask about a subgraph induced by a mask, compute over
+    {!Cr_kernel.Csr.restrict}. *)
 
 type t = {
   component : int array;  (** state index -> component id *)
@@ -9,12 +12,10 @@ type t = {
   sizes : int array;  (** component id -> size *)
 }
 
-val compute : int array array -> t
-(** Reference kernel over array-of-rows adjacency (qcheck baseline). *)
-
-val compute_csr : Cr_kernel.Csr.t -> t
-(** Production kernel over a CSR graph.  Traverses in the same order as
-    {!compute} on the equivalent rows, so component ids are identical. *)
+val compute : Cr_kernel.Csr.t -> t
+(** Components numbered in Tarjan completion order; the DFS starts
+    from states in ascending order and visits each row's successors in
+    their sorted order, so the numbering is a function of the graph. *)
 
 val on_cycle : t -> int -> bool
 (** Is the state on some cycle? *)
@@ -22,15 +23,3 @@ val on_cycle : t -> int -> bool
 val edge_on_cycle : t -> int -> int -> bool
 (** Are both endpoints in the same component (so the edge closes a
     cycle)? *)
-
-val restrict : int array array -> bool array -> int array array
-(** Adjacency of the subgraph induced by the masked states (rows of
-    unmasked states are empty; rows that survive whole are shared with
-    the input, not copied). *)
-
-val acyclic_within : int array array -> bool array -> bool
-(** Is the subgraph induced by the masked states acyclic? *)
-
-val acyclic_within_csr : Cr_kernel.Csr.t -> Cr_kernel.Bitset.t -> bool
-(** {!acyclic_within} over a CSR graph and a packed mask (restricts via
-    {!Cr_kernel.Csr.restrict}, no per-row allocation). *)

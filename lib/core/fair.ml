@@ -65,50 +65,14 @@ let c_runs = Cr_obs.Obs.counter "fair.analyze.runs"
 let c_admissible = Cr_obs.Obs.counter "fair.admissible_sccs"
 
 (* Analyze the subgraph induced by [mask]: compute its SCCs and which of
-   them carry a weakly-fair infinite run. *)
-let analyze (next : tables) ~(succ : int array array) ~(mask : bool array) :
-    analysis =
-  Cr_obs.Obs.span "fair.analyze" @@ fun () ->
-  let n = Array.length succ in
-  let restricted = Cr_checker.Scc.restrict succ mask in
-  let scc = Cr_checker.Scc.compute restricted in
-  let members = Array.make scc.Cr_checker.Scc.count [] in
-  for i = n - 1 downto 0 do
-    if mask.(i) then begin
-      let c = scc.Cr_checker.Scc.component.(i) in
-      members.(c) <- i :: members.(c)
-    end
-  done;
-  let component = Array.make n (-1) in
-  for i = 0 to n - 1 do
-    if mask.(i) then component.(i) <- scc.Cr_checker.Scc.component.(i)
-  done;
-  let fair = Array.make n false in
-  let sccs = ref [] in
-  Array.iteri
-    (fun c states ->
-      if scc.Cr_checker.Scc.sizes.(c) >= 2 then begin
-        let in_scc j = mask.(j) && scc.Cr_checker.Scc.component.(j) = c in
-        let edge i j = Array.exists (fun k -> k = j) restricted.(i) in
-        if admissible next ~edge ~in_scc states then begin
-          List.iter (fun i -> fair.(i) <- true) states;
-          sccs := states :: !sccs
-        end
-      end)
-    members;
-  Cr_obs.Obs.incr c_runs;
-  Cr_obs.Obs.add c_admissible (List.length !sccs);
-  { component; fair; sccs = List.rev !sccs }
-
-(* [analyze] over the system's flat CSR and a packed mask: restriction
-   stays flat and the taken-inside test is a binary search in the
-   restricted row — same boolean as the reference linear scan. *)
-let analyze_csr (next : tables) ~(succ : Cr_kernel.Csr.t)
+   them carry a weakly-fair infinite run.  The restriction stays flat and
+   the taken-inside test is a binary search in the restricted row. *)
+let analyze (next : tables) ~(succ : Cr_kernel.Csr.t)
     ~(mask : Cr_kernel.Bitset.t) : analysis =
   Cr_obs.Obs.span "fair.analyze" @@ fun () ->
   let n = Cr_kernel.Csr.num_states succ in
   let restricted = Cr_kernel.Csr.restrict succ mask in
-  let scc = Cr_checker.Scc.compute_csr restricted in
+  let scc = Cr_checker.Scc.compute restricted in
   let members = Array.make scc.Cr_checker.Scc.count [] in
   let component = Array.make n (-1) in
   (* one word-skipping pass over the mask builds both tables; the
@@ -138,9 +102,6 @@ let analyze_csr (next : tables) ~(succ : Cr_kernel.Csr.t)
   Cr_obs.Obs.incr c_runs;
   Cr_obs.Obs.add c_admissible (List.length !sccs);
   { component; fair; sccs = List.rev !sccs }
-
-let has_fair_divergence next ~succ ~mask =
-  (analyze next ~succ ~mask).sccs <> []
 
 let edge_on_fair_cycle analysis i j =
   analysis.fair.(i) && analysis.component.(i) = analysis.component.(j)

@@ -20,15 +20,10 @@ type analysis = {
 
 val enabled : tables -> int -> int -> bool
 
-val analyze : tables -> succ:int array array -> mask:bool array -> analysis
-(** SCCs of the subgraph induced by [mask], with fair-admissibility. *)
-
-val analyze_csr :
+val analyze :
   tables -> succ:Cr_kernel.Csr.t -> mask:Cr_kernel.Bitset.t -> analysis
-(** {!analyze} over a CSR graph and a packed mask — same analysis, flat
-    restriction, binary-search edge membership. *)
-
-val has_fair_divergence : tables -> succ:int array array -> mask:bool array -> bool
+(** SCCs of the subgraph induced by [mask], with fair-admissibility.  A
+    run diverges fairly inside [mask] iff [sccs] is nonempty. *)
 
 val edge_on_fair_cycle : analysis -> int -> int -> bool
 (** Is the edge inside some fair-admissible SCC? *)

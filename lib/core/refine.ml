@@ -28,9 +28,11 @@ module Par = Cr_kernel.Par
    definition (matching A-paths concatenate into a computation of A, and
    maximality is preserved by the terminal conditions).
 
-   All sweeps run over the systems' flat CSR graphs (zero-copy views);
-   the classification sweep is domain-chunked under the CR_JOBS contract
-   of [Par], and every verdict is memoized in a content-addressed
+   All sweeps run over the systems' flat CSR graphs (zero-copy views).
+   Classification has one code path for every job count: a chunked
+   stutter/exact sweep, one batched BFS oracle for the remaining path
+   queries, and a chunked resolve against it, all under the CR_JOBS
+   contract of [Par].  Every verdict is memoized in a content-addressed
    [Cr_kernel.Memo] keyed by [Check_cache.key]. *)
 
 type edge_class = Stutter | Exact | Compression of int
@@ -154,7 +156,7 @@ let iter_classified t f =
    oracle's own counters). *)
 let c_classify_runs = Cr_obs.Obs.counter "refine.classify.runs"
 
-(* Wall time of each chunk of the classification sweep — the
+(* Wall time of each step-A chunk of the classification — the
    load-balance view of the CR_JOBS fan-out (one observation per chunk;
    the chunk *count* therefore varies with the job count even though the
    classified output does not). *)
@@ -165,28 +167,28 @@ let c_edges_compression = Cr_obs.Obs.counter "refine.edges.compression"
 let c_edges_unmatched = Cr_obs.Obs.counter "refine.edges.unmatched"
 let c_max_dropped = Cr_obs.Obs.counter ~kind:Cr_obs.Obs.Max "refine.max_dropped"
 
-(* Classify each edge of [c] against [a] through [alpha].
+(* Classify each edge of [c] against [a] through [alpha], in three steps
+   that every job count runs alike:
 
-   The row-major sweep is split into contiguous state chunks — one
-   sweep for CR_JOBS = 1 (the plain sequential path), many more chunks
-   than domains otherwise, claimed from [Par]'s atomic item counter so
-   edge-balanced stragglers stop serializing the fan-out.  Chunk
-   boundaries are edge-balanced (binary search of the cumulative edge
-   count in [row_ptr]), every edge is written at its absolute CSR offset
-   into preallocated arrays, and per-chunk tallies are merged in chunk
-   order — so the classified arrays and stats are byte-identical for
-   every job count.
+   A. each chunk of rows classifies its stutter and exact edges and
+      leaves its path-query edges [None];
+   B. one oracle BFSes the source image of every pending edge
+      ([Paths.oracle]: each distinct source one BFS, as parallel items);
+   C. each chunk resolves its own pending edges — the [None] slots of
+      its range of [cls] — by pure lookups in that shared oracle.
 
-   Shortest abstract paths are answered by a per-source memoized BFS
-   oracle.  The parallel path runs in two phases sharing ONE oracle:
-   phase A classifies the stutter/exact edges and records the pending
-   (path-query) edges per chunk; the oracle is then preseeded with the
-   pending sources ([Paths.preseed_oracle] — each distinct source one
-   parallel BFS item); phase B resolves the pending edges with read-only
-   memo lookups.  Chunks therefore never redo each other's BFS work, and
-   all the merged counters — the [refine.*] totals below and the
-   oracle's hit/miss and [paths.bfs.*] counters — are CR_JOBS-invariant
-   (the preseed accounting reproduces the sequential query order). *)
+   A pending edge has distinct images (equal images are a stutter), so
+   its class is [Compression d] for a BFS distance d >= 2 (d = 1 would
+   have been exact) and unmatched otherwise.
+
+   CR_JOBS = 1 runs one chunk; otherwise the rows are split into many
+   more contiguous chunks than domains, claimed from [Par]'s atomic item
+   counter so edge-balanced stragglers stop serializing the fan-out.
+   Chunk boundaries are edge-balanced (binary search of the cumulative
+   edge count in [row_ptr]), every edge is written at its absolute CSR
+   offset into preallocated arrays, and per-chunk tallies are merged in
+   chunk order — so the classified arrays, the stats and every merged
+   counter ([refine.*], [paths.*]) are identical for every job count. *)
 let classify ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) :
     classified * stats =
   Cr_obs.Obs.span "refine.classify" @@ fun () ->
@@ -200,13 +202,11 @@ let classify ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) :
   let srcs = Array.make m 0 and dsts = Array.make m 0 in
   let cls = Array.make m None in
   let some_stutter = Some Stutter and some_exact = Some Exact in
-  (* Sweep rows [lo, hi), writing each edge at its absolute offset;
-     returns this chunk's tallies (edge count is implied by the range). *)
-  let sweep lo hi =
+  (* Step A over rows [lo, hi), writing each edge at its absolute offset;
+     returns this chunk's exact/stutter tallies. *)
+  let classify_rows (lo, hi) =
     let t0 = if Cr_obs.Obs.tracking () then Cr_obs.Obs.now_us () else 0. in
-    let oracle = Cr_checker.Paths.make_oracle ~succ:succ_a in
     let exact = ref 0 and stutter = ref 0 in
-    let compressions = ref 0 and max_dropped = ref 0 in
     for i = lo to hi - 1 do
       let klo = rp.(i) and khi = rp.(i + 1) in
       if khi > klo then begin
@@ -217,175 +217,92 @@ let classify ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) :
         for k = klo to khi - 1 do
           let j = tg.(k) in
           let aj = alpha.(j) in
-          let cl =
-            if ai = aj then some_stutter
-            else begin
-              (* binary search in the sorted abstract successor row *)
-              let slo = ref alo and shi = ref ahi in
-              while !shi - !slo > 1 do
-                let mid = (!slo + !shi) / 2 in
-                if atg.(mid) <= aj then slo := mid else shi := mid
-              done;
-              if !shi > !slo && atg.(!slo) = aj then some_exact
-              else
-                match
-                  Cr_checker.Paths.shortest_nonempty_memo oracle ~src:ai
-                    ~dst:aj
-                with
-                | Some len when len >= 2 -> Some (Compression len)
-                | Some _ | None -> None
-            end
-          in
-          (match cl with
-          | Some Stutter -> incr stutter
-          | Some Exact -> incr exact
-          | Some (Compression len) ->
-              incr compressions;
-              if len - 1 > !max_dropped then max_dropped := len - 1
-          | None -> ());
           srcs.(k) <- i;
           dsts.(k) <- j;
-          cls.(k) <- cl
+          if ai = aj then begin
+            incr stutter;
+            cls.(k) <- some_stutter
+          end
+          else begin
+            (* binary search in the sorted abstract successor row *)
+            let slo = ref alo and shi = ref ahi in
+            while !shi - !slo > 1 do
+              let mid = (!slo + !shi) / 2 in
+              if atg.(mid) <= aj then slo := mid else shi := mid
+            done;
+            if !shi > !slo && atg.(!slo) = aj then begin
+              incr exact;
+              cls.(k) <- some_exact
+            end
+          end
         done
       end
     done;
     if Cr_obs.Obs.tracking () then
       Cr_obs.Obs.observe h_chunk (int_of_float (Cr_obs.Obs.now_us () -. t0));
-    (!exact, !stutter, !compressions, !max_dropped)
+    (!exact, !stutter)
   in
-  (* Phase A of the parallel path: classify rows [lo, hi) like [sweep],
-     but record the path-query edges (class still unknown) in a pending
-     buffer instead of querying a chunk-local oracle.  Returns the
-     stutter/exact tallies and the pending edge offsets. *)
-  let sweep_collect lo hi =
-    let t0 = if Cr_obs.Obs.tracking () then Cr_obs.Obs.now_us () else 0. in
-    let exact = ref 0 and stutter = ref 0 in
-    let pending = Array.make (rp.(hi) - rp.(lo)) 0 in
-    let np = ref 0 in
-    for i = lo to hi - 1 do
-      let klo = rp.(i) and khi = rp.(i + 1) in
-      if khi > klo then begin
-        let ai = alpha.(i) in
-        let alo = arp.(ai) and ahi = arp.(ai + 1) in
-        for k = klo to khi - 1 do
-          let j = tg.(k) in
-          let aj = alpha.(j) in
-          let cl =
-            if ai = aj then begin
-              incr stutter;
-              some_stutter
-            end
-            else begin
-              let slo = ref alo and shi = ref ahi in
-              while !shi - !slo > 1 do
-                let mid = (!slo + !shi) / 2 in
-                if atg.(mid) <= aj then slo := mid else shi := mid
-              done;
-              if !shi > !slo && atg.(!slo) = aj then begin
-                incr exact;
-                some_exact
-              end
-              else begin
-                pending.(!np) <- k;
-                incr np;
-                None
-              end
-            end
-          in
-          srcs.(k) <- i;
-          dsts.(k) <- j;
-          cls.(k) <- cl
-        done
-      end
-    done;
-    if Cr_obs.Obs.tracking () then
-      Cr_obs.Obs.observe h_chunk (int_of_float (Cr_obs.Obs.now_us () -. t0));
-    (!exact, !stutter, Array.sub pending 0 !np)
-  in
-  (* Phase B: resolve one chunk's pending edges against the shared,
-     preseeded oracle — pure memo reads, so the chunks can share it. *)
-  let resolve oracle (pending : int array) =
+  (* Step C over rows [lo, hi): resolve the edges step A left [None]. *)
+  let resolve oracle (lo, hi) =
     let compressions = ref 0 and max_dropped = ref 0 in
-    Array.iter
-      (fun k ->
-        match
-          Cr_checker.Paths.shortest_nonempty_seeded oracle
-            ~src:alpha.(srcs.(k)) ~dst:alpha.(dsts.(k))
-        with
-        | Some len when len >= 2 ->
+    for k = rp.(lo) to rp.(hi) - 1 do
+      match cls.(k) with
+      | Some _ -> ()
+      | None ->
+          let len =
+            Cr_checker.Paths.distance oracle ~src:alpha.(srcs.(k))
+              ~dst:alpha.(dsts.(k))
+          in
+          if len >= 2 then begin
             cls.(k) <- Some (Compression len);
             incr compressions;
             if len - 1 > !max_dropped then max_dropped := len - 1
-        | Some _ | None -> ())
-      pending;
+          end
+    done;
     (!compressions, !max_dropped)
   in
   let jobs = min (Par.current_jobs ()) (max n 1) in
-  let exact, stutter, compressions, max_dropped =
-    if jobs <= 1 then sweep 0 n
+  let num_chunks = if jobs <= 1 then 1 else max jobs (min n (jobs * 8)) in
+  (* Edge-balanced chunk boundaries: state index d covers edges up to
+     roughly d*m/num_chunks.  [row_ptr] is nondecreasing, so the smallest
+     state whose cumulative edge count reaches the quota is a binary
+     search; boundaries are nondecreasing by construction. *)
+  let boundary d =
+    if d = 0 then 0
+    else if d = num_chunks then n
     else begin
-      (* Many more chunks than domains: uneven chunks stop serializing
-         the sweep because idle domains claim the next chunk from the
-         pool's atomic item counter. *)
-      let num_chunks = max jobs (min (max n 1) (jobs * 8)) in
-      (* Edge-balanced chunk boundaries: state index d covers edges up
-         to roughly d*m/num_chunks.  [row_ptr] is nondecreasing, so the
-         smallest state whose cumulative edge count reaches the quota is
-         a binary search; boundaries are clamped nondecreasing by
-         construction. *)
-      let boundary d =
-        if d = 0 then 0
-        else if d = num_chunks then n
-        else begin
-          let want = d * m / num_chunks in
-          let lo = ref 0 and hi = ref n in
-          (* smallest i with rp.(i) >= want *)
-          while !hi - !lo > 0 do
-            let mid = (!lo + !hi) / 2 in
-            if rp.(mid) < want then lo := mid + 1 else hi := mid
-          done;
-          !lo
-        end
-      in
-      let chunks =
-        Array.init num_chunks (fun d -> (boundary d, boundary (d + 1)))
-      in
-      let parts = Par.map_array (fun (lo, hi) -> sweep_collect lo hi) chunks in
-      (* every pending query's source image, in chunk order — one entry
-         per query, so the preseed accounting matches the sequential
-         sweep exactly *)
-      let total_pending =
-        Array.fold_left (fun acc (_, _, p) -> acc + Array.length p) 0 parts
-      in
-      let sources = Array.make (max total_pending 1) 0 in
-      let w = ref 0 in
-      Array.iter
-        (fun (_, _, p) ->
-          Array.iter
-            (fun k ->
-              sources.(!w) <- alpha.(srcs.(k));
-              incr w)
-            p)
-        parts;
-      let oracle = Cr_checker.Paths.make_oracle ~succ:succ_a in
-      Cr_checker.Paths.preseed_oracle oracle
-        ~sources:(Array.sub sources 0 total_pending);
-      let resolved =
-        Par.map_array (fun (_, _, p) -> resolve oracle p) parts
-      in
-      (* deterministic merge in chunk order *)
-      let exact, stutter =
-        Array.fold_left
-          (fun (e, s) (e', s', _) -> (e + e', s + s'))
-          (0, 0) parts
-      in
-      let compressions, max_dropped =
-        Array.fold_left
-          (fun (cp, md) (cp', md') -> (cp + cp', max md md'))
-          (0, 0) resolved
-      in
-      (exact, stutter, compressions, max_dropped)
+      let want = d * m / num_chunks in
+      let lo = ref 0 and hi = ref n in
+      (* smallest i with rp.(i) >= want *)
+      while !hi - !lo > 0 do
+        let mid = (!lo + !hi) / 2 in
+        if rp.(mid) < want then lo := mid + 1 else hi := mid
+      done;
+      !lo
     end
+  in
+  let chunks = Array.init num_chunks (fun d -> (boundary d, boundary (d + 1))) in
+  let parts = Par.map_array classify_rows chunks in
+  let exact, stutter =
+    Array.fold_left (fun (e, s) (e', s') -> (e + e', s + s')) (0, 0) parts
+  in
+  (* step B: the source image of every pending edge, in edge order — one
+     entry per query, which is what the oracle's accounting expects *)
+  let sources = Array.make (m - exact - stutter) 0 in
+  let w = ref 0 in
+  Array.iteri
+    (fun k -> function
+      | Some _ -> ()
+      | None ->
+          sources.(!w) <- alpha.(srcs.(k));
+          incr w)
+    cls;
+  let oracle = Cr_checker.Paths.oracle ~succ:succ_a ~sources in
+  let compressions, max_dropped =
+    Array.fold_left
+      (fun (cp, md) (cp', md') -> (cp + cp', max md md'))
+      (0, 0)
+      (Par.map_array (resolve oracle) chunks)
   in
   if Cr_obs.Obs.tracking () then begin
     Cr_obs.Obs.incr c_classify_runs;
@@ -516,11 +433,11 @@ let cached ~relation ~alpha ~fair ~c ~a check =
 let edge_on_cycle ~fair (succ_c : Cr_kernel.Csr.t) =
   match fair with
   | None ->
-      let scc = lazy (Cr_checker.Scc.compute_csr succ_c) in
+      let scc = lazy (Cr_checker.Scc.compute succ_c) in
       fun i j -> Cr_checker.Scc.edge_on_cycle (Lazy.force scc) i j
   | Some tables ->
       let analysis =
-        Fair.analyze_csr tables ~succ:succ_c
+        Fair.analyze tables ~succ:succ_c
           ~mask:(Cr_kernel.Bitset.full (Cr_kernel.Csr.num_states succ_c))
       in
       fun i j -> Fair.edge_on_fair_cycle analysis i j
@@ -541,11 +458,11 @@ let stutter_check ~alpha ~fair ~(c : _ Explicit.t) ~(a : _ Explicit.t)
     let on_stutter_cycle =
       match fair with
       | None ->
-          let stutter_scc = Cr_checker.Scc.compute_csr stutter_adj in
+          let stutter_scc = Cr_checker.Scc.compute stutter_adj in
           fun i -> Cr_checker.Scc.on_cycle stutter_scc i
       | Some tables ->
           let analysis =
-            Fair.analyze_csr tables ~succ:stutter_adj
+            Fair.analyze tables ~succ:stutter_adj
               ~mask:(Cr_kernel.Bitset.full n)
           in
           fun i -> analysis.Fair.fair.(i)
@@ -605,7 +522,7 @@ let convergence_refinement ?alpha ?fair ~(c : _ Explicit.t)
      reachability reuses [succ_c] — no adjacency rebuild. *)
   Cr_obs.Obs.span "refine.init_check" (fun () ->
       let reach =
-        Cr_checker.Reach.forward_csr ~succ:succ_c
+        Cr_checker.Reach.forward ~succ:succ_c
           ~seeds:(Array.to_list (Explicit.initials c))
       in
       iter_classified classified (fun i j cls ->
@@ -645,7 +562,7 @@ let everywhere_eventually_refinement ?alpha ?fair ~(c : _ Explicit.t)
   let failures = ref (initial_failures ~alpha ~c ~a) in
   Cr_obs.Obs.span "refine.cycle_check" (fun () ->
       let reach =
-        Cr_checker.Reach.forward_csr ~succ:succ_c
+        Cr_checker.Reach.forward ~succ:succ_c
           ~seeds:(Array.to_list (Explicit.initials c))
       in
       iter_classified classified (fun i j cls ->

@@ -14,9 +14,8 @@
     Verdicts are memoized in a content-addressed {!Cr_kernel.Memo} keyed
     ({!Check_cache.key}) on the relation, both systems' exact structure,
     the abstraction and the fairness tables — disable with [CR_CACHE=0],
-    audit with [CR_CACHE_PARANOID=1].  The classification sweep is domain-chunked
-    under [CR_JOBS] ({!Cr_kernel.Par}) with job-count-independent
-    results. *)
+    audit with [CR_CACHE_PARANOID=1].  Classification is chunked under
+    [CR_JOBS] ({!Cr_kernel.Par}) with job-count-independent results. *)
 
 type edge_class =
   | Stutter  (** the abstract image does not move *)
@@ -87,8 +86,12 @@ val classify :
   a:'a Cr_semantics.Explicit.t ->
   classified * stats
 (** Classify every concrete transition against the abstract system, as
-    flat parallel arrays.  Shortest-path queries against the abstract
-    graph share one memoized BFS oracle per call. *)
+    flat parallel arrays.  One code path for every job count: a chunked
+    stutter/exact sweep, one batched BFS oracle over the abstract graph
+    for the remaining edges, and a chunked resolve against it.  A
+    non-stutter, non-exact edge is [Some (Compression d)] when the
+    abstract BFS distance between its images is [d >= 2], [None]
+    (unmatched) otherwise. *)
 
 val init_refinement :
   ?alpha:int array ->

@@ -69,7 +69,7 @@ let pp_report fmt r =
 let find_cycle_within (succ : Cr_kernel.Csr.t) (mask : Cr_kernel.Bitset.t) =
   let n = Cr_kernel.Csr.num_states succ in
   let restricted = Cr_kernel.Csr.restrict succ mask in
-  let scc = Cr_checker.Scc.compute_csr restricted in
+  let scc = Cr_checker.Scc.compute restricted in
   let witness = ref None in
   for i = n - 1 downto 0 do
     if Cr_kernel.Bitset.get mask i && Cr_checker.Scc.on_cycle scc i then
@@ -97,7 +97,7 @@ let find_cycle_within (succ : Cr_kernel.Csr.t) (mask : Cr_kernel.Bitset.t) =
       | None -> Some [ i ]
       | Some j -> (
           match
-            Cr_checker.Paths.shortest_path_csr ~succ:comp_succ ~src:j ~dst:i
+            Cr_checker.Paths.shortest_path ~succ:comp_succ ~src:j ~dst:i
           with
           | Some p -> Some (i :: p)
           | None -> Some [ i ]))
@@ -190,7 +190,7 @@ let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
           imaged outside L is already a bad seed (its in-cycle edge
           leaves L) *)
        let sscc =
-         Cr_checker.Scc.compute_csr
+         Cr_checker.Scc.compute
            (Cr_kernel.Csr.filter succ_c (fun i j -> alpha.(i) = alpha.(j)))
        in
        for i = 0 to n - 1 do
@@ -238,7 +238,7 @@ let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
              [Cyclic] iff the masked region has one, so the SCC-based
              witness search only runs on failure. *)
           match
-            Cr_checker.Paths.longest_within_csr ~succ:succ_c
+            Cr_checker.Paths.longest_within ~succ:succ_c
               ~mask:reaches_bad
           with
           | depths -> (None, Some depths)
@@ -246,7 +246,7 @@ let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
               (find_cycle_within succ_c reaches_bad, None))
       | Some tables -> (
           match
-            (Fair.analyze_csr tables ~succ:succ_c ~mask:reaches_bad)
+            (Fair.analyze tables ~succ:succ_c ~mask:reaches_bad)
               .Fair.sccs
           with
           | [] -> (None, None)
@@ -261,7 +261,7 @@ let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
         | Some depths -> Some (Array.fold_left max 0 depths)
         | None -> (
             match
-              Cr_checker.Paths.longest_within_csr ~succ:succ_c
+              Cr_checker.Paths.longest_within ~succ:succ_c
                 ~mask:reaches_bad
             with
             | depths -> Some (Array.fold_left max 0 depths)

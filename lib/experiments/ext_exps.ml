@@ -134,10 +134,10 @@ let hitting ~name ~(mk : int -> Program.t)
   let spec = Program.to_explicit (mk_spec n) in
   let alpha = Cr_semantics.Abstraction.tabulate (mk_alpha n) e spec in
   let r = Cr_core.Stabilize.stabilizing_to ~alpha ~c:e ~a:spec () in
-  let succ = Cr_checker.Reach.of_explicit e in
-  let pred = Cr_checker.Reach.pred_of_explicit e in
+  let succ = Cr_semantics.Explicit.csr e in
+  let pred = Cr_semantics.Explicit.pred_csr e in
   let ex =
-    Cr_checker.Hitting.expected_csr ~succ ~pred
+    Cr_checker.Hitting.expected ~succ ~pred
       ~target:r.Cr_core.Stabilize.good_mask ()
   in
   {

@@ -232,7 +232,7 @@ let compression_witness n =
   let btr = explicit (Btr.program n) in
   let c1 = explicit (Btr4.c1 n) in
   let alpha = Abstraction.tabulate (Btr4.alpha n) c1 btr in
-  let succ_a = Cr_checker.Reach.of_explicit btr in
+  let succ_a = Cr_semantics.Explicit.csr btr in
   let witness = ref None in
   Explicit.iter_edges c1 (fun i j ->
       if !witness = None then begin
@@ -240,7 +240,7 @@ let compression_witness n =
         let ti = Btr.token_count n (Explicit.state btr ai) in
         let tj = Btr.token_count n (Explicit.state btr aj) in
         if ti = 2 && tj = 1 && not (Explicit.has_edge btr ai aj) then
-          match Cr_checker.Paths.shortest_path_csr ~succ:succ_a ~src:ai ~dst:aj with
+          match Cr_checker.Paths.shortest_path ~succ:succ_a ~src:ai ~dst:aj with
           | Some path -> witness := Some ((i, j), (ai, aj), path)
           | None -> ()
       end)

@@ -77,7 +77,7 @@ let analyze ?(max_k = 8) (p : Program.t)
   if not r.Cr_core.Stabilize.holds then
     invalid_arg "Spans.analyze: program is not stabilizing";
   let good = r.Cr_core.Stabilize.good_mask in
-  let succ = Cr_checker.Reach.of_explicit e in
+  let succ = Cr_semantics.Explicit.csr e in
   let layout = Program.layout p in
   let faults = Injector.faults layout in
   let fault_succ =
@@ -92,10 +92,10 @@ let analyze ?(max_k = 8) (p : Program.t)
   in
   let dist = min_faults ~succ ~fault_succ ~sources in
   let not_good = Cr_kernel.Bitset.of_bool_array (Array.map not good) in
-  let depth = Cr_checker.Paths.longest_within_csr ~succ ~mask:not_good in
+  let depth = Cr_checker.Paths.longest_within ~succ ~mask:not_good in
   let expected =
-    Cr_checker.Hitting.expected_csr ~succ
-      ~pred:(Cr_checker.Reach.pred_of_explicit e) ~target:good ()
+    Cr_checker.Hitting.expected ~succ
+      ~pred:(Cr_semantics.Explicit.pred_csr e) ~target:good ()
   in
   let rec rows k prev_span acc =
     if k > max_k then List.rev acc

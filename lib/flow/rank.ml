@@ -42,11 +42,12 @@ let of_flow (fl : Flow.t) : t option =
       List.sort compare (Hashtbl.fold (fun s () acc -> s :: acc) selfs [])
     in
     (* Condense with the checker's Tarjan kernel (it ignores self-loops,
-       which we track separately anyway). *)
+       which we track separately anyway).  [edges] is sorted and
+       deduplicated, so every row comes out sorted as a CSR row must. *)
     let succs = Array.make nv [] in
     List.iter (fun (r, w) -> succs.(r) <- w :: succs.(r)) edges;
     let adj = Array.map (fun l -> Array.of_list (List.rev l)) succs in
-    let scc = Cr_checker.Scc.compute adj in
+    let scc = Cr_checker.Scc.compute (Cr_kernel.Csr.of_rows adj) in
     let comp_of = scc.Cr_checker.Scc.component in
     let ncomp = scc.Cr_checker.Scc.count in
     let members = Array.make ncomp [] in

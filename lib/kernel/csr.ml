@@ -74,8 +74,6 @@ let of_rows (rows : int array array) : t =
   done;
   { row_ptr; targets }
 
-let to_rows t = Array.init (num_states t) (row t)
-
 (* Count-then-fill; visiting sources ascending keeps each transposed row
    sorted. *)
 let transpose t =

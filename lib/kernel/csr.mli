@@ -40,9 +40,6 @@ val unsafe_of_raw : row_ptr:int array -> targets:int array -> t
     to [Array.length targets], and every row is sorted ascending and
     deduplicated.  For internal flat-merge constructions only. *)
 
-val to_rows : t -> int array array
-(** Inverse of {!of_rows} (copies every row). *)
-
 val transpose : t -> t
 (** Predecessor graph; rows stay sorted. *)
 

@@ -23,8 +23,8 @@
    [at_exit] hook (and by {!shutdown_pool}), so a process never exits
    with live domains.
 
-   Tiny sweeps skip even the handoff: below [CR_PAR_MIN_ITEMS] items
-   (default 4) the map runs sequentially on the calling domain.
+   Tiny sweeps skip even the handoff: below [min_items] (4) items the
+   map runs sequentially on the calling domain.
 
    This module lives in [Cr_kernel], the base layer below both
    [Cr_semantics] (whose explicit-state compiler chunks its state space
@@ -63,26 +63,8 @@ let jobs_env () =
 
 (* Small-work cutoff: a parallel map over fewer items than this runs
    sequentially on the calling domain — the tiny Report-table sweeps at
-   N <= 3 finish faster than a pool handoff costs.  Same parsing
-   convention as CR_JOBS (malformed values keep the default). *)
-let default_min_items = 4
-
-let warned_bad_min_items = Atomic.make false
-
-let min_items () =
-  match Sys.getenv_opt "CR_PAR_MIN_ITEMS" with
-  | None -> default_min_items
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some k when k >= 0 -> k
-      | Some _ | None ->
-          if not (Atomic.exchange warned_bad_min_items true) then
-            Printf.eprintf
-              "cr-par: ignoring invalid CR_PAR_MIN_ITEMS=%s (want an integer \
-               >= 0)\n\
-               %!"
-              s;
-          default_min_items)
+   N <= 3 finish faster than a pool handoff costs. *)
+let min_items = 4
 
 (* Oversubscription guard: a fan-out never runs on more *busy* domains
    than the hardware has cores.  On OCaml 5 every minor collection is a
@@ -329,7 +311,7 @@ let map_array ?jobs (f : 'a -> 'b) (a : 'a array) : 'b array =
   let jobs = match jobs with Some k -> max 1 k | None -> current_jobs () in
   let n = Array.length a in
   if jobs <= 1 || n <= 1 || Domain.DLS.get inside then Array.map f a
-  else if n < min_items () then begin
+  else if n < min_items then begin
     Cr_obs.Obs.incr c_task_sequential;
     Array.map f a
   end

@@ -14,8 +14,8 @@
     them on a condition variable; later calls are a broadcast handoff
     (the pool grows if a call wants more workers, never shrinks).  An
     [at_exit] hook joins every worker, so the process exits with no
-    lingering domains.  Maps over fewer than [CR_PAR_MIN_ITEMS] items
-    (default 4) skip the handoff and run on the calling domain.
+    lingering domains.  Maps over fewer than 4 items skip the handoff
+    and run on the calling domain.
 
     A fan-out never occupies more busy domains than
     [Domain.recommended_domain_count ()]: on OCaml 5 every minor
@@ -43,12 +43,6 @@ val with_jobs : int -> (unit -> 'a) -> 'a
 (** [with_jobs k f] runs [f] with the job count forced to [k] in this
     domain (benchmarks and tests; no environment mutation).  The
     previous override is restored even if [f] raises. *)
-
-val min_items : unit -> int
-(** Small-work cutoff: maps over fewer items than this run sequentially
-    on the calling domain.  Parsed from [CR_PAR_MIN_ITEMS] (default 4);
-    a malformed or negative value keeps the default, with a
-    once-per-process stderr warning. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f xs = List.map f xs], computed on [jobs] domains.  [f] must not

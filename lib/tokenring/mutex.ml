@@ -56,10 +56,10 @@ let check ~(privileged : Layout.state -> int -> bool) ~(num_procs : int)
      behaviour) *)
   let restricted =
     Cr_kernel.Csr.restrict
-      (Cr_checker.Reach.of_explicit e)
+      (Cr_semantics.Explicit.csr e)
       (Cr_kernel.Bitset.of_bool_array good)
   in
-  let scc = Cr_checker.Scc.compute_csr restricted in
+  let scc = Cr_checker.Scc.compute restricted in
   let members = Array.make scc.Cr_checker.Scc.count [] in
   for i = n - 1 downto 0 do
     if good.(i) then begin
@@ -99,10 +99,10 @@ let i4_equal_frequency n (p : Program.t)
   let num = Cr_semantics.Explicit.num_states e in
   let restricted =
     Cr_kernel.Csr.restrict
-      (Cr_checker.Reach.of_explicit e)
+      (Cr_semantics.Explicit.csr e)
       (Cr_kernel.Bitset.of_bool_array good)
   in
-  let scc = Cr_checker.Scc.compute_csr restricted in
+  let scc = Cr_checker.Scc.compute restricted in
   let members = Array.make scc.Cr_checker.Scc.count [] in
   for i = num - 1 downto 0 do
     if good.(i) then begin

@@ -1,27 +1,31 @@
-(* Unit and property tests for cr_checker: reachability, SCC, paths. *)
+(* Unit and property tests for cr_checker: reachability, SCC, paths.
+   The properties compare each CSR kernel with the textbook references
+   in [Graph_ref]. *)
 
 (* lift the pool's busy-domain cap so the CR_JOBS-invariance properties
    really fan out across domains on a single-core host *)
 let () = Unix.putenv "CR_PAR_CAP" "8"
 
+module Csr = Cr_kernel.Csr
+module Bs = Cr_kernel.Bitset
+
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 (* adjacency: 0->1->2->0 (cycle), 2->3, 3->4, 5 isolated *)
-let g = [| [| 1 |]; [| 2 |]; [| 0; 3 |]; [| 4 |]; [||]; [||] |]
+let g = Csr.of_rows [| [| 1 |]; [| 2 |]; [| 0; 3 |]; [| 4 |]; [||]; [||] |]
 
 let test_forward () =
   let r = Cr_checker.Reach.forward ~succ:g ~seeds:[ 0 ] in
-  check "reaches 4" true r.(4);
-  check "not 5" false r.(5);
-  check_int "count" 5 (Cr_checker.Reach.count r);
-  Alcotest.(check (list int)) "members" [ 0; 1; 2; 3; 4 ]
-    (Cr_checker.Reach.members r)
+  check "reaches 4" true (Bs.get r 4);
+  check "not 5" false (Bs.get r 5);
+  check_int "count" 5 (Bs.count r);
+  Alcotest.(check (list int)) "members" [ 0; 1; 2; 3; 4 ] (Bs.members r)
 
 let test_backward () =
   let r = Cr_checker.Reach.backward ~succ:g ~seeds:[ 4 ] in
-  check "0 reaches 4" true r.(0);
-  check "5 does not" false r.(5)
+  check "0 reaches 4" true (Bs.get r 0);
+  check "5 does not" false (Bs.get r 5)
 
 let test_scc () =
   let t = Cr_checker.Scc.compute g in
@@ -35,28 +39,40 @@ let test_scc () =
   check "edge 1->2 on cycle" true (Cr_checker.Scc.edge_on_cycle t 1 2);
   check "edge 2->3 not" false (Cr_checker.Scc.edge_on_cycle t 2 3)
 
+(* The subgraph induced by a mask is acyclic iff no masked state lies on
+   a cycle of the restricted graph. *)
 let test_acyclic_within () =
-  let all = Array.make 6 true in
-  check "whole graph cyclic" false (Cr_checker.Scc.acyclic_within g all);
-  let no_cycle = [| false; true; true; true; true; true |] in
-  check "without 0 acyclic" true (Cr_checker.Scc.acyclic_within g no_cycle)
+  let acyclic_within mask =
+    let mask = Bs.of_bool_array mask in
+    let t = Cr_checker.Scc.compute (Csr.restrict g mask) in
+    List.for_all
+      (fun i -> not (Cr_checker.Scc.on_cycle t i))
+      (Bs.members mask)
+  in
+  check "whole graph cyclic" false (acyclic_within (Array.make 6 true));
+  check "without 0 acyclic" true
+    (acyclic_within [| false; true; true; true; true; true |])
 
 let test_bfs () =
-  let d = Cr_checker.Paths.bfs_distances ~succ:g ~src:0 in
-  check_int "dist to 4" 4 d.(4);
-  check_int "dist to 0" 0 d.(0);
-  check_int "unreachable" (-1) d.(5)
+  let o = Cr_checker.Paths.oracle ~succ:g ~sources:[| 0 |] in
+  check_int "dist to 4" 4 (Cr_checker.Paths.distance o ~src:0 ~dst:4);
+  check_int "dist to 0" 0 (Cr_checker.Paths.distance o ~src:0 ~dst:0);
+  check_int "unreachable" (-1) (Cr_checker.Paths.distance o ~src:0 ~dst:5)
 
 let test_shortest_nonempty () =
-  Alcotest.(check (option int))
-    "1 to 0" (Some 2)
-    (Cr_checker.Paths.shortest_nonempty ~succ:g ~src:1 ~dst:0);
-  Alcotest.(check (option int))
-    "cycle through 0" (Some 3)
-    (Cr_checker.Paths.shortest_nonempty ~succ:g ~src:0 ~dst:0);
-  Alcotest.(check (option int))
-    "4 to 0 impossible" None
-    (Cr_checker.Paths.shortest_nonempty ~succ:g ~src:4 ~dst:0)
+  let o = Cr_checker.Paths.oracle ~succ:g ~sources:[| 1; 4 |] in
+  check_int "1 to 0" 2 (Cr_checker.Paths.distance o ~src:1 ~dst:0);
+  (* the shortest cycle through 0 leaves by its only edge, 0 -> 1 *)
+  check_int "cycle through 0" 3 (1 + Cr_checker.Paths.distance o ~src:1 ~dst:0);
+  check_int "4 to 0 impossible" (-1) (Cr_checker.Paths.distance o ~src:4 ~dst:0)
+
+let test_oracle_unseeded () =
+  let o = Cr_checker.Paths.oracle ~succ:g ~sources:[| 0; 0 |] in
+  check_int "seeded source answers" 2 (Cr_checker.Paths.distance o ~src:0 ~dst:2);
+  check "unseeded source raises Invalid_argument" true
+    (match Cr_checker.Paths.distance o ~src:1 ~dst:0 with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let test_shortest_path () =
   (match Cr_checker.Paths.shortest_path ~succ:g ~src:0 ~dst:4 with
@@ -72,18 +88,21 @@ let test_shortest_path () =
 
 let test_longest_within () =
   (* DAG: 0->1->2, 0->2, mask all *)
-  let dag = [| [| 1; 2 |]; [| 2 |]; [||] |] in
-  let l = Cr_checker.Paths.longest_within ~succ:dag ~mask:(Array.make 3 true) in
+  let dag = Csr.of_rows [| [| 1; 2 |]; [| 2 |]; [||] |] in
+  let l =
+    Cr_checker.Paths.longest_within ~succ:dag ~mask:(Bs.full 3)
+  in
   check_int "longest from 0" 2 l.(0);
   check_int "longest from 2" 0 l.(2);
   (* masked region: only 0 and 1 — an edge out of the mask still counts *)
   let l2 =
-    Cr_checker.Paths.longest_within ~succ:dag ~mask:[| true; true; false |]
+    Cr_checker.Paths.longest_within ~succ:dag
+      ~mask:(Bs.of_bool_array [| true; true; false |])
   in
   check_int "stops at mask" 2 l2.(0);
   check "cyclic raises" true
     (try
-       ignore (Cr_checker.Paths.longest_within ~succ:g ~mask:(Array.make 6 true));
+       ignore (Cr_checker.Paths.longest_within ~succ:g ~mask:(Bs.full 6));
        false
      with Cr_checker.Paths.Cyclic -> true)
 
@@ -101,18 +120,20 @@ let adj_of (n, edges) =
   List.iter (fun (i, j) -> if i <> j then a.(i) <- j :: a.(i)) edges;
   Array.map (fun l -> Array.of_list (List.sort_uniq compare l)) a
 
+let all_sources n = Array.init n Fun.id
+
 let prop_scc_mutual_reach =
   QCheck2.Test.make ~name:"same SCC iff mutually reachable" ~count:100 gen_graph
     (fun g ->
-      let adj = adj_of g in
-      let n = Array.length adj in
-      let t = Cr_checker.Scc.compute adj in
+      let csr = Csr.of_rows (adj_of g) in
+      let n = Csr.num_states csr in
+      let t = Cr_checker.Scc.compute csr in
       let ok = ref true in
       for i = 0 to n - 1 do
-        let ri = Cr_checker.Reach.forward ~succ:adj ~seeds:[ i ] in
+        let ri = Cr_checker.Reach.forward ~succ:csr ~seeds:[ i ] in
         for j = 0 to n - 1 do
-          let rj = Cr_checker.Reach.forward ~succ:adj ~seeds:[ j ] in
-          let mutual = ri.(j) && rj.(i) in
+          let rj = Cr_checker.Reach.forward ~succ:csr ~seeds:[ j ] in
+          let mutual = Bs.get ri j && Bs.get rj i in
           let same = t.Cr_checker.Scc.component.(i) = t.Cr_checker.Scc.component.(j) in
           if mutual <> same then ok := false
         done
@@ -122,32 +143,40 @@ let prop_scc_mutual_reach =
 let prop_bfs_path_agree =
   QCheck2.Test.make ~name:"bfs distance = reconstructed path length" ~count:100
     gen_graph (fun g ->
-      let adj = adj_of g in
-      let n = Array.length adj in
+      let csr = Csr.of_rows (adj_of g) in
+      let n = Csr.num_states csr in
+      let o = Cr_checker.Paths.oracle ~succ:csr ~sources:(all_sources n) in
       let ok = ref true in
       for src = 0 to n - 1 do
-        let d = Cr_checker.Paths.bfs_distances ~succ:adj ~src in
         for dst = 0 to n - 1 do
-          match Cr_checker.Paths.shortest_path ~succ:adj ~src ~dst with
-          | Some p -> if List.length p - 1 <> d.(dst) then ok := false
-          | None -> if d.(dst) >= 0 then ok := false
+          let d = Cr_checker.Paths.distance o ~src ~dst in
+          match Cr_checker.Paths.shortest_path ~succ:csr ~src ~dst with
+          | Some p -> if List.length p - 1 <> d then ok := false
+          | None -> if d >= 0 then ok := false
         done
       done;
       !ok)
 
+(* The oracle as classify uses it: one batch entry per query (here one
+   per edge, so sources repeat and sinks are never seeded). *)
 let prop_oracle_eq_fresh_bfs =
   QCheck2.Test.make ~name:"memoized oracle = fresh BFS shortest_nonempty"
     ~count:100 gen_graph (fun g ->
       let adj = adj_of g in
       let n = Array.length adj in
-      let o = Cr_checker.Paths.make_oracle ~succ:(Cr_kernel.Csr.of_rows adj) in
+      let sources =
+        Array.concat
+          (Array.to_list (Array.mapi (fun i row -> Array.map (fun _ -> i) row) adj))
+      in
+      let o = Cr_checker.Paths.oracle ~succ:(Csr.of_rows adj) ~sources in
       let ok = ref true in
       for src = 0 to n - 1 do
+        let seeded = Array.length adj.(src) > 0 in
+        let d = Graph_ref.bfs adj src in
         for dst = 0 to n - 1 do
-          if
-            Cr_checker.Paths.shortest_nonempty_memo o ~src ~dst
-            <> Cr_checker.Paths.shortest_nonempty ~succ:adj ~src ~dst
-          then ok := false
+          match Cr_checker.Paths.distance o ~src ~dst with
+          | got -> if (not seeded) || got <> d.(dst) then ok := false
+          | exception Invalid_argument _ -> if seeded then ok := false
         done
       done;
       !ok)
@@ -160,73 +189,92 @@ let prop_par_map_eq_seq =
       Cr_kernel.Par.map_array ~jobs (fun x -> x * x + 1) a
       = Array.map (fun x -> x * x + 1) a)
 
-(* ---- CSR kernels agree with the legacy array-of-rows kernels ---- *)
-
-module Bs = Cr_kernel.Bitset
+(* ---- CSR kernels agree with the textbook references ---- *)
 
 let prop_csr_reach_agree =
-  QCheck2.Test.make ~name:"forward/backward_csr = forward/backward" ~count:200
+  QCheck2.Test.make ~name:"Reach.forward/backward = reference DFS" ~count:200
     gen_graph (fun g ->
       let adj = adj_of g in
-      let csr = Cr_kernel.Csr.of_rows adj in
+      let csr = Csr.of_rows adj in
       let n = Array.length adj in
       let ok = ref true in
       for s = 0 to n - 1 do
-        let f = Cr_checker.Reach.forward ~succ:adj ~seeds:[ s ] in
-        let fc = Cr_checker.Reach.forward_csr ~succ:csr ~seeds:[ s ] in
-        let b = Cr_checker.Reach.backward ~succ:adj ~seeds:[ s ] in
-        let bc = Cr_checker.Reach.backward_csr ~succ:csr ~seeds:[ s ] in
-        if Bs.to_bool_array fc <> f || Bs.to_bool_array bc <> b then ok := false
+        let f = Cr_checker.Reach.forward ~succ:csr ~seeds:[ s ] in
+        let b = Cr_checker.Reach.backward ~succ:csr ~seeds:[ s ] in
+        if
+          Bs.to_bool_array f <> Graph_ref.reach adj [ s ]
+          || Bs.to_bool_array b <> Graph_ref.coreach adj [ s ]
+        then ok := false
       done;
       !ok)
 
+(* Components match mutual reachability, with sizes and count to match,
+   and are numbered in reverse topological order (Tarjan completion
+   order): an edge never climbs to a higher component id. *)
 let prop_csr_scc_agree =
-  QCheck2.Test.make ~name:"Scc.compute_csr = Scc.compute" ~count:200 gen_graph
-    (fun g ->
+  QCheck2.Test.make ~name:"Scc.compute = reference components" ~count:200
+    gen_graph (fun g ->
       let adj = adj_of g in
-      let t = Cr_checker.Scc.compute adj in
-      let tc = Cr_checker.Scc.compute_csr (Cr_kernel.Csr.of_rows adj) in
-      t.Cr_checker.Scc.component = tc.Cr_checker.Scc.component
-      && t.Cr_checker.Scc.count = tc.Cr_checker.Scc.count
-      && t.Cr_checker.Scc.sizes = tc.Cr_checker.Scc.sizes)
+      let n = Array.length adj in
+      let t = Cr_checker.Scc.compute (Csr.of_rows adj) in
+      let comp = t.Cr_checker.Scc.component in
+      let class_of i =
+        List.filter (fun j -> Graph_ref.same_scc adj i j) (List.init n Fun.id)
+      in
+      let classes = List.sort_uniq compare (List.init n class_of) in
+      let ok = ref (t.Cr_checker.Scc.count = List.length classes) in
+      for i = 0 to n - 1 do
+        if t.Cr_checker.Scc.sizes.(comp.(i)) <> List.length (class_of i) then
+          ok := false;
+        for j = 0 to n - 1 do
+          if (comp.(i) = comp.(j)) <> Graph_ref.same_scc adj i j then ok := false
+        done;
+        Array.iter (fun j -> if comp.(j) > comp.(i) then ok := false) adj.(i)
+      done;
+      !ok)
 
 let prop_csr_paths_agree =
   QCheck2.Test.make
-    ~name:"bfs/shortest/longest CSR kernels = legacy kernels" ~count:100
+    ~name:"bfs/shortest/longest kernels = reference BFS and DFS" ~count:100
     QCheck2.Gen.(pair gen_graph (array_size (int_bound 12) bool))
     (fun (g, mask_bits) ->
       let adj = adj_of g in
-      let csr = Cr_kernel.Csr.of_rows adj in
+      let csr = Csr.of_rows adj in
       let n = Array.length adj in
+      let o = Cr_checker.Paths.oracle ~succ:csr ~sources:(all_sources n) in
       let ok = ref true in
       for src = 0 to n - 1 do
-        if
-          Cr_checker.Paths.bfs_distances ~succ:adj ~src
-          <> Cr_checker.Paths.bfs_distances_csr ~succ:csr ~src
-        then ok := false;
+        let d = Graph_ref.bfs adj src in
         for dst = 0 to n - 1 do
-          if
-            Cr_checker.Paths.shortest_path ~succ:adj ~src ~dst
-            <> Cr_checker.Paths.shortest_path_csr ~succ:csr ~src ~dst
-          then ok := false
+          if Cr_checker.Paths.distance o ~src ~dst <> d.(dst) then ok := false;
+          match Cr_checker.Paths.shortest_path ~succ:csr ~src ~dst with
+          | None -> if d.(dst) >= 0 then ok := false
+          | Some p ->
+              let rec walks = function
+                | i :: (j :: _ as rest) -> Array.mem j adj.(i) && walks rest
+                | _ -> true
+              in
+              if
+                List.hd p <> src
+                || List.nth p (List.length p - 1) <> dst
+                || List.length p - 1 <> d.(dst)
+                || not (walks p)
+              then ok := false
         done
       done;
       let mask = Array.init n (fun i -> i < Array.length mask_bits && mask_bits.(i)) in
-      let legacy =
-        try Ok (Cr_checker.Paths.longest_within ~succ:adj ~mask)
-        with Cr_checker.Paths.Cyclic -> Error ()
-      in
-      let csr_r =
+      let got =
         try
           Ok
-            (Cr_checker.Paths.longest_within_csr ~succ:csr
+            (Cr_checker.Paths.longest_within ~succ:csr
                ~mask:(Bs.of_bool_array mask))
         with Cr_checker.Paths.Cyclic -> Error ()
       in
-      !ok && legacy = csr_r)
+      !ok && got = Graph_ref.longest_within adj mask)
 
 let prop_csr_fair_agree =
-  QCheck2.Test.make ~name:"Fair.analyze_csr = Fair.analyze" ~count:200
+  QCheck2.Test.make ~name:"Fair.analyze = reference per-SCC fairness"
+    ~count:200
     QCheck2.Gen.(
       triple gen_graph (array_size (int_bound 12) bool) (int_range 1 3))
     (fun (g, mask_bits, num_actions) ->
@@ -243,15 +291,26 @@ let prop_csr_fair_agree =
                 if d = 0 || (s + a) mod 3 = 0 then -1
                 else row.((s * 7 + a) mod d)))
       in
-      let legacy = Cr_core.Fair.analyze tables ~succ:adj ~mask in
-      let csr =
-        Cr_core.Fair.analyze_csr tables
-          ~succ:(Cr_kernel.Csr.of_rows adj)
+      let r =
+        Cr_core.Fair.analyze tables ~succ:(Csr.of_rows adj)
           ~mask:(Bs.of_bool_array mask)
       in
-      legacy.Cr_core.Fair.component = csr.Cr_core.Fair.component
-      && legacy.Cr_core.Fair.fair = csr.Cr_core.Fair.fair
-      && legacy.Cr_core.Fair.sccs = csr.Cr_core.Fair.sccs)
+      let want = Graph_ref.fair_sccs tables adj mask in
+      let sub = Graph_ref.restrict adj mask in
+      let comp = r.Cr_core.Fair.component in
+      let ok = ref true in
+      for i = 0 to n - 1 do
+        if (comp.(i) = -1) = mask.(i) then ok := false;
+        if r.Cr_core.Fair.fair.(i) <> List.exists (List.mem i) want then
+          ok := false;
+        for j = 0 to n - 1 do
+          if
+            mask.(i) && mask.(j)
+            && (comp.(i) = comp.(j)) <> Graph_ref.same_scc sub i j
+          then ok := false
+        done
+      done;
+      !ok && List.sort compare r.Cr_core.Fair.sccs = want)
 
 (* ---- classify is byte-identical for CR_JOBS in {1, 2, 4} ---- *)
 
@@ -289,6 +348,57 @@ let prop_classify_jobs_invariant =
         && sx = sy
       in
       same (cl1, st1) (cl2, st2) && same (cl1, st1) (cl4, st4))
+
+(* Classification against a per-edge reference on the same random
+   systems: Stutter on equal images, Exact on an A-edge between them,
+   Compression d for a reference BFS distance d >= 2, unmatched
+   otherwise; the stats are the tallies of that table. *)
+let prop_classify_matches_reference =
+  QCheck2.Test.make ~name:"classify = per-edge reference classes" ~count:60
+    QCheck2.Gen.(triple gen_graph gen_graph (int_bound 1000))
+    (fun (gc, ga, salt) ->
+      let adj_c = adj_of gc and adj_a = adj_of ga in
+      let c = explicit_of_adj "C" adj_c [ 0 ] in
+      let a = explicit_of_adj "A" adj_a [ 0 ] in
+      let nc = Array.length adj_c and na = Array.length adj_a in
+      let alpha = Array.init nc (fun i -> (i * 31 + salt) mod na) in
+      let edges =
+        List.concat_map
+          (fun i -> List.map (fun j -> (i, j)) (Array.to_list adj_c.(i)))
+          (List.init nc Fun.id)
+      in
+      let class_of (i, j) =
+        let ai = alpha.(i) and aj = alpha.(j) in
+        if ai = aj then Some Cr_core.Refine.Stutter
+        else if Array.mem aj adj_a.(ai) then Some Cr_core.Refine.Exact
+        else
+          let d = (Graph_ref.bfs adj_a ai).(aj) in
+          if d >= 2 then Some (Cr_core.Refine.Compression d) else None
+      in
+      let want = List.map class_of edges in
+      let count p = List.length (List.filter p want) in
+      let want_stats =
+        {
+          Cr_core.Refine.edges = List.length edges;
+          exact = count (( = ) (Some Cr_core.Refine.Exact));
+          stutter = count (( = ) (Some Cr_core.Refine.Stutter));
+          compressions =
+            count (function
+              | Some (Cr_core.Refine.Compression _) -> true
+              | _ -> false);
+          max_dropped =
+            List.fold_left
+              (fun acc -> function
+                | Some (Cr_core.Refine.Compression d) -> max acc (d - 1)
+                | _ -> acc)
+              0 want;
+        }
+      in
+      let got, stats = Cr_core.Refine.classify ~alpha ~c ~a in
+      Array.to_list got.Cr_core.Refine.srcs = List.map fst edges
+      && Array.to_list got.Cr_core.Refine.dsts = List.map snd edges
+      && Array.to_list got.Cr_core.Refine.cls = want
+      && stats = want_stats)
 
 (* The CR_JOBS fan-out must be observationally invisible: the full report
    at N = 2..4 prints the same bytes whether computed sequentially or on
@@ -338,6 +448,7 @@ let qcheck_cases =
       prop_csr_paths_agree;
       prop_csr_fair_agree;
       prop_classify_jobs_invariant;
+      prop_classify_matches_reference;
     ]
 
 let () =
@@ -357,6 +468,8 @@ let () =
         [
           Alcotest.test_case "bfs" `Quick test_bfs;
           Alcotest.test_case "shortest_nonempty" `Quick test_shortest_nonempty;
+          Alcotest.test_case "oracle rejects an unseeded source" `Quick
+            test_oracle_unseeded;
           Alcotest.test_case "shortest_path" `Quick test_shortest_path;
           Alcotest.test_case "longest_within" `Quick test_longest_within;
         ] );

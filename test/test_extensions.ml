@@ -83,7 +83,7 @@ let test_rw_verdicts () =
 
 let test_hitting_small () =
   (* chain 2 -> 1 -> 0 with target {0}: E[1]=1, E[2]=2 *)
-  let succ = [| [||]; [| 0 |]; [| 1 |] |] in
+  let succ = Cr_kernel.Csr.of_rows [| [||]; [| 0 |]; [| 1 |] |] in
   let e =
     Cr_checker.Hitting.expected ~succ ~target:[| true; false; false |] ()
   in
@@ -91,7 +91,7 @@ let test_hitting_small () =
   Alcotest.(check (float 1e-6)) "E[1]" 1.0 e.(1);
   Alcotest.(check (float 1e-6)) "E[2]" 2.0 e.(2);
   (* branch: 2 -> {0, 1}, 1 -> 0: E[2] = 1 + (0 + 1)/2 = 1.5 *)
-  let succ2 = [| [||]; [| 0 |]; [| 0; 1 |] |] in
+  let succ2 = Cr_kernel.Csr.of_rows [| [||]; [| 0 |]; [| 0; 1 |] |] in
   let e2 =
     Cr_checker.Hitting.expected ~succ:succ2 ~target:[| true; false; false |] ()
   in
@@ -100,7 +100,8 @@ let test_hitting_small () =
   let succ3 = [| [||]; [| 1 |] |] in
   ignore succ3;
   let e3 =
-    Cr_checker.Hitting.expected ~succ:[| [||]; [||] |]
+    Cr_checker.Hitting.expected
+      ~succ:(Cr_kernel.Csr.of_rows [| [||]; [||] |])
       ~target:[| true; false |] ()
   in
   check "unreachable infinite" true (e3.(1) = infinity)
@@ -108,7 +109,7 @@ let test_hitting_small () =
 let test_hitting_geometric () =
   (* 1 -> {0, 1'}, 1' -> 1: a cycle with 1/2 escape per visit to 1.
      E[1] = 1 + (0 + E[1'])/2, E[1'] = 1 + E[1]  =>  E[1] = 3. *)
-  let succ = [| [||]; [| 0; 2 |]; [| 1 |] |] in
+  let succ = Cr_kernel.Csr.of_rows [| [||]; [| 0; 2 |]; [| 1 |] |] in
   let e = Cr_checker.Hitting.expected ~succ ~target:[| true; false; false |] () in
   Alcotest.(check (float 1e-5)) "geometric" 3.0 e.(1)
 

@@ -2,7 +2,14 @@
    (Cr_core.Fair): the per-SCC admissibility check is exact on finite
    systems, and weakly-fair divergence implies plain divergence. *)
 
+module Csr = Cr_kernel.Csr
+module Bs = Cr_kernel.Bitset
+
 let check = Alcotest.(check bool)
+
+let analyze tables rows mask =
+  Cr_core.Fair.analyze tables ~succ:(Csr.of_rows rows)
+    ~mask:(Bs.of_bool_array mask)
 
 (* A two-state cycle 0 <-> 1 with action tables. *)
 let cycle_succ = [| [| 1 |]; [| 0 |] |]
@@ -10,7 +17,7 @@ let cycle_succ = [| [| 1 |]; [| 0 |] |]
 let test_plain_cycle_is_fair () =
   (* two actions, each enabled at one state and taken inside the cycle *)
   let tables = [| [| 1; -1 |]; [| -1; 0 |] |] in
-  let a = Cr_core.Fair.analyze tables ~succ:cycle_succ ~mask:[| true; true |] in
+  let a = analyze tables cycle_succ [| true; true |] in
   check "one fair SCC" true (List.length a.Cr_core.Fair.sccs = 1);
   check "states marked fair" true (a.Cr_core.Fair.fair.(0) && a.Cr_core.Fair.fair.(1));
   check "edge on fair cycle" true (Cr_core.Fair.edge_on_fair_cycle a 0 1)
@@ -26,10 +33,10 @@ let test_starved_exit_makes_cycle_unfair () =
       [| 2; 2; -1 |] (* exit: always enabled on the cycle, leaves it *);
     |]
   in
-  let a = Cr_core.Fair.analyze tables ~succ ~mask:[| true; true; false |] in
+  let a = analyze tables succ [| true; true; false |] in
   check "no fair SCC" true (a.Cr_core.Fair.sccs = []);
-  check "no fair divergence" false
-    (Cr_core.Fair.has_fair_divergence tables ~succ ~mask:[| true; true; false |])
+  check "no state on a fair cycle" false
+    (Array.exists Fun.id a.Cr_core.Fair.fair)
 
 let test_intermittent_exit_keeps_cycle_fair () =
   (* exit enabled at only one of the two cycle states: the run is fair
@@ -38,7 +45,7 @@ let test_intermittent_exit_keeps_cycle_fair () =
   let tables =
     [| [| 1; -1; -1 |]; [| -1; 0; -1 |]; [| 2; -1; -1 |] |]
   in
-  let a = Cr_core.Fair.analyze tables ~succ ~mask:[| true; true; false |] in
+  let a = analyze tables succ [| true; true; false |] in
   check "cycle remains fair" true (List.length a.Cr_core.Fair.sccs = 1)
 
 let test_restricted_graph_edges_count () =
@@ -50,14 +57,14 @@ let test_restricted_graph_edges_count () =
      edges (0->0 impossible; say 0->1 via a1 as well) — make a1's move
      0 -> 1 which IS in the restricted graph, so it counts *)
   let tables = [| [| 1; 0 |]; [| 1; -1 |] |] in
-  let a = Cr_core.Fair.analyze tables ~succ:stutter_succ ~mask:[| true; true |] in
+  let a = analyze tables stutter_succ [| true; true |] in
   check "fair when the always-enabled action moves inside" true
     (List.length a.Cr_core.Fair.sccs = 1);
   (* now a1 points outside the analyzed graph (to state 2 of a bigger
      system): restricted graph stays 0 <-> 1 but a1 is never taken inside *)
   let succ3 = [| [| 1 |]; [| 0 |]; [||] |] in
   let tables3 = [| [| 1; 0; -1 |]; [| 2; 2; -1 |] |] in
-  let a3 = Cr_core.Fair.analyze tables3 ~succ:succ3 ~mask:[| true; true; false |] in
+  let a3 = analyze tables3 succ3 [| true; true; false |] in
   check "unfair when the always-enabled action always leaves" true
     (a3.Cr_core.Fair.sccs = [])
 
@@ -103,9 +110,13 @@ let prop_fair_implies_unfair =
           acts
         |> Array.of_list
       in
-      let mask = Array.make n true in
-      let fair = Cr_core.Fair.has_fair_divergence tables ~succ ~mask in
-      let plain = not (Cr_checker.Scc.acyclic_within succ mask) in
+      let fair =
+        (analyze tables succ (Array.make n true)).Cr_core.Fair.sccs <> []
+      in
+      let plain =
+        Array.exists (fun size -> size >= 2)
+          (Cr_checker.Scc.compute (Csr.of_rows succ)).Cr_checker.Scc.sizes
+      in
       (not fair) || plain)
 
 let () =

@@ -44,13 +44,13 @@ let test_adversarial_matches_checker () =
   in
   (* potential = exact remaining steps (from the checker's internals,
      recomputed here via longest_within) *)
-  let succ = Cr_checker.Reach.of_explicit e in
+  let succ = Cr_semantics.Explicit.csr e in
   let mask =
     Cr_kernel.Bitset.of_bool_array
       (Array.init (Cr_semantics.Explicit.num_states e) (fun i ->
            not (one_token (Cr_semantics.Explicit.state e i))))
   in
-  let depth = Cr_checker.Paths.longest_within_csr ~succ ~mask in
+  let depth = Cr_checker.Paths.longest_within ~succ ~mask in
   let potential s = depth.(Cr_semantics.Explicit.find e s) in
   let daemon = Cr_sim.Daemon.adversarial ~name:"worst" ~potential in
   (* start from a state realizing the bound *)
@@ -70,13 +70,13 @@ let test_adversarial_matches_checker () =
 let test_helpful_daemon_not_slower () =
   let p = d3 () in
   let e = Cr_guarded.Program.to_explicit p in
-  let succ = Cr_checker.Reach.of_explicit e in
+  let succ = Cr_semantics.Explicit.csr e in
   let mask =
     Cr_kernel.Bitset.of_bool_array
       (Array.init (Cr_semantics.Explicit.num_states e) (fun i ->
            not (one_token (Cr_semantics.Explicit.state e i))))
   in
-  let depth = Cr_checker.Paths.longest_within_csr ~succ ~mask in
+  let depth = Cr_checker.Paths.longest_within ~succ ~mask in
   let potential s = depth.(Cr_semantics.Explicit.find e s) in
   let adv = Cr_sim.Daemon.adversarial ~name:"worst" ~potential in
   let help = Cr_sim.Daemon.helpful ~name:"best" ~potential in

@@ -173,8 +173,8 @@ let prop_closure =
           (* minimal: every member is reachable by an explicit path *)
           let e = Program.to_explicit p in
           let reach =
-            Cr_checker.Reach.forward_csr
-              ~succ:(Cr_checker.Reach.of_explicit e)
+            Cr_checker.Reach.forward
+              ~succ:(Cr_semantics.Explicit.csr e)
               ~seeds:[ Cr_semantics.Explicit.find e seed ]
           in
           let minimal =

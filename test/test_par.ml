@@ -1,7 +1,7 @@
 (* Pool and bitset properties for the PR 9 parallel layer: map_array
    determinism on a warm pool across job counts and repeated calls,
    nested-call sequentiality, with_jobs exception safety, the
-   CR_PAR_MIN_ITEMS cutoff, clean pool shutdown, and agreement of the
+   small-work cutoff, clean pool shutdown, and agreement of the
    word-parallel Bitset operations with a byte-wide boolean reference
    (including non-multiple-of-64 tails). *)
 
@@ -87,7 +87,7 @@ let test_min_items_cutoff () =
   let out = Par.map_array ~jobs:8 succ [| 1; 2 |] in
   check "tiny map correct" true (out = [| 2; 3 |]);
   check_int "tiny map spawned no workers" 0 (Par.pool_size ());
-  (* a map over >= CR_PAR_MIN_ITEMS items does spawn, and shutdown joins *)
+  (* a map over >= the cutoff does spawn, and shutdown joins *)
   ignore (Par.map_array ~jobs:4 succ (Array.init 64 (fun i -> i)));
   check "large map spawned workers" true (Par.pool_size () > 0);
   Par.shutdown_pool ();
