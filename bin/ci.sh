@@ -37,6 +37,21 @@ test -s "$flowjson" || { echo "ci: flow --json produced no output" >&2; exit 1; 
 dune exec bin/trace_lint.exe -- --json-only "$flowjson"
 dune exec bin/journal_lint.exe -- "$flowjournal" --expect flow.report
 
+# Budget smoke: past the exact budget — here 3^62 states, more than an
+# int holds — lint and flow degrade to one B1 finding and exit 0.
+b1out="$work/b1.out"
+for cmd in lint flow; do
+  dune exec bin/crcheck.exe -- $cmd rw-dijkstra3 -n 20 > "$b1out" || {
+    echo "ci: $cmd rw-dijkstra3 -n 20 failed" >&2
+    exit 1
+  }
+  grep -q '^ *B1 ' "$b1out" || {
+    echo "ci: $cmd rw-dijkstra3 -n 20 printed no B1 finding" >&2
+    cat "$b1out" >&2
+    exit 1
+  }
+done
+
 # Compile-cache smoke: verify builds every graph exactly once — the
 # dense program and the spec's sparse legitimate orbit, two compiles
 # even for btr, whose spec is its program — so the CR_STATS summary
@@ -131,6 +146,17 @@ cmp -s "$jout1" "$jout4" || {
   diff "$jout1" "$jout4" >&2 || true
   exit 1
 }
+# The same for the static audits: the per-action Rwsets fan-out must
+# merge back into exactly the sequential report.
+for cmd in lint flow; do
+  CR_JOBS=1 dune exec bin/crcheck.exe -- $cmd --all -n 3 > "$jout1" 2> /dev/null
+  CR_JOBS=4 CR_PAR_CAP=4 dune exec bin/crcheck.exe -- $cmd --all -n 3 > "$jout4" 2> /dev/null
+  cmp -s "$jout1" "$jout4" || {
+    echo "ci: $cmd --all output differs between CR_JOBS=1 and CR_JOBS=4" >&2
+    diff "$jout1" "$jout4" >&2 || true
+    exit 1
+  }
+done
 
 # Space-engine smoke: verify checks against the spec's legitimate orbit
 # (a sparse compile by default), and a stabilization verdict reads the

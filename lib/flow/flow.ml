@@ -147,9 +147,9 @@ let analyze ?(exact_budget = Lint.default_exact_budget) (p : Program.t) : t =
     let f =
       mk "B1" Lint.Info Lint.Exact "-"
         (Printf.sprintf
-           "state space (%d states) exceeds the exact-analysis budget (%d); \
+           "state space (%s) exceeds the exact-analysis budget (%d); \
             flow analysis skipped (Rwsets support inference is full-space)"
-           ns exact_budget)
+           (Lint.states_string ns) exact_budget)
     in
     Cr_obs.Obs.incr c_findings;
     { program = p; layout; num_states = ns; degraded = true; facts = [];
@@ -354,8 +354,8 @@ let pp_state layout fmt (sigma : Dom.t array) =
 
 let pp_summary fmt t =
   if t.degraded then
-    Fmt.pf fmt "%s: degraded (%d states over budget)@."
-      (Program.name t.program) t.num_states
+    Fmt.pf fmt "%s: degraded (%s over budget)@."
+      (Program.name t.program) (Lint.states_string t.num_states)
   else begin
     let dead_top =
       List.length (List.filter (fun f -> not f.top_enabled) t.facts)

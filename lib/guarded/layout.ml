@@ -42,8 +42,12 @@ let slot t name =
   | Some i -> i
   | None -> invalid_arg ("Layout.slot: unknown variable " ^ name)
 
+(* Saturating product: a wrapped count would slip past every
+   [num_states > budget] guard as a negative or arbitrary number. *)
 let num_states t =
-  Array.fold_left (fun acc v -> acc * v.dom) 1 t.vars
+  Array.fold_left
+    (fun acc v -> if acc > max_int / v.dom then max_int else acc * v.dom)
+    1 t.vars
 
 (* Mixed-radix state indexing (slot 0 is the least significant digit, so
    ranks agree with the historical [enumerate] order).  [rank] and

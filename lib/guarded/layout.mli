@@ -21,7 +21,10 @@ val slot : t -> string -> int
 (** Slot index of a variable name.  Raises [Invalid_argument] if absent. *)
 
 val num_states : t -> int
-(** Product of the domain sizes. *)
+(** Product of the domain sizes, saturating at [max_int]: a layout with
+    [max_int] or more states reports [max_int], so budget guards such as
+    [num_states t > budget] hold on it instead of seeing a wrapped
+    count. *)
 
 val rank : t -> state -> int
 (** Mixed-radix index of a valid state, in [0 .. num_states - 1]; slot 0

@@ -418,6 +418,12 @@ let merge r extra = { r with findings = sort_findings (r.findings @ extra) }
 
 let default_exact_budget = 1 lsl 22
 
+(* [Layout.num_states] saturates at [max_int], so that count is only a
+   lower bound. *)
+let states_string ns =
+  if ns = max_int then Printf.sprintf "more than %d states" ns
+  else Printf.sprintf "%d states" ns
+
 let run ?(allow = []) ?(reachable_check = true)
     ?(exact_budget = default_exact_budget) ?infos
     ?(init_dead = fun _ -> false) (p : Program.t) : report =
@@ -437,9 +443,9 @@ let run ?(allow = []) ?(reachable_check = true)
     let f =
       mk "B1" Info "-"
         (Printf.sprintf
-           "state space (%d states) exceeds the exact-analysis budget (%d); \
+           "state space (%s) exceeds the exact-analysis budget (%d); \
             exact battery skipped — run `crcheck flow` for the abstract audit"
-           ns exact_budget)
+           (states_string ns) exact_budget)
     in
     Cr_obs.Obs.add c_findings 1;
     { program_name = name; findings = [ f ]; infos = [] }
@@ -453,10 +459,13 @@ let run ?(allow = []) ?(reachable_check = true)
         (if not reachable_check then None
          else
            Cr_obs.Obs.span "lint.reachable" @@ fun () ->
-           let seeds =
-             List.filter (Program.initial p) (Layout.enumerate layout)
-           in
-           Some (Program.reachable_from p seeds))
+           (* one allocation-free sweep; only the initial states are
+              copied out of the scratch state *)
+           let seeds = ref [] in
+           let initial = Program.initial p in
+           Layout.iter_states layout (fun _ s ->
+               if initial s then seeds := Array.copy s :: !seeds);
+           Some (Program.reachable_from p (List.rev !seeds)))
     in
     let findings =
       List.concat

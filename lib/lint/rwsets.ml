@@ -10,11 +10,26 @@
    (output = input on every enabled state) is neither read nor written —
    extensionally the effect does not touch it.
 
-   Cost per action: one full-space pass caching guard bits and effect
-   results by rank, then one arithmetic pass per slot over the "slot
-   lines" (states differing only in that slot, enumerated via
-   Layout.weight).  No hashing; memory is O(num_states) plus one cached
-   effect array per enabled state. *)
+   Cost per action: one allocation-free Layout.iter_states sweep that
+   evaluates every state once, caching the guard bit in a Bytes and the
+   effect's result as its rank (Layout.checked_rank) in one unboxed int
+   array; then one arithmetic pass per slot over the "slot lines" (states
+   differing only in that slot, enumerated via Layout.weight) that
+   compares integers only.  A result outside the layout (rank -1: an
+   out-of-domain or wrong-length effect, D1 material) keeps its array in
+   a side table keyed by source rank, so every comparison stays exact.
+   Memory is one byte plus one word per state, plus the side table.
+
+   Why integers suffice.  Let ka, kb be enabled states on one line of a
+   slot i outside the write set, with valid results of ranks ra, rb.
+   Every slot but the write slots passes through, i included, so the
+   results write the same values iff they differ only in slot i (where
+   they hold the inputs' values va, vb), iff ra - rb = ka - kb: forward
+   by the mixed-radix rank formula; backward because the result at ka
+   with slot i moved from va to vb is a valid state of rank rb, and rank
+   is a bijection on valid states.  Write slots (where a constant write
+   breaks the argument) and copy sources compare digits
+   (rank / weight j) mod dom j of the same caches instead. *)
 
 open Cr_guarded
 
@@ -44,56 +59,68 @@ let of_action layout (a : Action.t) : info =
   Cr_obs.Obs.span "lint.rwsets" @@ fun () ->
   let nv = Layout.num_vars layout in
   let ns = Layout.num_states layout in
+  let dom = Array.init nv (Layout.dom layout) in
+  let weight = Array.init nv (Layout.weight layout) in
   let guard = a.Action.guard and effect = a.Action.effect in
   (* Pass 1: evaluate every state once; cache guard bits and effect
-     results by rank; collect the exact write set. *)
+     ranks by source rank; collect the exact write set. *)
   let gcache = Bytes.make ns '\000' in
-  let ecache = Array.make ns [||] in
-  (* [||] marks a disabled state *)
+  let erank = Array.make ns 0 in
+  (* results of rank -1, by source rank *)
+  let outside = Hashtbl.create 8 in
   let enabled = ref 0 and firing = ref 0 in
   let wmask = Array.make nv false in
   let invalid = ref None in
-  for k = 0 to ns - 1 do
-    let s = Layout.unrank layout k in
-    if guard s then begin
-      Bytes.unsafe_set gcache k '\001';
-      incr enabled;
-      let s' = effect s in
-      ecache.(k) <- s';
-      if not (Layout.valid layout s') && !invalid = None then
-        invalid := Some s;
-      let changed = ref (Array.length s' <> nv) in
-      let m = min (Array.length s') nv in
-      for i = 0 to m - 1 do
-        if s'.(i) <> s.(i) then begin
-          wmask.(i) <- true;
-          changed := true
+  Layout.iter_states layout (fun k s ->
+      if guard s then begin
+        Bytes.unsafe_set gcache k '\001';
+        incr enabled;
+        let s' = effect s in
+        let r = Layout.checked_rank layout s' in
+        Array.unsafe_set erank k r;
+        if r < 0 then begin
+          Hashtbl.replace outside k s';
+          if !invalid = None then invalid := Some (Array.copy s)
+        end;
+        (* rank -1 always fires: a wrong length or an out-of-domain slot *)
+        if r <> k then begin
+          incr firing;
+          for i = 0 to min (Array.length s') nv - 1 do
+            if s'.(i) <> s.(i) then wmask.(i) <- true
+          done
         end
-      done;
-      if !changed then incr firing
-    end
-  done;
+      end);
   Cr_obs.Obs.incr c_actions;
   Cr_obs.Obs.add c_state_evals ns;
   let writes = slots_of_mask wmask in
+  let enabled_at k = Bytes.unsafe_get gcache k = '\001' in
+  let digit r j = r / Array.unsafe_get weight j mod Array.unsafe_get dom j in
+  (* Results of the wrong length are never compared slot by slot. *)
+  let full k =
+    Array.unsafe_get erank k >= 0
+    || Array.length (Hashtbl.find outside k) = nv
+  in
+  (* Slot [j] of the (full) result at enabled state [k]. *)
+  let out k j =
+    let r = Array.unsafe_get erank k in
+    if r >= 0 then digit r j else (Hashtbl.find outside k).(j)
+  in
   (* Copy sources: single-write actions whose written value is a verbatim
      copy of one other slot on every enabled state. *)
   let copy_sources =
     match writes with
     | [ w ] ->
-        let cand = Array.make nv true in
-        cand.(w) <- false;
-        for k = 0 to ns - 1 do
-          if Bytes.unsafe_get gcache k = '\001' then begin
-            let s = Layout.unrank layout k in
-            let s' = ecache.(k) in
-            if Array.length s' = nv then
-              for r = 0 to nv - 1 do
-                if cand.(r) && s'.(w) <> s.(r) then cand.(r) <- false
-              done
-          end
-        done;
-        slots_of_mask cand
+        let copies r =
+          let k = ref 0 in
+          while
+            !k < ns
+            && not (enabled_at !k && full !k && out !k w <> digit !k r)
+          do
+            incr k
+          done;
+          !k = ns
+        in
+        List.filter (fun r -> r <> w && copies r) (List.init nv Fun.id)
     | _ -> []
   in
   (* Pass 2: finite differencing along slot lines, all from the caches.
@@ -101,11 +128,31 @@ let of_action layout (a : Action.t) : info =
      enabled states (pass 1 makes every other slot a pass-through); the
      perturbed slot itself counts only when the difference is not two
      pass-throughs. *)
+  let is_write = Array.make nv false in
+  List.iter (fun w -> is_write.(w) <- true) writes;
+  let writes_a = Array.of_list writes in
+  (* Do the results at enabled states [ka], [kb] of one slot-[i] line,
+     holding [va < vb] there, write different values? *)
+  let differ i ka kb va vb =
+    let ra = Array.unsafe_get erank ka and rb = Array.unsafe_get erank kb in
+    if ra >= 0 && rb >= 0 && not is_write.(i) then ra - rb <> ka - kb
+    else if full ka && full kb then begin
+      let d = ref false and x = ref 0 in
+      while (not !d) && !x < Array.length writes_a do
+        let j = writes_a.(!x) in
+        let ea = out ka j and eb = out kb j in
+        if ea <> eb && (j <> i || not (ea = va && eb = vb)) then d := true;
+        incr x
+      done;
+      !d
+    end
+    else false
+  in
   let greads = Array.make nv false and ereads = Array.make nv false in
   for i = 0 to nv - 1 do
-    let d = Layout.dom layout i in
+    let d = dom.(i) in
     if d > 1 then begin
-      let w = Layout.weight layout i in
+      let w = weight.(i) in
       let lines = ns / (w * d) in
       let line = ref 0 in
       while !line < lines && not (greads.(i) && ereads.(i)) do
@@ -128,26 +175,12 @@ let of_action layout (a : Action.t) : info =
             let va = ref 0 in
             while !va < d - 1 && not ereads.(i) do
               let ka = base + (!va * w) in
-              if Bytes.unsafe_get gcache ka = '\001' then begin
-                let ea = ecache.(ka) in
+              if enabled_at ka then begin
                 let vb = ref (!va + 1) in
                 while !vb < d && not ereads.(i) do
                   let kb = base + (!vb * w) in
-                  if Bytes.unsafe_get gcache kb = '\001' then begin
-                    let eb = ecache.(kb) in
-                    if Array.length ea = nv && Array.length eb = nv then
-                      List.iter
-                        (fun k ->
-                          if not ereads.(i) then
-                            if k <> i then begin
-                              if ea.(k) <> eb.(k) then ereads.(i) <- true
-                            end
-                            else if
-                              ea.(i) <> eb.(i)
-                              && not (ea.(i) = !va && eb.(i) = !vb)
-                            then ereads.(i) <- true)
-                        writes
-                  end;
+                  if enabled_at kb && differ i ka kb !va !vb then
+                    ereads.(i) <- true;
                   incr vb
                 done
               end;

@@ -4,7 +4,18 @@
     the slot over its domain and watching the guard's value and the
     effect's written values.  All sets are exact w.r.t. the program
     semantics: reads are compared only across enabled states, and a slot
-    the effect merely passes through is neither read nor written. *)
+    the effect merely passes through is neither read nor written.
+
+    Cost per action: one allocation-free {!Layout.iter_states} sweep
+    that calls the guard once per state and the effect once per enabled
+    state, keeping one byte (the guard bit) and one word (the result's
+    {!Layout.checked_rank}) per state; results outside the layout keep
+    their arrays in a side table.  The differencing then compares
+    integers only: for a slot outside the write set, two enabled states
+    that differ only there write the same values iff their results'
+    ranks differ by exactly as much as their own ranks do (every other
+    non-written slot passes through, and rank is a bijection on valid
+    states).  Write slots and copy sources compare rank digits. *)
 
 open Cr_guarded
 

@@ -288,16 +288,6 @@ let test_soundness_registry () =
 
 (* ---------- CR_JOBS invariance of the parallel Rwsets pass ---------- *)
 
-let info_proj (i : Rwsets.info) =
-  ( Action.label i.Rwsets.action,
-    i.Rwsets.enabled_states,
-    i.Rwsets.firing_states,
-    i.Rwsets.writes,
-    i.Rwsets.guard_reads,
-    i.Rwsets.effect_reads,
-    i.Rwsets.copy_sources,
-    i.Rwsets.invalid_witness )
-
 let prop_rwsets_jobs_invariant =
   QCheck.Test.make ~count:24
     ~name:"Rwsets.of_program identical under CR_JOBS in {1,2,4}"
@@ -309,7 +299,7 @@ let prop_rwsets_jobs_invariant =
       let p = e.Registry.program n in
       let under jobs =
         Par.with_jobs jobs (fun () ->
-            List.map info_proj (Rwsets.of_program p))
+            List.map Rwsets_ref.fields (Rwsets.of_program p))
       in
       let base = under 1 in
       under 2 = base && under 4 = base)

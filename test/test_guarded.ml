@@ -22,6 +22,17 @@ let test_layout () =
   let s = Fmt.str "%a" (Layout.pp_state layout) [| 1; 2; 0 |] in
   check "pinned hidden" true (not (String.length s > 0 && String.contains s 'p'))
 
+(* The state count saturates instead of wrapping: 2^61 fits, 2^62 and
+   31^31 do not. *)
+let test_layout_num_states_saturates () =
+  let uniform k d =
+    Layout.make (List.init k (fun i -> (Printf.sprintf "v%d" i, d)))
+  in
+  check_int "2^61 exact" (1 lsl 61) (Layout.num_states (uniform 61 2));
+  check_int "2^62 saturates" max_int (Layout.num_states (uniform 62 2));
+  check_int "31^31 saturates" max_int (Layout.num_states (uniform 31 31));
+  check_int "stays saturated" max_int (Layout.num_states (uniform 80 2))
+
 let test_layout_errors () =
   Alcotest.check_raises "duplicate"
     (Invalid_argument "Layout.make: duplicate variable x") (fun () ->
@@ -186,6 +197,8 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_layout;
           Alcotest.test_case "errors" `Quick test_layout_errors;
+          Alcotest.test_case "state count saturates" `Quick
+            test_layout_num_states_saturates;
         ] );
       ("action", [ Alcotest.test_case "fire" `Quick test_action_fire ]);
       ( "program",

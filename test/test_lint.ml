@@ -68,6 +68,159 @@ let test_rwsets_copy_sources () =
   check "x is a copy source" true (List.mem 0 info.Rwsets.copy_sources);
   check "z is not a copy source" false (List.mem 2 info.Rwsets.copy_sources)
 
+(* ---------- Rwsets = the reference (test/rwsets_ref.ml) ---------- *)
+
+(* A table-driven action, all data so that a counterexample prints.
+   Values range over 0..4 against domains of 1..4, so effects leave the
+   domains; [shape] makes an effect the wrong length or a no-op at some
+   states; [Copy] is the atomic read shape that yields copy sources. *)
+type src =
+  | Const of int
+  | Copy of int  (* the value of another slot *)
+  | Map of int * int array  (* a function of one slot *)
+  | Tab of int array  (* a function of the whole state, by rank *)
+
+type guard_spec = Always | Slot_ne of int * int | Gtab of bool array
+
+type act_spec = {
+  doms : int list;
+  guard : guard_spec;
+  assigns : (int * src) list;  (* simultaneous slot := value *)
+  shape : int array;
+      (* by rank: 0 the assignment, 1 one slot short, 2 one slot long,
+         3 a no-op *)
+}
+
+let pp_ints a =
+  String.concat ";" (Array.to_list (Array.map string_of_int a))
+
+let print_spec sp =
+  let src = function
+    | Const c -> Printf.sprintf "Const %d" c
+    | Copy r -> Printf.sprintf "Copy %d" r
+    | Map (r, t) -> Printf.sprintf "Map (%d, [|%s|])" r (pp_ints t)
+    | Tab t -> Printf.sprintf "Tab [|%s|]" (pp_ints t)
+  in
+  Printf.sprintf "doms=[%s] guard=%s assigns=[%s] shape=[|%s|]"
+    (String.concat ";" (List.map string_of_int sp.doms))
+    (match sp.guard with
+    | Always -> "Always"
+    | Slot_ne (j, v) -> Printf.sprintf "Slot_ne (%d, %d)" j v
+    | Gtab t ->
+        Printf.sprintf "Gtab [|%s|]"
+          (String.concat ";"
+             (Array.to_list (Array.map string_of_bool t))))
+    (String.concat "; "
+       (List.map
+          (fun (w, x) -> Printf.sprintf "%d := %s" w (src x))
+          sp.assigns))
+    (pp_ints sp.shape)
+
+let gen_act_spec =
+  QCheck2.Gen.(
+    let* nv = int_range 2 4 in
+    let* doms = list_repeat nv (int_range 1 4) in
+    let ns = List.fold_left ( * ) 1 doms in
+    let dom = Array.of_list doms in
+    (* clean actions keep every value inside its domain and never change
+       length, so copy sources survive *)
+    let* clean = bool in
+    let value w = if clean then int_bound (dom.(w) - 1) else int_bound 4 in
+    let* guard =
+      frequency
+        [
+          (1, return Always);
+          ( 2,
+            let* j = int_bound (nv - 1) in
+            let* v = int_bound dom.(j) in
+            return (Slot_ne (j, v)) );
+          (1, map (fun l -> Gtab (Array.of_list l)) (list_repeat ns bool));
+        ]
+    in
+    let* assigns =
+      list_size (int_bound 3)
+        (let* w = int_bound (nv - 1) in
+         let* x =
+           frequency
+             [
+               (2, map (fun c -> Const c) (value w));
+               (3, map (fun r -> Copy r) (int_bound (nv - 1)));
+               ( 2,
+                 let* r = int_bound (nv - 1) in
+                 let* t = list_repeat dom.(r) (value w) in
+                 return (Map (r, Array.of_list t)) );
+               ( 1,
+                 map (fun t -> Tab (Array.of_list t)) (list_repeat ns (value w))
+               );
+             ]
+         in
+         return (w, x))
+    in
+    let* shape =
+      list_repeat ns
+        (if clean then frequency [ (9, return 0); (1, return 3) ]
+         else
+           frequency
+             [ (12, return 0); (1, return 1); (1, return 2); (2, return 3) ])
+    in
+    return { doms; guard; assigns; shape = Array.of_list shape })
+
+let act_of_spec sp =
+  let layout =
+    Layout.make (List.mapi (fun i d -> (Printf.sprintf "v%d" i, d)) sp.doms)
+  in
+  let nv = Layout.num_vars layout in
+  let rank = Layout.rank layout in
+  let value s = function
+    | Const c -> c
+    | Copy r -> s.(r)
+    | Map (r, t) -> t.(s.(r))
+    | Tab t -> t.(rank s)
+  in
+  let guard s =
+    match sp.guard with
+    | Always -> true
+    | Slot_ne (j, v) -> s.(j) <> v
+    | Gtab t -> t.(rank s)
+  in
+  let effect s =
+    let s' = Array.copy s in
+    List.iter (fun (w, x) -> s'.(w) <- value s x) sp.assigns;
+    match sp.shape.(rank s) with
+    | 1 -> Array.sub s' 0 (nv - 1)
+    | 2 -> Array.append s' [| 0 |]
+    | 3 -> Array.copy s
+    | _ -> s'
+  in
+  let writes = List.map fst sp.assigns in
+  (layout, act ~label:"t" ~proc:0 ~writes guard effect)
+
+let prop_rwsets_reference =
+  QCheck2.Test.make ~count:1000
+    ~name:"Rwsets.of_action = reference on random table-driven actions"
+    ~print:print_spec gen_act_spec (fun sp ->
+      let layout, a = act_of_spec sp in
+      Rwsets_ref.fields (Rwsets.of_action layout a)
+      = Rwsets_ref.fields (Rwsets_ref.of_action layout a))
+
+let test_rwsets_reference_registry () =
+  List.iter
+    (fun (e : Registry.entry) ->
+      List.iter
+        (fun n ->
+          let p = e.Registry.program n in
+          let layout = Program.layout p in
+          List.iter2
+            (fun a (info : Rwsets.info) ->
+              check
+                (Printf.sprintf "%s n=%d %s" e.Registry.name n (Action.label a))
+                true
+                (Rwsets_ref.fields info
+                = Rwsets_ref.fields (Rwsets_ref.of_action layout a)))
+            (Program.actions p) (Rwsets.of_program p))
+        [ 2; 3 ])
+    Registry.entries
+
 (* ---------- one seeded defect per check ---------- *)
 
 let test_w1 () =
@@ -237,6 +390,32 @@ let test_registry_clean () =
         0 (Lint.errors r))
     Registry.entries
 
+(* Past the exact budget both audits degrade to one B1 finding, also
+   when the state count overflows an int (3^62 states for rw-dijkstra3
+   at N = 20): no exception, no wrapped count. *)
+let test_b1_overflow () =
+  let e = Option.get (Registry.find "rw-dijkstra3") in
+  let only_b1 what findings =
+    match findings with
+    | [ f ] ->
+        check (what ^ ": B1") true (f.Lint.key = "B1");
+        check (what ^ ": count is a lower bound") true
+          (String.starts_with f.Lint.message
+             ~prefix:
+               (Printf.sprintf "state space (more than %d states)" max_int))
+    | fs ->
+        Alcotest.failf "%s: expected one B1 finding, got %d" what
+          (List.length fs)
+  in
+  let row = Cr_experiments.Lint_exps.audit_entry ~n:20 e in
+  only_b1 "lint" row.Cr_experiments.Lint_exps.report.Lint.findings;
+  let frow = Cr_experiments.Flow_exps.audit_entry ~n:20 e in
+  let fl = frow.Cr_experiments.Flow_exps.flow in
+  check "flow degraded" true fl.Cr_flow.Flow.degraded;
+  only_b1 "flow" fl.Cr_flow.Flow.findings;
+  check "no verdict asked" true (frow.Cr_experiments.Flow_exps.verdict = None);
+  ignore (Fmt.str "%a" Cr_experiments.Flow_exps.pp_row frow)
+
 (* E17's interference story: the shared-memory Dijkstra-3 has I1 pairs;
    the read/write-atomicity refinement has none (every remote read is an
    atomic cache-fill copy). *)
@@ -335,6 +514,9 @@ let () =
           Alcotest.test_case "exact sets on dijkstra3 top" `Quick
             test_rwsets_exact;
           Alcotest.test_case "copy sources" `Quick test_rwsets_copy_sources;
+          QCheck_alcotest.to_alcotest prop_rwsets_reference;
+          Alcotest.test_case "registry programs n=2,3 = reference" `Quick
+            test_rwsets_reference_registry;
         ] );
       ( "seeded defects",
         [
@@ -354,6 +536,8 @@ let () =
             test_registry_clean;
           Alcotest.test_case "I1 pairs refined away (E17)" `Quick
             test_interference_refined_away;
+          Alcotest.test_case "B1 past an overflowing state count" `Quick
+            test_b1_overflow;
         ] );
       ( "synchronous order",
         [
