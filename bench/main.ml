@@ -45,7 +45,7 @@ let micro_tests () =
   let d3_6_prog = Cr_tokenring.Btr3.dijkstra3 6 in
   let d3_7 = Cr_guarded.Program.to_explicit (Cr_tokenring.Btr3.dijkstra3 7) in
   let d3_7_csr = Cr_semantics.Explicit.csr d3_7 in
-  let d3_7_inits = Array.to_list (Cr_semantics.Explicit.initials d3_7) in
+  let d3_7_inits = Cr_semantics.Explicit.initial_mask d3_7 in
   let btr_5 = Cr_guarded.Program.to_explicit (Cr_tokenring.Btr.program 5) in
   let d3_5 = Cr_guarded.Program.to_explicit (Cr_tokenring.Btr3.dijkstra3 5) in
   let alpha3_5 =

@@ -52,6 +52,19 @@ for cmd in lint flow; do
   }
 done
 
+# The same past what any engine can index: verify's dense compile
+# refuses 3^62 states with one line on stderr and exit 2 (a refusal, not
+# a crash), worded like the B1 count above.
+toobig="$work/toobig.err"
+rc=0
+dune exec bin/crcheck.exe -- verify rw-dijkstra3 -n 20 > /dev/null 2> "$toobig" || rc=$?
+[ "$rc" = 2 ] && [ "$(wc -l < "$toobig")" = 1 ] \
+  && grep -q 'dense engine cannot index more than 4611686018427387903 states' "$toobig" || {
+  echo "ci: verify rw-dijkstra3 -n 20 did not refuse cleanly (rc=$rc)" >&2
+  cat "$toobig" >&2
+  exit 1
+}
+
 # Compile-cache smoke: verify builds every graph exactly once — the
 # dense program and the spec's sparse legitimate orbit, two compiles
 # even for btr, whose spec is its program — so the CR_STATS summary
@@ -146,6 +159,17 @@ cmp -s "$jout1" "$jout4" || {
   diff "$jout1" "$jout4" >&2 || true
   exit 1
 }
+# The chunked dense compile on whole verify/refine queries: stdout and
+# exit code must not depend on the job count (exit 1 is a verdict).
+for q in "verify kstate -n 4" "verify c2-wrapped -n 5" "refine dijkstra3 -n 5"; do
+  rc1=0; CR_JOBS=1 dune exec bin/crcheck.exe -- $q > "$jout1" 2> /dev/null || rc1=$?
+  rc4=0; CR_JOBS=4 CR_PAR_CAP=4 dune exec bin/crcheck.exe -- $q > "$jout4" 2> /dev/null || rc4=$?
+  [ "$rc1" -le 1 ] && [ "$rc1" = "$rc4" ] && cmp -s "$jout1" "$jout4" || {
+    echo "ci: $q differs between CR_JOBS=1 and CR_JOBS=4 (exit $rc1 vs $rc4)" >&2
+    diff "$jout1" "$jout4" >&2 || true
+    exit 1
+  }
+done
 # The same for the static audits: the per-action Rwsets fan-out must
 # merge back into exactly the sequential report.
 for cmd in lint flow; do

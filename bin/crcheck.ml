@@ -53,6 +53,15 @@ let pp_cost what = function
   | Some [] -> pf "%s cost: (no counter movement)@." what
   | Some cost -> pf "%s cost:@.%a@." what Cr_obs.Obs.pp_snapshot cost
 
+(* A state space the compile engines cannot index (more states than an
+   array holds, or ranks past [max_int]) is refused like a usage error:
+   one line on stderr and exit 2. *)
+let refusing_too_large f =
+  try f ()
+  with Cr_semantics.Space.Too_large msg ->
+    Format.eprintf "crcheck: %s@." msg;
+    2
+
 (* Unknown systems are a usage error: report on stderr and exit 2, so
    piped stdout (tables, --json artifacts) stays clean. *)
 let with_entry name f =
@@ -61,7 +70,7 @@ let with_entry name f =
       Format.eprintf "unknown system %S; try: %s@." name
         (String.concat ", " (Cr_experiments.Registry.names ()));
       2
-  | Some e -> f e
+  | Some e -> refusing_too_large (fun () -> f e)
 
 (* ---- list ---- *)
 
@@ -226,6 +235,7 @@ let trace_cmd =
 (* ---- kstate ---- *)
 
 let kstate n =
+  refusing_too_large @@ fun () ->
   pf "ring 0..%d (%d processes)@." n (n + 1);
   let mk = Cr_experiments.Ring_exps.kstate_minimal_k n in
   pf "minimal stabilizing K: %d@." mk;

@@ -25,7 +25,7 @@ let expected ?(epsilon = 1e-9) ?(max_iter = 1_000_000) ?pred
   (* states that cannot reach the target at all diverge; callers that hold
      an explicit system pass its stored predecessor CSR to skip the
      transposition *)
-  let seeds = List.filter (fun i -> target.(i)) (List.init n Fun.id) in
+  let seeds = Bitset.of_bool_array target in
   let can_reach =
     match pred with
     | Some p -> Reach.forward ~succ:p ~seeds

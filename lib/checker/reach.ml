@@ -8,10 +8,14 @@
 module Csr = Cr_kernel.Csr
 module Bitset = Cr_kernel.Bitset
 
-let forward ~succ ~(seeds : int list) : Bitset.t =
+(* The seed set stays a mask: [seen] starts as its copy and the stack as
+   its members, so a seed set as large as Sigma (stabilization's bad
+   seeds) costs no list. *)
+let forward ~succ ~(seeds : Bitset.t) : Bitset.t =
   let n = Csr.num_states succ in
+  if Bitset.length seeds <> n then invalid_arg "Reach.forward: seed mask length";
   let rp = Csr.row_ptr succ and tg = Csr.targets succ in
-  let seen = Bitset.create n in
+  let seen = Bitset.copy seeds in
   (* flat int stack: each node is pushed at most once *)
   let stack = Array.make (max n 1) 0 in
   let sp = ref 0 in
@@ -22,7 +26,9 @@ let forward ~succ ~(seeds : int list) : Bitset.t =
       incr sp
     end
   in
-  List.iter push seeds;
+  Bitset.iter_set_bits seeds (fun i ->
+      stack.(!sp) <- i;
+      incr sp);
   while !sp > 0 do
     decr sp;
     let i = stack.(!sp) in
@@ -42,4 +48,4 @@ let backward_of_explicit expl ~seeds =
 let reachable_from_initial expl =
   forward
     ~succ:(Cr_semantics.Explicit.csr expl)
-    ~seeds:(Array.to_list (Cr_semantics.Explicit.initials expl))
+    ~seeds:(Cr_semantics.Explicit.initial_mask expl)

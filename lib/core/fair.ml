@@ -108,14 +108,21 @@ let edge_on_fair_cycle analysis i j =
 
 (* Build the action table of a compiled explicit system from a list of
    firing functions over raw states.  [fire.(a) state = Some state'] when
-   action [a] makes a (state-changing) step. *)
-let tables_of ~(num_states : int) ~(state_of : int -> 'a)
-    ~(index_of : 'a -> int option) (fires : ('a -> 'a option) list) : tables =
+   action [a] makes a (state-changing) step.  One sweep over the system
+   fires every action at each (possibly scratch) state. *)
+let tables_of (e : 'a Cr_semantics.Explicit.t) (fires : ('a -> 'a option) list)
+    : tables =
   let fires = Array.of_list fires in
-  Array.map
-    (fun fire ->
-      Array.init num_states (fun i ->
-          match fire (state_of i) with
-          | None -> -1
-          | Some s' -> ( match index_of s' with Some j -> j | None -> -1)))
-    fires
+  let n = Cr_semantics.Explicit.num_states e in
+  let tables = Array.map (fun _ -> Array.make n (-1)) fires in
+  Cr_semantics.Explicit.iter_states e (fun i s ->
+      Array.iteri
+        (fun a fire ->
+          match fire s with
+          | None -> ()
+          | Some s' -> (
+              match Cr_semantics.Explicit.find_opt e s' with
+              | Some j -> tables.(a).(i) <- j
+              | None -> ()))
+        fires);
+  tables

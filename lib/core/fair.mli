@@ -29,10 +29,8 @@ val edge_on_fair_cycle : analysis -> int -> int -> bool
 (** Is the edge inside some fair-admissible SCC? *)
 
 val tables_of :
-  num_states:int ->
-  state_of:(int -> 'a) ->
-  index_of:('a -> int option) ->
-  ('a -> 'a option) list ->
-  tables
+  'a Cr_semantics.Explicit.t -> ('a -> 'a option) list -> tables
 (** Compile per-action firing functions into an action table over an
-    explicit system's state indices. *)
+    explicit system's state indices, in one {!Cr_semantics.Explicit.iter_states}
+    sweep.  A firing must not retain the state it is given; a successor
+    outside the system counts as disabled. *)

@@ -519,12 +519,10 @@ let convergence_refinement ?alpha ?fair ~(c : _ Explicit.t)
   let edge_on_cycle = edge_on_cycle ~fair succ_c in
   let failures = ref (initial_failures ~alpha ~c ~a) in
   (* 1. Init refinement: reachable edges must be Exact.  The forward
-     reachability reuses [succ_c] — no adjacency rebuild. *)
+     reachability walks [c]'s own CSR from its initial mask — no
+     adjacency rebuild, no seed list. *)
   Cr_obs.Obs.span "refine.init_check" (fun () ->
-      let reach =
-        Cr_checker.Reach.forward ~succ:succ_c
-          ~seeds:(Array.to_list (Explicit.initials c))
-      in
+      let reach = Cr_checker.Reach.reachable_from_initial c in
       iter_classified classified (fun i j cls ->
           match cls with
           | Some Exact -> ()
@@ -561,10 +559,7 @@ let everywhere_eventually_refinement ?alpha ?fair ~(c : _ Explicit.t)
   let edge_on_cycle = edge_on_cycle ~fair succ_c in
   let failures = ref (initial_failures ~alpha ~c ~a) in
   Cr_obs.Obs.span "refine.cycle_check" (fun () ->
-      let reach =
-        Cr_checker.Reach.forward ~succ:succ_c
-          ~seeds:(Array.to_list (Explicit.initials c))
-      in
+      let reach = Cr_checker.Reach.reachable_from_initial c in
       iter_classified classified (fun i j cls ->
           let is_exact = match cls with Some Exact -> true | _ -> false in
           if Cr_kernel.Bitset.get reach i && not is_exact then

@@ -208,14 +208,13 @@ let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
           if !bad_terminal = None then bad_terminal := Some i
         end
     done;
-    let seeds = Cr_kernel.Bitset.members bad_seed in
     if Cr_obs.Obs.tracking () then begin
       Cr_obs.Obs.incr c_runs;
-      Cr_obs.Obs.add c_bad_seeds (List.length seeds)
+      Cr_obs.Obs.add c_bad_seeds (Cr_kernel.Bitset.count bad_seed)
     end;
     let reaches_bad =
       Cr_obs.Obs.span "stabilize.reach_bad" (fun () ->
-          Cr_checker.Reach.backward_of_explicit c ~seeds)
+          Cr_checker.Reach.backward_of_explicit c ~seeds:bad_seed)
     in
     let good = Cr_kernel.Bitset.complement reaches_bad in
     (* A C-terminal outside Good is itself a bad seed; find one if any. *)

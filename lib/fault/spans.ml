@@ -80,13 +80,13 @@ let analyze ?(max_k = 8) (p : Program.t)
   let succ = Cr_semantics.Explicit.csr e in
   let layout = Program.layout p in
   let faults = Injector.faults layout in
-  let fault_succ =
-    Array.init (Cr_semantics.Explicit.num_states e) (fun i ->
-        Program.step faults (Cr_semantics.Explicit.state e i)
-        |> List.map (Cr_semantics.Explicit.find e)
-        |> Array.of_list)
-  in
   let n = Cr_semantics.Explicit.num_states e in
+  let fault_succ = Array.make n [||] in
+  Cr_semantics.Explicit.iter_states e (fun i s ->
+      fault_succ.(i) <-
+        Program.step faults s
+        |> List.map (Cr_semantics.Explicit.find e)
+        |> Array.of_list);
   let sources =
     List.filteri (fun i _ -> good.(i)) (List.init n (fun i -> i))
   in

@@ -149,7 +149,7 @@ let analyze ?(exact_budget = Lint.default_exact_budget) (p : Program.t) : t =
         (Printf.sprintf
            "state space (%s) exceeds the exact-analysis budget (%d); \
             flow analysis skipped (Rwsets support inference is full-space)"
-           (Lint.states_string ns) exact_budget)
+           (Layout.states_string ns) exact_budget)
     in
     Cr_obs.Obs.incr c_findings;
     { program = p; layout; num_states = ns; degraded = true; facts = [];
@@ -355,7 +355,7 @@ let pp_state layout fmt (sigma : Dom.t array) =
 let pp_summary fmt t =
   if t.degraded then
     Fmt.pf fmt "%s: degraded (%s over budget)@."
-      (Program.name t.program) (Lint.states_string t.num_states)
+      (Program.name t.program) (Layout.states_string t.num_states)
   else begin
     let dead_top =
       List.length (List.filter (fun f -> not f.top_enabled) t.facts)

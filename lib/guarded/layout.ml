@@ -49,6 +49,12 @@ let num_states t =
     (fun acc v -> if acc > max_int / v.dom then max_int else acc * v.dom)
     1 t.vars
 
+(* [num_states] saturates at [max_int], so that count is only a lower
+   bound. *)
+let states_string ns =
+  if ns = max_int then Printf.sprintf "more than %d states" ns
+  else Printf.sprintf "%d states" ns
+
 (* Mixed-radix state indexing (slot 0 is the least significant digit, so
    ranks agree with the historical [enumerate] order).  [rank] and
    [unrank] are mutually inverse bijections between valid states and
@@ -86,18 +92,16 @@ let unrank t k =
 (* Enumerate all states in mixed-radix order (slot 0 fastest). *)
 let enumerate t = List.init (num_states t) (unrank t)
 
-(* Allocation-free full-space iteration: one scratch state is advanced
-   in place through the mixed-radix order (slot 0 is the odometer's
-   fastest digit), so visiting all states costs O(1) amortized writes
-   per state instead of one fresh array each.  The callback must not
-   retain [s]. *)
-let iter_states t f =
-  let n = Array.length t.vars in
-  let ns = num_states t in
-  if ns > 0 then begin
-    let s = Array.make n 0 in
-    f 0 s;
-    for k = 1 to ns - 1 do
+(* Allocation-free iteration over the rank range [lo, hi): one scratch
+   state, unranked once at [lo], is advanced in place through the
+   mixed-radix order (slot 0 is the odometer's fastest digit), so each
+   further state costs O(1) amortized writes instead of one fresh array.
+   The callback must not retain [s]. *)
+let iter_range t ~lo ~hi f =
+  if lo < hi then begin
+    let s = unrank t lo in
+    f lo s;
+    for k = lo + 1 to hi - 1 do
       let i = ref 0 in
       let carry = ref true in
       while !carry do
@@ -114,6 +118,8 @@ let iter_states t f =
       f k s
     done
   end
+
+let iter_states t f = iter_range t ~lo:0 ~hi:(num_states t) f
 
 (* Fused validity test + rank: [-1] when the state is outside the
    layout.  One pass, no allocation — the innermost operation of the

@@ -26,6 +26,10 @@ val num_states : t -> int
     [num_states t > budget] hold on it instead of seeing a wrapped
     count. *)
 
+val states_string : int -> string
+(** A state count for messages: ["N states"], or ["more than N states"]
+    when {!num_states} saturated at [max_int]. *)
+
 val rank : t -> state -> int
 (** Mixed-radix index of a valid state, in [0 .. num_states - 1]; slot 0
     is the least significant digit, matching the {!enumerate} order.
@@ -53,6 +57,11 @@ val iter_states : t -> (int -> state -> unit) -> unit
     {!enumerate} order, advancing one shared scratch array in place —
     no per-state allocation, for full-space analysis passes.  [f] must
     not retain the state (copy it if needed). *)
+
+val iter_range : t -> lo:int -> hi:int -> (int -> state -> unit) -> unit
+(** {!iter_states} restricted to the ranks [lo .. hi - 1]: one {!unrank}
+    at [lo], then the same in-place odometer.  Disjoint ranges may be
+    swept by different domains (each has its own scratch state). *)
 
 val valid : t -> state -> bool
 

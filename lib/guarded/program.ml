@@ -60,8 +60,6 @@ let box_list ?name base wrappers =
   let t = List.fold_left (fun acc w -> box acc w) base wrappers in
   match name with Some n -> { t with name = n } | None -> t
 
-let enabled_actions t s = List.filter (fun a -> Action.enabled a s) t.actions
-
 (* Transitions enabled at [s]: (action, successor) pairs, no-ops dropped. *)
 let firings t s =
   List.filter_map
@@ -70,29 +68,8 @@ let firings t s =
 
 let step t s = List.map snd (firings t s)
 
-let step_fn ?(priority_of : (Action.t -> bool) option) t =
-  match priority_of with
-  | None -> step t
-  | Some is_wrapper ->
-      (* Wrapper actions preempt base actions wherever one can fire. *)
-      fun s ->
-        let fs = firings t s in
-        let wrapper_moves =
-          List.filter_map
-            (fun (a, s') -> if is_wrapper a then Some s' else None)
-            fs
-        in
-        if wrapper_moves <> [] then wrapper_moves else List.map snd fs
-
-let to_system ?priority_of t =
-  Cr_semantics.System.make ~name:t.name
-    ~states:(Layout.enumerate t.layout)
-    ~step:(step_fn ?priority_of t) ~is_initial:t.initial
-    ~pp:(Layout.pp_state t.layout)
-    ()
-
-(* Box with wrapper priority, compiled directly to a system: wrapper
-   actions preempt the base program's actions. *)
+(* Box with wrapper priority: wrapper actions preempt the base
+   program's actions wherever one can fire (see [to_explicit]). *)
 let box_priority ?name base wrapper =
   if not (same_layout base wrapper) then
     invalid_arg "Program.box_priority: incompatible layouts";
@@ -135,16 +112,6 @@ let synchronous_step t s =
         chosen;
       if s' = s then None else Some s'
 
-let to_system_synchronous t =
-  Cr_semantics.System.make
-    ~name:(t.name ^ "[sync]")
-    ~states:(Layout.enumerate t.layout)
-    ~step:(fun s ->
-      match synchronous_step t s with None -> [] | Some s' -> [ s' ])
-    ~is_initial:t.initial
-    ~pp:(Layout.pp_state t.layout)
-    ()
-
 (* ------------------------------------------------------------------ *)
 (* Explicit compilation: allocation-lean, domain-chunked, memoized.    *)
 (* ------------------------------------------------------------------ *)
@@ -168,107 +135,6 @@ let rank_checked ~name layout s' =
   let j = Layout.checked_rank layout s' in
   if j >= 0 then j else raise (escape_error ~name ~layout s')
 
-(* Sort the first [k] slots of [buf] in place (insertion sort — rows are
-   at most num-actions long) and return them deduplicated as a fresh
-   row. *)
-let sorted_row_of_prefix buf k =
-  if k = 0 then [||]
-  else begin
-    for i = 1 to k - 1 do
-      let x = buf.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && buf.(!j) > x do
-        buf.(!j + 1) <- buf.(!j);
-        decr j
-      done;
-      buf.(!j + 1) <- x
-    done;
-    let m = ref 1 in
-    for i = 1 to k - 1 do
-      if buf.(i) <> buf.(i - 1) then incr m
-    done;
-    let out = Array.make !m buf.(0) in
-    let w = ref 1 in
-    for i = 1 to k - 1 do
-      if buf.(i) <> buf.(i - 1) then begin
-        out.(!w) <- buf.(i);
-        incr w
-      end
-    done;
-    out
-  end
-
-(* Interleaving rows: iterate the actions directly — guard test, effect,
-   immediate rank — with no (action, successor) pair lists.  [rank] is
-   injective on valid states, so "successor rank = own rank" is exactly
-   the no-op test of [Action.fire]. *)
-let plain_rows ~name layout (actions : Action.t array) state_of () =
-  let buf = Array.make (max 1 (Array.length actions)) 0 in
-  fun i ->
-    let s = state_of i in
-    let k = ref 0 in
-    Array.iter
-      (fun (a : Action.t) ->
-        if a.Action.guard s then begin
-          let j = rank_checked ~name layout (a.Action.effect s) in
-          if j <> i then begin
-            buf.(!k) <- j;
-            incr k
-          end
-        end)
-      actions;
-    sorted_row_of_prefix buf !k
-
-(* Priority rows: wrapper firings preempt base firings.  A wrapper
-   action whose effect is a no-op does not count as a wrapper move
-   (matching [firings], which drops no-ops before the preemption
-   test). *)
-let priority_rows ~name layout (actions : Action.t array)
-    (is_wrapper : bool array) state_of () =
-  let n = max 1 (Array.length actions) in
-  let wbuf = Array.make n 0 in
-  let bbuf = Array.make n 0 in
-  fun i ->
-    let s = state_of i in
-    let wk = ref 0 and bk = ref 0 in
-    Array.iteri
-      (fun ai (a : Action.t) ->
-        if a.Action.guard s then begin
-          let j = rank_checked ~name layout (a.Action.effect s) in
-          if j <> i then
-            if is_wrapper.(ai) then begin
-              wbuf.(!wk) <- j;
-              incr wk
-            end
-            else begin
-              bbuf.(!bk) <- j;
-              incr bk
-            end
-        end)
-      actions;
-    if !wk > 0 then sorted_row_of_prefix wbuf !wk
-    else sorted_row_of_prefix bbuf !bk
-
-(* Synchronous rows are 0- or 1-element: the daemon is deterministic. *)
-let sync_rows ~name layout t state_of () i =
-  match synchronous_step t (state_of i) with
-  | None -> [||]
-  | Some s' ->
-      let j = rank_checked ~name layout s' in
-      if j = i then [||] else [| j |]
-
-(* A per-chunk row-builder factory for the mode, over any index-to-state
-   view (an enumeration array during compiles, bare [unrank] during
-   fingerprint probes). *)
-let row_builder ~mode t state_of =
-  let layout = t.layout in
-  let name = mode_name ~mode t in
-  match mode with
-  | Plain -> plain_rows ~name layout (Array.of_list t.actions) state_of
-  | Priority bits ->
-      priority_rows ~name layout (Array.of_list t.actions) bits state_of
-  | Sync -> sync_rows ~name layout t state_of
-
 (* Telemetry satellite of the two-engine compile path: which engine
    built the graph and how much of the product space it materialized.
    Emitted by both engines, between the compile.start/finish pair of
@@ -286,32 +152,13 @@ let emit_space ~name ~engine ~states ~full =
       );
     ]
 
-let compile_fresh ~mode t =
-  let layout = t.layout in
-  let name = mode_name ~mode t in
-  let n = Layout.num_states layout in
-  let states = Array.init n (Layout.unrank layout) in
-  let space =
-    Space.dense ~size:n
-      ~state_of_index:(fun i -> states.(i))
-      ~index_of_state:(fun s ->
-        if Layout.valid layout s then Some (Layout.rank layout s) else None)
-      ()
-  in
-  let rows = row_builder ~mode t (fun i -> states.(i)) in
-  let e =
-    Cr_semantics.Explicit.of_space ~name ~space ~rows ~is_initial:t.initial
-      ~pp_state:(Layout.pp_state layout)
-  in
-  emit_space ~name ~engine:Space.Dense ~states:n ~full:n;
-  e
-
-(* Per-chunk successor-key iterator for the sparse engine: the same
-   guard / effect / checked-rank loop as the row builders, but emitting
-   dense ranks through a callback instead of buffering sorted rows —
-   the discovery BFS assigns its own (sparse) indices and sorts.  The
-   self-loop test is dense-rank equality, exactly as in the dense
-   rows. *)
+(* Per-chunk successor-key emitter shared by both engines: guard test,
+   effect, checked rank — no firing lists, no per-state rows.  [i] is
+   the state's own dense rank, so dropping [j = i] is exactly the no-op
+   test of [Action.fire] ([rank] is injective on valid states).  Under
+   [Priority], wrapper firings preempt base firings, and a wrapper whose
+   effect is a no-op does not count as a wrapper move (matching
+   [firings], which drops no-ops before the preemption test). *)
 let step_keys ~mode t () =
   let layout = t.layout in
   let name = mode_name ~mode t in
@@ -358,6 +205,32 @@ let step_keys ~mode t () =
             let j = rank_checked ~name layout s' in
             if j <> i then emit j)
 
+(* The dense engine: Sigma itself, indexed by rank, swept by the
+   layout's odometer — never materialized. *)
+let dense_space layout =
+  Space.dense ~size:(Layout.num_states layout)
+    ~state_of_index:(Layout.unrank layout)
+    ~index_of_state:(fun s ->
+      let r = Layout.checked_rank layout s in
+      if r < 0 then None else Some r)
+    ~iter_range:(fun lo hi f -> Layout.iter_range layout ~lo ~hi f)
+    ()
+
+(* One streamed pass over Sigma: the emitter runs on the odometer's
+   scratch state, and [Explicit.of_space] appends each sorted row
+   straight into the CSR and marks the initial states as it goes. *)
+let compile_fresh ~mode t =
+  let layout = t.layout in
+  let name = mode_name ~mode t in
+  let n = Layout.num_states layout in
+  let e =
+    Cr_semantics.Explicit.of_space ~name ~space:(dense_space layout)
+      ~step:(step_keys ~mode t) ~is_initial:t.initial
+      ~pp_state:(Layout.pp_state layout)
+  in
+  emit_space ~name ~engine:Space.Dense ~states:n ~full:n;
+  e
+
 (* Sorted dense ranks of the program's initial states: the BFS roots of
    the sparse engine, and part of its cache key (a sparse graph depends
    on where discovery starts; dense graphs are initial-independent and
@@ -395,14 +268,14 @@ let compile_sparse ~mode t ~seed_ranks:seeds =
   let name = mode_name ~mode t in
   let full = Layout.num_states layout in
   let sparse =
-    Space.discover ~full_size:full ~state_of_key:(Layout.unrank layout)
+    Space.discover ~state_of_key:(Layout.unrank layout)
       ~key_of_state:(Layout.checked_rank layout)
       ~step:(step_keys ~mode t) ~seed_keys:seeds ()
   in
   let rows = sparse.Space.rows in
   let e =
     Cr_semantics.Explicit.of_space ~name ~space:sparse.Space.space
-      ~rows:(fun () -> Array.get rows)
+      ~step:(fun () _ i emit -> Array.iter emit rows.(i))
       ~is_initial:t.initial
       ~pp_state:(Layout.pp_state layout)
   in
@@ -430,13 +303,16 @@ let probe ~mode t =
   let layout = t.layout in
   let n = Layout.num_states layout in
   let budget = min n probe_budget in
+  (* [k * n / budget] without forming [k * n], which overflows once [n]
+     passes [max_int / budget] *)
+  let sample k = (k * (n / budget)) + (k * (n mod budget) / budget) in
   let name = mode_name ~mode t in
   let fp = Memo.Fp.create () in
   let fold = Memo.Fp.add_int fp in
   (match mode with
   | Sync ->
       for k = 0 to budget - 1 do
-        let i = k * n / budget in
+        let i = sample k in
         fold i;
         match synchronous_step t (Layout.unrank layout i) with
         | None -> fold (-2)
@@ -445,7 +321,7 @@ let probe ~mode t =
   | Plain | Priority _ ->
       let actions = Array.of_list t.actions in
       for k = 0 to budget - 1 do
-        let i = k * n / budget in
+        let i = sample k in
         let s = Layout.unrank layout i in
         fold i;
         Array.iter
@@ -510,8 +386,27 @@ let sparse_key ~mode t seeds =
   Printf.sprintf "%s|space:sparse:%d:%s" (fingerprint ~mode t)
     (Array.length seeds) (Memo.Fp.to_hex fp)
 
+(* Refuse, before any key or probe is computed, a space the engine
+   cannot index: the dense engine allocates a [row_ptr] slot per state
+   plus one, and both engines key states by their [int] rank, which a
+   saturated [Layout.num_states] no longer covers. *)
+let check_size ~mode ~space t =
+  let n = Layout.num_states t.layout in
+  let limit =
+    match (space : Space.engine) with
+    | Space.Dense -> Sys.max_array_length - 1
+    | Space.Sparse -> max_int - 1
+  in
+  if n > limit then
+    Fmt.kstr
+      (fun msg -> raise (Space.Too_large msg))
+      "%s: the %s engine cannot index %s (at most %s)" (mode_name ~mode t)
+      (Space.engine_name space) (Layout.states_string n)
+      (Layout.states_string limit)
+
 let compile ~mode ~space t =
   let module E = Cr_semantics.Explicit in
+  check_size ~mode ~space t;
   let reinit e = E.with_initials (E.rename (mode_name ~mode t) e) t.initial in
   let key, compile =
     match (space : Space.engine) with
@@ -582,14 +477,25 @@ let reachable_from t seeds =
   seen
 
 let with_initial_closure ~seeds t =
-  let closure = lazy (reachable_from t seeds) in
+  (* Computed on first use, under a lock rather than as a [lazy]: a
+     chunked compile evaluates [initial] on several domains at once, and
+     racing forces of one lazy value raise [Lazy.Undefined]. *)
+  let cell = Atomic.make None and lock = Mutex.create () in
+  let rec closure () =
+    match Atomic.get cell with
+    | Some c -> c
+    | None ->
+        Mutex.protect lock (fun () ->
+            if Option.is_none (Atomic.get cell) then
+              Atomic.set cell (Some (reachable_from t seeds)));
+        closure ()
+  in
   {
     t with
-    initial = (fun s -> Layout.Tbl.mem (Lazy.force closure) s);
+    initial = (fun s -> Layout.Tbl.mem (closure ()) s);
     init_enum =
       Some
-        (fun () ->
-          Layout.Tbl.fold (fun s () acc -> s :: acc) (Lazy.force closure) []);
+        (fun () -> Layout.Tbl.fold (fun s () acc -> s :: acc) (closure ()) []);
   }
 
 let pp fmt t =

@@ -42,17 +42,12 @@ val box_list : ?name:string -> t -> t list -> t
 val box_priority : ?name:string -> t -> t -> t * (Action.t -> bool)
 (** Composition where the wrapper's actions preempt the base program.
     Returns the combined program and the wrapper predicate; pass the
-    latter to {!to_system}/{!to_explicit} as [priority_of]. *)
-
-val enabled_actions : t -> state -> Action.t list
+    latter to {!to_explicit} as [priority_of]. *)
 
 val firings : t -> state -> (Action.t * state) list
 (** All (action, successor) pairs at a state; no-op firings dropped. *)
 
 val step : t -> state -> state list
-
-val to_system :
-  ?priority_of:(Action.t -> bool) -> t -> state Cr_semantics.System.t
 
 val to_explicit :
   ?priority_of:(Action.t -> bool) ->
@@ -60,8 +55,11 @@ val to_explicit :
   t ->
   state Cr_semantics.Explicit.t
 (** Compile to the explicit graph through a {!Cr_semantics.Space}
-    engine.  The default [Dense] engine enumerates the full product
-    space through the layout's mixed-radix rank/unrank; [Sparse]
+    engine.  The default [Dense] engine sweeps the full product space in
+    mixed-radix rank order over one scratch state
+    ({!Layout.iter_range}), appending each state's sorted successor
+    ranks straight into the graph, and never holds the states
+    themselves; [Sparse]
     materializes only the fragment reachable from the initial states
     (frontier BFS hash-consing dense ranks into a compact index) —
     sound for every init-anchored query because the fragment is closed
@@ -73,7 +71,13 @@ val to_explicit :
     Either way the per-state loop iterates actions directly (guard,
     effect, rank) with no intermediate firing lists, and is
     domain-chunked under the [CR_JOBS] contract of {!Cr_kernel.Par} —
-    identical output for every job count.
+    identical output for every job count (the guards, effects and the
+    initial predicate may run on several domains at once).
+
+    Raises {!Cr_semantics.Space.Too_large} before any work when the
+    engine cannot index the layout: [Dense] past
+    [Sys.max_array_length - 1] states, either engine once
+    {!Layout.num_states} saturates (ranks no longer fit an [int]).
 
     Compiles are memoized in the process-wide [compile]
     {!Cr_kernel.Memo} keyed by a content-addressed fingerprint
@@ -94,9 +98,6 @@ val synchronous_step : t -> state -> state option
     enabled action fires simultaneously, guards reading the old state and
     the declared [writes] merged.  [None] at fixpoints. *)
 
-val to_system_synchronous : t -> state Cr_semantics.System.t
-(** The (deterministic) synchronous semantics as a system. *)
-
 val to_explicit_synchronous :
   ?space:Cr_semantics.Space.engine -> t -> state Cr_semantics.Explicit.t
 (** Explicit graph of the synchronous semantics; chunked, memoized and
@@ -112,6 +113,8 @@ val with_initial_closure : seeds:state list -> t -> t
     closure of [seeds] — the orbit of canonical legitimate
     configurations.  The closure doubles as the program's initial-state
     enumerator, so the sparse engine of {!to_explicit} seeds its BFS
-    from it directly instead of scanning Sigma for the predicate. *)
+    from it directly instead of scanning Sigma for the predicate.  The
+    closure is computed once, on first use, under a lock, so the
+    predicate is safe to call from several domains. *)
 
 val pp : Format.formatter -> t -> unit

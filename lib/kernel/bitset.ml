@@ -29,6 +29,8 @@ let create len =
 
 let length t = t.len
 
+let copy t = { len = t.len; bits = Bytes.copy t.bits }
+
 let check t i name =
   if i < 0 || i >= t.len then
     invalid_arg (Printf.sprintf "Bitset.%s: index %d out of [0, %d)" name i t.len)

@@ -21,6 +21,10 @@ val full : int -> t
 (** All-true mask of the given length. *)
 
 val length : t -> int
+
+val copy : t -> t
+(** Fresh mask with the same bits. *)
+
 val get : t -> int -> bool
 val set : t -> int -> unit
 val clear : t -> int -> unit

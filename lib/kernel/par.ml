@@ -132,7 +132,8 @@ type task = {
   workers : int;
   next : int Atomic.t;
   left : int Atomic.t;
-  mutable failed : exn option;  (* first failure; protected by [pool.m] *)
+  mutable failed : (int * exn) option;
+      (* lowest-index failure; protected by [pool.m] *)
 }
 
 type pool = {
@@ -149,9 +150,11 @@ type pool = {
 (* Claim-and-run loop shared by the submitter and the workers.  The
    completion count is decremented only after [run] returns, so when it
    reaches zero no domain is still executing an item.  A failing item
-   records the first exception (re-raised by the submitter) and the
-   sweep keeps going: every item must still be accounted for in [left],
-   and the partially-filled output is discarded by the re-raise anyway. *)
+   records its exception unless a lower-index item already failed (the
+   submitter re-raises the lowest, so which error surfaces does not
+   depend on scheduling) and the sweep keeps going: every item must
+   still be accounted for in [left], and the partially-filled output is
+   discarded by the re-raise anyway. *)
 let run_items pool t =
   let continue = ref true in
   while !continue do
@@ -161,7 +164,9 @@ let run_items pool t =
       (try t.run i
        with e ->
          Mutex.lock pool.m;
-         if t.failed = None then t.failed <- Some e;
+         (match t.failed with
+         | Some (j, _) when j < i -> ()
+         | Some _ | None -> t.failed <- Some (i, e));
          Mutex.unlock pool.m);
       if Atomic.fetch_and_add t.left (-1) = 1 then begin
         (* last item: wake the submitter.  Locking the mutex before
@@ -305,7 +310,7 @@ let run_task ~jobs ~total run =
       done;
       pool.task <- None;
       Mutex.unlock pool.m);
-  match t.failed with Some e -> raise e | None -> ()
+  match t.failed with Some (_, e) -> raise e | None -> ()
 
 let map_array ?jobs (f : 'a -> 'b) (a : 'a array) : 'b array =
   let jobs = match jobs with Some k -> max 1 k | None -> current_jobs () in

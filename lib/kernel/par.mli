@@ -46,9 +46,10 @@ val with_jobs : int -> (unit -> 'a) -> 'a
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map f xs = List.map f xs], computed on [jobs] domains.  [f] must not
-    rely on shared mutable state.  If [f] raises on any item, the first
-    exception (in claim order) is re-raised on the caller after the
-    sweep drains. *)
+    rely on shared mutable state.  If [f] raises on any item, the
+    exception of the lowest-index failing item is re-raised on the
+    caller after the sweep drains — the one the sequential map would
+    raise, whatever the scheduling. *)
 
 val map_array : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** Array analogue of {!map}. *)

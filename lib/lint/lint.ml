@@ -418,12 +418,6 @@ let merge r extra = { r with findings = sort_findings (r.findings @ extra) }
 
 let default_exact_budget = 1 lsl 22
 
-(* [Layout.num_states] saturates at [max_int], so that count is only a
-   lower bound. *)
-let states_string ns =
-  if ns = max_int then Printf.sprintf "more than %d states" ns
-  else Printf.sprintf "%d states" ns
-
 let run ?(allow = []) ?(reachable_check = true)
     ?(exact_budget = default_exact_budget) ?infos
     ?(init_dead = fun _ -> false) (p : Program.t) : report =
@@ -445,7 +439,7 @@ let run ?(allow = []) ?(reachable_check = true)
         (Printf.sprintf
            "state space (%s) exceeds the exact-analysis budget (%d); \
             exact battery skipped — run `crcheck flow` for the abstract audit"
-           (states_string ns) exact_budget)
+           (Layout.states_string ns) exact_budget)
     in
     Cr_obs.Obs.add c_findings 1;
     { program_name = name; findings = [ f ]; infos = [] }

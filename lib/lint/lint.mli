@@ -69,10 +69,6 @@ val default_exact_budget : int
     exact passes (Rwsets differencing, reachable closure, G1 fallback)
     will attempt. *)
 
-val states_string : int -> string
-(** A state count for messages: ["N states"], or ["more than N states"]
-    for [max_int], where {!Cr_guarded.Layout.num_states} saturates. *)
-
 val run :
   ?allow:string list ->
   ?reachable_check:bool ->

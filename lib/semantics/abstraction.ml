@@ -22,22 +22,27 @@ let compose ?name outer inner =
 
 exception Not_total of string
 
+(* One sweep over Sigma_C: [apply] reads each (possibly scratch) state
+   and the image is indexed in [a] before the sweep moves on. *)
 let tabulate ?(partial = false) t (c : 'c Explicit.t) (a : 'a Explicit.t) :
     int array =
   Cr_obs.Obs.span "abstraction.tabulate" @@ fun () ->
-  Array.init (Explicit.num_states c) (fun i ->
-      let img = t.apply (Explicit.state c i) in
-      match Explicit.find_opt a img with
-      | Some j -> j
-      | None when partial -> -1
-      | None ->
-          raise
-            (Not_total
-               (Fmt.str
-                  "abstraction %s: image of concrete state %s not a state of %s"
-                  t.name
-                  (Explicit.state_to_string c i)
-                  (Explicit.name a))))
+  let table = Array.make (Explicit.num_states c) 0 in
+  Explicit.iter_states c (fun i s ->
+      table.(i) <-
+        (match Explicit.find_opt a (t.apply s) with
+        | Some j -> j
+        | None when partial -> -1
+        | None ->
+            raise
+              (Not_total
+                 (Fmt.str
+                    "abstraction %s: image of concrete state %s not a state \
+                     of %s"
+                    t.name
+                    (Explicit.state_to_string c i)
+                    (Explicit.name a)))));
+  table
 
 let is_onto alpha ~num_abstract =
   let hit = Array.make num_abstract false in

@@ -7,19 +7,47 @@
     are removed on construction: a step whose effect is the identity is
     stuttering and generates no transition (DESIGN.md, section 2).
 
-    Construction is domain-chunked under the [CR_JOBS] contract of
-    {!Par}: the state range is split into contiguous chunks, one per
-    domain, each filling its slice of a preallocated row array.  Row i
-    depends only on i, so the result is identical for every job count
-    (default 1 = the sequential path).  Predecessor rows are computed
-    lazily, on the first {!predecessors} call — refinement
-    classification never needs them. *)
+    A system does not store its states.  It keeps the {!Space} it was
+    compiled over: {!state}/{!find} go through the space's index
+    bijection, and {!iter_states} sweeps it in index order — over a
+    guarded-command layout an odometer advancing one scratch state, so a
+    dense compile of the full product space holds only its graph and its
+    initial mask.  Full-space consumers should sweep rather than call
+    {!state} once per index.
+
+    Every constructor is one streamed pass ({!of_space}), domain-chunked
+    under the [CR_JOBS] contract of {!Par}: the index range is split into
+    contiguous chunks, each sweeping its range and appending its sorted,
+    deduplicated rows to its own edge blocks, and the chunks are
+    concatenated in order into the CSR.  Row i depends only on i, so the
+    result is identical for every job count (default 1 = the sequential
+    path).  Predecessor rows are computed lazily, on the first
+    {!predecessors} call — refinement classification never needs
+    them. *)
 
 exception Unknown_state of string
 (** Raised when a successor function escapes the enumerated state space, or
     {!find} is applied to a state outside Sigma. *)
 
 type 'a t
+
+val of_space :
+  name:string ->
+  space:'a Space.t ->
+  step:(unit -> 'a -> int -> (int -> unit) -> unit) ->
+  is_initial:('a -> bool) ->
+  pp_state:(Format.formatter -> 'a -> unit) ->
+  'a t
+(** Compile over a {!Space} in one streamed pass.  [step () s i emit]
+    must call [emit j] on the index of every successor of the state [s]
+    at index [i] (in any order; duplicates and [j = i] are dropped here),
+    reading [s] without retaining it, and raise {!Unknown_state} on a
+    step that escapes the space; the [unit ->] stage is a per-chunk
+    factory, so an implementation may allocate private scratch.  [step]
+    and [is_initial] may run on several domains at once.  The dense
+    guarded-command engine passes its successor-rank emitter over the
+    layout's odometer; the sparse engine replays the rows its discovery
+    BFS computed. *)
 
 val of_system : 'a System.t -> 'a t
 (** Compile a symbolic system.  Raises [Invalid_argument] on duplicate
@@ -34,56 +62,21 @@ val of_edge_lists :
   'a t
 (** Low-level constructor from adjacency lists (indices). *)
 
-val of_indexed :
-  name:string ->
-  num_states:int ->
-  state:(int -> 'a) ->
-  index:('a -> int option) ->
-  step:('a -> 'a list) ->
-  is_initial:('a -> bool) ->
-  pp_state:(Format.formatter -> 'a -> unit) ->
-  'a t
-(** Compile a system whose state space carries its own O(1) indexing:
-    [state]/[index] must be mutually inverse bijections between
-    [0 .. num_states - 1] and Sigma (e.g. the mixed-radix rank/unrank of
-    a {!Cr_guarded.Layout}).  Unlike {!of_system} there is no hashtable
-    and no duplicate scan.  Raises {!Unknown_state} if [step] escapes the
-    indexed space ([index] returns [None]). *)
-
-val of_space :
-  name:string ->
-  space:'a Space.t ->
-  rows:(unit -> int -> int array) ->
-  is_initial:('a -> bool) ->
-  pp_state:(Format.formatter -> 'a -> unit) ->
-  'a t
-(** Compile over a {!Space} engine: the space supplies the enumeration
-    and the index bijection, [rows] the per-chunk successor-row builder
-    (conventions as {!of_rows}).  The dense engine passes the guarded
-    compiler's row builder; the sparse engine passes the rows its
-    discovery BFS already computed. *)
-
-val of_rows :
-  name:string ->
-  states:'a array ->
-  index:('a -> int option) ->
-  rows:(unit -> int -> int array) ->
-  is_initial:('a -> bool) ->
-  pp_state:(Format.formatter -> 'a -> unit) ->
-  'a t
-(** Lowest-level chunked constructor: a precomputed enumeration plus a
-    per-chunk row builder.  [rows ()] is called once per chunk (so the
-    builder may allocate private scratch) and the function it returns
-    must produce, for each state index, its successor row — sorted
-    ascending, deduplicated, without self-loops — from the index and
-    read-only captures alone.  Used by the allocation-lean
-    guarded-command compiler ({!Cr_guarded.Program.to_explicit}). *)
-
 val name : _ t -> string
 val rename : string -> 'a t -> 'a t
 val num_states : _ t -> int
 val num_transitions : _ t -> int
 val state : 'a t -> int -> 'a
+(** The state at an index, produced by the space (for the dense engine a
+    fresh {!Cr_guarded.Layout.unrank}).  Raises [Invalid_argument] out of
+    range. *)
+
+val iter_states : 'a t -> (int -> 'a -> unit) -> unit
+(** [iter_states t f] calls [f i (state t i)] for every index in
+    ascending order, without allocating a state per index where the
+    space allows (the dense engine advances one scratch state in place).
+    [f] must neither retain nor mutate the state it is given. *)
+
 val find : 'a t -> 'a -> int
 val find_opt : 'a t -> 'a -> int option
 val successors : _ t -> int -> int array
@@ -117,6 +110,11 @@ val pred_forced : _ t -> bool
     laziness.) *)
 
 val is_initial : _ t -> int -> bool
+
+val initial_mask : _ t -> Cr_kernel.Bitset.t
+(** The initial states as a packed mask, shared without copying (the
+    seed set of {!Cr_checker.Reach}); treat it as read-only. *)
+
 val initials : _ t -> int array
 val is_terminal : _ t -> int -> bool
 val has_edge : _ t -> int -> int -> bool
@@ -140,4 +138,5 @@ val box : ?name:string -> 'a t -> 'a t -> 'a t
     are those of the left operand. *)
 
 val with_initials : 'a t -> ('a -> bool) -> 'a t
-(** Replace the initial-state predicate. *)
+(** Replace the initial-state predicate: one {!iter_states} sweep; the
+    graph, the space and the predecessor transpose are shared. *)

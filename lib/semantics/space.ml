@@ -1,8 +1,12 @@
 (* Pluggable state-space engines: the indexing substrate an explicit
    compile runs over.
 
-   The dense engine is the historical full-product-space enumeration in
-   mixed-radix rank order.  The sparse engine materializes only the
+   The dense engine is the full product space in mixed-radix rank order.
+   It is never materialized: a space hands out its states by index
+   ([state_of_index], [index_of_state]) and by range sweeps
+   ([iter_range]), which for a guarded-command layout advance one scratch
+   state in place, so a dense compile holds the graph and no boxed
+   states.  The sparse engine materializes only the
    fragment reachable from the initial states: a frontier BFS over dense
    keys that hash-conses each discovered state into a compact index.
    Because the fragment is closed under successors, every checker that
@@ -59,51 +63,38 @@ let resolve ?choice ~default () =
   | Forced e -> e
   | Auto -> default
 
+exception Too_large of string
+
 module type S = sig
   type state
 
-  val engine : engine
   val size : int
-  val full_size : int
   val state_of_index : int -> state
   val index_of_state : state -> int option
-  val iter : (int -> state -> unit) -> unit
+  val iter_range : int -> int -> (int -> state -> unit) -> unit
 end
 
 type 'a t = (module S with type state = 'a)
-
-let engine (type a) (sp : a t) =
-  let module Sp = (val sp) in
-  Sp.engine
 
 let size (type a) (sp : a t) =
   let module Sp = (val sp) in
   Sp.size
 
-let full_size (type a) (sp : a t) =
-  let module Sp = (val sp) in
-  Sp.full_size
-
 let dense (type a) ~size:(n : int) ~(state_of_index : int -> a)
-    ~(index_of_state : a -> int option) () : a t =
+    ~(index_of_state : a -> int option)
+    ~(iter_range : int -> int -> (int -> a -> unit) -> unit) () : a t =
   (module struct
     type state = a
 
-    let engine = Dense
     let size = n
-    let full_size = n
     let state_of_index = state_of_index
     let index_of_state = index_of_state
-
-    let iter f =
-      for i = 0 to n - 1 do
-        f i (state_of_index i)
-      done
+    let iter_range = iter_range
   end)
 
 type 'a sparse = { space : 'a t; rows : int array array; keys : int array }
 
-let discover (type a) ~full_size ~(state_of_key : int -> a)
+let discover (type a) ~(state_of_key : int -> a)
     ~(key_of_state : a -> int)
     ~(step : unit -> a -> int -> (int -> unit) -> unit)
     ~(seed_keys : int array) () : a sparse =
@@ -191,15 +182,16 @@ let discover (type a) ~full_size ~(state_of_key : int -> a)
   let module Sp = struct
     type state = a
 
-    let engine = Sparse
     let size = count
-    let full_size = full_size
     let state_of_index i = state_of_key keys.(i)
 
     let index_of_state s =
       let k = key_of_state s in
       if k < 0 then None else Hashtbl.find_opt tbl k
 
-    let iter f = Array.iteri (fun i k -> f i (state_of_key k)) keys
+    let iter_range lo hi f =
+      for i = lo to hi - 1 do
+        f i (state_of_key keys.(i))
+      done
   end in
   { space = (module Sp); rows; keys }

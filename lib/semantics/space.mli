@@ -5,7 +5,9 @@
     states the compile will materialize.  Two engines implement it:
 
     - {e dense} — the full product space in mixed-radix rank order
-      (every valid state gets an index, reachable or not);
+      (every valid state gets an index, reachable or not), never
+      materialized: its states are produced on demand by index and by
+      range sweeps over one scratch state;
     - {e sparse} — only the fragment reachable from the initial states,
       discovered by a frontier BFS ({!discover}) that hash-conses each
       state under its dense rank into a compact index.
@@ -39,38 +41,42 @@ val resolve : ?choice:choice -> default:engine -> unit -> engine
     {!env_choice}) unless [Auto], in which case the caller's
     [default]. *)
 
+exception Too_large of string
+(** Raised, with a one-line message, when a compile is asked for a space
+    its engine cannot index: a dense space with more states than an
+    array can hold, or a layout whose ranks overflow an [int]. *)
+
 (** The first-class space interface.  [state_of_index]/[index_of_state]
     are mutually inverse between [0 .. size - 1] and the carried state
     set; [index_of_state] is [None] on states outside it (for the dense
-    engine: outside Sigma; for sparse: also anything unreachable). *)
+    engine: outside Sigma; for sparse: also anything unreachable).
+    [iter_range lo hi f] calls [f i (state_of_index i)] for
+    [i = lo .. hi - 1] in order; the state may be a scratch value that
+    the next call overwrites, so [f] must neither retain nor mutate it.
+    Disjoint ranges may be swept from different domains. *)
 module type S = sig
   type state
 
-  val engine : engine
   val size : int
-
-  val full_size : int
-  (** Size of the ambient dense space ([= size] for the dense engine);
-      [size / full_size] is the reachable ratio the journal reports. *)
-
   val state_of_index : int -> state
   val index_of_state : state -> int option
-  val iter : (int -> state -> unit) -> unit
+  val iter_range : int -> int -> (int -> state -> unit) -> unit
 end
 
 type 'a t = (module S with type state = 'a)
 
-val engine : 'a t -> engine
 val size : 'a t -> int
-val full_size : 'a t -> int
 
 val dense :
   size:int ->
   state_of_index:(int -> 'a) ->
   index_of_state:('a -> int option) ->
+  iter_range:(int -> int -> (int -> 'a -> unit) -> unit) ->
   unit ->
   'a t
-(** The full-space engine over a caller-supplied rank/unrank pair. *)
+(** The full-space engine over a caller-supplied rank/unrank pair and
+    range sweep (e.g. {!Cr_guarded.Layout.iter_range}, or [Array] access
+    for an enumeration held in memory). *)
 
 (** Result of a sparse discovery: the space itself plus the successor
     rows the BFS computed on the way (over sparse indices, sorted
@@ -80,7 +86,6 @@ val dense :
 type 'a sparse = { space : 'a t; rows : int array array; keys : int array }
 
 val discover :
-  full_size:int ->
   state_of_key:(int -> 'a) ->
   key_of_state:('a -> int) ->
   step:(unit -> 'a -> int -> (int -> unit) -> unit) ->
@@ -88,7 +93,7 @@ val discover :
   unit ->
   'a sparse
 (** Frontier BFS over dense keys.  [key_of_state] must be injective on
-    Sigma, in [0 .. full_size - 1] ([-1] outside Sigma — e.g.
+    Sigma, non-negative on it ([-1] outside Sigma — e.g.
     [Layout.checked_rank]); [state_of_key] its inverse.  [step () s k
     emit] calls [emit] on the dense key of every successor of [s] (own
     key [k] excluded, i.e. self-loops dropped at the source), raising if

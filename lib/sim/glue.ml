@@ -7,10 +7,7 @@ open Cr_guarded
    base action would be misreported as enabled. *)
 let fair_tables (p : Program.t) (e : Layout.state Cr_semantics.Explicit.t) :
     Cr_core.Fair.tables =
-  Cr_core.Fair.tables_of
-    ~num_states:(Cr_semantics.Explicit.num_states e)
-    ~state_of:(Cr_semantics.Explicit.state e)
-    ~index_of:(Cr_semantics.Explicit.find_opt e)
+  Cr_core.Fair.tables_of e
     (List.map (fun a s -> Action.fire a s) (Program.actions p))
 
 (* Compile a program and tabulate an abstraction against a compiled

@@ -15,6 +15,12 @@ let reach (adj : int array array) (seeds : int list) : bool array =
   List.iter visit seeds;
   seen
 
+(* The kernels' seed mask for a list of states. *)
+let mask n (l : int list) =
+  let m = Cr_kernel.Bitset.create n in
+  List.iter (Cr_kernel.Bitset.set m) l;
+  m
+
 (* States from which some seed is reachable. *)
 let coreach adj seeds =
   Array.init (Array.length adj) (fun i ->

@@ -16,14 +16,14 @@ let check_int = Alcotest.(check int)
 let g = Csr.of_rows [| [| 1 |]; [| 2 |]; [| 0; 3 |]; [| 4 |]; [||]; [||] |]
 
 let test_forward () =
-  let r = Cr_checker.Reach.forward ~succ:g ~seeds:[ 0 ] in
+  let r = Cr_checker.Reach.forward ~succ:g ~seeds:(Graph_ref.mask 6 [ 0 ]) in
   check "reaches 4" true (Bs.get r 4);
   check "not 5" false (Bs.get r 5);
   check_int "count" 5 (Bs.count r);
   Alcotest.(check (list int)) "members" [ 0; 1; 2; 3; 4 ] (Bs.members r)
 
 let test_backward () =
-  let r = Cr_checker.Reach.backward ~succ:g ~seeds:[ 4 ] in
+  let r = Cr_checker.Reach.backward ~succ:g ~seeds:(Graph_ref.mask 6 [ 4 ]) in
   check "0 reaches 4" true (Bs.get r 0);
   check "5 does not" false (Bs.get r 5)
 
@@ -130,9 +130,9 @@ let prop_scc_mutual_reach =
       let t = Cr_checker.Scc.compute csr in
       let ok = ref true in
       for i = 0 to n - 1 do
-        let ri = Cr_checker.Reach.forward ~succ:csr ~seeds:[ i ] in
+        let ri = Cr_checker.Reach.forward ~succ:csr ~seeds:(Graph_ref.mask n [ i ]) in
         for j = 0 to n - 1 do
-          let rj = Cr_checker.Reach.forward ~succ:csr ~seeds:[ j ] in
+          let rj = Cr_checker.Reach.forward ~succ:csr ~seeds:(Graph_ref.mask n [ j ]) in
           let mutual = Bs.get ri j && Bs.get rj i in
           let same = t.Cr_checker.Scc.component.(i) = t.Cr_checker.Scc.component.(j) in
           if mutual <> same then ok := false
@@ -198,13 +198,17 @@ let prop_csr_reach_agree =
       let csr = Csr.of_rows adj in
       let n = Array.length adj in
       let ok = ref true in
+      (* single seeds, and every prefix {0 .. s} as a multi-seed mask *)
       for s = 0 to n - 1 do
-        let f = Cr_checker.Reach.forward ~succ:csr ~seeds:[ s ] in
-        let b = Cr_checker.Reach.backward ~succ:csr ~seeds:[ s ] in
-        if
-          Bs.to_bool_array f <> Graph_ref.reach adj [ s ]
-          || Bs.to_bool_array b <> Graph_ref.coreach adj [ s ]
-        then ok := false
+        List.iter
+          (fun seeds ->
+            let f = Cr_checker.Reach.forward ~succ:csr ~seeds:(Graph_ref.mask n seeds) in
+            let b = Cr_checker.Reach.backward ~succ:csr ~seeds:(Graph_ref.mask n seeds) in
+            if
+              Bs.to_bool_array f <> Graph_ref.reach adj seeds
+              || Bs.to_bool_array b <> Graph_ref.coreach adj seeds
+            then ok := false)
+          [ [ s ]; List.init (s + 1) Fun.id ]
       done;
       !ok)
 

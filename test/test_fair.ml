@@ -69,18 +69,19 @@ let test_restricted_graph_edges_count () =
     (a3.Cr_core.Fair.sccs = [])
 
 let test_tables_of () =
-  let states = [| 10; 20; 30 |] in
-  let index_of v = match v with 10 -> Some 0 | 20 -> Some 1 | 30 -> Some 2 | _ -> None in
-  let fire1 v = if v = 10 then Some 20 else None in
-  let fire2 v = if v = 20 then Some 30 else None in
-  let t =
-    Cr_core.Fair.tables_of ~num_states:3
-      ~state_of:(fun i -> states.(i))
-      ~index_of [ fire1; fire2 ]
+  let e =
+    Cr_semantics.Explicit.of_edge_lists ~name:"three" ~states:[| 10; 20; 30 |]
+      ~pp_state:Fmt.int
+      ~is_initial:(fun v -> v = 10)
+      ~succ_lists:[| [ 1 ]; [ 2 ]; [] |]
   in
+  let fire1 v = if v = 10 then Some 20 else None in
+  let fire2 v = if v = 20 then Some 30 else if v = 30 then Some 40 else None in
+  let t = Cr_core.Fair.tables_of e [ fire1; fire2 ] in
   check "fire1 at 0" true (t.(0).(0) = 1);
   check "fire1 disabled at 1" true (t.(0).(1) = -1);
-  check "fire2 at 1" true (t.(1).(1) = 2)
+  check "fire2 at 1" true (t.(1).(1) = 2);
+  check "fire2 leaving the system counts as disabled" true (t.(1).(2) = -1)
 
 (* property: fair divergence implies plain (unfair) divergence — a
    weakly-fair infinite run is in particular an infinite run *)

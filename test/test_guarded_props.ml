@@ -175,7 +175,9 @@ let prop_closure =
           let reach =
             Cr_checker.Reach.forward
               ~succ:(Cr_semantics.Explicit.csr e)
-              ~seeds:[ Cr_semantics.Explicit.find e seed ]
+              ~seeds:
+                (Graph_ref.mask (Cr_semantics.Explicit.num_states e)
+                   [ Cr_semantics.Explicit.find e seed ])
           in
           let minimal =
             Layout.Tbl.fold
