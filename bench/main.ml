@@ -439,9 +439,8 @@ let json_of_float_opt = function
   | Some v when Float.is_finite v -> Printf.sprintf "%.4f" v
   | Some _ | None -> "null"
 
-(* Process-wide resolved revision, shared with the journal stamps and
-   the crcheck artifact headers. *)
-let git_rev () = Cr_obs.Journal.git_rev ()
+(* A JSON string literal, through the one telemetry escaper. *)
+let jstr s = "\"" ^ Cr_obs.Obs.json_escape s ^ "\""
 
 (* Merged telemetry counters for the JSON artifact.  When CR_STATS/CR_TRACE
    are unset the timed runs above executed with collection disabled (so the
@@ -459,16 +458,17 @@ let write_json path micro report_wall =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf
-    (Printf.sprintf "  \"git_rev\": %S,\n  \"cr_jobs\": %d,\n" (git_rev ())
-       (Cr_kernel.Par.jobs_env ()));
+    (Printf.sprintf "  \"git_rev\": %s,\n  \"cr_jobs\": %d,\n"
+       (jstr (Cr_obs.Obs.git_rev ()))
+       (Cr_obs.Obs.jobs_env ()));
   Buffer.add_string buf "  \"micro\": [\n";
   List.iteri
     (fun i (name, est, r2, retries) ->
       Buffer.add_string buf
         (Printf.sprintf
-           "    {\"name\": %S, \"ns_per_run\": %s, \"r2\": %s, \"low_r2\": %b, \
+           "    {\"name\": %s, \"ns_per_run\": %s, \"r2\": %s, \"low_r2\": %b, \
             \"retries\": %d}%s\n"
-           name
+           (jstr name)
            (json_of_float_opt est)
            (json_of_float_opt r2)
            (low_r2 r2) retries
@@ -485,7 +485,7 @@ let write_json path micro report_wall =
   List.iteri
     (fun i (name, v) ->
       Buffer.add_string buf
-        (Printf.sprintf "    %S: %d%s\n" name v
+        (Printf.sprintf "    %s: %d%s\n" (jstr name) v
            (if i = List.length counters - 1 then "" else ",")))
     counters;
   Buffer.add_string buf "  },\n  \"hists\": {\n";
@@ -493,9 +493,9 @@ let write_json path micro report_wall =
     (fun i (name, (h : Cr_obs.Obs.hstats)) ->
       Buffer.add_string buf
         (Printf.sprintf
-           "    %S: {\"count\": %d, \"mean\": %.1f, \"p50\": %d, \"p90\": %d, \
+           "    %s: {\"count\": %d, \"mean\": %.1f, \"p50\": %d, \"p90\": %d, \
             \"p99\": %d, \"max\": %d}%s\n"
-           name h.count (Cr_obs.Obs.mean h)
+           (jstr name) h.count (Cr_obs.Obs.mean h)
            (Cr_obs.Obs.quantile h 0.5)
            (Cr_obs.Obs.quantile h 0.9)
            (Cr_obs.Obs.quantile h 0.99)

@@ -18,11 +18,11 @@ lintjson="$work/lint.json"
 
 CR_STATS=1 CR_TRACE="$trace" dune exec bin/crcheck.exe -- verify dijkstra3 --stats
 test -s "$trace" || { echo "ci: CR_TRACE produced no output" >&2; exit 1; }
-dune exec bin/trace_lint.exe -- "$trace"
+dune exec bin/crcheck.exe -- validate trace "$trace"
 
 dune exec bin/crcheck.exe -- lint --all --json "$lintjson" > /dev/null
 test -s "$lintjson" || { echo "ci: lint --json produced no output" >&2; exit 1; }
-dune exec bin/trace_lint.exe -- --json-only "$lintjson"
+dune exec bin/crcheck.exe -- validate json "$lintjson"
 
 # Abstract-interpretation gate: the flow audit must be error-clean over
 # the whole registry, its definite verdicts must agree with exact
@@ -34,8 +34,8 @@ flowjournal="$work/flow.jsonl"
 CR_JOURNAL="$flowjournal" dune exec bin/crcheck.exe -- flow --all -n 3 \
   --check-exact --json "$flowjson" > /dev/null
 test -s "$flowjson" || { echo "ci: flow --json produced no output" >&2; exit 1; }
-dune exec bin/trace_lint.exe -- --json-only "$flowjson"
-dune exec bin/journal_lint.exe -- "$flowjournal" --expect flow.report
+dune exec bin/crcheck.exe -- validate json "$flowjson"
+dune exec bin/crcheck.exe -- validate journal "$flowjournal" --expect flow.report
 
 # Budget smoke: past the exact budget — here 3^62 states, more than an
 # int holds — lint and flow degrade to one B1 finding and exit 0.
@@ -127,17 +127,42 @@ cmp -s "$expout" "$expoutp" || {
   exit 1
 }
 
-# Journal smoke: a CR_JOURNAL run must produce a lintable JSONL stream
-# that records the compile-cache traffic and the stabilize verdict —
-# and, under CR_JOBS=4, the persistent pool's spawn event.  CR_PAR_CAP
-# lifts the busy-domain cap so the pool really spawns even on a
-# single-core CI host.
+# Journal smoke: a CR_JOURNAL run must produce a valid JSONL stream
+# that records the compile-cache traffic, the stabilize verdict and the
+# span lines — and, under CR_JOBS=4, the persistent pool's spawn event.
+# CR_PAR_CAP lifts the busy-domain cap so the pool really spawns even on
+# a single-core CI host.
 journal="$work/journal.jsonl"
 : > "$journal"
 CR_JOBS=4 CR_PAR_CAP=4 CR_JOURNAL="$journal" dune exec bin/crcheck.exe -- verify dijkstra3 -n 3 > /dev/null
 test -s "$journal" || { echo "ci: CR_JOURNAL produced no output" >&2; exit 1; }
-dune exec bin/journal_lint.exe -- "$journal" \
-  --expect compile.cache --expect stabilize.verdict --expect par.pool
+dune exec bin/crcheck.exe -- validate journal "$journal" \
+  --expect compile.cache --expect stabilize.verdict --expect par.pool \
+  --expect stabilize.check
+
+# An unwritable journal is one "cr-obs: journal:" line on stderr and
+# changes nothing else: stdout is byte-identical to a run without it.
+nojref="$work/nojournal-ref.out"
+nojout="$work/nojournal.out"
+nojerr="$work/nojournal.err"
+dune exec bin/crcheck.exe -- verify dijkstra3 -n 3 > "$nojref" 2> /dev/null
+CR_JOURNAL="$work/missing/dir/x.jsonl" dune exec bin/crcheck.exe -- \
+  verify dijkstra3 -n 3 > "$nojout" 2> "$nojerr"
+[ "$(grep -c '^cr-obs: journal: ' "$nojerr")" = 1 ] && cmp -s "$nojref" "$nojout" || {
+  echo "ci: an unwritable CR_JOURNAL must warn once and change no output" >&2
+  cat "$nojerr" >&2
+  exit 1
+}
+
+# The validator's gates bite: each malformed artifact kind exits 1.
+printf '[]\n' > "$work/empty.trace"
+printf '{"ev":"journal.open","seq":0,"rev":"x","jobs":1}\n' > "$work/header.jsonl"
+printf '{"a": [1,\n' > "$work/truncated.json"
+for bad in "trace $work/empty.trace" "journal $work/header.jsonl" \
+           "json $work/truncated.json"; do
+  rc=0; dune exec bin/crcheck.exe -- validate $bad > /dev/null 2>&1 || rc=$?
+  [ "$rc" = 1 ] || { echo "ci: validate $bad exited $rc, want 1" >&2; exit 1; }
+done
 
 # Pool-shutdown smoke: a CR_JOBS=4 run spawns the persistent worker pool;
 # the at_exit hook must join every domain, so the process exits promptly
@@ -216,7 +241,7 @@ bash scenario_bench/run.sh --check
 
 # The committed benchmark artifact must stay well-formed JSON and carry
 # the space-engine head-to-head rows plus the jobs-scaling matrix.
-dune exec bin/trace_lint.exe -- --json-only BENCH.json
+dune exec bin/crcheck.exe -- validate json BENCH.json
 for row in space-dense-compile-rw-n3 space-sparse-compile-rw-n3 \
            space-dense-refine-rw-n3 space-sparse-refine-rw-n3 \
            classify-seq-dijkstra3-n6 compile-seq-dijkstra3-n7 \
@@ -237,7 +262,7 @@ dune exec bin/crcheck.exe -- perfdiff BENCH.json BENCH.json > /dev/null
 if [ "${CI_BENCH:-0}" = "1" ]; then
   fresh="$work/bench.json"
   dune exec bench/main.exe -- --json "$fresh" > /dev/null
-  dune exec bin/trace_lint.exe -- --json-only "$fresh"
+  dune exec bin/crcheck.exe -- validate json "$fresh"
   dune exec bin/crcheck.exe -- perfdiff --gate 100 BENCH.json "$fresh"
 fi
 

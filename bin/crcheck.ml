@@ -8,6 +8,7 @@
      crcheck lint SYSTEM|--all [-n N]    static analysis of the programs
      crcheck flow SYSTEM|--all [-n N]    abstract interpretation + stair
      crcheck perfdiff A.json B.json      noise-aware bench regression gate
+     crcheck validate KIND FILE          check a json/trace/journal artifact
 *)
 
 open Cmdliner
@@ -64,12 +65,14 @@ let refusing_too_large f =
 
 (* Unknown systems are a usage error: report on stderr and exit 2, so
    piped stdout (tables, --json artifacts) stays clean. *)
+let unknown_system name =
+  Format.eprintf "unknown system %S; try: %s@." name
+    (String.concat ", " (Cr_experiments.Registry.names ()));
+  2
+
 let with_entry name f =
   match Cr_experiments.Registry.find name with
-  | None ->
-      Format.eprintf "unknown system %S; try: %s@." name
-        (String.concat ", " (Cr_experiments.Registry.names ()));
-      2
+  | None -> unknown_system name
   | Some e -> refusing_too_large (fun () -> f e)
 
 (* ---- list ---- *)
@@ -316,81 +319,86 @@ let spans_cmd =
        ~doc:"Fault-span analysis: recovery cost vs number of faults")
     Term.(const spans $ system_arg $ n_arg)
 
-(* ---- lint ---- *)
+(* ---- lint / flow ---- *)
 
-let lint name all n json stats =
+(* The static audits share one driver: SYSTEM or --all selects the rows,
+   [report] prints them and returns the exit code, then the --json
+   artifact (validated before it is written) and the --stats cost. *)
+let audit cmd ~name ~all ~stats ~json ~audit_all ~audit_entry ~to_json report =
   if stats then Cr_obs.Obs.force_enable ();
-  let audit_rows () =
+  let before = if stats then Some (Cr_obs.Obs.merged_snapshot ()) else None in
+  let rows =
     match (all, name) with
-    | true, None -> Ok (Cr_experiments.Lint_exps.audit ~n ())
+    | true, None -> Ok (audit_all ())
     | false, Some name -> (
         match Cr_experiments.Registry.find name with
-        | Some e -> Ok [ Cr_experiments.Lint_exps.audit_entry ~n e ]
-        | None ->
-            Format.eprintf "unknown system %S; try: %s@." name
-              (String.concat ", " (Cr_experiments.Registry.names ()));
-            Error 2)
+        | Some e -> Ok [ audit_entry e ]
+        | None -> Error (unknown_system name))
     | true, Some _ | false, None ->
-        Format.eprintf "lint: give exactly one of SYSTEM or --all@.";
+        Format.eprintf "%s: give exactly one of SYSTEM or --all@." cmd;
         Error 2
   in
-  let before = if stats then Some (Cr_obs.Obs.merged_snapshot ()) else None in
-  match audit_rows () with
+  match rows with
   | Error rc -> rc
   | Ok rows ->
-      List.iter
-        (fun row ->
-          List.iter
-            (fun f ->
-              pf "%a@." Cr_lint.Lint.pp_finding f;
-              Cr_obs.Journal.emit "lint.finding"
-                [
-                  ( "system",
-                    Cr_obs.Journal.S
-                      row.Cr_experiments.Lint_exps.entry
-                        .Cr_experiments.Registry.name );
-                  ("check", Cr_obs.Journal.S f.Cr_lint.Lint.key);
-                  ( "severity",
-                    Cr_obs.Journal.S
-                      (Cr_lint.Lint.severity_string f.Cr_lint.Lint.severity) );
-                  ( "provenance",
-                    Cr_obs.Journal.S
-                      (Cr_lint.Lint.provenance_string f.Cr_lint.Lint.provenance)
-                  );
-                  ("program", Cr_obs.Journal.S f.Cr_lint.Lint.program);
-                  ("action", Cr_obs.Journal.S f.Cr_lint.Lint.action);
-                ])
-            row.Cr_experiments.Lint_exps.report.Cr_lint.Lint.findings)
-        rows;
-      let errors = Cr_experiments.Lint_exps.total_errors rows in
-      let findings =
-        List.fold_left
-          (fun acc r ->
-            acc
-            + List.length r.Cr_experiments.Lint_exps.report.Cr_lint.Lint.findings)
-          0 rows
-      in
-      pf "lint: %d system(s), %d finding(s), %d error(s)@." (List.length rows)
-        findings errors;
-      (match json with
-      | None -> ()
-      | Some path ->
-          let body = Cr_experiments.Lint_exps.to_json ~n rows in
+      let rc = report rows in
+      Option.iter
+        (fun path ->
+          let body = to_json rows in
           (match Cr_obs.Json_check.validate_string body with
           | Ok () -> ()
           | Error msg ->
-              Format.eprintf "lint: internal error: --json artifact invalid: %s@." msg;
+              Format.eprintf "%s: internal error: --json artifact invalid: %s@."
+                cmd msg;
               exit 3);
           let oc = open_out path in
           output_string oc body;
           close_out oc;
-          pf "wrote %s@." path);
-      (match before with
-      | Some before ->
-          pp_cost "lint"
-            (Some (Cr_obs.Obs.diff ~before ~after:(Cr_obs.Obs.merged_snapshot ())))
-      | None -> ());
-      if errors > 0 then 1 else 0
+          pf "wrote %s@." path)
+        json;
+      Option.iter
+        (fun before ->
+          let after = Cr_obs.Obs.merged_snapshot () in
+          pp_cost cmd (Some (Cr_obs.Obs.diff ~before ~after)))
+        before;
+      rc
+
+(* One journal line per finding, [lint.finding] or [flow.finding]. *)
+let finding_event ev system (f : Cr_lint.Lint.finding) =
+  let open Cr_obs.Obs in
+  event ev
+    [
+      ("system", S system);
+      ("check", S f.key);
+      ("severity", S (Cr_lint.Lint.severity_string f.severity));
+      ("provenance", S (Cr_lint.Lint.provenance_string f.provenance));
+      ("program", S f.program);
+      ("action", S f.action);
+    ]
+
+let lint name all n json stats =
+  let module L = Cr_experiments.Lint_exps in
+  audit "lint" ~name ~all ~stats ~json
+    ~audit_all:(fun () -> L.audit ~n ())
+    ~audit_entry:(L.audit_entry ~n) ~to_json:(L.to_json ~n)
+  @@ fun rows ->
+  List.iter
+    (fun (row : L.row) ->
+      List.iter
+        (fun f ->
+          pf "%a@." Cr_lint.Lint.pp_finding f;
+          finding_event "lint.finding" row.entry.Cr_experiments.Registry.name f)
+        row.report.Cr_lint.Lint.findings)
+    rows;
+  let errors = L.total_errors rows in
+  let findings =
+    List.fold_left
+      (fun acc (r : L.row) -> acc + List.length r.report.Cr_lint.Lint.findings)
+      0 rows
+  in
+  pf "lint: %d system(s), %d finding(s), %d error(s)@." (List.length rows)
+    findings errors;
+  if errors > 0 then 1 else 0
 
 let lint_cmd =
   let system_opt =
@@ -491,110 +499,46 @@ let flow_check_exact (row : Cr_experiments.Flow_exps.row) =
   end
 
 let flow_run name all n json stats check_exact =
-  if stats then Cr_obs.Obs.force_enable ();
-  let audit_rows () =
-    match (all, name) with
-    | true, None -> Ok (Cr_experiments.Flow_exps.audit ~n ())
-    | false, Some name -> (
-        match Cr_experiments.Registry.find name with
-        | Some e -> Ok [ Cr_experiments.Flow_exps.audit_entry ~n e ]
-        | None ->
-            Format.eprintf "unknown system %S; try: %s@." name
-              (String.concat ", " (Cr_experiments.Registry.names ()));
-            Error 2)
-    | true, Some _ | false, None ->
-        Format.eprintf "flow: give exactly one of SYSTEM or --all@.";
-        Error 2
+  let module F = Cr_experiments.Flow_exps in
+  audit "flow" ~name ~all ~stats ~json
+    ~audit_all:(fun () -> F.audit ~n ())
+    ~audit_entry:(F.audit_entry ~n) ~to_json:(F.to_json ~n)
+  @@ fun rows ->
+  List.iter
+    (fun (row : F.row) ->
+      let fl = row.flow and system = row.entry.Cr_experiments.Registry.name in
+      pf "%a" F.pp_row row;
+      (let open Cr_obs.Obs in
+       event "flow.report"
+         [
+           ("system", S system);
+           ("program", S (Cr_guarded.Program.name fl.Cr_flow.Flow.program));
+           ("degraded", B fl.degraded);
+           ("errors", I (Cr_flow.Flow.errors fl));
+           ("findings", I (List.length fl.findings));
+           ( "stair_depth",
+             I (Option.fold ~none:0 ~some:Cr_flow.Rank.depth row.rank) );
+         ]);
+      List.iter (finding_event "flow.finding" system) fl.findings)
+    rows;
+  let errors = F.total_errors rows in
+  let findings =
+    List.fold_left
+      (fun acc (r : F.row) -> acc + List.length r.flow.Cr_flow.Flow.findings)
+      0 rows
   in
-  let before = if stats then Some (Cr_obs.Obs.merged_snapshot ()) else None in
-  match audit_rows () with
-  | Error rc -> rc
-  | Ok rows ->
-      List.iter
-        (fun (row : Cr_experiments.Flow_exps.row) ->
-          let fl = row.Cr_experiments.Flow_exps.flow in
-          pf "%a" Cr_experiments.Flow_exps.pp_row row;
-          Cr_obs.Journal.emit "flow.report"
-            [
-              ( "system",
-                Cr_obs.Journal.S
-                  row.Cr_experiments.Flow_exps.entry.Cr_experiments.Registry.name
-              );
-              ( "program",
-                Cr_obs.Journal.S (Cr_guarded.Program.name fl.Cr_flow.Flow.program)
-              );
-              ("degraded", Cr_obs.Journal.B fl.Cr_flow.Flow.degraded);
-              ("errors", Cr_obs.Journal.I (Cr_flow.Flow.errors fl));
-              ( "findings",
-                Cr_obs.Journal.I (List.length fl.Cr_flow.Flow.findings) );
-              ( "stair_depth",
-                Cr_obs.Journal.I
-                  (match row.Cr_experiments.Flow_exps.rank with
-                  | None -> 0
-                  | Some rk -> Cr_flow.Rank.depth rk) );
-            ];
-          List.iter
-            (fun (f : Cr_lint.Lint.finding) ->
-              Cr_obs.Journal.emit "flow.finding"
-                [
-                  ( "system",
-                    Cr_obs.Journal.S
-                      row.Cr_experiments.Flow_exps.entry
-                        .Cr_experiments.Registry.name );
-                  ("check", Cr_obs.Journal.S f.Cr_lint.Lint.key);
-                  ( "severity",
-                    Cr_obs.Journal.S
-                      (Cr_lint.Lint.severity_string f.Cr_lint.Lint.severity) );
-                  ( "provenance",
-                    Cr_obs.Journal.S
-                      (Cr_lint.Lint.provenance_string f.Cr_lint.Lint.provenance)
-                  );
-                  ("program", Cr_obs.Journal.S f.Cr_lint.Lint.program);
-                  ("action", Cr_obs.Journal.S f.Cr_lint.Lint.action);
-                ])
-            fl.Cr_flow.Flow.findings)
-        rows;
-      let errors = Cr_experiments.Flow_exps.total_errors rows in
-      let findings =
-        List.fold_left
-          (fun acc (r : Cr_experiments.Flow_exps.row) ->
-            acc
-            + List.length
-                r.Cr_experiments.Flow_exps.flow.Cr_flow.Flow.findings)
-          0 rows
-      in
-      let disagreements =
-        if check_exact then List.concat_map flow_check_exact rows else []
-      in
-      List.iter
-        (fun msg -> Format.eprintf "flow: exact disagreement: %s@." msg)
-        disagreements;
-      pf "flow: %d system(s), %d finding(s), %d error(s)%s@."
-        (List.length rows) findings errors
-        (if check_exact then
-           Printf.sprintf ", %d exact disagreement(s)"
-             (List.length disagreements)
-         else "");
-      (match json with
-      | None -> ()
-      | Some path ->
-          let body = Cr_experiments.Flow_exps.to_json ~n rows in
-          (match Cr_obs.Json_check.validate_string body with
-          | Ok () -> ()
-          | Error msg ->
-              Format.eprintf "flow: internal error: --json artifact invalid: %s@."
-                msg;
-              exit 3);
-          let oc = open_out path in
-          output_string oc body;
-          close_out oc;
-          pf "wrote %s@." path);
-      (match before with
-      | Some before ->
-          pp_cost "flow"
-            (Some (Cr_obs.Obs.diff ~before ~after:(Cr_obs.Obs.merged_snapshot ())))
-      | None -> ());
-      if errors > 0 || disagreements <> [] then 1 else 0
+  let disagreements =
+    if check_exact then List.concat_map flow_check_exact rows else []
+  in
+  List.iter
+    (fun msg -> Format.eprintf "flow: exact disagreement: %s@." msg)
+    disagreements;
+  pf "flow: %d system(s), %d finding(s), %d error(s)%s@." (List.length rows)
+    findings errors
+    (if check_exact then
+       Printf.sprintf ", %d exact disagreement(s)" (List.length disagreements)
+     else "");
+  if errors > 0 || disagreements <> [] then 1 else 0
 
 let flow_cmd =
   let system_opt =
@@ -664,6 +608,123 @@ let perfdiff_cmd =
           when any trusted row regresses past the gate")
     Term.(const run $ base_arg $ next_arg $ gate_arg)
 
+(* ---- validate ---- *)
+
+exception Invalid of string
+
+(* Artifact validation without a JSON dependency: [json] checks
+   well-formedness only (lint/flow/bench --json artifacts); [trace] also
+   wants at least one "ph":"X" span event; [journal] wants every line to
+   be an object stamped with ev/seq/rev/jobs, unique seqs, a
+   journal.open header at seq 0 followed by at least one event, and an
+   event matching each --expect prefix.  Exit 0 when valid, 1 if not. *)
+let validate kind path expects =
+  let module J = Cr_obs.Json_check in
+  let invalid fmt = Printf.ksprintf (fun msg -> raise (Invalid msg)) fmt in
+  let seqs = Hashtbl.create 256 in
+  let journal_line lineno line =
+    let j =
+      match J.parse_string line with
+      | Ok (J.Obj _ as j) -> j
+      | Ok _ -> invalid "line %d: not a JSON object" lineno
+      | Error msg -> invalid "line %d: invalid JSON: %s" lineno msg
+    in
+    let str k = Option.bind (J.member k j) J.to_string in
+    let int_ k = Option.bind (J.member k j) J.to_int in
+    match (str "ev", int_ "seq") with
+    | None, _ -> invalid "line %d: missing \"ev\"" lineno
+    | _, None -> invalid "line %d: missing integer \"seq\"" lineno
+    | Some ev, Some seq ->
+        if str "rev" = None || int_ "jobs" = None then
+          invalid "line %d: missing provenance (\"rev\"/\"jobs\")" lineno;
+        if Hashtbl.mem seqs seq then
+          invalid "line %d: duplicate seq %d" lineno seq;
+        Hashtbl.add seqs seq ();
+        (seq, ev)
+  in
+  let check () =
+    if not (Sys.file_exists path) then invalid "no such file";
+    if expects <> [] && kind <> `Journal then
+      invalid "--expect applies to journal files only";
+    let body = In_channel.with_open_bin path In_channel.input_all in
+    match kind with
+    | `Json | `Trace -> (
+        match (kind, J.parse_string body) with
+        | _, Error msg -> invalid "invalid JSON: %s" msg
+        | `Trace, Ok (J.Arr evs) ->
+            let spans =
+              List.filter (fun e -> J.member "ph" e = Some (J.Str "X")) evs
+            in
+            if spans = [] then invalid "no span events";
+            Printf.sprintf "%d span event(s), %d byte(s)" (List.length spans)
+              (String.length body)
+        | `Trace, Ok _ -> invalid "not a trace-event array"
+        | _, Ok _ -> "well-formed JSON")
+    | `Journal ->
+        let events =
+          List.concat
+            (List.mapi
+               (fun i line ->
+                 if String.trim line = "" then []
+                 else [ journal_line (i + 1) line ])
+               (String.split_on_char '\n' body))
+        in
+        (match events with
+        | [] -> invalid "empty journal"
+        | (seq0, ev0) :: rest ->
+            if not (seq0 = 0 && ev0 = "journal.open") then
+              invalid "first event is %S at seq %d, want journal.open at seq 0"
+                ev0 seq0;
+            if rest = [] then invalid "header only, no events recorded");
+        let evs = List.sort compare (List.map snd events) in
+        List.iter
+          (fun prefix ->
+            if not (List.exists (String.starts_with ~prefix) evs) then
+              invalid "no event matching prefix %S" prefix)
+          expects;
+        let tally ev =
+          Printf.sprintf "%s=%d" ev (List.length (List.filter (( = ) ev) evs))
+        in
+        Printf.sprintf "%d event(s): %s" (List.length evs)
+          (String.concat ", " (List.map tally (List.sort_uniq compare evs)))
+  in
+  match check () with
+  | summary ->
+      pf "validate: %s OK (%s)@." path summary;
+      0
+  | exception Invalid msg ->
+      Format.eprintf "validate: %s: %s@." path msg;
+      1
+
+let validate_cmd =
+  let kind_arg =
+    let kinds = [ ("json", `Json); ("trace", `Trace); ("journal", `Journal) ] in
+    Arg.(
+      required
+      & pos 0 (some (enum kinds)) None
+      & info [] ~docv:"KIND"
+          ~doc:"Artifact kind: $(b,json), $(b,trace) or $(b,journal).")
+  in
+  let file_arg =
+    Arg.(
+      required
+      & pos 1 (some string) None
+      & info [] ~docv:"FILE" ~doc:"Artifact to check.")
+  in
+  let expect_arg =
+    Arg.(
+      value & opt_all string []
+      & info [ "expect" ] ~docv:"PREFIX"
+          ~doc:"Journal only: require an event whose $(b,ev) starts with \
+                PREFIX.")
+  in
+  Cmd.v
+    (Cmd.info "validate"
+       ~doc:
+         "Validate a --json artifact, a CR_TRACE export or a CR_JOURNAL run \
+          journal; exits 1 when FILE is malformed")
+    Term.(const validate $ kind_arg $ file_arg $ expect_arg)
+
 (* ---- experiments ---- *)
 
 let experiments_cmd =
@@ -685,6 +746,6 @@ let experiments_cmd =
 let main =
   let doc = "model checking and refinement checking for Convergence Refinement" in
   let info = Cmd.info "crcheck" ~version:"1.0.0" ~doc in
-  Cmd.group info [ list_cmd; verify_cmd; refine_cmd; trace_cmd; kstate_cmd; spans_cmd; dot_cmd; lint_cmd; flow_cmd; perfdiff_cmd; experiments_cmd ]
+  Cmd.group info [ list_cmd; verify_cmd; refine_cmd; trace_cmd; kstate_cmd; spans_cmd; dot_cmd; lint_cmd; flow_cmd; perfdiff_cmd; validate_cmd; experiments_cmd ]
 
 let () = exit (Cmd.eval' main)

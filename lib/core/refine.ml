@@ -355,28 +355,12 @@ let make_report ~relation ~c ~a ~stats failures =
     cost = None;
   }
 
-(* Run one checker under a named span and attach the movement of this
-   domain's counters — plus the gc.* allocation delta of this domain —
-   to the verdict.  Both deltas are domain-local, so they are
-   deterministic even when sibling checks run on other domains (the GC
-   entries price only this domain's own allocations). *)
+(* Run one checker under a named span and attach its domain-local
+   counter and allocation cost ([Obs.domain_cost]) to the verdict. *)
 let with_cost span_name f =
   Cr_obs.Obs.span span_name @@ fun () ->
-  if not (Cr_obs.Obs.tracking ()) then f ()
-  else begin
-    let before = Cr_obs.Obs.domain_snapshot () in
-    let gc_before = Cr_obs.Obs.gc_now () in
-    let report = f () in
-    let gc_after = Cr_obs.Obs.gc_now () in
-    let after = Cr_obs.Obs.domain_snapshot () in
-    let cost =
-      Cr_obs.Obs.merge_snapshots
-        (Cr_obs.Obs.diff ~before ~after)
-        (Cr_obs.Obs.gc_cost_entries
-           (Cr_obs.Obs.gc_delta ~before:gc_before ~after:gc_after))
-    in
-    { report with cost = Some cost }
-  end
+  let report, cost = Cr_obs.Obs.domain_cost f in
+  { report with cost }
 
 (* Verdict memo shared by all four relations: the key covers the
    relation tag, both systems (names, exact transition structure,
@@ -396,26 +380,19 @@ let resolve_alpha ~c = function
    the checker (under CR_CACHE_PARANOID the paranoid re-check makes a
    hit look fresh — the honest reading, since the work was done). *)
 let emit_verdict ~was_cached (r : report) =
-  if Cr_obs.Journal.enabled () then begin
-    let open Cr_obs.Journal in
-    let fields =
-      [
-        ("relation", S r.relation);
-        ("concrete", S r.concrete);
-        ("abstract", S r.abstract);
-        ("holds", B r.holds);
-        ("edges", I r.stats.edges);
-        ("failures", I r.total_failures);
-        ("cached", B was_cached);
-      ]
-    in
-    let fields =
-      match r.cost with
-      | Some snap -> fields @ [ ("cost", Snap snap) ]
-      | None -> fields
-    in
-    emit "refine.verdict" fields
-  end
+  if Cr_obs.Obs.tracking () then
+    let open Cr_obs.Obs in
+    event "refine.verdict"
+      ([
+         ("relation", S r.relation);
+         ("concrete", S r.concrete);
+         ("abstract", S r.abstract);
+         ("holds", B r.holds);
+         ("edges", I r.stats.edges);
+         ("failures", I r.total_failures);
+         ("cached", B was_cached);
+       ]
+      @ match r.cost with Some snap -> [ ("cost", Snap snap) ] | None -> [])
 
 let cached ~relation ~alpha ~fair ~c ~a check =
   let r, ran =

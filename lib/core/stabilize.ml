@@ -133,13 +133,7 @@ let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
   let stutter_ok =
     match stutter with `Allow -> true | `Forbid -> false
   in
-  let check () =
-    Cr_obs.Obs.span "stabilize.check" @@ fun () ->
-    let cost_before =
-      if Cr_obs.Obs.tracking () then
-        Some (Cr_obs.Obs.domain_snapshot (), Cr_obs.Obs.gc_now ())
-      else None
-    in
+  let run () =
     let legit = Cr_checker.Reach.reachable_from_initial a in
     let in_legit ai = ai >= 0 && Cr_kernel.Bitset.get legit ai in
     let n = Explicit.num_states c in
@@ -278,18 +272,13 @@ let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
       bad_cycle = cycle;
       bad_terminal = terminal_outside;
       good_mask = Cr_kernel.Bitset.to_bool_array good;
-      cost =
-        Option.map
-          (fun (before, gc_before) ->
-            (* counter movement plus gc.* allocation delta, both
-               domain-local (see [Refine.with_cost]) *)
-            Cr_obs.Obs.merge_snapshots
-              (Cr_obs.Obs.diff ~before ~after:(Cr_obs.Obs.domain_snapshot ()))
-              (Cr_obs.Obs.gc_cost_entries
-                 (Cr_obs.Obs.gc_delta ~before:gc_before
-                    ~after:(Cr_obs.Obs.gc_now ()))))
-          cost_before;
+      cost = None;
     }
+  in
+  let check () =
+    Cr_obs.Obs.span "stabilize.check" @@ fun () ->
+    let r, cost = Cr_obs.Obs.domain_cost run in
+    { r with cost }
   in
   let r, ran =
     Cr_kernel.Memo.find memo
@@ -299,31 +288,22 @@ let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
           ~alpha ~fair ~c ~a)
       ~same:same_report check
   in
-  (if Cr_obs.Journal.enabled () then begin
-     let open Cr_obs.Journal in
-     let fields =
-       [
-         ("concrete", S r.concrete);
-         ("abstract", S r.abstract);
-         ("holds", B r.holds);
-         ("states", I r.states);
-         ("legitimate", I r.legitimate);
-         ("good", I r.good);
-         ("cached", B (not ran));
-       ]
-     in
-     let fields =
-       match r.worst_case_recovery with
-       | Some w -> fields @ [ ("worst_case_recovery", I w) ]
-       | None -> fields
-     in
-     let fields =
-       match r.cost with
-       | Some snap -> fields @ [ ("cost", Snap snap) ]
-       | None -> fields
-     in
-     emit "stabilize.verdict" fields
-   end);
+  (if Cr_obs.Obs.tracking () then
+     let open Cr_obs.Obs in
+     event "stabilize.verdict"
+       ([
+          ("concrete", S r.concrete);
+          ("abstract", S r.abstract);
+          ("holds", B r.holds);
+          ("states", I r.states);
+          ("legitimate", I r.legitimate);
+          ("good", I r.good);
+          ("cached", B (not ran));
+        ]
+       @ (match r.worst_case_recovery with
+         | Some w -> [ ("worst_case_recovery", I w) ]
+         | None -> [])
+       @ match r.cost with Some snap -> [ ("cost", Snap snap) ] | None -> []));
   r
 
 (* Self-stabilization: A is stabilizing to A. *)

@@ -336,35 +336,24 @@ let table_mutex ns =
 
 (* ---------- cost appendix (CR_STATS) ---------- *)
 
-(* Wrap one table in a [report.<id>] span and record its wall time plus
-   the movement of the merged telemetry counters and of this domain's GC
-   allocation counters.  Each table joins its [Par] workers before
-   returning, so the merged before/after snapshots are race-free and
-   their delta is the table's own cost; the GC delta prices only the
-   main domain's allocations (worker-domain words are not summed).
-   With a journal configured the table also lands as one [report.table]
-   event, even when counter tracking is off. *)
+(* Wrap one table in a [report.<id>] span and, when tracking, record
+   its wall time (the span's own) plus the movement of the merged
+   telemetry counters and of this domain's GC allocation counters.  Each
+   table joins its [Par] workers before returning, so the merged
+   before/after snapshots are race-free and their delta is the table's
+   own cost; the GC delta prices only the main domain's allocations
+   (worker-domain words are not summed). *)
 let run_table appendix id f =
-  let tracking = Cr_obs.Obs.tracking () in
-  if not (tracking || Cr_obs.Journal.enabled ()) then f ()
+  if not (Cr_obs.Obs.tracking ()) then f ()
   else begin
-    let before =
-      if tracking then Some (Cr_obs.Obs.merged_snapshot (), Cr_obs.Obs.gc_now ())
-      else None
-    in
-    let t0 = Unix.gettimeofday () in
+    let snap = Cr_obs.Obs.merged_snapshot () in
+    let gc = Cr_obs.Obs.gc_now () in
     Cr_obs.Obs.span ("report." ^ id) f;
-    let wall_ms = 1e3 *. (Unix.gettimeofday () -. t0) in
-    (match before with
-    | Some (snap, gc) ->
-        let delta =
-          Cr_obs.Obs.diff ~before:snap ~after:(Cr_obs.Obs.merged_snapshot ())
-        in
-        let gcd = Cr_obs.Obs.gc_delta ~before:gc ~after:(Cr_obs.Obs.gc_now ()) in
-        appendix := (id, wall_ms, delta, gcd) :: !appendix
-    | None -> ());
-    Cr_obs.Journal.emit "report.table"
-      [ ("id", Cr_obs.Journal.S id); ("wall_ms", Cr_obs.Journal.F wall_ms) ]
+    let delta =
+      Cr_obs.Obs.diff ~before:snap ~after:(Cr_obs.Obs.merged_snapshot ())
+    in
+    let gcd = Cr_obs.Obs.gc_delta ~before:gc ~after:(Cr_obs.Obs.gc_now ()) in
+    appendix := (id, Cr_obs.Obs.last_span_us () /. 1e3, delta, gcd) :: !appendix
   end
 
 let top_counters ?(limit = 4) (delta : Cr_obs.Obs.snapshot) =

@@ -135,23 +135,6 @@ let rank_checked ~name layout s' =
   let j = Layout.checked_rank layout s' in
   if j >= 0 then j else raise (escape_error ~name ~layout s')
 
-(* Telemetry satellite of the two-engine compile path: which engine
-   built the graph and how much of the product space it materialized.
-   Emitted by both engines, between the compile.start/finish pair of
-   every compile that actually runs. *)
-let emit_space ~name ~engine ~states ~full =
-  Cr_obs.Journal.emit "compile.space"
-    [
-      ("name", Cr_obs.Journal.S name);
-      ("engine", Cr_obs.Journal.S (Space.engine_name engine));
-      ("states", Cr_obs.Journal.I states);
-      ("full", Cr_obs.Journal.I full);
-      ( "ratio",
-        Cr_obs.Journal.F
-          (if full = 0 then 1.0 else float_of_int states /. float_of_int full)
-      );
-    ]
-
 (* Per-chunk successor-key emitter shared by both engines: guard test,
    effect, checked rank — no firing lists, no per-state rows.  [i] is
    the state's own dense rank, so dropping [j = i] is exactly the no-op
@@ -222,14 +205,9 @@ let dense_space layout =
 let compile_fresh ~mode t =
   let layout = t.layout in
   let name = mode_name ~mode t in
-  let n = Layout.num_states layout in
-  let e =
-    Cr_semantics.Explicit.of_space ~name ~space:(dense_space layout)
-      ~step:(step_keys ~mode t) ~is_initial:t.initial
-      ~pp_state:(Layout.pp_state layout)
-  in
-  emit_space ~name ~engine:Space.Dense ~states:n ~full:n;
-  e
+  Cr_semantics.Explicit.of_space ~name ~space:(dense_space layout)
+    ~step:(step_keys ~mode t) ~is_initial:t.initial
+    ~pp_state:(Layout.pp_state layout)
 
 (* Sorted dense ranks of the program's initial states: the BFS roots of
    the sparse engine, and part of its cache key (a sparse graph depends
@@ -266,23 +244,16 @@ let seed_ranks t =
 let compile_sparse ~mode t ~seed_ranks:seeds =
   let layout = t.layout in
   let name = mode_name ~mode t in
-  let full = Layout.num_states layout in
   let sparse =
     Space.discover ~state_of_key:(Layout.unrank layout)
       ~key_of_state:(Layout.checked_rank layout)
       ~step:(step_keys ~mode t) ~seed_keys:seeds ()
   in
   let rows = sparse.Space.rows in
-  let e =
-    Cr_semantics.Explicit.of_space ~name ~space:sparse.Space.space
-      ~step:(fun () _ i emit -> Array.iter emit rows.(i))
-      ~is_initial:t.initial
-      ~pp_state:(Layout.pp_state layout)
-  in
-  emit_space ~name ~engine:Space.Sparse
-    ~states:(Cr_semantics.Explicit.num_states e)
-    ~full;
-  e
+  Cr_semantics.Explicit.of_space ~name ~space:sparse.Space.space
+    ~step:(fun () _ i emit -> Array.iter emit rows.(i))
+    ~is_initial:t.initial
+    ~pp_state:(Layout.pp_state layout)
 
 (* How many states the semantic fingerprint probe samples.  Systems at
    most this big are keyed by their complete transition semantics
@@ -419,21 +390,18 @@ let compile ~mode ~space t =
           fun () -> compile_sparse ~mode t ~seed_ranks:seeds )
   in
   let key = lazy (key ()) in
+  (* one [compile] span per compile that runs: which engine built the
+     graph, and how much of the product space ([full]) it holds *)
   let compile () =
-    let open Cr_obs.Journal in
-    let journal = enabled () in
-    if journal then emit "compile.start" [ ("key", S (Lazy.force key)) ];
-    let t0 = Cr_obs.Obs.now_us () in
-    let e = compile () in
-    if journal then
-      emit "compile.finish"
+    Cr_obs.Obs.span "compile" compile ~fields:(fun e ->
+        let open Cr_obs.Obs in
         [
           ("key", S (Lazy.force key));
+          ("engine", S (Space.engine_name space));
           ("states", I (E.num_states e));
           ("transitions", I (E.num_transitions e));
-          ("wall_us", F (Cr_obs.Obs.now_us () -. t0));
-        ];
-    e
+          ("full", I (Layout.num_states t.layout));
+        ])
   in
   (* paranoid mode: the re-targeted cached graph must equal a fresh
      compile, transitions and initial states alike *)

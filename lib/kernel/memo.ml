@@ -110,6 +110,13 @@ let paranoid () =
   | None | Some "" | Some "0" -> false
   | Some _ -> true
 
+(* A hit or a miss: one counter tick, and one journal line naming the key. *)
+let note c ev key =
+  if Cr_obs.Obs.tracking () then begin
+    Cr_obs.Obs.incr c;
+    Cr_obs.Obs.event ev [ ("key", Cr_obs.Obs.S key) ]
+  end
+
 let find t ~key ~same f =
   if not (enabled ()) then (f (), true)
   else begin
@@ -135,12 +142,11 @@ let find t ~key ~same f =
     | Some t0 ->
         let waited = Cr_obs.Obs.now_us () -. t0 in
         Cr_obs.Obs.observe s.wait (int_of_float waited);
-        Cr_obs.Journal.emit s.ev_wait
-          [ ("key", Cr_obs.Journal.S key); ("wait_us", Cr_obs.Journal.F waited) ]);
+        Cr_obs.Obs.event s.ev_wait
+          [ ("key", Cr_obs.Obs.S key); ("wait_us", Cr_obs.Obs.F waited) ]);
     match outcome with
     | `Hit v ->
-        Cr_obs.Obs.incr s.hits;
-        Cr_obs.Journal.emit s.ev_hit [ ("key", Cr_obs.Journal.S key) ];
+        note s.hits s.ev_hit key;
         if paranoid () then begin
           let fresh = f () in
           if not (same v fresh) then
@@ -153,8 +159,7 @@ let find t ~key ~same f =
         end
         else (v, false)
     | `Miss -> (
-        Cr_obs.Obs.incr s.misses;
-        Cr_obs.Journal.emit s.ev_miss [ ("key", Cr_obs.Journal.S key) ];
+        note s.misses s.ev_miss key;
         match f () with
         | v ->
             Mutex.protect t.m (fun () ->

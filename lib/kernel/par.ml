@@ -41,26 +41,6 @@ let c_task_items = Cr_obs.Obs.counter "par.task.items"
 let c_task_sequential = Cr_obs.Obs.counter "par.task.sequential"
 let c_task_capped = Cr_obs.Obs.counter "par.task.capped"
 
-(* A malformed CR_JOBS used to fall through silently to 1; it still does,
-   but now says so once (per process) on stderr. *)
-let warned_bad_jobs = Atomic.make false
-
-let jobs_env () =
-  match Sys.getenv_opt "CR_JOBS" with
-  | None -> 1
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some 0 -> Domain.recommended_domain_count ()
-      | Some k when k >= 1 -> k
-      | Some _ | None ->
-          if not (Atomic.exchange warned_bad_jobs true) then
-            Printf.eprintf
-              "cr-par: ignoring invalid CR_JOBS=%s (want an integer >= 0); \
-               running sequentially\n\
-               %!"
-              s;
-          1)
-
 (* Small-work cutoff: a parallel map over fewer items than this runs
    sequentially on the calling domain — the tiny Report-table sweeps at
    N <= 3 finish faster than a pool handoff costs. *)
@@ -112,7 +92,7 @@ let current_jobs () =
   else
     match Domain.DLS.get override with
     | Some k -> max 1 k
-    | None -> jobs_env ()
+    | None -> Cr_obs.Obs.jobs_env ()
 
 let with_jobs k f =
   let saved = Domain.DLS.get override in
@@ -261,12 +241,8 @@ let ensure_workers pool k =
       at_exit shutdown_pool;
     Cr_obs.Obs.add c_pool_spawned !grew;
     Cr_obs.Obs.record_max c_pool_size pool.size;
-    if Cr_obs.Journal.enabled () then
-      Cr_obs.Journal.emit "par.pool.spawn"
-        [
-          ("workers", Cr_obs.Journal.I pool.size);
-          ("grew_by", Cr_obs.Journal.I !grew);
-        ]
+    Cr_obs.Obs.event "par.pool.spawn"
+      [ ("workers", Cr_obs.Obs.I pool.size); ("grew_by", Cr_obs.Obs.I !grew) ]
   end
 
 (* One fan-out: install the task, wake the workers, join in, wait for

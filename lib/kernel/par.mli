@@ -30,14 +30,10 @@
     explicit-state compiler chunks state spaces across domains) and
     [Cr_checker] (whose sweep kernels fan out the same way). *)
 
-val jobs_env : unit -> int
-(** Parsed value of [CR_JOBS]; 1 when unset, the recommended domain
-    count when set to 0.  A malformed or negative value also yields 1,
-    with a one-line warning on stderr (printed once per process). *)
-
 val current_jobs : unit -> int
 (** The job count a parameterless {!map} would use right now: 1 inside a
-    parallel region, else the {!with_jobs} override, else {!jobs_env}. *)
+    parallel region, else the {!with_jobs} override, else
+    {!Cr_obs.Obs.jobs_env}. *)
 
 val with_jobs : int -> (unit -> 'a) -> 'a
 (** [with_jobs k f] runs [f] with the job count forced to [k] in this

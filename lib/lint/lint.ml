@@ -490,21 +490,8 @@ let pp_finding fmt f =
     (match f.provenance with Exact -> "" | Abstract -> " [abstract]")
 
 (* Minimal JSON emission (validated by Cr_obs.Json_check; no JSON
-   dependency, mirroring the trace exporter). *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+   dependency), through the one telemetry escaper. *)
+let json_escape = Cr_obs.Obs.json_escape
 
 let finding_to_json f =
   Printf.sprintf
@@ -529,8 +516,8 @@ let artifact_header ~version ~n =
   Printf.sprintf
     "\"version\":%d,\"tool\":\"crcheck\",\"tool_version\":\"1.0.0\",\"git_rev\":\"%s\",\"cr_jobs\":%d,\"n\":%d"
     version
-    (json_escape (Cr_obs.Journal.git_rev ()))
-    (Cr_kernel.Par.jobs_env ()) n
+    (json_escape (Cr_obs.Obs.git_rev ()))
+    (Cr_obs.Obs.jobs_env ()) n
 
 let reports_to_json ~n (rs : (string * report) list) =
   Printf.sprintf "{%s,\"systems\":[%s]}"

@@ -106,7 +106,8 @@ val pp_finding : Format.formatter -> finding -> unit
 (** Prints [KEY severity program action message]. *)
 
 val json_escape : string -> string
-(** JSON string-body escaping, shared with the flow artifact emitter. *)
+(** {!Cr_obs.Obs.json_escape}: JSON string-body escaping, shared with the
+    flow artifact emitter. *)
 
 val artifact_header : version:int -> n:int -> string
 (** The provenance header fields of a findings artifact —

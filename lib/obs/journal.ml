@@ -1,212 +1,1 @@
-(* Structured run journal: one JSONL event per checker decision.
-
-   When [CR_JOURNAL=path] is set (or a test redirects with {!set_path}),
-   every instrumented site appends one JSON object line describing what
-   the checker just decided — a compile started or finished, a cache hit
-   or missed or waited behind a single-flight slot, a verdict landed, a
-   lint finding fired.  Each line is stamped with run provenance: the
-   monotonic sequence number, the emitting domain, the git revision and
-   the effective [CR_JOBS], so two journals from different runs can be
-   diffed without guessing which build produced them.  The stream opens
-   with a [journal.open] header (seq 0) that additionally records every
-   [CR_*] environment override in effect.
-
-   Appends are serialized by a mutex and flushed per line, so events
-   emitted from worker domains inside a [Par] fan-out interleave without
-   tearing; the sequence numbers are allocated atomically and therefore
-   total-order the decisions even though wall-clock interleaving is
-   schedule-dependent.  When no journal is configured, [emit] costs one
-   load and one branch. *)
-
-type field =
-  | S of string
-  | I of int
-  | B of bool
-  | F of float
-  | Snap of (string * int) list
-
-(* ---------- JSON rendering (journal lines are built, never parsed,
-   here; Json_check owns the reading side) ---------- *)
-
-let escape_to buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let add_str buf s =
-  Buffer.add_char buf '"';
-  escape_to buf s;
-  Buffer.add_char buf '"'
-
-let add_field buf (k, v) =
-  add_str buf k;
-  Buffer.add_char buf ':';
-  match v with
-  | S s -> add_str buf s
-  | I i -> Buffer.add_string buf (string_of_int i)
-  | B b -> Buffer.add_string buf (if b then "true" else "false")
-  | F f ->
-      if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.3f" f)
-      else Buffer.add_string buf "null"
-  | Snap kvs ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, n) ->
-          if i > 0 then Buffer.add_char buf ',';
-          add_str buf k;
-          Buffer.add_char buf ':';
-          Buffer.add_string buf (string_of_int n))
-        kvs;
-      Buffer.add_char buf '}'
-
-(* ---------- provenance ---------- *)
-
-(* Resolved once per process; shared by the event stamps below and, via
-   the interface, by every emitted artifact header. *)
-let git_rev =
-  lazy
-    (match
-       let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-       let line = try input_line ic with End_of_file -> "" in
-       match Unix.close_process_in ic with
-       | Unix.WEXITED 0 when line <> "" -> Some (String.trim line)
-       | _ -> None
-     with
-    | Some rev -> rev
-    | None | (exception _) -> "unknown")
-
-(* Same CR_JOBS convention as [Par.jobs_env], duplicated here because
-   [Cr_obs] sits below [Cr_semantics] in the library graph. *)
-let jobs_env () =
-  match Sys.getenv_opt "CR_JOBS" with
-  | None -> 1
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some 0 -> Domain.recommended_domain_count ()
-      | Some k when k >= 1 -> k
-      | Some _ | None -> 1)
-
-let cr_env_overrides () =
-  let vars = ref [] in
-  Array.iter
-    (fun binding ->
-      match String.index_opt binding '=' with
-      | Some i when i >= 3 && String.sub binding 0 3 = "CR_" ->
-          let k = String.sub binding 0 i in
-          let v = String.sub binding (i + 1) (String.length binding - i - 1) in
-          vars := (k, v) :: !vars
-      | _ -> ())
-    (Unix.environment ());
-  List.sort (fun (a, _) (b, _) -> String.compare a b) !vars
-
-(* ---------- sink state ---------- *)
-
-type sink = { oc : out_channel; spath : string; jobs : int }
-
-let lock = Mutex.create ()
-let seq = Atomic.make 0
-
-(* Journal timestamps are relative to this module's initialization, so
-   they stay readable at fixed precision (epoch microseconds would not). *)
-let t0_us = Obs.now_us ()
-
-(* [None] until the first emit resolves the configuration; [Some None]
-   once resolved to "journaling off". *)
-let sink : sink option option ref = ref None
-let explicit : string option ref = ref None
-
-let write_line st ev fields =
-  let n = Atomic.fetch_and_add seq 1 in
-  let buf = Buffer.create 128 in
-  Buffer.add_char buf '{';
-  add_field buf ("ev", S ev);
-  let stamp =
-    [
-      ("seq", I n);
-      ("ts_us", F (Obs.now_us () -. t0_us));
-      ("dom", I (Domain.self () :> int));
-      ("rev", S (Lazy.force git_rev));
-      ("jobs", I st.jobs);
-    ]
-  in
-  List.iter
-    (fun f ->
-      Buffer.add_char buf ',';
-      add_field buf f)
-    (stamp @ fields);
-  Buffer.add_char buf '}';
-  Buffer.add_char buf '\n';
-  output_string st.oc (Buffer.contents buf);
-  flush st.oc
-
-let open_sink path =
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  let st = { oc; spath = path; jobs = jobs_env () } in
-  let env = cr_env_overrides () in
-  write_line st "journal.open"
-    (List.map (fun (k, v) -> ("env." ^ k, S v)) env);
-  st
-
-let resolve () =
-  match !sink with
-  | Some st -> st
-  | None ->
-      let path =
-        match !explicit with Some _ as p -> p | None -> Sys.getenv_opt "CR_JOURNAL"
-      in
-      let st =
-        match path with
-        | None | Some "" -> None
-        | Some p -> ( try Some (open_sink p) with Sys_error _ -> None)
-      in
-      sink := Some st;
-      st
-
-let enabled () =
-  Mutex.protect lock (fun () ->
-      match resolve () with Some _ -> true | None -> false)
-
-let emit ev fields =
-  (* Cheap pre-check: once resolved to "off", skip the lock. *)
-  match !sink with
-  | Some None -> ()
-  | _ ->
-      Mutex.protect lock (fun () ->
-          match resolve () with
-          | None -> ()
-          | Some st -> write_line st ev fields)
-
-let close () =
-  Mutex.protect lock (fun () ->
-      (match !sink with
-      | Some (Some st) -> ( try close_out st.oc with Sys_error _ -> ())
-      | _ -> ());
-      sink := None)
-
-let set_path p =
-  Mutex.protect lock (fun () ->
-      (match !sink with
-      | Some (Some st) -> ( try close_out st.oc with Sys_error _ -> ())
-      | _ -> ());
-      sink := None;
-      explicit := p;
-      Atomic.set seq 0)
-
-let path () =
-  Mutex.protect lock (fun () ->
-      match !sink with Some (Some st) -> Some st.spath | _ -> None)
-
-(* Shadows the lazy cell above with its forcing function; placed last so
-   every internal use still sees the cell. *)
-let git_rev () = Lazy.force git_rev
-
-let () = at_exit close
+let git_rev = Obs.git_rev

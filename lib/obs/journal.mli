@@ -1,42 +1,4 @@
-(** Structured run journal: one JSONL event per checker decision.
-
-    Enabled by [CR_JOURNAL=path] (append mode) or a test's {!set_path}.
-    Every line is a JSON object stamped with run provenance — monotonic
-    [seq], emitting [dom], git [rev], effective [jobs] — and the stream
-    opens with a [journal.open] header (seq 0) recording every [CR_*]
-    environment override.  Appends are mutex-serialized and flushed per
-    line, so worker domains inside a [Par] fan-out may emit freely.
-
-    When no journal is configured, {!emit} is one load and one branch. *)
-
-type field =
-  | S of string
-  | I of int
-  | B of bool
-  | F of float  (** non-finite floats render as [null] *)
-  | Snap of (string * int) list
-      (** a cost snapshot, rendered as a nested object of integers *)
-
-val enabled : unit -> bool
-(** Is a journal sink configured?  Use to skip building expensive
-    fields; {!emit} itself is always safe to call. *)
-
-val emit : string -> (string * field) list -> unit
-(** [emit ev fields] appends one event line.  No-op when disabled. *)
-
-val set_path : string option -> unit
-(** Test hook: close any open sink, override (or clear, with [None])
-    the [CR_JOURNAL] path, and restart sequence numbers at 0 so the
-    next emit opens a fresh stream with its own header. *)
-
-val close : unit -> unit
-(** Flush and close the sink; the next emit re-resolves and re-opens
-    (appending).  Also installed as an [at_exit]. *)
-
-val path : unit -> string option
-(** The path of the currently open sink, if one is open. *)
+(** Compatibility alias: the run journal is part of {!Obs}. *)
 
 val git_rev : unit -> string
-(** The short git revision stamped on journal events ("unknown" outside
-    a git checkout).  Exposed so emitted artifacts (bench JSON, lint and
-    flow findings) can carry the same provenance header. *)
+(** {!Obs.git_rev}. *)

@@ -5,7 +5,7 @@
    stream and the perfdiff inputs are handled by this recursive-descent
    parser instead of a full JSON library.  [validate_*] only recognizes
    (no AST); [parse_string] additionally builds a value, which perfdiff
-   and journal_lint consume. *)
+   and crcheck validate consume. *)
 
 type pos = { mutable i : int }
 

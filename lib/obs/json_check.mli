@@ -1,6 +1,6 @@
 (** Minimal JSON parser and well-formedness checker (RFC 8259), used to
     validate the [CR_TRACE], bench [--json] and [CR_JOURNAL] artifacts —
-    and to read them back in [perfdiff] and [journal_lint] — without
+    and to read them back in [perfdiff] and [crcheck validate] — without
     adding a JSON dependency. *)
 
 type json =

@@ -1,12 +1,16 @@
-(* Lightweight checker telemetry: named counters and timed spans.
+(* Checker telemetry, one stream: named counters, log-bucketed
+   histograms, timed spans and journal events.
 
    Design constraints, in order:
 
-   - Near-zero overhead when disabled.  Collection is off unless CR_STATS
-     or CR_TRACE is set (or a caller forces it), and every entry point
-     starts with a single read of [on]; instrumented hot loops accumulate
-     locally and publish once per kernel call (see Paths/Refine), so the
-     uninstrumented fast path costs one predictable branch per call site.
+   - Near-zero overhead when disabled.  Collection is on exactly when a
+     sink is configured (CR_STATS, CR_TRACE or CR_JOURNAL) or a caller
+     forces it, and every entry point starts with a single read of [on];
+     instrumented hot loops accumulate locally and publish once per
+     kernel call (see Paths/Refine), so the uninstrumented fast path
+     costs one predictable branch per call site.  Nothing is opened or
+     forked at startup: the journal opens on its first line and the git
+     revision resolves on first use.
 
    - Domain safety without contention.  Each OCaml domain owns its own
      counter array and span buffer (via [Domain.DLS]); nothing is shared
@@ -18,9 +22,11 @@
      CR_JOBS value (the work itself is deterministic; only its placement
      on domains changes).
 
-   - Machine-readable artifacts.  [write_trace] emits the recorded spans
-     as a Chrome/Perfetto trace-event JSON array, one track (tid) per
-     OCaml domain, so a CR_JOBS fan-out is visible as parallel tracks. *)
+   - One timing record.  A closed span feeds the CR_STATS span table and
+     the CR_TRACE export (a Chrome/Perfetto trace-event JSON array, one
+     track per OCaml domain), and with a journal open it is also one
+     JSONL line carrying [dur_us].  Decision events ([event]) share that
+     line writer, its provenance stamp and its sequence numbers. *)
 
 type kind = Sum | Max
 
@@ -66,26 +72,63 @@ let hist_registry () =
 
 (* ---------- enablement ---------- *)
 
-let env_truthy = function None | Some "" | Some "0" -> false | Some _ -> true
+let env_path var =
+  match Sys.getenv_opt var with None | Some "" -> None | Some _ as p -> p
 
-let stats_env = env_truthy (Sys.getenv_opt "CR_STATS")
+let stats_env =
+  match Sys.getenv_opt "CR_STATS" with
+  | None | Some "" | Some "0" -> false
+  | Some _ -> true
 
-let trace_env =
-  match Sys.getenv_opt "CR_TRACE" with
-  | None | Some "" -> None
-  | Some path -> Some path
+let trace_env = env_path "CR_TRACE"
 
-let on = ref (stats_env || trace_env <> None)
+(* The journal sink: [Pending path] until its first line opens the file
+   (so the [journal.open] header sees every CR_* override a CLI flag
+   exported first), [Off] when none is configured or opening failed. *)
+type sink = Off | Pending of string | Open of out_channel * int
+
+let sink =
+  ref (match env_path "CR_JOURNAL" with None -> Off | Some p -> Pending p)
+
+let forced = ref false
 let stats_wanted = ref stats_env
+
+let configured () =
+  !forced || stats_env || trace_env <> None
+  || match !sink with Off -> false | Pending _ | Open _ -> true
+
+let on = ref (configured ())
 
 let tracking () = !on
 let stats_enabled () = !stats_wanted
 
+let force_collect () =
+  forced := true;
+  on := true
+
 let force_enable () =
-  on := true;
+  force_collect ();
   stats_wanted := true
 
-let force_collect () = on := true
+(* A malformed CR_JOBS falls through to 1, and says so once (per
+   process) on stderr. *)
+let warned_bad_jobs = Atomic.make false
+
+let jobs_env () =
+  match Sys.getenv_opt "CR_JOBS" with
+  | None -> 1
+  | Some s -> (
+      match int_of_string_opt (String.trim s) with
+      | Some 0 -> Domain.recommended_domain_count ()
+      | Some k when k >= 1 -> k
+      | Some _ | None ->
+          if not (Atomic.exchange warned_bad_jobs true) then
+            Printf.eprintf
+              "cr-par: ignoring invalid CR_JOBS=%s (want an integer >= 0); \
+               running sequentially\n\
+               %!"
+              s;
+          1)
 
 (* ---------- per-domain state ---------- *)
 
@@ -214,8 +257,6 @@ let live = Atomic.make 0
 
 let workers_add k = ignore (Atomic.fetch_and_add live k : int)
 
-let live_workers () = Atomic.get live
-
 let assert_quiescent who =
   let n = Atomic.get live in
   if n > 0 then
@@ -225,34 +266,181 @@ let assert_quiescent who =
           between [Par] fan-outs"
          who n)
 
-(* ---------- spans ---------- *)
+(* ---------- clock ---------- *)
 
 let now_us () = Unix.gettimeofday () *. 1e6
 
+(* The one epoch: span and journal timestamps count from process start. *)
 let start_us = now_us ()
 
-let span name f =
+(* ---------- JSON writer and run journal ---------- *)
+
+let escape_to buf s =
+  String.iter
+    (fun ch ->
+      match ch with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s
+
+let json_escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  escape_to buf s;
+  Buffer.contents buf
+
+type field =
+  | S of string
+  | I of int
+  | B of bool
+  | F of float
+  | Snap of (string * int) list
+
+let add_str buf s =
+  Buffer.add_char buf '"';
+  escape_to buf s;
+  Buffer.add_char buf '"'
+
+let rec add_obj buf fields =
+  Buffer.add_char buf '{';
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char buf ',';
+      add_str buf k;
+      Buffer.add_char buf ':';
+      match v with
+      | S s -> add_str buf s
+      | I n -> Buffer.add_string buf (string_of_int n)
+      | B b -> Buffer.add_string buf (string_of_bool b)
+      | F f ->
+          Buffer.add_string buf
+            (if Float.is_finite f then Printf.sprintf "%.3f" f else "null")
+      | Snap kvs -> add_obj buf (List.map (fun (k, n) -> (k, I n)) kvs))
+    fields;
+  Buffer.add_char buf '}'
+
+(* Resolved on first use (never at startup), once per process; shared
+   by the journal stamps and every emitted artifact header. *)
+let git_rev_cell =
+  lazy
+    (match
+       let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
+       let line = try input_line ic with End_of_file -> "" in
+       match Unix.close_process_in ic with
+       | Unix.WEXITED 0 when line <> "" -> Some (String.trim line)
+       | _ -> None
+     with
+    | Some rev -> rev
+    | None | (exception _) -> "unknown")
+
+let git_rev () = Lazy.force git_rev_cell
+
+let cr_env_overrides () =
+  Array.to_list (Unix.environment ())
+  |> List.filter_map (fun binding ->
+         match String.index_opt binding '=' with
+         | Some i when i >= 3 && String.sub binding 0 3 = "CR_" ->
+             Some
+               ( "env." ^ String.sub binding 0 i,
+                 S (String.sub binding (i + 1) (String.length binding - i - 1))
+               )
+         | _ -> None)
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+(* Appends are serialized by [jlock] and flushed per line, so worker
+   domains inside a [Par] fan-out may write freely; [seq] total-orders
+   the lines even though their interleaving is schedule-dependent. *)
+let jlock = Mutex.create ()
+let seq = ref 0
+let warned_journal = Atomic.make false
+
+let write_line oc jobs ev fields =
+  let buf = Buffer.create 128 in
+  add_obj buf
+    (("ev", S ev) :: ("seq", I !seq)
+    :: ("ts_us", F (now_us () -. start_us))
+    :: ("dom", I (Domain.self () :> int))
+    :: ("rev", S (git_rev ())) :: ("jobs", I jobs) :: fields);
+  seq := !seq + 1;
+  Buffer.add_char buf '\n';
+  output_string oc (Buffer.contents buf);
+  flush oc
+
+(* An unwritable journal is reported once per process, never raised:
+   stdout and the exit code of the run stay those of a run without it. *)
+let open_sink path =
+  match open_out_gen [ Open_append; Open_creat ] 0o644 path with
+  | oc ->
+      let jobs = jobs_env () in
+      write_line oc jobs "journal.open" (cr_env_overrides ());
+      Open (oc, jobs)
+  | exception Sys_error msg ->
+      if not (Atomic.exchange warned_journal true) then
+        Printf.eprintf "cr-obs: journal: %s\n%!" msg;
+      Off
+
+let event ev fields =
+  match !sink with
+  | Off -> ()
+  | Pending _ | Open _ ->
+      Mutex.protect jlock (fun () ->
+          (match !sink with
+          | Pending p -> sink := open_sink p
+          | Off | Open _ -> ());
+          match !sink with
+          | Open (oc, jobs) -> write_line oc jobs ev fields
+          | Off | Pending _ -> ())
+
+(* Caller holds [jlock]. *)
+let close_sink next =
+  (match !sink with
+  | Open (oc, _) -> ( try close_out oc with Sys_error _ -> ())
+  | Off | Pending _ -> ());
+  sink := next
+
+let set_journal_path p =
+  Mutex.protect jlock (fun () ->
+      close_sink (match p with None | Some "" -> Off | Some p -> Pending p);
+      seq := 0);
+  on := configured ()
+
+(* ---------- spans ---------- *)
+
+let span ?fields name f =
   if not !on then f ()
   else begin
     let d = cur () in
     let depth = d.depth in
     d.depth <- depth + 1;
     let t0 = now_us () in
-    Fun.protect
-      ~finally:(fun () ->
-        let t1 = now_us () in
-        d.depth <- depth;
-        d.evs <-
-          {
-            sname = name;
-            ts_us = t0 -. start_us;
-            dur_us = t1 -. t0;
-            depth;
-            tid = d.tid;
-          }
-          :: d.evs)
-      f
+    let close extra =
+      let dur = now_us () -. t0 in
+      d.depth <- depth;
+      d.evs <-
+        { sname = name; ts_us = t0 -. start_us; dur_us = dur; depth;
+          tid = d.tid }
+        :: d.evs;
+      match !sink with
+      | Off -> ()
+      | Pending _ | Open _ -> event name (("dur_us", F dur) :: extra ())
+    in
+    match f () with
+    | v ->
+        close (fun () -> match fields with Some g -> g v | None -> []);
+        v
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        close (fun () -> []);
+        Printexc.raise_with_backtrace e bt
   end
+
+let last_span_us () =
+  match (cur ()).evs with e :: _ -> e.dur_us | [] -> 0.0
 
 let events () =
   assert_quiescent "events";
@@ -473,6 +661,24 @@ let gc_cost_entries (g : gc_cost) : snapshot =
 let merge_snapshots (a : snapshot) (b : snapshot) : snapshot =
   List.sort (fun (x, _) (y, _) -> String.compare x y) (a @ b)
 
+(* Run [f] and, when tracking, price it: the movement of the calling
+   domain's counters plus its gc.* allocation delta.  Both are
+   domain-local, so the cost is deterministic even while sibling work
+   runs on other domains. *)
+let domain_cost f =
+  if not !on then (f (), None)
+  else begin
+    let before = domain_snapshot () in
+    let gc_before = gc_now () in
+    let r = f () in
+    let gc_after = gc_now () in
+    let after = domain_snapshot () in
+    ( r,
+      Some
+        (merge_snapshots (diff ~before ~after)
+           (gc_cost_entries (gc_delta ~before:gc_before ~after:gc_after))) )
+  end
+
 let reset () =
   Mutex.protect lock (fun () ->
       List.iter
@@ -550,22 +756,6 @@ let pp_summary fmt () =
 
 (* ---------- Chrome trace export ---------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* Trace-event format: a JSON array of "X" (complete) events with
    microsecond timestamps; pid is fixed, tid is the OCaml domain id.
    Loads in chrome://tracing and Perfetto. *)
@@ -607,9 +797,10 @@ let write_trace path =
 
 (* ---------- process-exit hook ---------- *)
 
-(* Keyed on the environment variables only: a forced in-process enable
-   (crcheck --stats) prints its own appendix and must not double-report,
-   and the default run stays byte-identical on stdout AND stderr. *)
+(* Trace and summary are keyed on the environment variables only: a
+   forced in-process enable (crcheck --stats) prints its own appendix
+   and must not double-report, and the default run stays byte-identical
+   on stdout AND stderr.  The journal closes last, after every line. *)
 let finalized = ref false
 
 let finalize () =
@@ -623,7 +814,8 @@ let finalize () =
             (List.length (events ()))
         with Sys_error msg -> Printf.eprintf "cr-obs: trace: %s\n%!" msg)
     | None -> ());
-    if stats_env then Format.eprintf "cr-obs: run summary@.%a" pp_summary ()
+    if stats_env then Format.eprintf "cr-obs: run summary@.%a" pp_summary ();
+    Mutex.protect jlock (fun () -> close_sink Off)
   end
 
 let () = at_exit finalize

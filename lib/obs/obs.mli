@@ -1,15 +1,28 @@
-(** Checker telemetry: domain-safe named counters and timed spans, with a
-    [CR_STATS] human summary and [CR_TRACE] Chrome-trace export.
+(** Checker telemetry, one stream: domain-safe named counters,
+    histograms, timed spans and run-journal events, with a [CR_STATS]
+    human summary, a [CR_TRACE] Chrome-trace export and a [CR_JOURNAL]
+    JSONL journal.
 
-    Collection is disabled unless the [CR_STATS] or [CR_TRACE] environment
-    variable is set (or {!force_enable}/{!force_collect} is called); when
-    disabled every operation short-circuits on one branch, so instrumented
-    hot paths stay within noise of the uninstrumented checker.
+    Collection is on exactly when one of those sinks is configured (or
+    {!force_enable}/{!force_collect} is called); when off every
+    operation short-circuits on one branch, so instrumented hot paths
+    stay within noise of the uninstrumented checker.  Nothing is opened
+    or forked at startup.
 
     Each OCaml domain accumulates into private storage; {!merged_snapshot}
     combines domains deterministically ([Sum] counters add, [Max] counters
     take the maximum), so merged totals are invariant under the [CR_JOBS]
-    fan-out. *)
+    fan-out.
+
+    A closed {!span} is the one timing record: it feeds the [CR_STATS]
+    span table and the [CR_TRACE] export and, with a journal open, is
+    one journal line.  Journal lines are JSON objects stamped with run
+    provenance — monotonic [seq], [ts_us] since process start, emitting
+    [dom], git [rev], effective [jobs] — and the stream opens with a
+    [journal.open] header (seq 0) recording every [CR_*] environment
+    override.  The journal file opens (appending) on its first line;
+    an unwritable path is reported once on stderr and otherwise
+    ignored. *)
 
 type kind =
   | Sum  (** additive; merged across domains by summation *)
@@ -75,9 +88,47 @@ val merged_histograms : unit -> (string * hstats) list
 (** Histograms merged across every domain, sorted by name; empty ones
     omitted.  Raises [Invalid_argument] while a worker domain is live. *)
 
-val span : string -> (unit -> 'a) -> 'a
+type field =
+  | S of string
+  | I of int
+  | B of bool
+  | F of float  (** non-finite floats render as [null] *)
+  | Snap of (string * int) list
+      (** a cost snapshot, rendered as a nested object of integers *)
+
+val span :
+  ?fields:('a -> (string * field) list) -> string -> (unit -> 'a) -> 'a
 (** [span name f] runs [f] and, when tracking, records a timed span.
-    Spans nest; re-raises any exception of [f] after closing the span. *)
+    With a journal open the closed span is also one line: [ev] = [name],
+    [dur_us], then [fields] of [f]'s result (none if [f] raised).  Spans
+    nest; re-raises any exception of [f] after closing the span. *)
+
+val last_span_us : unit -> float
+(** Duration of the span most recently closed on the calling domain
+    (0 when none). *)
+
+val event : string -> (string * field) list -> unit
+(** [event ev fields] appends one decision line to the journal.  No-op
+    (one branch) unless a journal is configured. *)
+
+val set_journal_path : string option -> unit
+(** Test hook: close any open journal, override (or clear, with [None])
+    the [CR_JOURNAL] path, and restart sequence numbers at 0 so the next
+    line opens a fresh stream with its own header.  Collection follows
+    the new configuration. *)
+
+val git_rev : unit -> string
+(** The short git revision stamped on journal lines ("unknown" outside
+    a git checkout), resolved on first use.  Also the provenance of the
+    bench, lint and flow artifact headers. *)
+
+val jobs_env : unit -> int
+(** Parsed value of [CR_JOBS]; 1 when unset, the recommended domain
+    count when set to 0.  A malformed or negative value also yields 1,
+    with a one-line warning on stderr (printed once per process). *)
+
+val json_escape : string -> string
+(** Escape a string for a JSON string literal (no surrounding quotes). *)
 
 type span_event = {
   sname : string;
@@ -102,15 +153,8 @@ val workers_add : int -> unit
     {!merged_snapshot}, {!merged_histograms}) refuse to run while the
     count is nonzero instead of silently racing with worker writes. *)
 
-val live_workers : unit -> int
-
 type snapshot = (string * int) list
 (** Counter values, sorted by name; zero entries omitted. *)
-
-val domain_snapshot : unit -> snapshot
-(** Counters of the calling domain only.  Deltas of this around a
-    single-domain computation are deterministic even when other domains
-    are active. *)
 
 val merged_snapshot : unit -> snapshot
 (** Counters merged across every domain seen so far.  Raises
@@ -138,13 +182,11 @@ val gc_delta : before:gc_cost -> after:gc_cost -> gc_cost
 (** Word and collection counters subtract; [top_heap_words] reports the
     high-water mark of [after]. *)
 
-val gc_cost_entries : gc_cost -> snapshot
-(** The delta as name-sorted [gc.*] snapshot entries (zeros omitted),
-    ready to merge into a verdict's cost snapshot. *)
-
-val merge_snapshots : snapshot -> snapshot -> snapshot
-(** Concatenate and re-sort by name (for mixing counter movement with
-    [gc.*] entries in one cost snapshot). *)
+val domain_cost : (unit -> 'a) -> 'a * snapshot option
+(** [domain_cost f] runs [f]; when tracking, also the movement of the
+    calling domain's counters plus its [gc.*] allocation delta, as one
+    name-sorted snapshot.  Both parts are domain-local, so the cost is
+    deterministic even while sibling work runs on other domains. *)
 
 val reset : unit -> unit
 (** Zero all counters and drop all spans (test support). *)
@@ -153,14 +195,6 @@ val pp_snapshot : Format.formatter -> snapshot -> unit
 
 val pp_histograms : Format.formatter -> (string * hstats) list -> unit
 (** One row per histogram: count, mean, p50/p90/p99 estimates, max. *)
-
-val span_aggregates : unit -> (string * (int * float * float)) list
-(** Per span name: (count, total microseconds, max microseconds),
-    sorted by name. *)
-
-val pp_summary : Format.formatter -> unit -> unit
-(** The [CR_STATS] summary: merged counters, merged histograms, process
-    GC totals, span aggregates. *)
 
 val write_trace : string -> unit
 (** Write every recorded span as a Chrome [chrome://tracing] / Perfetto

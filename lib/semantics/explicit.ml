@@ -143,14 +143,14 @@ let record_built t =
     Cr_obs.Obs.incr c_systems;
     Cr_obs.Obs.add c_states (num_states t);
     Cr_obs.Obs.add c_transitions (num_transitions t);
-    Cr_obs.Obs.record_max c_largest (num_states t)
+    Cr_obs.Obs.record_max c_largest (num_states t);
+    Cr_obs.Obs.event "explicit.built"
+      [
+        ("name", Cr_obs.Obs.S (name t));
+        ("states", Cr_obs.Obs.I (num_states t));
+        ("transitions", Cr_obs.Obs.I (num_transitions t));
+      ]
   end;
-  Cr_obs.Journal.emit "explicit.built"
-    [
-      ("name", Cr_obs.Journal.S (name t));
-      ("states", Cr_obs.Journal.I (num_states t));
-      ("transitions", Cr_obs.Journal.I (num_transitions t));
-    ];
   t
 
 (* Insertion sort of [row.(0 .. k-1)] in place: rows are short (at most

@@ -96,16 +96,16 @@ let convergence_stats ?(samples = 200) ?(max_steps = 100_000) ~seed
   if Cr_obs.Obs.tracking () then begin
     Cr_obs.Obs.add c_episodes samples;
     Cr_obs.Obs.add c_converged !conv;
-    Cr_obs.Obs.add c_steps_total !total
+    Cr_obs.Obs.add c_steps_total !total;
+    Cr_obs.Obs.event "runner.episodes"
+      [
+        ("program", Cr_obs.Obs.S (Program.name p));
+        ("samples", Cr_obs.Obs.I samples);
+        ("converged", Cr_obs.Obs.I !conv);
+        ("steps_total", Cr_obs.Obs.I !total);
+        ("max_steps_observed", Cr_obs.Obs.I !maxi);
+      ]
   end;
-  Cr_obs.Journal.emit "runner.episodes"
-    [
-      ("program", Cr_obs.Journal.S (Program.name p));
-      ("samples", Cr_obs.Journal.I samples);
-      ("converged", Cr_obs.Journal.I !conv);
-      ("steps_total", Cr_obs.Journal.I !total);
-      ("max_steps_observed", Cr_obs.Journal.I !maxi);
-    ];
   {
     samples;
     converged = !conv;

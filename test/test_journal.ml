@@ -1,9 +1,11 @@
-(* Run-journal (Cr_obs.Journal) tests: stream shape (header, provenance
-   stamps, JSONL validity), CR_JOBS-invariance of the canonicalized
-   event set, and the Json_check JSONL validator. *)
+(* Run-journal (Cr_obs.Obs, CR_JOURNAL) tests: stream shape (header,
+   provenance stamps, JSONL validity), CR_JOBS-invariance of the
+   canonicalized event set (decisions and spans alike), the journal as a
+   projection of the span record and of the counter folds, an
+   unwritable path, and the Json_check JSONL validator. *)
 
 module J = Cr_obs.Json_check
-module Journal = Cr_obs.Journal
+module Obs = Cr_obs.Obs
 
 (* lift the pool's busy-domain cap so CR_JOBS > 1 really fans out across
    domains on a single-core host — the invariance being tested *)
@@ -43,9 +45,10 @@ let journal_of_workload ~jobs =
   Cr_guarded.Program.clear_compile_cache ();
   Cr_core.Check_cache.clear_all ();
   let tmp = Filename.temp_file "cr_journal" ".jsonl" in
-  Journal.set_path (Some tmp);
+  Obs.set_journal_path (Some tmp);
+  Obs.reset ();
   run_workload ();
-  Journal.set_path None;
+  Obs.set_journal_path None;
   Unix.putenv "CR_JOBS" "1";
   let body = read_file tmp in
   Sys.remove tmp;
@@ -54,11 +57,11 @@ let journal_of_workload ~jobs =
 (* ---------- canonicalization ---------- *)
 
 (* Fields that legitimately differ between runs (or between CR_JOBS
-   settings): provenance stamps, wall-clock durations, and cost
-   snapshots (whose gc.* entries price allocation, which the fan-out
-   redistributes across domains). *)
+   settings): provenance stamps, wall-clock durations (span [dur_us],
+   single-flight [wait_us]), and cost snapshots (whose gc.* entries
+   price allocation, which the fan-out redistributes across domains). *)
 let volatile_keys =
-  [ "seq"; "ts_us"; "dom"; "rev"; "jobs"; "wall_us"; "wait_us"; "wall_ms"; "cost" ]
+  [ "seq"; "ts_us"; "dom"; "rev"; "jobs"; "dur_us"; "wait_us"; "cost" ]
 
 let rec canon (j : J.json) =
   match j with
@@ -184,6 +187,80 @@ let test_journal_stream () =
   in
   check "one cached verdict" true (List.length cached_verdicts = 1)
 
+(* ---------- the journal as a projection of the one stream ---------- *)
+
+let parsed_lines body =
+  List.map
+    (fun l ->
+      match J.parse_string l with
+      | Ok j -> j
+      | Error msg -> Alcotest.failf "unparsable line: %s" msg)
+    (lines body)
+
+let ev_of j =
+  Option.value ~default:"" (Option.bind (J.member "ev" j) J.to_string)
+
+(* Every closed span is one journal line carrying [dur_us], and no
+   other line carries it. *)
+let test_span_projection () =
+  let parsed = parsed_lines (journal_of_workload ~jobs:1) in
+  let spans =
+    List.sort compare
+      (List.map (fun (e : Obs.span_event) -> e.sname) (Obs.events ()))
+  in
+  let timed =
+    List.sort compare
+      (List.filter_map
+         (fun j -> if J.member "dur_us" j <> None then Some (ev_of j) else None)
+         parsed)
+  in
+  check "spans were recorded" true (List.mem "compile" spans);
+  Alcotest.(check (list string))
+    "span names = journal lines with dur_us" spans timed
+
+(* Decision lines and counters are two folds of the same decisions: line
+   counts and summed fields equal the counter movement of the run. *)
+let test_counter_folds () =
+  let parsed = parsed_lines (journal_of_workload ~jobs:1) in
+  let counters = Obs.merged_snapshot () in
+  let counter name = Option.value ~default:0 (List.assoc_opt name counters) in
+  let lines ev = List.filter (fun j -> ev_of j = ev) parsed in
+  let sum ev field =
+    List.fold_left
+      (fun acc j ->
+        acc + Option.value ~default:0 (Option.bind (J.member field j) J.to_int))
+      0 (lines ev)
+  in
+  List.iter
+    (fun (ev, name) ->
+      Alcotest.(check int) (ev ^ " lines = " ^ name) (counter name)
+        (List.length (lines ev)))
+    [
+      ("compile.cache.hit", "compile.cache.hits");
+      ("compile.cache.miss", "compile.cache.misses");
+      ("check.cache.hit", "check.cache.hits");
+      ("check.cache.miss", "check.cache.misses");
+      ("explicit.built", "explicit.systems");
+    ];
+  check "the workload built systems" true (counter "explicit.systems" > 0);
+  Alcotest.(check int) "summed states" (counter "explicit.states")
+    (sum "explicit.built" "states");
+  Alcotest.(check int) "summed transitions" (counter "explicit.transitions")
+    (sum "explicit.built" "transitions")
+
+(* An unwritable CR_JOURNAL is reported on stderr, never raised, and
+   leaves nothing behind. *)
+let test_unwritable_journal () =
+  let dir = Filename.temp_file "cr_journal_nodir" "" in
+  Sys.remove dir;
+  let path = Filename.concat dir "x.jsonl" in
+  Obs.set_journal_path (Some path);
+  Cr_guarded.Program.clear_compile_cache ();
+  run_workload ();
+  Obs.set_journal_path None;
+  check "no journal file" false (Sys.file_exists path);
+  check "no directory" false (Sys.file_exists dir)
+
 (* ---------- JSONL validator ---------- *)
 
 let test_jsonl_validator () =
@@ -216,6 +293,12 @@ let () =
           Alcotest.test_case "stream shape and provenance" `Quick
             test_journal_stream;
           QCheck_alcotest.to_alcotest prop_journal_jobs_invariant;
+          Alcotest.test_case "spans project onto dur_us lines" `Quick
+            test_span_projection;
+          Alcotest.test_case "decision lines fold to counters" `Quick
+            test_counter_folds;
+          Alcotest.test_case "unwritable path is ignored" `Quick
+            test_unwritable_journal;
           Alcotest.test_case "JSONL validator accept/reject" `Quick
             test_jsonl_validator;
         ] );
