@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-json perfdiff ci examples doc clean
+.PHONY: all build test bench ci examples doc clean
 
 all: build
 
@@ -13,20 +13,9 @@ test:
 test-force:
 	dune runtest --force --no-buffer
 
+# Every experiment table at the ring sizes EXPERIMENTS.md reports.
 bench:
 	dune exec bench/main.exe
-
-bench-tables:
-	dune exec bench/main.exe -- --no-micro
-
-# Refresh the rolling baseline (commit it when a change moves the numbers).
-bench-json:
-	dune exec bench/main.exe -- --json BENCH.json
-
-# Gate a fresh artifact against the committed baseline without touching it.
-perfdiff:
-	dune exec bench/main.exe -- --json bench-fresh.json
-	dune exec bin/crcheck.exe -- perfdiff --gate 100 BENCH.json bench-fresh.json
 
 ci:
 	bin/ci.sh

@@ -234,36 +234,18 @@ rc=0
 timeout 120 env CR_SPACE=sparse dune exec bin/crcheck.exe -- refine rw-dijkstra3 -n 8 > /dev/null 2>&1 || rc=$?
 [ "$rc" -le 1 ] || { echo "ci: sparse refine rw-dijkstra3 -n 8 failed (rc=$rc)" >&2; exit 1; }
 
+# trace picks its start state by sweeping Σ until the first converged
+# state, never listing it: at a ring size past what any engine can
+# index (3^62 states) it must answer at once under a small address-space
+# limit, which also stops a regression from exhausting the host's memory.
+rc=0
+(ulimit -v 2000000; timeout 60 dune exec bin/crcheck.exe -- trace rw-dijkstra3 -n 20 --steps 5) \
+  > /dev/null 2>&1 || rc=$?
+[ "$rc" = 0 ] || { echo "ci: trace rw-dijkstra3 -n 20 failed (rc=$rc)" >&2; exit 1; }
+
 # Known-answer gate: every query of the scenario benchmark runs once and
 # must print the verdict lines and exit codes its workload table
 # expects.
 bash scenario_bench/run.sh --check
-
-# The committed benchmark artifact must stay well-formed JSON and carry
-# the space-engine head-to-head rows plus the jobs-scaling matrix.
-dune exec bin/crcheck.exe -- validate json BENCH.json
-for row in space-dense-compile-rw-n3 space-sparse-compile-rw-n3 \
-           space-dense-refine-rw-n3 space-sparse-refine-rw-n3 \
-           classify-seq-dijkstra3-n6 compile-seq-dijkstra3-n7 \
-           stabilize-sweep-seq-dijkstra3-n6; do
-  grep -q "\"$row\"" BENCH.json || {
-    echo "ci: BENCH.json is missing row $row" >&2
-    exit 1
-  }
-done
-
-# Perf-regression gate: the committed baseline must self-diff cleanly
-# (exit 0, no regressions), and with CI_BENCH=1 a fresh artifact from
-# this machine must stay within the generous cross-machine gate of it.
-# Low-r^2 rows are never gated and sub-microsecond rows get 4x slack, so
-# this catches order-of-magnitude regressions without flaking on
-# scheduler noise.
-dune exec bin/crcheck.exe -- perfdiff BENCH.json BENCH.json > /dev/null
-if [ "${CI_BENCH:-0}" = "1" ]; then
-  fresh="$work/bench.json"
-  dune exec bench/main.exe -- --json "$fresh" > /dev/null
-  dune exec bin/crcheck.exe -- validate json "$fresh"
-  dune exec bin/crcheck.exe -- perfdiff --gate 100 BENCH.json "$fresh"
-fi
 
 echo "ci: OK"

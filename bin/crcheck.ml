@@ -7,7 +7,6 @@
      crcheck kstate [-n N] [-k K]        K-state threshold exploration
      crcheck lint SYSTEM|--all [-n N]    static analysis of the programs
      crcheck flow SYSTEM|--all [-n N]    abstract interpretation + stair
-     crcheck perfdiff A.json B.json      noise-aware bench regression gate
      crcheck validate KIND FILE          check a json/trace/journal artifact
 *)
 
@@ -197,11 +196,18 @@ let trace name n faults steps seed daemon =
       let p = e.Cr_experiments.Registry.program n in
       let layout = Cr_guarded.Program.layout p in
       let rng = Random.State.make [| seed |] in
-      (* find a canonical legitimate state to corrupt: any converged state *)
+      (* find a canonical legitimate state to corrupt: the first
+         converged state, by one sweep that stops there instead of
+         listing Σ *)
       let start0 =
-        List.find_opt
-          (e.Cr_experiments.Registry.converged n)
-          (Cr_guarded.Layout.enumerate layout)
+        let exception Found of Cr_guarded.Layout.state in
+        let converged = e.Cr_experiments.Registry.converged n in
+        match
+          Cr_guarded.Layout.iter_states layout (fun _ s ->
+              if converged s then raise (Found (Array.copy s)))
+        with
+        | () -> None
+        | exception Found s -> Some s
       in
       match start0 with
       | None ->
@@ -226,7 +232,6 @@ let trace name n faults steps seed daemon =
                  then "   [converged]"
                  else ""))
             t.Cr_sim.Runner.steps;
-          ignore layout;
           0)
 
 let trace_cmd =
@@ -577,43 +582,12 @@ let flow_cmd =
       const flow_run $ system_opt $ all_arg $ n_arg $ json_arg $ stats_arg
       $ check_exact_arg)
 
-(* ---- perfdiff ---- *)
-
-let perfdiff_cmd =
-  let base_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"BASE.json" ~doc:"Baseline bench --json artifact.")
-  in
-  let next_arg =
-    Arg.(
-      required
-      & pos 1 (some file) None
-      & info [] ~docv:"NEW.json" ~doc:"New bench --json artifact to judge.")
-  in
-  let gate_arg =
-    Arg.(
-      value & opt float 25.
-      & info [ "gate" ] ~docv:"PCT"
-          ~doc:
-            "Regression gate in percent for trusted rows (low-r2 rows are \
-             never gated; sub-microsecond rows get 4x this tolerance).")
-  in
-  let run base next gate = Cr_obs.Perfdiff.run ~gate_pct:gate base next in
-  Cmd.v
-    (Cmd.info "perfdiff"
-       ~doc:
-         "Compare two bench --json artifacts row by row and exit nonzero \
-          when any trusted row regresses past the gate")
-    Term.(const run $ base_arg $ next_arg $ gate_arg)
-
 (* ---- validate ---- *)
 
 exception Invalid of string
 
 (* Artifact validation without a JSON dependency: [json] checks
-   well-formedness only (lint/flow/bench --json artifacts); [trace] also
+   well-formedness only (lint/flow --json artifacts); [trace] also
    wants at least one "ph":"X" span event; [journal] wants every line to
    be an object stamped with ev/seq/rev/jobs, unique seqs, a
    journal.open header at seq 0 followed by at least one event, and an
@@ -740,12 +714,17 @@ let experiments_cmd =
   in
   Cmd.v
     (Cmd.info "experiments"
-       ~doc:"Regenerate every experiment table (same output as bench/main.exe)")
+       ~doc:
+         "Regenerate every experiment table at ring sizes 2..N.  \
+          $(b,bench/main.exe) prints the same tables at the sizes \
+          EXPERIMENTS.md reports: like $(b,--max-n 5), plus N = 6..8 \
+          of the direct stabilization tables (E4, E6, E8) and N = 6 of \
+          the K-state table (E11), then a closing $(b,done.) line")
     Term.(const run $ max_n $ stats_arg)
 
 let main =
   let doc = "model checking and refinement checking for Convergence Refinement" in
   let info = Cmd.info "crcheck" ~version:"1.0.0" ~doc in
-  Cmd.group info [ list_cmd; verify_cmd; refine_cmd; trace_cmd; kstate_cmd; spans_cmd; dot_cmd; lint_cmd; flow_cmd; perfdiff_cmd; validate_cmd; experiments_cmd ]
+  Cmd.group info [ list_cmd; verify_cmd; refine_cmd; trace_cmd; kstate_cmd; spans_cmd; dot_cmd; lint_cmd; flow_cmd; validate_cmd; experiments_cmd ]
 
 let () = exit (Cmd.eval' main)

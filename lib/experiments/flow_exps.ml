@@ -14,10 +14,9 @@ type row = {
 (* Asking the model checker for a verdict compiles the explicit system;
    keep that to spaces the CSR kernels handle instantly so the audit
    stays a static-analysis command. *)
-let default_verdict_budget = 1 lsl 17
+let verdict_budget = 1 lsl 17
 
-let audit_entry ?(verdict_budget = default_verdict_budget) ~n
-    (e : Registry.entry) : row =
+let audit_entry ~n (e : Registry.entry) : row =
   let flow = Cr_flow.Flow.analyze (e.Registry.program n) in
   let rank = Cr_flow.Rank.of_flow flow in
   let verdict =
@@ -29,9 +28,9 @@ let audit_entry ?(verdict_budget = default_verdict_budget) ~n
   in
   { entry = e; flow; rank; verdict }
 
-let audit ?verdict_budget ?(n = 3) () : row list =
+let audit ?(n = 3) () : row list =
   Cr_obs.Obs.span "lint.flow.audit_all" @@ fun () ->
-  List.map (audit_entry ?verdict_budget ~n) Registry.entries
+  List.map (audit_entry ~n) Registry.entries
 
 let total_errors rows =
   List.fold_left (fun acc r -> acc + Cr_flow.Flow.errors r.flow) 0 rows

@@ -7,14 +7,12 @@ type row = {
   rank : Cr_flow.Rank.t option;
   verdict : bool option;
       (** the registry stabilization verdict, cross-checked when the
-          state space is within [verdict_budget] *)
+          state space has at most 2^17 states *)
 }
 
-val default_verdict_budget : int
+val audit_entry : n:int -> Registry.entry -> row
 
-val audit_entry : ?verdict_budget:int -> n:int -> Registry.entry -> row
-
-val audit : ?verdict_budget:int -> ?n:int -> unit -> row list
+val audit : ?n:int -> unit -> row list
 (** Flow-analyze every registry system's program at ring size [n]
     (default 3). *)
 

@@ -178,10 +178,13 @@ let init_explicit e n = anchored (e.program n)
 
 let legit_explicit e n = anchored (e.spec n)
 
-(* Verdict routing.  Every driver (crcheck, the report tables, tests)
-   that asks the same registry question goes through these, so the
+(* Verdict routing.  crcheck (verify, refine, dot), the flow audit and
+   the tests ask registry questions through these, so the
    content-addressed verdict memo inside Refine/Stabilize serves one
-   computed verdict to all of them. *)
+   computed verdict to all of them.  The report tables do not:
+   Ring_exps, Ext_exps, Cost_exps, Report.table_mutex and
+   Cr_fault.Spans spell out their own (program, spec, α) triples and
+   check against the dense spec. *)
 
 let stabilization ?ep ?spec ?alpha ?fair e n =
   let ep = match ep with Some ep -> ep | None -> explicit e n in

@@ -1,5 +1,6 @@
 (* Printing of every experiment table (DESIGN.md / EXPERIMENTS.md).
-   Shared by the benchmark harness and the crcheck CLI. *)
+   Shared by the table harness bench/main.exe, which prints them at the
+   ring sizes EXPERIMENTS.md reports, and by crcheck experiments. *)
 
 let pf = Format.printf
 

@@ -1,5 +1,7 @@
 (** Printing of every experiment table (DESIGN.md / EXPERIMENTS.md);
-    shared by [bench/main.exe] and [crcheck experiments]. *)
+    shared by the table harness [bench/main.exe] (the ring sizes
+    EXPERIMENTS.md reports, through [ns_direct] and [ns_kstate]) and
+    [crcheck experiments]. *)
 
 val all :
   ?ns:int list -> ?ns_direct:int list -> ?ns_kstate:int list -> unit -> unit

@@ -327,16 +327,16 @@ let supplemental t =
       || (f.Lint.key = "F2" && f.Lint.provenance = Lint.Abstract))
     t.findings
 
-let lint ?allow ?reachable_check ?exact_budget p =
+let lint ?allow ?exact_budget p =
   let t = analyze ?exact_budget p in
   if t.degraded then
     (* Lint.run over the same budget yields the matching B1 report
        without starting its own full-space pass. *)
-    (Lint.run ?allow ?reachable_check ?exact_budget p, t)
+    (Lint.run ?allow ?exact_budget p, t)
   else
     let infos = List.map (fun f -> f.info) t.facts in
     let report =
-      Lint.run ?allow ?reachable_check ?exact_budget ~infos
+      Lint.run ?allow ?exact_budget ~infos
         ~init_dead:(init_dead t) p
     in
     (Lint.merge report (supplemental t), t)

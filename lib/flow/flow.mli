@@ -98,7 +98,6 @@ val errors : t -> int
 
 val lint :
   ?allow:string list ->
-  ?reachable_check:bool ->
   ?exact_budget:int ->
   Program.t ->
   Lint.report * t

@@ -295,25 +295,22 @@ let check_liveness mk_prov ~reachable ~init_dead info =
          guard unsatisfiable over the reachable value over-approximation)";
     ]
   else
-    match Lazy.force reachable with
-    | None -> []
-    | Some tbl ->
-        let alive = ref false in
-        (try
-           Layout.Tbl.iter
-             (fun s () ->
-               if a.Action.guard s then begin
-                 alive := true;
-                 raise Exit
-               end)
-             tbl
-         with Exit -> ());
-        if !alive then []
-        else
-          [
-            mk "U1" Info (Action.label a)
-              "never enabled from the initial states (fault-free executions)";
-          ]
+    let alive = ref false in
+    (try
+       Layout.Tbl.iter
+         (fun s () ->
+           if a.Action.guard s then begin
+             alive := true;
+             raise Exit
+           end)
+         (Lazy.force reachable)
+     with Exit -> ());
+    if !alive then []
+    else
+      [
+        mk "U1" Info (Action.label a)
+          "never enabled from the initial states (fault-free executions)";
+      ]
 
 (* I1: interference pairs.  Process i writes a slot that an action of
    process j reads (in its guard or effect) — the read races with the
@@ -418,8 +415,7 @@ let merge r extra = { r with findings = sort_findings (r.findings @ extra) }
 
 let default_exact_budget = 1 lsl 22
 
-let run ?(allow = []) ?(reachable_check = true)
-    ?(exact_budget = default_exact_budget) ?infos
+let run ?(allow = []) ?(exact_budget = default_exact_budget) ?infos
     ?(init_dead = fun _ -> false) (p : Program.t) : report =
   Cr_obs.Obs.span "lint.program" @@ fun () ->
   let layout = Program.layout p in
@@ -450,16 +446,14 @@ let run ?(allow = []) ?(reachable_check = true)
     in
     let reachable =
       lazy
-        (if not reachable_check then None
-         else
-           Cr_obs.Obs.span "lint.reachable" @@ fun () ->
-           (* one allocation-free sweep; only the initial states are
-              copied out of the scratch state *)
-           let seeds = ref [] in
-           let initial = Program.initial p in
-           Layout.iter_states layout (fun _ s ->
-               if initial s then seeds := Array.copy s :: !seeds);
-           Some (Program.reachable_from p (List.rev !seeds)))
+        (Cr_obs.Obs.span "lint.reachable" @@ fun () ->
+         (* one allocation-free sweep; only the initial states are
+            copied out of the scratch state *)
+         let seeds = ref [] in
+         let initial = Program.initial p in
+         Layout.iter_states layout (fun _ s ->
+             if initial s then seeds := Array.copy s :: !seeds);
+         Program.reachable_from p (List.rev !seeds))
     in
     let findings =
       List.concat

@@ -71,7 +71,6 @@ val default_exact_budget : int
 
 val run :
   ?allow:string list ->
-  ?reachable_check:bool ->
   ?exact_budget:int ->
   ?infos:Rwsets.info list ->
   ?init_dead:(string -> bool) ->
@@ -79,9 +78,9 @@ val run :
   report
 (** Run every check.  [allow] downgrades the named checks where an
     allowlist applies (currently [P1], for abstract neighbour-writing
-    systems).  [reachable_check:false] skips the reachable-from-initial
-    variant of U1 (it forces the program's initial-state closure, built
-    lazily and only when some action needs the exact fallback).
+    systems).  The reachable-from-initial variant of U1 forces the
+    program's initial-state closure, built lazily and only when some
+    action needs the exact fallback.
     Programs with more than [exact_budget] states get a single [B1]
     finding instead of the exact battery.  [infos] supplies precomputed
     read/write sets (so a caller that already ran {!Rwsets.of_program}

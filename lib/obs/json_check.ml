@@ -1,11 +1,11 @@
 (* Minimal JSON checker and parser (RFC 8259 syntax).
 
    The repo is kept dependency-free, so the trace artifacts written by
-   {!Obs.write_trace}, the bench [--json] output, the [CR_JOURNAL] JSONL
-   stream and the perfdiff inputs are handled by this recursive-descent
-   parser instead of a full JSON library.  [validate_*] only recognizes
-   (no AST); [parse_string] additionally builds a value, which perfdiff
-   and crcheck validate consume. *)
+   {!Obs.write_trace}, the lint/flow [--json] output and the [CR_JOURNAL]
+   JSONL stream are handled by this recursive-descent parser instead of
+   a full JSON library.  [validate_*] only recognizes (no AST);
+   [parse_string] additionally builds a value, which crcheck validate
+   and the scenario benchmark consume. *)
 
 type pos = { mutable i : int }
 
@@ -258,11 +258,3 @@ let validate_jsonl_string s =
           | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
   in
   go 1 0 lines
-
-let validate_jsonl_file path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      validate_jsonl_string s

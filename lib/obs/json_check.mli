@@ -1,7 +1,7 @@
 (** Minimal JSON parser and well-formedness checker (RFC 8259), used to
-    validate the [CR_TRACE], bench [--json] and [CR_JOURNAL] artifacts —
-    and to read them back in [perfdiff] and [crcheck validate] — without
-    adding a JSON dependency. *)
+    validate the [CR_TRACE], lint/flow [--json] and [CR_JOURNAL]
+    artifacts — and to read them back in [crcheck validate] and the
+    scenario benchmark — without adding a JSON dependency. *)
 
 type json =
   | Null
@@ -40,5 +40,3 @@ val validate_jsonl_string : string -> (int, string) result
 (** Validate JSON-Lines content: every non-empty line must be one JSON
     {e object}.  Returns the number of object lines; [Error] names the
     first offending line. *)
-
-val validate_jsonl_file : string -> (int, string) result

@@ -436,7 +436,7 @@ let sync_equal p q =
    would make the synchronous merge order-dependent across processes),
    the synchronous semantics is invariant under any action reordering. *)
 let sync_clean (e : Registry.entry) p =
-  let r = Lint.run ~allow:e.Registry.lint_allow ~reachable_check:false p in
+  let r = Lint.run ~allow:e.Registry.lint_allow p in
   keys "G1" r = [] && keys "P1" r = []
 
 let test_sync_reorder_invariant () =
