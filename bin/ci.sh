@@ -207,25 +207,49 @@ for cmd in lint flow; do
   }
 done
 
-# Space-engine smoke: verify checks against the spec's legitimate orbit
-# (a sparse compile by default), and a stabilization verdict reads the
-# spec only through that orbit — so forcing the full dense spec with
-# CR_SPACE=dense must not change a single output byte or exit code.
-# Covers the btr self-check, a stabilizing ring, the failing and weakly
-# fair re-check path (c2-wrapped) and kstate's UTR spec.  Exit 1 is a
-# "not stabilizing" verdict; only exit > 1 is a crash.
+# Space-engine smoke: every stabilization question checks against the
+# spec's legitimate orbit (a sparse compile by default), and a verdict
+# reads the spec only through that orbit — so forcing the full dense
+# spec with CR_SPACE=dense must not change a single output byte or exit
+# code.  Covers verify on the btr self-check, a stabilizing ring, the
+# failing and weakly fair re-check path (c2-wrapped) and kstate's UTR
+# spec, plus the experiment tables, the fault spans and the K-state
+# sweep.  Exit 1 is a "not stabilizing" verdict; only exit > 1 is a
+# crash.
 spdef="$work/space-default.out"
 spdense="$work/space-dense.out"
-for q in "btr" "dijkstra3 -n 4" "c2-wrapped -n 4" "kstate -n 3"; do
-  rc=0; dune exec bin/crcheck.exe -- verify $q > "$spdef" 2> /dev/null || rc=$?
-  [ "$rc" -le 1 ] || { echo "ci: verify $q crashed (rc=$rc)" >&2; exit 1; }
-  rcd=0; CR_SPACE=dense dune exec bin/crcheck.exe -- verify $q > "$spdense" 2> /dev/null || rcd=$?
+for q in "verify btr" "verify dijkstra3 -n 4" "verify c2-wrapped -n 4" \
+         "verify kstate -n 3" "experiments --max-n 3" "spans dijkstra3 -n 4" \
+         "kstate -n 3"; do
+  rc=0; dune exec bin/crcheck.exe -- $q > "$spdef" 2> /dev/null || rc=$?
+  [ "$rc" -le 1 ] || { echo "ci: $q crashed (rc=$rc)" >&2; exit 1; }
+  rcd=0; CR_SPACE=dense dune exec bin/crcheck.exe -- $q > "$spdense" 2> /dev/null || rcd=$?
   [ "$rc" = "$rcd" ] && cmp -s "$spdef" "$spdense" || {
-    echo "ci: verify $q differs under CR_SPACE=dense (exit $rc vs $rcd)" >&2
+    echo "ci: $q differs under CR_SPACE=dense (exit $rc vs $rcd)" >&2
     diff "$spdef" "$spdense" >&2 || true
     exit 1
   }
 done
+
+# Usage errors are refusals, not crashes: an out-of-range integer
+# option fails at parse time (exit 124, Cmdliner's usage code), and an
+# unwritable output path is one "crcheck:" line on stderr and exit 2.
+usageerr="$work/usage.err"
+rc=0
+dune exec bin/crcheck.exe -- verify dijkstra3 -n 0 > /dev/null 2> "$usageerr" || rc=$?
+[ "$rc" = 124 ] && ! grep -q 'internal error' "$usageerr" || {
+  echo "ci: verify dijkstra3 -n 0 exited $rc, want a clean 124" >&2
+  cat "$usageerr" >&2
+  exit 1
+}
+rc=0
+dune exec bin/crcheck.exe -- dot btr -n 2 -o "$work/missing/dir/x.dot" \
+  > /dev/null 2> "$usageerr" || rc=$?
+[ "$rc" = 2 ] && [ "$(wc -l < "$usageerr")" = 1 ] || {
+  echo "ci: dot to an unwritable path exited $rc, want 2 and one stderr line" >&2
+  cat "$usageerr" >&2
+  exit 1
+}
 
 # The sparse engine's reason to exist: an init-anchored query at a ring
 # size whose dense space (3^26 states) cannot be materialized at all.

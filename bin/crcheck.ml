@@ -14,9 +14,23 @@ open Cmdliner
 
 let pf = Format.printf
 
+(* An integer option with a lower bound: a value below it is a parse
+   error, reported and exited on (124) like a non-integer. *)
+let int_from lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok v when v < lo ->
+        Error
+          (`Msg
+             (Printf.sprintf "invalid value '%s', expected an integer >= %d" s
+                lo))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let n_arg =
   let doc = "Ring size: processes are 0..N (N >= 1)." in
-  Arg.(value & opt int 3 & info [ "n"; "ring" ] ~docv:"N" ~doc)
+  Arg.(value & opt (int_from 1) 3 & info [ "n"; "ring" ] ~docv:"N" ~doc)
 
 let system_arg =
   let doc = "System name; see $(b,crcheck list)." in
@@ -33,10 +47,12 @@ let space_arg =
   let doc =
     "State-space engine for init-anchored compiles: $(b,sparse) \
      (reachable fragment only: the default for refine's concrete system \
-     and for the spec side of verify), $(b,dense) (full product space) \
-     or $(b,auto) (each call site's default).  Equivalent to setting \
-     CR_SPACE.  verify prints the same under every engine; its concrete \
-     side and whole-space lint facts are dense by construction."
+     and for the spec side of every stabilization question), $(b,dense) \
+     (full product space) or $(b,auto) (each call site's default).  \
+     Equivalent to setting CR_SPACE.  verify, dot, spans, kstate and \
+     experiments print the same under every engine; the concrete side \
+     of a stabilization question and whole-space lint facts are dense \
+     by construction."
   in
   Arg.(
     value
@@ -61,6 +77,14 @@ let refusing_too_large f =
   with Cr_semantics.Space.Too_large msg ->
     Format.eprintf "crcheck: %s@." msg;
     2
+
+(* An output file that cannot be written is a usage error too: one
+   line on stderr and exit 2, instead of an uncaught Sys_error. *)
+let write_file path body =
+  try Out_channel.with_open_text path (fun oc -> output_string oc body)
+  with Sys_error msg ->
+    Format.eprintf "crcheck: %s@." msg;
+    exit 2
 
 (* Unknown systems are a usage error: report on stderr and exit 2, so
    piped stdout (tables, --json artifacts) stays clean. *)
@@ -100,13 +124,8 @@ let verify name n stats space =
       let p = e.Cr_experiments.Registry.program n in
       (* every graph and the α-table once, shared with the fair re-check *)
       let ep = Cr_experiments.Registry.explicit e n in
-      let spec = Cr_experiments.Registry.legit_explicit e n in
-      let alpha =
-        Cr_semantics.Abstraction.tabulate ~partial:true
-          (e.Cr_experiments.Registry.alpha n) ep spec
-      in
-      let stabilization = Cr_experiments.Registry.stabilization ~ep ~spec ~alpha in
-      let r = stabilization e n in
+      let stab = Cr_experiments.Registry.stabilization ~ep e n in
+      let r = stab () in
       pf "%a@." Cr_core.Stabilize.pp_report r;
       if stats then pp_cost "stabilize" r.Cr_core.Stabilize.cost;
       (match r.Cr_core.Stabilize.bad_cycle with
@@ -124,7 +143,7 @@ let verify name n stats space =
       (* also report the weakly-fair verdict when the strict one fails *)
       if not r.Cr_core.Stabilize.holds then begin
         let fair = Cr_sim.Glue.fair_tables p ep in
-        let rf = stabilization ~fair e n in
+        let rf = stab ~fair () in
         pf "under a weakly fair daemon: %s@."
           (if rf.Cr_core.Stabilize.holds then "stabilizing" else "still not stabilizing")
       end;
@@ -176,10 +195,10 @@ let refine_cmd =
 (* ---- trace ---- *)
 
 let faults_arg =
-  Arg.(value & opt int 2 & info [ "faults" ] ~docv:"K" ~doc:"Faults to inject.")
+  Arg.(value & opt (int_from 0) 2 & info [ "faults" ] ~docv:"K" ~doc:"Faults to inject.")
 
 let steps_arg =
-  Arg.(value & opt int 20 & info [ "steps" ] ~docv:"M" ~doc:"Steps to run.")
+  Arg.(value & opt (int_from 0) 20 & info [ "steps" ] ~docv:"M" ~doc:"Steps to run.")
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"Random seed.")
@@ -268,16 +287,14 @@ let kstate_cmd =
 let dot name n output =
   with_entry name (fun e ->
       let ep = Cr_experiments.Registry.explicit e n in
-      let r = Cr_experiments.Registry.stabilization ~ep e n in
+      let r = Cr_experiments.Registry.stabilization ~ep e n () in
       let good = r.Cr_core.Stabilize.good_mask in
       let highlight i = if good.(i) then Some "palegreen" else None in
       let dot_text = Cr_semantics.Dot.to_string ~highlight ep in
       (match output with
       | None -> print_string dot_text
       | Some path ->
-          let oc = open_out path in
-          output_string oc dot_text;
-          close_out oc;
+          write_file path dot_text;
           pf "wrote %s (%d states; converged region in green)@." path
             (Cr_semantics.Explicit.num_states ep));
       0)
@@ -299,10 +316,10 @@ let dot_cmd =
 let spans name n =
   with_entry name (fun e ->
       let p = e.Cr_experiments.Registry.program n in
-      let spec = Cr_experiments.Registry.spec_explicit e n in
+      let ep = Cr_experiments.Registry.explicit e n in
       match
-        Cr_fault.Spans.analyze p ~spec
-          ~abstraction:(e.Cr_experiments.Registry.alpha n)
+        Cr_fault.Spans.analyze p ep
+          (Cr_experiments.Registry.stabilization ~ep e n ())
       with
       | rows ->
           pf "%-4s %-10s %-16s %s@." "k" "span" "worst-recovery"
@@ -356,9 +373,7 @@ let audit cmd ~name ~all ~stats ~json ~audit_all ~audit_entry ~to_json report =
               Format.eprintf "%s: internal error: --json artifact invalid: %s@."
                 cmd msg;
               exit 3);
-          let oc = open_out path in
-          output_string oc body;
-          close_out oc;
+          write_file path body;
           pf "wrote %s@." path)
         json;
       Option.iter
@@ -704,8 +719,8 @@ let validate_cmd =
 let experiments_cmd =
   let max_n =
     Arg.(
-      value & opt int 3
-      & info [ "max-n" ] ~docv:"N" ~doc:"Largest ring size in the sweeps.")
+      value & opt (int_from 2) 3
+      & info [ "max-n" ] ~docv:"N" ~doc:"Largest ring size in the sweeps (N >= 2).")
   in
   let run max_n stats =
     if stats then Cr_obs.Obs.force_enable ();

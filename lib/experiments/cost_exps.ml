@@ -18,14 +18,12 @@ type row = {
 }
 
 let measure ~(name : string) ~(mk : int -> Program.t)
-    ~(mk_spec : int -> Layout.state Cr_semantics.Explicit.t Lazy.t)
+    ~(mk_spec : int -> Program.t)
     ~(alpha : int -> (Layout.state, Layout.state) Cr_semantics.Abstraction.t)
     ~samples n : row =
   let p = mk n in
   let e = Program.to_explicit p in
-  let spec = Lazy.force (mk_spec n) in
-  let a = Cr_semantics.Abstraction.tabulate (alpha n) e spec in
-  let r = Cr_core.Stabilize.stabilizing_to ~alpha:a ~c:e ~a:spec () in
+  let r = Registry.stabilizing ~alpha:(alpha n) e (mk_spec n) () in
   if not r.Cr_core.Stabilize.holds then
     invalid_arg (name ^ ": system unexpectedly not stabilizing");
   let worst = Option.value ~default:0 r.Cr_core.Stabilize.worst_case_recovery in
@@ -48,26 +46,23 @@ let measure ~(name : string) ~(mk : int -> Program.t)
     max_random = stats.Cr_sim.Runner.max_steps_observed;
   }
 
-let btr_spec n = lazy (Program.to_explicit (Cr_tokenring.Btr.program n))
-let utr_spec n = lazy (Program.to_explicit (Cr_tokenring.Utr.program n))
-
 let dijkstra3_row ?(samples = 200) n =
   measure ~name:"Dijkstra-3state" ~mk:Cr_tokenring.Btr3.dijkstra3
-    ~mk_spec:btr_spec ~alpha:Cr_tokenring.Btr3.alpha ~samples n
+    ~mk_spec:Cr_tokenring.Btr.program ~alpha:Cr_tokenring.Btr3.alpha ~samples n
 
 let dijkstra4_row ?(samples = 200) n =
   measure ~name:"Dijkstra-4state" ~mk:Cr_tokenring.Btr4.dijkstra4
-    ~mk_spec:btr_spec ~alpha:Cr_tokenring.Btr4.alpha ~samples n
+    ~mk_spec:Cr_tokenring.Btr.program ~alpha:Cr_tokenring.Btr4.alpha ~samples n
 
 let c1_row ?(samples = 200) n =
   measure ~name:"C1 (4-state)" ~mk:Cr_tokenring.Btr4.c1
-    ~mk_spec:btr_spec ~alpha:Cr_tokenring.Btr4.alpha ~samples n
+    ~mk_spec:Cr_tokenring.Btr.program ~alpha:Cr_tokenring.Btr4.alpha ~samples n
 
 let kstate_row ?(samples = 200) n =
   let k = n + 1 in
   measure ~name:"K-state (K=N+1)"
     ~mk:(fun n -> Cr_tokenring.Kstate.program ~n ~k)
-    ~mk_spec:utr_spec
+    ~mk_spec:Cr_tokenring.Utr.program
     ~alpha:(fun n -> Cr_tokenring.Kstate.alpha ~n ~k)
     ~samples n
 
@@ -103,9 +98,10 @@ let mean_on_explicit ?(samples = 200) ~seed e ~converged_idx =
 let new3_priority_row ?(samples = 200) n : row =
   let p, is_w = Cr_tokenring.C3_system.new3_priority n in
   let e = Program.to_explicit ~priority_of:is_w p in
-  let btr = Lazy.force (btr_spec n) in
-  let a = Cr_semantics.Abstraction.tabulate (Cr_tokenring.C3_system.alpha n) e btr in
-  let r = Cr_core.Stabilize.stabilizing_to ~alpha:a ~c:e ~a:btr () in
+  let r =
+    Registry.stabilizing ~alpha:(Cr_tokenring.C3_system.alpha n) e
+      (Cr_tokenring.Btr.program n) ()
+  in
   let converged_idx i = r.Cr_core.Stabilize.good_mask.(i) in
   let mean, maxi, _ = mean_on_explicit ~samples ~seed:13 e ~converged_idx in
   {
@@ -116,7 +112,3 @@ let new3_priority_row ?(samples = 200) n : row =
     mean_random = mean;
     max_random = maxi;
   }
-
-let pp_row fmt r =
-  Fmt.pf fmt "%-20s N=%d |Sigma|=%-6d worst=%-5d mean=%-8.1f max=%d" r.system
-    r.n r.states r.worst_case r.mean_random r.max_random

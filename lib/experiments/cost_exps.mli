@@ -19,13 +19,3 @@ val kstate_row : ?samples:int -> int -> row
 val new3_priority_row : ?samples:int -> int -> row
 (** The priority-composed new 3-state system; simulated on the explicit
     graph (preemption changes the enabled set). *)
-
-val mean_on_explicit :
-  ?samples:int ->
-  seed:int ->
-  'a Cr_semantics.Explicit.t ->
-  converged_idx:(int -> bool) ->
-  float * int * int
-(** (mean, max, converged-count) of random walks to the converged set. *)
-
-val pp_row : Format.formatter -> row -> unit

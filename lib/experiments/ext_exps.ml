@@ -23,12 +23,11 @@ type sync_verdict = {
 }
 
 let synchronous_stabilization ~name ~(mk : int -> Program.t)
-    ~(mk_alpha : int -> (Layout.state, Btr.state) Cr_semantics.Abstraction.t)
+    ~(mk_spec : int -> Program.t)
+    ~(mk_alpha : int -> (Layout.state, Layout.state) Cr_semantics.Abstraction.t)
     n =
-  let btr = Program.to_explicit (Btr.program n) in
   let e = Program.to_explicit_synchronous (mk n) in
-  let alpha = Cr_semantics.Abstraction.tabulate (mk_alpha n) e btr in
-  let r = Cr_core.Stabilize.stabilizing_to ~alpha ~c:e ~a:btr () in
+  let r = Registry.stabilizing ~alpha:(mk_alpha n) e (mk_spec n) () in
   {
     name;
     n;
@@ -41,27 +40,19 @@ let synchronous_stabilization ~name ~(mk : int -> Program.t)
 
 let sync_dijkstra3 n =
   synchronous_stabilization ~name:"Dijkstra-3state" ~mk:Btr3.dijkstra3
-    ~mk_alpha:Btr3.alpha n
+    ~mk_spec:Btr.program ~mk_alpha:Btr3.alpha n
 
 let sync_dijkstra4 n =
   synchronous_stabilization ~name:"Dijkstra-4state" ~mk:Btr4.dijkstra4
-    ~mk_alpha:Btr4.alpha n
+    ~mk_spec:Btr.program ~mk_alpha:Btr4.alpha n
 
 let sync_kstate n =
   let k = n + 1 in
-  let utr = Program.to_explicit (Utr.program n) in
-  let e = Program.to_explicit_synchronous (Kstate.program ~n ~k) in
-  let alpha = Cr_semantics.Abstraction.tabulate (Kstate.alpha ~n ~k) e utr in
-  let r = Cr_core.Stabilize.stabilizing_to ~alpha ~c:e ~a:utr () in
-  {
-    name = "K-state (K=N+1)";
-    n;
-    stabilizes = r.Cr_core.Stabilize.holds;
-    witness_cycle =
-      Option.map
-        (List.map (Cr_semantics.Explicit.state e))
-        r.Cr_core.Stabilize.bad_cycle;
-  }
+  synchronous_stabilization ~name:"K-state (K=N+1)"
+    ~mk:(fun n -> Kstate.program ~n ~k)
+    ~mk_spec:Utr.program
+    ~mk_alpha:(fun n -> Kstate.alpha ~n ~k)
+    n
 
 (* ---- E17: read/write atomicity ---- *)
 
@@ -80,13 +71,9 @@ type rw_verdict = {
 let rw_experiment n =
   let p = Rw_atomicity.program n in
   let e = Program.to_explicit p in
-  let btr = Program.to_explicit (Btr.program n) in
-  let alpha = Cr_semantics.Abstraction.tabulate (Rw_atomicity.alpha n) e btr in
-  let unfair = Cr_core.Stabilize.stabilizing_to ~alpha ~stutter:`Allow ~c:e ~a:btr () in
-  let fair = Cr_sim.Glue.fair_tables p e in
-  let fairr =
-    Cr_core.Stabilize.stabilizing_to ~alpha ~fair ~stutter:`Allow ~c:e ~a:btr ()
-  in
+  let stab = Registry.stabilizing ~alpha:(Rw_atomicity.alpha n) e (Btr.program n) in
+  let unfair = stab ~stutter:`Allow () in
+  let fairr = stab ~fair:(Cr_sim.Glue.fair_tables p e) ~stutter:`Allow () in
   (* init refinement against Dijkstra-3 through the cache-forgetting
      abstraction: reachable transitions are either counter moves of
      Dijkstra-3 or pure read stutters *)
@@ -131,9 +118,7 @@ let hitting ~name ~(mk : int -> Program.t)
     ~(mk_alpha : int -> (Layout.state, Layout.state) Cr_semantics.Abstraction.t)
     n =
   let e = Program.to_explicit (mk n) in
-  let spec = Program.to_explicit (mk_spec n) in
-  let alpha = Cr_semantics.Abstraction.tabulate (mk_alpha n) e spec in
-  let r = Cr_core.Stabilize.stabilizing_to ~alpha ~c:e ~a:spec () in
+  let r = Registry.stabilizing ~alpha:(mk_alpha n) e (mk_spec n) () in
   let succ = Cr_semantics.Explicit.csr e in
   let pred = Cr_semantics.Explicit.pred_csr e in
   let ex =

@@ -41,18 +41,3 @@ val hitting_dijkstra3 : int -> hitting_row
 
 val hitting_dijkstra4 : int -> hitting_row
 val hitting_kstate : int -> hitting_row
-
-val synchronous_stabilization :
-  name:string ->
-  mk:(int -> Program.t) ->
-  mk_alpha:(int -> (Layout.state, Cr_tokenring.Btr.state) Cr_semantics.Abstraction.t) ->
-  int ->
-  sync_verdict
-
-val hitting :
-  name:string ->
-  mk:(int -> Program.t) ->
-  mk_spec:(int -> Program.t) ->
-  mk_alpha:(int -> (Layout.state, Layout.state) Cr_semantics.Abstraction.t) ->
-  int ->
-  hitting_row

@@ -23,7 +23,7 @@ let audit_entry ~n (e : Registry.entry) : row =
     if flow.Cr_flow.Flow.num_states > verdict_budget then None
     else
       try
-        Some (Registry.stabilization e n).Cr_core.Stabilize.holds
+        Some (Registry.stabilization e n ()).Cr_core.Stabilize.holds
       with _ -> None
   in
   { entry = e; flow; rank; verdict }

@@ -168,7 +168,7 @@ let spec_explicit e n = Program.to_explicit (e.spec n)
    the dense engine.  These orbits are a vanishing fraction of the
    product spaces (18 of 2^18 states for BTR at N = 9), which is what
    lets refine run at ring sizes the dense compile cannot materialize
-   and keeps the spec side of verify small. *)
+   and keeps the spec side of every stabilization question small. *)
 let anchored p =
   Program.to_explicit
     ~space:(Cr_semantics.Space.resolve ~default:Cr_semantics.Space.Sparse ())
@@ -176,25 +176,23 @@ let anchored p =
 
 let init_explicit e n = anchored (e.program n)
 
-let legit_explicit e n = anchored (e.spec n)
+(* Verdict routing.  Every (program, spec, α) stabilization question —
+   crcheck's verify, dot, spans and kstate, the flow audit and every
+   report table — goes through [stabilizing], and crcheck refine and the
+   tests ask refinement questions through [refinements]; so the verdict
+   memo inside Refine/Stabilize keeps one entry per question.  Staged:
+   the spec's orbit and the α-table are built once per [~alpha c spec],
+   and the checker can be asked again (fair re-check, stutter mode).
+   Refinement keeps the dense spec: concrete images may leave the orbit. *)
+let stabilizing ~alpha c spec =
+  let a = anchored spec in
+  let alpha = Cr_semantics.Abstraction.tabulate ~partial:true alpha c a in
+  fun ?fair ?stutter () ->
+    Cr_core.Stabilize.stabilizing_to ~alpha ?fair ?stutter ~c ~a ()
 
-(* Verdict routing.  crcheck (verify, refine, dot), the flow audit and
-   the tests ask registry questions through these, so the
-   content-addressed verdict memo inside Refine/Stabilize serves one
-   computed verdict to all of them.  The report tables do not:
-   Ring_exps, Ext_exps, Cost_exps, Report.table_mutex and
-   Cr_fault.Spans spell out their own (program, spec, α) triples and
-   check against the dense spec. *)
-
-let stabilization ?ep ?spec ?alpha ?fair e n =
+let stabilization ?ep e n =
   let ep = match ep with Some ep -> ep | None -> explicit e n in
-  let spec = match spec with Some s -> s | None -> legit_explicit e n in
-  let alpha =
-    match alpha with
-    | Some t -> t
-    | None -> Cr_semantics.Abstraction.tabulate ~partial:true (e.alpha n) ep spec
-  in
-  Cr_core.Stabilize.stabilizing_to ~alpha ?fair ~c:ep ~a:spec ()
+  stabilizing ~alpha:(e.alpha n) ep (e.spec n)
 
 let refinements ?ep ?spec e n =
   let ep = match ep with Some ep -> ep | None -> init_explicit e n in

@@ -37,33 +37,40 @@ val spec_explicit : entry -> int -> Layout.state Cr_semantics.Explicit.t
     engine): what {!refinements} checks against, since a refinement's
     concrete images may land anywhere in the spec's space. *)
 
-val legit_explicit : entry -> int -> Layout.state Cr_semantics.Explicit.t
-(** The entry's specification over its legitimate orbit only: the
-    fragment reachable from its initial states, compiled by the sparse
-    engine ({!Cr_semantics.Space.resolve} with default [Sparse], so
-    [CR_SPACE=dense] restores the full spec).  What {!stabilization}
-    checks against: a stabilization verdict reads the spec only through
-    that orbit (see {!Cr_core.Stabilize.stabilizing_to}). *)
+val id_alpha : int -> (Layout.state, Layout.state) Cr_semantics.Abstraction.t
+(** The identity abstraction, for systems over their spec's own layout
+    (btr, btr-wrapped, utr and the abstract wrapper compositions). *)
+
+val stabilizing :
+  alpha:(Layout.state, Layout.state) Cr_semantics.Abstraction.t ->
+  Layout.state Cr_semantics.Explicit.t ->
+  Program.t ->
+  ?fair:Cr_core.Fair.tables ->
+  ?stutter:[ `Allow | `Forbid ] ->
+  unit ->
+  Cr_core.Stabilize.report
+(** [stabilizing ~alpha c spec]: is the compiled system [c] stabilizing
+    to [spec] through [alpha]?  The one route for that question.
+    Staged: applied to [~alpha c spec], it compiles the spec's
+    legitimate orbit (the fragment reachable from its initial states;
+    sparse unless [CR_SPACE] forces an engine) and tabulates [alpha]
+    against it with [~partial:true]; the returned checker is
+    {!Cr_core.Stabilize.stabilizing_to} with [?fair] and [?stutter]
+    passed through, and can be asked again without rebuilding either.
+    The report is the one the full dense spec gives, memoized in the
+    verdict cache ({!Cr_core.Check_cache}): one entry per question. *)
 
 val stabilization :
   ?ep:Layout.state Cr_semantics.Explicit.t ->
-  ?spec:Layout.state Cr_semantics.Explicit.t ->
-  ?alpha:int array ->
-  ?fair:Cr_core.Fair.tables ->
   entry ->
   int ->
+  ?fair:Cr_core.Fair.tables ->
+  ?stutter:[ `Allow | `Forbid ] ->
+  unit ->
   Cr_core.Stabilize.report
-(** [stabilizing_to] for the entry at ring size [n]: the program over
-    its full space ({!explicit}; stabilization quantifies over all of
-    Sigma_C) against the spec's legitimate orbit ({!legit_explicit}),
-    through the partial α-table
-    ({!Cr_semantics.Abstraction.tabulate} [~partial:true]).  The report
-    is the one the full dense spec gives.  Routed through the
-    process-wide verdict memo ({!Cr_core.Check_cache}): every driver
-    asking the same registry question shares one computed verdict.  A
-    caller that already holds these passes them as [ep], [spec] and
-    [alpha], which spares re-targeting the cached compiles and a second
-    tabulation. *)
+(** {!stabilizing} for the entry at ring size [n]: its program over the
+    full space ([ep], default {!explicit}; stabilization quantifies over
+    all of Sigma_C) against its spec through its α. *)
 
 val refinements :
   ?ep:Layout.state Cr_semantics.Explicit.t ->

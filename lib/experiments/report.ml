@@ -249,9 +249,11 @@ let table_spans () =
   List.iter
     (fun (name, mk, mk_alpha, spec_mk) ->
       let n = 3 in
-      let spec = Cr_guarded.Program.to_explicit (spec_mk n) in
+      let p = mk n in
+      let e = Cr_guarded.Program.to_explicit p in
       let rows =
-        Cr_fault.Spans.analyze (mk n) ~spec ~abstraction:(mk_alpha n)
+        Cr_fault.Spans.analyze p e
+          (Registry.stabilizing ~alpha:(mk_alpha n) e (spec_mk n) ())
       in
       pf "%s (N=%d):@." name n;
       pf "  %-4s %-10s %-16s %s@." "k" "span" "worst-recovery" "E[recovery] worst";
@@ -295,15 +297,11 @@ let table_mutex ns =
         List.map
           (fun (name, p, to_tokens, privileged) ->
             let e = Cr_guarded.Program.to_explicit p in
-            let btr =
-              Cr_guarded.Program.to_explicit (Cr_tokenring.Btr.program n)
+            let r =
+              Registry.stabilizing
+                ~alpha:(Cr_semantics.Abstraction.make ~name:"t" to_tokens)
+                e (Cr_tokenring.Btr.program n) ()
             in
-            let alpha =
-              Cr_semantics.Abstraction.tabulate
-                (Cr_semantics.Abstraction.make ~name:"t" to_tokens)
-                e btr
-            in
-            let r = Cr_core.Stabilize.stabilizing_to ~alpha ~c:e ~a:btr () in
             let good = r.Cr_core.Stabilize.good_mask in
             let v =
               Cr_tokenring.Mutex.check ~privileged ~num_procs:(n + 1) p ~good e

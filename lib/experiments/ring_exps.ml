@@ -13,7 +13,7 @@ open Cr_semantics
 open Cr_guarded
 open Cr_tokenring
 
-let explicit ?priority_of p = Program.to_explicit ?priority_of p
+let explicit p = Program.to_explicit p
 
 type wrapped_verdicts = {
   n : int;
@@ -26,29 +26,18 @@ type wrapped_verdicts = {
 
 let wrapped_stabilization ~(mk_union : int -> Program.t)
     ~(mk_priority : int -> Program.t * (Action.t -> bool))
-    ~(mk_alpha : int -> (Layout.state, Btr.state) Abstraction.t option) n =
-  let btr = explicit (Btr.program n) in
+    ~(mk_alpha : int -> (Layout.state, Btr.state) Abstraction.t) n =
+  let alpha = mk_alpha n in
   let u = mk_union n in
   let eu = explicit u in
-  let alpha =
-    match mk_alpha n with
-    | None -> None
-    | Some a -> Some (Abstraction.tabulate a eu btr)
-  in
-  let union = (Cr_core.Stabilize.stabilizing_to ?alpha ~c:eu ~a:btr ()).Cr_core.Stabilize.holds in
-  let tables = Cr_sim.Glue.fair_tables u eu in
+  let stab = Registry.stabilizing ~alpha eu (Btr.program n) in
+  let union = (stab ()).Cr_core.Stabilize.holds in
   let fair =
-    (Cr_core.Stabilize.stabilizing_to ?alpha ~fair:tables ~c:eu ~a:btr ())
-      .Cr_core.Stabilize.holds
+    (stab ~fair:(Cr_sim.Glue.fair_tables u eu) ()).Cr_core.Stabilize.holds
   in
   let p, is_w = mk_priority n in
   let ep = Program.to_explicit ~priority_of:is_w p in
-  let alpha_p =
-    match mk_alpha n with
-    | None -> None
-    | Some a -> Some (Abstraction.tabulate a ep btr)
-  in
-  let rp = Cr_core.Stabilize.stabilizing_to ?alpha:alpha_p ~c:ep ~a:btr () in
+  let rp = Registry.stabilizing ~alpha ep (Btr.program n) () in
   {
     n;
     states = Explicit.num_states eu;
@@ -61,29 +50,25 @@ let wrapped_stabilization ~(mk_union : int -> Program.t)
 (* E4 / Theorem 6: (BTR [] W1 [] W2) stabilizing to BTR. *)
 let theorem6 n =
   wrapped_stabilization ~mk_union:Btr.wrapped ~mk_priority:Btr.wrapped_priority
-    ~mk_alpha:(fun _ -> None)
-    n
+    ~mk_alpha:Registry.id_alpha n
 
 (* E7 / Lemma 9: (BTR_3 [] W1'' [] W2') stabilizing to BTR via alpha3. *)
 let lemma9 n =
   wrapped_stabilization ~mk_union:Btr3.btr3_wrapped
     ~mk_priority:Btr3.btr3_wrapped_priority
-    ~mk_alpha:(fun n -> Some (Btr3.alpha n))
-    n
+    ~mk_alpha:Btr3.alpha n
 
 (* E8 / Theorem 11 (composition): (C2 [] W1'' [] W2') stabilizing to BTR. *)
 let theorem11_c2w n =
   wrapped_stabilization ~mk_union:Btr3.c2_wrapped
     ~mk_priority:Btr3.c2_wrapped_priority
-    ~mk_alpha:(fun n -> Some (Btr3.alpha n))
-    n
+    ~mk_alpha:Btr3.alpha n
 
 (* E9 / Theorem 13: (C3 [] W1'' [] W2') stabilizing to BTR. *)
 let theorem13 n =
   wrapped_stabilization ~mk_union:C3_system.new3
     ~mk_priority:C3_system.new3_priority
-    ~mk_alpha:(fun n -> Some (C3_system.alpha n))
-    n
+    ~mk_alpha:C3_system.alpha n
 
 (* Direct (unwrapped) stabilization of the concrete systems — these hold
    under the unconstrained daemon, like Dijkstra's originals. *)
@@ -97,10 +82,8 @@ type direct = {
 
 let direct_stabilization ~(mk : int -> Program.t)
     ~(mk_alpha : int -> (Layout.state, Btr.state) Abstraction.t) n =
-  let btr = explicit (Btr.program n) in
   let e = explicit (mk n) in
-  let alpha = Abstraction.tabulate (mk_alpha n) e btr in
-  let r = Cr_core.Stabilize.stabilizing_to ~alpha ~c:e ~a:btr () in
+  let r = Registry.stabilizing ~alpha:(mk_alpha n) e (Btr.program n) () in
   {
     n;
     states = Explicit.num_states e;
@@ -146,7 +129,6 @@ let wrapper_refinement n =
   let w1g = explicit (Btr3.w1_global n) in
   let w1l = explicit (Btr3.w1_local n) in
   let rel f = (f ~c:w1l ~a:w1g ()).Cr_core.Refine.holds in
-  let btr = explicit (Btr.program n) in
   let wrappers = Program.box ~name:"W1'[]W2'" (Btr3.w1_global n) (Btr3.w2' n) in
   let p, is_w =
     Program.box_priority
@@ -154,8 +136,7 @@ let wrapper_refinement n =
       (Btr3.btr3 n) wrappers
   in
   let ep = Program.to_explicit ~priority_of:is_w p in
-  let alpha = Abstraction.tabulate (Btr3.alpha n) ep btr in
-  let stab = Cr_core.Stabilize.stabilizing_to ~alpha ~c:ep ~a:btr () in
+  let stab = Registry.stabilizing ~alpha:(Btr3.alpha n) ep (Btr.program n) () in
   {
     w1''_init = rel (fun ~c ~a () -> Cr_core.Refine.init_refinement ~c ~a ());
     w1''_everywhere =
@@ -201,10 +182,9 @@ let wrapper_vacuity n =
 (* E11: the K-state protocol.  [stabilizes ~n ~k] checks stabilization to
    UTR; [minimal_k n] finds the least K that stabilizes. *)
 let kstate_stabilizes ~n ~k =
-  let utr = explicit (Utr.program n) in
-  let ks = explicit (Kstate.program ~n ~k) in
-  let alpha = Abstraction.tabulate (Kstate.alpha ~n ~k) ks utr in
-  Cr_core.Stabilize.stabilizing_to ~alpha ~c:ks ~a:utr ()
+  Registry.stabilizing ~alpha:(Kstate.alpha ~n ~k)
+    (explicit (Kstate.program ~n ~k))
+    (Utr.program n) ()
 
 let kstate_minimal_k n =
   let rec go k = if (kstate_stabilizes ~n ~k).Cr_core.Stabilize.holds then k else go (k + 1) in
@@ -217,12 +197,13 @@ let kstate_refines_wrapped_utr ~n ~k =
   Cr_core.Refine.convergence_refinement ~alpha ~c:ks ~a:utrw ()
 
 let utr_wrapped_stabilization n =
-  let utr = explicit (Utr.program n) in
-  let u = explicit (Utr.wrapped n) in
-  let union = (Cr_core.Stabilize.stabilizing_to ~c:u ~a:utr ()).Cr_core.Stabilize.holds in
+  let stabilizes e =
+    (Registry.stabilizing ~alpha:(Registry.id_alpha n) e (Utr.program n) ())
+      .Cr_core.Stabilize.holds
+  in
+  let union = stabilizes (explicit (Utr.wrapped n)) in
   let p, is_w = Utr.wrapped_priority n in
-  let ep = Program.to_explicit ~priority_of:is_w p in
-  let priority = (Cr_core.Stabilize.stabilizing_to ~c:ep ~a:utr ()).Cr_core.Stabilize.holds in
+  let priority = stabilizes (Program.to_explicit ~priority_of:is_w p) in
   (union, priority)
 
 (* E12: a compression witness for C1 — the Section 4.2 figure.  Returns

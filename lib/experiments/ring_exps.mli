@@ -4,7 +4,6 @@
     execution models. *)
 
 open Cr_guarded
-open Cr_tokenring
 
 type wrapped_verdicts = {
   n : int;
@@ -95,22 +94,3 @@ val compression_witness :
 
 val stutter_witness : int -> Layout.state option
 (** E13: an illegitimate C3 state where an enabled action is a τ-step. *)
-
-val explicit :
-  ?priority_of:(Action.t -> bool) ->
-  Program.t ->
-  Layout.state Cr_semantics.Explicit.t
-
-val wrapped_stabilization :
-  mk_union:(int -> Program.t) ->
-  mk_priority:(int -> Program.t * (Action.t -> bool)) ->
-  mk_alpha:(int -> (Layout.state, Btr.state) Cr_semantics.Abstraction.t option) ->
-  int ->
-  wrapped_verdicts
-(** Generic three-model check used by the theorem functions above. *)
-
-val direct_stabilization :
-  mk:(int -> Program.t) ->
-  mk_alpha:(int -> (Layout.state, Btr.state) Cr_semantics.Abstraction.t) ->
-  int ->
-  direct

@@ -65,15 +65,12 @@ type row = {
   expected_recovery : float;  (* max expected steps from the span *)
 }
 
-(* Full analysis for a stabilizing program: one row per fault budget until
+(* Full analysis for a stabilizing program [p], given its compiled graph
+   [e] and its stabilization verdict [r]: one row per fault budget until
    the span saturates. *)
 let analyze ?(max_k = 8) (p : Program.t)
-    ~(spec : Layout.state Cr_semantics.Explicit.t)
-    ~(abstraction : (Layout.state, Layout.state) Cr_semantics.Abstraction.t) :
-    row list =
-  let e = Program.to_explicit p in
-  let alpha = Cr_semantics.Abstraction.tabulate abstraction e spec in
-  let r = Cr_core.Stabilize.stabilizing_to ~alpha ~c:e ~a:spec () in
+    (e : Layout.state Cr_semantics.Explicit.t) (r : Cr_core.Stabilize.report)
+    : row list =
   if not r.Cr_core.Stabilize.holds then
     invalid_arg "Spans.analyze: program is not stabilizing";
   let good = r.Cr_core.Stabilize.good_mask in

@@ -23,9 +23,11 @@ type row = {
 val analyze :
   ?max_k:int ->
   Program.t ->
-  spec:Layout.state Cr_semantics.Explicit.t ->
-  abstraction:(Layout.state, Layout.state) Cr_semantics.Abstraction.t ->
+  Layout.state Cr_semantics.Explicit.t ->
+  Cr_core.Stabilize.report ->
   row list
-(** One row per fault budget k = 0, 1, ... until the span saturates (or
-    [max_k]).  Raises [Invalid_argument] if the program is not
-    stabilizing. *)
+(** [analyze p e r]: the program [p], its compiled graph [e] and its
+    stabilization verdict [r] (whose converged region is the k = 0
+    source set).  One row per fault budget k = 0, 1, ... until the span
+    saturates (or [max_k]).  Raises [Invalid_argument] if [r] does not
+    hold. *)

@@ -50,5 +50,3 @@ let is_onto alpha ~num_abstract =
   Array.for_all (fun b -> b) hit
 
 let identity_table n = Array.init n (fun i -> i)
-
-let map_path alpha p = List.map (fun i -> alpha.(i)) p

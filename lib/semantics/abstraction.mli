@@ -25,5 +25,3 @@ val is_onto : int array -> num_abstract:int -> bool
 (** Surjectivity of a tabulated abstraction. *)
 
 val identity_table : int -> int array
-
-val map_path : int array -> Computation.path -> Computation.path

@@ -2,6 +2,7 @@
    raising computation leaves no entry, and concurrent requesters of one
    key count exactly one miss.  The verdict memos over the full registry
    at N = 3: warm hits return the same verdicts a fresh check computes,
+   a report table and crcheck's route share one entry per question,
    a registry sweep under CR_CACHE=0 counts no compile or verdict cache
    traffic and yields the same verdicts, and
    CR_CACHE_PARANOID=1 recheck-and-assert passes on every hit. *)
@@ -70,7 +71,7 @@ let all_verdicts () =
       match Registry.find name with
       | None -> []
       | Some e ->
-          let stab = Registry.stabilization e n in
+          let stab = Registry.stabilization e n () in
           let refs = Registry.refinements e n in
           ( name ^ "/stabilize",
             `Stab { stab with Cr_core.Stabilize.cost = None } )
@@ -98,6 +99,22 @@ let test_warm_hits_match_fresh () =
   (* fresh (bypassed) verdicts agree with the cached ones *)
   let fresh = Memo.bypass all_verdicts in
   check "bypassed fresh verdicts = cached verdicts" true (fresh = warm)
+
+(* One question, one memo entry: E8b's table row and crcheck verify ask
+   "Dijkstra-3 stabilizing to BTR via α₃" through the same route, so the
+   second asker is answered from the first one's verdict. *)
+let test_table_and_verify_share_entry () =
+  let (), before =
+    with_cold_counters (fun () ->
+        ignore (Cr_experiments.Ring_exps.theorem11_dijkstra3 n))
+  in
+  let e = Option.get (Registry.find "dijkstra3") in
+  ignore (Registry.stabilization e n ());
+  let after = Obs.merged_snapshot () in
+  let moved name = counter after name - counter before name in
+  Alcotest.(check int) "one check hit" 1 (moved "check.cache.hits");
+  Alcotest.(check int) "no check miss" 0 (moved "check.cache.misses");
+  Alcotest.(check int) "no stabilize run" 0 (moved "stabilize.runs")
 
 let cache_counters =
   [
@@ -149,6 +166,8 @@ let () =
         [
           Alcotest.test_case "warm hits match fresh checks" `Quick
             test_warm_hits_match_fresh;
+          Alcotest.test_case "table and verify share one entry" `Quick
+            test_table_and_verify_share_entry;
           Alcotest.test_case "CR_CACHE=0 bypasses" `Quick
             test_cache_disabled_by_env;
           Alcotest.test_case "CR_CACHE_PARANOID=1 passes" `Quick

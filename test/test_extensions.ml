@@ -153,10 +153,12 @@ let test_spans_basic () =
 
 let test_spans_dijkstra3 () =
   let n = 3 in
-  let spec = Cr_guarded.Program.to_explicit (Cr_tokenring.Btr.program n) in
+  let p = Cr_tokenring.Btr3.dijkstra3 n in
+  let e = Cr_guarded.Program.to_explicit p in
   let rows =
-    Cr_fault.Spans.analyze (Cr_tokenring.Btr3.dijkstra3 n) ~spec
-      ~abstraction:(Cr_tokenring.Btr3.alpha n)
+    Cr_fault.Spans.analyze p e
+      (Cr_experiments.Registry.stabilizing ~alpha:(Cr_tokenring.Btr3.alpha n)
+         e (Cr_tokenring.Btr.program n) ())
   in
   (match rows with
   | r0 :: r1 :: _ ->

@@ -166,7 +166,7 @@ let test_stabilization (e, n) () =
   Alcotest.(check bool)
     (case_name (e, n) ^ ": legitimate-orbit report = dense-spec report")
     true
-    (strip (Registry.stabilization e n)
+    (strip (Registry.stabilization e n ())
     = strip (Cr_core.Stabilize.stabilizing_to ~alpha ~c:ep ~a:spec ()))
 
 (* Sparse discovery is chunked under the CR_JOBS contract of
