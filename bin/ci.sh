@@ -186,7 +186,10 @@ cmp -s "$jout1" "$jout4" || {
 }
 # The chunked dense compile on whole verify/refine queries: stdout and
 # exit code must not depend on the job count (exit 1 is a verdict).
-for q in "verify kstate -n 4" "verify c2-wrapped -n 5" "refine dijkstra3 -n 5"; do
+# refine rw-dijkstra3 discovers its closure from the closure's seeds;
+# refine c2-wrapped, a boxed program, seeds from the whole closure.
+for q in "verify kstate -n 4" "verify c2-wrapped -n 5" "refine dijkstra3 -n 5" \
+         "refine rw-dijkstra3 -n 6" "refine c2-wrapped -n 4"; do
   rc1=0; CR_JOBS=1 dune exec bin/crcheck.exe -- $q > "$jout1" 2> /dev/null || rc1=$?
   rc4=0; CR_JOBS=4 CR_PAR_CAP=4 dune exec bin/crcheck.exe -- $q > "$jout4" 2> /dev/null || rc4=$?
   [ "$rc1" -le 1 ] && [ "$rc1" = "$rc4" ] && cmp -s "$jout1" "$jout4" || {
@@ -257,6 +260,20 @@ dune exec bin/crcheck.exe -- dot btr -n 2 -o "$work/missing/dir/x.dot" \
 rc=0
 timeout 120 env CR_SPACE=sparse dune exec bin/crcheck.exe -- refine rw-dijkstra3 -n 8 > /dev/null 2>&1 || rc=$?
 [ "$rc" -le 1 ] || { echo "ci: sparse refine rw-dijkstra3 -n 8 failed (rc=$rc)" >&2; exit 1; }
+
+# The refine frontier: the spec side is BTR(11)'s α-closure (22 of 4^11
+# states) and the concrete closure is discovered from its seeds, so the
+# E17 run answers within a 1 GB address-space limit.  A dense spec
+# compile (4^11 states) runs out of memory under it.
+frontier="$work/frontier.out"
+rc=0
+(ulimit -v 1000000; timeout 120 dune exec bin/crcheck.exe -- refine rw-dijkstra3 -n 11) \
+  > "$frontier" 2>&1 || rc=$?
+[ "$rc" = 1 ] && grep -q '^convergence    \[Dijkstra3-rw(11) ⪯ BTR(11)\] FAILS' "$frontier" || {
+  echo "ci: refine rw-dijkstra3 -n 11 did not answer within the limit (rc=$rc)" >&2
+  head -n 5 "$frontier" >&2
+  exit 1
+}
 
 # trace picks its start state by sweeping Σ until the first converged
 # state, never listing it: at a ring size past what any engine can

@@ -46,13 +46,15 @@ let stats_arg =
 let space_arg =
   let doc =
     "State-space engine for init-anchored compiles: $(b,sparse) \
-     (reachable fragment only: the default for refine's concrete system \
-     and for the spec side of every stabilization question), $(b,dense) \
-     (full product space) or $(b,auto) (each call site's default).  \
-     Equivalent to setting CR_SPACE.  verify, dot, spans, kstate and \
-     experiments print the same under every engine; the concrete side \
-     of a stabilization question and whole-space lint facts are dense \
-     by construction."
+     (reachable fragment only: the default for refine's concrete system, \
+     for the spec side of every refinement question, which is compiled \
+     from the α-images of the concrete states, and for the spec side of \
+     every stabilization question), $(b,dense) (full product space) or \
+     $(b,auto) (each call site's default).  Equivalent to setting \
+     CR_SPACE.  verify, dot, spans, kstate and experiments print the \
+     same under every engine, and so does refine's spec side; the \
+     concrete side of a stabilization question and whole-space lint \
+     facts are dense by construction."
   in
   Arg.(
     value
@@ -163,9 +165,10 @@ let refine name n stats space =
   with_entry name (fun e ->
       (* the same compile the refinement reports index into: sparse by
          default, so failure anchors resolve against the right graph *)
-      let ep = Cr_experiments.Registry.init_explicit e n in
-      let spec = Cr_experiments.Registry.spec_explicit e n in
-      let reports = Cr_experiments.Registry.refinements ~ep ~spec e n in
+      let module R = Cr_experiments.Registry in
+      let ep = R.init_explicit e n in
+      let checks = R.refining ~alpha:(e.R.alpha n) ep (e.R.spec n) in
+      let reports = R.relations checks in
       List.iter
         (fun (label, report) ->
           pf "%-14s %a@." label Cr_core.Refine.pp_report report;
@@ -177,7 +180,7 @@ let refine name n stats space =
       List.iter
         (fun f ->
           let anchor = Cr_core.Refine.failure_state f in
-          pf "  %a  [%s]@." (Cr_core.Refine.pp_failure ep spec) f
+          pf "  %a  [%s]@." (Cr_core.Refine.pp_failure ep checks.R.abstract) f
             (if Cr_kernel.Bitset.get reach anchor then "reachable fault-free"
              else "requires a fault to reach"))
         conv.Cr_core.Refine.failures;

@@ -151,26 +151,26 @@ let find name = List.find_opt (fun e -> e.name = name) entries
 
 let names () = List.map (fun e -> e.name) entries
 
-(* Compile an entry (or its spec) at size n.  These go through
-   [Program.to_explicit] and therefore the process-wide compile cache:
-   a driver that compiles the same registry system at the same size
-   twice pays for one compile. *)
+(* Compile an entry at size n.  This goes through [Program.to_explicit]
+   and therefore the process-wide compile cache: a caller that compiles
+   the same registry system at the same size twice pays for one
+   compile. *)
 let explicit e n = Program.to_explicit (e.program n)
-
-let spec_explicit e n = Program.to_explicit (e.spec n)
 
 (* Init-anchored compiles: the reachable-fragment (sparse) engine unless
    CR_SPACE forces one.  Everything the refinement checkers quantify
    over lives in the concrete fragment reachable from the initial
-   states, and a stabilization verdict reads the spec only through its
+   states, a stabilization verdict reads the spec only through its
    legitimate orbit (the fragment reachable from I_A, see
-   [Stabilize.stabilizing_to]) — so verdicts computed here agree with
-   the dense engine.  These orbits are a vanishing fraction of the
-   product spaces (18 of 2^18 states for BTR at N = 9), which is what
-   lets refine run at ring sizes the dense compile cannot materialize
-   and keeps the spec side of every stabilization question small. *)
-let anchored p =
-  Program.to_explicit
+   [Stabilize.stabilizing_to]), and a refinement verdict reads it only
+   through the forward closure of the α-images ([?roots]) — so verdicts
+   computed here agree with the dense engine.  These fragments are a
+   vanishing fraction of the product spaces (18 of 2^18 states for BTR
+   at N = 9), which is what lets refine run at ring sizes the dense
+   compile cannot materialize and keeps the spec side of every question
+   small. *)
+let anchored ?roots p =
+  Program.to_explicit ?roots
     ~space:(Cr_semantics.Space.resolve ~default:Cr_semantics.Space.Sparse ())
     p
 
@@ -178,12 +178,12 @@ let init_explicit e n = anchored (e.program n)
 
 (* Verdict routing.  Every (program, spec, α) stabilization question —
    crcheck's verify, dot, spans and kstate, the flow audit and every
-   report table — goes through [stabilizing], and crcheck refine and the
-   tests ask refinement questions through [refinements]; so the verdict
-   memo inside Refine/Stabilize keeps one entry per question.  Staged:
-   the spec's orbit and the α-table are built once per [~alpha c spec],
-   and the checker can be asked again (fair re-check, stutter mode).
-   Refinement keeps the dense spec: concrete images may leave the orbit. *)
+   report table — goes through [stabilizing], and every refinement
+   question — crcheck refine, [refinements] and the lemma tables —
+   through [refining]; so the verdict memo inside Refine/Stabilize keeps
+   one entry per question.  Staged: the spec's fragment and the α-table
+   are built once per [~alpha c spec], and the checkers can be asked
+   again (fair re-check, stutter mode). *)
 let stabilizing ~alpha c spec =
   let a = anchored spec in
   let alpha = Cr_semantics.Abstraction.tabulate ~partial:true alpha c a in
@@ -194,13 +194,63 @@ let stabilization ?ep e n =
   let ep = match ep with Some ep -> ep | None -> explicit e n in
   stabilizing ~alpha:(e.alpha n) ep (e.spec n)
 
-let refinements ?ep ?spec e n =
-  let ep = match ep with Some ep -> ep | None -> init_explicit e n in
-  let spec = match spec with Some s -> s | None -> spec_explicit e n in
-  let alpha = Cr_semantics.Abstraction.tabulate (e.alpha n) ep spec in
+type refiners = {
+  abstract : Layout.state Cr_semantics.Explicit.t;
+  init : unit -> Cr_core.Refine.report;
+  everywhere : unit -> Cr_core.Refine.report;
+  convergence : ?fair:Cr_core.Fair.tables -> unit -> Cr_core.Refine.report;
+  ee : ?fair:Cr_core.Fair.tables -> unit -> Cr_core.Refine.report;
+}
+
+(* Refine reads the spec only at α-images — is_initial, has_edge and
+   is_terminal there, and BFS distances from them — all inside the
+   forward closure of α(Σ_C).  So one sweep over c ranks every image,
+   the spec is compiled from the distinct ranks as roots (sparse unless
+   CR_SPACE forces the dense spec), and the α-table maps each rank to
+   its index there. *)
+let refining ~alpha c spec =
+  let module E = Cr_semantics.Explicit in
+  let layout = Program.layout spec in
+  let ranks = Array.make (E.num_states c) 0 in
+  let index = Hashtbl.create 64 in
+  Cr_obs.Obs.span "abstraction.tabulate" (fun () ->
+      E.iter_states c (fun i s ->
+          let r =
+            Layout.checked_rank layout (Cr_semantics.Abstraction.apply alpha s)
+          in
+          if r < 0 then
+            raise
+              (Cr_semantics.Abstraction.Not_total
+                 (Fmt.str
+                    "abstraction %s: image of concrete state %s not a state \
+                     of %s"
+                    (Cr_semantics.Abstraction.name alpha)
+                    (E.state_to_string c i) (Program.name spec)));
+          ranks.(i) <- r;
+          Hashtbl.replace index r (-1)));
+  let a = anchored ~roots:(Array.of_seq (Hashtbl.to_seq_keys index)) spec in
+  Hashtbl.filter_map_inplace
+    (fun r _ -> Some (E.find a (Layout.unrank layout r)))
+    index;
+  let alpha = Array.map (Hashtbl.find index) ranks in
+  let open Cr_core.Refine in
+  {
+    abstract = a;
+    init = (fun () -> init_refinement ~alpha ~c ~a ());
+    everywhere = (fun () -> everywhere_refinement ~alpha ~c ~a ());
+    convergence =
+      (fun ?fair () -> convergence_refinement ~alpha ?fair ~c ~a ());
+    ee =
+      (fun ?fair () -> everywhere_eventually_refinement ~alpha ?fair ~c ~a ());
+  }
+
+let relations r =
   [
-    ("init", Cr_core.Refine.init_refinement ~alpha ~c:ep ~a:spec ());
-    ("everywhere", Cr_core.Refine.everywhere_refinement ~alpha ~c:ep ~a:spec ());
-    ("convergence", Cr_core.Refine.convergence_refinement ~alpha ~c:ep ~a:spec ());
-    ("ee", Cr_core.Refine.everywhere_eventually_refinement ~alpha ~c:ep ~a:spec ());
+    ("init", r.init ());
+    ("everywhere", r.everywhere ());
+    ("convergence", r.convergence ());
+    ("ee", r.ee ());
   ]
+
+let refinements e n =
+  relations (refining ~alpha:(e.alpha n) (init_explicit e n) (e.spec n))

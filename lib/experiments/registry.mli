@@ -28,14 +28,9 @@ val init_explicit : entry -> int -> Layout.state Cr_semantics.Explicit.t
 (** The entry's program compiled through the init-anchored (sparse,
     reachable-only) engine — {!Cr_semantics.Space.resolve} with default
     [Sparse], so [CR_SPACE] can force either engine.  This is what
-    {!refinements} checks against: per DESIGN.md section 2 the
-    refinement premise only quantifies over the fragment reachable from
-    the initial states, which the sparse engine materializes exactly. *)
-
-val spec_explicit : entry -> int -> Layout.state Cr_semantics.Explicit.t
-(** The entry's specification over its full product space (dense
-    engine): what {!refinements} checks against, since a refinement's
-    concrete images may land anywhere in the spec's space. *)
+    {!refinements} checks: per DESIGN.md section 2 the refinement
+    premise only quantifies over the fragment reachable from the
+    initial states, which the sparse engine materializes exactly. *)
 
 val id_alpha : int -> (Layout.state, Layout.state) Cr_semantics.Abstraction.t
 (** The identity abstraction, for systems over their spec's own layout
@@ -72,18 +67,45 @@ val stabilization :
     full space ([ep], default {!explicit}; stabilization quantifies over
     all of Sigma_C) against its spec through its α. *)
 
-val refinements :
-  ?ep:Layout.state Cr_semantics.Explicit.t ->
-  ?spec:Layout.state Cr_semantics.Explicit.t ->
-  entry ->
-  int ->
-  (string * Cr_core.Refine.report) list
-(** The four refinement relations ("init" / "everywhere" / "convergence"
-    / "ee") for the entry at ring size [n], through the same cache.
-    The concrete system is compiled with {!init_explicit}, so under the
-    default (sparse) engine the relations quantify over the
+(** The four refinement checkers of one (concrete system, spec, α)
+    question, and the compiled spec fragment they check against
+    ([abstract], e.g. for {!Cr_core.Refine.pp_failure}). *)
+type refiners = {
+  abstract : Layout.state Cr_semantics.Explicit.t;
+  init : unit -> Cr_core.Refine.report;
+  everywhere : unit -> Cr_core.Refine.report;
+  convergence : ?fair:Cr_core.Fair.tables -> unit -> Cr_core.Refine.report;
+  ee : ?fair:Cr_core.Fair.tables -> unit -> Cr_core.Refine.report;
+}
+
+val refining :
+  alpha:(Layout.state, Layout.state) Cr_semantics.Abstraction.t ->
+  Layout.state Cr_semantics.Explicit.t ->
+  Program.t ->
+  refiners
+(** [refining ~alpha c spec]: the refinement relations between the
+    compiled system [c] and [spec] through [alpha] —
+    {!Cr_core.Refine.init_refinement}, [everywhere_refinement],
+    [convergence_refinement] and [everywhere_eventually_refinement],
+    the last two with [?fair] passed through.  The one route for a
+    guarded-command refinement question.  Staged: applied to
+    [~alpha c spec], it makes one α sweep over [c] that ranks every
+    image, compiles the spec from the distinct images as
+    {!Program.to_explicit} [?roots] (their forward closure, the
+    α-closure; sparse unless [CR_SPACE] forces the dense spec) and
+    tabulates α against it.  Refine reads the spec only at α-images
+    and along paths from them, so every report is the one the full
+    dense spec gives, memoized in the verdict cache.  Raises
+    {!Cr_semantics.Abstraction.Not_total} when an image is not a state
+    of the spec's layout. *)
+
+val relations : refiners -> (string * Cr_core.Refine.report) list
+(** The four reports, labelled "init" / "everywhere" / "convergence" /
+    "ee" (crcheck refine's rows). *)
+
+val refinements : entry -> int -> (string * Cr_core.Refine.report) list
+(** {!relations} of the entry at ring size [n]: its program compiled
+    with {!init_explicit} against its spec, through {!refining}.  Under
+    the default (sparse) engine the relations quantify over the
     init-reachable fragment — the graybox premise of DESIGN.md
-    section 2.  [CR_SPACE=dense] restores full-space quantification.
-    A caller that already holds these compiles passes them as [ep]
-    ({!init_explicit}) and [spec] ({!spec_explicit}), which spares a
-    second build of the program and its initial-state closure. *)
+    section 2; [CR_SPACE=dense] restores full-space quantification. *)

@@ -14,18 +14,3 @@ val all :
 
     Independent per-N rows are computed with the [CR_JOBS] domain fan-out
     (default 1); the printed output is identical for any job count. *)
-
-val table_fig1 : unit -> unit
-val table_vm : unit -> unit
-val table_bidding : unit -> unit
-val table_rewriting : int list -> unit
-val table_kstate : int list -> unit
-val table_compression : unit -> unit
-val table_stutter : unit -> unit
-val table_cost : int list -> unit
-val table_synchronous : int list -> unit
-val table_rw : unit -> unit
-val table_hitting : int list -> unit
-val table_spans : unit -> unit
-val table_wrapper_refinement : int list -> unit
-val table_mutex : int list -> unit

@@ -100,17 +100,17 @@ let theorem11_dijkstra3 n =
 
 (* E5 / Lemma 7: [C1 ⪯ BTR] via alpha4. *)
 let lemma7 n =
-  let btr = explicit (Btr.program n) in
-  let c1 = explicit (Btr4.c1 n) in
-  let alpha = Abstraction.tabulate (Btr4.alpha n) c1 btr in
-  Cr_core.Refine.convergence_refinement ~alpha ~c:c1 ~a:btr ()
+  (Registry.refining ~alpha:(Btr4.alpha n) (explicit (Btr4.c1 n))
+     (Btr.program n))
+    .convergence ()
 
 (* E8 / Lemma 10 as stated (same state space): documented discrepancy —
    see EXPERIMENTS.md; the strict check fails. *)
 let lemma10 n =
-  let c2w = explicit (Btr3.c2_wrapped n) in
-  let btr3w = explicit (Btr3.btr3_wrapped n) in
-  Cr_core.Refine.convergence_refinement ~c:c2w ~a:btr3w ()
+  (Registry.refining ~alpha:(Registry.id_alpha n)
+     (explicit (Btr3.c2_wrapped n))
+     (Btr3.btr3_wrapped n))
+    .convergence ()
 
 (* Section 5.1's wrapper-refinement claims: W1'' approximates the global
    W1' locally; the paper notes it "is not an everywhere refinement of the
@@ -126,9 +126,12 @@ type wrapper_relations = {
 }
 
 let wrapper_refinement n =
-  let w1g = explicit (Btr3.w1_global n) in
-  let w1l = explicit (Btr3.w1_local n) in
-  let rel f = (f ~c:w1l ~a:w1g ()).Cr_core.Refine.holds in
+  let r =
+    Registry.refining ~alpha:(Registry.id_alpha n)
+      (explicit (Btr3.w1_local n))
+      (Btr3.w1_global n)
+  in
+  let holds (report : Cr_core.Refine.report) = report.holds in
   let wrappers = Program.box ~name:"W1'[]W2'" (Btr3.w1_global n) (Btr3.w2' n) in
   let p, is_w =
     Program.box_priority
@@ -138,26 +141,21 @@ let wrapper_refinement n =
   let ep = Program.to_explicit ~priority_of:is_w p in
   let stab = Registry.stabilizing ~alpha:(Btr3.alpha n) ep (Btr.program n) () in
   {
-    w1''_init = rel (fun ~c ~a () -> Cr_core.Refine.init_refinement ~c ~a ());
-    w1''_everywhere =
-      rel (fun ~c ~a () -> Cr_core.Refine.everywhere_refinement ~c ~a ());
-    w1''_convergence =
-      rel (fun ~c ~a () -> Cr_core.Refine.convergence_refinement ~c ~a ());
-    w1''_ee =
-      rel (fun ~c ~a () ->
-          Cr_core.Refine.everywhere_eventually_refinement ~c ~a ());
+    w1''_init = holds (r.init ());
+    w1''_everywhere = holds (r.everywhere ());
+    w1''_convergence = holds (r.convergence ());
+    w1''_ee = holds (r.ee ());
     global_w1'_priority_stabilizes = stab.Cr_core.Stabilize.holds;
   }
 
 (* E9 / Lemma 12 as stated: [C3 ⪯ BTR] — documented discrepancy (token
    crossings compress on cycles), both unfair and weakly fair. *)
 let lemma12 ?(fairness = false) n =
-  let btr = explicit (Btr.program n) in
   let p = C3_system.c3 n in
   let c3 = explicit p in
-  let alpha = Abstraction.tabulate (C3_system.alpha n) c3 btr in
   let fair = if fairness then Some (Cr_sim.Glue.fair_tables p c3) else None in
-  Cr_core.Refine.convergence_refinement ~alpha ?fair ~c:c3 ~a:btr ()
+  (Registry.refining ~alpha:(C3_system.alpha n) c3 (Btr.program n))
+    .convergence ?fair ()
 
 (* E10: the paper's rewriting claims, as transition-graph equalities. *)
 let rewriting_claims n =
@@ -191,10 +189,10 @@ let kstate_minimal_k n =
   go 2
 
 let kstate_refines_wrapped_utr ~n ~k =
-  let utrw = explicit (Utr.wrapped n) in
-  let ks = explicit (Kstate.program ~n ~k) in
-  let alpha = Abstraction.tabulate (Kstate.alpha ~n ~k) ks utrw in
-  Cr_core.Refine.convergence_refinement ~alpha ~c:ks ~a:utrw ()
+  (Registry.refining ~alpha:(Kstate.alpha ~n ~k)
+     (explicit (Kstate.program ~n ~k))
+     (Utr.wrapped n))
+    .convergence ()
 
 let utr_wrapped_stabilization n =
   let stabilizes e =

@@ -66,13 +66,3 @@ let faults layout =
       (List.init n (fun i -> i))
   in
   Program.make ~name:"faults" ~layout ~actions:acts ~initial:(fun _ -> true)
-
-(* Bounded-fault campaigns for simulations: corrupt, then let the daemon
-   run; see Cr_sim.Runner.convergence_stats for the statistics side. *)
-type campaign = {
-  faults_per_episode : int;
-  episodes : int;
-  seed : int;
-}
-
-let default_campaign = { faults_per_episode = 1; episodes = 100; seed = 42 }

@@ -19,7 +19,3 @@ val randomize : rng:Random.State.t -> Layout.t -> Layout.state
 val faults : Layout.t -> Program.t
 (** The fault transition relation (one action per slot/value), for
     explicit-state exploration of fault spans. *)
-
-type campaign = { faults_per_episode : int; episodes : int; seed : int }
-
-val default_campaign : campaign

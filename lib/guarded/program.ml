@@ -6,27 +6,34 @@ module Memo = Cr_kernel.Memo
 
 type state = Layout.state
 
+(* What [with_initial_closure] records: its seeds, the action list it
+   closes them over, and the closure itself (computed on first use). *)
+type closure = {
+  seeds : state list;
+  over : Action.t list;
+  states : unit -> unit Layout.Tbl.t;
+}
+
 type t = {
   name : string;
   layout : Layout.t;
   actions : Action.t list;
   initial : state -> bool;
-  (* Enumerator of the complete initial-state set, when one is known
-     without scanning Sigma (set by [with_initial_closure]).  The sparse
-     compile engine seeds its BFS from it; [None] falls back to a
-     full-space predicate scan. *)
-  init_enum : (unit -> state list) option;
+  (* Set by [with_initial_closure]: the initial states are the closure
+     of [seeds] under [over], so the sparse engine seeds its BFS from
+     them instead of scanning Sigma for the predicate. *)
+  closure : closure option;
 }
 
 let make ~name ~layout ~actions ~initial =
-  { name; layout; actions; initial; init_enum = None }
+  { name; layout; actions; initial; closure = None }
 
 let name t = t.name
 let layout t = t.layout
 let actions t = t.actions
 let initial t = t.initial
 let rename n t = { t with name = n }
-let with_initial initial t = { t with initial; init_enum = None }
+let with_initial initial t = { t with initial; closure = None }
 let with_actions actions t = { t with actions }
 
 (* Distinct owning processes (>= 0) of the program's actions, sorted.
@@ -209,6 +216,26 @@ let compile_fresh ~mode t =
     ~step:(step_keys ~mode t) ~is_initial:t.initial
     ~pp_state:(Layout.pp_state layout)
 
+(* The closure's seeds while the program still steps by the action
+   list the closure was taken over: [box] and [with_actions] replace the
+   list, and with it the step relation. *)
+let closure_seeds t =
+  match t.closure with
+  | Some c when c.over == t.actions -> Some c.seeds
+  | _ -> None
+
+(* Sorted, deduplicated dense ranks of initial states. *)
+let ranks_of t states =
+  let layout = t.layout in
+  List.rev_map
+    (fun s ->
+      let r = Layout.checked_rank layout s in
+      if r < 0 then
+        invalid_arg (Printf.sprintf "%s: initial state outside Sigma" t.name)
+      else r)
+    states
+  |> List.sort_uniq compare |> Array.of_list
+
 (* Sorted dense ranks of the program's initial states: the BFS roots of
    the sparse engine, and part of its cache key (a sparse graph depends
    on where discovery starts; dense graphs are initial-independent and
@@ -217,19 +244,9 @@ let compile_fresh ~mode t =
    else pays one allocation-free predicate scan over Sigma. *)
 let seed_ranks t =
   let layout = t.layout in
-  match t.init_enum with
-  | Some enum ->
-      let ranks =
-        List.rev_map
-          (fun s ->
-            let r = Layout.checked_rank layout s in
-            if r < 0 then
-              invalid_arg
-                (Printf.sprintf "%s: initial state outside Sigma" t.name)
-            else r)
-          (enum ())
-      in
-      Array.of_list (List.sort_uniq compare ranks)
+  match t.closure with
+  | Some c ->
+      ranks_of t (Layout.Tbl.fold (fun s () acc -> s :: acc) (c.states ()) [])
   | None ->
       let acc = ref [] and count = ref 0 in
       Layout.iter_states layout (fun r s ->
@@ -241,18 +258,33 @@ let seed_ranks t =
       List.iteri (fun i r -> a.(!count - 1 - i) <- r) !acc;
       Array.sub a 0 !count
 
-let compile_sparse ~mode t ~seed_ranks:seeds =
+(* Where a sparse compile starts its discovery: the initial states
+   ([seed_ranks]), a closure program's seeds ([closure_seeds]), or the
+   caller's [?roots]. *)
+type seeding = Initial | Closure | Roots
+
+let seeding_name = function
+  | Initial -> "initial"
+  | Closure -> "closure"
+  | Roots -> "roots"
+
+(* A closure-seeded discovery from the closure's seeds finds exactly the
+   closure — the initial set — so it is renumbered in ascending rank
+   (the order a discovery seeded with the whole sorted closure has) and
+   marked initial throughout, without forcing the predicate. *)
+let compile_sparse ~mode ~seeding t ~seed_ranks:seeds =
   let layout = t.layout in
   let name = mode_name ~mode t in
+  let closure = seeding = Closure in
   let sparse =
-    Space.discover ~state_of_key:(Layout.unrank layout)
+    Space.discover ~sort_keys:closure ~state_of_key:(Layout.unrank layout)
       ~key_of_state:(Layout.checked_rank layout)
       ~step:(step_keys ~mode t) ~seed_keys:seeds ()
   in
   let rows = sparse.Space.rows in
   Cr_semantics.Explicit.of_space ~name ~space:sparse.Space.space
     ~step:(fun () _ i emit -> Array.iter emit rows.(i))
-    ~is_initial:t.initial
+    ~is_initial:(if closure then fun _ -> true else t.initial)
     ~pp_state:(Layout.pp_state layout)
 
 (* How many states the semantic fingerprint probe samples.  Systems at
@@ -350,11 +382,14 @@ let clear_compile_cache () = Memo.clear memo
    The sparse key additionally folds the seed-rank set — a sparse graph
    depends on where its BFS starts, so programs that share a structural
    fingerprint but differ in initial states get distinct sparse entries,
-   while dense entries keep being shared and re-targeted via [reinit]. *)
-let sparse_key ~mode t seeds =
+   while dense entries keep being shared and re-targeted via [reinit].
+   A closure-seeded graph is renumbered and all-initial, so it is tagged
+   apart from a discovery from the same seeds. *)
+let sparse_key ~mode ~seeding t seeds =
   let fp = Memo.Fp.create () in
   Array.iter (Memo.Fp.add_int fp) seeds;
-  Printf.sprintf "%s|space:sparse:%d:%s" (fingerprint ~mode t)
+  Printf.sprintf "%s|space:sparse:%s%d:%s" (fingerprint ~mode t)
+    (if seeding = Closure then "closure:" else "")
     (Array.length seeds) (Memo.Fp.to_hex fp)
 
 (* Refuse, before any key or probe is computed, a space the engine
@@ -375,23 +410,36 @@ let check_size ~mode ~space t =
       (Space.engine_name space) (Layout.states_string n)
       (Layout.states_string limit)
 
-let compile ~mode ~space t =
+let compile ~mode ~space ?roots t =
   let module E = Cr_semantics.Explicit in
   check_size ~mode ~space t;
-  let reinit e = E.with_initials (E.rename (mode_name ~mode t) e) t.initial in
-  let key, compile =
+  let key, compile, seeding =
     match (space : Space.engine) with
     | Space.Dense ->
         ( (fun () -> fingerprint ~mode t ^ "|space:dense"),
-          fun () -> compile_fresh ~mode t )
+          (fun () -> compile_fresh ~mode t),
+          None )
     | Space.Sparse ->
-        let seeds = seed_ranks t in
-        ( (fun () -> sparse_key ~mode t seeds),
-          fun () -> compile_sparse ~mode t ~seed_ranks:seeds )
+        let seeding, seeds =
+          match (roots, mode, closure_seeds t) with
+          | Some r, _, _ ->
+              (Roots, Array.of_list (List.sort_uniq compare (Array.to_list r)))
+          | None, Plain, Some s -> (Closure, ranks_of t s)
+          | _ -> (Initial, seed_ranks t)
+        in
+        ( (fun () -> sparse_key ~mode ~seeding t seeds),
+          (fun () -> compile_sparse ~mode ~seeding t ~seed_ranks:seeds),
+          Some seeding )
+  in
+  (* a closure-seeded hit is all-initial already: renaming re-targets it *)
+  let reinit e =
+    let e = E.rename (mode_name ~mode t) e in
+    if seeding = Some Closure then e else E.with_initials e t.initial
   in
   let key = lazy (key ()) in
   (* one [compile] span per compile that runs: which engine built the
-     graph, and how much of the product space ([full]) it holds *)
+     graph, where a sparse discovery started ([seeds]), and how much of
+     the product space ([full]) it holds *)
   let compile () =
     Cr_obs.Obs.span "compile" compile ~fields:(fun e ->
         let open Cr_obs.Obs in
@@ -401,7 +449,10 @@ let compile ~mode ~space t =
           ("states", I (E.num_states e));
           ("transitions", I (E.num_transitions e));
           ("full", I (Layout.num_states t.layout));
-        ])
+        ]
+        @ match seeding with
+          | Some s -> [ ("seeds", S (seeding_name s)) ]
+          | None -> [])
   in
   (* paranoid mode: the re-targeted cached graph must equal a fresh
      compile, transitions and initial states alike *)
@@ -413,14 +464,14 @@ let compile ~mode ~space t =
   | e, true -> e
   | e, false -> reinit e
 
-let to_explicit ?priority_of ?(space = Space.Dense) t =
+let to_explicit ?priority_of ?roots ?(space = Space.Dense) t =
   let mode =
     match priority_of with
     | None -> Plain
     | Some is_wrapper ->
         Priority (Array.of_list (List.map is_wrapper t.actions))
   in
-  compile ~mode ~space t
+  compile ~mode ~space ?roots t
 
 let to_explicit_synchronous ?(space = Space.Dense) t = compile ~mode:Sync ~space t
 
@@ -449,21 +500,24 @@ let with_initial_closure ~seeds t =
      chunked compile evaluates [initial] on several domains at once, and
      racing forces of one lazy value raise [Lazy.Undefined]. *)
   let cell = Atomic.make None and lock = Mutex.create () in
-  let rec closure () =
+  let rec states () =
     match Atomic.get cell with
     | Some c -> c
     | None ->
         Mutex.protect lock (fun () ->
             if Option.is_none (Atomic.get cell) then
-              Atomic.set cell (Some (reachable_from t seeds)));
-        closure ()
+              Atomic.set cell
+                (Some
+                   (Cr_obs.Obs.span "closure"
+                      (fun () -> reachable_from t seeds)
+                      ~fields:(fun c ->
+                        [ ("states", Cr_obs.Obs.I (Layout.Tbl.length c)) ]))));
+        states ()
   in
   {
     t with
-    initial = (fun s -> Layout.Tbl.mem (closure ()) s);
-    init_enum =
-      Some
-        (fun () -> Layout.Tbl.fold (fun s () acc -> s :: acc) (closure ()) []);
+    initial = (fun s -> Layout.Tbl.mem (states ()) s);
+    closure = Some { seeds; over = t.actions; states };
   }
 
 let pp fmt t =

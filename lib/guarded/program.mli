@@ -51,6 +51,7 @@ val step : t -> state -> state list
 
 val to_explicit :
   ?priority_of:(Action.t -> bool) ->
+  ?roots:int array ->
   ?space:Cr_semantics.Space.engine ->
   t ->
   state Cr_semantics.Explicit.t
@@ -67,6 +68,26 @@ val to_explicit :
     whose dense space will not fit.  Callers that honour the [CR_SPACE]
     override resolve it via {!Cr_semantics.Space.resolve}; this
     function itself never reads the environment.
+
+    Where a sparse discovery starts:
+    - [?roots] (dense ranks, {!Layout.rank}; any order, duplicates
+      allowed) replaces the initial states as the seed set and leaves
+      the initial predicate alone: the graph is the forward closure of
+      the roots, with the program's own initial states marked in it.
+      This is how a refinement compiles the spec's α-closure.  The
+      dense engine ignores [roots].
+    - Otherwise a program whose initial states are the closure of
+      {!closure_seeds} under its own actions, compiled without
+      [priority_of], is discovered from those seeds alone: the result
+      is the closure itself, renumbered in ascending rank (the order a
+      discovery from the whole closure gives) and marked initial
+      throughout without forcing the predicate.  Boxed programs
+      ({!box}, {!box_priority}), {!with_actions}, [priority_of] and
+      {!to_explicit_synchronous} step by another relation than the one
+      the closure was taken over, so they seed from the whole closure.
+    - Otherwise the initial states themselves: a closure program's
+      whole closure, anything else found by one predicate scan over
+      Sigma.
 
     Either way the per-state loop iterates actions directly (guard,
     effect, rank) with no intermediate firing lists, and is
@@ -85,9 +106,15 @@ val to_explicit :
     successor probe over up to 256 evenly spread states) plus an engine
     tag, so dense and sparse graphs can never alias; the sparse key also
     folds the seed-rank set, since a sparse graph depends on its BFS
-    roots.  On a dense hit the cached graph is re-targeted to this
-    program's name and initial predicate.  [CR_CACHE=0] disables the
-    memo. *)
+    roots (a closure-seeded compile also carries a closure tag, since
+    its index order differs from a discovery from the same seeds).  On
+    a hit the cached graph is re-targeted to this program's name and
+    initial predicate.  [CR_CACHE=0] disables the memo.
+
+    Every compile that runs is one [compile] span whose fields give the
+    cache key, the engine, the state and transition counts and the
+    product-space size; a sparse compile also gives [seeds]
+    ([initial], [closure] or [roots]). *)
 
 val clear_compile_cache : unit -> unit
 (** Empty the process-wide compile cache (tests and benchmarks that need
@@ -111,10 +138,17 @@ val reachable_from : t -> state list -> unit Layout.Tbl.t
 val with_initial_closure : seeds:state list -> t -> t
 (** Replace the initial states by the (lazily computed) reachability
     closure of [seeds] — the orbit of canonical legitimate
-    configurations.  The closure doubles as the program's initial-state
-    enumerator, so the sparse engine of {!to_explicit} seeds its BFS
-    from it directly instead of scanning Sigma for the predicate.  The
-    closure is computed once, on first use, under a lock, so the
-    predicate is safe to call from several domains. *)
+    configurations.  The sparse engine of {!to_explicit} seeds its BFS
+    from [seeds] (see {!closure_seeds}) or from the closure instead of
+    scanning Sigma for the predicate.  The closure is computed once, on
+    first use (one [closure] span with a [states] field), under a lock,
+    so the predicate is safe to call from several domains. *)
+
+val closure_seeds : t -> state list option
+(** [Some seeds] when the initial states are the closure of [seeds]
+    under the program's own action list: a {!with_initial_closure}
+    program whose actions {!box} or {!with_actions} have not replaced
+    since.  A sparse {!to_explicit} without [priority_of] then
+    discovers the closure from [seeds] alone. *)
 
 val pp : Format.formatter -> t -> unit

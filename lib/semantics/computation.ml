@@ -87,8 +87,3 @@ let random_walk expl ~rng ~start ~max_len =
           go (i :: acc) j (n + 1)
   in
   go [] start 0
-
-let pp_path expl fmt p =
-  Fmt.pf fmt "@[<hv>%a@]"
-    (Fmt.list ~sep:(Fmt.any " ->@ ") (fun fmt i -> Explicit.pp_state expl fmt i))
-    p

@@ -31,5 +31,3 @@ val bounded_computations : _ Explicit.t -> start:int -> depth:int -> path list
 val random_walk :
   _ Explicit.t -> rng:Random.State.t -> start:int -> max_len:int -> path
 (** Uniformly random successor walk; stops at terminal states. *)
-
-val pp_path : _ Explicit.t -> Format.formatter -> path -> unit

@@ -94,7 +94,7 @@ let dense (type a) ~size:(n : int) ~(state_of_index : int -> a)
 
 type 'a sparse = { space : 'a t; rows : int array array; keys : int array }
 
-let discover (type a) ~(state_of_key : int -> a)
+let discover (type a) ?(sort_keys = false) ~(state_of_key : int -> a)
     ~(key_of_state : a -> int)
     ~(step : unit -> a -> int -> (int -> unit) -> unit)
     ~(seed_keys : int array) () : a sparse =
@@ -179,6 +179,26 @@ let discover (type a) ~(state_of_key : int -> a)
   let count = !n in
   let keys = Array.sub !keys 0 count in
   let rows = Array.sub !rows 0 count in
+  (* Optional renumbering in ascending key order: [perm] lists the
+     discovery indices by key, [inv] maps each to its new index, and the
+     rows and the key table are rewritten through [inv]. *)
+  let keys, rows =
+    if not sort_keys then (keys, rows)
+    else begin
+      let perm = Array.init count Fun.id in
+      Array.sort (fun i j -> compare keys.(i) keys.(j)) perm;
+      let inv = Array.make count 0 in
+      Array.iteri (fun i old -> inv.(old) <- i) perm;
+      Hashtbl.filter_map_inplace (fun _ old -> Some inv.(old)) tbl;
+      Array.iter
+        (fun row ->
+          Array.iteri (fun k j -> row.(k) <- inv.(j)) row;
+          Array.sort compare row)
+        rows;
+      ( Array.map (fun old -> keys.(old)) perm,
+        Array.map (fun old -> rows.(old)) perm )
+    end
+  in
   let module Sp = struct
     type state = a
 

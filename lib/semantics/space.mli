@@ -86,6 +86,7 @@ val dense :
 type 'a sparse = { space : 'a t; rows : int array array; keys : int array }
 
 val discover :
+  ?sort_keys:bool ->
   state_of_key:(int -> 'a) ->
   key_of_state:('a -> int) ->
   step:(unit -> 'a -> int -> (int -> unit) -> unit) ->
@@ -106,4 +107,8 @@ val discover :
     (frontier order, emission order).  Frontier expansion is
     domain-chunked under the [CR_JOBS] contract of {!Cr_kernel.Par}
     exactly like the dense row build, and the merge is sequential, so
-    the result is byte-identical for every job count. *)
+    the result is byte-identical for every job count.  With
+    [~sort_keys:true] the discovered states are then renumbered in
+    ascending key order (the rows rewritten to match), so the index
+    assignment depends on the discovered set alone, not on where the
+    BFS started. *)

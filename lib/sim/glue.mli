@@ -6,11 +6,3 @@ val fair_tables :
   Program.t -> Layout.state Cr_semantics.Explicit.t -> Cr_core.Fair.tables
 (** Action tables for the weak-fairness checker.  Only sound for plain
     (non-priority) compilations of the same program. *)
-
-val compile_with_alpha :
-  abstraction:(Layout.state, 'a) Cr_semantics.Abstraction.t ->
-  Program.t ->
-  'a Cr_semantics.Explicit.t ->
-  Layout.state Cr_semantics.Explicit.t * int array
-(** Compile a program and tabulate the abstraction against a compiled
-    specification. *)

@@ -4,7 +4,8 @@
    effect and checked rank per action, with the wrapper-preemption and
    synchronous variants), flattened by [Csr.of_rows].  Sequential and
    uncached; tests compare it with the streamed compile graph for
-   graph. *)
+   graph.  [compile_sparse] is the same for the sparse engine: a plain
+   BFS from given seeds. *)
 
 open Cr_guarded
 module Csr = Cr_kernel.Csr
@@ -133,6 +134,67 @@ let compile ?priority_of ?(sync = false) p =
   let succ = Csr.of_rows (Array.init n row) in
   let initials =
     List.filter (fun i -> Program.initial p states.(i)) (List.init n Fun.id)
+    |> Array.of_list
+  in
+  { states; succ; initials }
+
+(* The sparse reference: a queue-driven BFS from [seeds] (dense ranks,
+   in the given order) that numbers each state when it is first seen —
+   the seeds, then the successors of each dequeued state in the order
+   its actions fire (under [priority_of], the wrapper firings when one
+   fires, else the base ones; no-op firings dropped).  Rows are sorted
+   and deduplicated; the initial mask reads the program's predicate on
+   every discovered state. *)
+let compile_sparse ?priority_of ~seeds p =
+  let layout = Program.layout p in
+  let name = Program.name p in
+  let actions = Program.actions p in
+  let is_w = match priority_of with Some f -> f | None -> fun _ -> false in
+  let successors s i =
+    let fired =
+      List.filter_map
+        (fun (a : Action.t) ->
+          if a.Action.guard s then
+            let j = rank_checked ~name layout (a.Action.effect s) in
+            if j <> i then Some (is_w a, j) else None
+          else None)
+        actions
+    in
+    let wrapper = List.filter fst fired in
+    List.map snd (if wrapper <> [] then wrapper else fired)
+  in
+  let index = Hashtbl.create 64 and order = ref [] in
+  let queue = Queue.create () in
+  let visit r =
+    if not (Hashtbl.mem index r) then begin
+      Hashtbl.add index r (Hashtbl.length index);
+      order := r :: !order;
+      Queue.add r queue
+    end
+  in
+  Array.iter visit seeds;
+  let rows = Hashtbl.create 64 in
+  while not (Queue.is_empty queue) do
+    let r = Queue.pop queue in
+    let succ = successors (Layout.unrank layout r) r in
+    List.iter visit succ;
+    Hashtbl.add rows r succ
+  done;
+  let ranks = Array.of_list (List.rev !order) in
+  let states = Array.map (Layout.unrank layout) ranks in
+  let succ =
+    Csr.of_rows
+      (Array.map
+         (fun r ->
+           Array.of_list
+             (List.sort_uniq compare
+                (List.map (Hashtbl.find index) (Hashtbl.find rows r))))
+         ranks)
+  in
+  let initials =
+    List.filter
+      (fun i -> Program.initial p states.(i))
+      (List.init (Array.length ranks) Fun.id)
     |> Array.of_list
   in
   { states; succ; initials }

@@ -5,7 +5,9 @@
    a report table and crcheck's route share one entry per question,
    a registry sweep under CR_CACHE=0 counts no compile or verdict cache
    traffic and yields the same verdicts, and
-   CR_CACHE_PARANOID=1 recheck-and-assert passes on every hit. *)
+   CR_CACHE_PARANOID=1 recheck-and-assert passes on every hit.  And two
+   compiles of one program in different index orders (closure-seeded
+   and seeded with [?roots]) never share a compile-cache entry. *)
 
 module Obs = Cr_obs.Obs
 module Memo = Cr_kernel.Memo
@@ -152,6 +154,51 @@ let test_paranoid_recheck_passes () =
       let warm = all_verdicts () in
       check "paranoid warm run agrees" true (warm = cold))
 
+(* A closure-seeded compile is renumbered in ascending rank; a compile
+   from the same seeds given as [?roots] keeps discovery order.  Two
+   index orders of one graph: whichever is compiled first, they must
+   never share a compile-cache entry. *)
+let test_closure_and_roots_keys () =
+  let module Program = Cr_guarded.Program in
+  let p = Cr_tokenring.Btr3.dijkstra3 n in
+  let layout = Program.layout p in
+  let roots =
+    Array.of_list
+      (List.map (Cr_guarded.Layout.rank layout)
+         (Option.get (Program.closure_seeds p)))
+  in
+  let sparse ?roots () =
+    Program.to_explicit ?roots ~space:Cr_semantics.Space.Sparse p
+  in
+  let closure () = sparse () and from_roots () = sparse ~roots () in
+  let same a b =
+    Cr_semantics.Explicit.same_transitions a b
+    && Cr_semantics.Explicit.initials a = Cr_semantics.Explicit.initials b
+  in
+  let fresh_closure = Memo.bypass closure in
+  let fresh_roots = Memo.bypass from_roots in
+  check "the two index orders differ" false
+    (Cr_semantics.Explicit.same_transitions fresh_closure fresh_roots);
+  List.iter
+    (fun closure_first ->
+      let label = if closure_first then "closure first" else "roots first" in
+      let (c, r), snap =
+        with_cold_counters (fun () ->
+            if closure_first then
+              let c = closure () in
+              (c, from_roots ())
+            else
+              let r = from_roots () in
+              (closure (), r))
+      in
+      Alcotest.(check int) (label ^ ": two misses") 2
+        (counter snap "compile.cache.misses");
+      Alcotest.(check int) (label ^ ": no hit") 0
+        (counter snap "compile.cache.hits");
+      check (label ^ ": closure-seeded graph") true (same c fresh_closure);
+      check (label ^ ": roots graph") true (same r fresh_roots))
+    [ true; false ]
+
 let () =
   Alcotest.run "check_cache"
     [
@@ -172,5 +219,10 @@ let () =
             test_cache_disabled_by_env;
           Alcotest.test_case "CR_CACHE_PARANOID=1 passes" `Quick
             test_paranoid_recheck_passes;
+        ] );
+      ( "compile cache",
+        [
+          Alcotest.test_case "closure and roots compiles never share" `Quick
+            test_closure_and_roots_keys;
         ] );
     ]

@@ -245,6 +245,132 @@ let test_registry_reference ((e : Cr_experiments.Registry.entry), n) () =
            (fresh_with_jobs jobs (fun () -> Program.to_explicit_synchronous p))))
     all_jobs
 
+(* ---- closure-seeded sparse compile = the sparse reference ---- *)
+
+let sparse ?priority_of p =
+  Program.to_explicit ?priority_of ~space:Cr_semantics.Space.Sparse p
+
+(* The whole closure of [seeds] under [p]'s actions, as ascending dense
+   ranks: the sparse reference's seeds. *)
+let closure_ranks p seeds =
+  let layout = Program.layout p in
+  Layout.Tbl.fold
+    (fun s () acc -> Layout.rank layout s :: acc)
+    (Program.reachable_from p seeds)
+    []
+  |> List.sort compare |> Array.of_list
+
+let closure_cases =
+  List.concat_map
+    (fun (e : Cr_experiments.Registry.entry) ->
+      List.filter_map
+        (fun n ->
+          Option.map
+            (fun seeds -> (e, n, seeds))
+            (Program.closure_seeds (e.program n)))
+        [ 2; 3; 4 ])
+    Cr_experiments.Registry.entries
+
+(* The registry's closure programs are exactly the unboxed rings: the
+   wrapped compositions step by more actions than their closure was
+   taken over. *)
+let test_closure_programs () =
+  Alcotest.(check (list string))
+    "closure-seeded registry programs"
+    [ "c1"; "c2"; "c3"; "dijkstra3"; "dijkstra4"; "rw-dijkstra3" ]
+    (List.sort_uniq compare
+       (List.map
+          (fun ((e : Cr_experiments.Registry.entry), _, _) -> e.name)
+          closure_cases))
+
+(* Discovered from the closure's seeds alone, the graph is the one a
+   discovery from the whole sorted closure gives: same state order,
+   transitions and (all-true) initial mask, for every job count. *)
+let test_closure_seeded ((e : Cr_experiments.Registry.entry), n, seeds) () =
+  let p = e.program n in
+  let reference = Compile_ref.compile_sparse ~seeds:(closure_ranks p seeds) p in
+  Alcotest.(check int)
+    "every closure state initial"
+    (Array.length reference.Compile_ref.states)
+    (Array.length reference.Compile_ref.initials);
+  List.iter
+    (fun jobs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s n=%d jobs=%d: closure-seeded = reference" e.name n
+           jobs)
+        true
+        (agrees_with_ref reference (fresh_with_jobs jobs (fun () -> sparse p))))
+    all_jobs
+
+(* Variants whose step relation is not the one the closure was taken
+   over seed from the whole closure.  Each is built so that the
+   shortcut would show: the escape action leaves the closure (new
+   states, not initial), and dropping [top] shrinks the orbit of the
+   seeds below the closure. *)
+let test_closure_variants () =
+  let n = 3 in
+  let p = Cr_tokenring.Btr3.dijkstra3 n in
+  let seeds = Option.get (Program.closure_seeds p) in
+  let layout = Program.layout p in
+  let escape =
+    Program.make ~name:"escape" ~layout
+      ~actions:
+        [
+          Action.make ~label:"bump0" ~proc:0 ~writes:[ 0 ]
+            ~guard:(fun _ -> true)
+            ~effect:(fun s -> Action.set s [ (0, (s.(0) + 1) mod 3) ])
+            ();
+        ]
+      ~initial:(fun _ -> false)
+  in
+  let boxed = Program.box p escape in
+  let fewer = Program.with_actions (List.tl (Program.actions p)) p in
+  let prio, is_w = Program.box_priority p escape in
+  let roots = closure_ranks p seeds in
+  List.iter
+    (fun (label, q, priority_of) ->
+      Alcotest.(check bool)
+        (label ^ ": no closure seeds") true
+        (Program.closure_seeds q = None);
+      let reference = Compile_ref.compile_sparse ?priority_of ~seeds:roots q in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s jobs=%d: = reference from the closure" label
+               jobs)
+            true
+            (agrees_with_ref reference
+               (fresh_with_jobs jobs (fun () -> sparse ?priority_of q))))
+        all_jobs)
+    [ ("boxed", boxed, None); ("with_actions", fewer, None);
+      ("priority", prio, Some is_w) ];
+  (* [priority_of] over the closure program's own action list: x = 0
+     steps to 1 or 2, and the wrapper step to 1 preempts the other, so
+     the seed's orbit under priority ({0, 1}) is smaller than the
+     closure ({0, 1, 2}) the initial set was taken over *)
+  let tiny =
+    let layout = Layout.make [ ("x", 3) ] in
+    let step label v =
+      Action.make ~label ~proc:0 ~writes:[ 0 ]
+        ~guard:(fun s -> s.(0) = 0)
+        ~effect:(fun s -> Action.set s [ (0, v) ])
+        ()
+    in
+    Program.make ~name:"tiny" ~layout
+      ~actions:[ step "to1" 1; step "to2" 2 ]
+      ~initial:(fun _ -> false)
+    |> Program.with_initial_closure ~seeds:[ [| 0 |] ]
+  in
+  let priority_of a = Action.label a = "to1" in
+  let reference =
+    Compile_ref.compile_sparse ~priority_of ~seeds:[| 0; 1; 2 |] tiny
+  in
+  Alcotest.(check bool)
+    "priority over the closure's own actions: = reference from the closure"
+    true
+    (agrees_with_ref reference
+       (fresh_with_jobs 1 (fun () -> sparse ~priority_of tiny)))
+
 (* An effect that leaves Sigma is reported exactly as the reference
    reports it, from whichever chunk the escaping state falls in. *)
 let test_escape_message () =
@@ -517,6 +643,17 @@ let () =
                    `Quick
                    (test_registry_reference (e, n)))
                registry_cases );
+      ( "closure",
+        Alcotest.test_case "closure programs of the registry" `Quick
+          test_closure_programs
+        :: Alcotest.test_case "boxed, with_actions and priority variants"
+             `Quick test_closure_variants
+        :: List.map
+             (fun (((e : Cr_experiments.Registry.entry), n, _) as c) ->
+               Alcotest.test_case
+                 (Printf.sprintf "closure-seeded %s n=%d" e.name n)
+                 `Quick (test_closure_seeded c))
+             closure_cases );
       ( "overflow",
         [
           Alcotest.test_case "probe samples a 2^60-state space" `Quick

@@ -6,7 +6,10 @@
    every init-anchored verdict computed on a sparse compile equals the
    same verdict on the dense compile restricted to its reachable set.
    We check this across the whole registry at small ring sizes, and that
-   sparse discovery is byte-invariant under the CR_JOBS fan-out. *)
+   sparse discovery is byte-invariant under the CR_JOBS fan-out.  The
+   spec side too: a refinement checked against the spec's α-closure and
+   a stabilization checked against its legitimate orbit report what the
+   full dense spec gives. *)
 
 open Cr_semantics
 module Program = Cr_guarded.Program
@@ -14,6 +17,10 @@ module Registry = Cr_experiments.Registry
 module Refine = Cr_core.Refine
 
 let compile ~space e n = Program.to_explicit ~space (e.Registry.program n)
+
+(* The entry's spec over its full product space: the dense reference
+   every spec-fragment route must agree with. *)
+let dense_spec e n = Program.to_explicit (e.Registry.spec n)
 
 (* Fresh compile, no cache, with the job count forced. *)
 let fresh ~space ~jobs e n =
@@ -116,7 +123,7 @@ let test_agreement (e, n) () =
 let test_alpha (e, n) () =
   let dense = compile ~space:Space.Dense e n in
   let sparse = compile ~space:Space.Sparse e n in
-  let spec = Registry.spec_explicit e n in
+  let spec = dense_spec e n in
   let bij = bijection ~dense ~sparse in
   let tab_d = Abstraction.tabulate (e.Registry.alpha n) dense spec in
   let tab_s = Abstraction.tabulate (e.Registry.alpha n) sparse spec in
@@ -133,7 +140,7 @@ let test_alpha (e, n) () =
 let test_refine (e, n) () =
   let dense = compile ~space:Space.Dense e n in
   let sparse = compile ~space:Space.Sparse e n in
-  let spec = Registry.spec_explicit e n in
+  let spec = dense_spec e n in
   let bij = bijection ~dense ~sparse in
   let restr = restriction (e, n) ~dense ~sparse ~bij in
   let verdicts ep =
@@ -155,12 +162,43 @@ let test_refine (e, n) () =
         r.Refine.total_failures s.Refine.total_failures)
     (verdicts sparse) (verdicts restr)
 
+(* Registry.refinements checks against the spec's α-closure (compiled
+   from the α-images of the concrete states); each of its four reports
+   must be the one the full dense spec gives: verdict, stats, failure
+   count and every printed failure. *)
+let test_refinements_dense (e, n) () =
+  let ep = Registry.init_explicit e n in
+  let spec = dense_spec e n in
+  let alpha = Abstraction.tabulate (e.Registry.alpha n) ep spec in
+  let dense =
+    [
+      ("init", Refine.init_refinement ~alpha ~c:ep ~a:spec ());
+      ("everywhere", Refine.everywhere_refinement ~alpha ~c:ep ~a:spec ());
+      ("convergence", Refine.convergence_refinement ~alpha ~c:ep ~a:spec ());
+      ("ee", Refine.everywhere_eventually_refinement ~alpha ~c:ep ~a:spec ());
+    ]
+  in
+  let text (r : Refine.report) =
+    List.map (Fmt.str "%a" (Refine.pp_failure ep spec)) r.failures
+  in
+  List.iter2
+    (fun (rel, (got : Refine.report)) (rel', (want : Refine.report)) ->
+      let label what = Printf.sprintf "%s: %s %s" (case_name (e, n)) rel what in
+      Alcotest.(check string) (label "relation") rel' rel;
+      Alcotest.(check bool) (label "verdict") want.holds got.holds;
+      Alcotest.(check bool) (label "stats") true (want.stats = got.stats);
+      Alcotest.(check int)
+        (label "failure count") want.total_failures got.total_failures;
+      Alcotest.(check string) (label "abstract") want.abstract got.abstract;
+      Alcotest.(check (list string)) (label "failures") (text want) (text got))
+    (Registry.refinements e n) dense
+
 (* Registry.stabilization checks against the spec's legitimate orbit
    (a sparse compile) through a partial α-table; its report must be the
    one the full dense spec with a total α-table gives. *)
 let test_stabilization (e, n) () =
   let ep = Registry.explicit e n in
-  let spec = Registry.spec_explicit e n in
+  let spec = dense_spec e n in
   let alpha = Abstraction.tabulate (e.Registry.alpha n) ep spec in
   let strip r = { r with Cr_core.Stabilize.cost = None } in
   Alcotest.(check bool)
@@ -223,6 +261,13 @@ let () =
       ("agreement", per_case test_agreement "fragment");
       ("alpha", per_case test_alpha "alpha");
       ("refine", per_case test_refine "verdicts");
+      ( "alpha-closure",
+        per_case
+          ~cases:
+            (List.concat_map
+               (fun e -> List.map (fun n -> (e, n)) [ 2; 3; 4 ])
+               Registry.entries)
+          test_refinements_dense "refinements" );
       ( "stabilization",
         per_case ~cases:(cases_at [ 2; 3; 4 ]) test_stabilization "orbit" );
       ("jobs", [ Alcotest.test_case "CR_JOBS byte-invariance" `Quick test_jobs_invariance ]);
