@@ -188,8 +188,12 @@ cmp -s "$jout1" "$jout4" || {
 # exit code must not depend on the job count (exit 1 is a verdict).
 # refine rw-dijkstra3 discovers its closure from the closure's seeds;
 # refine c2-wrapped, a boxed program, seeds from the whole closure.
+# dot prints the Good bitset and the initial states, swept on first use
+# by a chunked sweep; spans and verify kstate -n 5 read the recovery
+# depths of the forward settle pass.
 for q in "verify kstate -n 4" "verify c2-wrapped -n 5" "refine dijkstra3 -n 5" \
-         "refine rw-dijkstra3 -n 6" "refine c2-wrapped -n 4"; do
+         "refine rw-dijkstra3 -n 6" "refine c2-wrapped -n 4" "dot kstate -n 3" \
+         "spans dijkstra4 -n 3" "verify kstate -n 5"; do
   rc1=0; CR_JOBS=1 dune exec bin/crcheck.exe -- $q > "$jout1" 2> /dev/null || rc1=$?
   rc4=0; CR_JOBS=4 CR_PAR_CAP=4 dune exec bin/crcheck.exe -- $q > "$jout4" 2> /dev/null || rc4=$?
   [ "$rc1" -le 1 ] && [ "$rc1" = "$rc4" ] && cmp -s "$jout1" "$jout4" || {
@@ -216,14 +220,14 @@ done
 # spec with CR_SPACE=dense must not change a single output byte or exit
 # code.  Covers verify on the btr self-check, a stabilizing ring, the
 # failing and weakly fair re-check path (c2-wrapped) and kstate's UTR
-# spec, plus the experiment tables, the fault spans and the K-state
-# sweep.  Exit 1 is a "not stabilizing" verdict; only exit > 1 is a
-# crash.
+# spec, plus the experiment tables, the fault spans, the K-state sweep
+# and the dot export (Good region and initial states).  Exit 1 is a
+# "not stabilizing" verdict; only exit > 1 is a crash.
 spdef="$work/space-default.out"
 spdense="$work/space-dense.out"
 for q in "verify btr" "verify dijkstra3 -n 4" "verify c2-wrapped -n 4" \
          "verify kstate -n 3" "experiments --max-n 3" "spans dijkstra3 -n 4" \
-         "kstate -n 3"; do
+         "kstate -n 3" "dot dijkstra3 -n 3"; do
   rc=0; dune exec bin/crcheck.exe -- $q > "$spdef" 2> /dev/null || rc=$?
   [ "$rc" -le 1 ] || { echo "ci: $q crashed (rc=$rc)" >&2; exit 1; }
   rcd=0; CR_SPACE=dense dune exec bin/crcheck.exe -- $q > "$spdense" 2> /dev/null || rcd=$?

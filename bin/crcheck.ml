@@ -4,10 +4,13 @@
      crcheck verify SYSTEM [-n N]        model-check stabilization
      crcheck refine CONCRETE [-n N]      check [CONCRETE ⪯ its spec]
      crcheck trace SYSTEM [-n N] ...     inject faults and print recovery
-     crcheck kstate [-n N] [-k K]        K-state threshold exploration
+     crcheck kstate [-n N]               K-state threshold exploration
+     crcheck spans SYSTEM [-n N]         recovery cost vs number of faults
+     crcheck dot SYSTEM [-n N] [-o F]    Graphviz export, Good highlighted
      crcheck lint SYSTEM|--all [-n N]    static analysis of the programs
      crcheck flow SYSTEM|--all [-n N]    abstract interpretation + stair
      crcheck validate KIND FILE          check a json/trace/journal artifact
+     crcheck experiments [--max-n M]     every experiment table, N = 2..M
 *)
 
 open Cmdliner
@@ -292,7 +295,9 @@ let dot name n output =
       let ep = Cr_experiments.Registry.explicit e n in
       let r = Cr_experiments.Registry.stabilization ~ep e n () in
       let good = r.Cr_core.Stabilize.good_mask in
-      let highlight i = if good.(i) then Some "palegreen" else None in
+      let highlight i =
+        if Cr_kernel.Bitset.get good i then Some "palegreen" else None
+      in
       let dot_text = Cr_semantics.Dot.to_string ~highlight ep in
       (match output with
       | None -> print_string dot_text

@@ -14,13 +14,24 @@ let campaign ~name (p : Cr_guarded.Program.t) ~converged ~n =
     (Cr_guarded.Layout.num_states (Cr_guarded.Program.layout p));
   (* exact worst case via the explicit graph *)
   let e = Cr_guarded.Program.to_explicit p in
-  let succ = Cr_semantics.Explicit.csr e in
-  let mask =
-    Cr_kernel.Bitset.of_bool_array
-      (Array.init (Cr_semantics.Explicit.num_states e) (fun i ->
-           not (converged (Cr_semantics.Explicit.state e i))))
+  let unconverged =
+    Cr_kernel.Bitset.create (Cr_semantics.Explicit.num_states e)
   in
-  let depth = Cr_checker.Paths.longest_within ~succ ~mask in
+  Cr_semantics.Explicit.iter_states e (fun i s ->
+      if not (converged s) then Cr_kernel.Bitset.set unconverged i);
+  (* the most steps a run stays unconverged: with the rows of the
+     converged states cut, the states that reach an unconverged one are
+     the unconverged ones, and the settle pass gives each one's longest
+     run among them *)
+  let cut =
+    Cr_kernel.Csr.filter (Cr_semantics.Explicit.csr e) (fun i _ ->
+        Cr_kernel.Bitset.get unconverged i)
+  in
+  let depth =
+    match (Cr_checker.Paths.settle ~succ:cut ~bad:unconverged).depth with
+    | Some depth -> depth
+    | None -> failwith "the unconverged region is cyclic"
+  in
   let worst = Array.fold_left max 0 depth in
   pf "exact worst-case recovery: %d steps@." worst;
   (* Monte-Carlo under random and round-robin daemons *)

@@ -18,18 +18,17 @@ let c_runs = Cr_obs.Obs.counter "hitting.runs"
 let c_iterations = Cr_obs.Obs.counter "hitting.iterations"
 
 let expected ?(epsilon = 1e-9) ?(max_iter = 1_000_000) ?pred
-    ~(succ : Csr.t) ~(target : bool array) () : float array =
+    ~(succ : Csr.t) ~(target : Bitset.t) () : float array =
   Cr_obs.Obs.span "hitting.expected" @@ fun () ->
   let n = Csr.num_states succ in
   let rp = Csr.row_ptr succ and tg = Csr.targets succ in
   (* states that cannot reach the target at all diverge; callers that hold
      an explicit system pass its stored predecessor CSR to skip the
      transposition *)
-  let seeds = Bitset.of_bool_array target in
   let can_reach =
     match pred with
-    | Some p -> Reach.forward ~succ:p ~seeds
-    | None -> Reach.backward ~succ ~seeds
+    | Some p -> Reach.forward ~succ:p ~seeds:target
+    | None -> Reach.backward ~succ ~seeds:target
   in
   (* Any state that CAN reach the target reaches it almost surely under
      uniform choice iff no reachable closed component avoids it; value
@@ -46,7 +45,7 @@ let expected ?(epsilon = 1e-9) ?(max_iter = 1_000_000) ?pred
   while !delta > epsilon && !iter < max_iter do
     delta := 0.0;
     for i = 0 to n - 1 do
-      if target.(i) then next.(i) <- 0.0
+      if Bitset.get target i then next.(i) <- 0.0
       else if not (Bitset.get can_reach i) then next.(i) <- infinity
       else begin
         let lo = rp.(i) and hi = rp.(i + 1) in

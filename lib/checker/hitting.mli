@@ -6,7 +6,7 @@ val expected :
   ?max_iter:int ->
   ?pred:Cr_kernel.Csr.t ->
   succ:Cr_kernel.Csr.t ->
-  target:bool array ->
+  target:Cr_kernel.Bitset.t ->
   unit ->
   float array
 (** [expected ~succ ~target ()].(i) is the expected number of steps from

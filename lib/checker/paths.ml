@@ -1,6 +1,7 @@
 (* Shortest-path queries (a batched BFS oracle, one shortest path) and
-   DAG longest paths, over CSR graphs.  The textbook references they
-   are property-tested against live in the test suite. *)
+   the forward settle pass (who reaches a set, and for how long), over
+   CSR graphs.  The textbook references they are property-tested
+   against live in the test suite. *)
 
 module Csr = Cr_kernel.Csr
 module Par = Cr_kernel.Par
@@ -126,64 +127,125 @@ let shortest_path ~succ ~src ~dst =
     end
   end
 
-(* Longest path (number of edges) from each masked state while staying in
-   the masked region, where leaving the region (or stopping) costs nothing.
-   Requires the masked subgraph to be acyclic; raises otherwise.  Used for
-   worst-case convergence times: the masked region is the non-converged
-   part of the state space. *)
-exception Cyclic
+(* Which states reach [bad], and how long a run can stay among them —
+   the non-converged region of a stabilization check and its recovery
+   depths, in one forward pass (no transpose).
 
-(* Iterative DFS with an explicit (node, next-child) stack — flat int
-   arrays, safe for masked regions whose longest path exceeds the OCaml
-   call stack and allocation-free per visit. *)
-let longest_within ~succ ~mask =
-  Cr_obs.Obs.span "paths.longest_within" @@ fun () ->
+   One iterative Tarjan pass over the whole graph, roots in index order.
+   An SCC closes only after every SCC it reaches, so when it closes
+   each member's successors outside it are settled: the SCC reaches
+   [bad] iff a member is in [bad] or steps to a settled state that
+   does (members mark themselves as their rows are scanned, and a
+   closed child marks its parent on return).  A reaching SCC with a
+   cycle (two or more members, or a self-loop) makes the region
+   cyclic; a trivial one gets its depth by rescanning its row: the most
+   steps a run can take while staying in the region, the step that
+   leaves it counted.
+
+   Scratch is five words per state — [index] (the DFS number while on
+   the Tarjan stack, then whether the state's SCC reaches [bad]),
+   [low] (the Tarjan low-link, overwritten with the depth once the
+   state's SCC closes), the Tarjan stack, and the DFS vertex and
+   cursor — and [low] is returned as the depth array. *)
+type settled = { reaches : Bitset.t; depth : int array option }
+
+let unvisited = -1
+let settled_out = -2
+let settled_in = -3
+
+let settle ~succ ~bad =
+  Cr_obs.Obs.span "paths.settle" @@ fun () ->
   let n = Csr.num_states succ in
+  if Bitset.length bad <> n then invalid_arg "Paths.settle: bad mask length";
   let rp = Csr.row_ptr succ and tg = Csr.targets succ in
-  let memo = Array.make n (-1) in
-  let visiting = Array.make n false in
-  let call_v = Array.make n 0 in
-  let call_c = Array.make n 0 in
-  let cp = ref 0 in
-  let compute root =
-    visiting.(root) <- true;
-    call_v.(0) <- root;
-    call_c.(0) <- 0;
-    cp := 1;
-    while !cp > 0 do
-      let i = call_v.(!cp - 1) in
-      let c = call_c.(!cp - 1) in
-      if c < rp.(i + 1) - rp.(i) then begin
-        let j = tg.(rp.(i) + c) in
-        call_c.(!cp - 1) <- c + 1;
-        if Bitset.get mask j then begin
-          if visiting.(j) then raise Cyclic;
-          if memo.(j) < 0 then begin
-            visiting.(j) <- true;
-            call_v.(!cp) <- j;
-            call_c.(!cp) <- 0;
-            incr cp
-          end
-        end
-      end
-      else begin
-        decr cp;
-        visiting.(i) <- false;
-        (* leaving the masked region (or stopping there) costs one step
-           for the edge itself, nothing beyond *)
-        let best = ref 0 in
+  let reaches = Bitset.copy bad in
+  let index = Array.make n unvisited in
+  let low = Array.make n 0 in
+  let stack = Array.make n 0 and sp = ref 0 in
+  let dfs_v = Array.make n 0 and dfs_k = Array.make n 0 and dp = ref 0 in
+  let next = ref 0 in
+  let cyclic = ref false in
+  let start i =
+    index.(i) <- !next;
+    low.(i) <- !next;
+    incr next;
+    stack.(!sp) <- i;
+    incr sp;
+    dfs_v.(!dp) <- i;
+    dfs_k.(!dp) <- rp.(i);
+    incr dp
+  in
+  (* Pop the SCC rooted at [i] (the Tarjan stack from [i] up) and
+     settle it: every member reaches [bad] or none does. *)
+  let close i =
+    let base = ref (!sp - 1) in
+    while stack.(!base) <> i do
+      decr base
+    done;
+    let hit = ref false in
+    for p = !base to !sp - 1 do
+      if Bitset.get reaches stack.(p) then hit := true
+    done;
+    let mark = if !hit then settled_in else settled_out in
+    for p = !base to !sp - 1 do
+      let m = stack.(p) in
+      index.(m) <- mark;
+      low.(m) <- 0;
+      if !hit then Bitset.set reaches m
+    done;
+    if !hit then
+      if !sp - !base > 1 then cyclic := true
+      else if not !cyclic then begin
+        let d = ref 0 in
         for k = rp.(i) to rp.(i + 1) - 1 do
           let j = tg.(k) in
-          let v = 1 + if Bitset.get mask j then memo.(j) else 0 in
-          if v > !best then best := v
+          if j = i then cyclic := true;
+          let v = 1 + if index.(j) = settled_in then low.(j) else 0 in
+          if v > !d then d := v
         done;
-        memo.(i) <- !best
-      end
-    done
+        low.(i) <- !d
+      end;
+    sp := !base
   in
-  Array.init n (fun i ->
-      if not (Bitset.get mask i) then 0
-      else begin
-        if memo.(i) < 0 then compute i;
-        memo.(i)
-      end)
+  for root = 0 to n - 1 do
+    if index.(root) = unvisited then begin
+      start root;
+      while !dp > 0 do
+        (* scan the top vertex's row until an unvisited successor *)
+        let top = !dp - 1 in
+        let i = dfs_v.(top) in
+        let hi = rp.(i + 1) in
+        let k = ref dfs_k.(top) and child = ref unvisited in
+        let li = ref low.(i) and hit = ref false in
+        while !child = unvisited && !k < hi do
+          let j = tg.(!k) in
+          incr k;
+          let x = index.(j) in
+          if x = unvisited then child := j
+          else if x >= 0 then begin
+            if x < !li then li := x
+          end
+          else if x = settled_in then hit := true
+        done;
+        low.(i) <- !li;
+        if !hit then Bitset.set reaches i;
+        if !child <> unvisited then begin
+          dfs_k.(top) <- !k;
+          start !child
+        end
+        else begin
+          decr dp;
+          if !li = index.(i) then close i;
+          if !dp > 0 then begin
+            let p = dfs_v.(!dp - 1) in
+            let x = index.(i) in
+            if x >= 0 then begin
+              if low.(i) < low.(p) then low.(p) <- low.(i)
+            end
+            else if x = settled_in then Bitset.set reaches p
+          end
+        end
+      done
+    end
+  done;
+  { reaches; depth = (if !cyclic then None else Some low) }

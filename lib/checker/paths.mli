@@ -1,4 +1,6 @@
-(** BFS shortest paths and DAG longest paths over CSR graphs. *)
+(** BFS shortest paths, and the forward pass that settles which states
+    reach a set and how long a run can stay among them, over CSR
+    graphs. *)
 
 type oracle
 (** The BFS distance rows of a fixed batch of sources over a fixed
@@ -20,11 +22,18 @@ val distance : oracle -> src:int -> dst:int -> int
 val shortest_path : succ:Cr_kernel.Csr.t -> src:int -> dst:int -> int list option
 (** One shortest path, inclusive of endpoints ([src = dst] gives [[src]]). *)
 
-exception Cyclic
+type settled = {
+  reaches : Cr_kernel.Bitset.t;  (** the states that reach [bad], inclusive *)
+  depth : int array option;
+      (** [None] when a cycle lies among [reaches]; otherwise, per state
+          of [reaches], the most transitions a run can take while it
+          stays in [reaches] (the one that leaves counts), and 0
+          elsewhere *)
+}
 
-val longest_within : succ:Cr_kernel.Csr.t -> mask:Cr_kernel.Bitset.t -> int array
-(** [longest_within ~succ ~mask] gives, for each masked state, the maximum
-    number of consecutive transitions that remain inside the masked region
-    starting there.  Raises {!Cyclic} if the masked subgraph has a cycle.
-    This is the exact worst-case convergence time when [mask] is the set of
-    illegitimate states of a stabilizing system. *)
+val settle : succ:Cr_kernel.Csr.t -> bad:Cr_kernel.Bitset.t -> settled
+(** One forward Tarjan pass: no transpose, five words of scratch per
+    state.  When [bad] is a stabilization check's bad seeds, [reaches]
+    is the complement of the converged region and the largest depth is
+    the exact worst-case convergence time.  Raises [Invalid_argument]
+    when the mask's length is not the graph's state count. *)

@@ -1,8 +1,7 @@
 (* Reachability kernels over CSR graphs.
 
-   Each walks the flat [Csr] arrays (an explicit system's own graph, or
-   its stored predecessor graph) and marks a packed [Bitset] — no row
-   copying, no per-row allocation.  The textbook reference they are
+   Each walks the flat [Csr] arrays and marks a packed [Bitset] — no
+   row copying, no per-row allocation.  The textbook reference they are
    property-tested against lives in the test suite. *)
 
 module Csr = Cr_kernel.Csr
@@ -39,11 +38,6 @@ let forward ~succ ~(seeds : Bitset.t) : Bitset.t =
   seen
 
 let backward ~succ ~seeds = forward ~succ:(Csr.transpose succ) ~seeds
-
-(* Backward reachability straight off the stored predecessor CSR — no
-   transposition pass here, no row copying. *)
-let backward_of_explicit expl ~seeds =
-  forward ~succ:(Cr_semantics.Explicit.pred_csr expl) ~seeds
 
 let reachable_from_initial expl =
   forward

@@ -1,9 +1,7 @@
 (** Reachability kernels over CSR graphs, marking packed bitsets.
 
-    An explicit system hands out its graph and its predecessor graph as
-    zero-copy views ({!Cr_semantics.Explicit.csr},
-    {!Cr_semantics.Explicit.pred_csr}); these kernels walk them
-    directly. *)
+    An explicit system hands out its graph as a zero-copy view
+    ({!Cr_semantics.Explicit.csr}); these kernels walk it directly. *)
 
 val forward :
   succ:Cr_kernel.Csr.t -> seeds:Cr_kernel.Bitset.t -> Cr_kernel.Bitset.t
@@ -14,13 +12,8 @@ val forward :
 val backward :
   succ:Cr_kernel.Csr.t -> seeds:Cr_kernel.Bitset.t -> Cr_kernel.Bitset.t
 (** States that can reach some member of [seeds] (inclusive).
-    Transposes internally; prefer {!backward_of_explicit} when the
-    system's stored transpose is available. *)
-
-val backward_of_explicit :
-  _ Cr_semantics.Explicit.t -> seeds:Cr_kernel.Bitset.t -> Cr_kernel.Bitset.t
-(** Backward reachability over the stored predecessor CSR (no
-    transposition pass). *)
+    Transposes internally; {!Paths.settle} answers the same question in
+    one forward pass. *)
 
 val reachable_from_initial : _ Cr_semantics.Explicit.t -> Cr_kernel.Bitset.t
 (** States reachable from the initial states — for a specification [A]

@@ -12,6 +12,7 @@
 
 val key :
   relation:string ->
+  c_initials:bool ->
   alpha:int array ->
   fair:int array array option ->
   c:_ Cr_semantics.Explicit.t ->
@@ -20,8 +21,13 @@ val key :
 (** The memo key of one verdict question: [relation] (a readable tag
     that must separate every check variant), both system names, and a
     double-FNV fingerprint ({!Cr_kernel.Memo.Fp}) of both systems' exact
-    transition structure and initial states, the abstraction table and
-    the fairness tables (or their absence, distinctly). *)
+    transition structure, the abstraction table, the fairness tables
+    (or their absence, distinctly) and the initial states the verdict
+    reads.  Those are always [a]'s, and [c]'s when [c_initials]:
+    {!Refine} reads them ([c_initials:true]); {!Stabilize} quantifies
+    over every state of [c] and does not ([c_initials:false]), so its
+    key neither forces [c]'s lazy initial sweep nor tells apart two
+    graphs that differ only in their initial states. *)
 
 val clear_all : unit -> unit
 (** {!Cr_kernel.Memo.clear_all}: drop every memoized verdict — and,

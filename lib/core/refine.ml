@@ -397,7 +397,8 @@ let emit_verdict ~was_cached (r : report) =
 let cached ~relation ~alpha ~fair ~c ~a check =
   let r, ran =
     Cr_kernel.Memo.find memo
-      ~key:(fun () -> Check_cache.key ~relation ~alpha ~fair ~c ~a)
+      ~key:(fun () ->
+        Check_cache.key ~relation ~c_initials:true ~alpha ~fair ~c ~a)
       ~same:same_report check
   in
   emit_verdict ~was_cached:(not ran) r;

@@ -10,9 +10,11 @@ module Par = Cr_kernel.Par
    transition (i, j) of C is *bad* when its image leaves L or is not a
    transition of A; a terminal state of C is *bad* when its image is not a
    reachable terminal of A.  Let Good = states of C from which no bad
-   transition source and no bad terminal is reachable.  Then C stabilizes
-   to A iff (a) the subgraph of C outside Good is acyclic, and (b) no
-   terminal of C lies outside Good.
+   transition source and no bad terminal is reachable: the greatest
+   successor-closed set of non-seeds.  Then C stabilizes to A iff (a)
+   the subgraph of C outside Good is acyclic, and (b) no terminal of C
+   lies outside Good.  The quantification is over every computation
+   of C, from any state, so I_C is never read.
 
    Soundness/completeness: once a computation enters Good it only takes
    A-transitions inside L forever (or halts at a reachable A-terminal), and
@@ -27,10 +29,14 @@ module Par = Cr_kernel.Par
    with the alpha-table marking images outside the fragment by -1, which
    every test below reads as "outside L".
 
-   All sweeps run over the systems' flat CSR graphs and packed bitsets;
-   the bad-seed sweep is domain-chunked under the CR_JOBS contract of
-   [Par], and verdicts are memoized in a content-addressed
-   [Cr_kernel.Memo] keyed by [Check_cache.key]. *)
+   Good is decided going forward, in one pass: [Paths.settle] marks the
+   states that reach a bad seed (the complement of Good), tells whether
+   a cycle lies among them, and gives each one's longest run among
+   them — the recovery depth, whose maximum is the worst case.  No
+   transpose of C is built.  All sweeps run over the systems' flat CSR
+   graphs and packed bitsets; the bad-seed sweep is domain-chunked
+   under the CR_JOBS contract of [Par], and verdicts are memoized in a
+   content-addressed [Cr_kernel.Memo] keyed by [Check_cache.key]. *)
 
 type report = {
   holds : bool;
@@ -43,7 +49,7 @@ type report = {
       (* max transitions before entering Good, when stabilizing *)
   bad_cycle : int list option;  (* a witness cycle outside Good *)
   bad_terminal : int option;  (* a witness terminal outside Good *)
-  good_mask : bool array;  (* per-state membership in the converged region *)
+  good_mask : Cr_kernel.Bitset.t;  (* the converged region *)
   cost : Cr_obs.Obs.snapshot option;
       (* counter movement of this check on the calling domain; [None]
          unless telemetry collection is on *)
@@ -116,9 +122,9 @@ let find_cycle_within (succ : Cr_kernel.Csr.t) (mask : Cr_kernel.Bitset.t) =
 let c_runs = Cr_obs.Obs.counter "stabilize.runs"
 let c_bad_seeds = Cr_obs.Obs.counter "stabilize.bad_seeds"
 
-(* Verdict memo: keyed on both systems' exact structure, the
-   abstraction, the fairness tables and the stutter mode (see
-   [Check_cache.key]). *)
+(* Verdict memo: keyed on both systems' exact structure, A's initial
+   states (C's are never read), the abstraction, the fairness tables
+   and the stutter mode (see [Check_cache.key]). *)
 let memo : report Cr_kernel.Memo.t = Cr_kernel.Memo.create ~name:"check"
 
 let same_report r1 r2 = { r1 with cost = None } = { r2 with cost = None }
@@ -206,10 +212,11 @@ let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
       Cr_obs.Obs.incr c_runs;
       Cr_obs.Obs.add c_bad_seeds (Cr_kernel.Bitset.count bad_seed)
     end;
-    let reaches_bad =
-      Cr_obs.Obs.span "stabilize.reach_bad" (fun () ->
-          Cr_checker.Reach.backward_of_explicit c ~seeds:bad_seed)
+    let { Cr_checker.Paths.reaches = reaches_bad; depth } =
+      Cr_checker.Paths.settle ~succ:succ_c ~bad:bad_seed
     in
+    (* the longest recovery, or [None] when a cycle lies outside Good *)
+    let deepest = Option.map (Array.fold_left max 0) depth in
     let good = Cr_kernel.Bitset.complement reaches_bad in
     (* A C-terminal outside Good is itself a bad seed; find one if any. *)
     let terminal_outside =
@@ -223,44 +230,25 @@ let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
           done;
           !w
     in
-    let cycle, depths =
+    (* The settle pass is the cycle test, so the SCC-based witness
+       search only runs on failure. *)
+    let cycle =
       Cr_obs.Obs.span "stabilize.divergence_check" @@ fun () ->
       match fair with
-      | None -> (
-          (* The recovery-depth DFS doubles as the cycle test: it raises
-             [Cyclic] iff the masked region has one, so the SCC-based
-             witness search only runs on failure. *)
-          match
-            Cr_checker.Paths.longest_within ~succ:succ_c
-              ~mask:reaches_bad
-          with
-          | depths -> (None, Some depths)
-          | exception Cr_checker.Paths.Cyclic ->
-              (find_cycle_within succ_c reaches_bad, None))
+      | None ->
+          if deepest = None then find_cycle_within succ_c reaches_bad
+          else None
       | Some tables -> (
           match
-            (Fair.analyze tables ~succ:succ_c ~mask:reaches_bad)
-              .Fair.sccs
+            (Fair.analyze tables ~succ:succ_c ~mask:reaches_bad).Fair.sccs
           with
-          | [] -> (None, None)
-          | scc :: _ -> (Some scc, None))
+          | [] -> None
+          | scc :: _ -> Some scc)
     in
     let holds = cycle = None && terminal_outside = None in
-    let worst =
-      if holds then
-        (* Under weak fairness the non-converged region may still contain
-           (unfair) cycles; recovery is then finite but unbounded. *)
-        match depths with
-        | Some depths -> Some (Array.fold_left max 0 depths)
-        | None -> (
-            match
-              Cr_checker.Paths.longest_within ~succ:succ_c
-                ~mask:reaches_bad
-            with
-            | depths -> Some (Array.fold_left max 0 depths)
-            | exception Cr_checker.Paths.Cyclic -> None)
-      else None
-    in
+    (* Under weak fairness the non-converged region may still contain
+       (unfair) cycles; recovery is then finite but unbounded. *)
+    let worst = if holds then deepest else None in
     {
       holds;
       concrete = Explicit.name c;
@@ -271,7 +259,7 @@ let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
       worst_case_recovery = worst;
       bad_cycle = cycle;
       bad_terminal = terminal_outside;
-      good_mask = Cr_kernel.Bitset.to_bool_array good;
+      good_mask = good;
       cost = None;
     }
   in
@@ -285,7 +273,7 @@ let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
       ~key:(fun () ->
         Check_cache.key
           ~relation:(if stutter_ok then "stab+stutter" else "stab")
-          ~alpha ~fair ~c ~a)
+          ~c_initials:false ~alpha ~fair ~c ~a)
       ~same:same_report check
   in
   (if Cr_obs.Obs.tracking () then

@@ -4,9 +4,14 @@
     that is a suffix of some computation of [A] starting at an initial
     state of [A].
 
-    Verdicts are memoized in a content-addressed {!Cr_kernel.Memo}
-    keyed by {!Check_cache.key} ([CR_CACHE=0] disables,
-    [CR_CACHE_PARANOID=1] audits every hit); the bad-seed sweep is domain-chunked under [CR_JOBS] with a
+    The converged region Good (the states that reach no bad seed) is
+    decided in one forward pass over [C]'s graph
+    ({!Cr_checker.Paths.settle}), which also gives the recovery depths;
+    no transpose of [C] is built, and [C]'s initial states are never
+    read.  Verdicts are memoized in a content-addressed
+    {!Cr_kernel.Memo} keyed by {!Check_cache.key} ([CR_CACHE=0]
+    disables, [CR_CACHE_PARANOID=1] audits every hit); the bad-seed
+    sweep is domain-chunked under [CR_JOBS] with a
     job-count-independent result. *)
 
 type report = {
@@ -21,7 +26,7 @@ type report = {
           region is entered (when stabilizing) *)
   bad_cycle : int list option;  (** witness cycle that never converges *)
   bad_terminal : int option;  (** witness deadlock outside the converged region *)
-  good_mask : bool array;  (** per-state membership in the converged region *)
+  good_mask : Cr_kernel.Bitset.t;  (** the converged region *)
   cost : Cr_obs.Obs.snapshot option;
       (** telemetry counters moved by this check on the calling domain
           ([Some] only while {!Cr_obs.Obs.tracking} — e.g. under

@@ -30,7 +30,9 @@ let measure ~(name : string) ~(mk : int -> Program.t)
   (* converged = the checker's Good region, so the simulated and exact
      numbers measure the same event *)
   let good = r.Cr_core.Stabilize.good_mask in
-  let converged s = good.(Cr_semantics.Explicit.find e s) in
+  let converged s =
+    Cr_kernel.Bitset.get good (Cr_semantics.Explicit.find e s)
+  in
   let stats =
     Cr_sim.Runner.convergence_stats ~samples ~max_steps:1_000_000 ~seed:7
       ~converged
@@ -102,7 +104,7 @@ let new3_priority_row ?(samples = 200) n : row =
     Registry.stabilizing ~alpha:(Cr_tokenring.C3_system.alpha n) e
       (Cr_tokenring.Btr.program n) ()
   in
-  let converged_idx i = r.Cr_core.Stabilize.good_mask.(i) in
+  let converged_idx = Cr_kernel.Bitset.get r.Cr_core.Stabilize.good_mask in
   let mean, maxi, _ = mean_on_explicit ~samples ~seed:13 e ~converged_idx in
   {
     system = "new-3state (C3[]!W)";

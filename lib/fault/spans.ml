@@ -84,12 +84,20 @@ let analyze ?(max_k = 8) (p : Program.t)
         Program.step faults s
         |> List.map (Cr_semantics.Explicit.find e)
         |> Array.of_list);
-  let sources =
-    List.filteri (fun i _ -> good.(i)) (List.init n (fun i -> i))
+  let dist =
+    min_faults ~succ ~fault_succ ~sources:(Cr_kernel.Bitset.members good)
   in
-  let dist = min_faults ~succ ~fault_succ ~sources in
-  let not_good = Cr_kernel.Bitset.of_bool_array (Array.map not good) in
-  let depth = Cr_checker.Paths.longest_within ~succ ~mask:not_good in
+  (* Recovery depths: the states outside Good are exactly those that
+     reach a state outside Good (Good is successor-closed), so settling
+     that set gives each one's longest run outside Good. *)
+  let depth =
+    match
+      (Cr_checker.Paths.settle ~succ ~bad:(Cr_kernel.Bitset.complement good))
+        .Cr_checker.Paths.depth
+    with
+    | Some depth -> depth
+    | None -> invalid_arg "Spans.analyze: the recovery region is cyclic"
+  in
   let expected =
     Cr_checker.Hitting.expected ~succ
       ~pred:(Cr_semantics.Explicit.pred_csr e) ~target:good ()

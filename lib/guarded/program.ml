@@ -208,7 +208,8 @@ let dense_space layout =
 
 (* One streamed pass over Sigma: the emitter runs on the odometer's
    scratch state, and [Explicit.of_space] appends each sorted row
-   straight into the CSR and marks the initial states as it goes. *)
+   straight into the CSR.  The initial predicate is kept, not
+   evaluated: it is swept on the first use of the initial states. *)
 let compile_fresh ~mode t =
   let layout = t.layout in
   let name = mode_name ~mode t in
@@ -271,7 +272,8 @@ let seeding_name = function
 (* A closure-seeded discovery from the closure's seeds finds exactly the
    closure — the initial set — so it is renumbered in ascending rank
    (the order a discovery seeded with the whole sorted closure has) and
-   marked initial throughout, without forcing the predicate. *)
+   marked initial throughout ([Explicit.all_initial]), without forcing
+   the predicate or sweeping it. *)
 let compile_sparse ~mode ~seeding t ~seed_ranks:seeds =
   let layout = t.layout in
   let name = mode_name ~mode t in
@@ -282,10 +284,12 @@ let compile_sparse ~mode ~seeding t ~seed_ranks:seeds =
       ~step:(step_keys ~mode t) ~seed_keys:seeds ()
   in
   let rows = sparse.Space.rows in
-  Cr_semantics.Explicit.of_space ~name ~space:sparse.Space.space
-    ~step:(fun () _ i emit -> Array.iter emit rows.(i))
-    ~is_initial:(if closure then fun _ -> true else t.initial)
-    ~pp_state:(Layout.pp_state layout)
+  let e =
+    Cr_semantics.Explicit.of_space ~name ~space:sparse.Space.space
+      ~step:(fun () _ i emit -> Array.iter emit rows.(i))
+      ~is_initial:t.initial ~pp_state:(Layout.pp_state layout)
+  in
+  if closure then Cr_semantics.Explicit.all_initial e else e
 
 (* How many states the semantic fingerprint probe samples.  Systems at
    most this big are keyed by their complete transition semantics
@@ -342,9 +346,10 @@ let probe ~mode t =
    what separates programs whose actions carry identical labels but
    different guards or effects.  The initial-state predicate is
    deliberately NOT part of the key: a cached graph is re-targeted via
-   [Explicit.with_initials] on every hit.  (The probe is a 126-bit
-   rolling hash, not the exact rows; CR_CACHE_PARANOID=1 turns every
-   hit into a checked recompile for the paranoid.) *)
+   [Explicit.with_initials] (O(1), swept on first use) on every hit.
+   (The probe is a 126-bit rolling hash, not the exact rows;
+   CR_CACHE_PARANOID=1 turns every hit into a checked recompile for the
+   paranoid.) *)
 let fingerprint ~mode t =
   let layout = t.layout in
   let buf = Buffer.create 256 in

@@ -92,8 +92,11 @@ val to_explicit :
     Either way the per-state loop iterates actions directly (guard,
     effect, rank) with no intermediate firing lists, and is
     domain-chunked under the [CR_JOBS] contract of {!Cr_kernel.Par} —
-    identical output for every job count (the guards, effects and the
-    initial predicate may run on several domains at once).
+    identical output for every job count (the guards and effects may
+    run on several domains at once).  The compile does not evaluate the
+    initial predicate: the graph keeps it and sweeps it on the first
+    use of its initial states ({!Cr_semantics.Explicit.initials}), so a
+    stabilization check, which never reads them, never calls it.
 
     Raises {!Cr_semantics.Space.Too_large} before any work when the
     engine cannot index the layout: [Dense] past
@@ -109,7 +112,7 @@ val to_explicit :
     roots (a closure-seeded compile also carries a closure tag, since
     its index order differs from a discovery from the same seeds).  On
     a hit the cached graph is re-targeted to this program's name and
-    initial predicate.  [CR_CACHE=0] disables the memo.
+    initial predicate, in O(1).  [CR_CACHE=0] disables the memo.
 
     Every compile that runs is one [compile] span whose fields give the
     cache key, the engine, the state and transition counts and the

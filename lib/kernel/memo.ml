@@ -177,7 +177,11 @@ let find t ~key ~same f =
 (* Two independent FNV-1a-style folds over native ints: 126 bits of
    accumulated state, no allocation per step.  Native-int
    multiplication wraps silently, which is exactly what a rolling hash
-   wants. *)
+   wants.  Each step ends with an xor-shift: a bare xor-multiply fold is
+   linear enough that [x; x] and [-x; -x] (an α-table entry and the -1
+   of an image outside the spec fragment, say) leave the same state
+   whenever the state before them is even — so about a quarter of such
+   pairs collided in both folds at once. *)
 module Fp = struct
   let fnv1 = 0x100000001b3
   let fnv2 = 0x27d4eb2f165667c5
@@ -187,8 +191,9 @@ module Fp = struct
   let create () = { h1 = 0x3bf29ce484222325; h2 = 0x1e3779b97f4a7c15 }
 
   let add_int t x =
-    t.h1 <- (t.h1 lxor x) * fnv1;
-    t.h2 <- (t.h2 lxor x) * fnv2
+    let h1 = (t.h1 lxor x) * fnv1 and h2 = (t.h2 lxor x) * fnv2 in
+    t.h1 <- h1 lxor (h1 lsr 31);
+    t.h2 <- h2 lxor (h2 lsr 29)
 
   let add_int_array t a =
     add_int t (Array.length a);

@@ -49,7 +49,8 @@ val clear_all : unit -> unit
 (** {!clear} every memo created so far. *)
 
 (** Double-FNV rolling fingerprints: two independent 63-bit folds
-    (~126 bits) over native ints, for building keys. *)
+    (~126 bits) over native ints, each step an xor-multiply and an
+    xor-shift, for building keys. *)
 module Fp : sig
   type t
 

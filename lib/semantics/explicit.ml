@@ -13,17 +13,20 @@
    Every constructor is one streamed pass ([of_space]): the index range
    is split into chunks (the CR_JOBS contract of [Par]; default 1 = one
    chunk), each sweeping its range, sorting and deduplicating each row in
-   a scratch buffer and appending it to its own edge blocks, writing the
-   row ends into the shared [row_ptr] and the initial states into the
-   shared bitset (chunk boundaries are multiples of 64, so chunks write
-   disjoint words).  The blocks are concatenated in chunk order.  Row i
-   depends on i alone, so the result is identical for every job count.
+   a scratch buffer and appending it to its own edge blocks and writing
+   the row ends into the shared [row_ptr].  The blocks are concatenated
+   in chunk order.  Row i depends on i alone, so the result is identical
+   for every job count.
 
-   The predecessor CSR is lazy: [Csr.transpose] runs on the first
-   [predecessors]/backward use, because the refinement checkers never
-   look at predecessors.  The thunk is an [Atomic]: if two domains race
-   on the first force, both compute the same deterministic transpose and
-   one of the identical results wins — no lock, no [Lazy.Undefined]. *)
+   Two parts are lazy, each behind one [Atomic] cell: the initial
+   states, swept from the kept predicate on the first [is_initial]/
+   [initial_mask]/[initials] use, chunked like the compile (a
+   stabilization check quantifies over every state and never reads
+   them); and the predecessor CSR, transposed on the first
+   [predecessors]/[pred_csr] use (no checker on the verify or refine
+   path reads it).  If two domains race on a first force, both compute
+   the same deterministic value and one of the identical results wins —
+   no lock, no [Lazy.Undefined]. *)
 
 module Csr = Cr_kernel.Csr
 module Par = Cr_kernel.Par
@@ -40,14 +43,16 @@ let c_transitions = Cr_obs.Obs.counter "explicit.transitions"
 let c_largest = Cr_obs.Obs.counter ~kind:Cr_obs.Obs.Max "explicit.largest"
 
 type pred = Pred_todo | Pred of Csr.t
+type initial_states = { mask : Bitset.t; members : int array }
+type inits = Inits_todo | Inits of initial_states
 
 type 'a t = {
   name : string;
   space : 'a Space.t;  (* index <-> state bijection and range sweeps *)
   succ : Csr.t;  (* each row sorted ascending, deduplicated *)
   pred : pred Atomic.t;  (* transposed from [succ] on first use *)
-  is_initial : Bitset.t;
-  initials : int array;
+  initial : 'a -> bool;  (* swept into [inits] on first use *)
+  inits : inits Atomic.t;
   pp_state : Format.formatter -> 'a -> unit;
 }
 
@@ -89,11 +94,52 @@ let out_degree t i = Csr.degree t.succ i
 
 let successor t i k = Csr.kth t.succ i k
 
-let is_initial t i = Bitset.get t.is_initial i
+let initials_of mask =
+  let out = Array.make (Bitset.count mask) 0 in
+  let k = ref 0 in
+  Bitset.iter_set_bits mask (fun i ->
+      out.(!k) <- i;
+      incr k);
+  out
 
-let initial_mask t = t.is_initial
+(* Index ranges covering [0, n): one at CR_JOBS = 1, else more chunks
+   than domains (claimed from the pool's item counter), each spanning
+   whole 64-state words, so chunks write disjoint words of a shared
+   bitset. *)
+let chunk_bounds n =
+  let jobs = min (Par.current_jobs ()) (max n 1) in
+  if jobs <= 1 then [| (0, n) |]
+  else begin
+    let nwords = (n + 63) / 64 in
+    let num_chunks = max 1 (min nwords (jobs * 4)) in
+    let boundary d = min n (d * nwords / num_chunks * 64) in
+    Array.init num_chunks (fun d -> (boundary d, boundary (d + 1)))
+  end
 
-let initials t = t.initials
+(* One chunked sweep of the initial predicate over the space, as
+   [force_pred] below: no telemetry, a racing domain may sweep twice. *)
+let force_inits (type a) (t : a t) =
+  match Atomic.get t.inits with
+  | Inits i -> i
+  | Inits_todo -> (
+      let module Sp = (val t.space) in
+      let mask = Bitset.create Sp.size in
+      let chunk (lo, hi) =
+        Sp.iter_range lo hi (fun i s -> if t.initial s then Bitset.set mask i)
+      in
+      (match chunk_bounds Sp.size with
+      | [| b |] -> chunk b
+      | bounds -> ignore (Par.map_array chunk bounds : unit array));
+      let inits = { mask; members = initials_of mask } in
+      let v = Inits inits in
+      if Atomic.compare_and_set t.inits Inits_todo v then inits
+      else match Atomic.get t.inits with Inits i -> i | Inits_todo -> inits)
+
+let is_initial t i = Bitset.get (force_inits t).mask i
+
+let initial_mask t = (force_inits t).mask
+
+let initials t = (force_inits t).members
 
 let is_terminal t i = Csr.degree t.succ i = 0
 
@@ -130,14 +176,6 @@ let predecessors t i = Csr.row (force_pred t) i
 let pred_forced t =
   match Atomic.get t.pred with Pred _ -> true | Pred_todo -> false
 
-let initials_of mask =
-  let out = Array.make (Bitset.count mask) 0 in
-  let k = ref 0 in
-  Bitset.iter_set_bits mask (fun i ->
-      out.(!k) <- i;
-      incr k);
-  out
-
 let record_built t =
   if Cr_obs.Obs.tracking () then begin
     Cr_obs.Obs.incr c_systems;
@@ -168,12 +206,12 @@ let sort_prefix row k =
   done
 
 (* One chunk of the streamed compile: sweep [lo, hi), write each row's
-   end (relative to the chunk's first edge) into [row_ptr.(i + 1)], mark
-   initial states in [init], and return the chunk's edges as blocks in
-   order plus their count.  Blocks double in size up to 64 Ki entries, so
-   a chunk never copies its edges while it grows. *)
+   end (relative to the chunk's first edge) into [row_ptr.(i + 1)], and
+   return the chunk's edges as blocks in order plus their count.  Blocks
+   double in size up to 64 Ki entries, so a chunk never copies its edges
+   while it grows. *)
 let stream_chunk (type a) (module Sp : Space.S with type state = a) ~step
-    ~is_initial ~row_ptr ~init (lo, hi) =
+    ~row_ptr (lo, hi) =
   let block_cap = 1 lsl 16 in
   let full = ref [] and full_edges = ref 0 in
   let cur = ref (Array.make (max 16 (min block_cap (2 * (hi - lo)))) 0) in
@@ -203,7 +241,6 @@ let stream_chunk (type a) (module Sp : Space.S with type state = a) ~step
   in
   let st = step () in
   Sp.iter_range lo hi (fun i s ->
-      if is_initial s then Bitset.set init i;
       self := i;
       k := 0;
       st s i emit;
@@ -225,20 +262,8 @@ let of_space (type a) ~name ~(space : a Space.t) ~step ~is_initial ~pp_state :
   let module Sp = (val space) in
   let n = Sp.size in
   let row_ptr = Array.make (n + 1) 0 in
-  let init = Bitset.create n in
-  let chunk = stream_chunk (module Sp) ~step ~is_initial ~row_ptr ~init in
-  let jobs = min (Par.current_jobs ()) (max n 1) in
-  let bounds =
-    if jobs <= 1 then [| (0, n) |]
-    else begin
-      (* more chunks than domains (claimed from the pool's item
-         counter), each spanning whole words of [init] *)
-      let nwords = (n + 63) / 64 in
-      let num_chunks = max 1 (min nwords (jobs * 4)) in
-      let boundary d = min n (d * nwords / num_chunks * 64) in
-      Array.init num_chunks (fun d -> (boundary d, boundary (d + 1)))
-    end
-  in
+  let chunk = stream_chunk (module Sp) ~step ~row_ptr in
+  let bounds = chunk_bounds n in
   let parts =
     if Array.length bounds = 1 then [| chunk bounds.(0) |]
     else Par.map_array chunk bounds
@@ -271,8 +296,8 @@ let of_space (type a) ~name ~(space : a Space.t) ~step ~is_initial ~pp_state :
   in
   let succ = Csr.unsafe_of_raw ~row_ptr ~targets in
   record_built
-    { name; space; succ; pred = lazy_pred (); is_initial = init;
-      initials = initials_of init; pp_state }
+    { name; space; succ; pred = lazy_pred (); initial = is_initial;
+      inits = Atomic.make Inits_todo; pp_state }
 
 (* An enumeration held in memory, indexed by a hashtable built once. *)
 let array_space name states =
@@ -369,9 +394,11 @@ let box ?name t1 t2 =
 let same_transitions t1 t2 = same_states t1 t2 && Csr.equal t1.succ t2.succ
 
 (* Shares the transition CSR, the space and the (possibly already
-   forced) predecessor transpose with the original; one sweep marks the
-   new initial states. *)
-let with_initials t pred =
-  let is_initial = Bitset.create (num_states t) in
-  iter_states t (fun i s -> if pred s then Bitset.set is_initial i);
-  { t with is_initial; initials = initials_of is_initial }
+   forced) predecessor transpose with the original; the new initial
+   states are swept on first use. *)
+let with_initials t initial = { t with initial; inits = Atomic.make Inits_todo }
+
+let all_initial t =
+  let n = num_states t in
+  let inits = { mask = Bitset.full n; members = Array.init n Fun.id } in
+  { t with initial = (fun _ -> true); inits = Atomic.make (Inits inits) }

@@ -11,9 +11,9 @@
     compiled over: {!state}/{!find} go through the space's index
     bijection, and {!iter_states} sweeps it in index order — over a
     guarded-command layout an odometer advancing one scratch state, so a
-    dense compile of the full product space holds only its graph and its
-    initial mask.  Full-space consumers should sweep rather than call
-    {!state} once per index.
+    dense compile of the full product space holds only its graph.
+    Full-space consumers should sweep rather than call {!state} once per
+    index.
 
     Every constructor is one streamed pass ({!of_space}), domain-chunked
     under the [CR_JOBS] contract of {!Par}: the index range is split into
@@ -21,9 +21,12 @@
     deduplicated rows to its own edge blocks, and the chunks are
     concatenated in order into the CSR.  Row i depends only on i, so the
     result is identical for every job count (default 1 = the sequential
-    path).  Predecessor rows are computed lazily, on the first
-    {!predecessors} call — refinement classification never needs
-    them. *)
+    path).  Two parts are computed lazily, each once: the initial
+    states, swept from the kept predicate on the first {!is_initial},
+    {!initial_mask} or {!initials} call (a stabilization check never
+    reads them), and the predecessor rows, on the first {!predecessors}
+    or {!pred_csr} call (no checker on the verify or refine path needs
+    them). *)
 
 exception Unknown_state of string
 (** Raised when a successor function escapes the enumerated state space, or
@@ -44,7 +47,10 @@ val of_space :
     reading [s] without retaining it, and raise {!Unknown_state} on a
     step that escapes the space; the [unit ->] stage is a per-chunk
     factory, so an implementation may allocate private scratch.  [step]
-    and [is_initial] may run on several domains at once.  The dense
+    may run on several domains at once.  [is_initial] is not called
+    here: it is kept, and swept over the space (reading each state
+    without retaining it) on the first use of the initial states,
+    possibly on two domains at once.  The dense
     guarded-command engine passes its successor-rank emitter over the
     layout's odometer; the sparse engine replays the rows its discovery
     BFS computed. *)
@@ -110,12 +116,18 @@ val pred_forced : _ t -> bool
     laziness.) *)
 
 val is_initial : _ t -> int -> bool
+(** Membership in the initial states.  The first use of {!is_initial},
+    {!initial_mask} or {!initials} sweeps the initial predicate over
+    every state, once; the benign first-force race between domains
+    sweeps twice to the same value. *)
 
 val initial_mask : _ t -> Cr_kernel.Bitset.t
 (** The initial states as a packed mask, shared without copying (the
     seed set of {!Cr_checker.Reach}); treat it as read-only. *)
 
 val initials : _ t -> int array
+(** The initial states, ascending, shared without copying. *)
+
 val is_terminal : _ t -> int -> bool
 val has_edge : _ t -> int -> int -> bool
 (** Binary search over the sorted successor row: O(log branching). *)
@@ -138,5 +150,11 @@ val box : ?name:string -> 'a t -> 'a t -> 'a t
     are those of the left operand. *)
 
 val with_initials : 'a t -> ('a -> bool) -> 'a t
-(** Replace the initial-state predicate: one {!iter_states} sweep; the
-    graph, the space and the predecessor transpose are shared. *)
+(** Replace the initial-state predicate in O(1): the new initial states
+    are swept on first use; the graph, the space and the predecessor
+    transpose are shared. *)
+
+val all_initial : 'a t -> 'a t
+(** Every state initial, the full mask set at once without a sweep (a
+    closure-seeded sparse compile, whose states are its initial set);
+    the graph, the space and the predecessor transpose are shared. *)

@@ -36,13 +36,13 @@ let acting_process (p : Program.t) s s' =
     (Program.actions p)
 
 let check ~(privileged : Layout.state -> int -> bool) ~(num_procs : int)
-    (p : Program.t) ~(good : bool array)
+    (p : Program.t) ~(good : Cr_kernel.Bitset.t)
     (e : Layout.state Cr_semantics.Explicit.t) : verdict =
   let n = Cr_semantics.Explicit.num_states e in
   (* safety *)
   let safety = ref true in
   for i = 0 to n - 1 do
-    if good.(i) then begin
+    if Cr_kernel.Bitset.get good i then begin
       let s = Cr_semantics.Explicit.state e i in
       let count = ref 0 in
       for j = 0 to num_procs - 1 do
@@ -55,14 +55,12 @@ let check ~(privileged : Layout.state -> int -> bool) ~(num_procs : int)
      acting edge for every process (each process acts on every recurrent
      behaviour) *)
   let restricted =
-    Cr_kernel.Csr.restrict
-      (Cr_semantics.Explicit.csr e)
-      (Cr_kernel.Bitset.of_bool_array good)
+    Cr_kernel.Csr.restrict (Cr_semantics.Explicit.csr e) good
   in
   let scc = Cr_checker.Scc.compute restricted in
   let members = Array.make scc.Cr_checker.Scc.count [] in
   for i = n - 1 downto 0 do
-    if good.(i) then begin
+    if Cr_kernel.Bitset.get good i then begin
       let c = scc.Cr_checker.Scc.component.(i) in
       members.(c) <- i :: members.(c)
     end
@@ -93,19 +91,17 @@ let check ~(privileged : Layout.state -> int -> bool) ~(num_procs : int)
    token from below (↑t.j) and from above (↓t.j) equally often.  We count
    token events along each Good cycle. *)
 let i4_equal_frequency n (p : Program.t)
-    ~(to_tokens : Layout.state -> Btr.state) ~(good : bool array)
+    ~(to_tokens : Layout.state -> Btr.state) ~(good : Cr_kernel.Bitset.t)
     (e : Layout.state Cr_semantics.Explicit.t) : bool =
   ignore p;
   let num = Cr_semantics.Explicit.num_states e in
   let restricted =
-    Cr_kernel.Csr.restrict
-      (Cr_semantics.Explicit.csr e)
-      (Cr_kernel.Bitset.of_bool_array good)
+    Cr_kernel.Csr.restrict (Cr_semantics.Explicit.csr e) good
   in
   let scc = Cr_checker.Scc.compute restricted in
   let members = Array.make scc.Cr_checker.Scc.count [] in
   for i = num - 1 downto 0 do
-    if good.(i) then begin
+    if Cr_kernel.Bitset.get good i then begin
       let c = scc.Cr_checker.Scc.component.(i) in
       members.(c) <- i :: members.(c)
     end

@@ -15,7 +15,7 @@ val check :
   privileged:(Layout.state -> int -> bool) ->
   num_procs:int ->
   Program.t ->
-  good:bool array ->
+  good:Cr_kernel.Bitset.t ->
   Layout.state Cr_semantics.Explicit.t ->
   verdict
 
@@ -23,7 +23,7 @@ val i4_equal_frequency :
   int ->
   Program.t ->
   to_tokens:(Layout.state -> Btr.state) ->
-  good:bool array ->
+  good:Cr_kernel.Bitset.t ->
   Layout.state Cr_semantics.Explicit.t ->
   bool
 (** I4 on every Good cycle: middle processes receive ↑ and ↓ tokens

@@ -1,11 +1,14 @@
 (* Memo tests.  The generic single-flight table (Cr_kernel.Memo): a
-   raising computation leaves no entry, and concurrent requesters of one
-   key count exactly one miss.  The verdict memos over the full registry
+   raising computation leaves no entry, concurrent requesters of one
+   key count exactly one miss, and key fingerprints separate
+   sign-flipped elements.  The verdict memos over the full registry
    at N = 3: warm hits return the same verdicts a fresh check computes,
    a report table and crcheck's route share one entry per question,
    a registry sweep under CR_CACHE=0 counts no compile or verdict cache
    traffic and yields the same verdicts, and
-   CR_CACHE_PARANOID=1 recheck-and-assert passes on every hit.  And two
+   CR_CACHE_PARANOID=1 recheck-and-assert passes on every hit, and a
+   stabilization key leaves out C's initial states while a refinement
+   key folds them.  And two
    compiles of one program in different index orders (closure-seeded
    and seeded with [?roots]) never share a compile-cache entry. *)
 
@@ -62,6 +65,26 @@ let test_single_flight () =
   Alcotest.(check int) "one computation" 1 (Atomic.get runs);
   Alcotest.(check int) "one miss" 1 (counter snap "memo_test.cache.misses");
   Alcotest.(check int) "seven hits" 7 (counter snap "memo_test.cache.hits")
+
+(* Sign-flipped elements fold apart: the bare xor-multiply fold left
+   [x; x] and [-x; -x] on the same state from every even one, so
+   verdict keys whose α-tables differed only there (an image index
+   against the -1 of an image outside the spec fragment) collided. *)
+let test_fp_sign_flips () =
+  let fp prefix tail =
+    let t = Memo.Fp.create () in
+    List.iter (Memo.Fp.add_int t) prefix;
+    Memo.Fp.add_int_array t tail;
+    Memo.Fp.to_hex t
+  in
+  let collisions = ref 0 in
+  for p = 0 to 255 do
+    let prefix = List.init (p mod 5) (fun i -> (p * 7) + i - 3) in
+    for x = 1 to 4 do
+      if fp prefix [| x; x |] = fp prefix [| -x; -x |] then incr collisions
+    done
+  done;
+  Alcotest.(check int) "no collision in 1024 sign-flipped pairs" 0 !collisions
 
 (* ---- the verdict memos over the registry ---- *)
 
@@ -199,6 +222,47 @@ let test_closure_and_roots_keys () =
       check (label ^ ": roots graph") true (same r fresh_roots))
     [ true; false ]
 
+(* Two same-named graphs of dijkstra3 that differ only in their initial
+   predicate: a stabilization verdict never reads C's initial states, so
+   both ask one question (one miss, one hit); a refinement verdict reads
+   them, so they never share an entry (two misses). *)
+let test_initials_in_keys () =
+  let module Program = Cr_guarded.Program in
+  let e = Option.get (Registry.find "dijkstra3") in
+  let p = e.Registry.program n in
+  let q = Program.with_initial (fun s -> s.(0) = 0) p in
+  let graphs () = (Program.to_explicit p, Program.to_explicit q) in
+  let moved label snap ~misses ~hits =
+    Alcotest.(check int) (label ^ ": misses") misses
+      (counter snap "check.cache.misses");
+    Alcotest.(check int) (label ^ ": hits") hits
+      (counter snap "check.cache.hits")
+  in
+  let (cp, cq), snap =
+    with_cold_counters (fun () ->
+        let cp, cq = graphs () in
+        List.iter
+          (fun c ->
+            ignore (Registry.stabilizing ~alpha:(e.alpha n) c (e.spec n) ()))
+          [ cp; cq ];
+        (cp, cq))
+  in
+  check "same names" true
+    (Cr_semantics.Explicit.name cp = Cr_semantics.Explicit.name cq);
+  check "different initial states" true
+    (Cr_semantics.Explicit.initials cp <> Cr_semantics.Explicit.initials cq);
+  moved "stabilization" snap ~misses:1 ~hits:1;
+  let (), snap =
+    with_cold_counters (fun () ->
+        let cp, cq = graphs () in
+        List.iter
+          (fun c ->
+            let r = Registry.refining ~alpha:(e.alpha n) c (e.spec n) in
+            ignore (r.init ()))
+          [ cp; cq ])
+  in
+  moved "refinement" snap ~misses:2 ~hits:0
+
 let () =
   Alcotest.run "check_cache"
     [
@@ -208,6 +272,8 @@ let () =
             test_raise_leaves_no_entry;
           Alcotest.test_case "8 concurrent finds: 1 miss, 7 hits" `Quick
             test_single_flight;
+          Alcotest.test_case "fingerprints separate sign flips" `Quick
+            test_fp_sign_flips;
         ] );
       ( "verdict cache",
         [
@@ -219,6 +285,8 @@ let () =
             test_cache_disabled_by_env;
           Alcotest.test_case "CR_CACHE_PARANOID=1 passes" `Quick
             test_paranoid_recheck_passes;
+          Alcotest.test_case "C's initial states key refinement only" `Quick
+            test_initials_in_keys;
         ] );
       ( "compile cache",
         [

@@ -1,4 +1,5 @@
-(* Unit and property tests for cr_checker: reachability, SCC, paths.
+(* Unit and property tests for cr_checker: reachability, SCC, paths and
+   the forward settle pass.
    The properties compare each CSR kernel with the textbook references
    in [Graph_ref]. *)
 
@@ -86,25 +87,30 @@ let test_shortest_path () =
     "unreachable" None
     (Cr_checker.Paths.shortest_path ~succ:g ~src:4 ~dst:0)
 
-let test_longest_within () =
-  (* DAG: 0->1->2, 0->2, mask all *)
+(* The forward settle pass on the three longest-path cases: a DAG, the
+   same DAG with a smaller region, and a cyclic region. *)
+let test_settle () =
+  let settle succ bad = Cr_checker.Paths.settle ~succ ~bad in
+  let depths (s : Cr_checker.Paths.settled) =
+    match s.depth with Some d -> d | None -> Alcotest.fail "acyclic region"
+  in
+  (* DAG: 0->1->2, 0->2; every state reaches bad = {2} *)
   let dag = Csr.of_rows [| [| 1; 2 |]; [| 2 |]; [||] |] in
-  let l =
-    Cr_checker.Paths.longest_within ~succ:dag ~mask:(Bs.full 3)
-  in
-  check_int "longest from 0" 2 l.(0);
-  check_int "longest from 2" 0 l.(2);
-  (* masked region: only 0 and 1 — an edge out of the mask still counts *)
-  let l2 =
-    Cr_checker.Paths.longest_within ~succ:dag
-      ~mask:(Bs.of_bool_array [| true; true; false |])
-  in
-  check_int "stops at mask" 2 l2.(0);
-  check "cyclic raises" true
-    (try
-       ignore (Cr_checker.Paths.longest_within ~succ:g ~mask:(Bs.full 6));
-       false
-     with Cr_checker.Paths.Cyclic -> true)
+  let s = settle dag (Graph_ref.mask 3 [ 2 ]) in
+  Alcotest.(check (list int)) "all reach 2" [ 0; 1; 2 ] (Bs.members s.reaches);
+  check_int "longest from 0" 2 (depths s).(0);
+  check_int "longest from 2" 0 (depths s).(2);
+  (* only 0 and 1 reach bad = {1}: the edge out of the region still
+     counts, and 2 outside it gets 0 *)
+  let s2 = settle dag (Graph_ref.mask 3 [ 1 ]) in
+  Alcotest.(check (list int)) "region {0, 1}" [ 0; 1 ] (Bs.members s2.reaches);
+  check_int "stops at the region" 2 (depths s2).(0);
+  check_int "0 outside the region" 0 (depths s2).(2);
+  (* on [g], the cycle 0->1->2->0 reaches bad = {4} *)
+  let s3 = settle g (Graph_ref.mask 6 [ 4 ]) in
+  Alcotest.(check (list int))
+    "0..4 reach 4" [ 0; 1; 2; 3; 4 ] (Bs.members s3.reaches);
+  check "a cycle in the region gives no depth" true (s3.depth = None)
 
 (* properties: on random graphs, SCC component equality agrees with mutual
    reachability, and bfs distance agrees with reconstructed path length. *)
@@ -238,10 +244,8 @@ let prop_csr_scc_agree =
       !ok)
 
 let prop_csr_paths_agree =
-  QCheck2.Test.make
-    ~name:"bfs/shortest/longest kernels = reference BFS and DFS" ~count:100
-    QCheck2.Gen.(pair gen_graph (array_size (int_bound 12) bool))
-    (fun (g, mask_bits) ->
+  QCheck2.Test.make ~name:"bfs/shortest kernels = reference BFS" ~count:100
+    gen_graph (fun g ->
       let adj = adj_of g in
       let csr = Csr.of_rows adj in
       let n = Array.length adj in
@@ -266,15 +270,41 @@ let prop_csr_paths_agree =
               then ok := false
         done
       done;
-      let mask = Array.init n (fun i -> i < Array.length mask_bits && mask_bits.(i)) in
-      let got =
-        try
-          Ok
-            (Cr_checker.Paths.longest_within ~succ:csr
-               ~mask:(Bs.of_bool_array mask))
-        with Cr_checker.Paths.Cyclic -> Error ()
+      !ok)
+
+(* Random graphs, half of them DAGs (every edge oriented upward), with a
+   random [bad] mask: the settle pass marks exactly the reference
+   co-reachable set, and gives the reference longest runs inside it
+   exactly when the reference finds no cycle there. *)
+let prop_settle_agree =
+  QCheck2.Test.make ~name:"Paths.settle = reference coreach and longest_within"
+    ~count:300
+    QCheck2.Gen.(
+      let* n, edges = gen_graph in
+      let* dag = bool in
+      let edges =
+        if dag then List.map (fun (i, j) -> (min i j, max i j)) edges
+        else edges
       in
-      !ok && got = Graph_ref.longest_within adj mask)
+      let* bits = array_repeat n bool in
+      return ((n, edges), bits))
+    (fun (g, bits) ->
+      let adj = adj_of g in
+      let n = Array.length adj in
+      let s =
+        Cr_checker.Paths.settle ~succ:(Csr.of_rows adj)
+          ~bad:(Bs.of_bool_array bits)
+      in
+      let region =
+        Graph_ref.coreach adj
+          (List.filter (fun i -> bits.(i)) (List.init n Fun.id))
+      in
+      Bs.to_bool_array s.reaches = region
+      &&
+      match (s.depth, Graph_ref.longest_within adj region) with
+      | Some got, Ok want -> got = want
+      | None, Error () -> true
+      | _ -> false)
 
 let prop_csr_fair_agree =
   QCheck2.Test.make ~name:"Fair.analyze = reference per-SCC fairness"
@@ -450,6 +480,7 @@ let qcheck_cases =
       prop_csr_reach_agree;
       prop_csr_scc_agree;
       prop_csr_paths_agree;
+      prop_settle_agree;
       prop_csr_fair_agree;
       prop_classify_jobs_invariant;
       prop_classify_matches_reference;
@@ -475,7 +506,7 @@ let () =
           Alcotest.test_case "oracle rejects an unseeded source" `Quick
             test_oracle_unseeded;
           Alcotest.test_case "shortest_path" `Quick test_shortest_path;
-          Alcotest.test_case "longest_within" `Quick test_longest_within;
+          Alcotest.test_case "settle" `Quick test_settle;
         ] );
       ( "parallel",
         [

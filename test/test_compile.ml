@@ -1,8 +1,11 @@
 (* Tests of the chunked, memoized explicit compiler: domain-chunked
    [Program.to_explicit] must be byte-identical to the sequential path
    for every execution mode, the compile memo must be transparent
-   (including under CR_CACHE_PARANOID) and bypassable with CR_CACHE=0, and
-   predecessor rows must stay lazy until a backward query needs them. *)
+   (including under CR_CACHE_PARANOID) and bypassable with CR_CACHE=0,
+   predecessor rows must stay lazy until a backward query needs them,
+   and the initial predicate must run once, on the first use of the
+   initial states, and never during a compile or a stabilization
+   check. *)
 
 open Cr_guarded
 module E = Cr_semantics.Explicit
@@ -228,6 +231,12 @@ let registry_cases =
         [ 2; 3; 4 ])
     Cr_experiments.Registry.entries
 
+(* The initial states are swept on first use: force them under the
+   same job count as the compile. *)
+let with_initials_forced e =
+  ignore (E.initial_mask e);
+  e
+
 let test_registry_reference ((e : Cr_experiments.Registry.entry), n) () =
   let p = e.program n in
   let plain = Compile_ref.compile p in
@@ -237,12 +246,15 @@ let test_registry_reference ((e : Cr_experiments.Registry.entry), n) () =
       Alcotest.(check bool)
         (Printf.sprintf "%s n=%d jobs=%d: plain = reference" e.name n jobs)
         true
-        (agrees_with_ref plain (fresh_with_jobs jobs (fun () -> Program.to_explicit p)));
+        (agrees_with_ref plain
+           (fresh_with_jobs jobs (fun () ->
+                with_initials_forced (Program.to_explicit p))));
       Alcotest.(check bool)
         (Printf.sprintf "%s n=%d jobs=%d: sync = reference" e.name n jobs)
         true
         (agrees_with_ref sync
-           (fresh_with_jobs jobs (fun () -> Program.to_explicit_synchronous p))))
+           (fresh_with_jobs jobs (fun () ->
+                with_initials_forced (Program.to_explicit_synchronous p)))))
     all_jobs
 
 (* ---- closure-seeded sparse compile = the sparse reference ---- *)
@@ -614,6 +626,85 @@ let test_lazy_pred () =
   done;
   Alcotest.(check bool) "pred = transpose of succ" true !ok
 
+(* A stabilization check never reads the transpose: the verdict is
+   decided in one forward pass. *)
+let test_stabilization_leaves_pred_lazy () =
+  let e = Option.get (Cr_experiments.Registry.find "dijkstra3") in
+  let ep, r =
+    Memo.bypass (fun () ->
+        let ep = Cr_experiments.Registry.explicit e 3 in
+        (ep, Cr_experiments.Registry.stabilization ~ep e 3 ()))
+  in
+  Alcotest.(check bool) "dijkstra3 stabilizes" true r.Cr_core.Stabilize.holds;
+  Alcotest.(check bool)
+    "pred not forced by a stabilization check" false (E.pred_forced ep)
+
+(* ---- lazy initial states ---- *)
+
+(* dijkstra3 at N = 3 with an initial predicate that counts its calls
+   (an atomic counter: a chunked sweep calls it on several domains). *)
+let counting_dijkstra3 () =
+  let calls = Atomic.make 0 in
+  let one_token = Cr_tokenring.Btr3.one_token 3 in
+  ( Program.with_initial
+      (fun s ->
+        Atomic.incr calls;
+        one_token s)
+      (Cr_tokenring.Btr3.dijkstra3 3),
+    calls )
+
+let test_lazy_initials () =
+  let p, calls = counting_dijkstra3 () in
+  let e = Memo.bypass (fun () -> Program.to_explicit p) in
+  Alcotest.(check int) "a dense compile calls it 0 times" 0 (Atomic.get calls);
+  let entry = Option.get (Cr_experiments.Registry.find "dijkstra3") in
+  (* a cold verdict memo: the check runs, and its key is computed *)
+  Cr_core.Check_cache.clear_all ();
+  let r =
+    Cr_experiments.Registry.stabilizing ~alpha:(entry.alpha 3) e
+      (entry.spec 3) ()
+  in
+  Alcotest.(check bool) "stabilizes" true r.Cr_core.Stabilize.holds;
+  Alcotest.(check int) "a stabilization check calls it 0 times" 0
+    (Atomic.get calls);
+  let inits = E.initials e in
+  Alcotest.(check int)
+    "the first initials call sweeps every state once" (E.num_states e)
+    (Atomic.get calls);
+  ignore (E.initials e);
+  ignore (E.initial_mask e);
+  ignore (E.is_initial e 0);
+  Alcotest.(check int) "and it is never called again" (E.num_states e)
+    (Atomic.get calls);
+  Alcotest.(check (array int))
+    "the swept states are the one-token states"
+    (Compile_ref.compile p).Compile_ref.initials inits
+
+(* [with_initials] replaces the predicate in O(1): nothing is called
+   until the new mask is forced, and the original keeps its own. *)
+let test_with_initials_lazy () =
+  let e =
+    Memo.bypass (fun () -> Program.to_explicit (Cr_tokenring.Btr3.dijkstra3 3))
+  in
+  let before = E.initials e in
+  let calls = Atomic.make 0 in
+  let e' =
+    E.with_initials e (fun s ->
+        Atomic.incr calls;
+        s.(0) = 0)
+  in
+  Alcotest.(check int) "with_initials calls nothing" 0 (Atomic.get calls);
+  let mask = E.initial_mask e' in
+  Alcotest.(check int) "forcing sweeps once" (E.num_states e)
+    (Atomic.get calls);
+  Alcotest.(check bool)
+    "the new mask follows the new predicate" true
+    (List.for_all
+       (fun i -> Cr_kernel.Bitset.get mask i = ((E.state e i).(0) = 0))
+       (List.init (E.num_states e) Fun.id));
+  Alcotest.(check (array int)) "the original keeps its initials" before
+    (E.initials e)
+
 let () =
   Alcotest.run "compile"
     [
@@ -662,6 +753,17 @@ let () =
             test_dense_refuses;
         ] );
       ( "lazy-pred",
-        [ Alcotest.test_case "forced only on backward use" `Quick test_lazy_pred ]
-      );
+        [
+          Alcotest.test_case "forced only on backward use" `Quick
+            test_lazy_pred;
+          Alcotest.test_case "a stabilization check leaves it lazy" `Quick
+            test_stabilization_leaves_pred_lazy;
+        ] );
+      ( "lazy-init",
+        [
+          Alcotest.test_case "swept once, on first use only" `Quick
+            test_lazy_initials;
+          Alcotest.test_case "with_initials calls nothing until forced" `Quick
+            test_with_initials_lazy;
+        ] );
     ]

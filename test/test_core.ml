@@ -329,6 +329,38 @@ let prop_legit_orbit =
           run a alpha = run a_l alpha_l)
         [ (`Forbid, None); (`Allow, None); (`Forbid, Some tables); (`Allow, Some tables) ])
 
+(* ---- the one-pass route against the reference route
+   (test/stabilize_ref.ml): identical reports, every field, for every
+   registry entry at N = 2..4 (rw-dijkstra3, 3^14 states at N = 4, to
+   N = 3) — strict, stutter-tolerant, and the weakly fair re-check where
+   the strict verdict fails. *)
+let reference_cases =
+  List.concat_map
+    (fun (e : Cr_experiments.Registry.entry) ->
+      List.filter_map
+        (fun n ->
+          if e.name = "rw-dijkstra3" && n > 3 then None else Some (e, n))
+        [ 2; 3; 4 ])
+    Cr_experiments.Registry.entries
+
+let test_matches_reference ((e : Cr_experiments.Registry.entry), n) () =
+  let module R = Cr_experiments.Registry in
+  let c = R.explicit e n in
+  let a =
+    Cr_guarded.Program.to_explicit ~space:Cr_semantics.Space.Sparse (e.spec n)
+  in
+  let alpha = Cr_semantics.Abstraction.tabulate ~partial:true (e.alpha n) c a in
+  let stab = R.stabilization ~ep:c e n in
+  let agree label ?fair ?stutter () =
+    check label true
+      (Stabilize_ref.agrees (stab ?fair ?stutter ())
+         (Stabilize_ref.stabilizing_to ~alpha ?fair ?stutter ~c ~a ()))
+  in
+  agree "strict" ();
+  agree "stutter allowed" ~stutter:`Allow ();
+  if not (stab ()).Cr_core.Stabilize.holds then
+    agree "weakly fair" ~fair:(Cr_sim.Glue.fair_tables (e.program n) c) ()
+
 let () =
   Alcotest.run "core"
     [
@@ -366,4 +398,12 @@ let () =
           Alcotest.test_case "strength chain" `Quick test_strength_chain;
           QCheck_alcotest.to_alcotest prop_legit_orbit;
         ] );
+      ( "reference",
+        List.map
+          (fun (((e : Cr_experiments.Registry.entry), n) as case) ->
+            Alcotest.test_case
+              (Printf.sprintf "registry %s n=%d" e.name n)
+              `Quick
+              (test_matches_reference case))
+          reference_cases );
     ]

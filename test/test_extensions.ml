@@ -85,7 +85,7 @@ let test_hitting_small () =
   (* chain 2 -> 1 -> 0 with target {0}: E[1]=1, E[2]=2 *)
   let succ = Cr_kernel.Csr.of_rows [| [||]; [| 0 |]; [| 1 |] |] in
   let e =
-    Cr_checker.Hitting.expected ~succ ~target:[| true; false; false |] ()
+    Cr_checker.Hitting.expected ~succ ~target:(Graph_ref.mask 3 [ 0 ]) ()
   in
   Alcotest.(check (float 1e-6)) "E[0]" 0.0 e.(0);
   Alcotest.(check (float 1e-6)) "E[1]" 1.0 e.(1);
@@ -93,7 +93,7 @@ let test_hitting_small () =
   (* branch: 2 -> {0, 1}, 1 -> 0: E[2] = 1 + (0 + 1)/2 = 1.5 *)
   let succ2 = Cr_kernel.Csr.of_rows [| [||]; [| 0 |]; [| 0; 1 |] |] in
   let e2 =
-    Cr_checker.Hitting.expected ~succ:succ2 ~target:[| true; false; false |] ()
+    Cr_checker.Hitting.expected ~succ:succ2 ~target:(Graph_ref.mask 3 [ 0 ]) ()
   in
   Alcotest.(check (float 1e-6)) "E[2] branch" 1.5 e2.(2);
   (* unreachable target is infinite *)
@@ -102,7 +102,7 @@ let test_hitting_small () =
   let e3 =
     Cr_checker.Hitting.expected
       ~succ:(Cr_kernel.Csr.of_rows [| [||]; [||] |])
-      ~target:[| true; false |] ()
+      ~target:(Graph_ref.mask 2 [ 0 ]) ()
   in
   check "unreachable infinite" true (e3.(1) = infinity)
 
@@ -110,7 +110,9 @@ let test_hitting_geometric () =
   (* 1 -> {0, 1'}, 1' -> 1: a cycle with 1/2 escape per visit to 1.
      E[1] = 1 + (0 + E[1'])/2, E[1'] = 1 + E[1]  =>  E[1] = 3. *)
   let succ = Cr_kernel.Csr.of_rows [| [||]; [| 0; 2 |]; [| 1 |] |] in
-  let e = Cr_checker.Hitting.expected ~succ ~target:[| true; false; false |] () in
+  let e =
+    Cr_checker.Hitting.expected ~succ ~target:(Graph_ref.mask 3 [ 0 ]) ()
+  in
   Alcotest.(check (float 1e-5)) "geometric" 3.0 e.(1)
 
 let test_hitting_vs_montecarlo () =
@@ -126,7 +128,8 @@ let test_hitting_vs_montecarlo () =
   let good = r.Cr_core.Stabilize.good_mask in
   let stats =
     Cr_sim.Runner.convergence_stats ~samples:4000 ~max_steps:100_000 ~seed:17
-      ~converged:(fun s -> good.(Cr_semantics.Explicit.find e s))
+      ~converged:(fun s ->
+        Cr_kernel.Bitset.get good (Cr_semantics.Explicit.find e s))
       (fun i -> Cr_sim.Daemon.random ~seed:(3 * i))
       p
   in

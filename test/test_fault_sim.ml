@@ -29,6 +29,20 @@ let test_round_robin_converges () =
   in
   check_int "all samples converge" 50 stats.Cr_sim.Runner.converged
 
+(* Exact remaining recovery steps per state: the most steps a run can
+   take outside the converged states, by the textbook reference
+   ([Graph_ref.longest_within]), independent of the checker's own
+   forward pass. *)
+let recovery_depth e =
+  let n = Cr_semantics.Explicit.num_states e in
+  let adj = Array.init n (Cr_semantics.Explicit.successors e) in
+  let mask =
+    Array.init n (fun i -> not (one_token (Cr_semantics.Explicit.state e i)))
+  in
+  match Graph_ref.longest_within adj mask with
+  | Ok depth -> depth
+  | Error () -> Alcotest.fail "the unconverged region is cyclic"
+
 let test_adversarial_matches_checker () =
   (* The adversarial daemon with the exact longest-path potential realizes
      the model checker's worst case. *)
@@ -42,15 +56,9 @@ let test_adversarial_matches_checker () =
     | Some b -> b
     | None -> Alcotest.fail "expected stabilization"
   in
-  (* potential = exact remaining steps (from the checker's internals,
-     recomputed here via longest_within) *)
-  let succ = Cr_semantics.Explicit.csr e in
-  let mask =
-    Cr_kernel.Bitset.of_bool_array
-      (Array.init (Cr_semantics.Explicit.num_states e) (fun i ->
-           not (one_token (Cr_semantics.Explicit.state e i))))
-  in
-  let depth = Cr_checker.Paths.longest_within ~succ ~mask in
+  (* potential = exact remaining steps, from the reference longest
+     path *)
+  let depth = recovery_depth e in
   let potential s = depth.(Cr_semantics.Explicit.find e s) in
   let daemon = Cr_sim.Daemon.adversarial ~name:"worst" ~potential in
   (* start from a state realizing the bound *)
@@ -70,13 +78,7 @@ let test_adversarial_matches_checker () =
 let test_helpful_daemon_not_slower () =
   let p = d3 () in
   let e = Cr_guarded.Program.to_explicit p in
-  let succ = Cr_semantics.Explicit.csr e in
-  let mask =
-    Cr_kernel.Bitset.of_bool_array
-      (Array.init (Cr_semantics.Explicit.num_states e) (fun i ->
-           not (one_token (Cr_semantics.Explicit.state e i))))
-  in
-  let depth = Cr_checker.Paths.longest_within ~succ ~mask in
+  let depth = recovery_depth e in
   let potential s = depth.(Cr_semantics.Explicit.find e s) in
   let adv = Cr_sim.Daemon.adversarial ~name:"worst" ~potential in
   let help = Cr_sim.Daemon.helpful ~name:"best" ~potential in

@@ -286,6 +286,37 @@ let prop_quotient_strength =
       let alpha = Array.init n (fun i -> Explicit.find a q.(i)) in
       Cr_core.Theorems.strength_chain ~alpha ~c ~a ())
 
+(* The library's one-pass stabilization route against the reference
+   route (test/stabilize_ref.ml: transpose, backward reachability, a
+   separate longest-path DFS, a bool mask): identical reports, every
+   field, on random systems — directly and through random quotient
+   maps, strict, stutter-tolerant and weakly fair (action tables drawn
+   from C's own edges). *)
+let same_as_reference ?alpha ~c ~a () =
+  let tables =
+    Array.init 2 (fun k ->
+        Array.init (Explicit.num_states c) (fun s ->
+            let d = Explicit.out_degree c s in
+            if d = 0 || (s + k) mod 3 = 0 then -1
+            else Explicit.successor c s ((s + k) mod d)))
+  in
+  List.for_all
+    (fun (fair, stutter) ->
+      Stabilize_ref.agrees
+        (Cr_core.Stabilize.stabilizing_to ?alpha ?fair ~stutter ~c ~a ())
+        (Stabilize_ref.stabilizing_to ?alpha ?fair ~stutter ~c ~a ()))
+    [ (None, `Forbid); (None, `Allow); (Some tables, `Forbid) ]
+
+let prop_stabilize_reference =
+  QCheck2.Test.make ~name:"stabilization report = reference route" ~count:300
+    QCheck2.Gen.(pair gen_pair gen_quotient)
+    (fun ((craw, araw), (m, n, q, a_edges, c_edges, i0)) ->
+      let c = explicit_of craw "C" and a = explicit_of araw "A" in
+      let qa = explicit_of { n = m; edges = a_edges; inits = [ i0 ] } "A" in
+      let qc = explicit_of { n; edges = c_edges; inits = [] } "C" in
+      let alpha = Array.init n (fun i -> Explicit.find qa q.(i)) in
+      same_as_reference ~c ~a () && same_as_reference ~alpha ~c:qc ~a:qa ())
+
 let cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -300,6 +331,7 @@ let cases =
       prop_stabilization_bruteforce;
       prop_quotient_theorem1;
       prop_quotient_strength;
+      prop_stabilize_reference;
     ]
 
 let () = Alcotest.run "metatheory" [ ("properties", cases) ]
