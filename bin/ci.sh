@@ -131,10 +131,11 @@ cmp -s "$expout" "$expoutp" || {
 # that records the compile-cache traffic, the stabilize verdict and the
 # span lines — and, under CR_JOBS=4, the persistent pool's spawn event.
 # CR_PAR_CAP lifts the busy-domain cap so the pool really spawns even on
-# a single-core CI host.
+# a single-core CI host.  At N = 4 the dense compile (243 states, four
+# 64-state chunks) is a fan-out the pool runs.
 journal="$work/journal.jsonl"
 : > "$journal"
-CR_JOBS=4 CR_PAR_CAP=4 CR_JOURNAL="$journal" dune exec bin/crcheck.exe -- verify dijkstra3 -n 3 > /dev/null
+CR_JOBS=4 CR_PAR_CAP=4 CR_JOURNAL="$journal" dune exec bin/crcheck.exe -- verify dijkstra3 -n 4 > /dev/null
 test -s "$journal" || { echo "ci: CR_JOURNAL produced no output" >&2; exit 1; }
 dune exec bin/crcheck.exe -- validate journal "$journal" \
   --expect compile.cache --expect stabilize.verdict --expect par.pool \
@@ -186,14 +187,16 @@ cmp -s "$jout1" "$jout4" || {
 }
 # The chunked dense compile on whole verify/refine queries: stdout and
 # exit code must not depend on the job count (exit 1 is a verdict).
-# refine rw-dijkstra3 discovers its closure from the closure's seeds;
-# refine c2-wrapped, a boxed program, seeds from the whole closure.
+# refine rw-dijkstra3 and refine utr discover their closure from the
+# closure's seeds; refine c2-wrapped, a boxed program, seeds from the
+# whole closure; refine kstate seeds from its initial predicate.
 # dot prints the Good bitset and the initial states, swept on first use
 # by a chunked sweep; spans and verify kstate -n 5 read the recovery
 # depths of the forward settle pass.
 for q in "verify kstate -n 4" "verify c2-wrapped -n 5" "refine dijkstra3 -n 5" \
          "refine rw-dijkstra3 -n 6" "refine c2-wrapped -n 4" "dot kstate -n 3" \
-         "spans dijkstra4 -n 3" "verify kstate -n 5"; do
+         "spans dijkstra4 -n 3" "verify kstate -n 5" "refine kstate -n 4" \
+         "refine utr -n 5"; do
   rc1=0; CR_JOBS=1 dune exec bin/crcheck.exe -- $q > "$jout1" 2> /dev/null || rc1=$?
   rc4=0; CR_JOBS=4 CR_PAR_CAP=4 dune exec bin/crcheck.exe -- $q > "$jout4" 2> /dev/null || rc4=$?
   [ "$rc1" -le 1 ] && [ "$rc1" = "$rc4" ] && cmp -s "$jout1" "$jout4" || {
@@ -218,16 +221,17 @@ done
 # spec's legitimate orbit (a sparse compile by default), and a verdict
 # reads the spec only through that orbit — so forcing the full dense
 # spec with CR_SPACE=dense must not change a single output byte or exit
-# code.  Covers verify on the btr self-check, a stabilizing ring, the
+# code.  Covers verify on the btr self-check, a boxed program whose
+# initial set is BTR's closure (btr-wrapped), a stabilizing ring, the
 # failing and weakly fair re-check path (c2-wrapped) and kstate's UTR
 # spec, plus the experiment tables, the fault spans, the K-state sweep
 # and the dot export (Good region and initial states).  Exit 1 is a
 # "not stabilizing" verdict; only exit > 1 is a crash.
 spdef="$work/space-default.out"
 spdense="$work/space-dense.out"
-for q in "verify btr" "verify dijkstra3 -n 4" "verify c2-wrapped -n 4" \
-         "verify kstate -n 3" "experiments --max-n 3" "spans dijkstra3 -n 4" \
-         "kstate -n 3" "dot dijkstra3 -n 3"; do
+for q in "verify btr" "verify btr-wrapped -n 4" "verify dijkstra3 -n 4" \
+         "verify c2-wrapped -n 4" "verify kstate -n 3" "experiments --max-n 3" \
+         "spans dijkstra3 -n 4" "kstate -n 3" "dot dijkstra3 -n 3"; do
   rc=0; dune exec bin/crcheck.exe -- $q > "$spdef" 2> /dev/null || rc=$?
   [ "$rc" -le 1 ] || { echo "ci: $q crashed (rc=$rc)" >&2; exit 1; }
   rcd=0; CR_SPACE=dense dune exec bin/crcheck.exe -- $q > "$spdense" 2> /dev/null || rcd=$?
@@ -265,19 +269,23 @@ rc=0
 timeout 120 env CR_SPACE=sparse dune exec bin/crcheck.exe -- refine rw-dijkstra3 -n 8 > /dev/null 2>&1 || rc=$?
 [ "$rc" -le 1 ] || { echo "ci: sparse refine rw-dijkstra3 -n 8 failed (rc=$rc)" >&2; exit 1; }
 
-# The refine frontier: the spec side is BTR(11)'s α-closure (22 of 4^11
-# states) and the concrete closure is discovered from its seeds, so the
-# E17 run answers within a 1 GB address-space limit.  A dense spec
-# compile (4^11 states) runs out of memory under it.
+# The refine frontier: the spec side is BTR(N)'s α-closure (2N of 4^N
+# states), the concrete closure is discovered from its seeds straight
+# into its CSR, and each relation keeps a bounded failure report, so
+# the E17 run answers within a 1 GB address-space limit at N = 11 and
+# N = 12 (1.8M and 4.2M failures per relation).  A dense spec compile
+# (4^11 states) runs out of memory under it.
 frontier="$work/frontier.out"
-rc=0
-(ulimit -v 1000000; timeout 120 dune exec bin/crcheck.exe -- refine rw-dijkstra3 -n 11) \
-  > "$frontier" 2>&1 || rc=$?
-[ "$rc" = 1 ] && grep -q '^convergence    \[Dijkstra3-rw(11) ⪯ BTR(11)\] FAILS' "$frontier" || {
-  echo "ci: refine rw-dijkstra3 -n 11 did not answer within the limit (rc=$rc)" >&2
-  head -n 5 "$frontier" >&2
-  exit 1
-}
+for n in 11 12; do
+  rc=0
+  (ulimit -v 1000000; timeout 120 dune exec bin/crcheck.exe -- refine rw-dijkstra3 -n $n) \
+    > "$frontier" 2>&1 || rc=$?
+  [ "$rc" = 1 ] && grep -q "^convergence    \\[Dijkstra3-rw($n) ⪯ BTR($n)\\] FAILS" "$frontier" || {
+    echo "ci: refine rw-dijkstra3 -n $n did not answer within the limit (rc=$rc)" >&2
+    head -n 5 "$frontier" >&2
+    exit 1
+  }
+done
 
 # trace picks its start state by sweeping Σ until the first converged
 # state, never listing it: at a ring size past what any engine can

@@ -106,23 +106,24 @@ let analyze (next : tables) ~(succ : Cr_kernel.Csr.t)
 let edge_on_fair_cycle analysis i j =
   analysis.fair.(i) && analysis.component.(i) = analysis.component.(j)
 
-(* Build the action table of a compiled explicit system from a list of
-   firing functions over raw states.  [fire.(a) state = Some state'] when
-   action [a] makes a (state-changing) step.  One sweep over the system
-   fires every action at each (possibly scratch) state. *)
-let tables_of (e : 'a Cr_semantics.Explicit.t) (fires : ('a -> 'a option) list)
-    : tables =
-  let fires = Array.of_list fires in
+(* Build the action table of a compiled explicit system from each
+   action's guard and effect over raw states.  One sweep over the system
+   fires every enabled action at each (possibly scratch) state; a
+   successor at the state's own index is a no-op firing, which generates
+   no transition and so counts as disabled — an index comparison, not a
+   state comparison. *)
+let tables_of (e : 'a Cr_semantics.Explicit.t)
+    (actions : (('a -> bool) * ('a -> 'a)) list) : tables =
+  Cr_obs.Obs.span "fair.tables" @@ fun () ->
+  let actions = Array.of_list actions in
   let n = Cr_semantics.Explicit.num_states e in
-  let tables = Array.map (fun _ -> Array.make n (-1)) fires in
+  let tables = Array.map (fun _ -> Array.make n (-1)) actions in
   Cr_semantics.Explicit.iter_states e (fun i s ->
       Array.iteri
-        (fun a fire ->
-          match fire s with
-          | None -> ()
-          | Some s' -> (
-              match Cr_semantics.Explicit.find_opt e s' with
-              | Some j -> tables.(a).(i) <- j
-              | None -> ()))
-        fires);
+        (fun a (guard, effect) ->
+          if guard s then
+            match Cr_semantics.Explicit.find_opt e (effect s) with
+            | Some j when j <> i -> tables.(a).(i) <- j
+            | Some _ | None -> ())
+        actions);
   tables

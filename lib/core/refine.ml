@@ -315,40 +315,104 @@ let classify ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) :
   ( { srcs; dsts; cls },
     { edges = m; exact; stutter; compressions; max_dropped } )
 
-let initial_failures ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) =
-  Array.to_list (Explicit.initials c)
-  |> List.filter_map (fun i ->
-         if Explicit.is_initial a alpha.(i) then None
-         else Some (Initial_not_initial i))
+(* Bounded failure evidence.  A relation can fail on every edge (E17's
+   read/write ring fails on ~10^5 stutter edges at N = 8), but a report
+   shows at most [max_reported_failures] of them, so the checkers count
+   every failure and keep only what [make_report] can show.  A report
+   lists the edge and stutter-cycle failures newest first, then the
+   initial failures ascending, then the terminal failures ascending; so
+   the collector keeps the newest pushes in a ring of ints (kind, source,
+   target: a failing edge allocates nothing) and the leading initial and
+   terminal failures. *)
+type pushed_kind =
+  | Init_edge
+  | Unmatched
+  | Compression_cycle
+  | Stutter_loop
+  | Non_exact_cycle
 
-let terminal_failures ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t)
+(* A failure kind counted in full but kept only up to the bound. *)
+type leading = { first : int array; mutable count : int }
+
+type collector = {
+  kind : pushed_kind array;
+      (* ring of the newest pushes, at slot [pushed mod max] *)
+  src : int array;
+  dst : int array;
+  mutable pushed : int;
+  initial : leading;
+  terminal : leading;
+}
+
+let collector () =
+  let ints () = Array.make max_reported_failures 0 in
+  {
+    kind = Array.make max_reported_failures Init_edge;
+    src = ints ();
+    dst = ints ();
+    pushed = 0;
+    initial = { first = ints (); count = 0 };
+    terminal = { first = ints (); count = 0 };
+  }
+
+let push col kind i j =
+  let slot = col.pushed mod max_reported_failures in
+  col.kind.(slot) <- kind;
+  col.src.(slot) <- i;
+  col.dst.(slot) <- j;
+  col.pushed <- col.pushed + 1
+
+let note l i =
+  if l.count < max_reported_failures then l.first.(l.count) <- i;
+  l.count <- l.count + 1
+
+let initial_failures col ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) =
+  Array.iter
+    (fun i -> if not (Explicit.is_initial a alpha.(i)) then note col.initial i)
+    (Explicit.initials c)
+
+let terminal_failures col ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t)
     ~(restrict : Cr_kernel.Bitset.t option) =
-  let n = Explicit.num_states c in
   let consider i =
     match restrict with
     | None -> true
     | Some mask -> Cr_kernel.Bitset.get mask i
   in
-  let acc = ref [] in
-  for i = 0 to n - 1 do
+  for i = 0 to Explicit.num_states c - 1 do
     if consider i && Explicit.is_terminal c i
        && not (Explicit.is_terminal a alpha.(i))
-    then acc := Terminal_not_terminal i :: !acc
-  done;
-  List.rev !acc
+    then note col.terminal i
+  done
 
-let make_report ~relation ~c ~a ~stats failures =
+(* The shown failures, built once: the newest pushes (newest first), then
+   the leading initial and terminal failures, up to the bound. *)
+let shown col =
+  let pushed = min col.pushed max_reported_failures in
+  let ring t =
+    let slot = (col.pushed - 1 - t) mod max_reported_failures in
+    let i = col.src.(slot) and j = col.dst.(slot) in
+    match col.kind.(slot) with
+    | Init_edge -> Init_edge_not_exact (i, j)
+    | Unmatched -> Edge_unmatched (i, j)
+    | Compression_cycle -> Compression_on_cycle (i, j)
+    | Stutter_loop -> Stutter_cycle i
+    | Non_exact_cycle -> Non_exact_on_cycle (i, j)
+  in
+  let initials = min col.initial.count (max_reported_failures - pushed) in
+  let terminals =
+    min col.terminal.count (max_reported_failures - pushed - initials)
+  in
+  List.init pushed ring
+  @ List.init initials (fun t -> Initial_not_initial col.initial.first.(t))
+  @ List.init terminals (fun t -> Terminal_not_terminal col.terminal.first.(t))
+
+let make_report ~relation ~c ~a ~stats col =
+  let total_failures = col.pushed + col.initial.count + col.terminal.count in
   {
-    holds = failures = [];
+    holds = total_failures = 0;
     stats;
-    failures =
-      (let rec take n = function
-         | [] -> []
-         | _ when n = 0 -> []
-         | x :: rest -> x :: take (n - 1) rest
-       in
-       take max_reported_failures failures);
-    total_failures = List.length failures;
+    failures = shown col;
+    total_failures;
     concrete = Explicit.name c;
     abstract = Explicit.name a;
     relation;
@@ -423,10 +487,10 @@ let edge_on_cycle ~fair (succ_c : Cr_kernel.Csr.t) =
 (* Stutter-only cycles: an infinite computation of C whose image is
    eventually constant normalizes to a finite sequence, so its (constant)
    image must be able to end a computation of A, i.e. be A-terminal.
-   Prepends one [Stutter_cycle] failure per offending state.  A system
+   Pushes one [Stutter_cycle] failure per offending state.  A system
    with no stutter edge has no such cycle — the pass is skipped. *)
 let stutter_check ~alpha ~fair ~(c : _ Explicit.t) ~(a : _ Explicit.t)
-    ~(stats : stats) failures =
+    ~(stats : stats) col =
   if stats.stutter > 0 then
     Cr_obs.Obs.span "refine.stutter_check" @@ fun () ->
     let n = Explicit.num_states c in
@@ -447,7 +511,7 @@ let stutter_check ~alpha ~fair ~(c : _ Explicit.t) ~(a : _ Explicit.t)
     in
     for i = 0 to n - 1 do
       if on_stutter_cycle i && not (Explicit.is_terminal a alpha.(i)) then
-        failures := Stutter_cycle i :: !failures
+        push col Stutter_loop i i
     done
 
 (* [C ⊑ A]_init *)
@@ -456,34 +520,34 @@ let init_refinement ?alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
   cached ~relation:"⊑_init" ~alpha ~fair:None ~c ~a @@ fun () ->
   with_cost "refine.init" @@ fun () ->
   let reach = Cr_checker.Reach.reachable_from_initial c in
-  let failures = ref (initial_failures ~alpha ~c ~a) in
+  let col = collector () in
+  initial_failures col ~alpha ~c ~a;
   let edges = ref 0 and exact = ref 0 in
   Explicit.iter_edges c (fun i j ->
       if Cr_kernel.Bitset.get reach i then begin
         incr edges;
         if Explicit.has_edge a alpha.(i) alpha.(j) then incr exact
-        else failures := Init_edge_not_exact (i, j) :: !failures
+        else push col Init_edge i j
       end);
-  let failures =
-    !failures @ terminal_failures ~alpha ~c ~a ~restrict:(Some reach)
-  in
+  terminal_failures col ~alpha ~c ~a ~restrict:(Some reach);
   let stats = { empty_stats with edges = !edges; exact = !exact } in
-  make_report ~relation:"⊑_init" ~c ~a ~stats failures
+  make_report ~relation:"⊑_init" ~c ~a ~stats col
 
 (* [C ⊑ A] — everywhere refinement *)
 let everywhere_refinement ?alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
   let alpha = resolve_alpha ~c alpha in
   cached ~relation:"⊑" ~alpha ~fair:None ~c ~a @@ fun () ->
   with_cost "refine.everywhere" @@ fun () ->
-  let failures = ref (initial_failures ~alpha ~c ~a) in
+  let col = collector () in
+  initial_failures col ~alpha ~c ~a;
   let edges = ref 0 and exact = ref 0 in
   Explicit.iter_edges c (fun i j ->
       incr edges;
       if Explicit.has_edge a alpha.(i) alpha.(j) then incr exact
-      else failures := Init_edge_not_exact (i, j) :: !failures);
-  let failures = !failures @ terminal_failures ~alpha ~c ~a ~restrict:None in
+      else push col Init_edge i j);
+  terminal_failures col ~alpha ~c ~a ~restrict:None;
   let stats = { empty_stats with edges = !edges; exact = !exact } in
-  make_report ~relation:"⊑" ~c ~a ~stats failures
+  make_report ~relation:"⊑" ~c ~a ~stats col
 
 (* [C ⪯ A] — convergence refinement.  With [?fair], "on a cycle" means
    "on a weakly-fair cycle" (see [edge_on_cycle]). *)
@@ -495,7 +559,8 @@ let convergence_refinement ?alpha ?fair ~(c : _ Explicit.t)
   let classified, stats = classify ~alpha ~c ~a in
   let succ_c = Explicit.csr c in
   let edge_on_cycle = edge_on_cycle ~fair succ_c in
-  let failures = ref (initial_failures ~alpha ~c ~a) in
+  let col = collector () in
+  initial_failures col ~alpha ~c ~a;
   (* 1. Init refinement: reachable edges must be Exact.  The forward
      reachability walks [c]'s own CSR from its initial mask — no
      adjacency rebuild, no seed list. *)
@@ -504,22 +569,20 @@ let convergence_refinement ?alpha ?fair ~(c : _ Explicit.t)
       iter_classified classified (fun i j cls ->
           match cls with
           | Some Exact -> ()
-          | _ ->
-              if Cr_kernel.Bitset.get reach i then
-                failures := Init_edge_not_exact (i, j) :: !failures));
+          | _ -> if Cr_kernel.Bitset.get reach i then push col Init_edge i j));
   (* 2. Global matching + finiteness of omissions. *)
   Cr_obs.Obs.span "refine.cycle_check" (fun () ->
       iter_classified classified (fun i j cls ->
           match cls with
-          | None -> failures := Edge_unmatched (i, j) :: !failures
+          | None -> push col Unmatched i j
           | Some (Compression _) when edge_on_cycle i j ->
-              failures := Compression_on_cycle (i, j) :: !failures
+              push col Compression_cycle i j
           | Some _ -> ()));
   (* 3. Stutter-only cycles. *)
-  stutter_check ~alpha ~fair ~c ~a ~stats failures;
+  stutter_check ~alpha ~fair ~c ~a ~stats col;
   (* 4. Terminal matching (everywhere). *)
-  let failures = !failures @ terminal_failures ~alpha ~c ~a ~restrict:None in
-  make_report ~relation:"⪯" ~c ~a ~stats failures
+  terminal_failures col ~alpha ~c ~a ~restrict:None;
+  make_report ~relation:"⪯" ~c ~a ~stats col
 
 (* Everywhere-eventually refinement (Section 7): arbitrary finite prefix
    followed by a computation of A.  Unlike convergence refinement, the
@@ -535,19 +598,19 @@ let everywhere_eventually_refinement ?alpha ?fair ~(c : _ Explicit.t)
   let classified, stats = classify ~alpha ~c ~a in
   let succ_c = Explicit.csr c in
   let edge_on_cycle = edge_on_cycle ~fair succ_c in
-  let failures = ref (initial_failures ~alpha ~c ~a) in
+  let col = collector () in
+  initial_failures col ~alpha ~c ~a;
   Cr_obs.Obs.span "refine.cycle_check" (fun () ->
       let reach = Cr_checker.Reach.reachable_from_initial c in
       iter_classified classified (fun i j cls ->
           let is_exact = match cls with Some Exact -> true | _ -> false in
           if Cr_kernel.Bitset.get reach i && not is_exact then
-            failures := Init_edge_not_exact (i, j) :: !failures
+            push col Init_edge i j
           else
             match cls with
             | Some Exact | Some Stutter -> ()
             | Some (Compression _) | None ->
-                if edge_on_cycle i j then
-                  failures := Non_exact_on_cycle (i, j) :: !failures));
-  stutter_check ~alpha ~fair ~c ~a ~stats failures;
-  let failures = !failures @ terminal_failures ~alpha ~c ~a ~restrict:None in
-  make_report ~relation:"⊑_ee" ~c ~a ~stats failures
+                if edge_on_cycle i j then push col Non_exact_cycle i j));
+  stutter_check ~alpha ~fair ~c ~a ~stats col;
+  terminal_failures col ~alpha ~c ~a ~restrict:None;
+  make_report ~relation:"⊑_ee" ~c ~a ~stats col

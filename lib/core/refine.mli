@@ -55,10 +55,16 @@ type stats = {
 type report = {
   holds : bool;
   stats : stats;
-  failures : failure list;  (** truncated to the first few *)
+  failures : failure list;
+      (** at most ten failures: the newest edge and stutter-cycle
+          failures first (newest first), then the leading initial and
+          the leading terminal failures (ascending).  Only these are
+          kept while checking: a failing edge allocates nothing. *)
   total_failures : int;
-      (** number of failures found before truncation; {!pp_report} says
-          "showing k of n" whenever [failures] is the shorter list *)
+      (** every failure found, [failures] or not: one per failed check
+          of an edge or a state (an edge that fails two checks counts
+          twice); [holds] iff it is 0.  {!pp_report} says "showing k of
+          n" whenever [failures] is the shorter list *)
   concrete : string;
   abstract : string;
   relation : string;

@@ -283,11 +283,9 @@ let compile_sparse ~mode ~seeding t ~seed_ranks:seeds =
       ~key_of_state:(Layout.checked_rank layout)
       ~step:(step_keys ~mode t) ~seed_keys:seeds ()
   in
-  let rows = sparse.Space.rows in
   let e =
-    Cr_semantics.Explicit.of_space ~name ~space:sparse.Space.space
-      ~step:(fun () _ i emit -> Array.iter emit rows.(i))
-      ~is_initial:t.initial ~pp_state:(Layout.pp_state layout)
+    Cr_semantics.Explicit.of_sparse ~name sparse ~is_initial:t.initial
+      ~pp_state:(Layout.pp_state layout)
   in
   if closure then Cr_semantics.Explicit.all_initial e else e
 
@@ -485,7 +483,9 @@ let to_explicit_synchronous ?(space = Space.Dense) t = compile ~mode:Sync ~space
    configurations (the paper's "initial states follow from those of BTR
    using the mapping"). *)
 let reachable_from t seeds =
-  let seen = Layout.Tbl.create 1024 in
+  (* the compile memo keeps each forced closure alive through its
+     program's predicate, so the table starts small and grows on demand *)
+  let seen = Layout.Tbl.create 16 in
   let queue = Queue.create () in
   let push s =
     if not (Layout.Tbl.mem seen s) then begin

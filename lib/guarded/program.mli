@@ -62,7 +62,8 @@ val to_explicit :
     ranks straight into the graph, and never holds the states
     themselves; [Sparse]
     materializes only the fragment reachable from the initial states
-    (frontier BFS hash-consing dense ranks into a compact index) —
+    (a frontier BFS that numbers dense ranks compactly and builds the
+    CSR as it goes, {!Cr_semantics.Space.discover}) —
     sound for every init-anchored query because the fragment is closed
     under successors, and the scaling move for refine/graybox checks
     whose dense space will not fit.  Callers that honour the [CR_SPACE]

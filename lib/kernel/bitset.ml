@@ -103,7 +103,7 @@ let ctz_table =
   done;
   tbl
 
-let ctz64 (x : int64) =
+let[@inline] ctz64 (x : int64) =
   Array.unsafe_get ctz_table
     (Int64.to_int
        (Int64.shift_right_logical (Int64.mul (Int64.logand x (Int64.neg x)) debruijn) 58))

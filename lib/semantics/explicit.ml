@@ -10,13 +10,14 @@
    boxed states.  Full-space consumers sweep ([iter_states]) rather than
    index state by state.
 
-   Every constructor is one streamed pass ([of_space]): the index range
-   is split into chunks (the CR_JOBS contract of [Par]; default 1 = one
-   chunk), each sweeping its range, sorting and deduplicating each row in
-   a scratch buffer and appending it to its own edge blocks and writing
-   the row ends into the shared [row_ptr].  The blocks are concatenated
-   in chunk order.  Row i depends on i alone, so the result is identical
-   for every job count.
+   Every constructor but [of_sparse] is one streamed pass ([of_space]):
+   the index range is split into chunks (the CR_JOBS contract of [Par];
+   default 1 = one chunk), each sweeping its range, sorting and
+   deduplicating each row in a scratch buffer and appending it to its own
+   edge blocks and writing the row ends into the shared [row_ptr].  The
+   blocks are concatenated in chunk order.  Row i depends on i alone, so
+   the result is identical for every job count.  [of_sparse] adopts the
+   CSR a sparse discovery built as it went ([Space.discover]).
 
    Two parts are lazy, each behind one [Atomic] cell: the initial
    states, swept from the kept predicate on the first [is_initial]/
@@ -192,8 +193,8 @@ let record_built t =
   t
 
 (* Insertion sort of [row.(0 .. k-1)] in place: rows are short (at most
-   one entry per action of a guarded-command program) or already sorted
-   (the sparse engine's replayed rows), where it is linear. *)
+   one entry per action of a guarded-command program), where it is
+   linear. *)
 let sort_prefix row k =
   for a = 1 to k - 1 do
     let x = row.(a) in
@@ -297,6 +298,14 @@ let of_space (type a) ~name ~(space : a Space.t) ~step ~is_initial ~pp_state :
   let succ = Csr.unsafe_of_raw ~row_ptr ~targets in
   record_built
     { name; space; succ; pred = lazy_pred (); initial = is_initial;
+      inits = Atomic.make Inits_todo; pp_state }
+
+(* The sparse engine's compile: the discovery already built the CSR
+   over its space, so it is adopted as it is. *)
+let of_sparse ~name (sparse : 'a Space.sparse) ~is_initial ~pp_state : 'a t =
+  record_built
+    { name; space = sparse.Space.space; succ = sparse.Space.succ;
+      pred = lazy_pred (); initial = is_initial;
       inits = Atomic.make Inits_todo; pp_state }
 
 (* An enumeration held in memory, indexed by a hashtable built once. *)

@@ -15,13 +15,14 @@
     Full-space consumers should sweep rather than call {!state} once per
     index.
 
-    Every constructor is one streamed pass ({!of_space}), domain-chunked
-    under the [CR_JOBS] contract of {!Par}: the index range is split into
-    contiguous chunks, each sweeping its range and appending its sorted,
-    deduplicated rows to its own edge blocks, and the chunks are
-    concatenated in order into the CSR.  Row i depends only on i, so the
-    result is identical for every job count (default 1 = the sequential
-    path).  Two parts are computed lazily, each once: the initial
+    Every constructor but {!of_sparse} is one streamed pass
+    ({!of_space}), domain-chunked under the [CR_JOBS] contract of {!Par}:
+    the index range is split into contiguous chunks, each sweeping its
+    range and appending its sorted, deduplicated rows to its own edge
+    blocks, and the chunks are concatenated in order into the CSR.  Row
+    i depends only on i, so the result is identical for every job count
+    (default 1 = the sequential path).  The sparse engine's discovery
+    builds its CSR as it goes, and {!of_sparse} adopts it.  Two parts are computed lazily, each once: the initial
     states, swept from the kept predicate on the first {!is_initial},
     {!initial_mask} or {!initials} call (a stabilization check never
     reads them), and the predecessor rows, on the first {!predecessors}
@@ -52,8 +53,18 @@ val of_space :
     without retaining it) on the first use of the initial states,
     possibly on two domains at once.  The dense
     guarded-command engine passes its successor-rank emitter over the
-    layout's odometer; the sparse engine replays the rows its discovery
-    BFS computed. *)
+    layout's odometer. *)
+
+val of_sparse :
+  name:string ->
+  'a Space.sparse ->
+  is_initial:('a -> bool) ->
+  pp_state:(Format.formatter -> 'a -> unit) ->
+  'a t
+(** The sparse engine's compile: the CSR its discovery BFS built
+    ({!Space.discover}) is adopted as it is, over the discovered space,
+    with no second pass over the states.  [is_initial] is kept, as for
+    {!of_space}. *)
 
 val of_system : 'a System.t -> 'a t
 (** Compile a symbolic system.  Raises [Invalid_argument] on duplicate

@@ -8,7 +8,8 @@
    state in place, so a dense compile holds the graph and no boxed
    states.  The sparse engine materializes only the
    fragment reachable from the initial states: a frontier BFS over dense
-   keys that hash-conses each discovered state into a compact index.
+   keys that numbers each discovered state in an int-keyed table and
+   writes its sorted row straight into the CSR the compile keeps.
    Because the fragment is closed under successors, every checker that
    only quantifies over init-reachable states (the refinement premise of
    the graybox theorems) computes the same verdict on the sparse graph
@@ -92,111 +93,199 @@ let dense (type a) ~size:(n : int) ~(state_of_index : int -> a)
     let iter_range = iter_range
   end)
 
-type 'a sparse = { space : 'a t; rows : int array array; keys : int array }
+(* A growable int array: the discovery log, the CSR under construction
+   and each frontier chunk's emission buffer. *)
+type buf = { mutable data : int array; mutable len : int }
+
+let buf cap = { data = Array.make (max 16 cap) 0; len = 0 }
+
+let reserve b extra =
+  if b.len + extra > Array.length b.data then begin
+    let bigger = Array.make (max (2 * Array.length b.data) (b.len + extra)) 0 in
+    Array.blit b.data 0 bigger 0 b.len;
+    b.data <- bigger
+  end
+
+let add b x =
+  if b.len = Array.length b.data then reserve b 1;
+  b.data.(b.len) <- x;
+  b.len <- b.len + 1
+
+(* The dense-key -> index table: open addressing with linear probing
+   over one flat array of (key, index) slot pairs, a key of [-1]
+   marking a free slot (keys are non-negative).  Fibonacci hashing of
+   the key, no polymorphic hash and no boxed binding per entry; the
+   table doubles at half load. *)
+type index = { mutable slots : int array; mutable bits : int; mutable count : int }
+
+let index_create expected =
+  let bits = ref 4 in
+  while 1 lsl !bits < 2 * expected do
+    incr bits
+  done;
+  { slots = Array.make (2 lsl !bits) (-1); bits = !bits; count = 0 }
+
+let home t k = ((k * 0x1e3779b97f4a7c15) lsr (Sys.int_size - t.bits)) lsl 1
+
+(* The slot of [k]: where it is bound, or the free slot where it
+   belongs. *)
+let probe t k =
+  let slots = t.slots and last = Array.length t.slots - 2 in
+  let s = ref (home t k) in
+  while slots.(!s) <> k && slots.(!s) >= 0 do
+    s := if !s = last then 0 else !s + 2
+  done;
+  !s
+
+let index_find t k =
+  let s = probe t k in
+  if t.slots.(s) = k then t.slots.(s + 1) else -1
+
+(* The index bound to [k], binding it to [fresh] first if unbound. *)
+let rec index_intern t k fresh =
+  let s = probe t k in
+  if t.slots.(s) = k then t.slots.(s + 1)
+  else if 2 * (t.count + 1) > Array.length t.slots lsr 1 then begin
+    let old = t.slots in
+    t.bits <- t.bits + 1;
+    t.slots <- Array.make (2 * Array.length old) (-1);
+    for o = 0 to (Array.length old / 2) - 1 do
+      if old.(2 * o) >= 0 then begin
+        let s = probe t old.(2 * o) in
+        t.slots.(s) <- old.(2 * o);
+        t.slots.(s + 1) <- old.((2 * o) + 1)
+      end
+    done;
+    index_intern t k fresh
+  end
+  else begin
+    t.slots.(s) <- k;
+    t.slots.(s + 1) <- fresh;
+    t.count <- t.count + 1;
+    fresh
+  end
+
+(* Insertion sort of the row [a.(lo .. hi - 1)] in place (rows are
+   short: at most one entry per action of a guarded-command program),
+   then its duplicates dropped; returns the row's new end. *)
+let sort_row a lo hi =
+  for x = lo + 1 to hi - 1 do
+    let v = a.(x) in
+    let y = ref (x - 1) in
+    while !y >= lo && a.(!y) > v do
+      a.(!y + 1) <- a.(!y);
+      decr y
+    done;
+    a.(!y + 1) <- v
+  done;
+  let w = ref (min (lo + 1) hi) in
+  for r = lo + 1 to hi - 1 do
+    if a.(r) <> a.(!w - 1) then begin
+      a.(!w) <- a.(r);
+      incr w
+    end
+  done;
+  !w
+
+type 'a sparse = { space : 'a t; succ : Cr_kernel.Csr.t; keys : int array }
 
 let discover (type a) ?(sort_keys = false) ~(state_of_key : int -> a)
     ~(key_of_state : a -> int)
     ~(step : unit -> a -> int -> (int -> unit) -> unit)
     ~(seed_keys : int array) () : a sparse =
-  let tbl : (int, int) Hashtbl.t =
-    Hashtbl.create (max 64 (2 * Array.length seed_keys))
-  in
+  let index = index_create (Array.length seed_keys) in
   (* Append-only discovery log: the BFS queue IS the index sequence. *)
-  let keys = ref (Array.make (max 16 (Array.length seed_keys)) 0) in
-  let n = ref 0 in
-  let push k =
-    if !n = Array.length !keys then begin
-      let bigger = Array.make (2 * !n) 0 in
-      Array.blit !keys 0 bigger 0 !n;
-      keys := bigger
-    end;
-    !keys.(!n) <- k;
-    incr n
+  let keys = buf (Array.length seed_keys) in
+  let intern k =
+    let i = index_intern index k keys.len in
+    if i = keys.len then add keys k;
+    i
   in
-  let index_of_key k =
-    match Hashtbl.find_opt tbl k with
-    | Some i -> i
-    | None ->
-        let i = !n in
-        Hashtbl.add tbl k i;
-        push k;
-        i
-  in
-  Array.iter (fun k -> ignore (index_of_key k : int)) seed_keys;
-  let rows = ref (Array.make (max 16 !n) [||]) in
-  let set_row i r =
-    if i >= Array.length !rows then begin
-      let bigger = Array.make (max (2 * Array.length !rows) (i + 1)) [||] in
-      Array.blit !rows 0 bigger 0 (Array.length !rows);
-      rows := bigger
-    end;
-    !rows.(i) <- r
+  Array.iter (fun k -> ignore (intern k : int)) seed_keys;
+  (* The CSR, written row by row in index order. *)
+  let row_ptr = buf (keys.len + 1) and targets = buf (4 * keys.len) in
+  add row_ptr 0;
+  (* Step states [lo + clo, lo + chi) of a frontier: their successor
+     keys in emission order, flat, and where each state's run ends. *)
+  let emit_chunk lo (clo, chi) =
+    let out = buf (4 * (chi - clo)) and ends = Array.make (chi - clo) 0 in
+    let st = step () in
+    let emit j = add out j in
+    for d = clo to chi - 1 do
+      let k = keys.data.(lo + d) in
+      st (state_of_key k) k emit;
+      ends.(d - clo) <- out.len
+    done;
+    (out, ends)
   in
   let processed = ref 0 in
-  while !processed < !n do
-    let lo = !processed and hi = !n in
+  while !processed < keys.len do
+    let lo = !processed and hi = keys.len in
     let m = hi - lo in
-    (* Expand the frontier: successor keys per state, in emission order.
-       The stepping is chunked across domains exactly like the dense row
-       build (contiguous slices, one writer per slot); index assignment
-       happens in the sequential merge below, so discovery order — and
-       with it the whole compiled graph — is job-count independent. *)
-    let raw = Array.make m [] in
-    let fill st d =
-      let k = !keys.(lo + d) in
-      let s = state_of_key k in
-      let acc = ref [] in
-      st s k (fun j -> acc := j :: !acc);
-      raw.(d) <- List.rev !acc
-    in
+    (* Expand the frontier.  The stepping is chunked across domains
+       exactly like the dense row build (contiguous slices, one writer
+       per buffer); index assignment happens in the sequential merge
+       below, in chunk order, so discovery order — and with it the
+       whole compiled graph — is job-count independent. *)
     let jobs = min (Par.current_jobs ()) m in
-    if jobs <= 1 then begin
-      let st = step () in
-      for d = 0 to m - 1 do
-        fill st d
-      done
-    end
-    else begin
-      let chunks =
-        Array.init jobs (fun d -> (d * m / jobs, (d + 1) * m / jobs))
-      in
-      ignore
-        (Par.map_array
-           (fun (clo, chi) ->
-             let st = step () in
-             for d = clo to chi - 1 do
-               fill st d
-             done)
-           chunks
-          : unit array)
-    end;
-    for d = 0 to m - 1 do
-      let row = List.map index_of_key raw.(d) in
-      set_row (lo + d) (Array.of_list (List.sort_uniq compare row))
-    done;
+    let parts =
+      if jobs <= 1 then [| emit_chunk lo (0, m) |]
+      else
+        Par.map_array (emit_chunk lo)
+          (Array.init jobs (fun d -> (d * m / jobs, (d + 1) * m / jobs)))
+    in
+    Array.iter
+      (fun (out, ends) ->
+        let e = ref 0 in
+        Array.iter
+          (fun stop ->
+            let start = targets.len in
+            reserve targets (stop - !e);
+            for x = !e to stop - 1 do
+              targets.data.(targets.len) <- intern out.data.(x);
+              targets.len <- targets.len + 1
+            done;
+            targets.len <- sort_row targets.data start targets.len;
+            add row_ptr targets.len;
+            e := stop)
+          ends)
+      parts;
     processed := hi
   done;
-  let count = !n in
-  let keys = Array.sub !keys 0 count in
-  let rows = Array.sub !rows 0 count in
-  (* Optional renumbering in ascending key order: [perm] lists the
-     discovery indices by key, [inv] maps each to its new index, and the
-     rows and the key table are rewritten through [inv]. *)
-  let keys, rows =
-    if not sort_keys then (keys, rows)
+  let count = keys.len and edges = targets.len in
+  let keys = Array.sub keys.data 0 count in
+  (* Optional renumbering in ascending key order, in one pass over the
+     CSR: [perm] lists the discovery indices by key, [inv] maps each to
+     its new index, and the rows and the index table are rewritten
+     through [inv]. *)
+  let keys, succ =
+    if not sort_keys then
+      ( keys,
+        Cr_kernel.Csr.unsafe_of_raw
+          ~row_ptr:(Array.sub row_ptr.data 0 (count + 1))
+          ~targets:(Array.sub targets.data 0 edges) )
     else begin
       let perm = Array.init count Fun.id in
-      Array.sort (fun i j -> compare keys.(i) keys.(j)) perm;
+      Array.stable_sort (fun i j -> compare keys.(i) keys.(j)) perm;
       let inv = Array.make count 0 in
       Array.iteri (fun i old -> inv.(old) <- i) perm;
-      Hashtbl.filter_map_inplace (fun _ old -> Some inv.(old)) tbl;
-      Array.iter
-        (fun row ->
-          Array.iteri (fun k j -> row.(k) <- inv.(j)) row;
-          Array.sort compare row)
-        rows;
+      for s = 0 to (Array.length index.slots / 2) - 1 do
+        if index.slots.(2 * s) >= 0 then
+          index.slots.((2 * s) + 1) <- inv.(index.slots.((2 * s) + 1))
+      done;
+      let rp = row_ptr.data and tg = targets.data in
+      let row_ptr = Array.make (count + 1) 0 and targets = Array.make edges 0 in
+      Array.iteri
+        (fun i old ->
+          let base = row_ptr.(i) in
+          for k = rp.(old) to rp.(old + 1) - 1 do
+            targets.(base + k - rp.(old)) <- inv.(tg.(k))
+          done;
+          row_ptr.(i + 1) <- base + rp.(old + 1) - rp.(old);
+          ignore (sort_row targets base row_ptr.(i + 1) : int))
+        perm;
       ( Array.map (fun old -> keys.(old)) perm,
-        Array.map (fun old -> rows.(old)) perm )
+        Cr_kernel.Csr.unsafe_of_raw ~row_ptr ~targets )
     end
   in
   let module Sp = struct
@@ -207,11 +296,14 @@ let discover (type a) ?(sort_keys = false) ~(state_of_key : int -> a)
 
     let index_of_state s =
       let k = key_of_state s in
-      if k < 0 then None else Hashtbl.find_opt tbl k
+      if k < 0 then None
+      else
+        let i = index_find index k in
+        if i < 0 then None else Some i
 
     let iter_range lo hi f =
       for i = lo to hi - 1 do
         f i (state_of_key keys.(i))
       done
   end in
-  { space = (module Sp); rows; keys }
+  { space = (module Sp); succ; keys }

@@ -9,8 +9,8 @@
       materialized: its states are produced on demand by index and by
       range sweeps over one scratch state;
     - {e sparse} — only the fragment reachable from the initial states,
-      discovered by a frontier BFS ({!discover}) that hash-conses each
-      state under its dense rank into a compact index.
+      discovered by a frontier BFS ({!discover}) that numbers each state
+      under its dense rank and builds the CSR as it goes.
 
     Full-space checks (the concrete side of a stabilization check,
     whole-space lint facts) are dense by construction; init-anchored
@@ -78,12 +78,13 @@ val dense :
     range sweep (e.g. {!Cr_guarded.Layout.iter_range}, or [Array] access
     for an enumeration held in memory). *)
 
-(** Result of a sparse discovery: the space itself plus the successor
-    rows the BFS computed on the way (over sparse indices, sorted
-    ascending, deduplicated, self-loops dropped) — the compile reuses
-    them instead of stepping every state a second time.  [keys.(i)] is
-    the dense key of sparse index [i]: the sparse↔dense bijection. *)
-type 'a sparse = { space : 'a t; rows : int array array; keys : int array }
+(** Result of a sparse discovery: the space itself plus the transition
+    graph the BFS built on the way, a CSR over sparse indices (rows
+    sorted ascending, deduplicated, self-loops dropped) that the compile
+    adopts as it is instead of stepping every state a second time.
+    [keys.(i)] is the dense key of sparse index [i]: the sparse↔dense
+    bijection. *)
+type 'a sparse = { space : 'a t; succ : Cr_kernel.Csr.t; keys : int array }
 
 val discover :
   ?sort_keys:bool ->
@@ -93,7 +94,8 @@ val discover :
   seed_keys:int array ->
   unit ->
   'a sparse
-(** Frontier BFS over dense keys.  [key_of_state] must be injective on
+(** Frontier BFS over dense keys, writing each row straight into the
+    CSR.  [key_of_state] must be injective on
     Sigma, non-negative on it ([-1] outside Sigma — e.g.
     [Layout.checked_rank]); [state_of_key] its inverse.  [step () s k
     emit] calls [emit] on the dense key of every successor of [s] (own
@@ -106,9 +108,11 @@ val discover :
     deterministic: seeds in the given order, then successors in
     (frontier order, emission order).  Frontier expansion is
     domain-chunked under the [CR_JOBS] contract of {!Cr_kernel.Par}
-    exactly like the dense row build, and the merge is sequential, so
-    the result is byte-identical for every job count.  With
-    [~sort_keys:true] the discovered states are then renumbered in
-    ascending key order (the rows rewritten to match), so the index
-    assignment depends on the discovered set alone, not on where the
-    BFS started. *)
+    exactly like the dense row build: each chunk emits its successor
+    keys into one flat buffer, and a sequential merge in chunk order
+    indexes them (an int-keyed open-addressing table) and appends each
+    sorted row to the CSR, so the result is byte-identical for every
+    job count.  With [~sort_keys:true] the discovered states are then
+    renumbered in ascending key order, in one pass over the CSR, so the
+    index assignment depends on the discovered set alone, not on where
+    the BFS started. *)

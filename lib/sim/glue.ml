@@ -8,4 +8,6 @@ open Cr_guarded
 let fair_tables (p : Program.t) (e : Layout.state Cr_semantics.Explicit.t) :
     Cr_core.Fair.tables =
   Cr_core.Fair.tables_of e
-    (List.map (fun a s -> Action.fire a s) (Program.actions p))
+    (List.map
+       (fun (a : Action.t) -> (a.Action.guard, a.Action.effect))
+       (Program.actions p))

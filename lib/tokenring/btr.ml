@@ -118,10 +118,15 @@ let actions n =
   in
   (top :: bottom :: mids : Action.t list)
 
+(* The initial states are the invariant's states, named as the orbit of
+   one single-token state: the token visits every position, so the
+   closure is exactly {s | invariant n s}, and the sparse engine seeds
+   from it instead of sweeping the 4^N states of Sigma. *)
 let program n =
   Program.make ~name:(Printf.sprintf "BTR(%d)" n) ~layout:(layout n)
     ~actions:(actions n)
     ~initial:(fun s -> invariant n s)
+  |> Program.with_initial_closure ~seeds:[ state_of_tokens n [ Up n ] ]
 
 (* W1: if no process other than N holds a token, create ↑t.N. *)
 let w1 n =

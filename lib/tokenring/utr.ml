@@ -53,9 +53,13 @@ let actions n =
         ~effect:(fun s -> Action.set s [ (j, 0); (succ_proc n j, 1) ])
         ())
 
+(* The initial states are the single-token states, named as the orbit
+   of one of them (the token visits every process), so the sparse
+   engine seeds from it instead of sweeping Sigma. *)
 let program n =
   Program.make ~name:(Printf.sprintf "UTR(%d)" n) ~layout:(layout n)
     ~actions:(actions n) ~initial:invariant
+  |> Program.with_initial_closure ~seeds:[ state_of_tokens n [ 0 ] ]
 
 let w1u n =
   let action =

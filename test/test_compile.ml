@@ -217,6 +217,39 @@ let prop_streamed_eq_reference =
                (fresh_with_jobs jobs (fun () -> Program.to_explicit_synchronous p)))
         all_jobs)
 
+(* The sparse engine on the same random programs: discovered from the
+   initial states (ascending ranks), with and without wrapper priority,
+   under every job count. *)
+let prop_sparse_eq_reference =
+  QCheck2.Test.make
+    ~name:"sparse discovery = sparse reference: plain and priority" ~count:300
+    ~print:print_tab_prog gen_tab_prog
+    (fun raw ->
+      let p, is_w = build_tab raw in
+      let seeds =
+        Array.of_list
+          (List.filter
+             (fun r -> raw.itab.(r))
+             (List.init (Array.length raw.itab) Fun.id))
+      in
+      List.for_all
+        (fun (priority_of, reference) ->
+          List.for_all
+            (fun jobs ->
+              agrees_with_ref reference
+                (fresh_with_jobs jobs (fun () ->
+                     let e =
+                       Program.to_explicit ?priority_of
+                         ~space:Cr_semantics.Space.Sparse p
+                     in
+                     ignore (E.initial_mask e);
+                     e)))
+            all_jobs)
+        [
+          (None, Compile_ref.compile_sparse ~seeds p);
+          (Some is_w, Compile_ref.compile_sparse ~priority_of:is_w ~seeds p);
+        ])
+
 (* Every registry program at N = 2..4 whose dense space the reference
    can box in a test (rw-dijkstra3 at N = 4 has 3^14 states and is left
    out), interleaving and synchronous, under every job count. *)
@@ -283,13 +316,14 @@ let closure_cases =
         [ 2; 3; 4 ])
     Cr_experiments.Registry.entries
 
-(* The registry's closure programs are exactly the unboxed rings: the
-   wrapped compositions step by more actions than their closure was
-   taken over. *)
+(* The registry's closure programs are exactly the unboxed rings, the
+   specs BTR and UTR included: the wrapped compositions step by more
+   actions than their closure was taken over, and the K-state ring has
+   an initial predicate. *)
 let test_closure_programs () =
   Alcotest.(check (list string))
     "closure-seeded registry programs"
-    [ "c1"; "c2"; "c3"; "dijkstra3"; "dijkstra4"; "rw-dijkstra3" ]
+    [ "btr"; "c1"; "c2"; "c3"; "dijkstra3"; "dijkstra4"; "rw-dijkstra3"; "utr" ]
     (List.sort_uniq compare
        (List.map
           (fun ((e : Cr_experiments.Registry.entry), _, _) -> e.name)
@@ -312,6 +346,73 @@ let test_closure_seeded ((e : Cr_experiments.Registry.entry), n, seeds) () =
            jobs)
         true
         (agrees_with_ref reference (fresh_with_jobs jobs (fun () -> sparse p))))
+    all_jobs
+
+(* ---- initial- and root-seeded sparse compiles = the sparse reference ---- *)
+
+(* Every registry program without closure seeds at N = 2..4, discovered
+   from its initial states: the reference seeds from the ascending ranks
+   of the states its initial predicate accepts, swept over Sigma. *)
+let initial_cases =
+  List.concat_map
+    (fun (e : Cr_experiments.Registry.entry) ->
+      List.filter_map
+        (fun n ->
+          if Program.closure_seeds (e.program n) = None then Some (e, n)
+          else None)
+        [ 2; 3; 4 ])
+    Cr_experiments.Registry.entries
+
+let test_initial_seeded ((e : Cr_experiments.Registry.entry), n) () =
+  let p = e.program n in
+  let seeds = ref [] in
+  Layout.iter_states (Program.layout p) (fun r s ->
+      if Program.initial p s then seeds := r :: !seeds);
+  let reference =
+    Compile_ref.compile_sparse ~seeds:(Array.of_list (List.rev !seeds)) p
+  in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s n=%d jobs=%d: initial-seeded = reference" e.name n
+           jobs)
+        true
+        (agrees_with_ref reference
+           (fresh_with_jobs jobs (fun () -> with_initials_forced (sparse p)))))
+    all_jobs
+
+(* Every registry spec at N = 2..4 discovered from the α-images of its
+   system's sparse compile, the roots [Registry.refining] seeds it
+   from. *)
+let roots_cases =
+  List.concat_map
+    (fun (e : Cr_experiments.Registry.entry) ->
+      List.map (fun n -> (e, n)) [ 2; 3; 4 ])
+    Cr_experiments.Registry.entries
+
+let test_roots_seeded ((e : Cr_experiments.Registry.entry), n) () =
+  let spec = e.spec n in
+  let layout = Program.layout spec in
+  let images = ref [] in
+  E.iter_states
+    (Memo.bypass (fun () -> sparse (e.program n)))
+    (fun _ s ->
+      images :=
+        Layout.rank layout (Cr_semantics.Abstraction.apply (e.alpha n) s)
+        :: !images);
+  let roots = Array.of_list (List.sort_uniq compare !images) in
+  let reference = Compile_ref.compile_sparse ~seeds:roots spec in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s n=%d jobs=%d: root-seeded spec = reference" e.name
+           n jobs)
+        true
+        (agrees_with_ref reference
+           (fresh_with_jobs jobs (fun () ->
+                with_initials_forced
+                  (Program.to_explicit ~roots ~space:Cr_semantics.Space.Sparse
+                     spec)))))
     all_jobs
 
 (* Variants whose step relation is not the one the closure was taken
@@ -724,7 +825,8 @@ let () =
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_cache_never_aliases ] );
       ( "reference",
-        List.map QCheck_alcotest.to_alcotest [ prop_streamed_eq_reference ]
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_streamed_eq_reference; prop_sparse_eq_reference ]
         @ Alcotest.test_case "escaping effect: same Unknown_state" `Quick
             test_escape_message
           :: List.map
@@ -744,7 +846,19 @@ let () =
                Alcotest.test_case
                  (Printf.sprintf "closure-seeded %s n=%d" e.name n)
                  `Quick (test_closure_seeded c))
-             closure_cases );
+             closure_cases
+        @ List.map
+            (fun (((e : Cr_experiments.Registry.entry), n) as c) ->
+              Alcotest.test_case
+                (Printf.sprintf "initial-seeded %s n=%d" e.name n)
+                `Quick (test_initial_seeded c))
+            initial_cases
+        @ List.map
+            (fun (((e : Cr_experiments.Registry.entry), n) as c) ->
+              Alcotest.test_case
+                (Printf.sprintf "root-seeded spec of %s n=%d" e.name n)
+                `Quick (test_roots_seeded c))
+            roots_cases );
       ( "overflow",
         [
           Alcotest.test_case "probe samples a 2^60-state space" `Quick

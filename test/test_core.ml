@@ -361,6 +361,111 @@ let test_matches_reference ((e : Cr_experiments.Registry.entry), n) () =
   if not (stab ()).Cr_core.Stabilize.holds then
     agree "weakly fair" ~fair:(Cr_sim.Glue.fair_tables (e.program n) c) ()
 
+(* ---- the bounded failure collector against the list-building route
+   (test/refine_ref.ml): identical reports — verdict, stats, shown
+   failures, total and printed line — for the four relations on every
+   registry entry at N = 2..4 (rw-dijkstra3, whose ~10^4 failures wrap
+   the collector's ring, also at N = 5..6), plain and weakly fair. *)
+let refine_cases =
+  List.concat_map
+    (fun (e : Cr_experiments.Registry.entry) ->
+      List.map
+        (fun n -> (e, n))
+        (if e.name = "rw-dijkstra3" then [ 2; 3; 4; 5; 6 ] else [ 2; 3; 4 ]))
+    Cr_experiments.Registry.entries
+
+let test_refine_reference ((e : Cr_experiments.Registry.entry), n) () =
+  let module R = Cr_experiments.Registry in
+  let c = R.init_explicit e n in
+  let r = R.refining ~alpha:(e.alpha n) c (e.spec n) in
+  let a = r.R.abstract in
+  let alpha = Cr_semantics.Abstraction.tabulate ~partial:true (e.alpha n) c a in
+  let fair = Cr_sim.Glue.fair_tables (e.program n) c in
+  let got =
+    Cr_kernel.Memo.bypass (fun () ->
+        R.relations r
+        @ [
+            ("convergence fair", r.R.convergence ~fair ());
+            ("ee fair", r.R.ee ~fair ());
+          ])
+  in
+  let want =
+    Refine_ref.relations ~alpha ~c ~a ()
+    @ [
+        ( "convergence fair",
+          Refine_ref.convergence_refinement ~alpha ~fair ~c ~a () );
+        ("ee fair", Refine_ref.everywhere_eventually_refinement ~alpha ~fair ~c ~a ());
+      ]
+  in
+  List.iter2
+    (fun (label, got) (_, want) ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "%s: no field differs" label)
+        None (Refine_ref.mismatch got want))
+    got want
+
+(* Initial and terminal failures past the bound: with fewer than ten
+   edge failures the report fills up with the leading initial, then the
+   leading terminal failures, in ascending state order.  A = 0 <-> 1
+   with I_A = {0}; C has 30 edgeless (so terminal) states whose images
+   are non-terminal, plus a few stutter edges that no A-transition
+   matches. *)
+let test_refine_leading_failures () =
+  let a = mk "A" [ 0; 1 ] (function 0 -> [ 1 ] | _ -> [ 0 ]) (fun s -> s = 0) in
+  let case ~initial ~edges ~image =
+    let c =
+      mk "C" (List.init 30 Fun.id)
+        (fun i -> List.filter_map (fun (x, y) -> if x = i then Some y else None) edges)
+        initial
+    in
+    let alpha = Array.init 30 (fun i -> Explicit.find a (image i)) in
+    List.iter2
+      (fun (label, got) (_, want) ->
+        Alcotest.(check (option string))
+          (label ^ ": no field differs") None (Refine_ref.mismatch got want))
+      (Cr_kernel.Memo.bypass (fun () ->
+           let open Cr_core.Refine in
+           [
+             ("init", init_refinement ~alpha ~c ~a ());
+             ("everywhere", everywhere_refinement ~alpha ~c ~a ());
+             ("convergence", convergence_refinement ~alpha ~c ~a ());
+             ("ee", everywhere_eventually_refinement ~alpha ~c ~a ());
+           ]))
+      (Refine_ref.relations ~alpha ~c ~a ())
+  in
+  (* 30 initial and 30 terminal failures, no edge *)
+  case ~initial:(fun _ -> true) ~edges:[] ~image:(fun _ -> 1);
+  (* 3 initial failures, then 27 terminal ones *)
+  case ~initial:(fun i -> i < 3) ~edges:[] ~image:(fun _ -> 1);
+  (* 4 stutter edges among the 26 initial failures and the terminals *)
+  case
+    ~initial:(fun i -> i >= 4)
+    ~edges:[ (0, 1); (1, 2); (5, 6); (7, 8) ]
+    ~image:(fun _ -> 1)
+
+(* A failing edge allocates nothing: at N = 6 each of rw-dijkstra3's
+   plain relations fails on 17,040 edges, and a whole uncached check
+   allocates fewer minor words than that (the list-building route
+   allocated about ten words per failure). *)
+let test_failures_allocate_nothing () =
+  let module R = Cr_experiments.Registry in
+  let e = Option.get (R.find "rw-dijkstra3") in
+  let c = R.init_explicit e 6 in
+  let r = R.refining ~alpha:(e.alpha 6) c (e.spec 6) in
+  (* the lazily swept initial masks are the compile's, not the check's *)
+  ignore (Explicit.initial_mask c);
+  ignore (Explicit.initial_mask r.R.abstract);
+  List.iter
+    (fun (label, check_relation) ->
+      let before = Gc.minor_words () in
+      let report = Cr_kernel.Memo.bypass check_relation in
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check int)
+        (label ^ ": failures") 17_040 report.Cr_core.Refine.total_failures;
+      if words >= 17_040. then
+        Alcotest.failf "%s: %.0f minor words for 17040 failures" label words)
+    [ ("init", r.R.init); ("everywhere", r.R.everywhere) ]
+
 let () =
   Alcotest.run "core"
     [
@@ -406,4 +511,16 @@ let () =
               `Quick
               (test_matches_reference case))
           reference_cases );
+      ( "refine-reference",
+        Alcotest.test_case "failing edges allocate nothing" `Quick
+          test_failures_allocate_nothing
+        :: Alcotest.test_case "leading initial and terminal failures" `Quick
+             test_refine_leading_failures
+        :: List.map
+             (fun (((e : Cr_experiments.Registry.entry), n) as case) ->
+               Alcotest.test_case
+                 (Printf.sprintf "registry %s n=%d" e.name n)
+                 `Quick
+                 (test_refine_reference case))
+             refine_cases );
     ]

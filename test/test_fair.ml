@@ -75,13 +75,18 @@ let test_tables_of () =
       ~is_initial:(fun v -> v = 10)
       ~succ_lists:[| [ 1 ]; [ 2 ]; [] |]
   in
-  let fire1 v = if v = 10 then Some 20 else None in
-  let fire2 v = if v = 20 then Some 30 else if v = 30 then Some 40 else None in
-  let t = Cr_core.Fair.tables_of e [ fire1; fire2 ] in
+  let fire1 = ((fun v -> v = 10), fun _ -> 20) in
+  let fire2 = ((fun v -> v >= 20), fun v -> v + 10) in
+  (* enabled everywhere, but a no-op at 20 and at 30 *)
+  let noop = ((fun _ -> true), fun v -> if v = 10 then 30 else v) in
+  let t = Cr_core.Fair.tables_of e [ fire1; fire2; noop ] in
   check "fire1 at 0" true (t.(0).(0) = 1);
   check "fire1 disabled at 1" true (t.(0).(1) = -1);
   check "fire2 at 1" true (t.(1).(1) = 2);
-  check "fire2 leaving the system counts as disabled" true (t.(1).(2) = -1)
+  check "fire2 leaving the system counts as disabled" true (t.(1).(2) = -1);
+  check "noop fires at 0" true (t.(2).(0) = 2);
+  check "a no-op firing counts as disabled" true
+    (t.(2).(1) = -1 && t.(2).(2) = -1)
 
 (* property: fair divergence implies plain (unfair) divergence — a
    weakly-fair infinite run is in particular an infinite run *)

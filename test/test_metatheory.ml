@@ -317,6 +317,103 @@ let prop_stabilize_reference =
       let alpha = Array.init n (fun i -> Explicit.find qa q.(i)) in
       same_as_reference ~c ~a () && same_as_reference ~alpha ~c:qc ~a:qa ())
 
+(* The library's bounded failure collector against the list-building
+   route (test/refine_ref.ml): identical reports — verdict, stats, shown
+   failures, total and printed line — for the four relations on random
+   systems: sub-systems, systems through random quotient maps, and
+   unrelated pairs with their own initial states, plain and weakly fair
+   (action tables drawn from C's own edges). *)
+let fair_tables c =
+  Array.init 2 (fun k ->
+      Array.init (Explicit.num_states c) (fun s ->
+          let d = Explicit.out_degree c s in
+          if d = 0 || (s + k) mod 3 = 0 then -1
+          else Explicit.successor c s ((s + k) mod d)))
+
+let refine_reports ?alpha ~c ~a () =
+  let fair = fair_tables c in
+  let open Cr_core.Refine in
+  let got =
+    Cr_kernel.Memo.bypass (fun () ->
+        [
+          init_refinement ?alpha ~c ~a ();
+          everywhere_refinement ?alpha ~c ~a ();
+          convergence_refinement ?alpha ~c ~a ();
+          everywhere_eventually_refinement ?alpha ~c ~a ();
+          convergence_refinement ?alpha ~fair ~c ~a ();
+          everywhere_eventually_refinement ?alpha ~fair ~c ~a ();
+        ])
+  in
+  let want =
+    List.map snd (Refine_ref.relations ?alpha ~c ~a ())
+    @ [
+        Refine_ref.convergence_refinement ?alpha ~fair ~c ~a ();
+        Refine_ref.everywhere_eventually_refinement ?alpha ~fair ~c ~a ();
+      ]
+  in
+  List.combine got want
+
+let gen_refine_case =
+  QCheck2.Gen.(
+    let* pair = gen_pair in
+    let* q = gen_quotient in
+    let* unrelated_c = gen_raw in
+    let* unrelated_a = gen_raw in
+    return (pair, q, (unrelated_c, rescale ~onto:unrelated_c unrelated_a)))
+
+let refine_case_reports ((craw, araw), (m, n, q, a_edges, c_edges, i0), (uc, ua))
+    =
+  let qa = explicit_of { n = m; edges = a_edges; inits = [ i0 ] } "A" in
+  let qc = explicit_of { n; edges = c_edges; inits = [ 0; n - 1 ] } "C" in
+  let alpha = Array.init n (fun i -> Explicit.find qa q.(i)) in
+  refine_reports ~c:(explicit_of craw "C") ~a:(explicit_of araw "A") ()
+  @ refine_reports ~alpha ~c:qc ~a:qa ()
+  @ refine_reports
+      ~c:(explicit_of uc "C")
+      ~a:(explicit_of { ua with inits = List.map (fun i -> (i + 1) mod ua.n) ua.inits } "A")
+      ()
+
+let prop_refine_reference =
+  QCheck2.Test.make ~name:"refinement report = list-building route"
+    ~count:300 gen_refine_case (fun case ->
+      List.for_all
+        (fun (got, want) -> Refine_ref.mismatch got want = None)
+        (refine_case_reports case))
+
+(* The random systems above exercise every failure kind: on a fixed
+   sample, the reference reports show each of them, and the collector
+   agrees with it on every case. *)
+let test_refine_reference_kinds () =
+  let open Cr_core.Refine in
+  let kind = function
+    | Initial_not_initial _ -> "initial"
+    | Init_edge_not_exact _ -> "init edge"
+    | Edge_unmatched _ -> "unmatched"
+    | Compression_on_cycle _ -> "compression on cycle"
+    | Stutter_cycle _ -> "stutter cycle"
+    | Terminal_not_terminal _ -> "terminal"
+    | Non_exact_on_cycle _ -> "non-exact on cycle"
+  in
+  let seen = Hashtbl.create 8 in
+  List.iter
+    (fun case ->
+      List.iter
+        (fun (got, want) ->
+          (match Refine_ref.mismatch got want with
+          | None -> ()
+          | Some field -> Alcotest.failf "%s differs from the reference" field);
+          List.iter (fun f -> Hashtbl.replace seen (kind f) ()) want.failures)
+        (refine_case_reports case))
+    (QCheck2.Gen.generate ~rand:(Random.State.make [| 23 |]) ~n:300
+       gen_refine_case);
+  Alcotest.(check (list string))
+    "every failure kind shown"
+    [
+      "compression on cycle"; "init edge"; "initial"; "non-exact on cycle";
+      "stutter cycle"; "terminal"; "unmatched";
+    ]
+    (List.sort compare (List.of_seq (Hashtbl.to_seq_keys seen)))
+
 let cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -332,6 +429,16 @@ let cases =
       prop_quotient_theorem1;
       prop_quotient_strength;
       prop_stabilize_reference;
+      prop_refine_reference;
     ]
 
-let () = Alcotest.run "metatheory" [ ("properties", cases) ]
+let () =
+  Alcotest.run "metatheory"
+    [
+      ("properties", cases);
+      ( "refine-reference",
+        [
+          Alcotest.test_case "every failure kind, fixed sample" `Quick
+            test_refine_reference_kinds;
+        ] );
+    ]

@@ -319,6 +319,38 @@ let test_render () =
   let u = Cr_tokenring.Utr.state_of_tokens 2 [ 1 ] in
   Alcotest.(check string) "utr line" "[0] [1●] [2]" (Cr_tokenring.Render.utr_line u)
 
+(* The specs name their legitimate states as the orbit of one
+   single-token state: that closure is exactly the invariant's states,
+   swept over all of Sigma, for both rings at N = 1..8. *)
+let test_spec_closures () =
+  let module P = Cr_guarded.Program in
+  let same_as_invariant label p invariant =
+    check (label ^ ": closure-seeded") true (P.closure_seeds p <> None);
+    let members = ref 0 in
+    Cr_guarded.Layout.iter_states (P.layout p) (fun _ s ->
+        let initial = P.initial p s in
+        if initial then incr members;
+        if initial <> invariant s then
+          Alcotest.failf "%s: closure and invariant differ at %s" label
+            (Fmt.str "%a" (Cr_guarded.Layout.pp_state (P.layout p)) s));
+    !members
+  in
+  List.iter
+    (fun n ->
+      check_int
+        (Printf.sprintf "BTR(%d): 2N single-token states" n)
+        (2 * n)
+        (same_as_invariant
+           (Printf.sprintf "BTR(%d)" n)
+           (Cr_tokenring.Btr.program n) (Cr_tokenring.Btr.invariant n));
+      check_int
+        (Printf.sprintf "UTR(%d): N+1 single-token states" n)
+        (n + 1)
+        (same_as_invariant
+           (Printf.sprintf "UTR(%d)" n)
+           (Cr_tokenring.Utr.program n) Cr_tokenring.Utr.invariant))
+    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+
 let () =
   Alcotest.run "tokenring"
     [
@@ -327,6 +359,8 @@ let () =
           Alcotest.test_case "token states and invariants" `Quick test_btr_basics;
           Alcotest.test_case "I4 direction alternation" `Quick
             test_i4_direction_alternation;
+          Alcotest.test_case "spec closures are the invariants" `Quick
+            test_spec_closures;
         ] );
       ( "theorem6",
         [ Alcotest.test_case "E4 wrapped BTR" `Quick test_theorem6 ] );
