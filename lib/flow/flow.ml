@@ -170,14 +170,17 @@ let analyze ?(exact_budget = Lint.default_exact_budget) (p : Program.t) : t =
       Cr_obs.Obs.span "lint.flow.init_seed" @@ fun () ->
       let sigma = Array.init nv (fun i -> Dom.bottom (Layout.dom layout i)) in
       let any = ref false in
-      let initial = Program.initial p in
-      Layout.iter_states layout (fun _ s ->
-          if initial s then begin
-            any := true;
-            for i = 0 to nv - 1 do
-              sigma.(i) <- Dom.add sigma.(i) s.(i)
-            done
-          end);
+      let add s =
+        any := true;
+        for i = 0 to nv - 1 do
+          sigma.(i) <- Dom.add sigma.(i) s.(i)
+        done
+      in
+      (match Program.closure_states p with
+      | Some states -> List.iter add states
+      | None ->
+          let initial = Program.initial p in
+          Layout.iter_states layout (fun _ s -> if initial s then add s));
       if !any then Some sigma else None
     in
     (* lfp of σ0 ⊔ post by chaotic iteration (the lattice is finite and

@@ -225,6 +225,23 @@ let closure_seeds t =
   | Some c when c.over == t.actions -> Some c.seeds
   | _ -> None
 
+(* A closure program's initial states without a predicate sweep over
+   Sigma: the closure's valid states (it may also hold domain-invalid
+   successors, which no sweep meets), in ascending rank. *)
+let closure_states t =
+  match t.closure with
+  | None -> None
+  | Some c ->
+      let layout = t.layout in
+      let ranked =
+        Layout.Tbl.fold
+          (fun s () acc ->
+            let r = Layout.checked_rank layout s in
+            if r < 0 then acc else (r, s) :: acc)
+          (c.states ()) []
+      in
+      Some (List.map snd (List.sort (fun (a, _) (b, _) -> Int.compare a b) ranked))
+
 (* Sorted, deduplicated dense ranks of initial states. *)
 let ranks_of t states =
   let layout = t.layout in

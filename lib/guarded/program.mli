@@ -155,4 +155,10 @@ val closure_seeds : t -> state list option
     since.  A sparse {!to_explicit} without [priority_of] then
     discovers the closure from [seeds] alone. *)
 
+val closure_states : t -> state list option
+(** [Some states] when the initial states are a {!with_initial_closure}
+    closure, {!box}ed or not: its domain-valid states in ascending rank,
+    the set (and order) a predicate sweep over Sigma finds, enumerated
+    from the closure instead.  [None] for any other initial predicate. *)
+
 val pp : Format.formatter -> t -> unit

@@ -447,13 +447,19 @@ let run ?(allow = []) ?(exact_budget = default_exact_budget) ?infos
     let reachable =
       lazy
         (Cr_obs.Obs.span "lint.reachable" @@ fun () ->
-         (* one allocation-free sweep; only the initial states are
-            copied out of the scratch state *)
-         let seeds = ref [] in
-         let initial = Program.initial p in
-         Layout.iter_states layout (fun _ s ->
-             if initial s then seeds := Array.copy s :: !seeds);
-         Program.reachable_from p (List.rev !seeds))
+         let seeds =
+           match Program.closure_states p with
+           | Some states -> states
+           | None ->
+               (* one allocation-free sweep; only the initial states are
+                  copied out of the scratch state *)
+               let seeds = ref [] in
+               let initial = Program.initial p in
+               Layout.iter_states layout (fun _ s ->
+                   if initial s then seeds := Array.copy s :: !seeds);
+               List.rev !seeds
+         in
+         Program.reachable_from p seeds)
     in
     let findings =
       List.concat

@@ -8,14 +8,19 @@
 
     Cost per action: one allocation-free {!Layout.iter_states} sweep
     that calls the guard once per state and the effect once per enabled
-    state, keeping one byte (the guard bit) and one word (the result's
-    {!Layout.checked_rank}) per state; results outside the layout keep
-    their arrays in a side table.  The differencing then compares
-    integers only: for a slot outside the write set, two enabled states
-    that differ only there write the same values iff their results'
-    ranks differ by exactly as much as their own ranks do (every other
-    non-written slot passes through, and rank is a bijection on valid
-    states).  Write slots and copy sources compare rank digits. *)
+    state, keeping one byte (the guard bit) and four (the result's
+    {!Layout.checked_rank}) per state and collecting the exact write set
+    W; results outside the layout keep their arrays in a side table.
+    Nothing after the sweep evaluates the action.  Each enabled
+    full-length result gets a code for its W-tuple, written over its
+    rank: one byte while at most 255 tuples occur, wider only when more
+    do.  Outside W every slot passes through, so two results on a line
+    of a slot outside W write the same values iff their codes are equal.
+    Guard reads, effect reads and copy sources are then compares of
+    contiguous byte runs, eight bytes at a time; only a slot in W keeps
+    a per-pair pass-through test.  When every enabled result has full
+    length, a slot the action does not read costs one scan of the
+    codes. *)
 
 open Cr_guarded
 
@@ -34,6 +39,9 @@ type info = {
 }
 
 val of_action : Layout.t -> Action.t -> info
+(** Raises [Invalid_argument] on a layout of more than [2^31 - 1]
+    states, which no rank lane holds (lint and flow stop far below, at
+    their exact budget). *)
 
 val of_program : Program.t -> info list
 

@@ -37,15 +37,16 @@ let m1 v = (v + 2) mod 3 (* ⊖ 1 *)
 let has_up n s j = j >= 1 && j <= n && c s (j - 1) = p1 (c s j)
 let has_dn n s j = j >= 0 && j <= n - 1 && c s (j + 1) = p1 (c s j)
 
+(* The token slots written directly: no token list, one array. *)
 let to_tokens n (s : state) : Btr.state =
-  let ts = ref [] in
+  let t = Array.make (2 * (n + 1)) 0 in
   for j = 1 to n do
-    if has_up n s j then ts := Btr.Up j :: !ts
+    if has_up n s j then t.(Btr.up_slot n j) <- 1
   done;
   for j = 0 to n - 1 do
-    if has_dn n s j then ts := Btr.Down j :: !ts
+    if has_dn n s j then t.(Btr.dn_slot n j) <- 1
   done;
-  Btr.state_of_tokens n !ts
+  t
 
 let alpha n =
   Cr_semantics.Abstraction.make ~name:(Printf.sprintf "alpha3(%d)" n)

@@ -25,9 +25,13 @@ let c (s : state) j = s.(j)
 let has_token n (s : state) j =
   if j = 0 then c s 0 = c s n else c s j <> c s (j - 1)
 
+(* The token slots written directly: no token list, one array. *)
 let to_tokens n (s : state) : Utr.state =
-  Utr.state_of_tokens n
-    (List.filter (has_token n s) (List.init (n + 1) (fun j -> j)))
+  let t = Array.make (n + 1) 0 in
+  for j = 0 to n do
+    if has_token n s j then t.(j) <- 1
+  done;
+  t
 
 let alpha ~n ~k =
   Cr_semantics.Abstraction.make

@@ -1,10 +1,10 @@
 (* The read/write-set inference that Cr_lint.Rwsets.of_action replaced:
-   the independent reference its rank-cached kernel is property-tested
-   against.  Same finite differencing, written directly over states: a
-   fresh [Layout.unrank] array per state, one cached effect array per
-   enabled state, and slot-by-slot comparison of those arrays along each
-   slot line.  Slower and allocation-heavy, which the small layouts of
-   the tests can afford. *)
+   the independent reference its kernel (byte codes compared as byte
+   runs) is property-tested against.  Same finite differencing, written
+   directly over states: a fresh [Layout.unrank] array per state, one
+   cached effect array per enabled state, and slot-by-slot comparison of
+   those arrays along each slot line.  Slower and allocation-heavy,
+   which the small layouts of the tests can afford. *)
 
 open Cr_guarded
 module Rwsets = Cr_lint.Rwsets

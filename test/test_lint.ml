@@ -203,6 +203,199 @@ let prop_rwsets_reference =
       Rwsets_ref.fields (Rwsets.of_action layout a)
       = Rwsets_ref.fields (Rwsets_ref.of_action layout a))
 
+(* Larger table-driven actions: five slots, one of domain 9..12 and the
+   rest of domains 4..7 (2,304 to 28,812 states; slot weights up to
+   4,116; a wide domain over a small weight makes runs shorter than a
+   word), two to four written slots.
+   Each written slot is a random table over the projection of the state
+   on a dependency set (so some slots go unread and their scans run to
+   the end) with values in its domain, two past it, or in 0..31;
+   [shape] adds wrong-length and no-op results.  A [wide] action depends
+   on every slot with values in 0..31 and a dense guard, so more than
+   255 distinct output tuples occur and the codes are two bytes wide.
+   The tables come from [seed], so a counterexample prints small. *)
+type big_spec = {
+  bdoms : int list;
+  nwrites : int;
+  wide : bool;
+  spread : int;  (* values: 0 in the domain, 1 two past it, 2 0..31 *)
+  density : int;  (* percent of states the guard admits *)
+  odd : int;  (* percent of results of the wrong length or no-ops *)
+  seed : int;
+}
+
+let print_big b =
+  Printf.sprintf
+    "bdoms=[%s] nwrites=%d wide=%b spread=%d density=%d odd=%d seed=%d"
+    (String.concat ";" (List.map string_of_int b.bdoms))
+    b.nwrites b.wide b.spread b.density b.odd b.seed
+
+let gen_big_spec =
+  QCheck2.Gen.(
+    let* bdoms = list_repeat 5 (int_range 4 7) in
+    let* at = int_bound 4 in
+    let* wide_dom = int_range 9 12 in
+    let bdoms = List.mapi (fun i d -> if i = at then wide_dom else d) bdoms in
+    let* nwrites = int_range 2 4 in
+    let* wide = bool in
+    let* spread = int_bound 2 in
+    let* density = oneofl [ 50; 90; 100 ] in
+    let* odd = oneofl [ 0; 3; 10 ] in
+    let* seed = int_bound 1_000_000 in
+    return { bdoms; nwrites; wide; spread; density; odd; seed })
+
+let act_of_big b =
+  let rnd = Random.State.make [| b.seed |] in
+  let layout =
+    Layout.make (List.mapi (fun i d -> (Printf.sprintf "v%d" i, d)) b.bdoms)
+  in
+  let nv = Layout.num_vars layout and ns = Layout.num_states layout in
+  let rank = Layout.rank layout in
+  let slots = Array.init nv Fun.id in
+  for i = nv - 1 downto 1 do
+    let j = Random.State.int rnd (i + 1) in
+    let t = slots.(i) in
+    slots.(i) <- slots.(j);
+    slots.(j) <- t
+  done;
+  let written = Array.to_list (Array.sub slots 0 b.nwrites) in
+  let spread = if b.wide then 2 else b.spread in
+  let table w =
+    let deps =
+      List.filter
+        (fun _ -> b.wide || Random.State.bool rnd)
+        (List.init nv Fun.id)
+    in
+    let size = List.fold_left (fun acc j -> acc * Layout.dom layout j) 1 deps in
+    let range =
+      match spread with
+      | 0 -> Layout.dom layout w
+      | 1 -> Layout.dom layout w + 2
+      | _ -> 32
+    in
+    let t = Array.init size (fun _ -> Random.State.int rnd range) in
+    fun s ->
+      t.(List.fold_left (fun acc j -> (acc * Layout.dom layout j) + s.(j)) 0 deps)
+  in
+  let assigns = List.map (fun w -> (w, table w)) written in
+  (* the guard, too, reads a random subset of the slots, so some slots
+     are guard reads only and others are not read at all *)
+  let density = if b.wide then 90 else b.density in
+  let gdeps =
+    List.filter (fun _ -> b.wide || Random.State.bool rnd) (List.init nv Fun.id)
+  in
+  let gsize = List.fold_left (fun acc j -> acc * Layout.dom layout j) 1 gdeps in
+  let gtab = Array.init gsize (fun _ -> Random.State.int rnd 100 < density) in
+  let guard s =
+    gtab.(List.fold_left (fun acc j -> (acc * Layout.dom layout j) + s.(j)) 0 gdeps)
+  in
+  let shape =
+    Array.init ns (fun _ ->
+        if Random.State.int rnd 100 >= b.odd then 0
+        else 1 + Random.State.int rnd 3)
+  in
+  let effect s =
+    let s' = Array.copy s in
+    List.iter (fun (w, f) -> s'.(w) <- f s) assigns;
+    match shape.(rank s) with
+    | 1 -> Array.sub s' 0 (nv - 1)
+    | 2 -> Array.append s' [| 0 |]
+    | 3 -> Array.copy s
+    | _ -> s'
+  in
+  ( layout,
+    act ~label:"big" ~proc:0 ~writes:written guard effect )
+
+(* Distinct written tuples over the enabled full-length results. *)
+let distinct_tuples layout (a : Action.t) (info : Rwsets.info) =
+  let seen = Hashtbl.create 64 in
+  Layout.iter_states layout (fun _ s ->
+      if a.Action.guard s then
+        let s' = a.Action.effect s in
+        if Array.length s' = Layout.num_vars layout then
+          Hashtbl.replace seen (List.map (fun w -> s'.(w)) info.Rwsets.writes) ());
+  Hashtbl.length seen
+
+let prop_rwsets_reference_big =
+  QCheck2.Test.make ~count:60
+    ~name:"Rwsets.of_action = reference on large table-driven actions"
+    ~print:print_big gen_big_spec (fun b ->
+      let layout, a = act_of_big b in
+      let info = Rwsets.of_action layout a in
+      ((not b.wide) || distinct_tuples layout a info > 255)
+      && Rwsets_ref.fields info = Rwsets_ref.fields (Rwsets_ref.of_action layout a))
+
+(* Codes four bytes wide: 5 slots, 80,000 states, and an action writing
+   two slots out of their domains with a distinct pair per state (more
+   than 65,535 tuples); and two bytes wide over valid tuples alone:
+   three written slots of domain 7, so 343 tuples occur.  There x is
+   reset where p = 0 and passes through elsewhere: written, but not
+   read, though its lines carry different codes, which only the
+   per-pair pass-through test tells apart. *)
+let test_rwsets_wide_codes () =
+  let layout =
+    Layout.make [ ("a", 10); ("b", 10); ("c", 10); ("d", 10); ("e", 8) ]
+  in
+  let rank = Layout.rank layout in
+  let a =
+    act ~label:"spread" ~proc:0 ~writes:[ 3; 4 ]
+      (fun s -> s.(0) <> 9)
+      (fun s ->
+        let r = rank s in
+        Action.set s [ (3, r / 100); (4, r mod 100) ])
+  in
+  let info = Rwsets.of_action layout a in
+  check "more than 65,535 tuples" true (distinct_tuples layout a info > 65_535);
+  check "= reference (4-byte codes)" true
+    (Rwsets_ref.fields info = Rwsets_ref.fields (Rwsets_ref.of_action layout a));
+  let layout7 =
+    Layout.make [ ("p", 7); ("q", 7); ("r", 7); ("x", 7); ("y", 7); ("z", 7) ]
+  in
+  let b =
+    act ~label:"shuffle" ~proc:0 ~writes:[ 3; 4; 5 ]
+      (fun s -> s.(5) <> 6)
+      (fun s ->
+        Action.set s [ (3, if s.(0) = 0 then 0 else s.(3)); (4, s.(1)); (5, s.(2)) ])
+  in
+  let info = Rwsets.of_action layout7 b in
+  check "343 valid tuples" true (distinct_tuples layout7 b info = 343);
+  check "x written, not read" true
+    (List.mem 3 info.Rwsets.writes && not (List.mem 3 info.Rwsets.effect_reads));
+  check "= reference (2-byte codes)" true
+    (Rwsets_ref.fields info
+    = Rwsets_ref.fields (Rwsets_ref.of_action layout7 b))
+
+(* Runs shorter than a word: slot b has weight 7 and domain 11.  [e]
+   reads b only in its guard, so b's lines are compared at every
+   distance, the farthest a 7-state run; [copy] copies b verbatim, so
+   each 7-state run of b = v must hold the code of v.  A word that
+   reached past such a run would meet the next block's codes or the
+   next value's. *)
+let test_rwsets_short_runs () =
+  let layout = Layout.make [ ("a", 7); ("b", 11); ("c", 4); ("d", 11) ] in
+  let e =
+    act ~label:"e" ~proc:0 ~writes:[ 3 ]
+      (fun s -> s.(1) <> 5)
+      (fun s -> Action.set s [ (3, s.(2)) ])
+  in
+  let copy =
+    act ~label:"copy" ~proc:0 ~writes:[ 3 ]
+      (fun s -> s.(0) <> 3)
+      (fun s -> Action.set s [ (3, s.(1)) ])
+  in
+  List.iter
+    (fun (a : Action.t) ->
+      let info = Rwsets.of_action layout a in
+      check (Action.label a ^ " = reference") true
+        (Rwsets_ref.fields info = Rwsets_ref.fields (Rwsets_ref.of_action layout a)))
+    [ e; copy ];
+  let info = Rwsets.of_action layout e in
+  check "e: b is read by the guard alone" true
+    (List.mem 1 info.Rwsets.guard_reads
+    && not (List.mem 1 info.Rwsets.effect_reads));
+  check "copy: b is its copy source" true
+    ((Rwsets.of_action layout copy).Rwsets.copy_sources = [ 1 ])
+
 let test_rwsets_reference_registry () =
   List.iter
     (fun (e : Registry.entry) ->
@@ -390,6 +583,68 @@ let test_registry_clean () =
         0 (Lint.errors r))
     Registry.entries
 
+(* A closure program (boxed or not) hands lint's exact reachable set
+   and flow's init seed its initial states straight from the closure:
+   the states, and their order, a predicate sweep over Sigma finds. *)
+let test_closure_states_sweep () =
+  let module Dom = Cr_flow.Dom in
+  let closures = ref [] in
+  List.iter
+    (fun (e : Registry.entry) ->
+      List.iter
+        (fun n ->
+          let p = e.Registry.program n in
+          match Program.closure_states p with
+          | None -> ()
+          | Some states ->
+              closures := e.Registry.name :: !closures;
+              let layout = Program.layout p in
+              let initial = Program.initial p in
+              let swept = ref [] in
+              Layout.iter_states layout (fun _ s ->
+                  if initial s then swept := Array.copy s :: !swept);
+              let swept = List.rev !swept in
+              let what = Printf.sprintf "%s n=%d" e.Registry.name n in
+              check (what ^ ": closure states = sweep") true (states = swept);
+              let fl = Cr_flow.Flow.analyze p in
+              if not fl.Cr_flow.Flow.degraded then begin
+                let nv = Layout.num_vars layout in
+                let seed =
+                  Array.init nv (fun i -> Dom.bottom (Layout.dom layout i))
+                in
+                List.iter
+                  (fun s ->
+                    Array.iteri (fun i v -> seed.(i) <- Dom.add seed.(i) v) s)
+                  swept;
+                check (what ^ ": flow init seed = sweep's") true
+                  (match fl.Cr_flow.Flow.init_seed with
+                  | None -> swept = []
+                  | Some sigma ->
+                      swept <> [] && Array.for_all2 Dom.equal sigma seed)
+              end)
+        [ 2; 3; 4 ])
+    Registry.entries;
+  List.iter
+    (fun name ->
+      check (name ^ " is a closure program") true (List.mem name !closures))
+    [ "dijkstra3"; "c2-wrapped"; "rw-dijkstra3" ];
+  (* a closure that leaves the domains: x steps 0, 1, 2, 3 (invalid), 0 *)
+  let layout = Layout.make [ ("x", 3) ] in
+  let p =
+    Program.make ~name:"leaky" ~layout
+      ~actions:
+        [
+          Action.make ~label:"step" ~proc:0 ~writes:[ 0 ]
+            ~guard:(fun _ -> true)
+            ~effect:(fun s -> [| (s.(0) + 1) mod 4 |])
+            ();
+        ]
+      ~initial:(fun _ -> false)
+    |> Program.with_initial_closure ~seeds:[ [| 0 |] ]
+  in
+  check "closure states skip the invalid state" true
+    (Program.closure_states p = Some [ [| 0 |]; [| 1 |]; [| 2 |] ])
+
 (* Past the exact budget both audits degrade to one B1 finding, also
    when the state count overflows an int (3^62 states for rw-dijkstra3
    at N = 20): no exception, no wrapped count. *)
@@ -515,6 +770,11 @@ let () =
             test_rwsets_exact;
           Alcotest.test_case "copy sources" `Quick test_rwsets_copy_sources;
           QCheck_alcotest.to_alcotest prop_rwsets_reference;
+          QCheck_alcotest.to_alcotest prop_rwsets_reference_big;
+          Alcotest.test_case "2- and 4-byte codes = reference" `Quick
+            test_rwsets_wide_codes;
+          Alcotest.test_case "runs shorter than a word = reference" `Quick
+            test_rwsets_short_runs;
           Alcotest.test_case "registry programs n=2,3 = reference" `Quick
             test_rwsets_reference_registry;
         ] );
@@ -538,6 +798,8 @@ let () =
             test_interference_refined_away;
           Alcotest.test_case "B1 past an overflowing state count" `Quick
             test_b1_overflow;
+          Alcotest.test_case "closure programs: initial states = sweep" `Quick
+            test_closure_states_sweep;
         ] );
       ( "synchronous order",
         [

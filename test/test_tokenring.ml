@@ -193,6 +193,30 @@ let test_paper_stutter_instance () =
   check "its firing is a no-op (τ step)" true
     (Cr_guarded.Action.fire mid_up1 s = None)
 
+(* The slot-writing token abstractions equal the list-building
+   references (test/tokens_ref.ml) on every state of the space. *)
+let test_tokens_reference () =
+  let module L = Cr_guarded.Layout in
+  let sweep what layout ours reference =
+    L.iter_states layout (fun k s ->
+        if ours s <> reference s then
+          Alcotest.failf "%s: to_tokens differs at rank %d" what k)
+  in
+  for n = 1 to 5 do
+    sweep
+      (Printf.sprintf "kstate n=%d" n)
+      (Cr_tokenring.Kstate.layout ~n ~k:(n + 1))
+      (Cr_tokenring.Kstate.to_tokens n)
+      (Tokens_ref.kstate_to_tokens n)
+  done;
+  for n = 1 to 7 do
+    sweep
+      (Printf.sprintf "dijkstra3 n=%d" n)
+      (Cr_tokenring.Btr3.layout n)
+      (Cr_tokenring.Btr3.to_tokens n)
+      (Tokens_ref.btr3_to_tokens n)
+  done
+
 (* Abstraction sanity: alpha4 and alpha3 are total; they are onto the
    reachable token states (though not onto the full 2^(2N) token space —
    states with co-located opposite tokens have no 4-state preimage). *)
@@ -389,7 +413,11 @@ let () =
       ( "k-state",
         [ Alcotest.test_case "E11 K-state family" `Quick test_kstate ] );
       ( "abstractions",
-        [ Alcotest.test_case "totality and onto-ness" `Quick test_abstractions ] );
+        [
+          Alcotest.test_case "totality and onto-ness" `Quick test_abstractions;
+          Alcotest.test_case "to_tokens = list-building reference" `Quick
+            test_tokens_reference;
+        ] );
       ("render", [ Alcotest.test_case "ascii lines" `Quick test_render ]);
       ( "mutex service",
         [ Alcotest.test_case "safety, liveness, I4" `Quick test_mutex_service ] );
