@@ -25,14 +25,15 @@ test -s "$lintjson" || { echo "ci: lint --json produced no output" >&2; exit 1; 
 dune exec bin/crcheck.exe -- validate json "$lintjson"
 
 # Abstract-interpretation gate: the flow audit must be error-clean over
-# the whole registry, its definite verdicts must agree with exact
-# enumeration at N = 3 (--check-exact), its --json artifact must be
-# well-formed, and the journal stream must carry the flow.report events.
+# the whole registry at N = 3, its --json artifact must be well-formed,
+# and the journal stream must carry the flow.report events.  (That its
+# definite verdicts agree with exact enumeration is test_flow's
+# "soundness" group, at N = 2 and 3.)
 flowjson="$work/flow.json"
 flowjournal="$work/flow.jsonl"
 : > "$flowjournal"
 CR_JOURNAL="$flowjournal" dune exec bin/crcheck.exe -- flow --all -n 3 \
-  --check-exact --json "$flowjson" > /dev/null
+  --json "$flowjson" > /dev/null
 test -s "$flowjson" || { echo "ci: flow --json produced no output" >&2; exit 1; }
 dune exec bin/crcheck.exe -- validate json "$flowjson"
 dune exec bin/crcheck.exe -- validate journal "$flowjournal" --expect flow.report

@@ -453,80 +453,7 @@ let lint_cmd =
 
 (* ---- flow ---- *)
 
-(* --check-exact: confirm the flow engine's verdicts against the exact
-   battery on the same read/write sets.  Dead-under-⊤ must coincide with
-   the exact full-space U1 set, F2-exact with D1, and every abstract
-   dead-from-init claim must be confirmed by the exact reachable
-   closure (the exact set may be larger — flow is allowed to be
-   inconclusive, never wrong). *)
-let flow_check_exact (row : Cr_experiments.Flow_exps.row) =
-  let fl = row.Cr_experiments.Flow_exps.flow in
-  if fl.Cr_flow.Flow.degraded then []
-  else begin
-    let infos =
-      List.map (fun f -> f.Cr_flow.Flow.info) fl.Cr_flow.Flow.facts
-    in
-    let exact =
-      Cr_lint.Lint.run
-        ~allow:row.Cr_experiments.Flow_exps.entry.Cr_experiments.Registry.lint_allow
-        ~infos fl.Cr_flow.Flow.program
-    in
-    let sys = row.Cr_experiments.Flow_exps.entry.Cr_experiments.Registry.name in
-    let labels key sev =
-      List.sort_uniq compare
-        (List.filter_map
-           (fun (f : Cr_lint.Lint.finding) ->
-             if f.Cr_lint.Lint.key = key && f.Cr_lint.Lint.severity = sev then
-               Some f.Cr_lint.Lint.action
-             else None)
-           exact.Cr_lint.Lint.findings)
-    in
-    let flow_labels pred =
-      List.sort_uniq compare
-        (List.filter_map
-           (fun (f : Cr_flow.Flow.fact) ->
-             if pred f then
-               Some (Cr_guarded.Action.label f.Cr_flow.Flow.info.Cr_lint.Rwsets.action)
-             else None)
-           fl.Cr_flow.Flow.facts)
-    in
-    let errs = ref [] in
-    let dead_top = flow_labels (fun f -> not f.Cr_flow.Flow.top_enabled) in
-    let u1_full = labels "U1" Cr_lint.Lint.Warning in
-    if dead_top <> u1_full then
-      errs :=
-        Printf.sprintf
-          "%s: flow dead-under-⊤ {%s} <> exact full-space U1 {%s}" sys
-          (String.concat "," dead_top)
-          (String.concat "," u1_full)
-        :: !errs;
-    let f2_exact =
-      flow_labels (fun f -> f.Cr_flow.Flow.info.Cr_lint.Rwsets.invalid_witness <> None)
-    in
-    let d1 = labels "D1" Cr_lint.Lint.Error in
-    if f2_exact <> d1 then
-      errs :=
-        Printf.sprintf "%s: flow F2-exact {%s} <> exact D1 {%s}" sys
-          (String.concat "," f2_exact)
-          (String.concat "," d1)
-        :: !errs;
-    let dead_init =
-      flow_labels (fun f -> f.Cr_flow.Flow.init_enabled = Some false)
-    in
-    let u1_init = labels "U1" Cr_lint.Lint.Info in
-    List.iter
-      (fun lbl ->
-        if not (List.mem lbl u1_init) && not (List.mem lbl u1_full) then
-          errs :=
-            Printf.sprintf
-              "%s: flow claims %s dead from init, exact closure disagrees" sys
-              lbl
-            :: !errs)
-      dead_init;
-    List.rev !errs
-  end
-
-let flow_run name all n json stats check_exact =
+let flow_run name all n json stats =
   let module F = Cr_experiments.Flow_exps in
   audit "flow" ~name ~all ~stats ~json
     ~audit_all:(fun () -> F.audit ~n ())
@@ -555,18 +482,9 @@ let flow_run name all n json stats check_exact =
       (fun acc (r : F.row) -> acc + List.length r.flow.Cr_flow.Flow.findings)
       0 rows
   in
-  let disagreements =
-    if check_exact then List.concat_map flow_check_exact rows else []
-  in
-  List.iter
-    (fun msg -> Format.eprintf "flow: exact disagreement: %s@." msg)
-    disagreements;
-  pf "flow: %d system(s), %d finding(s), %d error(s)%s@." (List.length rows)
-    findings errors
-    (if check_exact then
-       Printf.sprintf ", %d exact disagreement(s)" (List.length disagreements)
-     else "");
-  if errors > 0 || disagreements <> [] then 1 else 0
+  pf "flow: %d system(s), %d finding(s), %d error(s)@." (List.length rows)
+    findings errors;
+  if errors > 0 then 1 else 0
 
 let flow_cmd =
   let system_opt =
@@ -584,26 +502,17 @@ let flow_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE" ~doc:"Write the audit as JSON to FILE.")
   in
-  let check_exact_arg =
-    Arg.(
-      value & flag
-      & info [ "check-exact" ]
-          ~doc:
-            "Cross-check every flow verdict against the exact battery \
-             (intended for small N); exits nonzero on any disagreement.")
-  in
   Cmd.v
     (Cmd.info "flow"
        ~doc:
          "Abstract interpretation of the guarded-command programs: \
           per-slot domains, transfer functions localized by exact \
-          read/write sets, fixpoints from ⊤ and from the initial \
-          predicate, dead-guard/domain/constant-slot findings, and the \
-          convergence-stair layering of the slot dependency graph.  \
-          Exits nonzero on error-severity findings.")
-    Term.(
-      const flow_run $ system_opt $ all_arg $ n_arg $ json_arg $ stats_arg
-      $ check_exact_arg)
+          read/write sets, the fixpoint from the initial states, lint's \
+          dead-action and domain checks plus abstract domain and \
+          constant-slot findings, and the convergence-stair layering of \
+          the slot dependency graph.  Exits nonzero on error-severity \
+          findings.")
+    Term.(const flow_run $ system_opt $ all_arg $ n_arg $ json_arg $ stats_arg)
 
 (* ---- validate ---- *)
 

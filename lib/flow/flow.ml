@@ -28,8 +28,6 @@ let h_support = Cr_obs.Obs.histogram "lint.flow.support_combos"
 
 type fact = {
   info : Rwsets.info;
-  top_enabled : bool;
-  top_outputs : (int * Dom.t) list;
   init_enabled : bool option;
   init_invalid : Layout.state option;
 }
@@ -125,7 +123,7 @@ let eval ~budget layout (info : Rwsets.info) (sigma : Dom.t array) : transfer =
     end
   end
 
-(* ---- the two analyses ---- *)
+(* ---- the analysis ---- *)
 
 let state_str layout s = Fmt.str "%a" (Layout.pp_state layout) s
 
@@ -135,178 +133,137 @@ let analyze ?(exact_budget = Lint.default_exact_budget) (p : Program.t) : t =
   let layout = Program.layout p in
   let nv = Layout.num_vars layout in
   let ns = Layout.num_states layout in
-  let name = Program.name p in
-  let mk key severity provenance action message =
-    { Lint.key; severity; provenance; program = name; action; message }
-  in
-  if ns > exact_budget then begin
-    (* The localization substrate (exact Rwsets support) is itself a
-       full-space pass; past the budget the honest answer is "not
-       analyzed", not a blow-up. *)
-    Cr_obs.Obs.incr c_degraded;
-    let f =
-      mk "B1" Lint.Info Lint.Exact "-"
-        (Printf.sprintf
-           "state space (%s) exceeds the exact-analysis budget (%d); \
-            flow analysis skipped (Rwsets support inference is full-space)"
-           (Layout.states_string ns) exact_budget)
-    in
-    Cr_obs.Obs.incr c_findings;
-    { program = p; layout; num_states = ns; degraded = true; facts = [];
-      init_seed = None; init_state = None; init_rounds = 0;
-      init_sound = false; findings = [ f ] }
-  end
-  else begin
-    let infos = Rwsets.of_program p in
-    (* Fixpoint from ⊤: one transfer round — ⊤ is already the (trivial)
-       fixpoint, so its value is the per-action byproducts, which are
-       exact full-space facts by the support theorems. *)
-    let top_sigma = Array.init nv (fun i -> Dom.top (Layout.dom layout i)) in
-    let top_trs =
-      List.map (fun info -> eval ~budget:exact_budget layout info top_sigma) infos
-    in
-    (* σ0: abstraction of the initial predicate. *)
-    let init_seed =
-      Cr_obs.Obs.span "lint.flow.init_seed" @@ fun () ->
-      let sigma = Array.init nv (fun i -> Dom.bottom (Layout.dom layout i)) in
-      let any = ref false in
-      let add s =
-        any := true;
-        for i = 0 to nv - 1 do
-          sigma.(i) <- Dom.add sigma.(i) s.(i)
-        done
-      in
-      (match Program.closure_states p with
-      | Some states -> List.iter add states
-      | None ->
-          let initial = Program.initial p in
-          Layout.iter_states layout (fun _ s -> if initial s then add s));
-      if !any then Some sigma else None
-    in
-    (* lfp of σ0 ⊔ post by chaotic iteration (the lattice is finite and
-       every join only grows, so termination is immediate). *)
-    let init_state, init_rounds, init_sound, init_trs =
-      match init_seed with
-      | None -> (None, 0, false, None)
-      | Some seed ->
-          Cr_obs.Obs.span "lint.flow.fixpoint" @@ fun () ->
-          let sigma = Array.copy seed in
-          let rounds = ref 0 in
-          let sound = ref true in
-          let changed = ref true in
-          while !changed do
-            changed := false;
-            incr rounds;
+  match Lint.over_budget ~exact_budget p with
+  | Some b1 ->
+      (* The localization substrate (exact Rwsets support) is itself a
+         full-space pass; past the budget the honest answer is "not
+         analyzed", not a blow-up. *)
+      Cr_obs.Obs.incr c_degraded;
+      Cr_obs.Obs.incr c_findings;
+      { program = p; layout; num_states = ns; degraded = true; facts = [];
+        init_seed = None; init_state = None; init_rounds = 0;
+        init_sound = false; findings = [ b1 ] }
+  | None ->
+      let infos = Rwsets.of_program p in
+      (* σ0: abstraction of the initial states.  The full space needs no
+         analysis of its own: under ⊤ a transfer's enabledness and domain
+         violations are exactly Rwsets' [enabled_states] and
+         [invalid_witness]. *)
+      let init_seed =
+        Cr_obs.Obs.span "lint.flow.init_seed" @@ fun () ->
+        match Program.initial_states p with
+        | [] -> None
+        | states ->
+            let sigma =
+              Array.init nv (fun i -> Dom.bottom (Layout.dom layout i))
+            in
             List.iter
-              (fun info ->
-                let tr = eval ~budget:exact_budget layout info sigma in
-                if tr.t_truncated || tr.t_invalid <> None then sound := false;
-                List.iter
-                  (fun (w, dv) ->
-                    let j = Dom.join sigma.(w) dv in
-                    if not (Dom.equal j sigma.(w)) then begin
-                      sigma.(w) <- j;
-                      changed := true
-                    end)
-                  tr.t_outputs)
-              infos
-          done;
-          Cr_obs.Obs.add c_rounds !rounds;
-          (* Final per-action evaluation under the fixpoint. *)
-          let trs =
-            List.map (fun info -> eval ~budget:exact_budget layout info sigma) infos
-          in
-          List.iter
-            (fun tr ->
-              if tr.t_truncated || tr.t_invalid <> None then sound := false)
-            trs;
-          (Some sigma, !rounds, !sound, Some trs)
-    in
-    let facts =
-      List.map2
-        (fun info (ttr, itr) ->
-          {
-            info;
-            top_enabled = ttr.t_enabled || ttr.t_truncated;
-            top_outputs = ttr.t_outputs;
-            init_enabled =
-              (match itr with
-              | Some it when init_sound && not it.t_truncated ->
-                  Some it.t_enabled
-              | _ -> None);
-            init_invalid =
-              (match itr with Some it -> it.t_invalid | None -> None);
-          })
-        infos
-        (List.combine top_trs
-           (match init_trs with
-           | Some trs -> List.map (fun tr -> Some tr) trs
-           | None -> List.map (fun _ -> None) infos))
-    in
-    (* ---- the flow finding battery ---- *)
-    let findings = ref [] in
-    let add f = findings := f :: !findings in
-    List.iter
-      (fun fact ->
-        let lbl = Action.label fact.info.Rwsets.action in
-        (* F1: dead guards *)
-        if not fact.top_enabled then
-          add
-            (mk "F1" Lint.Warning Lint.Exact lbl
-               "statically dead: guard unsatisfiable in the full state space")
-        else if fact.init_enabled = Some false then
-          add
-            (mk "F1" Lint.Info Lint.Abstract lbl
-               "dead from initial states: guard unsatisfiable over the \
-                abstract init fixpoint (all fault-free executions)");
-        (* F2: domain violations *)
-        (match fact.info.Rwsets.invalid_witness with
-        | Some s ->
-            add
-              (mk "F2" Lint.Error Lint.Exact lbl
-                 (Printf.sprintf "effect leaves the variable domains at %s"
-                    (state_str layout s)))
-        | None -> ());
-        match fact.init_invalid with
-        | Some s ->
-            add
-              (mk "F2" Lint.Warning Lint.Abstract lbl
-                 (Printf.sprintf
-                    "effect may leave the variable domains from fault-free \
-                     reachable values (abstract witness %s)"
-                    (state_str layout s)))
-        | None -> ())
-      facts;
-    (* F3: constant slots *)
-    for i = 0 to nv - 1 do
-      if Layout.dom layout i > 1 then begin
-        let written =
-          List.exists (fun f -> List.mem i f.info.Rwsets.writes) facts
-        in
-        if not written then
-          add
-            (mk "F3" Lint.Info Lint.Exact "-"
-               (Printf.sprintf
-                  "slot %s is constant: no enabled action ever writes it"
-                  (Layout.var_name layout i)))
-        else
-          match init_state with
-          | Some sigma when init_sound && Dom.is_singleton sigma.(i) ->
+              (Array.iteri (fun i v -> sigma.(i) <- Dom.add sigma.(i) v))
+              states;
+            Some sigma
+      in
+      (* lfp of σ0 ⊔ post by chaotic iteration (the lattice is finite and
+         every join only grows, so termination is immediate).  The last
+         round changed nothing, so it evaluated every action at the
+         fixpoint: its transfers are the per-action facts. *)
+      let init_state, init_rounds, init_sound, init_trs =
+        match init_seed with
+        | None -> (None, 0, false, List.map (fun _ -> None) infos)
+        | Some seed ->
+            Cr_obs.Obs.span "lint.flow.fixpoint" @@ fun () ->
+            let sigma = Array.copy seed in
+            let sound = ref true in
+            let rec round r =
+              let changed = ref false in
+              let trs =
+                List.map
+                  (fun info ->
+                    let tr = eval ~budget:exact_budget layout info sigma in
+                    if tr.t_truncated || tr.t_invalid <> None then
+                      sound := false;
+                    List.iter
+                      (fun (w, dv) ->
+                        let j = Dom.join sigma.(w) dv in
+                        if not (Dom.equal j sigma.(w)) then begin
+                          sigma.(w) <- j;
+                          changed := true
+                        end)
+                      tr.t_outputs;
+                    Some tr)
+                  infos
+              in
+              if !changed then round (r + 1) else (r, trs)
+            in
+            let rounds, trs = round 1 in
+            Cr_obs.Obs.add c_rounds rounds;
+            (Some sigma, rounds, !sound, trs)
+      in
+      let facts =
+        List.map2
+          (fun info itr ->
+            {
+              info;
+              init_enabled =
+                (match itr with
+                | Some it when init_sound && not it.t_truncated ->
+                    Some it.t_enabled
+                | _ -> None);
+              init_invalid = Option.bind itr (fun it -> it.t_invalid);
+            })
+          infos init_trs
+      in
+      (* ---- the flow finding battery ---- *)
+      let findings = ref [] in
+      let add f = findings := f :: !findings in
+      List.iter
+        (fun fact ->
+          (* D1 and U1/S1 through lint's own checks: one key per fact *)
+          List.iter add (Lint.check_domains p fact.info);
+          List.iter add
+            (Lint.check_liveness p
+               ~init_dead:(fun _ -> fact.init_enabled = Some false)
+               ~live_from_init:(fun _ -> true) fact.info);
+          (* F2: domain violations from fault-free values *)
+          match fact.init_invalid with
+          | Some s ->
               add
-                (mk "F3" Lint.Info Lint.Abstract "-"
+                (Lint.finding p Lint.Abstract "F2" Lint.Warning
+                   (Action.label fact.info.Rwsets.action)
                    (Printf.sprintf
-                      "slot %s is fixed at %d across all fault-free \
-                       executions (abstract init fixpoint)"
-                      (Layout.var_name layout i)
-                      (Dom.choose sigma.(i))))
-          | _ -> ()
-      end
-    done;
-    let findings = Lint.sort_findings (List.rev !findings) in
-    Cr_obs.Obs.add c_findings (List.length findings);
-    { program = p; layout; num_states = ns; degraded = false; facts;
-      init_seed; init_state; init_rounds; init_sound; findings }
-  end
+                      "effect may leave the variable domains from fault-free \
+                       reachable values (abstract witness %s)"
+                      (state_str layout s)))
+          | None -> ())
+        facts;
+      (* F3: constant slots *)
+      for i = 0 to nv - 1 do
+        if Layout.dom layout i > 1 then begin
+          let written =
+            List.exists (fun f -> List.mem i f.info.Rwsets.writes) facts
+          in
+          if not written then
+            add
+              (Lint.finding p Lint.Exact "F3" Lint.Info "-"
+                 (Printf.sprintf
+                    "slot %s is constant: no enabled action ever writes it"
+                    (Layout.var_name layout i)))
+          else
+            match init_state with
+            | Some sigma when init_sound && Dom.is_singleton sigma.(i) ->
+                add
+                  (Lint.finding p Lint.Abstract "F3" Lint.Info "-"
+                     (Printf.sprintf
+                        "slot %s is fixed at %d across all fault-free \
+                         executions (abstract init fixpoint)"
+                        (Layout.var_name layout i)
+                        (Dom.choose sigma.(i))))
+            | _ -> ()
+        end
+      done;
+      let findings = Lint.sort_findings (List.rev !findings) in
+      Cr_obs.Obs.add c_findings (List.length findings);
+      { program = p; layout; num_states = ns; degraded = false; facts;
+        init_seed; init_state; init_rounds; init_sound; findings }
 
 (* ---- lint v2 integration ---- *)
 
@@ -319,30 +276,21 @@ let init_dead t label =
 let errors t =
   List.length (List.filter (fun f -> f.Lint.severity = Lint.Error) t.findings)
 
-(* The findings worth merging into a classic lint report: F1 facts are
-   already represented there as U1 (exact full-space, or abstract via
-   the init_dead pre-filter), and F2-exact is D1 — so only F2-abstract
-   and F3 add information. *)
+(* The findings worth merging into a classic lint report: flow's D1 and
+   U1/S1 come from the checks lint's battery runs too, so only its own
+   F2 and F3 add information. *)
 let supplemental t =
-  List.filter
-    (fun f ->
-      f.Lint.key = "F3"
-      || (f.Lint.key = "F2" && f.Lint.provenance = Lint.Abstract))
-    t.findings
+  List.filter (fun f -> f.Lint.key = "F2" || f.Lint.key = "F3") t.findings
 
+(* Over the budget, Lint.run yields the same B1 without starting its own
+   full-space pass, and flow has nothing to add. *)
 let lint ?allow ?exact_budget p =
   let t = analyze ?exact_budget p in
-  if t.degraded then
-    (* Lint.run over the same budget yields the matching B1 report
-       without starting its own full-space pass. *)
-    (Lint.run ?allow ?exact_budget p, t)
-  else
-    let infos = List.map (fun f -> f.info) t.facts in
-    let report =
-      Lint.run ?allow ?exact_budget ~infos
-        ~init_dead:(init_dead t) p
-    in
-    (Lint.merge report (supplemental t), t)
+  let infos = List.map (fun f -> f.info) t.facts in
+  let report =
+    Lint.run ?allow ?exact_budget ~infos ~init_dead:(init_dead t) p
+  in
+  (Lint.merge report (supplemental t), t)
 
 (* ---- rendering ---- *)
 
@@ -361,7 +309,8 @@ let pp_summary fmt t =
       (Program.name t.program) (Layout.states_string t.num_states)
   else begin
     let dead_top =
-      List.length (List.filter (fun f -> not f.top_enabled) t.facts)
+      List.length
+        (List.filter (fun f -> f.info.Rwsets.enabled_states = 0) t.facts)
     in
     let dead_init =
       List.length

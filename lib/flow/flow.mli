@@ -12,28 +12,29 @@
     pinned to an arbitrary representative — the only loss of precision
     is the cartesian abstraction itself.
 
-    Two analyses are run:
-
-    - {b from ⊤} — every slot at its full domain, the right start for
-      self-stabilization, where any state is a possible fault outcome.
-      Transfer results under ⊤ are exact full-space facts: enabledness,
-      the set of written values, domain validity.
-    - {b from the initial predicate} — the least fixpoint of
-      [σ0 ⊔ post] where σ0 abstracts the initial states.  The result
-      over-approximates every value reachable in fault-free executions,
-      so "guard unsatisfiable over the fixpoint" is a sound {e definite}
-      dead-from-init verdict, obtained without the exact reachable
-      closure.
+    The full space (every slot at ⊤, the right start for
+    self-stabilization, where any state is a possible fault outcome)
+    needs no fixpoint of its own: a transfer under ⊤ is enabled exactly
+    where [Rwsets] found an enabled state, and leaves the domains exactly
+    where it found an invalid witness.  The one analysis run is {b from
+    the initial states} — the least fixpoint of [σ0 ⊔ post] where σ0
+    abstracts them, by chaotic iteration, one transfer per action per
+    round.  The result over-approximates every value reachable in
+    fault-free executions, so "guard unsatisfiable over the fixpoint" is
+    a sound {e definite} dead-from-init verdict, obtained without the
+    exact reachable closure.
 
     Findings (reported with {!Cr_lint.Lint.finding} keys):
 
-    - [F1] statically-dead guard: unsatisfiable in the full space
-      (warning, exact — subsumes the full-space half of U1), or
-      unsatisfiable over the init fixpoint (info, abstract).
-    - [F2] domain violation: an enabled state's effect leaves
-      {!Cr_guarded.Layout.valid} (error, exact ≡ D1), plus an abstract
-      warning when a violating combination also lies under the init
-      fixpoint — the violation may occur from fault-free values.
+    - [D1], [U1], [S1]: lint's own {!Cr_lint.Lint.check_domains} and
+      {!Cr_lint.Lint.check_liveness}, so a fact renders the same in both
+      audits.  The init fixpoint is the dead-from-init pre-filter (U1
+      info, abstract); flow builds no exact closure, so it claims no
+      exact dead-from-init verdict.  An init-dead action that only
+      stutters is S1, as in lint.
+    - [F2] (warning, abstract): a violating combination lies under the
+      init fixpoint — the domain violation may occur from fault-free
+      values.
     - [F3] constant slot: never written by any live action (info,
       exact), or held at a single value by the init fixpoint — constant
       throughout every fault-free execution (info, abstract).
@@ -53,9 +54,8 @@ open Cr_lint
 
 type fact = {
   info : Rwsets.info;
-  top_enabled : bool;  (** enabled somewhere in the full space (exact) *)
-  top_outputs : (int * Dom.t) list;
-      (** per written slot, every value an enabled state can write *)
+      (** exact read/write sets; [enabled_states = 0] is dead in the
+          full space *)
   init_enabled : bool option;
       (** enabled under the init fixpoint; [None] when the init analysis
           is unavailable or its definite claims are suppressed *)
@@ -77,15 +77,16 @@ type t = {
   init_sound : bool;
       (** no truncation or domain violation during the fixpoint — the
           precondition for definite init claims *)
-  findings : Lint.finding list;  (** the flow battery: F1/F2/F3 (or B1) *)
+  findings : Lint.finding list;
+      (** the flow battery: D1, U1/S1, F2, F3 (or B1) *)
 }
 
 val analyze : ?exact_budget:int -> Program.t -> t
-(** Run both analyses and the flow finding battery.  [exact_budget]
+(** Run the init fixpoint and the flow finding battery.  [exact_budget]
     bounds the state-space size for the [Rwsets] substrate pass and
     per-transfer support products (default
     {!Cr_lint.Lint.default_exact_budget}); beyond it the result is
-    {!degraded} with a single B1 info finding. *)
+    {!degraded} with lint's B1 finding ({!Cr_lint.Lint.over_budget}). *)
 
 val init_dead : t -> string -> bool
 (** [init_dead t label]: did the init fixpoint definitely prove the
@@ -103,10 +104,10 @@ val lint :
   Lint.report * t
 (** Lint v2: one [Rwsets] pass feeds both the exact battery and the
     flow engine; flow's init fixpoint pre-filters the exact
-    reachable-closure check ([init_dead]), and its F2-abstract/F3
-    findings are merged into the report (F1 stays out — the merged
-    report already carries those verdicts as U1).  On a degraded
-    program the report contains just the B1 finding. *)
+    reachable-closure check ([init_dead]), and its F2/F3 findings are
+    merged into the report (its D1 and U1/S1 come from the same checks
+    as the report's own).  On a degraded program the report contains
+    just the B1 finding. *)
 
 val pp_state : Layout.t -> Format.formatter -> Dom.t array -> unit
 (** Print an abstract state as [{slot=⊤ slot={0,2} ...}]. *)

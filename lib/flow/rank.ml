@@ -23,8 +23,8 @@ let of_flow (fl : Flow.t) : t option =
     let selfs = Hashtbl.create 8 in
     List.iter
       (fun fact ->
-        if fact.Flow.top_enabled then
-          let info = fact.Flow.info in
+        let info = fact.Flow.info in
+        if info.Rwsets.enabled_states > 0 then
           let reads = Rwsets.reads info in
           List.iter
             (fun w ->

@@ -1,6 +1,6 @@
 (** Convergence-stair analysis over the slot write-dependency graph.
 
-    Every live action (not statically dead under ⊤) contributes edges
+    Every live action (enabled somewhere in the full space) contributes edges
     [r -> w] for each slot [w] it exactly writes and each slot [r] it
     reads ([r <> w]; a self-dependency is recorded separately).  The
     graph is condensed with {!Cr_checker.Scc}, and components are

@@ -225,22 +225,34 @@ let closure_seeds t =
   | Some c when c.over == t.actions -> Some c.seeds
   | _ -> None
 
+(* A closure's valid states with their ranks, in ascending rank: the
+   closure may also hold domain-invalid successors, which no sweep over
+   Sigma meets. *)
+let closure_ranked t c =
+  let layout = t.layout in
+  Layout.Tbl.fold
+    (fun s () acc ->
+      let r = Layout.checked_rank layout s in
+      if r < 0 then acc else (r, s) :: acc)
+    (c.states ()) []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
 (* A closure program's initial states without a predicate sweep over
-   Sigma: the closure's valid states (it may also hold domain-invalid
-   successors, which no sweep meets), in ascending rank. *)
+   Sigma. *)
 let closure_states t =
-  match t.closure with
-  | None -> None
-  | Some c ->
-      let layout = t.layout in
-      let ranked =
-        Layout.Tbl.fold
-          (fun s () acc ->
-            let r = Layout.checked_rank layout s in
-            if r < 0 then acc else (r, s) :: acc)
-          (c.states ()) []
-      in
-      Some (List.map snd (List.sort (fun (a, _) (b, _) -> Int.compare a b) ranked))
+  Option.map (fun c -> List.map snd (closure_ranked t c)) t.closure
+
+(* The initial states in ascending rank: a closure program's valid
+   closure states, or else one sweep of the predicate over Sigma that
+   copies out only the states it accepts. *)
+let initial_states t =
+  match closure_states t with
+  | Some states -> states
+  | None ->
+      let acc = ref [] in
+      Layout.iter_states t.layout (fun _ s ->
+          if t.initial s then acc := Array.copy s :: !acc);
+      List.rev !acc
 
 (* Sorted, deduplicated dense ranks of initial states. *)
 let ranks_of t states =
@@ -258,16 +270,16 @@ let ranks_of t states =
    the sparse engine, and part of its cache key (a sparse graph depends
    on where discovery starts; dense graphs are initial-independent and
    get re-targeted on every hit instead).  Programs built by
-   [with_initial_closure] enumerate their initial set directly; anything
-   else pays one allocation-free predicate scan over Sigma. *)
+   [with_initial_closure] enumerate their initial set directly: its
+   valid states, so a closure that leaves Sigma fails in the discovery,
+   at the escaping step, as on every other route; anything else pays one
+   allocation-free predicate scan over Sigma. *)
 let seed_ranks t =
-  let layout = t.layout in
   match t.closure with
-  | Some c ->
-      ranks_of t (Layout.Tbl.fold (fun s () acc -> s :: acc) (c.states ()) [])
+  | Some c -> Array.of_list (List.map fst (closure_ranked t c))
   | None ->
       let acc = ref [] and count = ref 0 in
-      Layout.iter_states layout (fun r s ->
+      Layout.iter_states t.layout (fun r s ->
           if t.initial s then begin
             acc := r :: !acc;
             incr count

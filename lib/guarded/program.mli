@@ -161,4 +161,10 @@ val closure_states : t -> state list option
     the set (and order) a predicate sweep over Sigma finds, enumerated
     from the closure instead.  [None] for any other initial predicate. *)
 
+val initial_states : t -> state list
+(** The initial states in ascending rank: {!closure_states} for a
+    closure program, else one sweep of the initial predicate over
+    Sigma.  The seeds of lint's exact reachable set and of flow's init
+    abstraction. *)
+
 val pp : Format.formatter -> t -> unit

@@ -29,12 +29,14 @@
                  makes the hazard disappear in the rw_atomicity system
      L1 error    duplicate action labels across a box composition
      B1 info     budget: the state space exceeds the exact-analysis
-                 budget, so the exact battery was skipped
+                 budget, so no check ran
 
    Since lint v2 every finding carries a provenance tag: [Exact] for
    verdicts from full enumeration, [Abstract] for definite verdicts
-   derived from the Cr_flow over-approximating fixpoints (which also
-   contributes its own F1/F2/F3 keys via [merge]). *)
+   derived from the Cr_flow over-approximating fixpoints.  Cr_flow
+   reports D1, U1/S1 and B1 through the functions below, so a fact has
+   one key in both audits; it adds only its own F2 (abstract) and F3
+   keys, via [merge]. *)
 
 open Cr_guarded
 
@@ -80,6 +82,9 @@ let find_key key r = List.filter (fun f -> f.key = key) r.findings
 
 (* ---- helpers ---- *)
 
+let finding p provenance key severity action message =
+  { key; severity; provenance; program = Program.name p; action; message }
+
 let slot_names layout slots =
   String.concat "," (List.map (Layout.var_name layout) slots)
 
@@ -121,13 +126,11 @@ let check_writes layout mk info =
   in
   w1 @ w2
 
-(* P1: a slot exactly-written by actions of two or more distinct
-   processes.  Under interleaving semantics that is a locality violation
-   for the paper's concrete systems; the abstract neighbour-writing
-   models (BTR, BTR_3, UTR) do it on purpose and are allowlisted. *)
-let check_ownership layout mk ~allowed infos =
-  let nv = Layout.num_vars layout in
-  let writers = Array.make nv [] in
+(* writers.(w): the processes (>= 0) whose actions write slot w, each
+   with the label of its first action that does, newest entry first —
+   the one table P1 and I1 read. *)
+let writer_table layout infos =
+  let writers = Array.make (Layout.num_vars layout) [] in
   List.iter
     (fun info ->
       let p = Action.proc info.Rwsets.action in
@@ -138,8 +141,15 @@ let check_ownership layout mk ~allowed infos =
               writers.(w) <- (p, Action.label info.Rwsets.action) :: writers.(w))
           info.Rwsets.writes)
     infos;
+  writers
+
+(* P1: a slot exactly-written by actions of two or more distinct
+   processes.  Under interleaving semantics that is a locality violation
+   for the paper's concrete systems; the abstract neighbour-writing
+   models (BTR, BTR_3, UTR) do it on purpose and are allowlisted. *)
+let check_ownership layout mk ~allowed writers =
   let fs = ref [] in
-  for w = nv - 1 downto 0 do
+  for w = Layout.num_vars layout - 1 downto 0 do
     let ps = List.sort_uniq compare (List.map fst writers.(w)) in
     if List.length ps >= 2 then begin
       let sev = if allowed then Info else Error in
@@ -258,59 +268,47 @@ let check_sync_overlap layout mk ~budget infos =
   List.rev !fs
 
 (* D1: an enabled state whose effect leaves the layout. *)
-let check_domains layout mk info =
+let check_domains p info =
   match info.Rwsets.invalid_witness with
   | None -> []
   | Some s ->
       [
-        mk "D1" Error (Action.label info.Rwsets.action)
+        finding p Exact "D1" Error (Action.label info.Rwsets.action)
           (Printf.sprintf "effect leaves the variable domains at %s"
-             (state_str layout s));
+             (state_str (Program.layout p) s));
       ]
 
-(* U1/S1: dead and stuttering-only actions.  The reachable variant runs
-   only for actions that are live in the full space, and only when the
-   abstract pre-filter ([init_dead], from the Cr_flow init fixpoint) has
-   not already settled the verdict: flow proving the guard unsatisfiable
-   over an over-approximation of the fault-free reachable values is a
-   definite dead-from-init verdict, obtained without building the exact
-   reachable closure.  [reachable] is lazy so the closure is forced only
-   when some action actually needs the exact fallback. *)
-let check_liveness mk_prov ~reachable ~init_dead info =
-  let mk key sev action msg = mk_prov key sev Exact action msg in
+(* U1/S1: dead and stuttering-only actions.  The reachable variant asks
+   about actions that are live in the full space.  The abstract
+   pre-filter ([init_dead], from the Cr_flow init fixpoint) answers
+   first: the guard unsatisfiable over an over-approximation of the
+   fault-free reachable values is a definite dead-from-init verdict,
+   obtained without the exact reachable closure.  Only then does
+   [live_from_init], the exact fallback, decide. *)
+let check_liveness p ~init_dead ~live_from_init info =
   let a = info.Rwsets.action in
+  let lbl = Action.label a in
   if info.Rwsets.enabled_states = 0 then
-    [ mk "U1" Warning (Action.label a) "never enabled in the full state space" ]
+    [ finding p Exact "U1" Warning lbl "never enabled in the full state space" ]
   else if info.Rwsets.firing_states = 0 then
     [
-      mk "S1" Warning (Action.label a)
+      finding p Exact "S1" Warning lbl
         (Printf.sprintf
            "stuttering-only: enabled at %d state(s) but every firing is a no-op"
            info.Rwsets.enabled_states);
     ]
-  else if init_dead (Action.label a) then
+  else if init_dead lbl then
     [
-      mk_prov "U1" Info Abstract (Action.label a)
+      finding p Abstract "U1" Info lbl
         "never enabled from the initial states (abstract init fixpoint: \
          guard unsatisfiable over the reachable value over-approximation)";
     ]
+  else if live_from_init a then []
   else
-    let alive = ref false in
-    (try
-       Layout.Tbl.iter
-         (fun s () ->
-           if a.Action.guard s then begin
-             alive := true;
-             raise Exit
-           end)
-         (Lazy.force reachable)
-     with Exit -> ());
-    if !alive then []
-    else
-      [
-        mk "U1" Info (Action.label a)
-          "never enabled from the initial states (fault-free executions)";
-      ]
+    [
+      finding p Exact "U1" Info lbl
+        "never enabled from the initial states (fault-free executions)";
+    ]
 
 (* I1: interference pairs.  Process i writes a slot that an action of
    process j reads (in its guard or effect) — the read races with the
@@ -318,26 +316,17 @@ let check_liveness mk_prov ~reachable ~init_dead info =
    it is an atomic read step: it writes exactly one slot, private to its
    process, as a verbatim copy of the single remote slot it reads — the
    rw_atomicity refinement's cache-fill shape. *)
-let check_interference layout mk infos =
-  let nv = Layout.num_vars layout in
-  (* writers.(w) = procs (>= 0) writing w, with one witness action each *)
-  let writers = Array.make nv [] in
+let check_interference layout mk ~writers infos =
   (* touched.(w) = procs of every action reading or writing w (incl. -1) *)
-  let touched = Array.make nv [] in
+  let touched = Array.make (Layout.num_vars layout) [] in
   List.iter
     (fun info ->
       let p = Action.proc info.Rwsets.action in
-      let lbl = Action.label info.Rwsets.action in
-      List.iter
-        (fun w ->
-          if p >= 0 && not (List.exists (fun (q, _) -> q = p) writers.(w)) then
-            writers.(w) <- (p, lbl) :: writers.(w);
-          if not (List.mem p touched.(w)) then touched.(w) <- p :: touched.(w))
-        info.Rwsets.writes;
-      List.iter
-        (fun r ->
-          if not (List.mem p touched.(r)) then touched.(r) <- p :: touched.(r))
-        (Rwsets.reads info))
+      let touch w =
+        if not (List.mem p touched.(w)) then touched.(w) <- p :: touched.(w)
+      in
+      List.iter touch info.Rwsets.writes;
+      List.iter touch (Rwsets.reads info))
     infos;
   let cross_reads info =
     let p = Action.proc info.Rwsets.action in
@@ -397,7 +386,7 @@ let check_labels mk p =
 (* ---- the pass ---- *)
 
 let key_order =
-  [ "W1"; "W2"; "P1"; "G1"; "D1"; "U1"; "S1"; "I1"; "L1"; "F1"; "F2"; "F3"; "B1" ]
+  [ "W1"; "W2"; "P1"; "G1"; "D1"; "U1"; "S1"; "I1"; "L1"; "F2"; "F3"; "B1" ]
 
 let key_rank k =
   let rec go i = function
@@ -415,70 +404,67 @@ let merge r extra = { r with findings = sort_findings (r.findings @ extra) }
 
 let default_exact_budget = 1 lsl 22
 
+(* B1: every check rests on the full-space Rwsets pass, so past the
+   budget neither audit starts it, where it would blow up; one info
+   finding records the degradation. *)
+let over_budget ~exact_budget p =
+  let ns = Layout.num_states (Program.layout p) in
+  if ns <= exact_budget then None
+  else
+    Some
+      (finding p Exact "B1" Info "-"
+         (Printf.sprintf
+            "state space (%s) exceeds the exact-analysis budget (%d); no \
+             check ran (read/write-set inference is a full-space pass)"
+            (Layout.states_string ns) exact_budget))
+
 let run ?(allow = []) ?(exact_budget = default_exact_budget) ?infos
     ?(init_dead = fun _ -> false) (p : Program.t) : report =
   Cr_obs.Obs.span "lint.program" @@ fun () ->
-  let layout = Program.layout p in
-  let ns = Layout.num_states layout in
   let name = Program.name p in
-  let mk_prov key severity provenance action message =
-    { key; severity; provenance; program = name; action; message }
-  in
-  let mk key severity action message = mk_prov key severity Exact action message in
   Cr_obs.Obs.incr c_programs;
-  if ns > exact_budget then begin
-    (* The whole battery rests on the full-space Rwsets pass; past the
-       budget we refuse to start it rather than blow up.  One info
-       finding records the degradation (B1). *)
-    let f =
-      mk "B1" Info "-"
-        (Printf.sprintf
-           "state space (%s) exceeds the exact-analysis budget (%d); \
-            exact battery skipped — run `crcheck flow` for the abstract audit"
-           (Layout.states_string ns) exact_budget)
-    in
-    Cr_obs.Obs.add c_findings 1;
-    { program_name = name; findings = [ f ]; infos = [] }
-  end
-  else begin
-    let infos =
-      match infos with Some is -> is | None -> Rwsets.of_program p
-    in
-    let reachable =
-      lazy
-        (Cr_obs.Obs.span "lint.reachable" @@ fun () ->
-         let seeds =
-           match Program.closure_states p with
-           | Some states -> states
-           | None ->
-               (* one allocation-free sweep; only the initial states are
-                  copied out of the scratch state *)
-               let seeds = ref [] in
-               let initial = Program.initial p in
-               Layout.iter_states layout (fun _ s ->
-                   if initial s then seeds := Array.copy s :: !seeds);
-               List.rev !seeds
-         in
-         Program.reachable_from p seeds)
-    in
-    let findings =
-      List.concat
-        [
-          List.concat_map (check_writes layout mk) infos;
-          check_ownership layout mk ~allowed:(List.mem "P1" allow) infos;
-          check_sync_overlap layout mk ~budget:exact_budget infos;
-          List.concat_map (check_domains layout mk) infos;
-          List.concat_map (check_liveness mk_prov ~reachable ~init_dead) infos;
-          check_interference layout mk infos;
-          check_labels mk p;
-        ]
-    in
-    let findings = sort_findings findings in
-    Cr_obs.Obs.add c_findings (List.length findings);
-    Cr_obs.Obs.add c_errors
-      (List.length (List.filter (fun f -> f.severity = Error) findings));
-    { program_name = name; findings; infos }
-  end
+  match over_budget ~exact_budget p with
+  | Some b1 ->
+      Cr_obs.Obs.add c_findings 1;
+      { program_name = name; findings = [ b1 ]; infos = [] }
+  | None ->
+      let layout = Program.layout p in
+      let mk = finding p Exact in
+      let infos =
+        match infos with Some is -> is | None -> Rwsets.of_program p
+      in
+      (* forced only when some action needs the exact fallback *)
+      let reachable =
+        lazy
+          (Cr_obs.Obs.span "lint.reachable" @@ fun () ->
+           Program.reachable_from p (Program.initial_states p))
+      in
+      let live_from_init a =
+        try
+          Layout.Tbl.iter
+            (fun s () -> if a.Action.guard s then raise Exit)
+            (Lazy.force reachable);
+          false
+        with Exit -> true
+      in
+      let writers = writer_table layout infos in
+      let findings =
+        List.concat
+          [
+            List.concat_map (check_writes layout mk) infos;
+            check_ownership layout mk ~allowed:(List.mem "P1" allow) writers;
+            check_sync_overlap layout mk ~budget:exact_budget infos;
+            List.concat_map (check_domains p) infos;
+            List.concat_map (check_liveness p ~init_dead ~live_from_init) infos;
+            check_interference layout mk ~writers infos;
+            check_labels mk p;
+          ]
+      in
+      let findings = sort_findings findings in
+      Cr_obs.Obs.add c_findings (List.length findings);
+      Cr_obs.Obs.add c_errors
+        (List.length (List.filter (fun f -> f.severity = Error) findings));
+      { program_name = name; findings; infos }
 
 (* ---- rendering ---- *)
 

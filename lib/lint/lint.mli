@@ -28,13 +28,15 @@
       the rw_atomicity refinement uses to eliminate the hazard.
     - [L1] (error): duplicate action labels across a box composition.
     - [B1] (info): the state space exceeds the exact-analysis budget;
-      the exact battery was skipped (degraded, not wrong).
+      no check ran (degraded, not wrong).
 
     Since lint v2 every finding carries a {!provenance} tag.  The
-    abstract interpreter ({!Cr_flow.Flow}) reuses this report type for
-    its own F1/F2/F3 keys and injects definite abstract verdicts into
-    {!run} via [init_dead], so exact enumeration only runs where the
-    abstract verdict is inconclusive. *)
+    abstract interpreter ({!Cr_flow.Flow}) reports D1, U1/S1 and B1
+    through {!check_domains}, {!check_liveness} and {!over_budget}, so a
+    fact renders the same in both audits; its own keys are F2 (abstract
+    only) and F3.  It injects definite abstract verdicts into {!run} via
+    [init_dead], so exact enumeration only runs where the abstract
+    verdict is inconclusive. *)
 
 open Cr_guarded
 
@@ -69,6 +71,34 @@ val default_exact_budget : int
     exact passes (Rwsets differencing, reachable closure, G1 fallback)
     will attempt. *)
 
+val finding :
+  Program.t -> provenance -> string -> severity -> string -> string -> finding
+(** [finding p provenance key severity action message]: a finding about
+    program [p]; [action] is ["-"] for a program-level finding. *)
+
+val over_budget : exact_budget:int -> Program.t -> finding option
+(** The [B1] finding when the program has more than [exact_budget]
+    states: the read/write-set inference every check rests on is a
+    full-space pass, so neither audit starts it. *)
+
+val check_domains : Program.t -> Rwsets.info -> finding list
+(** [D1] for one action: an enabled state whose effect leaves the
+    layout (the [invalid_witness] of its {!Rwsets.info}). *)
+
+val check_liveness :
+  Program.t ->
+  init_dead:(string -> bool) ->
+  live_from_init:(Action.t -> bool) ->
+  Rwsets.info ->
+  finding list
+(** [U1]/[S1] for one action: dead in the full space (U1 warning), else
+    stuttering-only (S1), else dead from the initial states (U1 info) —
+    [Abstract] when [init_dead label] (the flow init fixpoint proved
+    it), else [Exact] when [live_from_init action] (the exact
+    reachable-closure test) is false.  Flow passes [fun _ -> true]: it
+    builds no closure and claims nothing exact from the initial
+    states. *)
+
 val run :
   ?allow:string list ->
   ?exact_budget:int ->
@@ -81,18 +111,19 @@ val run :
     systems).  The reachable-from-initial variant of U1 forces the
     program's initial-state closure, built lazily and only when some
     action needs the exact fallback.
-    Programs with more than [exact_budget] states get a single [B1]
-    finding instead of the exact battery.  [infos] supplies precomputed
-    read/write sets (so a caller that already ran {!Rwsets.of_program}
-    — e.g. the flow engine — avoids the second full-space pass).
+    Programs with more than [exact_budget] states get the single
+    {!over_budget} finding instead of the exact battery.  [infos]
+    supplies precomputed read/write sets (so a caller that already ran
+    {!Rwsets.of_program} — e.g. the flow engine — avoids the second
+    full-space pass).
     [init_dead label = true] asserts that the abstract init fixpoint
     proved the action's guard unsatisfiable over all fault-free
     reachable values: {!run} then emits the U1 info finding with
     [Abstract] provenance and skips the exact closure for it. *)
 
 val merge : report -> finding list -> report
-(** Append findings (e.g. the flow engine's F1/F2/F3) and re-sort into
-    the canonical key order. *)
+(** Append findings (e.g. the flow engine's F2/F3) and re-sort into the
+    canonical key order. *)
 
 val sort_findings : finding list -> finding list
 

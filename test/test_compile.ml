@@ -531,6 +531,44 @@ let test_escape_message () =
         fun () -> Program.to_explicit_synchronous p );
     ]
 
+(* A boxed closure program whose closure leaves Sigma (x steps 0, 1, 2,
+   then 3): the sparse compile seeds from the closure's valid states, so
+   both engines fail at the escaping step with the same Unknown_state,
+   not the sparse one on the closure's invalid state as a seed. *)
+let test_closure_escape () =
+  let layout = Layout.make [ ("x", 3) ] in
+  let program name action =
+    Program.make ~name ~layout ~actions:[ action ] ~initial:(fun _ -> false)
+  in
+  let step =
+    Action.make ~label:"step" ~proc:0 ~writes:[ 0 ]
+      ~guard:(fun _ -> true)
+      ~effect:(fun s -> [| (s.(0) + 1) mod 4 |])
+      ()
+  in
+  let never =
+    Action.make ~label:"never" ~proc:0 ~writes:[ 0 ]
+      ~guard:(fun _ -> false)
+      ~effect:Array.copy ()
+  in
+  let p =
+    Program.box
+      (program "leaky" step |> Program.with_initial_closure ~seeds:[ [| 0 |] ])
+      (program "never" never)
+  in
+  let message f =
+    match f () with
+    | _ -> None
+    | exception E.Unknown_state msg -> Some msg
+  in
+  List.iter
+    (fun space ->
+      Alcotest.(check (option string))
+        (Cr_semantics.Space.engine_name space ^ ": fails at the escaping step")
+        (Some "leaky[]never: step produced a state outside Sigma: {x=3}")
+        (message (fun () -> Program.to_explicit ~space p)))
+    [ Cr_semantics.Space.Dense; Cr_semantics.Space.Sparse ]
+
 (* ---- state counts past what an array or an int can index ---- *)
 
 (* [bits] binary slots; one action flips slot 0, and the initial states
@@ -829,6 +867,8 @@ let () =
           [ prop_streamed_eq_reference; prop_sparse_eq_reference ]
         @ Alcotest.test_case "escaping effect: same Unknown_state" `Quick
             test_escape_message
+          :: Alcotest.test_case "escaping closure: same Unknown_state" `Quick
+               test_closure_escape
           :: List.map
                (fun ((e : Cr_experiments.Registry.entry), n) ->
                  Alcotest.test_case

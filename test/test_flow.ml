@@ -1,8 +1,10 @@
 (* Abstract-interpretation (Cr_flow) tests: the per-slot domain algebra,
-   seeded F1/F2/F3 defects, soundness of the flow verdicts against exact
-   enumeration over the whole registry, the convergence-stair rank on a
-   crafted acyclic chain and on the ring protocols, CR_JOBS invariance
-   of the parallel Rwsets pass, and the artifact provenance headers. *)
+   seeded U1/D1/F3 defects, one key per fact across flow and the merged
+   lint report, one transfer per action per fixpoint round, soundness of
+   the flow verdicts against exact enumeration over the whole registry,
+   the convergence-stair rank on a crafted acyclic chain and on the ring
+   protocols, CR_JOBS invariance of the parallel Rwsets pass, and the
+   artifact provenance headers. *)
 
 open Cr_guarded
 module Dom = Cr_flow.Dom
@@ -61,20 +63,20 @@ let test_dom () =
 
 (* ---------- seeded flow defects ---------- *)
 
-let test_f1_top_dead () =
+let test_u1_top_dead () =
   let dead =
-    act ~label:"f1dead" ~writes:[ 0 ] (fun _ -> false) (fun s -> Action.set s [ (0, 1) ])
+    act ~label:"u1dead" ~writes:[ 0 ] (fun _ -> false) (fun s -> Action.set s [ (0, 1) ])
   in
   let t = Flow.analyze (prog [ dead ]) in
-  let f1 = findings_with "F1" t in
-  check "F1 fires" true (f1 <> []);
-  check "F1 full-space is exact" true
+  let u1 = findings_with "U1" t in
+  check "U1 fires" true (u1 <> []);
+  check "U1 full-space is exact" true
     (List.exists
        (fun (f : Lint.finding) ->
          f.Lint.severity = Lint.Warning && f.Lint.provenance = Lint.Exact)
-       f1);
+       u1);
   let fact = List.hd t.Flow.facts in
-  check "fact records top-dead" false fact.Flow.top_enabled
+  check_int "fact records top-dead" 0 fact.Flow.info.Rwsets.enabled_states
 
 let init_dead_program () =
   (* step walks x from 0 to 1; u1reach needs x = 2, unreachable from the
@@ -91,20 +93,20 @@ let init_dead_program () =
   in
   prog ~initial:(fun s -> s = [| 0; 0; 0 |]) [ step; unreachable ]
 
-let test_f1_init_dead () =
+let test_u1_init_dead () =
   let p = init_dead_program () in
   let t = Flow.analyze p in
   check "init analysis is sound here" true t.Flow.init_sound;
   check "fixpoint reached in a few rounds" true (t.Flow.init_rounds >= 1);
   check "u1reach proved init-dead" true (Flow.init_dead t "u1reach");
   check "step stays live" false (Flow.init_dead t "step");
-  check "abstract F1 info emitted" true
+  check "abstract U1 info emitted" true
     (List.exists
        (fun (f : Lint.finding) ->
          f.Lint.action = "u1reach"
          && f.Lint.severity = Lint.Info
          && f.Lint.provenance = Lint.Abstract)
-       (findings_with "F1" t));
+       (findings_with "U1" t));
   (* the merged lint report carries the verdict as an abstract U1 info *)
   let report, _ = Flow.lint p in
   check "merged report has abstract U1" true
@@ -115,18 +117,18 @@ let test_f1_init_dead () =
          && f.Lint.provenance = Lint.Abstract)
        (Lint.find_key "U1" report))
 
-let test_f2_domain_violation () =
+let test_d1_domain_violation () =
   let bad =
-    act ~label:"f2bad" ~writes:[ 0 ]
+    act ~label:"d1bad" ~writes:[ 0 ]
       (fun s -> s.(0) = 0)
       (fun s -> Action.set s [ (0, 7) ])
   in
   let report, t = Flow.lint (prog [ bad ]) in
-  check "F2 fires" true
+  check "D1 fires" true
     (List.exists
        (fun (f : Lint.finding) ->
          f.Lint.severity = Lint.Error && f.Lint.provenance = Lint.Exact)
-       (findings_with "F2" t));
+       (findings_with "D1" t));
   check "merged report keeps the exact D1" true (Lint.find_key "D1" report <> []);
   check "flow counts the error" true (Flow.errors t >= 1)
 
@@ -158,6 +160,174 @@ let test_degraded () =
   let report, _ = Flow.lint ~exact_budget:4 p in
   check "degraded lint is B1-only" true
     (Lint.find_key "B1" report <> [] && Lint.errors report = 0)
+
+(* ---------- one key per fact ---------- *)
+
+(* Three defects: [dead] is never enabled, [u1reach] needs x = 2 (never
+   reached from x = 0), and [leak] leaves z's domain but needs z = 2,
+   which z never holds from (0, 0, 0), so it is init-dead too and the
+   init fixpoint stays sound. *)
+let three_defects () =
+  let dead =
+    act ~label:"dead" ~proc:2 ~writes:[ 2 ]
+      (fun _ -> false)
+      (fun s -> Action.set s [ (2, 1) ])
+  in
+  let leak =
+    act ~label:"leak" ~proc:2 ~writes:[ 2 ]
+      (fun s -> s.(2) = 2)
+      (fun s -> Action.set s [ (2, 5) ])
+  in
+  let base = init_dead_program () in
+  Program.with_actions (Program.actions base @ [ dead; leak ]) base
+
+let keyed keys findings =
+  List.filter (fun (f : Lint.finding) -> List.mem f.Lint.key keys) findings
+
+let test_shared_facts_render_once () =
+  let p = three_defects () in
+  let t = Flow.analyze p in
+  let report, _ = Flow.lint p in
+  let shared = keyed [ "U1"; "D1" ] in
+  check_int "flow: U1 for dead, u1reach, leak; D1 for leak" 4
+    (List.length (shared t.Flow.findings));
+  check "flow's U1/D1 = the merged report's, field for field" true
+    (shared t.Flow.findings = shared report.Lint.findings);
+  check "no retired key" true (keyed [ "F1" ] t.Flow.findings = []);
+  check "flow's F2 is abstract only" true
+    (List.for_all
+       (fun (f : Lint.finding) -> f.Lint.provenance = Lint.Abstract)
+       (findings_with "F2" t))
+
+(* An init-dead action that only stutters: lint prints S1 for it (the S1
+   test comes before the dead-from-init one).  Flow runs the same check,
+   so it prints the same S1, not a dead-from-init U1, though its
+   fixpoint still proves the guard unsatisfiable. *)
+let test_init_dead_stutter () =
+  let noop =
+    act ~label:"noop" ~proc:1 ~writes:[ 1 ] (fun s -> s.(0) = 2) Array.copy
+  in
+  let base = init_dead_program () in
+  let p = Program.with_actions [ List.hd (Program.actions base); noop ] base in
+  let t = Flow.analyze p in
+  check "fixpoint proves noop init-dead" true (Flow.init_dead t "noop");
+  let about_noop =
+    List.filter (fun (f : Lint.finding) -> f.Lint.action = "noop")
+  in
+  (match about_noop t.Flow.findings with
+  | [ f ] ->
+      check "flow prints S1" true (f.Lint.key = "S1");
+      check "as a warning" true (f.Lint.severity = Lint.Warning);
+      check "exact" true (f.Lint.provenance = Lint.Exact)
+  | fs ->
+      Alcotest.failf "expected one finding on noop, got %d" (List.length fs));
+  let report, _ = Flow.lint p in
+  check "lint prints the same S1 and no U1" true
+    (about_noop (keyed [ "S1"; "U1" ] report.Lint.findings)
+    = about_noop t.Flow.findings)
+
+(* P1, F3 and B1 are program-level (action "-"), and G1 and I1 give one
+   finding per pair, so they may repeat a (key, action, provenance) with
+   different messages; every other key is one fact per action. *)
+let test_registry_no_repeats () =
+  List.iter
+    (fun (e : Registry.entry) ->
+      List.iter
+        (fun n ->
+          let report, _ =
+            Flow.lint ~allow:e.Registry.lint_allow (e.Registry.program n)
+          in
+          let facts =
+            List.filter_map
+              (fun (f : Lint.finding) ->
+                if List.mem f.Lint.key [ "P1"; "F3"; "B1"; "G1"; "I1" ] then
+                  None
+                else Some (f.Lint.key, f.Lint.action, f.Lint.provenance))
+              report.Lint.findings
+          in
+          check
+            (Printf.sprintf "%s n=%d: no fact twice" e.Registry.name n)
+            true
+            (List.length (List.sort_uniq compare facts) = List.length facts))
+        [ 2; 3; 4 ])
+    Registry.entries
+
+(* ---------- one transfer per action per round ---------- *)
+
+let transfers f =
+  Cr_obs.Obs.force_collect ();
+  let before = Cr_obs.Obs.merged_snapshot () in
+  let r = f () in
+  let after = Cr_obs.Obs.merged_snapshot () in
+  ( r,
+    Option.value ~default:0
+      (List.assoc_opt "lint.flow.transfers"
+         (Cr_obs.Obs.diff ~before ~after)) )
+
+let test_one_transfer_per_round () =
+  (* From (0, 0, 0): round 1 fires lead (y gets 1), round 2 then fires
+     follow (x gets 1), round 3 changes nothing.  never needs z = 2. *)
+  let follow =
+    act ~label:"follow" ~proc:0 ~writes:[ 0 ]
+      (fun s -> s.(1) = 1)
+      (fun s -> Action.set s [ (0, 1) ])
+  in
+  let lead =
+    act ~label:"lead" ~proc:1 ~writes:[ 1 ]
+      (fun s -> s.(0) = 0)
+      (fun s -> Action.set s [ (1, 1) ])
+  in
+  let never =
+    act ~label:"never" ~proc:2 ~writes:[ 2 ]
+      (fun s -> s.(2) = 2)
+      (fun s -> Action.set s [ (2, 5) ])
+  in
+  let p = prog ~initial:(fun s -> s = [| 0; 0; 0 |]) [ follow; lead; never ] in
+  let t, n = transfers (fun () -> Flow.analyze p) in
+  check_int "three rounds" 3 t.Flow.init_rounds;
+  check_int "rounds x actions transfers" (3 * 3) n;
+  check "sound" true t.Flow.init_sound;
+  let facts =
+    List.map
+      (fun (f : Flow.fact) ->
+        ( Action.label f.Flow.info.Rwsets.action,
+          f.Flow.init_enabled,
+          f.Flow.init_invalid ))
+      t.Flow.facts
+  in
+  check "init facts by hand" true
+    (facts
+    = [ ("follow", Some true, None); ("lead", Some true, None);
+        ("never", Some false, None) ]);
+  check "fixpoint x, y in {0, 1}, z = 0" true
+    (match t.Flow.init_state with
+    | Some sigma ->
+        List.map Dom.to_list (Array.to_list sigma)
+        = [ [ 0; 1 ]; [ 0; 1 ]; [ 0 ] ]
+    | None -> false);
+  (* step brings x to 1 in round 1, where leak leaves x's domain: its
+     witness is (1, 0, 0), and the violation suppresses every definite
+     init claim; round 2 changes nothing *)
+  let step =
+    act ~label:"step" ~proc:0 ~writes:[ 0 ]
+      (fun s -> s.(0) = 0)
+      (fun s -> Action.set s [ (0, 1) ])
+  in
+  let leak =
+    act ~label:"leak" ~proc:0 ~writes:[ 0 ]
+      (fun s -> s.(0) = 1)
+      (fun s -> Action.set s [ (0, 3) ])
+  in
+  let q = prog ~initial:(fun s -> s = [| 0; 0; 0 |]) [ step; leak ] in
+  let t, n = transfers (fun () -> Flow.analyze q) in
+  check_int "two rounds" 2 t.Flow.init_rounds;
+  check_int "rounds x actions transfers" (2 * 2) n;
+  check "unsound" false t.Flow.init_sound;
+  check "leak's witness, no enabled claims" true
+    (List.map
+       (fun (f : Flow.fact) -> (f.Flow.init_enabled, f.Flow.init_invalid))
+       t.Flow.facts
+    = [ (None, None); (None, Some [| 1; 0; 0 |]) ])
 
 (* ---------- convergence-stair rank ---------- *)
 
@@ -226,7 +396,7 @@ let check_agreement ~n (e : Registry.entry) =
       List.sort_uniq compare
         (List.filter_map
            (fun (f : Flow.fact) ->
-             if f.Flow.top_enabled then None
+             if f.Flow.info.Rwsets.enabled_states > 0 then None
              else Some (Action.label f.Flow.info.Rwsets.action))
            t.Flow.facts)
     in
@@ -269,7 +439,7 @@ let check_agreement ~n (e : Registry.entry) =
           List.exists
             (fun (fa : Flow.fact) ->
               Action.label fa.Flow.info.Rwsets.action = f.Lint.action
-              && fa.Flow.top_enabled)
+              && fa.Flow.info.Rwsets.enabled_states > 0)
             t.Flow.facts
         in
         check
@@ -346,12 +516,26 @@ let () =
       );
       ( "seeded defects",
         [
-          Alcotest.test_case "F1 statically-dead guard" `Quick test_f1_top_dead;
-          Alcotest.test_case "F1 abstract init-dead" `Quick test_f1_init_dead;
-          Alcotest.test_case "F2 domain violation" `Quick
-            test_f2_domain_violation;
+          Alcotest.test_case "U1 statically-dead guard" `Quick test_u1_top_dead;
+          Alcotest.test_case "U1 abstract init-dead" `Quick test_u1_init_dead;
+          Alcotest.test_case "D1 domain violation" `Quick
+            test_d1_domain_violation;
           Alcotest.test_case "F3 constant slot" `Quick test_f3_constant_slot;
           Alcotest.test_case "B1 budget degradation" `Quick test_degraded;
+        ] );
+      ( "one key per fact",
+        [
+          Alcotest.test_case "U1 and D1 render the same in flow and lint"
+            `Quick test_shared_facts_render_once;
+          Alcotest.test_case "init-dead stutter-only action is S1" `Quick
+            test_init_dead_stutter;
+          Alcotest.test_case "registry: no fact twice in a merged report"
+            `Quick test_registry_no_repeats;
+        ] );
+      ( "transfers",
+        [
+          Alcotest.test_case "one per action per fixpoint round" `Quick
+            test_one_transfer_per_round;
         ] );
       ( "rank",
         [
