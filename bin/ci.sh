@@ -66,6 +66,21 @@ dune exec bin/crcheck.exe -- verify rw-dijkstra3 -n 20 > /dev/null 2> "$toobig" 
   exit 1
 }
 
+# A firing builds no state: the compile evaluates each action's
+# assignment in place, ranking its successor by rank delta, so the
+# whole verify kstate -n 5 run (46,656 states, 6 actions) allocates
+# well under 1.0 Mwords on the minor heap (building a state per firing
+# took 4.4 Mwords).
+alloclog="$work/alloc.log"
+CR_JOBS=1 CR_STATS=1 dune exec bin/crcheck.exe -- verify kstate -n 5 \
+  > /dev/null 2> "$alloclog"
+minor=$(sed -n 's/^ *minor \([0-9.]*\) Mwords.*/\1/p' "$alloclog")
+[ -n "$minor" ] && awk -v m="$minor" 'BEGIN { exit !(m < 1.0) }' || {
+  echo "ci: verify kstate -n 5 allocated ${minor:-?} Mwords minor, want < 1.0" >&2
+  cat "$alloclog" >&2
+  exit 1
+}
+
 # Compile-cache smoke: verify builds every graph exactly once — the
 # dense program and the spec's sparse legitimate orbit, two compiles
 # even for btr, whose spec is its program — so the CR_STATS summary

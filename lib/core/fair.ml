@@ -105,25 +105,3 @@ let analyze (next : tables) ~(succ : Cr_kernel.Csr.t)
 
 let edge_on_fair_cycle analysis i j =
   analysis.fair.(i) && analysis.component.(i) = analysis.component.(j)
-
-(* Build the action table of a compiled explicit system from each
-   action's guard and effect over raw states.  One sweep over the system
-   fires every enabled action at each (possibly scratch) state; a
-   successor at the state's own index is a no-op firing, which generates
-   no transition and so counts as disabled — an index comparison, not a
-   state comparison. *)
-let tables_of (e : 'a Cr_semantics.Explicit.t)
-    (actions : (('a -> bool) * ('a -> 'a)) list) : tables =
-  Cr_obs.Obs.span "fair.tables" @@ fun () ->
-  let actions = Array.of_list actions in
-  let n = Cr_semantics.Explicit.num_states e in
-  let tables = Array.map (fun _ -> Array.make n (-1)) actions in
-  Cr_semantics.Explicit.iter_states e (fun i s ->
-      Array.iteri
-        (fun a (guard, effect) ->
-          if guard s then
-            match Cr_semantics.Explicit.find_opt e (effect s) with
-            | Some j when j <> i -> tables.(a).(i) <- j
-            | Some _ | None -> ())
-        actions);
-  tables

@@ -27,13 +27,3 @@ val analyze :
 
 val edge_on_fair_cycle : analysis -> int -> int -> bool
 (** Is the edge inside some fair-admissible SCC? *)
-
-val tables_of :
-  'a Cr_semantics.Explicit.t -> (('a -> bool) * ('a -> 'a)) list -> tables
-(** Compile per-action (guard, effect) pairs into an action table over an
-    explicit system's state indices, in one
-    {!Cr_semantics.Explicit.iter_states} sweep under a [fair.tables]
-    span.  Neither may retain the state it is given.  An action counts
-    as disabled where its guard is false, where its effect is a no-op
-    (the successor's index is the state's own) and where the successor
-    lies outside the system. *)

@@ -59,9 +59,9 @@ let faults layout =
           List.init d (fun v ->
               Action.make
                 ~label:(Printf.sprintf "fault_%s=%d" (Layout.var_name layout slot) v)
-                ~proc:(-1) ~writes:[ slot ]
+                ~proc:(-1)
                 ~guard:(fun s -> s.(slot) <> v)
-                ~effect:(fun s -> Action.set s [ (slot, v) ])
+                ~assign:[ (slot, fun _ -> v) ]
                 ()))
       (List.init n (fun i -> i))
   in

@@ -3,7 +3,7 @@
 
      (1) a guard's value is exactly a function of its guard-read slots
          (over the whole space);
-     (2) among enabled states, the effect's output on a written slot is
+     (2) among enabled states, the value assigned to a written slot is
          exactly a function of the effect-read slots plus the written
          slot itself (pass-through lines), and every non-written slot
          passes through.
@@ -51,21 +51,27 @@ type transfer = {
   t_enabled : bool;
   t_outputs : (int * Dom.t) list;
   t_invalid : Layout.state option;
-  t_truncated : bool;
 }
 
-let eval ~budget layout (info : Rwsets.info) (sigma : Dom.t array) : transfer =
+(* The support product needs no budget of its own: it is at most the
+   number of states, which [Lint.over_budget] has bounded before any
+   transfer runs. *)
+let eval layout (info : Rwsets.info) (sigma : Dom.t array) : transfer =
   Cr_obs.Obs.incr c_transfers;
   let a = info.Rwsets.action in
   let nv = Layout.num_vars layout in
   let writes = info.Rwsets.writes in
-  let bot_outputs () =
-    List.map (fun w -> (w, Dom.bottom (Layout.dom layout w))) writes
+  let outs =
+    List.map (fun w -> (w, ref (Dom.bottom (Layout.dom layout w)))) writes
+  in
+  let result enabled invalid =
+    { t_enabled = enabled;
+      t_outputs = List.map (fun (w, acc) -> (w, !acc)) outs;
+      t_invalid = invalid }
   in
   if Array.exists Dom.is_bottom sigma then
     (* empty concretization: nothing is enabled *)
-    { t_enabled = false; t_outputs = bot_outputs (); t_invalid = None;
-      t_truncated = false }
+    result false None
   else begin
     let support =
       List.sort_uniq compare
@@ -75,52 +81,41 @@ let eval ~budget layout (info : Rwsets.info) (sigma : Dom.t array) : transfer =
       List.fold_left (fun acc i -> acc * Dom.count sigma.(i)) 1 support
     in
     Cr_obs.Obs.observe h_support product;
-    if product > budget then
-      (* sound but maximally imprecise: may fire, may write anything *)
-      { t_enabled = true;
-        t_outputs = List.map (fun w -> (w, Dom.top (Layout.dom layout w))) writes;
-        t_invalid = None;
-        t_truncated = true }
-    else begin
-      Cr_obs.Obs.add c_combos product;
-      let s = Array.init nv (fun i -> Dom.choose sigma.(i)) in
-      let slots = Array.of_list support in
-      let vals =
-        Array.map (fun i -> Array.of_list (Dom.to_list sigma.(i))) slots
-      in
-      let outs =
-        List.map (fun w -> (w, ref (Dom.bottom (Layout.dom layout w)))) writes
-      in
-      let enabled = ref false in
-      let invalid = ref None in
-      for k = 0 to product - 1 do
-        let r = ref k in
-        Array.iteri
-          (fun idx i ->
-            let vs = vals.(idx) in
-            let m = Array.length vs in
-            s.(i) <- vs.(!r mod m);
-            r := !r / m)
-          slots;
-        if a.Action.guard s then begin
-          enabled := true;
-          let s' = a.Action.effect s in
-          if (not (Layout.valid layout s')) && !invalid = None then
-            invalid := Some (Array.copy s);
-          let len = Array.length s' in
-          List.iter
-            (fun (w, acc) ->
-              if w < len then
-                let v = s'.(w) in
-                if v >= 0 && v < Layout.dom layout w then acc := Dom.add !acc v)
-            outs
-        end
-      done;
-      { t_enabled = !enabled;
-        t_outputs = List.map (fun (w, acc) -> (w, !acc)) outs;
-        t_invalid = !invalid;
-        t_truncated = false }
-    end
+    Cr_obs.Obs.add c_combos product;
+    let s = Array.init nv (fun i -> Dom.choose sigma.(i)) in
+    let slots = Array.of_list support in
+    let vals =
+      Array.map (fun i -> Array.of_list (Dom.to_list sigma.(i))) slots
+    in
+    (* per assignment, the output it feeds: none for an assigned slot
+       that no firing changes (its value is always its input) *)
+    let feeds =
+      Array.map (fun (x, e) -> (x, e, List.assoc_opt x outs)) a.Action.assign
+    in
+    let enabled = ref false in
+    let invalid = ref None in
+    for k = 0 to product - 1 do
+      let r = ref k in
+      Array.iteri
+        (fun idx i ->
+          let vs = vals.(idx) in
+          let m = Array.length vs in
+          s.(i) <- vs.(!r mod m);
+          r := !r / m)
+        slots;
+      if a.Action.guard s then begin
+        enabled := true;
+        Array.iter
+          (fun (x, e, out) ->
+            let v = e s in
+            if v < 0 || v >= Layout.dom layout x then begin
+              if !invalid = None then invalid := Some (Array.copy s)
+            end
+            else Option.iter (fun acc -> acc := Dom.add !acc v) out)
+          feeds
+      end
+    done;
+    result !enabled !invalid
   end
 
 (* ---- the analysis ---- *)
@@ -178,9 +173,8 @@ let analyze ?(exact_budget = Lint.default_exact_budget) (p : Program.t) : t =
               let trs =
                 List.map
                   (fun info ->
-                    let tr = eval ~budget:exact_budget layout info sigma in
-                    if tr.t_truncated || tr.t_invalid <> None then
-                      sound := false;
+                    let tr = eval layout info sigma in
+                    if tr.t_invalid <> None then sound := false;
                     List.iter
                       (fun (w, dv) ->
                         let j = Dom.join sigma.(w) dv in
@@ -205,8 +199,7 @@ let analyze ?(exact_budget = Lint.default_exact_budget) (p : Program.t) : t =
               info;
               init_enabled =
                 (match itr with
-                | Some it when init_sound && not it.t_truncated ->
-                    Some it.t_enabled
+                | Some it when init_sound -> Some it.t_enabled
                 | _ -> None);
               init_invalid = Option.bind itr (fun it -> it.t_invalid);
             })

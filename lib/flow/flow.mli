@@ -4,8 +4,8 @@
     The engine abstracts a set of states as one {!Dom.t} per layout slot
     (a cartesian, non-relational abstraction) and localizes each
     action's transfer function with its exact {!Cr_lint.Rwsets} support:
-    a guard is exactly a function of its guard-read slots, and written
-    outputs among enabled states are exactly a function of the
+    a guard is exactly a function of its guard-read slots, and assigned
+    values among enabled states are exactly a function of the
     effect-read and written slots (the finite-differencing theorems
     behind [Rwsets]).  A transfer therefore enumerates only the product
     of the abstract values over that support, with every other slot
@@ -40,7 +40,7 @@
       throughout every fault-free execution (info, abstract).
 
     Init-fixpoint claims are suppressed (conservatively) if any transfer
-    during the fixpoint was truncated or produced an invalid state:
+    during the fixpoint produced an invalid state:
     [Program.reachable_from] keeps even domain-invalid successors, so
     the per-slot abstraction only covers the true closure when every
     propagated output stayed inside the layout.
@@ -60,7 +60,7 @@ type fact = {
       (** enabled under the init fixpoint; [None] when the init analysis
           is unavailable or its definite claims are suppressed *)
   init_invalid : Layout.state option;
-      (** a state under the init fixpoint whose effect leaves the
+      (** a state under the init fixpoint whose assignment leaves the
           layout (abstract: the state itself may be unreachable) *)
 }
 
@@ -75,8 +75,8 @@ type t = {
   init_state : Dom.t array option;  (** lfp of σ0 ⊔ post *)
   init_rounds : int;  (** chaotic-iteration rounds to the fixpoint *)
   init_sound : bool;
-      (** no truncation or domain violation during the fixpoint — the
-          precondition for definite init claims *)
+      (** no domain violation during the fixpoint — the precondition
+          for definite init claims *)
   findings : Lint.finding list;
       (** the flow battery: D1, U1/S1, F2, F3 (or B1) *)
 }

@@ -1,36 +1,37 @@
-(* A guarded command: guard -> assignment, with metadata identifying the
-   owning process and the written slots (used by the synchronous daemon
-   and by pretty-printers). *)
+(* A guarded command: guard -> parallel assignment, with the owning
+   process as metadata (used by the synchronous daemon and by
+   pretty-printers).  The assigned slots are the action's writes. *)
 
 type state = Layout.state
 
 type t = {
   label : string;
   proc : int;  (* owning process; -1 for global wrappers *)
-  writes : int list;  (* slots this action may write *)
   guard : state -> bool;
-  effect : state -> state;  (* must be pure: returns a fresh array *)
+  assign : (int * (state -> int)) array;  (* read the pre-state *)
 }
 
-let make ~label ?(proc = -1) ?(writes = []) ~guard ~effect () =
-  { label; proc; writes; guard; effect }
+(* A slot assigned twice would count twice in a rank delta. *)
+let make ~label ?(proc = -1) ~guard ~assign () =
+  let slots = List.map fst assign in
+  if List.length (List.sort_uniq Int.compare slots) < List.length slots then
+    invalid_arg (Printf.sprintf "Action.make: %s assigns a slot twice" label);
+  { label; proc; guard; assign = Array.of_list assign }
 
 let label t = t.label
 let proc t = t.proc
-let writes t = t.writes
+let writes t = Array.to_list (Array.map fst t.assign)
 
 let enabled t s = t.guard s
 
-(* Fire the action; [None] when disabled or when the effect is a no-op
-   (no-op steps are stuttering, cf. DESIGN.md section 2). *)
+(* Fire the action; [None] when disabled or when every assigned value
+   equals the pre-state's (no-op steps are stuttering, cf. DESIGN.md
+   section 2), so a state is copied only for a real step. *)
 let fire t s =
-  if not (t.guard s) then None
-  else
-    let s' = t.effect s in
-    if s' = s then None else Some s'
-
-(* Copy-on-write assignment helper for effects. *)
-let set (s : state) (updates : (int * int) list) : state =
-  let s' = Array.copy s in
-  List.iter (fun (i, v) -> s'.(i) <- v) updates;
-  s'
+  if (not (t.guard s)) || Array.for_all (fun (x, e) -> e s = s.(x)) t.assign
+  then None
+  else begin
+    let s' = Array.copy s in
+    Array.iter (fun (x, e) -> s'.(x) <- e s) t.assign;
+    Some s'
+  end

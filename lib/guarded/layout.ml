@@ -122,8 +122,7 @@ let iter_range t ~lo ~hi f =
 let iter_states t f = iter_range t ~lo:0 ~hi:(num_states t) f
 
 (* Fused validity test + rank: [-1] when the state is outside the
-   layout.  One pass, no allocation — the innermost operation of the
-   explicit compiler, which ranks every successor of every state. *)
+   layout.  One pass, no allocation. *)
 let checked_rank t (s : state) =
   let n = Array.length t.vars in
   if Array.length s <> n then -1
@@ -169,13 +168,6 @@ module Tbl = Hashtbl.Make (struct
 
   let hash = hash
 end)
-
-let valid t (s : state) =
-  Array.length s = num_vars t
-  &&
-  let ok = ref true in
-  Array.iteri (fun i v -> if s.(i) < 0 || s.(i) >= v.dom then ok := false) t.vars;
-  !ok
 
 let pp_state t fmt (s : state) =
   let items =

@@ -33,15 +33,15 @@ val states_string : int -> string
 val rank : t -> state -> int
 (** Mixed-radix index of a valid state, in [0 .. num_states - 1]; slot 0
     is the least significant digit, matching the {!enumerate} order.
-    O(num_vars) integer arithmetic; unchecked (see {!valid}). *)
+    O(num_vars) integer arithmetic; unchecked (see {!checked_rank}). *)
 
 val unrank : t -> int -> state
 (** Inverse of {!rank}: the state at a given index. *)
 
 val checked_rank : t -> state -> int
-(** {!valid} and {!rank} fused into one allocation-free pass: the rank
-    of a valid state, [-1] otherwise.  The hot path of the explicit
-    compiler. *)
+(** The validity test (the layout's length, every slot in its domain)
+    and {!rank} fused into one allocation-free pass: the rank of a valid
+    state, [-1] otherwise. *)
 
 val weight : t -> int -> int
 (** Mixed-radix digit weight of a slot: the rank stride between two
@@ -62,8 +62,6 @@ val iter_range : t -> lo:int -> hi:int -> (int -> state -> unit) -> unit
 (** {!iter_states} restricted to the ranks [lo .. hi - 1]: one {!unrank}
     at [lo], then the same in-place odometer.  Disjoint ranges may be
     swept by different domains (each has its own scratch state). *)
-
-val valid : t -> state -> bool
 
 val hash : state -> int
 (** Non-negative hash of a whole state, valid or not.  It folds every

@@ -25,7 +25,22 @@ type t = {
   closure : closure option;
 }
 
+(* A slot outside the layout would otherwise surface as a bare index
+   error in the middle of a compile. *)
+let check_slots ~name layout actions =
+  List.iter
+    (fun a ->
+      List.iter
+        (fun x ->
+          if x < 0 || x >= Layout.num_vars layout then
+            invalid_arg
+              (Printf.sprintf "Program %s: action %s assigns slot %d outside \
+                               the layout" name (Action.label a) x))
+        (Action.writes a))
+    actions
+
 let make ~name ~layout ~actions ~initial =
+  check_slots ~name layout actions;
   { name; layout; actions; initial; closure = None }
 
 let name t = t.name
@@ -34,7 +49,9 @@ let actions t = t.actions
 let initial t = t.initial
 let rename n t = { t with name = n }
 let with_initial initial t = { t with initial; closure = None }
-let with_actions actions t = { t with actions }
+let with_actions actions t =
+  check_slots ~name:t.name t.layout actions;
+  { t with actions }
 
 (* Distinct owning processes (>= 0) of the program's actions, sorted.
    Global wrapper actions (proc -1) are not listed. *)
@@ -92,7 +109,7 @@ let box_priority ?name base wrapper =
 
 (* Synchronous (distributed-daemon) semantics: in each step, every process
    with an enabled action fires simultaneously; guards read the old state
-   and the declared [writes] of each chosen action are merged (first
+   and the assigned slots of each chosen action are merged (first
    enabled action per process).  The resulting system is deterministic.
    Only meaningful for programs whose actions write their own process's
    variables (the paper's concrete systems). *)
@@ -117,7 +134,7 @@ let synchronous_step t s =
         (fun (a, target) ->
           List.iter (fun slot -> s'.(slot) <- target.(slot)) (Action.writes a))
         chosen;
-      if s' = s then None else Some s'
+      if Array.for_all2 Int.equal s s' then None else Some s'
 
 (* ------------------------------------------------------------------ *)
 (* Explicit compilation: allocation-lean, domain-chunked, memoized.    *)
@@ -142,47 +159,77 @@ let rank_checked ~name layout s' =
   let j = Layout.checked_rank layout s' in
   if j >= 0 then j else raise (escape_error ~name ~layout s')
 
-(* Per-chunk successor-key emitter shared by both engines: guard test,
-   effect, checked rank — no firing lists, no per-state rows.  [i] is
-   the state's own dense rank, so dropping [j = i] is exactly the no-op
-   test of [Action.fire] ([rank] is injective on valid states).  Under
-   [Priority], wrapper firings preempt base firings, and a wrapper whose
-   effect is a no-op does not count as a wrapper move (matching
-   [firings], which drops no-ops before the preemption test). *)
+(* Every slot's mixed-radix weight and domain, by slot. *)
+let radix layout =
+  let nv = Layout.num_vars layout in
+  (Array.init nv (Layout.weight layout), Array.init nv (Layout.dom layout))
+
+(* The rank of the state [a]'s assignment leads to from the valid state
+   [s] of rank [i], without building it: [i] plus [(v - s.(x)) * weight
+   x] per assignment [x := v] -- [i] itself on a no-op ([rank] is
+   injective on valid states), [-1] once a value leaves its slot's
+   domain.  The guard is not tested. *)
+let target ~weight ~dom (a : Action.t) s i =
+  let j = ref i in
+  for k = 0 to Array.length a.Action.assign - 1 do
+    let x, e = a.Action.assign.(k) in
+    let v = e s in
+    if !j >= 0 then
+      j := if v < 0 || v >= dom.(x) then -1 else !j + ((v - s.(x)) * weight.(x))
+  done;
+  !j
+
+(* [target], failing like [rank_checked] on an assignment that leaves
+   Sigma.  Only then is the post-state built ([Action.fire] returns it:
+   a value outside its domain differs from the pre-state's). *)
+let target_checked ~name layout ~weight ~dom a s i =
+  let j = target ~weight ~dom a s i in
+  if j >= 0 then j else rank_checked ~name layout (Option.get (Action.fire a s))
+
+(* Per-chunk successor-key emitter shared by both engines: guard test and
+   rank delta per action, no state built, no firing lists, no per-state
+   rows.  [i] is the state's own dense rank, so dropping [j = i] is
+   exactly the no-op test of [Action.fire].  Under [Priority], wrapper
+   firings preempt base firings, and a wrapper whose assignment is a
+   no-op does not count as a wrapper move (matching [firings], which
+   drops no-ops before the preemption test). *)
 let step_keys ~mode t () =
   let layout = t.layout in
   let name = mode_name ~mode t in
+  let weight, dom = radix layout in
   match mode with
   | Plain ->
+      (* loops, not [Array.iter]: a closure per state would be the sweep's
+         only allocation *)
       let actions = Array.of_list t.actions in
       fun s i emit ->
-        Array.iter
-          (fun (a : Action.t) ->
-            if a.Action.guard s then begin
-              let j = rank_checked ~name layout (a.Action.effect s) in
-              if j <> i then emit j
-            end)
-          actions
+        for k = 0 to Array.length actions - 1 do
+          let a = actions.(k) in
+          if a.Action.guard s then begin
+            let j = target_checked ~name layout ~weight ~dom a s i in
+            if j <> i then emit j
+          end
+        done
   | Priority bits ->
       let actions = Array.of_list t.actions in
       let bbuf = Array.make (max 1 (Array.length actions)) 0 in
       fun s i emit ->
         let wk = ref 0 and bk = ref 0 in
-        Array.iteri
-          (fun ai (a : Action.t) ->
-            if a.Action.guard s then begin
-              let j = rank_checked ~name layout (a.Action.effect s) in
-              if j <> i then
-                if bits.(ai) then begin
-                  emit j;
-                  incr wk
-                end
-                else begin
-                  bbuf.(!bk) <- j;
-                  incr bk
-                end
-            end)
-          actions;
+        for k = 0 to Array.length actions - 1 do
+          let a = actions.(k) in
+          if a.Action.guard s then begin
+            let j = target_checked ~name layout ~weight ~dom a s i in
+            if j <> i then
+              if bits.(k) then begin
+                emit j;
+                incr wk
+              end
+              else begin
+                bbuf.(!bk) <- j;
+                incr bk
+              end
+          end
+        done;
         if !wk = 0 then
           for k = 0 to !bk - 1 do
             emit bbuf.(k)
@@ -353,25 +400,25 @@ let probe ~mode t =
         | Some s' -> fold (rank_checked ~name layout s')
       done
   | Plain | Priority _ ->
-      let actions = Array.of_list t.actions in
+      let weight, dom = radix layout in
       for k = 0 to budget - 1 do
         let i = sample k in
         let s = Layout.unrank layout i in
         fold i;
-        Array.iter
+        List.iter
           (fun (a : Action.t) ->
             if a.Action.guard s then
-              fold (rank_checked ~name layout (a.Action.effect s))
+              fold (target_checked ~name layout ~weight ~dom a s i)
             else fold (-1))
-          actions
+          t.actions
       done);
   Memo.Fp.to_hex fp
 
 (* Content-addressed cache key: execution mode, layout (variable names
    and domain sizes), per-action metadata (label, owning process,
-   declared writes, wrapper bit) — plus the semantic {!probe}, which is
+   assigned slots, wrapper bit) — plus the semantic {!probe}, which is
    what separates programs whose actions carry identical labels but
-   different guards or effects.  The initial-state predicate is
+   different guards or assignments.  The initial-state predicate is
    deliberately NOT part of the key: a cached graph is re-targeted via
    [Explicit.with_initials] (O(1), swept on first use) on every hit.
    (The probe is a 126-bit rolling hash, not the exact rows;
@@ -506,6 +553,32 @@ let to_explicit ?priority_of ?roots ?(space = Space.Dense) t =
   compile ~mode ~space ?roots t
 
 let to_explicit_synchronous ?(space = Space.Dense) t = compile ~mode:Sync ~space t
+
+(* One sweep over [e] ranks every firing's successor by rank delta.  On
+   a dense compile a rank is its index; any other graph (a sparse one)
+   maps the ranks through [find_opt] afterwards. *)
+let action_tables t (e : state Cr_semantics.Explicit.t) =
+  let module E = Cr_semantics.Explicit in
+  let layout = t.layout and actions = Array.of_list t.actions in
+  let weight, dom = radix layout in
+  let n = E.num_states e in
+  let tables = Array.map (fun _ -> Array.make n (-1)) actions in
+  let dense = ref (n = Layout.num_states layout) in
+  E.iter_states e (fun i s ->
+      let r = Layout.rank layout s in
+      if r <> i then dense := false;
+      for a = 0 to Array.length actions - 1 do
+        if actions.(a).Action.guard s then
+          let j = target ~weight ~dom actions.(a) s r in
+          if j >= 0 && j <> r then tables.(a).(i) <- j
+      done);
+  let index j = E.find_opt e (Layout.unrank layout j) in
+  if not !dense then
+    Array.iter
+      (Array.map_inplace (fun j ->
+           if j < 0 then j else Option.value ~default:(-1) (index j)))
+      tables;
+  tables
 
 (* Reachability closure at the program level, used to define the initial
    states of concrete systems as the orbit of canonical legitimate

@@ -14,6 +14,8 @@ val make :
   actions:Action.t list ->
   initial:(state -> bool) ->
   t
+(** Raises [Invalid_argument], naming the action, on a slot outside
+    [layout]. *)
 
 val name : t -> string
 val layout : t -> Layout.t
@@ -24,7 +26,7 @@ val with_initial : (state -> bool) -> t -> t
 
 val with_actions : Action.t list -> t -> t
 (** Replace the action list (e.g. to test daemon order-sensitivity by
-    reordering). *)
+    reordering).  Raises [Invalid_argument] like {!make}. *)
 
 val procs : t -> int list
 (** The distinct owning processes (>= 0) of the actions, sorted; global
@@ -90,14 +92,17 @@ val to_explicit :
       whole closure, anything else found by one predicate scan over
       Sigma.
 
-    Either way the per-state loop iterates actions directly (guard,
-    effect, rank) with no intermediate firing lists, and is
+    Either way the per-state loop builds no state: per action a guard
+    test, then the successor's rank from the state's own plus
+    [(v - s.(x)) * weight x] per assignment [x := v], each [v] checked
+    against its domain.  It is
     domain-chunked under the [CR_JOBS] contract of {!Cr_kernel.Par} —
-    identical output for every job count (the guards and effects may
-    run on several domains at once).  The compile does not evaluate the
-    initial predicate: the graph keeps it and sweeps it on the first
-    use of its initial states ({!Cr_semantics.Explicit.initials}), so a
-    stabilization check, which never reads them, never calls it.
+    identical output for every job count (the guards and right-hand
+    sides may run on several domains at once).  The compile does not
+    evaluate the initial predicate: the graph keeps it and sweeps it on
+    the first use of its initial states
+    ({!Cr_semantics.Explicit.initials}), so a stabilization check, which
+    never reads them, never calls it.
 
     Raises {!Cr_semantics.Space.Too_large} before any work when the
     engine cannot index the layout: [Dense] past
@@ -127,13 +132,18 @@ val clear_compile_cache : unit -> unit
 val synchronous_step : t -> state -> state option
 (** One synchronous (distributed-daemon) step: every process with an
     enabled action fires simultaneously, guards reading the old state and
-    the declared [writes] merged.  [None] at fixpoints. *)
+    the assigned slots merged.  [None] at fixpoints. *)
 
 val to_explicit_synchronous :
   ?space:Cr_semantics.Space.engine -> t -> state Cr_semantics.Explicit.t
 (** Explicit graph of the synchronous semantics; chunked, memoized and
     space-routed like {!to_explicit} (the cache key's mode tag keeps the
     two semantics of one program distinct). *)
+
+val action_tables : t -> state Cr_semantics.Explicit.t -> int array array
+(** [tables.(a).(i)]: where action [a] (by position in {!actions})
+    leads from state [i] of a compile of the program, by rank delta;
+    [-1] where it is disabled, a no-op, or leaves the graph. *)
 
 val reachable_from : t -> state list -> unit Layout.Tbl.t
 (** All states reachable from the seeds under the program's transitions,

@@ -1,22 +1,22 @@
 (* Cr_lint: a static-analysis pass over guarded-command programs.
 
-   Every system in the reproduction declares [proc] and [writes] metadata
-   on its actions but keeps guards/effects as opaque closures; the
-   synchronous daemon, wrapper priority and the read/write-atomicity
-   experiment all silently trust that metadata.  This pass makes the
+   Every system in the reproduction declares a [proc] per action and
+   writes its actions as parallel assignments whose guards and
+   right-hand sides are opaque closures; the synchronous daemon, wrapper
+   priority and the read/write-atomicity experiment all silently trust
+   the process metadata and the assigned slots.  This pass makes the
    trust assumptions checkable: it infers exact read/write sets per
    action (Rwsets) and runs a battery of keyed checks.
 
    Check catalogue (keys, default severities):
-     W1 error    declared-writes unsoundness: effect writes an undeclared slot
-     W2 warning  over-declaration: a declared slot is never written
+     W2 warning  idle assignment: an assigned slot no firing changes
      P1 error    ownership violation: a slot is written by several processes
                  (info when allowlisted — the paper's abstract
                  neighbour-writing models do this on purpose)
      G1 warning  same-process overlap with diverging effects: makes
                  Program.synchronous_step's first-enabled-per-process
                  choice order-dependent
-     D1 error    domain violation: an effect can leave Layout.valid
+     D1 error    domain violation: an assigned value can leave its domain
      U1 warning  dead action: never enabled in the full state space
         info     live in the full space but never enabled from the
                  initial states (fault-free executions)
@@ -94,37 +94,22 @@ let diff_sorted a b = List.filter (fun x -> not (List.mem x b)) a
 
 (* ---- the checks ---- *)
 
-(* W1/W2: declared [writes] metadata vs the exact write set. *)
+(* W2: assigned slots vs the exact write set (a subset of them: a slot
+   no assignment names cannot change).  Only meaningful for actions that
+   fire at all; dead or stuttering-only actions are reported by U1/S1
+   instead. *)
 let check_writes layout mk info =
   let a = info.Rwsets.action in
-  let declared = List.sort_uniq compare (Action.writes a) in
-  let exact = info.Rwsets.writes in
-  let undeclared = diff_sorted exact declared in
-  let overdeclared = diff_sorted declared exact in
-  let w1 =
-    if undeclared = [] then []
-    else
-      [
-        mk "W1" Error (Action.label a)
-          (Printf.sprintf
-             "effect writes undeclared slot(s) {%s}; declared writes {%s}"
-             (slot_names layout undeclared)
-             (slot_names layout declared));
-      ]
+  let idle =
+    diff_sorted (List.sort_uniq compare (Action.writes a)) info.Rwsets.writes
   in
-  (* Over-declaration is only meaningful for actions that fire at all;
-     dead or stuttering-only actions are reported by U1/S1 instead. *)
-  let w2 =
-    if overdeclared = [] || info.Rwsets.firing_states = 0 then []
-    else
-      [
-        mk "W2" Warning (Action.label a)
-          (Printf.sprintf
-             "declared write slot(s) {%s} never written by the effect"
-             (slot_names layout overdeclared));
-      ]
-  in
-  w1 @ w2
+  if idle = [] || info.Rwsets.firing_states = 0 then []
+  else
+    [
+      mk "W2" Warning (Action.label a)
+        (Printf.sprintf "assigned slot(s) {%s} never changed by a firing"
+           (slot_names layout idle));
+    ]
 
 (* writers.(w): the processes (>= 0) whose actions write slot w, each
    with the label of its first action that does, newest entry first —
@@ -167,19 +152,19 @@ let check_ownership layout mk ~allowed writers =
   !fs
 
 (* G1: two actions of one process both fire at some state with different
-   results under the synchronous daemon's merge of declared writes — the
-   first-enabled-per-process choice is then order-dependent.
+   results under the synchronous daemon's merge of their assignments —
+   the first-enabled-per-process choice is then order-dependent.
 
    The scan is pair-localized: whether a same-process pair conflicts
    somewhere is a function of the slots in
 
      U = guard_reads(a) + guard_reads(b) + effect_reads(a)
-       + effect_reads(b) + declared_writes(a) + declared_writes(b)
+       + effect_reads(b) + assigned(a) + assigned(b)
 
    only.  Guards depend exactly on their guard-read slots, written
    outputs among enabled states depend exactly on the effect-read slots
-   (Rwsets' differencing theorems), and the synchronous merge copies
-   declared slots — so the whole conflict predicate is invariant under
+   (Rwsets' differencing theorems), and the synchronous merge writes the
+   assigned slots — so the whole conflict predicate is invariant under
    changing any slot outside U, and enumerating the U-product with
    every other slot pinned at 0 decides the pair exactly.  Cost drops
    from O(num_states * procs) to the (typically tiny) per-pair support
@@ -189,21 +174,27 @@ let check_sync_overlap layout mk ~budget infos =
   Cr_obs.Obs.span "lint.g1_scan" @@ fun () ->
   let nv = Layout.num_vars layout in
   let fs = ref [] in
-  (* Exact writes join the support because the fire/no-op distinction
-     (a no-op is not a firing, so it never enters the synchronous merge)
-     compares effect outputs against the state's own written slots. *)
+  (* The assigned slots join the support because the fire/no-op
+     distinction (a no-op is not a firing, so it never enters the
+     synchronous merge) compares the assigned values against the state's
+     own slots. *)
   let support info =
     List.sort_uniq compare
       (info.Rwsets.guard_reads @ info.Rwsets.effect_reads
-      @ info.Rwsets.writes
-      @ List.filter
-          (fun i -> i >= 0 && i < nv)
-          (Action.writes info.Rwsets.action))
+      @ Action.writes info.Rwsets.action)
+  in
+  (* the value the merge leaves in slot [w]: the action's assigned value,
+     or the state's own *)
+  let merged (a : Action.t) s w =
+    match Array.find_opt (fun (x, _) -> x = w) a.Action.assign with
+    | Some (_, e) -> e s
+    | None -> s.(w)
+  in
+  let fires (a : Action.t) s =
+    Array.exists (fun (x, e) -> e s <> s.(x)) a.Action.assign
   in
   let conflict ia ib =
     let a = ia.Rwsets.action and b = ib.Rwsets.action in
-    let da = List.filter (fun i -> i >= 0 && i < nv) (Action.writes a) in
-    let db = List.filter (fun i -> i >= 0 && i < nv) (Action.writes b) in
     let u = List.sort_uniq compare (support ia @ support ib) in
     let product =
       List.fold_left (fun acc i -> acc * Layout.dom layout i) 1 u
@@ -223,19 +214,14 @@ let check_sync_overlap layout mk ~budget infos =
             s.(i) <- !r mod d;
             r := !r / d)
           u;
-        if a.Action.guard s && b.Action.guard s then begin
-          let sa = a.Action.effect s and sb = b.Action.effect s in
-          (* Only genuine firings enter the synchronous merge. *)
-          if sa <> s && sb <> s then begin
-            let pick s' decl w =
-              if List.mem w decl && w < Array.length s' then s'.(w) else s.(w)
-            in
-            if
-              List.exists
-                (fun w -> pick sa da w <> pick sb db w)
-                (List.sort_uniq compare (da @ db))
-            then witness := Some (Array.copy s)
-          end
+        (* Only genuine firings enter the synchronous merge. *)
+        if a.Action.guard s && b.Action.guard s && fires a s && fires b s
+        then begin
+          if
+            List.exists
+              (fun w -> merged a s w <> merged b s w)
+              (List.sort_uniq compare (Action.writes a @ Action.writes b))
+          then witness := Some (Array.copy s)
         end;
         incr k
       done;
@@ -267,7 +253,7 @@ let check_sync_overlap layout mk ~budget infos =
   done;
   List.rev !fs
 
-(* D1: an enabled state whose effect leaves the layout. *)
+(* D1: an enabled state whose assignment leaves the layout. *)
 let check_domains p info =
   match info.Rwsets.invalid_witness with
   | None -> []
@@ -386,7 +372,7 @@ let check_labels mk p =
 (* ---- the pass ---- *)
 
 let key_order =
-  [ "W1"; "W2"; "P1"; "G1"; "D1"; "U1"; "S1"; "I1"; "L1"; "F2"; "F3"; "B1" ]
+  [ "W2"; "P1"; "G1"; "D1"; "U1"; "S1"; "I1"; "L1"; "F2"; "F3"; "B1" ]
 
 let key_rank k =
   let rec go i = function

@@ -3,10 +3,9 @@
     Infers exact read/write sets per action ({!Rwsets}) and runs a
     battery of keyed checks over them:
 
-    - [W1] (error): the effect writes a slot missing from the declared
-      [writes] metadata — the synchronous daemon and the ownership
-      checks silently trust that list.
-    - [W2] (warning): a declared slot is never written by any firing.
+    - [W2] (warning): an assigned slot is never changed by any firing
+      (a slot no assignment names cannot change, so there is no
+      undeclared write to report).
     - [P1] (error; info when ["P1"] is allowlisted): a slot is written
       by actions of two or more distinct processes — a locality
       violation for concrete systems, intentional for the paper's
@@ -15,8 +14,7 @@
       with different synchronous-merge results, making
       {!Cr_guarded.Program.synchronous_step}'s first-enabled choice
       order-dependent.
-    - [D1] (error): an effect can produce a state failing
-      {!Cr_guarded.Layout.valid}.
+    - [D1] (error): an assigned value can leave its slot's domain.
     - [U1] (warning / info): dead action — never enabled in the full
       state space (warning), or live but never enabled from the initial
       states (info).
@@ -82,7 +80,7 @@ val over_budget : exact_budget:int -> Program.t -> finding option
     full-space pass, so neither audit starts it. *)
 
 val check_domains : Program.t -> Rwsets.info -> finding list
-(** [D1] for one action: an enabled state whose effect leaves the
+(** [D1] for one action: an enabled state whose assignment leaves the
     layout (the [invalid_witness] of its {!Rwsets.info}). *)
 
 val check_liveness :

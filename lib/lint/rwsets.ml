@@ -1,29 +1,28 @@
 (* Exact per-action read/write sets by finite differencing.
 
-   Guards and effects are opaque closures, but domains are finite, so
-   dependence is decidable by perturbation: slot i is read iff changing
-   only slot i can change the guard's value (guard read) or the effect's
-   written values (effect read), and written iff some enabled state's
-   effect changes it.  All sets are exact w.r.t. the program semantics:
-   reads are compared only across states the guard admits (a disabled
-   state never fires), and a slot the effect merely passes through
-   (output = input on every enabled state) is neither read nor written —
-   extensionally the effect does not touch it.
+   Guards and right-hand sides are opaque closures, but domains are
+   finite, so dependence is decidable by perturbation: slot i is read
+   iff changing only slot i can change the guard's value (guard read) or
+   the assigned values (effect read), and written iff some enabled
+   state's assignment changes it.  All sets are exact w.r.t. the program
+   semantics: reads are compared only across states the guard admits (a
+   disabled state never fires), and an assigned slot whose value always
+   equals its input on enabled states is neither read nor written —
+   extensionally the action does not touch it.
 
    Cost per action: one allocation-free Layout.iter_states sweep, the
    only pass that evaluates anything.  It calls the guard once per state
-   and the effect once per enabled state, and keeps a byte per state
-   (the guard bit) and a four-byte lane per state (the result's
-   Layout.checked_rank, all ones outside the layout).  It also collects
-   the exact write set W: a valid result is compared slot by slot only
-   when its rank moved by more than the slots of W found so far account
-   for.  A result outside the layout (an out-of-domain or wrong-length
-   effect, D1 material) keeps its array in a side table keyed by source
-   rank.  Then:
+   and each right-hand side once per enabled state, and keeps a byte per
+   state (the guard bit) and a four-byte lane per state (the result's
+   rank, the state's own moved by the assigned values times their slots'
+   weights; all ones outside the layout).  A slot joins the exact write
+   set W where an assigned value differs from its input.  A result
+   outside the layout (an out-of-domain value, D1 material) keeps its
+   post-state in a side table keyed by source rank.  Then:
 
-   - Codes.  One pass gives every enabled full-length result a code for
-     its W-tuple (the values it writes to W), 0 for a disabled state or a
-     wrong-length result, written over the ranks in place and packed into
+   - Codes.  One pass gives every enabled result a code for its W-tuple
+     (the values it writes to W), 0 for a disabled state, written over
+     the ranks in place and packed into
      the narrowest lanes that hold them: one byte while at most 255
      tuples occur, 2 or 4 only when more do.  A valid tuple is looked up
      by its W digits in a table over W's domains; an out-of-domain tuple
@@ -45,10 +44,10 @@
      compares two runs (or one run and a constant) eight bytes at a time,
      with lane-wise nonzero tests (SWAR) where a zero code must not
      count; two equal words cost one compare.
-   - One scan for an unread slot.  When every enabled result is
-     full-length, code 0 means disabled, so a slot whose neighbouring
-     codes are equal everywhere is neither a guard nor an effect read;
-     only a slot that fails that scan is asked the questions above.
+   - One scan for an unread slot.  Code 0 means disabled, so a slot
+     whose neighbouring codes are equal everywhere is neither a guard nor
+     an effect read; only a slot that fails that scan is asked the
+     questions above.
    - Only a write slot i keeps a per-pair test: there two results may
      differ in i alone by each passing its own input through, which is
      no read.  It runs only where the run compares flag a pair.
@@ -61,15 +60,15 @@ open Cr_guarded
 type info = {
   action : Action.t;
   enabled_states : int;  (* states where the guard holds *)
-  firing_states : int;  (* enabled states where the effect is not a no-op *)
-  writes : int list;  (* slots some enabled state's effect changes *)
+  firing_states : int;  (* enabled states where the assignment is not a no-op *)
+  writes : int list;  (* slots some enabled state's assignment changes *)
   guard_reads : int list;  (* slots the guard's value depends on *)
   effect_reads : int list;  (* slots the written values depend on *)
   copy_sources : int list;
-      (* when [writes = [w]]: slots r <> w with effect(s).(w) = s.(r) on
-         every enabled state — the signature of an atomic read step *)
+      (* when [writes = [w]]: slots r <> w whose value is assigned to w
+         on every enabled state — the signature of an atomic read step *)
   invalid_witness : Layout.state option;
-      (* an enabled state whose effect leaves the layout's domains *)
+      (* an enabled state whose assignment leaves the layout's domains *)
 }
 
 let c_actions = Cr_obs.Obs.counter "lint.rwsets.actions"
@@ -198,7 +197,6 @@ type codes = {
       (* the code of each valid W-tuple, by its mixed-radix index over
          W's domains; 0 while no result has it *)
   bad : (int array, int) Hashtbl.t;  (* out-of-domain tuples *)
-  full : bool;  (* no enabled state has a wrong-length result *)
 }
 
 let code c k = get_lane c.buf c.u k
@@ -211,7 +209,7 @@ let code c k = get_lane c.buf c.u k
    writes bytes at once; otherwise it writes codes over the ranks and
    packs them after. *)
 let code_results layout ~ns ~gcache ~lanes ~outside wa =
-  let nv = Layout.num_vars layout and nw = Array.length wa in
+  let nw = Array.length wa in
   let wdom = Array.map (Layout.dom layout) wa in
   let wweight = Array.map (Layout.weight layout) wa in
   let radix = Array.make nw 1 in
@@ -233,7 +231,6 @@ let code_results layout ~ns ~gcache ~lanes ~outside wa =
       !tuples.(base + x) <- value x
     done
   in
-  let full = ref true in
   let bound =
     Array.fold_left (fun b d -> min 0x100 (b * d)) 1 wdom
     + Hashtbl.length outside
@@ -268,18 +265,13 @@ let code_results layout ~ns ~gcache ~lanes ~outside wa =
           end
           else
             let s' = Hashtbl.find outside k in
-            if Array.length s' <> nv then begin
-              full := false;
-              0
-            end
-            else
-              let t = Array.map (fun j -> s'.(j)) wa in
-              match Hashtbl.find_opt bad t with
-              | Some c -> c
-              | None ->
-                  add_tuple (fun x -> t.(x));
-                  Hashtbl.replace bad t !ncodes;
-                  !ncodes
+            let t = Array.map (fun j -> s'.(j)) wa in
+            match Hashtbl.find_opt bad t with
+            | Some c -> c
+            | None ->
+                add_tuple (fun x -> t.(x));
+                Hashtbl.replace bad t !ncodes;
+                !ncodes
       in
       set_lane lanes u0 k c
     done;
@@ -291,7 +283,7 @@ let code_results layout ~ns ~gcache ~lanes ~outside wa =
       set_lane lanes u k (get_lane lanes u0 k)
     done;
   if u < rank_bytes then Bytes.fill lanes (ns * u) pad '\000';
-  { u; buf = lanes; tuples = !tuples; valid; bad; full = !full }
+  { u; buf = lanes; tuples = !tuples; valid; bad }
 
 let of_action layout (a : Action.t) : info =
   Cr_obs.Obs.span "lint.rwsets" @@ fun () ->
@@ -299,55 +291,44 @@ let of_action layout (a : Action.t) : info =
   let ns = Layout.num_states layout in
   let dom = Array.init nv (Layout.dom layout) in
   let weight = Array.init nv (Layout.weight layout) in
-  let guard = a.Action.guard and effect = a.Action.effect in
+  let guard = a.Action.guard and assign = a.Action.assign in
   if ns > max_states then
     invalid_arg
       (Printf.sprintf "Rwsets.of_action: %s (at most %d)"
          (Layout.states_string ns) max_states);
-  (* The sweep: evaluate every state once; cache guard bits and effect
+  (* The sweep: evaluate every state once; cache guard bits and result
      ranks by source rank; collect the exact write set. *)
   let gcache = Bytes.make (ns + pad) '\000' in
   let lanes = Bytes.make ((ns * rank_bytes) + pad) '\000' in
-  (* results of rank -1, by source rank *)
+  (* results outside the layout, by source rank *)
   let outside = Hashtbl.create 8 in
   let enabled = ref 0 and firing = ref 0 in
-  let wmask = Array.make nv false and known = ref [||] in
+  let wmask = Array.make nv false in
   let invalid = ref None in
   Layout.iter_states layout (fun k s ->
       if guard s then begin
         Bytes.unsafe_set gcache k '\001';
         incr enabled;
-        let s' = effect s in
-        let r = Layout.checked_rank layout s' in
-        set_lane lanes rank_bytes k r;
-        if r < 0 then begin
+        (* the result's rank moves by (v - s.(x)) * weight x per
+           assignment x := v, while every v stays in its domain *)
+        let r = ref k and moved = ref false in
+        for x = 0 to Array.length assign - 1 do
+          let j, e = Array.unsafe_get assign x in
+          let v = e s in
+          if v <> s.(j) then begin
+            moved := true;
+            wmask.(j) <- true;
+            if v < 0 || v >= dom.(j) then r := -1
+            else if !r >= 0 then r := !r + ((v - s.(j)) * weight.(j))
+          end
+        done;
+        if !moved then incr firing;
+        set_lane lanes rank_bytes k !r;
+        if !r < 0 then begin
+          let s' = Array.copy s in
+          Array.iter (fun (j, e) -> s'.(j) <- e s) assign;
           Hashtbl.replace outside k s';
           if !invalid = None then invalid := Some (Array.copy s)
-        end;
-        (* rank -1 always fires: a wrong length or an out-of-domain slot *)
-        if r <> k then begin
-          incr firing;
-          (* A valid result that moves only slots of the write set so far
-             has r - k = sum over them of (s'.(j) - s.(j)) * weight j:
-             digit differences stay below their domains, so moves of
-             other slots cannot cancel.  Only other results are compared
-             slot by slot. *)
-          let grows =
-            r < 0
-            ||
-            let moved = ref 0 and kn = !known in
-            for x = 0 to Array.length kn - 1 do
-              let j = Array.unsafe_get kn x in
-              moved := !moved + ((s'.(j) - s.(j)) * Array.unsafe_get weight j)
-            done;
-            r - k <> !moved
-          in
-          if grows then begin
-            for i = 0 to min (Array.length s') nv - 1 do
-              if s'.(i) <> s.(i) then wmask.(i) <- true
-            done;
-            known := Array.of_list (slots_of_mask wmask)
-          end
         end
       end);
   Cr_obs.Obs.incr c_actions;
@@ -383,7 +364,7 @@ let of_action layout (a : Action.t) : info =
     | _ -> []
   in
   (* A write slot [i] (at [x] in W) is an effect read iff two enabled
-     full results on a slot-i line, holding [va < vb] there, have
+     results on a slot-i line, holding [va < vb] there, have
      different tuples, unless they differ in [i] alone and each holds
      its own input there. *)
   let write_slot_read i x =
@@ -438,16 +419,12 @@ let of_action layout (a : Action.t) : info =
       in
       (* [greads.(i)], and whether two nonzero codes differ on a slot-i
          line: the effect-read answer outside W, a necessary condition in
-         it.  When every enabled result is full-length, code 0 means
-         disabled, so equal neighbouring codes everywhere settle both
-         questions at once; and off a guard read, a line's codes are all
-         zero or all nonzero, so differing neighbours are two nonzero
-         codes. *)
+         it.  Code 0 means disabled, so equal neighbouring codes
+         everywhere settle both questions at once; and off a guard read,
+         a line's codes are all zero or all nonzero, so differing
+         neighbours are two nonzero codes. *)
       let g, e =
-        if not codes.full then
-          let g = neighbours gcache ~u:1 in
-          (g, apart 1)
-        else if not (neighbours cbuf ~u) then (false, false)
+        if not (neighbours cbuf ~u) then (false, false)
         else
           let g = neighbours gcache ~u:1 in
           (g, (not g) || apart 1)

@@ -194,8 +194,9 @@ let record_built t =
 
 (* Insertion sort of [row.(0 .. k-1)] in place: rows are short (at most
    one entry per action of a guarded-command program), where it is
-   linear. *)
-let sort_prefix row k =
+   linear.  The [int array] annotation keeps the comparisons integer
+   ones: inferred polymorphic, each would be a C call. *)
+let sort_prefix (row : int array) k =
   for a = 1 to k - 1 do
     let x = row.(a) in
     let b = ref (a - 1) in

@@ -167,8 +167,9 @@ let rec index_intern t k fresh =
 
 (* Insertion sort of the row [a.(lo .. hi - 1)] in place (rows are
    short: at most one entry per action of a guarded-command program),
-   then its duplicates dropped; returns the row's new end. *)
-let sort_row a lo hi =
+   then its duplicates dropped; returns the row's new end.  Annotated
+   [int array] so that the comparisons are integer ones, not C calls. *)
+let sort_row (a : int array) lo hi =
   for x = lo + 1 to hi - 1 do
     let v = a.(x) in
     let y = ref (x - 1) in

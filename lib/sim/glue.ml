@@ -7,7 +7,4 @@ open Cr_guarded
    base action would be misreported as enabled. *)
 let fair_tables (p : Program.t) (e : Layout.state Cr_semantics.Explicit.t) :
     Cr_core.Fair.tables =
-  Cr_core.Fair.tables_of e
-    (List.map
-       (fun (a : Action.t) -> (a.Action.guard, a.Action.effect))
-       (Program.actions p))
+  Cr_obs.Obs.span "fair.tables" (fun () -> Program.action_tables p e)

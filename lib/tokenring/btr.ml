@@ -80,17 +80,14 @@ let actions n =
   check_n n;
   let top =
     Action.make ~label:"top" ~proc:n
-      ~writes:[ up_slot n n; dn_slot n (n - 1) ]
       ~guard:(fun s -> up n s n)
-      ~effect:(fun s ->
-        Action.set s [ (up_slot n n, 0); (dn_slot n (n - 1), 1) ])
+      ~assign:[ (up_slot n n, fun _ -> 0); (dn_slot n (n - 1), fun _ -> 1) ]
       ()
   in
   let bottom =
     Action.make ~label:"bottom" ~proc:0
-      ~writes:[ dn_slot n 0; up_slot n 1 ]
       ~guard:(fun s -> dn n s 0)
-      ~effect:(fun s -> Action.set s [ (dn_slot n 0, 0); (up_slot n 1, 1) ])
+      ~assign:[ (dn_slot n 0, fun _ -> 0); (up_slot n 1, fun _ -> 1) ]
       ()
   in
   let mids =
@@ -100,18 +97,16 @@ let actions n =
           Action.make
             ~label:(Printf.sprintf "mid_up%d" j)
             ~proc:j
-            ~writes:[ up_slot n j; up_slot n (j + 1) ]
             ~guard:(fun s -> up n s j)
-            ~effect:(fun s ->
-              Action.set s [ (up_slot n j, 0); (up_slot n (j + 1), 1) ])
+            ~assign:
+              [ (up_slot n j, fun _ -> 0); (up_slot n (j + 1), fun _ -> 1) ]
             ();
           Action.make
             ~label:(Printf.sprintf "mid_dn%d" j)
             ~proc:j
-            ~writes:[ dn_slot n j; dn_slot n (j - 1) ]
             ~guard:(fun s -> dn n s j)
-            ~effect:(fun s ->
-              Action.set s [ (dn_slot n j, 0); (dn_slot n (j - 1), 1) ])
+            ~assign:
+              [ (dn_slot n j, fun _ -> 0); (dn_slot n (j - 1), fun _ -> 1) ]
             ();
         ])
       (List.init (max 0 (n - 1)) (fun k -> k + 1))
@@ -143,9 +138,8 @@ let w1 n =
   in
   let action =
     Action.make ~label:"W1" ~proc:n
-      ~writes:[ up_slot n n ]
       ~guard
-      ~effect:(fun s -> Action.set s [ (up_slot n n, 1) ])
+      ~assign:[ (up_slot n n, fun _ -> 1) ]
       ()
   in
   Program.make ~name:"W1" ~layout:(layout n) ~actions:[ action ]
@@ -160,10 +154,8 @@ let w2 n =
         Action.make
           ~label:(Printf.sprintf "W2_%d" j)
           ~proc:j
-          ~writes:[ up_slot n j; dn_slot n j ]
           ~guard:(fun s -> up n s j && dn n s j)
-          ~effect:(fun s ->
-            Action.set s [ (up_slot n j, 0); (dn_slot n j, 0) ])
+          ~assign:[ (up_slot n j, fun _ -> 0); (dn_slot n j, fun _ -> 0) ]
           ())
   in
   Program.make ~name:"W2" ~layout:(layout n) ~actions:acts

@@ -67,15 +67,15 @@ let canonical n : state =
 (* Shared ring-end actions: the top and bottom actions are identical in
    BTR_3, C2, C3 and Dijkstra's 3-state system. *)
 let top_action n =
-  Action.make ~label:"top" ~proc:n ~writes:[ n ]
+  Action.make ~label:"top" ~proc:n
     ~guard:(fun s -> c s (n - 1) = p1 (c s n))
-    ~effect:(fun s -> Action.set s [ (n, p1 (c s (n - 1))) ])
+    ~assign:[ (n, fun s -> p1 (c s (n - 1))) ]
     ()
 
 let bottom_action _n =
-  Action.make ~label:"bottom" ~proc:0 ~writes:[ 0 ]
+  Action.make ~label:"bottom" ~proc:0
     ~guard:(fun s -> c s 1 = p1 (c s 0))
-    ~effect:(fun s -> Action.set s [ (0, p1 (c s 1)) ])
+    ~assign:[ (0, fun s -> p1 (c s 1)) ]
     ()
 
 let mid_indices n = List.init (max 0 (n - 1)) (fun k -> k + 1)
@@ -91,20 +91,18 @@ let btr3_actions n =
           Action.make
             ~label:(Printf.sprintf "mid_up%d" j)
             ~proc:j
-            ~writes:[ j; j + 1 ]
             ~guard:(fun s -> has_up n s j)
-            ~effect:(fun s ->
-              (* ↑t.j := false via c.j := c.(j-1); ↑t.(j+1) := true via
-                 c.(j+1) := c.j_new ⊖ 1. *)
-              Action.set s [ (j, c s (j - 1)); (j + 1, m1 (c s (j - 1))) ])
+            (* ↑t.j := false via c.j := c.(j-1); ↑t.(j+1) := true via
+               c.(j+1) := c.j_new ⊖ 1. *)
+            ~assign:
+              [ (j, fun s -> c s (j - 1)); (j + 1, fun s -> m1 (c s (j - 1))) ]
             ();
           Action.make
             ~label:(Printf.sprintf "mid_dn%d" j)
             ~proc:j
-            ~writes:[ j; j - 1 ]
             ~guard:(fun s -> has_dn n s j)
-            ~effect:(fun s ->
-              Action.set s [ (j, c s (j + 1)); (j - 1, m1 (c s (j + 1))) ])
+            ~assign:
+              [ (j, fun s -> c s (j + 1)); (j - 1, fun s -> m1 (c s (j + 1))) ]
             ();
         ])
       (mid_indices n)
@@ -128,8 +126,8 @@ let w1_global n =
   in
   (* ↑t.N := true, i.e. c.(N-1) = c.N ⊕ 1, i.e. c.N := c.(N-1) ⊖ 1. *)
   let action =
-    Action.make ~label:"W1'" ~proc:n ~writes:[ n ] ~guard
-      ~effect:(fun s -> Action.set s [ (n, m1 (c s (n - 1))) ])
+    Action.make ~label:"W1'" ~proc:n ~guard
+      ~assign:[ (n, fun s -> m1 (c s (n - 1))) ]
       ()
   in
   Program.make ~name:"W1'" ~layout:(layout n) ~actions:[ action ]
@@ -140,9 +138,9 @@ let w1_global n =
    ↓t.(N-1) directly (the compression of W1 followed by the top action). *)
 let w1_local n =
   let action =
-    Action.make ~label:"W1''" ~proc:n ~writes:[ n ]
+    Action.make ~label:"W1''" ~proc:n
       ~guard:(fun s -> c s (n - 1) = c s 0 && c s n <> p1 (c s (n - 1)))
-      ~effect:(fun s -> Action.set s [ (n, p1 (c s (n - 1))) ])
+      ~assign:[ (n, fun s -> p1 (c s (n - 1))) ]
       ()
   in
   Program.make ~name:"W1''" ~layout:(layout n) ~actions:[ action ]
@@ -155,9 +153,9 @@ let w2' n =
       (fun j ->
         Action.make
           ~label:(Printf.sprintf "W2'_%d" j)
-          ~proc:j ~writes:[ j ]
+          ~proc:j
           ~guard:(fun s -> has_up n s j && has_dn n s j)
-          ~effect:(fun s -> Action.set s [ (j, c s (j - 1)) ])
+          ~assign:[ (j, fun s -> c s (j - 1)) ]
           ())
       (mid_indices n)
   in
@@ -173,15 +171,15 @@ let c2_actions n =
         [
           Action.make
             ~label:(Printf.sprintf "mid_up%d" j)
-            ~proc:j ~writes:[ j ]
+            ~proc:j
             ~guard:(fun s -> has_up n s j)
-            ~effect:(fun s -> Action.set s [ (j, c s (j - 1)) ])
+            ~assign:[ (j, fun s -> c s (j - 1)) ]
             ();
           Action.make
             ~label:(Printf.sprintf "mid_dn%d" j)
-            ~proc:j ~writes:[ j ]
+            ~proc:j
             ~guard:(fun s -> has_dn n s j)
-            ~effect:(fun s -> Action.set s [ (j, c s (j + 1)) ])
+            ~assign:[ (j, fun s -> c s (j + 1)) ]
             ();
         ])
       (mid_indices n)
@@ -196,9 +194,9 @@ let c2 n =
 (* Dijkstra's 3-state system, as displayed at the end of Section 5. *)
 let dijkstra3_actions n =
   let top =
-    Action.make ~label:"top" ~proc:n ~writes:[ n ]
+    Action.make ~label:"top" ~proc:n
       ~guard:(fun s -> c s (n - 1) = c s 0 && p1 (c s (n - 1)) <> c s n)
-      ~effect:(fun s -> Action.set s [ (n, p1 (c s (n - 1))) ])
+      ~assign:[ (n, fun s -> p1 (c s (n - 1))) ]
       ()
   in
   let mids =
@@ -207,15 +205,15 @@ let dijkstra3_actions n =
         [
           Action.make
             ~label:(Printf.sprintf "mid_up%d" j)
-            ~proc:j ~writes:[ j ]
+            ~proc:j
             ~guard:(fun s -> has_up n s j)
-            ~effect:(fun s -> Action.set s [ (j, c s (j - 1)) ])
+            ~assign:[ (j, fun s -> c s (j - 1)) ]
             ();
           Action.make
             ~label:(Printf.sprintf "mid_dn%d" j)
-            ~proc:j ~writes:[ j ]
+            ~proc:j
             ~guard:(fun s -> has_dn n s j)
-            ~effect:(fun s -> Action.set s [ (j, c s (j + 1)) ])
+            ~assign:[ (j, fun s -> c s (j + 1)) ]
             ();
         ])
       (mid_indices n)
@@ -234,9 +232,9 @@ let dijkstra3 n =
    The paper claims this system "is equal to Dijkstra's 3-state system". *)
 let merged n =
   let top =
-    Action.make ~label:"top" ~proc:n ~writes:[ n ]
+    Action.make ~label:"top" ~proc:n
       ~guard:(fun s -> c s (n - 1) = c s 0 && p1 (c s (n - 1)) <> c s n)
-      ~effect:(fun s -> Action.set s [ (n, p1 (c s (n - 1))) ])
+      ~assign:[ (n, fun s -> p1 (c s (n - 1))) ]
       ()
   in
   let mids =
@@ -245,21 +243,27 @@ let merged n =
         [
           Action.make
             ~label:(Printf.sprintf "mid_up%d" j)
-            ~proc:j ~writes:[ j ]
+            ~proc:j
             ~guard:(fun s -> has_up n s j)
-            ~effect:(fun s ->
-              if c s (j - 1) = c s (j + 1) then
-                Action.set s [ (j, c s (j - 1)) ]
-              else Action.set s [ (j, c s (j - 1)) ])
+            ~assign:
+              [
+                ( j,
+                  fun s ->
+                    if c s (j - 1) = c s (j + 1) then c s (j - 1)
+                    else c s (j - 1) );
+              ]
             ();
           Action.make
             ~label:(Printf.sprintf "mid_dn%d" j)
-            ~proc:j ~writes:[ j ]
+            ~proc:j
             ~guard:(fun s -> has_dn n s j)
-            ~effect:(fun s ->
-              if c s (j - 1) = c s (j + 1) then
-                Action.set s [ (j, c s (j - 1)) ]
-              else Action.set s [ (j, c s (j + 1)) ])
+            ~assign:
+              [
+                ( j,
+                  fun s ->
+                    if c s (j - 1) = c s (j + 1) then c s (j - 1)
+                    else c s (j + 1) );
+              ]
             ();
         ])
       (mid_indices n)

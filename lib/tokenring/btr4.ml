@@ -78,16 +78,14 @@ let flip b = 1 - b
 let c1_actions n =
   let top =
     Action.make ~label:"top" ~proc:n
-      ~writes:[ c_slot n n ]
       ~guard:(fun s -> c n s n <> c n s (n - 1) && up n s (n - 1))
-      ~effect:(fun s -> Action.set s [ (c_slot n n, c n s (n - 1)) ])
+      ~assign:[ (c_slot n n, fun s -> c n s (n - 1)) ]
       ()
   in
   let bottom =
     Action.make ~label:"bottom" ~proc:0
-      ~writes:[ c_slot n 0 ]
       ~guard:(fun s -> c n s 0 = c n s 1 && not (up n s 1))
-      ~effect:(fun s -> Action.set s [ (c_slot n 0, flip (c n s 0)) ])
+      ~assign:[ (c_slot n 0, fun s -> flip (c n s 0)) ]
       ()
   in
   let mids =
@@ -97,19 +95,20 @@ let c1_actions n =
           Action.make
             ~label:(Printf.sprintf "mid_up%d" j)
             ~proc:j
-            ~writes:[ c_slot n j; up_slot n j ]
             ~guard:(fun s ->
               c n s j <> c n s (j - 1) && up n s (j - 1) && not (up n s j))
-            ~effect:(fun s ->
-              Action.set s [ (c_slot n j, c n s (j - 1)); (up_slot n j, 1) ])
+            ~assign:
+              [
+                (c_slot n j, fun s -> c n s (j - 1));
+                (up_slot n j, fun _ -> 1);
+              ]
             ();
           Action.make
             ~label:(Printf.sprintf "mid_dn%d" j)
             ~proc:j
-            ~writes:[ up_slot n j ]
             ~guard:(fun s ->
               c n s j = c n s (j + 1) && not (up n s (j + 1)) && up n s j)
-            ~effect:(fun s -> Action.set s [ (up_slot n j, 0) ])
+            ~assign:[ (up_slot n j, fun _ -> 0) ]
             ();
         ])
       (List.init (max 0 (n - 1)) (fun k -> k + 1))
@@ -127,16 +126,14 @@ let c1 n =
 let dijkstra4_actions n =
   let top =
     Action.make ~label:"top" ~proc:n
-      ~writes:[ c_slot n n ]
       ~guard:(fun s -> c n s n <> c n s (n - 1))
-      ~effect:(fun s -> Action.set s [ (c_slot n n, c n s (n - 1)) ])
+      ~assign:[ (c_slot n n, fun s -> c n s (n - 1)) ]
       ()
   in
   let bottom =
     Action.make ~label:"bottom" ~proc:0
-      ~writes:[ c_slot n 0 ]
       ~guard:(fun s -> c n s 1 = c n s 0 && not (up n s 1))
-      ~effect:(fun s -> Action.set s [ (c_slot n 0, flip (c n s 0)) ])
+      ~assign:[ (c_slot n 0, fun s -> flip (c n s 0)) ]
       ()
   in
   let mids =
@@ -146,18 +143,19 @@ let dijkstra4_actions n =
           Action.make
             ~label:(Printf.sprintf "mid_up%d" j)
             ~proc:j
-            ~writes:[ c_slot n j; up_slot n j ]
             ~guard:(fun s -> c n s j <> c n s (j - 1))
-            ~effect:(fun s ->
-              Action.set s [ (c_slot n j, c n s (j - 1)); (up_slot n j, 1) ])
+            ~assign:
+              [
+                (c_slot n j, fun s -> c n s (j - 1));
+                (up_slot n j, fun _ -> 1);
+              ]
             ();
           Action.make
             ~label:(Printf.sprintf "mid_dn%d" j)
             ~proc:j
-            ~writes:[ up_slot n j ]
             ~guard:(fun s ->
               c n s (j + 1) = c n s j && not (up n s (j + 1)) && up n s j)
-            ~effect:(fun s -> Action.set s [ (up_slot n j, 0) ])
+            ~assign:[ (up_slot n j, fun _ -> 0) ]
             ();
         ])
       (List.init (max 0 (n - 1)) (fun k -> k + 1))

@@ -34,19 +34,17 @@ let c3_actions n =
         [
           Action.make
             ~label:(Printf.sprintf "mid_up%d" j)
-            ~proc:j ~writes:[ j ]
+            ~proc:j
             ~guard:(fun s -> has_up n s j)
-            ~effect:(fun s ->
-              (* create ↑t.(j+1) ≡ c.j = c.(j+1) ⊕ 1 *)
-              Action.set s [ (j, p1 (c s (j + 1))) ])
+            (* create ↑t.(j+1) ≡ c.j = c.(j+1) ⊕ 1 *)
+            ~assign:[ (j, fun s -> p1 (c s (j + 1))) ]
             ();
           Action.make
             ~label:(Printf.sprintf "mid_dn%d" j)
-            ~proc:j ~writes:[ j ]
+            ~proc:j
             ~guard:(fun s -> has_dn n s j)
-            ~effect:(fun s ->
-              (* create ↓t.(j-1) ≡ c.j = c.(j-1) ⊕ 1 *)
-              Action.set s [ (j, p1 (c s (j - 1))) ])
+            (* create ↓t.(j-1) ≡ c.j = c.(j-1) ⊕ 1 *)
+            ~assign:[ (j, fun s -> p1 (c s (j - 1))) ]
             ();
         ])
       (mid_indices n)
@@ -78,9 +76,9 @@ let new3_priority n =
    the mid actions as displayed in the paper. *)
 let aggressive_actions n =
   let top =
-    Action.make ~label:"top" ~proc:n ~writes:[ n ]
+    Action.make ~label:"top" ~proc:n
       ~guard:(fun s -> c s (n - 1) = c s 0 && p1 (c s (n - 1)) <> c s n)
-      ~effect:(fun s -> Action.set s [ (n, p1 (c s (n - 1))) ])
+      ~assign:[ (n, fun s -> p1 (c s (n - 1))) ]
       ()
   in
   let mids =
@@ -89,25 +87,29 @@ let aggressive_actions n =
         [
           Action.make
             ~label:(Printf.sprintf "mid_up%d" j)
-            ~proc:j ~writes:[ j ]
+            ~proc:j
             ~guard:(fun s -> has_up n s j)
-            ~effect:(fun s ->
-              if c s (j - 1) = c s (j + 1) then
-                Action.set s [ (j, c s (j - 1)) ]
-              else if c s j = p1 (c s (j + 1)) then
-                Action.set s [ (j, c s (j - 1)) ]
-              else Action.set s [ (j, p1 (c s (j + 1))) ])
+            ~assign:
+              [
+                ( j,
+                  fun s ->
+                    if c s (j - 1) = c s (j + 1) then c s (j - 1)
+                    else if c s j = p1 (c s (j + 1)) then c s (j - 1)
+                    else p1 (c s (j + 1)) );
+              ]
             ();
           Action.make
             ~label:(Printf.sprintf "mid_dn%d" j)
-            ~proc:j ~writes:[ j ]
+            ~proc:j
             ~guard:(fun s -> has_dn n s j)
-            ~effect:(fun s ->
-              if c s (j - 1) = c s (j + 1) then
-                Action.set s [ (j, c s (j + 1)) ]
-              else if c s j = p1 (c s (j - 1)) then
-                Action.set s [ (j, c s (j + 1)) ]
-              else Action.set s [ (j, p1 (c s (j - 1))) ])
+            ~assign:
+              [
+                ( j,
+                  fun s ->
+                    if c s (j - 1) = c s (j + 1) then c s (j + 1)
+                    else if c s j = p1 (c s (j - 1)) then c s (j + 1)
+                    else p1 (c s (j - 1)) );
+              ]
             ();
         ])
       (mid_indices n)

@@ -44,9 +44,9 @@ let initial n s = token_count n s = 1
 
 let actions ~n ~k =
   let bottom =
-    Action.make ~label:"bottom" ~proc:0 ~writes:[ 0 ]
+    Action.make ~label:"bottom" ~proc:0
       ~guard:(fun s -> c s 0 = c s n)
-      ~effect:(fun s -> Action.set s [ (0, (c s 0 + 1) mod k) ])
+      ~assign:[ (0, fun s -> (c s 0 + 1) mod k) ]
       ()
   in
   let others =
@@ -54,9 +54,9 @@ let actions ~n ~k =
         let j = i + 1 in
         Action.make
           ~label:(Printf.sprintf "copy%d" j)
-          ~proc:j ~writes:[ j ]
+          ~proc:j
           ~guard:(fun s -> c s j <> c s (j - 1))
-          ~effect:(fun s -> Action.set s [ (j, c s (j - 1)) ])
+          ~assign:[ (j, fun s -> c s (j - 1)) ]
           ())
   in
   bottom :: others

@@ -80,39 +80,36 @@ let actions n =
             Action.make
               ~label:(Printf.sprintf "read_prev%d" j)
               ~proc:j
-              ~writes:[ cp_slot n j ]
               ~guard:(fun s -> cp n s j <> c s (j - 1))
-              ~effect:(fun s -> Action.set s [ (cp_slot n j, c s (j - 1)) ])
+              ~assign:[ (cp_slot n j, fun s -> c s (j - 1)) ]
               ());
         (* every j in 0..n-1 caches its right neighbour *)
         List.init n (fun j ->
             Action.make
               ~label:(Printf.sprintf "read_next%d" j)
               ~proc:j
-              ~writes:[ cn_slot n j ]
               ~guard:(fun s -> cn n s j <> c s (j + 1))
-              ~effect:(fun s -> Action.set s [ (cn_slot n j, c s (j + 1)) ])
+              ~assign:[ (cn_slot n j, fun s -> c s (j + 1)) ]
               ());
         (* the top process also caches c.0 *)
         [
           Action.make ~label:"read_zero" ~proc:n
-            ~writes:[ ca0_slot n ]
             ~guard:(fun s -> ca0 n s <> c s 0)
-            ~effect:(fun s -> Action.set s [ (ca0_slot n, c s 0) ])
+            ~assign:[ (ca0_slot n, fun s -> c s 0) ]
             ();
         ];
       ]
   in
   let top =
-    Action.make ~label:"top" ~proc:n ~writes:[ n ]
+    Action.make ~label:"top" ~proc:n
       ~guard:(fun s -> cp n s n = ca0 n s && p1 (cp n s n) <> c s n)
-      ~effect:(fun s -> Action.set s [ (n, p1 (cp n s n)) ])
+      ~assign:[ (n, fun s -> p1 (cp n s n)) ]
       ()
   in
   let bottom =
-    Action.make ~label:"bottom" ~proc:0 ~writes:[ 0 ]
+    Action.make ~label:"bottom" ~proc:0
       ~guard:(fun s -> cn n s 0 = p1 (c s 0))
-      ~effect:(fun s -> Action.set s [ (0, p1 (cn n s 0)) ])
+      ~assign:[ (0, fun s -> p1 (cn n s 0)) ]
       ()
   in
   let mids =
@@ -121,15 +118,15 @@ let actions n =
         [
           Action.make
             ~label:(Printf.sprintf "mid_up%d" j)
-            ~proc:j ~writes:[ j ]
+            ~proc:j
             ~guard:(fun s -> cp n s j = p1 (c s j))
-            ~effect:(fun s -> Action.set s [ (j, cp n s j) ])
+            ~assign:[ (j, fun s -> cp n s j) ]
             ();
           Action.make
             ~label:(Printf.sprintf "mid_dn%d" j)
-            ~proc:j ~writes:[ j ]
+            ~proc:j
             ~guard:(fun s -> cn n s j = p1 (c s j))
-            ~effect:(fun s -> Action.set s [ (j, cn n s j) ])
+            ~assign:[ (j, fun s -> cn n s j) ]
             ();
         ])
       (List.init (max 0 (n - 1)) (fun k -> k + 1))

@@ -48,9 +48,8 @@ let actions n =
       Action.make
         ~label:(Printf.sprintf "move%d" j)
         ~proc:j
-        ~writes:[ j; succ_proc n j ]
         ~guard:(fun s -> has_token s j)
-        ~effect:(fun s -> Action.set s [ (j, 0); (succ_proc n j, 1) ])
+        ~assign:[ (j, fun _ -> 0); (succ_proc n j, fun _ -> 1) ]
         ())
 
 (* The initial states are the single-token states, named as the orbit
@@ -63,9 +62,9 @@ let program n =
 
 let w1u n =
   let action =
-    Action.make ~label:"W1u" ~proc:0 ~writes:[ 0 ]
+    Action.make ~label:"W1u" ~proc:0
       ~guard:(fun s -> token_count s = 0)
-      ~effect:(fun s -> Action.set s [ (0, 1) ])
+      ~assign:[ (0, fun _ -> 1) ]
       ()
   in
   Program.make ~name:"W1u" ~layout:(layout n) ~actions:[ action ]
@@ -79,16 +78,15 @@ let w2u n =
         [
           Action.make
             ~label:(Printf.sprintf "W2u_merge%d" j)
-            ~proc:j ~writes:[ j ]
+            ~proc:j
             ~guard:(fun s -> has_token s j && has_token s j')
-            ~effect:(fun s -> Action.set s [ (j, 0) ])
+            ~assign:[ (j, fun _ -> 0) ]
             ();
           Action.make
             ~label:(Printf.sprintf "W2u_cancel%d" j)
             ~proc:j
-            ~writes:[ j; j' ]
             ~guard:(fun s -> has_token s j && has_token s j')
-            ~effect:(fun s -> Action.set s [ (j, 0); (j', 0) ])
+            ~assign:[ (j, fun _ -> 0); (j', fun _ -> 0) ]
             ();
         ])
       (List.init (n + 1) (fun j -> j))

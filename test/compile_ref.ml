@@ -1,11 +1,11 @@
 (* The materializing dense compile that [Program.to_explicit] streams
    past, kept as its reference: every state boxed by [Layout.unrank]
    into one array, one sorted, deduplicated row array per state (guard,
-   effect and checked rank per action, with the wrapper-preemption and
-   synchronous variants), flattened by [Csr.of_rows].  Sequential and
-   uncached; tests compare it with the streamed compile graph for
-   graph.  [compile_sparse] is the same for the sparse engine: a plain
-   BFS from given seeds. *)
+   the state-building successor [apply] and its checked rank per
+   action, with the wrapper-preemption and synchronous variants),
+   flattened by [Csr.of_rows].  Sequential and uncached; tests compare
+   it with the streamed compile graph for graph.  [compile_sparse] is
+   the same for the sparse engine: a plain BFS from given seeds. *)
 
 open Cr_guarded
 module Csr = Cr_kernel.Csr
@@ -17,6 +17,42 @@ type compiled = {
 }
 
 type mode = Plain | Priority of bool array | Sync
+
+(* The successor an action's parallel assignment builds: a copy of the
+   pre-state with every assigned value written, each read from the
+   pre-state.  The library ranks it by rank delta instead. *)
+let apply (a : Action.t) (s : Layout.state) =
+  let s' = Array.copy s in
+  Array.iter (fun (x, e) -> s'.(x) <- e s) a.Action.assign;
+  s'
+
+(* The synchronous step over [apply]: the first firing (enabled, not a
+   no-op) action per process, their assigned slots merged in action
+   order into a copy of the state. *)
+let synchronous_step p s =
+  let seen = Hashtbl.create 8 in
+  let chosen =
+    List.filter_map
+      (fun (a : Action.t) ->
+        if not (a.Action.guard s) then None
+        else
+          let s' = apply a s in
+          if s' = s || Hashtbl.mem seen a.Action.proc then None
+          else begin
+            Hashtbl.add seen a.Action.proc ();
+            Some (a, s')
+          end)
+      (Program.actions p)
+  in
+  match chosen with
+  | [] -> None
+  | _ ->
+      let s' = Array.copy s in
+      List.iter
+        (fun (a, target) ->
+          List.iter (fun x -> s'.(x) <- target.(x)) (Action.writes a))
+        chosen;
+      if s' = s then None else Some s'
 
 let rank_checked ~name layout s' =
   let j = Layout.checked_rank layout s' in
@@ -64,7 +100,7 @@ let plain_rows ~name layout (actions : Action.t array) state_of =
     Array.iter
       (fun (a : Action.t) ->
         if a.Action.guard s then begin
-          let j = rank_checked ~name layout (a.Action.effect s) in
+          let j = rank_checked ~name layout (apply a s) in
           if j <> i then begin
             buf.(!k) <- j;
             incr k
@@ -86,7 +122,7 @@ let priority_rows ~name layout (actions : Action.t array)
     Array.iteri
       (fun ai (a : Action.t) ->
         if a.Action.guard s then begin
-          let j = rank_checked ~name layout (a.Action.effect s) in
+          let j = rank_checked ~name layout (apply a s) in
           if j <> i then
             if is_wrapper.(ai) then begin
               wbuf.(!wk) <- j;
@@ -102,7 +138,7 @@ let priority_rows ~name layout (actions : Action.t array)
     else sorted_row_of_prefix bbuf !bk
 
 let sync_rows ~name layout p state_of i =
-  match Program.synchronous_step p (state_of i) with
+  match synchronous_step p (state_of i) with
   | None -> [||]
   | Some s' ->
       let j = rank_checked ~name layout s' in
@@ -155,7 +191,7 @@ let compile_sparse ?priority_of ~seeds p =
       List.filter_map
         (fun (a : Action.t) ->
           if a.Action.guard s then
-            let j = rank_checked ~name layout (a.Action.effect s) in
+            let j = rank_checked ~name layout (apply a s) in
             if j <> i then Some (is_w a, j) else None
           else None)
         actions

@@ -2,9 +2,10 @@
    the independent reference its kernel (byte codes compared as byte
    runs) is property-tested against.  Same finite differencing, written
    directly over states: a fresh [Layout.unrank] array per state, one
-   cached effect array per enabled state, and slot-by-slot comparison of
-   those arrays along each slot line.  Slower and allocation-heavy,
-   which the small layouts of the tests can afford. *)
+   cached post-state array per enabled state ([Compile_ref.apply]), and
+   slot-by-slot comparison of those arrays along each slot line.  Slower
+   and allocation-heavy, which the small layouts of the tests can
+   afford. *)
 
 open Cr_guarded
 module Rwsets = Cr_lint.Rwsets
@@ -17,7 +18,7 @@ let slots_of_mask mask =
 let of_action layout (a : Action.t) : Rwsets.info =
   let nv = Layout.num_vars layout in
   let ns = Layout.num_states layout in
-  let guard = a.Action.guard and effect = a.Action.effect in
+  let guard = a.Action.guard and effect = Compile_ref.apply a in
   (* Pass 1: evaluate every state once; cache guard bits and effect
      results by rank; collect the exact write set. *)
   let gcache = Bytes.make ns '\000' in
@@ -33,11 +34,10 @@ let of_action layout (a : Action.t) : Rwsets.info =
       incr enabled;
       let s' = effect s in
       ecache.(k) <- s';
-      if not (Layout.valid layout s') && !invalid = None then
+      if Layout.checked_rank layout s' < 0 && !invalid = None then
         invalid := Some s;
-      let changed = ref (Array.length s' <> nv) in
-      let m = min (Array.length s') nv in
-      for i = 0 to m - 1 do
+      let changed = ref false in
+      for i = 0 to nv - 1 do
         if s'.(i) <> s.(i) then begin
           wmask.(i) <- true;
           changed := true
@@ -58,10 +58,9 @@ let of_action layout (a : Action.t) : Rwsets.info =
           if Bytes.unsafe_get gcache k = '\001' then begin
             let s = Layout.unrank layout k in
             let s' = ecache.(k) in
-            if Array.length s' = nv then
-              for r = 0 to nv - 1 do
-                if cand.(r) && s'.(w) <> s.(r) then cand.(r) <- false
-              done
+            for r = 0 to nv - 1 do
+              if cand.(r) && s'.(w) <> s.(r) then cand.(r) <- false
+            done
           end
         done;
         slots_of_mask cand
@@ -106,18 +105,17 @@ let of_action layout (a : Action.t) : Rwsets.info =
                   let kb = base + (!vb * w) in
                   if Bytes.unsafe_get gcache kb = '\001' then begin
                     let eb = ecache.(kb) in
-                    if Array.length ea = nv && Array.length eb = nv then
-                      List.iter
-                        (fun k ->
-                          if not ereads.(i) then
-                            if k <> i then begin
-                              if ea.(k) <> eb.(k) then ereads.(i) <- true
-                            end
-                            else if
-                              ea.(i) <> eb.(i)
-                              && not (ea.(i) = !va && eb.(i) = !vb)
-                            then ereads.(i) <- true)
-                        writes
+                    List.iter
+                      (fun k ->
+                        if not ereads.(i) then
+                          if k <> i then begin
+                            if ea.(k) <> eb.(k) then ereads.(i) <- true
+                          end
+                          else if
+                            ea.(i) <> eb.(i)
+                            && not (ea.(i) = !va && eb.(i) = !vb)
+                          then ereads.(i) <- true)
+                      writes
                   end;
                   incr vb
                 done

@@ -53,9 +53,9 @@ let build { doms; acts } =
         let slot = ra.slot mod nv and guard_slot = ra.guard_slot mod nv in
         Action.make
           ~label:(Printf.sprintf "a%d" i)
-          ~proc:ra.proc ~writes:[ slot ]
+          ~proc:ra.proc
           ~guard:(fun s -> s.(guard_slot) = clamp guard_slot ra.guard_val)
-          ~effect:(fun s -> Action.set s [ (slot, clamp slot ra.write_val) ])
+          ~assign:[ (slot, fun _ -> clamp slot ra.write_val) ]
           ())
       acts
   in
@@ -108,15 +108,17 @@ let test_env_jobs () =
 (* ---- streamed compile = the materializing reference ---- *)
 
 (* A table-driven program, all data so that a counterexample prints:
-   per action a guard table and an in-domain successor table by rank
-   (identity entries are no-op firings), an owning process, declared
-   writes and a wrapper bit; plus an initial-state table. *)
+   per action a guard table and, per assigned slot, a table of values by
+   rank (a slot's own value is a no-op there), an owning process and a
+   wrapper bit; plus an initial-state table.  In one program in four
+   the values range one past each end of their slot's domain, so most
+   of those programs leave Sigma somewhere.  Off Sigma (a state only a
+   closure of such a program holds) every guard is false. *)
 type tab_action = {
   tproc : int;
-  twrites : int list;
   wrapper : bool;
   gtab : bool array;
-  etab : int array;
+  atab : (int * int array) list;
 }
 
 type tab_prog = { tdoms : int list; tacts : tab_action list; itab : bool array }
@@ -132,10 +134,13 @@ let print_tab_prog p =
     (String.concat " "
        (List.map
           (fun a ->
-            Printf.sprintf "{proc=%d writes=[%s]%s guard=%s succ=[|%s|]}" a.tproc
-              (String.concat ";" (List.map string_of_int a.twrites))
+            Printf.sprintf "{proc=%d%s guard=%s assign=[%s]}" a.tproc
               (if a.wrapper then " W" else "")
-              (bools a.gtab) (ints a.etab))
+              (bools a.gtab)
+              (String.concat "; "
+                 (List.map
+                    (fun (x, t) -> Printf.sprintf "%d := [|%s|]" x (ints t))
+                    a.atab)))
           p.tacts))
 
 let gen_tab_prog =
@@ -144,16 +149,26 @@ let gen_tab_prog =
        words and CR_JOBS = 2, 4 really split the sweep *)
     let* nv = int_range 1 5 in
     let* tdoms = list_repeat nv (int_range 1 4) in
+    let dom = Array.of_list tdoms in
     let ns = List.fold_left ( * ) 1 tdoms in
+    let* leaky = int_bound 3 in
+    let value x =
+      if leaky = 0 then int_range (-1) dom.(x) else int_bound (dom.(x) - 1)
+    in
     let* na = int_bound 5 in
     let* tacts =
       list_repeat na
         (let* tproc = int_bound 2 in
-         let* twrites = list_size (int_bound 2) (int_bound (nv - 1)) in
+         let* slots = list_size (int_bound nv) (int_bound (nv - 1)) in
          let* wrapper = bool in
          let* gtab = array_repeat ns bool in
-         let* etab = array_repeat ns (int_bound (ns - 1)) in
-         return { tproc; twrites = List.sort_uniq compare twrites; wrapper; gtab; etab })
+         let* atab =
+           flatten_l
+             (List.map
+                (fun x -> map (fun t -> (x, t)) (array_repeat ns (value x)))
+                (List.sort_uniq compare slots))
+         in
+         return { tproc; wrapper; gtab; atab })
     in
     let* itab = array_repeat ns bool in
     return { tdoms; tacts; itab })
@@ -162,13 +177,16 @@ let build_tab p =
   let layout =
     Layout.make (List.mapi (fun i d -> (Printf.sprintf "v%d" i, d)) p.tdoms)
   in
+  let at tab s default =
+    let r = Layout.checked_rank layout s in
+    if r < 0 then default else tab.(r)
+  in
   let actions =
     List.mapi
       (fun i a ->
         Action.make ~label:(Printf.sprintf "t%d" i) ~proc:a.tproc
-          ~writes:a.twrites
-          ~guard:(fun s -> a.gtab.(Layout.rank layout s))
-          ~effect:(fun s -> Layout.unrank layout a.etab.(Layout.rank layout s))
+          ~guard:(fun s -> at a.gtab s false)
+          ~assign:(List.map (fun (x, t) -> (x, fun s -> at t s s.(x))) a.atab)
           ())
       p.tacts
   in
@@ -176,7 +194,7 @@ let build_tab p =
     List.filteri (fun i _ -> (List.nth p.tacts i).wrapper) actions
   in
   ( Program.make ~name:"tab" ~layout ~actions
-      ~initial:(fun s -> p.itab.(Layout.rank layout s)),
+      ~initial:(fun s -> at p.itab s false),
     fun a -> List.memq a wrappers )
 
 (* Equal CSR and initials, and the index bijection round-trips at every
@@ -196,6 +214,17 @@ let agrees_with_ref (r : Compile_ref.compiled) e =
           (fun i s -> E.state e i = s && E.find_opt e s = Some i)
           r.Compile_ref.states)
 
+(* A compile that escapes Sigma agrees with a reference that escapes
+   with the same message. *)
+let outcome f =
+  match f () with v -> Ok v | exception E.Unknown_state msg -> Error msg
+
+let agrees reference compiled =
+  match (outcome reference, outcome compiled) with
+  | Ok r, Ok e -> agrees_with_ref r e
+  | Error a, Error b -> String.equal a b
+  | _ -> false
+
 let all_jobs = [ 1; 2; 4 ]
 
 let prop_streamed_eq_reference =
@@ -204,51 +233,83 @@ let prop_streamed_eq_reference =
     ~count:300 ~print:print_tab_prog gen_tab_prog
     (fun raw ->
       let p, is_w = build_tab raw in
-      let plain = Compile_ref.compile p in
-      let prio = Compile_ref.compile ~priority_of:is_w p in
-      let sync = Compile_ref.compile ~sync:true p in
       List.for_all
         (fun jobs ->
-          agrees_with_ref plain (fresh_with_jobs jobs (fun () -> Program.to_explicit p))
-          && agrees_with_ref prio
-               (fresh_with_jobs jobs (fun () ->
-                    Program.to_explicit ~priority_of:is_w p))
-          && agrees_with_ref sync
-               (fresh_with_jobs jobs (fun () -> Program.to_explicit_synchronous p)))
+          let fresh f () = fresh_with_jobs jobs f in
+          agrees
+            (fun () -> Compile_ref.compile p)
+            (fresh (fun () -> Program.to_explicit p))
+          && agrees
+               (fun () -> Compile_ref.compile ~priority_of:is_w p)
+               (fresh (fun () -> Program.to_explicit ~priority_of:is_w p))
+          && agrees
+               (fun () -> Compile_ref.compile ~sync:true p)
+               (fresh (fun () -> Program.to_explicit_synchronous p)))
         all_jobs)
 
-(* The sparse engine on the same random programs: discovered from the
-   initial states (ascending ranks), with and without wrapper priority,
-   under every job count. *)
+(* The sparse engine on the same random programs, under every job
+   count: discovered from the initial states (ascending ranks), with and
+   without wrapper priority; from the initial states' ranks given as
+   [?roots]; and, with the initial states replaced by their closure,
+   from the closure's seeds -- the graph is the closure in ascending
+   rank, what a discovery from the whole sorted closure gives, and an
+   escape is the one a discovery from the seeds meets first. *)
 let prop_sparse_eq_reference =
   QCheck2.Test.make
-    ~name:"sparse discovery = sparse reference: plain and priority" ~count:300
-    ~print:print_tab_prog gen_tab_prog
+    ~name:"sparse discovery = sparse reference: initial, priority, roots, \
+           closure"
+    ~count:300 ~print:print_tab_prog gen_tab_prog
     (fun raw ->
       let p, is_w = build_tab raw in
+      let layout = Program.layout p in
       let seeds =
         Array.of_list
           (List.filter
              (fun r -> raw.itab.(r))
              (List.init (Array.length raw.itab) Fun.id))
       in
+      let closed =
+        Program.with_initial_closure
+          ~seeds:(Array.to_list (Array.map (Layout.unrank layout) seeds))
+          p
+      in
+      let closure () =
+        let whole =
+          Layout.Tbl.fold
+            (fun s () acc ->
+              let r = Layout.checked_rank layout s in
+              if r < 0 then acc else r :: acc)
+            (Program.reachable_from p
+               (Array.to_list (Array.map (Layout.unrank layout) seeds)))
+            []
+          |> List.sort compare |> Array.of_list
+        in
+        match outcome (fun () -> Compile_ref.compile_sparse ~seeds closed) with
+        | Error _ -> Compile_ref.compile_sparse ~seeds closed
+        | Ok _ -> Compile_ref.compile_sparse ~seeds:whole closed
+      in
+      let sparse ?priority_of ?roots q () =
+        let e =
+          Program.to_explicit ?priority_of ?roots
+            ~space:Cr_semantics.Space.Sparse q
+        in
+        ignore (E.initial_mask e);
+        e
+      in
       List.for_all
-        (fun (priority_of, reference) ->
-          List.for_all
-            (fun jobs ->
-              agrees_with_ref reference
-                (fresh_with_jobs jobs (fun () ->
-                     let e =
-                       Program.to_explicit ?priority_of
-                         ~space:Cr_semantics.Space.Sparse p
-                     in
-                     ignore (E.initial_mask e);
-                     e)))
-            all_jobs)
-        [
-          (None, Compile_ref.compile_sparse ~seeds p);
-          (Some is_w, Compile_ref.compile_sparse ~priority_of:is_w ~seeds p);
-        ])
+        (fun jobs ->
+          let fresh f () = fresh_with_jobs jobs f in
+          agrees
+            (fun () -> Compile_ref.compile_sparse ~seeds p)
+            (fresh (sparse p))
+          && agrees
+               (fun () -> Compile_ref.compile_sparse ~priority_of:is_w ~seeds p)
+               (fresh (sparse ~priority_of:is_w p))
+          && agrees
+               (fun () -> Compile_ref.compile_sparse ~seeds p)
+               (fresh (sparse ~roots:(Array.append seeds seeds) p))
+          && agrees closure (fresh (sparse closed)))
+        all_jobs)
 
 (* Every registry program at N = 2..4 whose dense space the reference
    can box in a test (rw-dijkstra3 at N = 4 has 3^14 states and is left
@@ -429,9 +490,9 @@ let test_closure_variants () =
     Program.make ~name:"escape" ~layout
       ~actions:
         [
-          Action.make ~label:"bump0" ~proc:0 ~writes:[ 0 ]
+          Action.make ~label:"bump0" ~proc:0
             ~guard:(fun _ -> true)
-            ~effect:(fun s -> Action.set s [ (0, (s.(0) + 1) mod 3) ])
+            ~assign:[ (0, fun s -> (s.(0) + 1) mod 3) ]
             ();
         ]
       ~initial:(fun _ -> false)
@@ -464,9 +525,9 @@ let test_closure_variants () =
   let tiny =
     let layout = Layout.make [ ("x", 3) ] in
     let step label v =
-      Action.make ~label ~proc:0 ~writes:[ 0 ]
+      Action.make ~label ~proc:0
         ~guard:(fun s -> s.(0) = 0)
-        ~effect:(fun s -> Action.set s [ (0, v) ])
+        ~assign:[ (0, fun _ -> v) ]
         ()
     in
     Program.make ~name:"tiny" ~layout
@@ -491,15 +552,15 @@ let test_escape_message () =
      the first escape is at rank 142, in the third word *)
   let layout = Layout.make [ ("x", 2); ("y", 4); ("z", 3); ("w", 16) ] in
   let escaping =
-    Action.make ~label:"escape" ~proc:0 ~writes:[ 1 ]
+    Action.make ~label:"escape" ~proc:0
       ~guard:(fun s -> s.(2) = 2 && s.(1) = 3 && s.(3) >= 5)
-      ~effect:(fun s -> Action.set s [ (1, 4) ])
+      ~assign:[ (1, fun _ -> 4) ]
       ()
   in
   let step_x =
-    Action.make ~label:"flip" ~proc:1 ~writes:[ 0 ]
+    Action.make ~label:"flip" ~proc:1
       ~guard:(fun _ -> true)
-      ~effect:(fun s -> Action.set s [ (0, 1 - s.(0)) ])
+      ~assign:[ (0, fun s -> 1 - s.(0)) ]
       ()
   in
   let p =
@@ -541,15 +602,16 @@ let test_closure_escape () =
     Program.make ~name ~layout ~actions:[ action ] ~initial:(fun _ -> false)
   in
   let step =
-    Action.make ~label:"step" ~proc:0 ~writes:[ 0 ]
+    Action.make ~label:"step" ~proc:0
       ~guard:(fun _ -> true)
-      ~effect:(fun s -> [| (s.(0) + 1) mod 4 |])
+      ~assign:[ (0, fun s -> (s.(0) + 1) mod 4) ]
       ()
   in
   let never =
-    Action.make ~label:"never" ~proc:0 ~writes:[ 0 ]
+    Action.make ~label:"never" ~proc:0
       ~guard:(fun _ -> false)
-      ~effect:Array.copy ()
+      ~assign:[ (0, fun s -> s.(0)) ]
+      ()
   in
   let p =
     Program.box
@@ -578,9 +640,9 @@ let test_closure_escape () =
 let flip_program bits =
   let layout = Layout.make (List.init bits (fun i -> (Printf.sprintf "b%d" i, 2))) in
   let flip =
-    Action.make ~label:"flip" ~proc:0 ~writes:[ 0 ]
+    Action.make ~label:"flip" ~proc:0
       ~guard:(fun _ -> true)
-      ~effect:(fun s -> Action.set s [ (0, 1 - s.(0)) ])
+      ~assign:[ (0, fun s -> 1 - s.(0)) ]
       ()
   in
   Program.make ~name:(Printf.sprintf "flip%d" bits) ~layout ~actions:[ flip ]

@@ -68,25 +68,84 @@ let test_restricted_graph_edges_count () =
   check "unfair when the always-enabled action always leaves" true
     (a3.Cr_core.Fair.sccs = [])
 
-let test_tables_of () =
-  let e =
-    Cr_semantics.Explicit.of_edge_lists ~name:"three" ~states:[| 10; 20; 30 |]
-      ~pp_state:Fmt.int
-      ~is_initial:(fun v -> v = 10)
-      ~succ_lists:[| [ 1 ]; [ 2 ]; [] |]
+(* Action tables of a guarded program ([Glue.fair_tables]): on its
+   dense compile an entry is the successor's rank, on a sparse graph it
+   is mapped through the graph's index, and a successor outside the
+   graph counts as disabled, like a no-op. *)
+let test_fair_tables () =
+  let open Cr_guarded in
+  let module E = Cr_semantics.Explicit in
+  let layout = Layout.make [ ("x", 4) ] in
+  let act label guard v =
+    Action.make ~label ~guard ~assign:[ (0, v) ] ()
   in
-  let fire1 = ((fun v -> v = 10), fun _ -> 20) in
-  let fire2 = ((fun v -> v >= 20), fun v -> v + 10) in
-  (* enabled everywhere, but a no-op at 20 and at 30 *)
-  let noop = ((fun _ -> true), fun v -> if v = 10 then 30 else v) in
-  let t = Cr_core.Fair.tables_of e [ fire1; fire2; noop ] in
-  check "fire1 at 0" true (t.(0).(0) = 1);
-  check "fire1 disabled at 1" true (t.(0).(1) = -1);
-  check "fire2 at 1" true (t.(1).(1) = 2);
-  check "fire2 leaving the system counts as disabled" true (t.(1).(2) = -1);
-  check "noop fires at 0" true (t.(2).(0) = 2);
-  check "a no-op firing counts as disabled" true
-    (t.(2).(1) = -1 && t.(2).(2) = -1)
+  let one = act "one" (fun s -> s.(0) = 0) (fun _ -> 1) in
+  let next = act "next" (fun s -> s.(0) >= 1) (fun s -> (s.(0) + 1) mod 4) in
+  (* enabled everywhere, but a no-op at 1, 2 and 3 *)
+  let noop =
+    act "noop" (fun _ -> true) (fun s -> if s.(0) = 0 then 3 else s.(0))
+  in
+  let program actions =
+    Program.make ~name:"four" ~layout ~actions ~initial:(fun _ -> false)
+  in
+  let p = program [ one; next; noop ] in
+  let tables e = Cr_sim.Glue.fair_tables p e in
+  let expected =
+    [| [| 1; -1; -1; -1 |]; [| -1; 2; 3; 0 |]; [| 3; -1; -1; -1 |] |]
+  in
+  check "dense: entries are ranks" true
+    (tables (Program.to_explicit p) = expected);
+  (* discovered from x = 2: indices 0..3 hold x = 2, 3, 0, 1 *)
+  let sparse =
+    Program.to_explicit ~roots:[| 2 |] ~space:Cr_semantics.Space.Sparse p
+  in
+  let by_rank =
+    Array.map
+      (fun row ->
+        Array.init 4 (fun r ->
+            let j = row.(E.find sparse [| r |]) in
+            if j < 0 then -1 else (E.state sparse j).(0)))
+      (tables sparse)
+  in
+  check "sparse: entries are indices" true (by_rank = expected);
+  (* the graph of [one] alone holds x = 0 and 1 *)
+  let small =
+    Program.to_explicit ~roots:[| 0 |] ~space:Cr_semantics.Space.Sparse
+      (program [ one ])
+  in
+  check "a successor outside the graph counts as disabled" true
+    (tables small = [| [| 1; -1 |]; [| -1; -1 |]; [| -1; -1 |] |])
+
+(* The tables built by rank delta = the state-building route they
+   replaced (fire, then look the successor up), on every registry
+   program at N = 2 and 3, dense and sparse. *)
+let test_fair_tables_registry () =
+  let module E = Cr_semantics.Explicit in
+  let module R = Cr_experiments.Registry in
+  let reference p e =
+    Array.of_list
+      (List.map
+         (fun a ->
+           Array.init (E.num_states e) (fun i ->
+               match Cr_guarded.Action.fire a (E.state e i) with
+               | None -> -1
+               | Some s' -> Option.value ~default:(-1) (E.find_opt e s')))
+         (Cr_guarded.Program.actions p))
+  in
+  List.iter
+    (fun (e : R.entry) ->
+      List.iter
+        (fun n ->
+          let p = e.program n in
+          List.iter
+            (fun (engine, g) ->
+              check
+                (Printf.sprintf "%s n=%d %s" e.name n engine)
+                true
+                (Cr_sim.Glue.fair_tables p g = reference p g))
+            [ ("dense", R.explicit e n); ("sparse", R.init_explicit e n) ])
+        [ 2; 3 ])
+    R.entries
 
 (* property: fair divergence implies plain (unfair) divergence — a
    weakly-fair infinite run is in particular an infinite run *)
@@ -137,7 +196,9 @@ let () =
             test_intermittent_exit_keeps_cycle_fair;
           Alcotest.test_case "restricted-graph edge accounting" `Quick
             test_restricted_graph_edges_count;
-          Alcotest.test_case "tables_of" `Quick test_tables_of;
+          Alcotest.test_case "fair tables" `Quick test_fair_tables;
+          Alcotest.test_case "fair tables = reference on the registry" `Quick
+            test_fair_tables_registry;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_fair_implies_unfair ] );

@@ -28,8 +28,8 @@ let layout3 = Layout.make [ ("x", 3); ("y", 3); ("z", 3) ]
 let prog ?(name = "seeded") ?(initial = fun _ -> true) actions =
   Program.make ~name ~layout:layout3 ~actions ~initial
 
-let act ?(label = "a") ?(proc = 0) ?(writes = []) guard effect =
-  Action.make ~label ~proc ~writes ~guard ~effect ()
+let act ?(label = "a") ?(proc = 0) guard assign =
+  Action.make ~label ~proc ~guard ~assign ()
 
 let findings_with key (t : Flow.t) =
   List.filter (fun (f : Lint.finding) -> f.Lint.key = key) t.Flow.findings
@@ -65,7 +65,7 @@ let test_dom () =
 
 let test_u1_top_dead () =
   let dead =
-    act ~label:"u1dead" ~writes:[ 0 ] (fun _ -> false) (fun s -> Action.set s [ (0, 1) ])
+    act ~label:"u1dead" (fun _ -> false) [ (0, fun _ -> 1) ]
   in
   let t = Flow.analyze (prog [ dead ]) in
   let u1 = findings_with "U1" t in
@@ -82,14 +82,14 @@ let init_dead_program () =
   (* step walks x from 0 to 1; u1reach needs x = 2, unreachable from the
      pinned initial state but satisfiable in the full space *)
   let step =
-    act ~label:"step" ~proc:0 ~writes:[ 0 ]
+    act ~label:"step" ~proc:0
       (fun s -> s.(0) = 0)
-      (fun s -> Action.set s [ (0, 1) ])
+      [ (0, fun _ -> 1) ]
   in
   let unreachable =
-    act ~label:"u1reach" ~proc:1 ~writes:[ 1 ]
+    act ~label:"u1reach" ~proc:1
       (fun s -> s.(0) = 2)
-      (fun s -> Action.set s [ (1, 1) ])
+      [ (1, fun _ -> 1) ]
   in
   prog ~initial:(fun s -> s = [| 0; 0; 0 |]) [ step; unreachable ]
 
@@ -119,9 +119,9 @@ let test_u1_init_dead () =
 
 let test_d1_domain_violation () =
   let bad =
-    act ~label:"d1bad" ~writes:[ 0 ]
+    act ~label:"d1bad"
       (fun s -> s.(0) = 0)
-      (fun s -> Action.set s [ (0, 7) ])
+      [ (0, fun _ -> 7) ]
   in
   let report, t = Flow.lint (prog [ bad ]) in
   check "D1 fires" true
@@ -135,9 +135,9 @@ let test_d1_domain_violation () =
 let test_f3_constant_slot () =
   (* z is never written by any action *)
   let a =
-    act ~label:"only-x" ~writes:[ 0 ]
+    act ~label:"only-x"
       (fun s -> s.(0) = 0)
-      (fun s -> Action.set s [ (0, 1) ])
+      [ (0, fun _ -> 1) ]
   in
   let report, t = Flow.lint (prog [ a ]) in
   let f3 = findings_with "F3" t in
@@ -169,14 +169,14 @@ let test_degraded () =
    init fixpoint stays sound. *)
 let three_defects () =
   let dead =
-    act ~label:"dead" ~proc:2 ~writes:[ 2 ]
+    act ~label:"dead" ~proc:2
       (fun _ -> false)
-      (fun s -> Action.set s [ (2, 1) ])
+      [ (2, fun _ -> 1) ]
   in
   let leak =
-    act ~label:"leak" ~proc:2 ~writes:[ 2 ]
+    act ~label:"leak" ~proc:2
       (fun s -> s.(2) = 2)
-      (fun s -> Action.set s [ (2, 5) ])
+      [ (2, fun _ -> 5) ]
   in
   let base = init_dead_program () in
   Program.with_actions (Program.actions base @ [ dead; leak ]) base
@@ -205,7 +205,7 @@ let test_shared_facts_render_once () =
    fixpoint still proves the guard unsatisfiable. *)
 let test_init_dead_stutter () =
   let noop =
-    act ~label:"noop" ~proc:1 ~writes:[ 1 ] (fun s -> s.(0) = 2) Array.copy
+    act ~label:"noop" ~proc:1 (fun s -> s.(0) = 2) [ (1, fun s -> s.(1)) ]
   in
   let base = init_dead_program () in
   let p = Program.with_actions [ List.hd (Program.actions base); noop ] base in
@@ -268,19 +268,19 @@ let test_one_transfer_per_round () =
   (* From (0, 0, 0): round 1 fires lead (y gets 1), round 2 then fires
      follow (x gets 1), round 3 changes nothing.  never needs z = 2. *)
   let follow =
-    act ~label:"follow" ~proc:0 ~writes:[ 0 ]
+    act ~label:"follow" ~proc:0
       (fun s -> s.(1) = 1)
-      (fun s -> Action.set s [ (0, 1) ])
+      [ (0, fun _ -> 1) ]
   in
   let lead =
-    act ~label:"lead" ~proc:1 ~writes:[ 1 ]
+    act ~label:"lead" ~proc:1
       (fun s -> s.(0) = 0)
-      (fun s -> Action.set s [ (1, 1) ])
+      [ (1, fun _ -> 1) ]
   in
   let never =
-    act ~label:"never" ~proc:2 ~writes:[ 2 ]
+    act ~label:"never" ~proc:2
       (fun s -> s.(2) = 2)
-      (fun s -> Action.set s [ (2, 5) ])
+      [ (2, fun _ -> 5) ]
   in
   let p = prog ~initial:(fun s -> s = [| 0; 0; 0 |]) [ follow; lead; never ] in
   let t, n = transfers (fun () -> Flow.analyze p) in
@@ -309,14 +309,14 @@ let test_one_transfer_per_round () =
      witness is (1, 0, 0), and the violation suppresses every definite
      init claim; round 2 changes nothing *)
   let step =
-    act ~label:"step" ~proc:0 ~writes:[ 0 ]
+    act ~label:"step" ~proc:0
       (fun s -> s.(0) = 0)
-      (fun s -> Action.set s [ (0, 1) ])
+      [ (0, fun _ -> 1) ]
   in
   let leak =
-    act ~label:"leak" ~proc:0 ~writes:[ 0 ]
+    act ~label:"leak" ~proc:0
       (fun s -> s.(0) = 1)
-      (fun s -> Action.set s [ (0, 3) ])
+      [ (0, fun _ -> 3) ]
   in
   let q = prog ~initial:(fun s -> s = [| 0; 0; 0 |]) [ step; leak ] in
   let t, n = transfers (fun () -> Flow.analyze q) in
@@ -335,19 +335,19 @@ let chain_program () =
   (* a genuine three-layer stair: x settles on its own, y copies x,
      z copies y — the slot dependency graph is an acyclic chain *)
   let seed =
-    act ~label:"seed" ~proc:0 ~writes:[ 0 ]
+    act ~label:"seed" ~proc:0
       (fun s -> s.(0) <> 1)
-      (fun s -> Action.set s [ (0, 1) ])
+      [ (0, fun _ -> 1) ]
   in
   let copy_y =
-    act ~label:"copy-y" ~proc:1 ~writes:[ 1 ]
+    act ~label:"copy-y" ~proc:1
       (fun s -> s.(1) <> s.(0))
-      (fun s -> Action.set s [ (1, s.(0)) ])
+      [ (1, fun s -> s.(0)) ]
   in
   let copy_z =
-    act ~label:"copy-z" ~proc:2 ~writes:[ 2 ]
+    act ~label:"copy-z" ~proc:2
       (fun s -> s.(2) <> s.(1))
-      (fun s -> Action.set s [ (2, s.(1)) ])
+      [ (2, fun s -> s.(1)) ]
   in
   prog ~name:"chain" [ seed; copy_y; copy_z ]
 

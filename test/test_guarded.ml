@@ -16,8 +16,12 @@ let test_layout () =
     (Invalid_argument "Layout.slot: unknown variable z") (fun () ->
       ignore (Layout.slot layout "z"));
   check_int "enumeration covers all" 6 (List.length (Layout.enumerate layout));
-  check "all valid" true (List.for_all (Layout.valid layout) (Layout.enumerate layout));
-  check "invalid out of range" false (Layout.valid layout [| 2; 0; 0 |]);
+  check "all valid" true
+    (List.for_all
+       (fun s -> Layout.checked_rank layout s >= 0)
+       (Layout.enumerate layout));
+  check "invalid out of range" true
+    (Layout.checked_rank layout [| 2; 0; 0 |] < 0);
   (* pinned variables hidden from printing *)
   let s = Fmt.str "%a" (Layout.pp_state layout) [| 1; 2; 0 |] in
   check "pinned hidden" true (not (String.length s > 0 && String.contains s 'p'))
@@ -42,15 +46,16 @@ let test_layout_errors () =
       ignore (Layout.make [ ("x", 0) ]))
 
 let incr_x =
-  Action.make ~label:"incr_x" ~proc:0 ~writes:[ 0 ]
+  Action.make ~label:"incr_x" ~proc:0
     ~guard:(fun s -> s.(0) = 0)
-    ~effect:(fun s -> Action.set s [ (0, 1) ])
+    ~assign:[ (0, fun _ -> 1) ]
     ()
 
+(* every assigned value equals the pre-state's *)
 let noop =
-  Action.make ~label:"noop" ~proc:1 ~writes:[]
+  Action.make ~label:"noop" ~proc:1
     ~guard:(fun _ -> true)
-    ~effect:(fun s -> Array.copy s)
+    ~assign:[ (1, fun s -> s.(1)) ]
     ()
 
 let test_action_fire () =
@@ -63,10 +68,66 @@ let test_action_fire () =
   ignore (Action.fire incr_x s);
   check "input untouched" true (s = [| 0; 2; 0 |])
 
+(* The assignment is parallel: both right-hand sides read the
+   pre-state, so a swap needs no temporary; the compile ranks the
+   swapped state by rank delta. *)
+let test_parallel_assignment () =
+  let l = Layout.make [ ("a", 3); ("b", 3) ] in
+  let swap =
+    Action.make ~label:"swap"
+      ~guard:(fun _ -> true)
+      ~assign:[ (0, fun s -> s.(1)); (1, fun s -> s.(0)) ]
+      ()
+  in
+  check "swap" true (Action.fire swap [| 1; 2 |] = Some [| 2; 1 |]);
+  check "a swap of equal values is a no-op" true
+    (Action.fire swap [| 2; 2 |] = None);
+  check "writes: the assigned slots" true (Action.writes swap = [ 0; 1 ]);
+  let e =
+    Program.to_explicit
+      (Program.make ~name:"swap" ~layout:l ~actions:[ swap ]
+         ~initial:(fun _ -> true))
+  in
+  let module E = Cr_semantics.Explicit in
+  check "compiled swap" true
+    (E.successors e (E.find e [| 1; 2 |]) = [| E.find e [| 2; 1 |] |]);
+  check "compiled no-op" true (E.successors e (E.find e [| 2; 2 |]) = [||])
+
+(* A slot assigned twice would count twice in the rank delta, and a slot
+   outside the layout would fail mid-compile: both are refused when the
+   action or the program is built, naming the action. *)
+let test_assignment_validation () =
+  let always = fun _ -> true in
+  Alcotest.check_raises "slot assigned twice"
+    (Invalid_argument "Action.make: twice assigns a slot twice") (fun () ->
+      ignore
+        (Action.make ~label:"twice" ~guard:always
+           ~assign:[ (0, fun _ -> 0); (1, fun _ -> 0); (0, fun _ -> 1) ]
+           ()));
+  let program actions =
+    Program.make ~name:"p" ~layout ~actions ~initial:always
+  in
+  let assigning label x =
+    Action.make ~label ~guard:always ~assign:[ (x, fun _ -> 0) ] ()
+  in
+  let outside label x =
+    Invalid_argument
+      (Printf.sprintf "Program p: action %s assigns slot %d outside the layout"
+         label x)
+  in
+  Alcotest.check_raises "Program.make: slot past the layout"
+    (outside "wide" 3) (fun () ->
+      ignore (program [ incr_x; assigning "wide" 3 ]));
+  Alcotest.check_raises "Program.make: negative slot" (outside "neg" (-1))
+    (fun () -> ignore (program [ assigning "neg" (-1) ]));
+  Alcotest.check_raises "Program.with_actions: slot past the layout"
+    (outside "wide" 3) (fun () ->
+      ignore (Program.with_actions [ assigning "wide" 3 ] (program [])))
+
 let dec_y =
-  Action.make ~label:"dec_y" ~proc:1 ~writes:[ 1 ]
+  Action.make ~label:"dec_y" ~proc:1
     ~guard:(fun s -> s.(1) > 0)
-    ~effect:(fun s -> Action.set s [ (1, s.(1) - 1) ])
+    ~assign:[ (1, fun s -> s.(1) - 1) ]
     ()
 
 let prog =
@@ -88,9 +149,9 @@ let test_box () =
     Program.make ~name:"w" ~layout
       ~actions:
         [
-          Action.make ~label:"reset" ~proc:(-1) ~writes:[ 1 ]
+          Action.make ~label:"reset" ~proc:(-1)
             ~guard:(fun s -> s.(1) = 2)
-            ~effect:(fun s -> Action.set s [ (1, 0) ])
+            ~assign:[ (1, fun _ -> 0) ]
             ();
         ]
       ~initial:(fun _ -> true)
@@ -113,9 +174,9 @@ let test_box_priority () =
     Program.make ~name:"w" ~layout
       ~actions:
         [
-          Action.make ~label:"repair" ~proc:(-1) ~writes:[ 1 ]
+          Action.make ~label:"repair" ~proc:(-1)
             ~guard:(fun s -> s.(1) = 2)
-            ~effect:(fun s -> Action.set s [ (1, 0) ])
+            ~assign:[ (1, fun _ -> 0) ]
             ();
         ]
       ~initial:(fun _ -> true)
@@ -188,7 +249,7 @@ let test_injector () =
   let pinned = Cr_fault.Injector.corrupt_slot ~rng layout s ~slot:2 in
   check "pinned slot unchanged" true (pinned = s);
   let r = Cr_fault.Injector.randomize ~rng layout in
-  check "randomize in range" true (Layout.valid layout r)
+  check "randomize in range" true (Layout.checked_rank layout r >= 0)
 
 let () =
   Alcotest.run "guarded"
@@ -200,7 +261,14 @@ let () =
           Alcotest.test_case "state count saturates" `Quick
             test_layout_num_states_saturates;
         ] );
-      ("action", [ Alcotest.test_case "fire" `Quick test_action_fire ]);
+      ( "action",
+        [
+          Alcotest.test_case "fire" `Quick test_action_fire;
+          Alcotest.test_case "parallel assignment" `Quick
+            test_parallel_assignment;
+          Alcotest.test_case "assignment validation" `Quick
+            test_assignment_validation;
+        ] );
       ( "program",
         [
           Alcotest.test_case "step and explicit" `Quick test_program_step;

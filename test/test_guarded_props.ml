@@ -52,9 +52,9 @@ let build ?(pad = 0) { doms; acts } =
         and guard_slot = pad + (ra.guard_slot mod nv) in
         Action.make
           ~label:(Printf.sprintf "a%d" i)
-          ~proc:ra.proc ~writes:[ slot ]
+          ~proc:ra.proc
           ~guard:(fun s -> s.(guard_slot) = clamp guard_slot ra.guard_val)
-          ~effect:(fun s -> Action.set s [ (slot, clamp slot ra.write_val) ])
+          ~assign:[ (slot, fun _ -> clamp slot ra.write_val) ]
           ())
       acts
   in

@@ -15,8 +15,8 @@ let layout3 = Layout.make [ ("x", 3); ("y", 3); ("z", 3) ]
 let prog ?(name = "seeded") ?(initial = fun _ -> true) actions =
   Program.make ~name ~layout:layout3 ~actions ~initial
 
-let act ?(label = "a") ?(proc = 0) ?(writes = []) guard effect =
-  Action.make ~label ~proc ~writes ~guard ~effect ()
+let act ?(label = "a") ?(proc = 0) guard assign =
+  Action.make ~label ~proc ~guard ~assign ()
 
 let keys key r = Lint.find_key key r
 let fires key r = keys key r <> []
@@ -32,9 +32,9 @@ let test_rwsets_exact () =
   (* Crafted action with fully known exact sets: guard reads z only,
      effect derives y from x; z passes through untouched. *)
   let a =
-    act ~label:"exact" ~proc:1 ~writes:[ 1 ]
+    act ~label:"exact" ~proc:1
       (fun s -> s.(2) = 0)
-      (fun s -> Action.set s [ (1, (s.(0) + 1) mod 3) ])
+      [ (1, fun s -> (s.(0) + 1) mod 3) ]
   in
   let info = Rwsets.of_action layout3 a in
   check "writes y only" true (info.Rwsets.writes = [ 1 ]);
@@ -59,9 +59,9 @@ let test_rwsets_exact () =
 let test_rwsets_copy_sources () =
   (* A verbatim copy effect advertises its source. *)
   let copy =
-    act ~label:"copy" ~proc:1 ~writes:[ 1 ]
+    act ~label:"copy" ~proc:1
       (fun s -> s.(1) <> s.(0))
-      (fun s -> Action.set s [ (1, s.(0)) ])
+      [ (1, fun s -> s.(0)) ]
   in
   let info = Rwsets.of_action layout3 copy in
   check "writes y" true (info.Rwsets.writes = [ 1 ]);
@@ -71,9 +71,9 @@ let test_rwsets_copy_sources () =
 (* ---------- Rwsets = the reference (test/rwsets_ref.ml) ---------- *)
 
 (* A table-driven action, all data so that a counterexample prints.
-   Values range over 0..4 against domains of 1..4, so effects leave the
-   domains; [shape] makes an effect the wrong length or a no-op at some
-   states; [Copy] is the atomic read shape that yields copy sources. *)
+   Values range over 0..4 against domains of 1..4, so assignments leave
+   the domains; [noop] makes the assignment a no-op at some states;
+   [Copy] is the atomic read shape that yields copy sources. *)
 type src =
   | Const of int
   | Copy of int  (* the value of another slot *)
@@ -85,10 +85,8 @@ type guard_spec = Always | Slot_ne of int * int | Gtab of bool array
 type act_spec = {
   doms : int list;
   guard : guard_spec;
-  assigns : (int * src) list;  (* simultaneous slot := value *)
-  shape : int array;
-      (* by rank: 0 the assignment, 1 one slot short, 2 one slot long,
-         3 a no-op *)
+  assigns : (int * src) list;  (* parallel slot := value, slots distinct *)
+  noop : bool array;  (* by rank: every slot keeps its value there *)
 }
 
 let pp_ints a =
@@ -101,7 +99,7 @@ let print_spec sp =
     | Map (r, t) -> Printf.sprintf "Map (%d, [|%s|])" r (pp_ints t)
     | Tab t -> Printf.sprintf "Tab [|%s|]" (pp_ints t)
   in
-  Printf.sprintf "doms=[%s] guard=%s assigns=[%s] shape=[|%s|]"
+  Printf.sprintf "doms=[%s] guard=%s assigns=[%s] noop=[|%s|]"
     (String.concat ";" (List.map string_of_int sp.doms))
     (match sp.guard with
     | Always -> "Always"
@@ -114,7 +112,7 @@ let print_spec sp =
        (List.map
           (fun (w, x) -> Printf.sprintf "%d := %s" w (src x))
           sp.assigns))
-    (pp_ints sp.shape)
+    (pp_ints (Array.map Bool.to_int sp.noop))
 
 let gen_act_spec =
   QCheck2.Gen.(
@@ -122,8 +120,8 @@ let gen_act_spec =
     let* doms = list_repeat nv (int_range 1 4) in
     let ns = List.fold_left ( * ) 1 doms in
     let dom = Array.of_list doms in
-    (* clean actions keep every value inside its domain and never change
-       length, so copy sources survive *)
+    (* clean actions keep every value inside its domain, so copy sources
+       survive *)
     let* clean = bool in
     let value w = if clean then int_bound (dom.(w) - 1) else int_bound 4 in
     let* guard =
@@ -156,20 +154,23 @@ let gen_act_spec =
          in
          return (w, x))
     in
-    let* shape =
-      list_repeat ns
-        (if clean then frequency [ (9, return 0); (1, return 3) ]
-         else
-           frequency
-             [ (12, return 0); (1, return 1); (1, return 2); (2, return 3) ])
+    (* one assignment per slot: the last one generated *)
+    let assigns =
+      List.fold_left
+        (fun acc (w, x) -> if List.mem_assoc w acc then acc else (w, x) :: acc)
+        [] (List.rev assigns)
     in
-    return { doms; guard; assigns; shape = Array.of_list shape })
+    let* noop =
+      list_repeat ns
+        (frequency
+           [ ((if clean then 9 else 7), return false); (1, return true) ])
+    in
+    return { doms; guard; assigns; noop = Array.of_list noop })
 
 let act_of_spec sp =
   let layout =
     Layout.make (List.mapi (fun i d -> (Printf.sprintf "v%d" i, d)) sp.doms)
   in
-  let nv = Layout.num_vars layout in
   let rank = Layout.rank layout in
   let value s = function
     | Const c -> c
@@ -183,17 +184,13 @@ let act_of_spec sp =
     | Slot_ne (j, v) -> s.(j) <> v
     | Gtab t -> t.(rank s)
   in
-  let effect s =
-    let s' = Array.copy s in
-    List.iter (fun (w, x) -> s'.(w) <- value s x) sp.assigns;
-    match sp.shape.(rank s) with
-    | 1 -> Array.sub s' 0 (nv - 1)
-    | 2 -> Array.append s' [| 0 |]
-    | 3 -> Array.copy s
-    | _ -> s'
+  let assign =
+    List.map
+      (fun (w, x) ->
+        (w, fun s -> if sp.noop.(rank s) then s.(w) else value s x))
+      sp.assigns
   in
-  let writes = List.map fst sp.assigns in
-  (layout, act ~label:"t" ~proc:0 ~writes guard effect)
+  (layout, act ~label:"t" ~proc:0 guard assign)
 
 let prop_rwsets_reference =
   QCheck2.Test.make ~count:1000
@@ -210,7 +207,7 @@ let prop_rwsets_reference =
    Each written slot is a random table over the projection of the state
    on a dependency set (so some slots go unread and their scans run to
    the end) with values in its domain, two past it, or in 0..31;
-   [shape] adds wrong-length and no-op results.  A [wide] action depends
+   [odd] adds no-op results.  A [wide] action depends
    on every slot with values in 0..31 and a dense guard, so more than
    255 distinct output tuples occur and the codes are two bytes wide.
    The tables come from [seed], so a counterexample prints small. *)
@@ -220,7 +217,7 @@ type big_spec = {
   wide : bool;
   spread : int;  (* values: 0 in the domain, 1 two past it, 2 0..31 *)
   density : int;  (* percent of states the guard admits *)
-  odd : int;  (* percent of results of the wrong length or no-ops *)
+  odd : int;  (* percent of no-op results *)
   seed : int;
 }
 
@@ -289,31 +286,23 @@ let act_of_big b =
   let guard s =
     gtab.(List.fold_left (fun acc j -> (acc * Layout.dom layout j) + s.(j)) 0 gdeps)
   in
-  let shape =
-    Array.init ns (fun _ ->
-        if Random.State.int rnd 100 >= b.odd then 0
-        else 1 + Random.State.int rnd 3)
+  let noop = Array.init ns (fun _ -> Random.State.int rnd 100 < b.odd) in
+  let assign =
+    List.map
+      (fun (w, f) -> (w, fun s -> if noop.(rank s) then s.(w) else f s))
+      assigns
   in
-  let effect s =
-    let s' = Array.copy s in
-    List.iter (fun (w, f) -> s'.(w) <- f s) assigns;
-    match shape.(rank s) with
-    | 1 -> Array.sub s' 0 (nv - 1)
-    | 2 -> Array.append s' [| 0 |]
-    | 3 -> Array.copy s
-    | _ -> s'
-  in
-  ( layout,
-    act ~label:"big" ~proc:0 ~writes:written guard effect )
+  (layout, act ~label:"big" ~proc:0 guard assign)
 
-(* Distinct written tuples over the enabled full-length results. *)
+(* Distinct written tuples over the enabled results. *)
 let distinct_tuples layout (a : Action.t) (info : Rwsets.info) =
   let seen = Hashtbl.create 64 in
   Layout.iter_states layout (fun _ s ->
       if a.Action.guard s then
-        let s' = a.Action.effect s in
-        if Array.length s' = Layout.num_vars layout then
-          Hashtbl.replace seen (List.map (fun w -> s'.(w)) info.Rwsets.writes) ());
+        let s' = Compile_ref.apply a s in
+        Hashtbl.replace seen
+          (List.map (fun w -> s'.(w)) info.Rwsets.writes)
+          ());
   Hashtbl.length seen
 
 let prop_rwsets_reference_big =
@@ -338,11 +327,9 @@ let test_rwsets_wide_codes () =
   in
   let rank = Layout.rank layout in
   let a =
-    act ~label:"spread" ~proc:0 ~writes:[ 3; 4 ]
+    act ~label:"spread" ~proc:0
       (fun s -> s.(0) <> 9)
-      (fun s ->
-        let r = rank s in
-        Action.set s [ (3, r / 100); (4, r mod 100) ])
+      [ (3, fun s -> rank s / 100); (4, fun s -> rank s mod 100) ]
   in
   let info = Rwsets.of_action layout a in
   check "more than 65,535 tuples" true (distinct_tuples layout a info > 65_535);
@@ -352,10 +339,13 @@ let test_rwsets_wide_codes () =
     Layout.make [ ("p", 7); ("q", 7); ("r", 7); ("x", 7); ("y", 7); ("z", 7) ]
   in
   let b =
-    act ~label:"shuffle" ~proc:0 ~writes:[ 3; 4; 5 ]
+    act ~label:"shuffle" ~proc:0
       (fun s -> s.(5) <> 6)
-      (fun s ->
-        Action.set s [ (3, if s.(0) = 0 then 0 else s.(3)); (4, s.(1)); (5, s.(2)) ])
+      [
+        (3, fun s -> if s.(0) = 0 then 0 else s.(3));
+        (4, fun s -> s.(1));
+        (5, fun s -> s.(2));
+      ]
   in
   let info = Rwsets.of_action layout7 b in
   check "343 valid tuples" true (distinct_tuples layout7 b info = 343);
@@ -374,14 +364,14 @@ let test_rwsets_wide_codes () =
 let test_rwsets_short_runs () =
   let layout = Layout.make [ ("a", 7); ("b", 11); ("c", 4); ("d", 11) ] in
   let e =
-    act ~label:"e" ~proc:0 ~writes:[ 3 ]
+    act ~label:"e" ~proc:0
       (fun s -> s.(1) <> 5)
-      (fun s -> Action.set s [ (3, s.(2)) ])
+      [ (3, fun s -> s.(2)) ]
   in
   let copy =
-    act ~label:"copy" ~proc:0 ~writes:[ 3 ]
+    act ~label:"copy" ~proc:0
       (fun s -> s.(0) <> 3)
-      (fun s -> Action.set s [ (3, s.(1)) ])
+      [ (3, fun s -> s.(1)) ]
   in
   List.iter
     (fun (a : Action.t) ->
@@ -416,24 +406,12 @@ let test_rwsets_reference_registry () =
 
 (* ---------- one seeded defect per check ---------- *)
 
-let test_w1 () =
-  (* effect writes y, but only x is declared *)
-  let a =
-    act ~label:"w1bad" ~proc:0 ~writes:[ 0 ]
-      (fun s -> s.(0) = 0)
-      (fun s -> Action.set s [ (0, 1); (1, 1) ])
-  in
-  let r = Lint.run (prog [ a ]) in
-  check "W1 fires" true (fires "W1" r);
-  check "W1 is an error" true (severity_of "W1" r = Lint.Error);
-  check_int "lint counts the error" 1 (Lint.errors r)
-
 let test_w2 () =
-  (* y declared but never written *)
+  (* y assigned but never changed: its value is always its own *)
   let a =
-    act ~label:"w2bad" ~proc:0 ~writes:[ 0; 1 ]
+    act ~label:"w2bad" ~proc:0
       (fun s -> s.(0) = 0)
-      (fun s -> Action.set s [ (0, 1) ])
+      [ (0, fun _ -> 1); (1, fun s -> s.(1)) ]
   in
   let r = Lint.run (prog [ a ]) in
   check "W2 fires" true (fires "W2" r);
@@ -443,14 +421,14 @@ let test_w2 () =
 let test_p1 () =
   (* slot y written by processes 0 and 1 *)
   let a =
-    act ~label:"p1a" ~proc:0 ~writes:[ 1 ]
+    act ~label:"p1a" ~proc:0
       (fun s -> s.(1) = 0)
-      (fun s -> Action.set s [ (1, 1) ])
+      [ (1, fun _ -> 1) ]
   in
   let b =
-    act ~label:"p1b" ~proc:1 ~writes:[ 1 ]
+    act ~label:"p1b" ~proc:1
       (fun s -> s.(1) = 1)
-      (fun s -> Action.set s [ (1, 2) ])
+      [ (1, fun _ -> 2) ]
   in
   let r = Lint.run (prog [ a; b ]) in
   check "P1 fires" true (fires "P1" r);
@@ -463,14 +441,14 @@ let test_p1 () =
 let g1_program () =
   (* one process, two always-enabled actions with different effects *)
   let a1 =
-    act ~label:"g1a" ~proc:0 ~writes:[ 0 ]
+    act ~label:"g1a" ~proc:0
       (fun _ -> true)
-      (fun s -> Action.set s [ (0, 1) ])
+      [ (0, fun _ -> 1) ]
   in
   let a2 =
-    act ~label:"g1b" ~proc:0 ~writes:[ 0 ]
+    act ~label:"g1b" ~proc:0
       (fun _ -> true)
-      (fun s -> Action.set s [ (0, 2) ])
+      [ (0, fun _ -> 2) ]
   in
   prog ~name:"g1seed" [ a1; a2 ]
 
@@ -485,9 +463,9 @@ let test_g1 () =
 
 let test_d1 () =
   let a =
-    act ~label:"d1bad" ~proc:0 ~writes:[ 0 ]
+    act ~label:"d1bad" ~proc:0
       (fun s -> s.(0) = 0)
-      (fun s -> Action.set s [ (0, 7) ])
+      [ (0, fun _ -> 7) ]
   in
   let r = Lint.run (prog [ a ]) in
   check "D1 fires" true (fires "D1" r);
@@ -496,23 +474,23 @@ let test_d1 () =
 let test_u1 () =
   (* full-space dead action *)
   let dead =
-    act ~label:"u1dead" ~proc:0 ~writes:[ 0 ]
+    act ~label:"u1dead" ~proc:0
       (fun _ -> false)
-      (fun s -> Action.set s [ (0, 1) ])
+      [ (0, fun _ -> 1) ]
   in
   let r = Lint.run (prog [ dead ]) in
   check "U1 fires" true (fires "U1" r);
   check "U1 full-space is a warning" true (severity_of "U1" r = Lint.Warning);
   (* live in the full space, dead from the initial states *)
   let step =
-    act ~label:"step" ~proc:0 ~writes:[ 0 ]
+    act ~label:"step" ~proc:0
       (fun s -> s.(0) = 0)
-      (fun s -> Action.set s [ (0, 1) ])
+      [ (0, fun _ -> 1) ]
   in
   let unreachable =
-    act ~label:"u1reach" ~proc:1 ~writes:[ 1 ]
+    act ~label:"u1reach" ~proc:1
       (fun s -> s.(0) = 2)
-      (fun s -> Action.set s [ (1, 1) ])
+      [ (1, fun _ -> 1) ]
   in
   let r' =
     Lint.run
@@ -526,7 +504,7 @@ let test_u1 () =
 
 let test_s1 () =
   let a =
-    act ~label:"s1noop" ~proc:0 ~writes:[ 0 ] (fun _ -> true) Array.copy
+    act ~label:"s1noop" ~proc:0 (fun _ -> true) [ (0, fun s -> s.(0)) ]
   in
   let r = Lint.run (prog [ a ]) in
   check "S1 fires" true (fires "S1" r);
@@ -534,15 +512,15 @@ let test_s1 () =
 
 let test_i1 () =
   let writer =
-    act ~label:"writer" ~proc:0 ~writes:[ 0 ]
+    act ~label:"writer" ~proc:0
       (fun s -> s.(0) = 0)
-      (fun s -> Action.set s [ (0, 1) ])
+      [ (0, fun _ -> 1) ]
   in
   (* reads x (proc 0's slot) and derives a new value from it *)
   let derive =
-    act ~label:"derive" ~proc:1 ~writes:[ 1 ]
+    act ~label:"derive" ~proc:1
       (fun s -> s.(0) = 1)
-      (fun s -> Action.set s [ (1, (s.(0) + 1) mod 3) ])
+      [ (1, fun s -> (s.(0) + 1) mod 3) ]
   in
   let r = Lint.run (prog [ writer; derive ]) in
   check "I1 fires on a derived read" true (fires "I1" r);
@@ -550,23 +528,23 @@ let test_i1 () =
   (* the same read as a verbatim copy into a private slot is an atomic
      read step — the rw_atomicity cache-fill shape — and is exempt *)
   let copy =
-    act ~label:"copy" ~proc:1 ~writes:[ 1 ]
+    act ~label:"copy" ~proc:1
       (fun s -> s.(1) <> s.(0))
-      (fun s -> Action.set s [ (1, s.(0)) ])
+      [ (1, fun s -> s.(0)) ]
   in
   let r' = Lint.run (prog [ writer; copy ]) in
   check "no I1 on an atomic read step" false (fires "I1" r')
 
 let test_l1 () =
   let a =
-    act ~label:"dup" ~proc:0 ~writes:[ 0 ]
+    act ~label:"dup" ~proc:0
       (fun s -> s.(0) = 0)
-      (fun s -> Action.set s [ (0, 1) ])
+      [ (0, fun _ -> 1) ]
   in
   let b =
-    act ~label:"dup" ~proc:1 ~writes:[ 1 ]
+    act ~label:"dup" ~proc:1
       (fun s -> s.(1) = 0)
-      (fun s -> Action.set s [ (1, 1) ])
+      [ (1, fun _ -> 1) ]
   in
   let r = Lint.run (prog [ a; b ]) in
   check "L1 fires" true (fires "L1" r);
@@ -634,9 +612,9 @@ let test_closure_states_sweep () =
     Program.make ~name:"leaky" ~layout
       ~actions:
         [
-          Action.make ~label:"step" ~proc:0 ~writes:[ 0 ]
+          Action.make ~label:"step" ~proc:0
             ~guard:(fun _ -> true)
-            ~effect:(fun s -> [| (s.(0) + 1) mod 4 |])
+            ~assign:[ (0, fun s -> (s.(0) + 1) mod 4) ]
             ();
         ]
       ~initial:(fun _ -> false)
@@ -746,7 +724,7 @@ let test_json_artifact () =
         findings =
           [
             {
-              Lint.key = "W1";
+              Lint.key = "W2";
               severity = Lint.Error;
               provenance = Lint.Exact;
               program = "p\"q\\r";
@@ -780,8 +758,7 @@ let () =
         ] );
       ( "seeded defects",
         [
-          Alcotest.test_case "W1 undeclared write" `Quick test_w1;
-          Alcotest.test_case "W2 over-declaration" `Quick test_w2;
+          Alcotest.test_case "W2 idle assignment" `Quick test_w2;
           Alcotest.test_case "P1 ownership" `Quick test_p1;
           Alcotest.test_case "G1 sync overlap" `Quick test_g1;
           Alcotest.test_case "D1 domain violation" `Quick test_d1;

@@ -289,7 +289,7 @@ let prop_rank_unrank_roundtrip =
       let n = Cr_guarded.Layout.num_states l in
       let r = r mod n in
       let s = Cr_guarded.Layout.unrank l r in
-      Cr_guarded.Layout.valid l s
+      Cr_guarded.Layout.checked_rank l s >= 0
       && Cr_guarded.Layout.rank l s = r
       && Cr_guarded.Layout.unrank l (Cr_guarded.Layout.rank l s) = s)
 
