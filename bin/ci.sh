@@ -16,6 +16,20 @@ trap 'rm -rf "$work"' EXIT
 trace="$work/trace"
 lintjson="$work/lint.json"
 
+# test_metatheory's qcheck properties under fixed seeds as well as
+# dune's random one: Theorem 1 was refuted through an abstraction under
+# seed 847234730 while Stabilize rejected τ-steps.  Its other groups
+# read no seed, so only the properties group runs here.
+metaout="$work/meta.out"
+for seed in 847234730 $(seq 1 19); do
+  QCHECK_SEED=$seed dune exec test/test_metatheory.exe -- test properties \
+    > "$metaout" 2>&1 || {
+    echo "ci: test_metatheory failed under QCHECK_SEED=$seed" >&2
+    cat "$metaout" >&2
+    exit 1
+  }
+done
+
 CR_STATS=1 CR_TRACE="$trace" dune exec bin/crcheck.exe -- verify dijkstra3 --stats
 test -s "$trace" || { echo "ci: CR_TRACE produced no output" >&2; exit 1; }
 dune exec bin/crcheck.exe -- validate trace "$trace"

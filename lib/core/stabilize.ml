@@ -7,21 +7,24 @@ module Par = Cr_kernel.Par
    suffix of some computation of A starting at an initial state of A.
 
    Let L = states of A reachable from I_A (the legitimate states).  A
-   transition (i, j) of C is *bad* when its image leaves L or is not a
-   transition of A; a terminal state of C is *bad* when its image is not a
+   transition (i, j) of C is *bad* when its image leaves L, or moves and
+   is not a transition of A (one that does not move is a τ-step); a
+   state of C on a cycle of τ-steps is *bad* when its image is not a
+   terminal of A, and a terminal state of C when its image is not a
    reachable terminal of A.  Let Good = states of C from which no bad
-   transition source and no bad terminal is reachable: the greatest
+   transition source and no bad state is reachable: the greatest
    successor-closed set of non-seeds.  Then C stabilizes to A iff (a)
    the subgraph of C outside Good is acyclic, and (b) no terminal of C
    lies outside Good.  The quantification is over every computation
    of C, from any state, so I_C is never read.
 
    Soundness/completeness: once a computation enters Good it only takes
-   A-transitions inside L forever (or halts at a reachable A-terminal), and
-   any path inside L from a reachable state extends a prefix of A from an
-   initial state, i.e. is a suffix of a computation of A.  Conversely a
-   cycle outside Good yields a computation that never acquires a correct
-   suffix, as does a bad terminal.
+   A-transitions and τ-steps inside L forever, stuttering forever only
+   at an A-terminal image (DESIGN.md section 2: the image is compared
+   modulo τ-steps), and any such path from a reachable state extends a
+   prefix of A from an initial state, i.e. is a suffix of a computation
+   of A.  Conversely a cycle outside Good yields a computation that
+   never acquires a correct suffix, as does a bad terminal.
 
    A enters only through L: [legit], and [has_edge]/[is_terminal] on
    states of L.  So [a] may be any successor-closed fragment of the spec
@@ -110,34 +113,22 @@ let find_cycle_within (succ : Cr_kernel.Csr.t) (mask : Cr_kernel.Bitset.t) =
 
 (* [?fair] switches divergence detection from "any cycle outside Good" to
    "any weakly-fair cycle outside Good" (see {!Fair}); the action tables
-   must describe [c]'s transitions.
-
-   [?stutter:`Allow] admits τ-steps in the converged region: a transition
-   whose abstract image does not move is acceptable there (the suffix is
-   compared modulo stuttering), except that a cycle consisting purely of
-   stutters must sit at an [a]-terminal image — an infinite stutter
-   normalizes to a finite suffix, which must be able to end a computation
-   of [a].  Needed when a concrete system takes several micro-steps per
-   abstract step (e.g. the bytecode machine of the intro example). *)
+   must describe [c]'s transitions. *)
 let c_runs = Cr_obs.Obs.counter "stabilize.runs"
 let c_bad_seeds = Cr_obs.Obs.counter "stabilize.bad_seeds"
 
 (* Verdict memo: keyed on both systems' exact structure, A's initial
-   states (C's are never read), the abstraction, the fairness tables
-   and the stutter mode (see [Check_cache.key]). *)
+   states (C's are never read), the abstraction and the fairness tables
+   (see [Check_cache.key]). *)
 let memo : report Cr_kernel.Memo.t = Cr_kernel.Memo.create ~name:"check"
 
 let same_report r1 r2 = { r1 with cost = None } = { r2 with cost = None }
 
-let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
-    ~(a : _ Explicit.t) () =
+let stabilizing_to ?alpha ?fair ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
   let alpha =
     match alpha with
     | Some t -> t
     | None -> Abstraction.identity_table (Explicit.num_states c)
-  in
-  let stutter_ok =
-    match stutter with `Allow -> true | `Forbid -> false
   in
   let run () =
     let legit = Cr_checker.Reach.reachable_from_initial a in
@@ -147,58 +138,60 @@ let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
     let rp = Cr_kernel.Csr.row_ptr succ_c
     and tg = Cr_kernel.Csr.targets succ_c in
     let bad_seed = Cr_kernel.Bitset.create n in
-    Cr_obs.Obs.span "stabilize.bad_seeds" (fun () ->
-        (* Row range [lo, hi): marks only its own sources.  Chunk
-           boundaries are word-aligned (multiples of 64), so parallel
-           chunks write disjoint words of the bitset (see [Bitset]). *)
-        let sweep lo hi =
-          for i = lo to hi - 1 do
-            let klo = rp.(i) and khi = rp.(i + 1) in
-            if khi > klo then begin
-              let ai = alpha.(i) in
-              let k = ref klo in
-              let bad = ref false in
-              while (not !bad) && !k < khi do
-                let aj = alpha.(tg.(!k)) in
-                let fine =
-                  in_legit ai && in_legit aj
-                  && (Explicit.has_edge a ai aj || (stutter_ok && ai = aj))
-                in
-                if not fine then bad := true;
-                incr k
-              done;
-              if !bad then Cr_kernel.Bitset.set bad_seed i
-            end
-          done
+    let stuttered =
+      Cr_obs.Obs.span "stabilize.bad_seeds" @@ fun () ->
+      (* Row range [lo, hi): marks only its own sources, and tells
+         whether it accepted a τ-step.  Chunk boundaries are
+         word-aligned (multiples of 64), so parallel chunks write
+         disjoint words of the bitset (see [Bitset]). *)
+      let sweep lo hi =
+        let stuttered = ref false in
+        for i = lo to hi - 1 do
+          let klo = rp.(i) and khi = rp.(i + 1) in
+          if khi > klo then begin
+            let ai = alpha.(i) in
+            let k = ref klo in
+            let bad = ref (not (in_legit ai)) in
+            while (not !bad) && !k < khi do
+              let aj = alpha.(tg.(!k)) in
+              if aj = ai then stuttered := true
+              else if not (in_legit aj && Explicit.has_edge a ai aj) then
+                bad := true;
+              incr k
+            done;
+            if !bad then Cr_kernel.Bitset.set bad_seed i
+          end
+        done;
+        !stuttered
+      in
+      let jobs = min (Par.current_jobs ()) (max n 1) in
+      if jobs <= 1 then sweep 0 n
+      else begin
+        (* more chunks than domains (claimed from the pool's atomic
+           item counter), each spanning whole 64-bit words *)
+        let nwords = (n + 63) / 64 in
+        let num_chunks = max 1 (min nwords (jobs * 8)) in
+        let boundary d = min n (d * nwords / num_chunks * 64) in
+        let chunks =
+          Array.init num_chunks (fun d -> (boundary d, boundary (d + 1)))
         in
-        let jobs = min (Par.current_jobs ()) (max n 1) in
-        if jobs <= 1 then sweep 0 n
-        else begin
-          (* more chunks than domains (claimed from the pool's atomic
-             item counter), each spanning whole 64-bit words *)
-          let nwords = (n + 63) / 64 in
-          let num_chunks = max 1 (min nwords (jobs * 8)) in
-          let boundary d = min n (d * nwords / num_chunks * 64) in
-          let chunks =
-            Array.init num_chunks (fun d -> (boundary d, boundary (d + 1)))
-          in
-          ignore
-            (Par.map_array (fun (lo, hi) -> sweep lo hi) chunks : unit array)
-        end);
-    (if stutter_ok then begin
-       (* pure-stutter cycles must sit at an [a]-terminal image; a state
-          imaged outside L is already a bad seed (its in-cycle edge
-          leaves L) *)
+        Array.exists Fun.id (Par.map_array (fun (lo, hi) -> sweep lo hi) chunks)
+      end
+    in
+    (* States on τ-cycles whose image is not an [a]-terminal in L.  Only
+       needed when the sweep accepted a τ-step: a state on a τ-cycle
+       whose cycle edge it did not accept is a bad seed already. *)
+    (if stuttered then
        let sscc =
          Cr_checker.Scc.compute
            (Cr_kernel.Csr.filter succ_c (fun i j -> alpha.(i) = alpha.(j)))
        in
        for i = 0 to n - 1 do
-         if Cr_checker.Scc.on_cycle sscc i
-            && not (in_legit alpha.(i) && Explicit.is_terminal a alpha.(i))
+         if
+           Cr_checker.Scc.on_cycle sscc i
+           && not (in_legit alpha.(i) && Explicit.is_terminal a alpha.(i))
          then Cr_kernel.Bitset.set bad_seed i
-       done
-     end);
+       done);
     let bad_terminal = ref None in
     for i = 0 to n - 1 do
       if Explicit.is_terminal c i then
@@ -271,9 +264,7 @@ let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
   let r, ran =
     Cr_kernel.Memo.find memo
       ~key:(fun () ->
-        Check_cache.key
-          ~relation:(if stutter_ok then "stab+stutter" else "stab")
-          ~c_initials:false ~alpha ~fair ~c ~a)
+        Check_cache.key ~relation:"stab" ~c_initials:false ~alpha ~fair ~c ~a)
       ~same:same_report check
   in
   (if Cr_obs.Obs.tracking () then

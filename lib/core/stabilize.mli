@@ -2,7 +2,7 @@
 
     [C] is stabilizing to [A] iff every computation of [C] has a suffix
     that is a suffix of some computation of [A] starting at an initial
-    state of [A].
+    state of [A], modulo τ-steps (see {!stabilizing_to}).
 
     The converged region Good (the states that reach no bad seed) is
     decided in one forward pass over [C]'s graph
@@ -38,7 +38,6 @@ val pp_report : Format.formatter -> report -> unit
 val stabilizing_to :
   ?alpha:int array ->
   ?fair:Fair.tables ->
-  ?stutter:[ `Allow | `Forbid ] ->
   c:'c Cr_semantics.Explicit.t ->
   a:'a Cr_semantics.Explicit.t ->
   unit ->
@@ -46,8 +45,12 @@ val stabilizing_to :
 (** Decide "C is stabilizing to A", optionally through a tabulated
     abstraction.  With [?fair] (action tables for [c]), divergence is
     checked over weakly-fair computations only; [worst_case_recovery] is
-    [None] when recovery is finite but unbounded.  [?stutter:`Allow]
-    compares the converged suffix modulo τ-steps (default [`Forbid]).
+    [None] when recovery is finite but unbounded.
+
+    A transition of [c] whose image does not move (a τ-step) is
+    acceptable inside the legitimate states L, but a state on a cycle of
+    them whose image is not an [a]-terminal is a bad seed; that cycle
+    test runs only when some τ-step was accepted.
 
     The verdict reads [a] only through its legitimate states L (those
     reachable from I_A).  So [a] may be any successor-closed fragment of

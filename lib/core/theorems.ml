@@ -10,47 +10,36 @@ type verdict =
   | Vacuous  (* some premise did not hold (or was not provable) *)
   | Refuted  (* premises hold but conclusion fails: a real counterexample *)
 
-let pp_verdict fmt = function
-  | Witnessed -> Fmt.pf fmt "witnessed"
-  | Vacuous -> Fmt.pf fmt "vacuous"
-  | Refuted -> Fmt.pf fmt "REFUTED"
-
 let implication premises conclusion =
   if not premises then Vacuous else if conclusion then Witnessed else Refuted
 
-(* Theorem 0: [C ⊑ A] and A stabilizing to B => C stabilizing to B. *)
-let theorem_0 ?alpha_ca ?alpha_ab ~c ~a ~b () =
+(* Theorems 0 and 1 differ only in their refinement premise: [refines]
+   relates C to A, A is stabilizing to B, and then C must be stabilizing
+   to B through the composed abstraction. *)
+let via_refinement ~refines ?alpha_ca ?alpha_ab ~c ~a ~b () =
   let alpha_cb =
     match (alpha_ca, alpha_ab) with
-    | Some ca, Some ab -> Some (Array.map (fun i -> ab.(i)) ca)
-    | Some ca, None -> Some ca
-    | None, Some ab -> Some ab
-    | None, None -> None
+    | Some ca, Some ab -> Some (Array.map (Array.get ab) ca)
+    | ca, None -> ca
+    | None, ab -> ab
   in
-  let p1 = (Refine.everywhere_refinement ?alpha:alpha_ca ~c ~a ()).Refine.holds in
+  let p1 = (refines ?alpha:alpha_ca ~c ~a ()).Refine.holds in
   let p2 = (Stabilize.stabilizing_to ?alpha:alpha_ab ~c:a ~a:b ()).Stabilize.holds in
   let concl =
     (Stabilize.stabilizing_to ?alpha:alpha_cb ~c ~a:b ()).Stabilize.holds
   in
   implication (p1 && p2) concl
 
+(* Theorem 0: [C ⊑ A] and A stabilizing to B => C stabilizing to B. *)
+let theorem_0 ?alpha_ca ?alpha_ab ~c ~a ~b () =
+  via_refinement ~refines:Refine.everywhere_refinement ?alpha_ca ?alpha_ab ~c
+    ~a ~b ()
+
 (* Theorem 1: [C ⪯ A] and A stabilizing to B => C stabilizing to B. *)
 let theorem_1 ?alpha_ca ?alpha_ab ~c ~a ~b () =
-  let alpha_cb =
-    match (alpha_ca, alpha_ab) with
-    | Some ca, Some ab -> Some (Array.map (fun i -> ab.(i)) ca)
-    | Some ca, None -> Some ca
-    | None, Some ab -> Some ab
-    | None, None -> None
-  in
-  let p1 =
-    (Refine.convergence_refinement ?alpha:alpha_ca ~c ~a ()).Refine.holds
-  in
-  let p2 = (Stabilize.stabilizing_to ?alpha:alpha_ab ~c:a ~a:b ()).Stabilize.holds in
-  let concl =
-    (Stabilize.stabilizing_to ?alpha:alpha_cb ~c ~a:b ()).Stabilize.holds
-  in
-  implication (p1 && p2) concl
+  via_refinement
+    ~refines:(fun ?alpha -> Refine.convergence_refinement ?alpha ?fair:None)
+    ?alpha_ca ?alpha_ab ~c ~a ~b ()
 
 (* Theorem 3 (graybox): [C ⪯ A] and (A [] W) stabilizing to A
    => (C [] W) stabilizing to A.  All four systems over one Sigma. *)
@@ -82,5 +71,3 @@ let strength_chain ?alpha ~c ~a () =
   let ee = (Refine.everywhere_eventually_refinement ?alpha ~c ~a ()).Refine.holds in
   let init = (Refine.init_refinement ?alpha ~c ~a ()).Refine.holds in
   ((not ev) || cv) && ((not cv) || ee) && ((not ee) || init)
-
-let _ = ignore (pp_verdict : Format.formatter -> verdict -> unit)

@@ -6,8 +6,6 @@
 
 type verdict = Witnessed | Vacuous | Refuted
 
-val pp_verdict : Format.formatter -> verdict -> unit
-
 val theorem_0 :
   ?alpha_ca:int array ->
   ?alpha_ab:int array ->

@@ -72,8 +72,8 @@ let rw_experiment n =
   let p = Rw_atomicity.program n in
   let e = Program.to_explicit p in
   let stab = Registry.stabilizing ~alpha:(Rw_atomicity.alpha n) e (Btr.program n) in
-  let unfair = stab ~stutter:`Allow () in
-  let fairr = stab ~fair:(Cr_sim.Glue.fair_tables p e) ~stutter:`Allow () in
+  let unfair = stab () in
+  let fairr = stab ~fair:(Cr_sim.Glue.fair_tables p e) () in
   (* init refinement against Dijkstra-3 through the cache-forgetting
      abstraction: reachable transitions are either counter moves of
      Dijkstra-3 or pure read stutters *)

@@ -28,9 +28,7 @@ let vm_experiment () =
     (Cr_core.Stabilize.stabilizing_to ~c:source ~a:target ()).Cr_core.Stabilize.holds
   in
   let alpha = Abstraction.tabulate Cr_vm.Source.alpha_x machine target in
-  let r =
-    Cr_core.Stabilize.stabilizing_to ~alpha ~stutter:`Allow ~c:machine ~a:target ()
-  in
+  let r = Cr_core.Stabilize.stabilizing_to ~alpha ~c:machine ~a:target () in
   let alpha_src = Abstraction.tabulate Cr_vm.Source.alpha_x machine source in
   (* fault-free refinement: from the initial state, the machine's image
      never leaves x=0; since the source has no move at 0 this is exactly

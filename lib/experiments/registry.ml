@@ -182,13 +182,12 @@ let init_explicit e n = anchored (e.program n)
    question — crcheck refine, [refinements] and the lemma tables —
    through [refining]; so the verdict memo inside Refine/Stabilize keeps
    one entry per question.  Staged: the spec's fragment and the α-table
-   are built once per [~alpha c spec], and the checkers can be asked
-   again (fair re-check, stutter mode). *)
+   are built once per [~alpha c spec], and the checker can be asked
+   again (the fair re-check). *)
 let stabilizing ~alpha c spec =
   let a = anchored spec in
   let alpha = Cr_semantics.Abstraction.tabulate ~partial:true alpha c a in
-  fun ?fair ?stutter () ->
-    Cr_core.Stabilize.stabilizing_to ~alpha ?fair ?stutter ~c ~a ()
+  fun ?fair () -> Cr_core.Stabilize.stabilizing_to ~alpha ?fair ~c ~a ()
 
 let stabilization ?ep e n =
   let ep = match ep with Some ep -> ep | None -> explicit e n in

@@ -41,17 +41,16 @@ val stabilizing :
   Layout.state Cr_semantics.Explicit.t ->
   Program.t ->
   ?fair:Cr_core.Fair.tables ->
-  ?stutter:[ `Allow | `Forbid ] ->
   unit ->
   Cr_core.Stabilize.report
 (** [stabilizing ~alpha c spec]: is the compiled system [c] stabilizing
-    to [spec] through [alpha]?  The one route for that question.
-    Staged: applied to [~alpha c spec], it compiles the spec's
-    legitimate orbit (the fragment reachable from its initial states;
-    sparse unless [CR_SPACE] forces an engine) and tabulates [alpha]
-    against it with [~partial:true]; the returned checker is
-    {!Cr_core.Stabilize.stabilizing_to} with [?fair] and [?stutter]
-    passed through, and can be asked again without rebuilding either.
+    to [spec] through [alpha], modulo τ-steps?  The one route for that
+    question.  Staged: applied to [~alpha c spec], it compiles the
+    spec's legitimate orbit (the fragment reachable from its initial
+    states; sparse unless [CR_SPACE] forces an engine) and tabulates
+    [alpha] against it with [~partial:true]; the returned checker is
+    {!Cr_core.Stabilize.stabilizing_to} with [?fair] passed through,
+    and can be asked again without rebuilding either.
     The report is the one the full dense spec gives, memoized in the
     verdict cache ({!Cr_core.Check_cache}): one entry per question. *)
 
@@ -60,7 +59,6 @@ val stabilization :
   entry ->
   int ->
   ?fair:Cr_core.Fair.tables ->
-  ?stutter:[ `Allow | `Forbid ] ->
   unit ->
   Cr_core.Stabilize.report
 (** {!stabilizing} for the entry at ring size [n]: its program over the

@@ -377,9 +377,12 @@ let probe_budget = 256
    (every state when the space is that small).  The raw firing sequence determines
    the compiled graph for the plain AND priority modes (the wrapper bits
    live in the structural header), so one probe serves both; the
-   synchronous mode folds its deterministic step instead.  Escaping
-   steps raise [Unknown_state] exactly like the compile, so a hit and a
-   miss fail identically on ill-formed programs. *)
+   synchronous mode folds its deterministic step instead.  A step that
+   leaves Sigma folds a marker of its own: only the compile reports an
+   escape, from a state it visits, so a sparse compile that never
+   reaches the escaping state succeeds with the cache on as with it
+   off.  A compile that raises stores nothing, so a hit and a miss
+   still fail identically. *)
 let probe ~mode t =
   let layout = t.layout in
   let n = Layout.num_states layout in
@@ -387,9 +390,10 @@ let probe ~mode t =
   (* [k * n / budget] without forming [k * n], which overflows once [n]
      passes [max_int / budget] *)
   let sample k = (k * (n / budget)) + (k * (n mod budget) / budget) in
-  let name = mode_name ~mode t in
   let fp = Memo.Fp.create () in
   let fold = Memo.Fp.add_int fp in
+  (* markers: -1 disabled, -2 synchronous fixpoint, -3 outside Sigma *)
+  let fold_rank j = fold (if j >= 0 then j else -3) in
   (match mode with
   | Sync ->
       for k = 0 to budget - 1 do
@@ -397,7 +401,7 @@ let probe ~mode t =
         fold i;
         match synchronous_step t (Layout.unrank layout i) with
         | None -> fold (-2)
-        | Some s' -> fold (rank_checked ~name layout s')
+        | Some s' -> fold_rank (Layout.checked_rank layout s')
       done
   | Plain | Priority _ ->
       let weight, dom = radix layout in
@@ -407,8 +411,7 @@ let probe ~mode t =
         fold i;
         List.iter
           (fun (a : Action.t) ->
-            if a.Action.guard s then
-              fold (target_checked ~name layout ~weight ~dom a s i)
+            if a.Action.guard s then fold_rank (target ~weight ~dom a s i)
             else fold (-1))
           t.actions
       done);

@@ -118,7 +118,9 @@ val to_explicit :
     roots (a closure-seeded compile also carries a closure tag, since
     its index order differs from a discovery from the same seeds).  On
     a hit the cached graph is re-targeted to this program's name and
-    initial predicate, in O(1).  [CR_CACHE=0] disables the memo.
+    initial predicate, in O(1).  [CR_CACHE=0] disables the memo.  Only
+    the compile raises on a step that leaves Sigma, from a state it
+    visits (the probe folds a marker), so the cache changes no outcome.
 
     Every compile that runs is one [compile] span whose fields give the
     cache key, the engine, the state and transition counts and the

@@ -1,10 +1,12 @@
 (* The stabilization route [Stabilize.stabilizing_to] replaced, kept as
-   its reference: the bad seeds marked by a sequential sweep, walked
-   back over the transpose of C ([Reach.backward]) to the states that
-   reach one, the recovery depths by a separate iterative longest-path
-   DFS (which doubles as the cycle test), and the converged region
-   copied into a bool array.  Uncached; tests compare its reports with
-   the library's field by field. *)
+   its reference: the bad seeds marked by a sequential sweep, the
+   pure-stutter cycle test run on every system (the library runs it
+   only when its sweep accepted a τ-step), the seeds walked back over
+   the transpose of C ([Reach.backward]) to the states that reach one,
+   the recovery depths by a separate iterative longest-path DFS (which
+   doubles as the cycle test), and the converged region copied into a
+   bool array.  Uncached; tests compare its reports with the library's
+   field by field. *)
 
 open Cr_semantics
 module Csr = Cr_kernel.Csr
@@ -109,13 +111,11 @@ let find_cycle_within succ mask =
         | Some p -> Some (i :: p)
         | None -> Some [ i ])
 
-let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
-    ~(a : _ Explicit.t) () =
+let stabilizing_to ?alpha ?fair ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
   let n = Explicit.num_states c in
   let alpha =
     match alpha with Some t -> t | None -> Abstraction.identity_table n
   in
-  let stutter_ok = stutter = `Allow in
   let legit = Cr_checker.Reach.reachable_from_initial a in
   let in_legit ai = ai >= 0 && Bitset.get legit ai in
   let succ_c = Explicit.csr c in
@@ -125,19 +125,18 @@ let stabilizing_to ?alpha ?fair ?(stutter = `Forbid) ~(c : _ Explicit.t)
       if
         not
           (in_legit ai && in_legit aj
-          && (Explicit.has_edge a ai aj || (stutter_ok && ai = aj)))
+          && (Explicit.has_edge a ai aj || ai = aj))
       then Bitset.set bad_seed i);
-  (if stutter_ok then
-     let sscc =
-       Cr_checker.Scc.compute
-         (Csr.filter succ_c (fun i j -> alpha.(i) = alpha.(j)))
-     in
-     for i = 0 to n - 1 do
-       if
-         Cr_checker.Scc.on_cycle sscc i
-         && not (in_legit alpha.(i) && Explicit.is_terminal a alpha.(i))
-       then Bitset.set bad_seed i
-     done);
+  (let sscc =
+     Cr_checker.Scc.compute
+       (Csr.filter succ_c (fun i j -> alpha.(i) = alpha.(j)))
+   in
+   for i = 0 to n - 1 do
+     if
+       Cr_checker.Scc.on_cycle sscc i
+       && not (in_legit alpha.(i) && Explicit.is_terminal a alpha.(i))
+     then Bitset.set bad_seed i
+   done);
   let bad_terminal = ref None in
   for i = 0 to n - 1 do
     if Explicit.is_terminal c i then

@@ -768,6 +768,55 @@ let test_cache_disabled () =
       Alcotest.(check (option bool))
         "rows not shared" (Some false) (rows_shared e1 e2))
 
+(* A step that leaves Sigma only from a state the sparse discovery
+   never reaches (y := 2 at y = 1, from x = y = 0): the key's probe
+   samples all of Sigma, so it folds the escape instead of raising, and
+   the cached sparse compile is the uncached one.  The dense compile
+   visits the escaping state and fails with one message, cached or not,
+   also after the same program with that step disabled was cached: the
+   probe's escape marker is not its disabled one. *)
+let test_cache_probe_escape () =
+  let layout = Layout.make [ ("x", 3); ("y", 2) ] in
+  let set label slot ~at v =
+    Action.make ~label ~proc:slot
+      ~guard:(fun s -> s.(slot) = at)
+      ~assign:[ (slot, fun _ -> v) ]
+      ()
+  in
+  let program y_at =
+    Program.make ~name:"p" ~layout
+      ~actions:[ set "x1" 0 ~at:0 1; set "y2" 1 ~at:y_at 2 ]
+      ~initial:(fun s -> s.(0) = 0 && s.(1) = 0)
+  in
+  let p = program 1 and disabled = program 2 in
+  let message f =
+    match f () with _ -> None | exception E.Unknown_state msg -> Some msg
+  in
+  List.iter
+    (fun (label, compile) ->
+      Program.clear_compile_cache ();
+      let cached = compile Cr_semantics.Space.Sparse p in
+      let uncached =
+        Memo.bypass (fun () -> compile Cr_semantics.Space.Sparse p)
+      in
+      Alcotest.(check (pair int int))
+        (label ^ ": 2 states, 1 transition") (2, 1)
+        (E.num_states cached, E.num_transitions cached);
+      Alcotest.(check bool)
+        (label ^ ": cached sparse = uncached") true (same cached uncached);
+      let dense () = message (fun () -> compile Cr_semantics.Space.Dense p) in
+      let uncached = Memo.bypass dense in
+      Alcotest.(check bool) (label ^ ": dense raises") true (uncached <> None);
+      Alcotest.(check (option string))
+        (label ^ ": the same message cached") uncached (dense ());
+      ignore (compile Cr_semantics.Space.Dense disabled);
+      Alcotest.(check (option string))
+        (label ^ ": and after the disabled step's compile") uncached (dense ()))
+    [
+      ("plain", fun space p -> Program.to_explicit ~space p);
+      ("sync", fun space p -> Program.to_explicit_synchronous ~space p);
+    ]
+
 (* Warm-cache compiles of random programs still agree with the step
    function: the content-addressed key (with its semantic probe) must
    never alias two behaviourally different programs.  The cache is
@@ -922,6 +971,8 @@ let () =
           Alcotest.test_case "paranoid mode accepts honest hits" `Quick
             test_cache_paranoid;
           Alcotest.test_case "CR_CACHE=0 disables" `Quick test_cache_disabled;
+          Alcotest.test_case "an escape the discovery never reaches" `Quick
+            test_cache_probe_escape;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_cache_never_aliases ] );
       ( "reference",

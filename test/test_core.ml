@@ -194,11 +194,13 @@ let test_stabilize_cycle_witness () =
   check "fails" false r.Cr_core.Stabilize.holds;
   check "cycle witness found" true (r.Cr_core.Stabilize.bad_cycle <> None)
 
-let test_stutter_allow () =
-  (* C loops between two micro-states both mapping to the converged
-     abstract state 0 (like the bytecode machine's loop iterations).
-     Strict mode rejects the loop; stutter-tolerant mode accepts it
-     because the image 0 can end a computation of A. *)
+let test_stutter_rule () =
+  (* One rule for τ-steps: inside L a transition whose image does not
+     move is fine, and a state on a cycle of them is a bad seed unless
+     its image is an A-terminal.  C loops between two micro-states both
+     mapping to the converged abstract state 0 (like the bytecode
+     machine's loop iterations); the image 0 can end a computation of
+     A, so C stabilizes. *)
   let c =
     mk "C-micro" [ 0; 1 ]
       (function 0 -> [ 1 ] | 1 -> [ 0 ] | _ -> [])
@@ -208,20 +210,66 @@ let test_stutter_allow () =
   let alpha =
     Abstraction.tabulate (Abstraction.make ~name:"collapse" (fun _ -> 0)) c a
   in
-  check "forbid: fails" false
-    (Cr_core.Stabilize.stabilizing_to ~alpha ~c ~a ()).Cr_core.Stabilize.holds;
-  check "allow: holds" true
-    (Cr_core.Stabilize.stabilizing_to ~alpha ~stutter:`Allow ~c ~a ())
-      .Cr_core.Stabilize.holds;
-  (* but a pure-stutter cycle at a non-terminal image is rejected even in
-     allow mode: A is obliged to move, C never does *)
+  let r = Cr_core.Stabilize.stabilizing_to ~alpha ~c ~a () in
+  check "τ-cycle at an A-terminal image: holds" true r.Cr_core.Stabilize.holds;
+  Alcotest.(check (option int))
+    "already converged" (Some 0) r.Cr_core.Stabilize.worst_case_recovery;
+  (* a pure-stutter cycle at a non-terminal image is rejected: A is
+     obliged to move, C never does *)
   let a2 = mk "A-moves" [ 0; 9 ] (function 0 -> [ 9 ] | _ -> []) (fun s -> s = 0) in
   let alpha2 =
     Abstraction.tabulate (Abstraction.make ~name:"collapse" (fun _ -> 0)) c a2
   in
-  check "allow at non-terminal image: fails" false
-    (Cr_core.Stabilize.stabilizing_to ~alpha:alpha2 ~stutter:`Allow ~c ~a:a2 ())
-      .Cr_core.Stabilize.holds
+  let r2 = Cr_core.Stabilize.stabilizing_to ~alpha:alpha2 ~c ~a:a2 () in
+  check "τ-cycle at a non-terminal image: fails" false r2.Cr_core.Stabilize.holds;
+  check "with the τ-cycle as its witness" true
+    (r2.Cr_core.Stabilize.bad_cycle <> None);
+  (* a τ-step off any cycle is invisible: C idles once at image 0, then
+     takes A's step to 9 and halts there *)
+  let c3 =
+    mk "C-idle" [ 0; 1; 2 ]
+      (function 0 -> [ 1 ] | 1 -> [ 2 ] | _ -> [])
+      (fun s -> s = 0)
+  in
+  let alpha3 =
+    Abstraction.tabulate
+      (Abstraction.make ~name:"idle" (fun s -> if s = 2 then 9 else 0))
+      c3 a2
+  in
+  let r3 = Cr_core.Stabilize.stabilizing_to ~alpha:alpha3 ~c:c3 ~a:a2 () in
+  check "τ-step inside L: holds" true r3.Cr_core.Stabilize.holds;
+  Alcotest.(check int) "every state converged" 3 r3.Cr_core.Stabilize.good
+
+(* The τ-cycle test runs when any chunk of the bad-seed sweep accepted a
+   τ-step.  Here only the last of four 64-state chunks has one: the cycle
+   254 <-> 255 at the non-terminal image 0, while every other state
+   halts at the A-terminal image 9.  Every job count rejects C with the
+   reference's report. *)
+let test_stutter_rule_chunked () =
+  let c =
+    mk "C-late" (List.init 256 Fun.id)
+      (function 254 -> [ 255 ] | 255 -> [ 254 ] | _ -> [])
+      (fun s -> s = 0)
+  in
+  let a = mk "A-moves" [ 0; 9 ] (function 0 -> [ 9 ] | _ -> []) (fun s -> s = 0) in
+  let alpha =
+    Abstraction.tabulate
+      (Abstraction.make ~name:"late" (fun s -> if s >= 254 then 0 else 9))
+      c a
+  in
+  let want = Stabilize_ref.stabilizing_to ~alpha ~c ~a () in
+  check "the reference rejects C" false want.Stabilize_ref.holds;
+  List.iter
+    (fun jobs ->
+      check
+        (Printf.sprintf "jobs=%d: the reference's report" jobs)
+        true
+        (Stabilize_ref.agrees
+           (Cr_kernel.Memo.bypass (fun () ->
+                Cr_kernel.Par.with_jobs jobs (fun () ->
+                    Cr_core.Stabilize.stabilizing_to ~alpha ~c ~a ())))
+           want))
+    [ 1; 2; 4 ]
 
 let test_fair_stabilization () =
   (* Divergent cycle 1 <-> 2, but action "exit" (1 -> 0) is continuously
@@ -277,7 +325,7 @@ let test_strength_chain () =
 (* ---- the spec enters a stabilization verdict only through its
    legitimate orbit L: checking against A's init-reachable sub-system,
    with images outside it tabulated to -1, gives the report of the full
-   A — in every stutter mode, with and without weak fairness. *)
+   A — with and without weak fairness. *)
 
 let edge_sys name states edges init =
   mk name states
@@ -321,19 +369,19 @@ let prop_legit_orbit =
                 else -1))
       in
       List.for_all
-        (fun (stutter, fair) ->
+        (fun fair ->
           let run a alpha =
-            { (Cr_core.Stabilize.stabilizing_to ~alpha ?fair ~stutter ~c ~a ())
+            { (Cr_core.Stabilize.stabilizing_to ~alpha ?fair ~c ~a ())
               with Cr_core.Stabilize.cost = None }
           in
           run a alpha = run a_l alpha_l)
-        [ (`Forbid, None); (`Allow, None); (`Forbid, Some tables); (`Allow, Some tables) ])
+        [ None; Some tables ])
 
 (* ---- the one-pass route against the reference route
    (test/stabilize_ref.ml): identical reports, every field, for every
    registry entry at N = 2..4 (rw-dijkstra3, 3^14 states at N = 4, to
-   N = 3) — strict, stutter-tolerant, and the weakly fair re-check where
-   the strict verdict fails. *)
+   N = 3) — and the weakly fair re-check where the plain verdict
+   fails. *)
 let reference_cases =
   List.concat_map
     (fun (e : Cr_experiments.Registry.entry) ->
@@ -351,13 +399,12 @@ let test_matches_reference ((e : Cr_experiments.Registry.entry), n) () =
   in
   let alpha = Cr_semantics.Abstraction.tabulate ~partial:true (e.alpha n) c a in
   let stab = R.stabilization ~ep:c e n in
-  let agree label ?fair ?stutter () =
+  let agree label ?fair () =
     check label true
-      (Stabilize_ref.agrees (stab ?fair ?stutter ())
-         (Stabilize_ref.stabilizing_to ~alpha ?fair ?stutter ~c ~a ()))
+      (Stabilize_ref.agrees (stab ?fair ())
+         (Stabilize_ref.stabilizing_to ~alpha ?fair ~c ~a ()))
   in
-  agree "strict" ();
-  agree "stutter allowed" ~stutter:`Allow ();
+  agree "plain" ();
   if not (stab ()).Cr_core.Stabilize.holds then
     agree "weakly fair" ~fair:(Cr_sim.Glue.fair_tables (e.program n) c) ()
 
@@ -498,7 +545,9 @@ let () =
         [
           Alcotest.test_case "report fields" `Quick test_stabilize_reports;
           Alcotest.test_case "cycle witness" `Quick test_stabilize_cycle_witness;
-          Alcotest.test_case "stutter-tolerant mode" `Quick test_stutter_allow;
+          Alcotest.test_case "stutter rule" `Quick test_stutter_rule;
+          Alcotest.test_case "stutter rule across sweep chunks" `Quick
+            test_stutter_rule_chunked;
           Alcotest.test_case "weak fairness" `Quick test_fair_stabilization;
           Alcotest.test_case "strength chain" `Quick test_strength_chain;
           QCheck_alcotest.to_alcotest prop_legit_orbit;

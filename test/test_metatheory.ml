@@ -290,8 +290,10 @@ let prop_quotient_strength =
    route (test/stabilize_ref.ml: transpose, backward reachability, a
    separate longest-path DFS, a bool mask): identical reports, every
    field, on random systems — directly and through random quotient
-   maps, strict, stutter-tolerant and weakly fair (action tables drawn
-   from C's own edges). *)
+   maps, plain and weakly fair (action tables drawn from C's own
+   edges).  The reference runs the pure-stutter cycle test on every
+   system, so agreement also shows that the library's guard on it
+   (skip it when the sweep accepted no τ-step) loses nothing. *)
 let same_as_reference ?alpha ~c ~a () =
   let tables =
     Array.init 2 (fun k ->
@@ -301,11 +303,11 @@ let same_as_reference ?alpha ~c ~a () =
             else Explicit.successor c s ((s + k) mod d)))
   in
   List.for_all
-    (fun (fair, stutter) ->
+    (fun fair ->
       Stabilize_ref.agrees
-        (Cr_core.Stabilize.stabilizing_to ?alpha ?fair ~stutter ~c ~a ())
-        (Stabilize_ref.stabilizing_to ?alpha ?fair ~stutter ~c ~a ()))
-    [ (None, `Forbid); (None, `Allow); (Some tables, `Forbid) ]
+        (Cr_core.Stabilize.stabilizing_to ?alpha ?fair ~c ~a ())
+        (Stabilize_ref.stabilizing_to ?alpha ?fair ~c ~a ()))
+    [ None; Some tables ]
 
 let prop_stabilize_reference =
   QCheck2.Test.make ~name:"stabilization report = reference route" ~count:300
@@ -414,6 +416,79 @@ let test_refine_reference_kinds () =
     ]
     (List.sort compare (List.of_seq (Hashtbl.to_seq_keys seen)))
 
+(* ---- Theorems 0 and 1 at small scope, exhaustively ----
+
+   The case that made Theorem 1 seed-dependent (hand-reduced): A = {1->0}
+   from I_A = {1}; C over 0..3 with 1->2 and the τ-cycle 0<->3, all but
+   state 1 imaged to 0.  C convergence-refines A (the τ-cycle sits at the
+   A-terminal image 0), and C stabilizes to A: the image of 0,3,0,3,...
+   normalizes to the finite sequence 0, a suffix of A's computation 1,0. *)
+let test_four_state_case () =
+  let a = explicit_of { n = 2; edges = [ (1, 0) ]; inits = [ 1 ] } "A" in
+  let c =
+    explicit_of { n = 4; edges = [ (1, 2); (0, 3); (3, 0) ]; inits = [ 1 ] } "C"
+  in
+  let alpha = Array.map (Explicit.find a) [| 0; 1; 0; 0 |] in
+  Alcotest.(check bool)
+    "Theorem 1 witnessed" true
+    (Cr_core.Theorems.theorem_1 ~alpha_ca:alpha ~c ~a ~b:a ()
+    = Cr_core.Theorems.Witnessed)
+
+(* Every self-loop-free A over |Sigma_A| <= 2 states, every non-empty I_A,
+   every onto non-decreasing α (so C up to renaming its states), every
+   self-loop-free C over |Sigma_C| <= 4 states with I_C = α^-1(I_A):
+   neither Theorem 0 nor Theorem 1 (B = A) is ever refuted. *)
+let test_small_scope () =
+  let states n = List.init n Fun.id in
+  let pairs n =
+    List.concat_map
+      (fun i -> List.filter_map (fun j -> if i <> j then Some (i, j) else None) (states n))
+      (states n)
+  in
+  let subsets l =
+    List.fold_right (fun x acc -> acc @ List.map (List.cons x) acc) l [ [] ]
+  in
+  (* the non-decreasing maps from 0..n-1 onto 0..m-1: they start at 0,
+     step by at most 1 and end at m - 1 *)
+  let onto n m =
+    let rec from k v =
+      if k = n then if v = m - 1 then [ [] ] else []
+      else
+        List.concat_map
+          (fun w -> List.map (List.cons w) (from (k + 1) w))
+          (List.filter (fun w -> w < m) [ v; v + 1 ])
+    in
+    List.map (List.cons 0) (from 1 0)
+  in
+  let systems = ref 0 in
+  (Cr_kernel.Memo.bypass @@ fun () ->
+   let ( let* ) l f = List.iter f l in
+   let* m = [ 1; 2 ] in
+   let* a_edges = subsets (pairs m) in
+   let* a_inits = List.filter (( <> ) []) (subsets (states m)) in
+   let a = explicit_of { n = m; edges = a_edges; inits = a_inits } "A" in
+   let* n = List.init (5 - m) (fun k -> m + k) in
+   let* q = List.map Array.of_list (onto n m) in
+   let alpha = Array.map (Explicit.find a) q in
+   let inits = List.filter (fun i -> List.mem q.(i) a_inits) (states n) in
+   let* edges = subsets (pairs n) in
+   let c = explicit_of { n; edges; inits } "C" in
+   incr systems;
+   let* name, theorem =
+     [ ("Theorem 0", Cr_core.Theorems.theorem_0);
+       ("Theorem 1", Cr_core.Theorems.theorem_1) ]
+   in
+   if theorem ~alpha_ca:alpha ~c ~a ~b:a () = Cr_core.Theorems.Refuted then
+     Alcotest.failf
+       "%s refuted: A over %d states, edges %a, I_A %a; C over %d states, \
+        edges %a; alpha %a"
+       name m
+       Fmt.(Dump.list (Dump.pair int int)) a_edges
+       Fmt.(Dump.list int) a_inits n
+       Fmt.(Dump.list (Dump.pair int int)) edges
+       Fmt.(Dump.array int) q);
+  Alcotest.(check int) "systems enumerated" 153_205 !systems
+
 let cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -440,5 +515,12 @@ let () =
         [
           Alcotest.test_case "every failure kind, fixed sample" `Quick
             test_refine_reference_kinds;
+        ] );
+      ( "small-scope",
+        [
+          Alcotest.test_case "Theorem 1 on the 4-state τ-cycle case" `Quick
+            test_four_state_case;
+          Alcotest.test_case "Theorems 0 and 1, every system to 2 x 4 states"
+            `Quick test_small_scope;
         ] );
     ]

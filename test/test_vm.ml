@@ -164,9 +164,7 @@ let test_drain_bytecode_not_stabilizing () =
   in
   let tgt = Cr_semantics.Explicit.of_system (Cr_vm.Source.target_system ~value_dom:dom) in
   let alpha = Cr_semantics.Abstraction.tabulate Cr_vm.Source.alpha_x machine tgt in
-  let r =
-    Cr_core.Stabilize.stabilizing_to ~alpha ~stutter:`Allow ~c:machine ~a:tgt ()
-  in
+  let r = Cr_core.Stabilize.stabilizing_to ~alpha ~c:machine ~a:tgt () in
   check "drain bytecode does not stabilize to x=0" false r.Cr_core.Stabilize.holds;
   (* the witness is again a halted state with x <> 0 *)
   check "witness halted with x<>0" true
