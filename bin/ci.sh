@@ -80,6 +80,23 @@ dune exec bin/crcheck.exe -- verify rw-dijkstra3 -n 20 > /dev/null 2> "$toobig" 
   exit 1
 }
 
+# Past the lane bound: the dense engine keeps state indices and one
+# reserved edge lane per action per state in four-byte lanes, at most
+# 2^31 - 1 of each.  kstate at N = 8 (9^9 states, 9 actions: 3.5G edge
+# lanes) and N = 9 (10^10 states) are refused before any allocation,
+# with one stderr line and exit 2, within a 3 GB address-space limit.
+for n in 8 9; do
+  rc=0
+  (ulimit -v 3000000; dune exec bin/crcheck.exe -- verify kstate -n $n) \
+    > /dev/null 2> "$toobig" || rc=$?
+  [ "$rc" = 2 ] && [ "$(wc -l < "$toobig")" = 1 ] \
+    && grep -q '^crcheck: Kstate(n='"$n"',K=[0-9]*): the dense engine cannot index' "$toobig" || {
+    echo "ci: verify kstate -n $n did not refuse cleanly (rc=$rc)" >&2
+    cat "$toobig" >&2
+    exit 1
+  }
+done
+
 # A firing builds no state: the compile evaluates each action's
 # assignment in place, ranking its successor by rank delta, so the
 # whole verify kstate -n 5 run (46,656 states, 6 actions) allocates
@@ -319,6 +336,20 @@ for n in 11 12; do
     exit 1
   }
 done
+
+# The dense verify frontier: kstate -n 7 (8^8 = 16,777,216 states,
+# 104,857,600 edges) holds its graph and the settle pass's scratch in
+# four-byte lanes, so it answers within a 1.5 GB address-space limit
+# (with full-width ints it needed about 2.5 GB).
+dense="$work/dense.out"
+rc=0
+(ulimit -v 1500000; timeout 120 dune exec bin/crcheck.exe -- verify kstate -n 7) \
+  > "$dense" 2>&1 || rc=$?
+[ "$rc" = 0 ] && grep -qxF 'Kstate(n=7,K=8) stabilizes to UTR(7) (|Sigma|=16777216, |L|=8, |Good|=400, worst-case recovery 75 steps)' "$dense" || {
+  echo "ci: verify kstate -n 7 did not answer within the limit (rc=$rc)" >&2
+  head -n 5 "$dense" >&2
+  exit 1
+}
 
 # The exact-analysis frontier: lint and flow infer the read/write sets
 # of every Dijkstra-3 action at N = 12 over all 3^13 = 1,594,323 states

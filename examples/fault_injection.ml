@@ -29,7 +29,10 @@ let campaign ~name (p : Cr_guarded.Program.t) ~converged ~n =
   in
   let depth =
     match (Cr_checker.Paths.settle ~succ:cut ~bad:unconverged).depth with
-    | Some depth -> depth
+    | Some depth ->
+        Array.init
+          (Cr_semantics.Explicit.num_states e)
+          (Cr_kernel.Lane.get depth)
     | None -> failwith "the unconverged region is cyclic"
   in
   let worst = Array.fold_left max 0 depth in

@@ -14,6 +14,8 @@
 module Csr = Cr_kernel.Csr
 module Bitset = Cr_kernel.Bitset
 
+let[@inline] lane b k = Int32.to_int (Cr_kernel.Lane.get32u b (4 * k))
+
 let c_runs = Cr_obs.Obs.counter "hitting.runs"
 let c_iterations = Cr_obs.Obs.counter "hitting.iterations"
 
@@ -48,12 +50,12 @@ let expected ?(epsilon = 1e-9) ?(max_iter = 1_000_000) ?pred
       if Bitset.get target i then next.(i) <- 0.0
       else if not (Bitset.get can_reach i) then next.(i) <- infinity
       else begin
-        let lo = rp.(i) and hi = rp.(i + 1) in
+        let lo = lane rp i and hi = lane rp (i + 1) in
         if hi = lo then next.(i) <- infinity (* non-target deadlock *)
         else begin
           let sum = ref 0.0 in
           for k = lo to hi - 1 do
-            sum := !sum +. e.(tg.(k))
+            sum := !sum +. e.(lane tg k)
           done;
           next.(i) <- 1.0 +. (!sum /. float_of_int (hi - lo))
         end

@@ -6,6 +6,10 @@
 module Csr = Cr_kernel.Csr
 module Par = Cr_kernel.Par
 module Bitset = Cr_kernel.Bitset
+module Lane = Cr_kernel.Lane
+
+let[@inline] lane b k = Int32.to_int (Lane.get32u b (4 * k))
+let[@inline] set_lane b k v = Lane.set32u b (4 * k) (Int32.of_int v)
 
 (* Telemetry (all no-ops unless CR_STATS/CR_TRACE is on).  BFS expansion
    counts are published once per BFS from the final queue tail — every
@@ -16,7 +20,7 @@ let c_bfs_expansions = Cr_obs.Obs.counter "paths.bfs.expansions"
 let c_oracle_hits = Cr_obs.Obs.counter "paths.oracle.hits"
 let c_oracle_misses = Cr_obs.Obs.counter "paths.oracle.misses"
 
-(* BFS distances from [src] over the flat CSR arrays.  [q] is
+(* BFS distances from [src] over the flat CSR lanes.  [q] is
    caller-provided scratch of capacity >= n (every node is enqueued at
    most once), so one queue serves a whole batch of sources. *)
 let bfs_into ~(g : Csr.t) ~(q : int array) ~src =
@@ -30,8 +34,8 @@ let bfs_into ~(g : Csr.t) ~(q : int array) ~src =
     let i = q.(!head) in
     incr head;
     let d = dist.(i) + 1 in
-    for k = rp.(i) to rp.(i + 1) - 1 do
-      let j = tg.(k) in
+    for k = lane rp i to lane rp (i + 1) - 1 do
+      let j = lane tg k in
       if dist.(j) = -1 then begin
         dist.(j) <- d;
         q.(!tail) <- j;
@@ -109,8 +113,8 @@ let shortest_path ~succ ~src ~dst =
     while (not !found) && !head < !tail do
       let i = q.(!head) in
       incr head;
-      for k = rp.(i) to rp.(i + 1) - 1 do
-        let j = tg.(k) in
+      for k = lane rp i to lane rp (i + 1) - 1 do
+        let j = lane tg k in
         if dist.(j) = -1 then begin
           dist.(j) <- dist.(i) + 1;
           parent.(j) <- i;
@@ -142,12 +146,14 @@ let shortest_path ~succ ~src ~dst =
    steps a run can take while staying in the region, the step that
    leaves it counted.
 
-   Scratch is five words per state — [index] (the DFS number while on
-   the Tarjan stack, then whether the state's SCC reaches [bad]),
-   [low] (the Tarjan low-link, overwritten with the depth once the
-   state's SCC closes), the Tarjan stack, and the DFS vertex and
-   cursor — and [low] is returned as the depth array. *)
-type settled = { reaches : Bitset.t; depth : int array option }
+   Scratch is five four-byte lanes per state — [index] (the DFS number
+   while on the Tarjan stack, then whether the state's SCC reaches
+   [bad]), [low] (the Tarjan low-link, overwritten with the depth once
+   the state's SCC closes), the Tarjan stack, and the DFS vertex and
+   cursor — and [low] is returned as the depth lanes.  Only [index] is
+   read before it is written, so the other four are allocated
+   uninitialised: only the pages the DFS reaches become resident. *)
+type settled = { reaches : Bitset.t; depth : Bytes.t option }
 
 let unvisited = -1
 let settled_out = -2
@@ -159,88 +165,88 @@ let settle ~succ ~bad =
   if Bitset.length bad <> n then invalid_arg "Paths.settle: bad mask length";
   let rp = Csr.row_ptr succ and tg = Csr.targets succ in
   let reaches = Bitset.copy bad in
-  let index = Array.make n unvisited in
-  let low = Array.make n 0 in
-  let stack = Array.make n 0 and sp = ref 0 in
-  let dfs_v = Array.make n 0 and dfs_k = Array.make n 0 and dp = ref 0 in
+  let index = Lane.make n unvisited in
+  let low = Lane.create n in
+  let stack = Lane.create n and sp = ref 0 in
+  let dfs_v = Lane.create n and dfs_k = Lane.create n and dp = ref 0 in
   let next = ref 0 in
   let cyclic = ref false in
   let start i =
-    index.(i) <- !next;
-    low.(i) <- !next;
+    set_lane index i !next;
+    set_lane low i !next;
     incr next;
-    stack.(!sp) <- i;
+    set_lane stack !sp i;
     incr sp;
-    dfs_v.(!dp) <- i;
-    dfs_k.(!dp) <- rp.(i);
+    set_lane dfs_v !dp i;
+    set_lane dfs_k !dp (lane rp i);
     incr dp
   in
   (* Pop the SCC rooted at [i] (the Tarjan stack from [i] up) and
      settle it: every member reaches [bad] or none does. *)
   let close i =
     let base = ref (!sp - 1) in
-    while stack.(!base) <> i do
+    while lane stack !base <> i do
       decr base
     done;
     let hit = ref false in
     for p = !base to !sp - 1 do
-      if Bitset.get reaches stack.(p) then hit := true
+      if Bitset.get reaches (lane stack p) then hit := true
     done;
     let mark = if !hit then settled_in else settled_out in
     for p = !base to !sp - 1 do
-      let m = stack.(p) in
-      index.(m) <- mark;
-      low.(m) <- 0;
+      let m = lane stack p in
+      set_lane index m mark;
+      set_lane low m 0;
       if !hit then Bitset.set reaches m
     done;
     if !hit then
       if !sp - !base > 1 then cyclic := true
       else if not !cyclic then begin
         let d = ref 0 in
-        for k = rp.(i) to rp.(i + 1) - 1 do
-          let j = tg.(k) in
+        for k = lane rp i to lane rp (i + 1) - 1 do
+          let j = lane tg k in
           if j = i then cyclic := true;
-          let v = 1 + if index.(j) = settled_in then low.(j) else 0 in
+          let v = 1 + if lane index j = settled_in then lane low j else 0 in
           if v > !d then d := v
         done;
-        low.(i) <- !d
+        set_lane low i !d
       end;
     sp := !base
   in
   for root = 0 to n - 1 do
-    if index.(root) = unvisited then begin
+    if lane index root = unvisited then begin
       start root;
       while !dp > 0 do
         (* scan the top vertex's row until an unvisited successor *)
         let top = !dp - 1 in
-        let i = dfs_v.(top) in
-        let hi = rp.(i + 1) in
-        let k = ref dfs_k.(top) and child = ref unvisited in
-        let li = ref low.(i) and hit = ref false in
+        let i = lane dfs_v top in
+        let hi = lane rp (i + 1) in
+        let k = ref (lane dfs_k top) and child = ref unvisited in
+        let li = ref (lane low i) and hit = ref false in
         while !child = unvisited && !k < hi do
-          let j = tg.(!k) in
+          let j = lane tg !k in
           incr k;
-          let x = index.(j) in
+          let x = lane index j in
           if x = unvisited then child := j
           else if x >= 0 then begin
             if x < !li then li := x
           end
           else if x = settled_in then hit := true
         done;
-        low.(i) <- !li;
+        set_lane low i !li;
         if !hit then Bitset.set reaches i;
         if !child <> unvisited then begin
-          dfs_k.(top) <- !k;
+          set_lane dfs_k top !k;
           start !child
         end
         else begin
           decr dp;
-          if !li = index.(i) then close i;
+          if !li = lane index i then close i;
           if !dp > 0 then begin
-            let p = dfs_v.(!dp - 1) in
-            let x = index.(i) in
+            let p = lane dfs_v (!dp - 1) in
+            let x = lane index i in
             if x >= 0 then begin
-              if low.(i) < low.(p) then low.(p) <- low.(i)
+              if lane low i < lane low p then set_lane low p (lane low i)
             end
             else if x = settled_in then Bitset.set reaches p
           end

@@ -24,16 +24,18 @@ val shortest_path : succ:Cr_kernel.Csr.t -> src:int -> dst:int -> int list optio
 
 type settled = {
   reaches : Cr_kernel.Bitset.t;  (** the states that reach [bad], inclusive *)
-  depth : int array option;
-      (** [None] when a cycle lies among [reaches]; otherwise, per state
-          of [reaches], the most transitions a run can take while it
-          stays in [reaches] (the one that leaves counts), and 0
-          elsewhere *)
+  depth : Bytes.t option;
+      (** [None] when a cycle lies among [reaches]; otherwise one
+          four-byte {!Cr_kernel.Lane} per state (state [i]'s at byte
+          [4 * i]): for a state of [reaches], the most transitions a run
+          can take while it stays in [reaches] (the one that leaves
+          counts), and 0 elsewhere *)
 }
 
 val settle : succ:Cr_kernel.Csr.t -> bad:Cr_kernel.Bitset.t -> settled
-(** One forward Tarjan pass: no transpose, five words of scratch per
-    state.  When [bad] is a stabilization check's bad seeds, [reaches]
+(** One forward Tarjan pass: no transpose, five four-byte lanes of
+    scratch per state, four of them uninitialised until the DFS reaches
+    them.  When [bad] is a stabilization check's bad seeds, [reaches]
     is the complement of the converged region and the largest depth is
     the exact worst-case convergence time.  Raises [Invalid_argument]
     when the mask's length is not the graph's state count. *)

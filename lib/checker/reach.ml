@@ -1,11 +1,13 @@
 (* Reachability kernels over CSR graphs.
 
-   Each walks the flat [Csr] arrays and marks a packed [Bitset] — no
+   Each walks the flat [Csr] lanes and marks a packed [Bitset] — no
    row copying, no per-row allocation.  The textbook reference they are
    property-tested against lives in the test suite. *)
 
 module Csr = Cr_kernel.Csr
 module Bitset = Cr_kernel.Bitset
+
+let[@inline] lane b k = Int32.to_int (Cr_kernel.Lane.get32u b (4 * k))
 
 (* The seed set stays a mask: [seen] starts as its copy and the stack as
    its members, so a seed set as large as Sigma (stabilization's bad
@@ -31,8 +33,8 @@ let forward ~succ ~(seeds : Bitset.t) : Bitset.t =
   while !sp > 0 do
     decr sp;
     let i = stack.(!sp) in
-    for k = rp.(i) to rp.(i + 1) - 1 do
-      push tg.(k)
+    for k = lane rp i to lane rp (i + 1) - 1 do
+      push (lane tg k)
     done
   done;
   seen

@@ -2,6 +2,8 @@
 
 module Csr = Cr_kernel.Csr
 
+let[@inline] lane b k = Int32.to_int (Cr_kernel.Lane.get32u b (4 * k))
+
 type t = {
   component : int array;  (* state index -> component id *)
   count : int;
@@ -47,8 +49,8 @@ let compute (g : Csr.t) : t =
       while !cp > 0 do
         let v = call_v.(!cp - 1) in
         let c = call_c.(!cp - 1) in
-        if c < rp.(v + 1) - rp.(v) then begin
-          let w = tg.(rp.(v) + c) in
+        if c < lane rp (v + 1) - lane rp v then begin
+          let w = lane tg (lane rp v + c) in
           call_c.(!cp - 1) <- c + 1;
           if index.(w) = -1 then start w
           else if on_stack.(w) && index.(w) < lowlink.(v) then

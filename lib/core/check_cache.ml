@@ -16,10 +16,18 @@ module Fp = Cr_kernel.Memo.Fp
    deliberately not folded (it goes into the readable part of the key
    instead).  Folding the initial states forces their sweep. *)
 let add_explicit fp ~initials e =
-  Fp.add_int fp (Explicit.num_states e);
+  let n = Explicit.num_states e in
+  Fp.add_int fp n;
   let g = Explicit.csr e in
-  Fp.add_int_array fp (Csr.row_ptr g);
-  Fp.add_int_array fp (Csr.targets g);
+  (* the lanes in use, each store preceded by its lane count *)
+  let add_lanes b count =
+    Fp.add_int fp count;
+    for k = 0 to count - 1 do
+      Fp.add_int fp (Int32.to_int (Cr_kernel.Lane.get32u b (4 * k)))
+    done
+  in
+  add_lanes (Csr.row_ptr g) (n + 1);
+  add_lanes (Csr.targets g) (Csr.num_edges g);
   if initials then Fp.add_int_array fp (Explicit.initials e)
 
 let key ~relation ~c_initials ~alpha ~fair ~(c : _ Explicit.t)

@@ -1,6 +1,8 @@
 open Cr_semantics
 module Par = Cr_kernel.Par
 
+let[@inline] lane b k = Int32.to_int (Cr_kernel.Lane.get32u b (4 * k))
+
 (* Refinement checkers (Section 2 of the paper), decided on explicit
    finite-state systems via edge classification.
 
@@ -135,20 +137,20 @@ let failure_state = function
 
 let max_reported_failures = 10
 
-(* Classified edges of the concrete system, in [Explicit.iter_edges]
-   order, as flat parallel arrays (CSR-style): edge [k] is
-   [srcs.(k) -> dsts.(k)] with class [cls.(k)].  The slot of every edge
-   is its absolute CSR offset, which is what lets the chunked sweep fill
-   disjoint slices and still merge to a job-count-independent result. *)
-type classified = {
-  srcs : int array;
-  dsts : int array;
-  cls : edge_class option array;
-}
+(* Classified edges of the concrete system: its CSR and, parallel to
+   the CSR's targets, the class of every edge ([cls.(k)] for the edge at
+   offset [k]).  The slot of every edge is its absolute CSR offset,
+   which is what lets the chunked sweep fill disjoint slices and still
+   merge to a job-count-independent result. *)
+type classified = { graph : Cr_kernel.Csr.t; cls : edge_class option array }
 
 let iter_classified t f =
-  for k = 0 to Array.length t.srcs - 1 do
-    f t.srcs.(k) t.dsts.(k) t.cls.(k)
+  let rp = Cr_kernel.Csr.row_ptr t.graph
+  and tg = Cr_kernel.Csr.targets t.graph in
+  for i = 0 to Cr_kernel.Csr.num_states t.graph - 1 do
+    for k = lane rp i to lane rp (i + 1) - 1 do
+      f i (lane tg k) t.cls.(k)
+    done
   done
 
 (* Edge-class telemetry, published once per classify from the merged
@@ -185,10 +187,12 @@ let c_max_dropped = Cr_obs.Obs.counter ~kind:Cr_obs.Obs.Max "refine.max_dropped"
    more contiguous chunks than domains, claimed from [Par]'s atomic item
    counter so edge-balanced stragglers stop serializing the fan-out.
    Chunk boundaries are edge-balanced (binary search of the cumulative
-   edge count in [row_ptr]), every edge is written at its absolute CSR
-   offset into preallocated arrays, and per-chunk tallies are merged in
-   chunk order — so the classified arrays, the stats and every merged
-   counter ([refine.*], [paths.*]) are identical for every job count. *)
+   edge count in [row_ptr]), every class is written at its edge's
+   absolute CSR offset into one preallocated array, and per-chunk
+   tallies are merged in chunk order — so the classes, the stats and
+   every merged counter ([refine.*], [paths.*]) are identical for every
+   job count.  Steps B and C walk [c]'s rows for the edge sources: the
+   classes are all the classification adds to the CSR. *)
 let classify ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) :
     classified * stats =
   Cr_obs.Obs.span "refine.classify" @@ fun () ->
@@ -199,26 +203,22 @@ let classify ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) :
   and atg = Cr_kernel.Csr.targets succ_a in
   let n = Explicit.num_states c in
   let m = Cr_kernel.Csr.num_edges g in
-  let srcs = Array.make m 0 and dsts = Array.make m 0 in
   let cls = Array.make m None in
   let some_stutter = Some Stutter and some_exact = Some Exact in
-  (* Step A over rows [lo, hi), writing each edge at its absolute offset;
+  (* Step A over rows [lo, hi), writing each class at its edge's offset;
      returns this chunk's exact/stutter tallies. *)
   let classify_rows (lo, hi) =
     let t0 = if Cr_obs.Obs.tracking () then Cr_obs.Obs.now_us () else 0. in
     let exact = ref 0 and stutter = ref 0 in
     for i = lo to hi - 1 do
-      let klo = rp.(i) and khi = rp.(i + 1) in
+      let klo = lane rp i and khi = lane rp (i + 1) in
       if khi > klo then begin
         (* the source image and its abstract row bounds are fixed per
            row, so they are hoisted out of the inner edge loop *)
         let ai = alpha.(i) in
-        let alo = arp.(ai) and ahi = arp.(ai + 1) in
+        let alo = lane arp ai and ahi = lane arp (ai + 1) in
         for k = klo to khi - 1 do
-          let j = tg.(k) in
-          let aj = alpha.(j) in
-          srcs.(k) <- i;
-          dsts.(k) <- j;
+          let aj = alpha.(lane tg k) in
           if ai = aj then begin
             incr stutter;
             cls.(k) <- some_stutter
@@ -228,9 +228,9 @@ let classify ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) :
             let slo = ref alo and shi = ref ahi in
             while !shi - !slo > 1 do
               let mid = (!slo + !shi) / 2 in
-              if atg.(mid) <= aj then slo := mid else shi := mid
+              if lane atg mid <= aj then slo := mid else shi := mid
             done;
-            if !shi > !slo && atg.(!slo) = aj then begin
+            if !shi > !slo && lane atg !slo = aj then begin
               incr exact;
               cls.(k) <- some_exact
             end
@@ -245,19 +245,21 @@ let classify ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) :
   (* Step C over rows [lo, hi): resolve the edges step A left [None]. *)
   let resolve oracle (lo, hi) =
     let compressions = ref 0 and max_dropped = ref 0 in
-    for k = rp.(lo) to rp.(hi) - 1 do
-      match cls.(k) with
-      | Some _ -> ()
-      | None ->
-          let len =
-            Cr_checker.Paths.distance oracle ~src:alpha.(srcs.(k))
-              ~dst:alpha.(dsts.(k))
-          in
-          if len >= 2 then begin
-            cls.(k) <- Some (Compression len);
-            incr compressions;
-            if len - 1 > !max_dropped then max_dropped := len - 1
-          end
+    for i = lo to hi - 1 do
+      for k = lane rp i to lane rp (i + 1) - 1 do
+        match cls.(k) with
+        | Some _ -> ()
+        | None ->
+            let len =
+              Cr_checker.Paths.distance oracle ~src:alpha.(i)
+                ~dst:alpha.(lane tg k)
+            in
+            if len >= 2 then begin
+              cls.(k) <- Some (Compression len);
+              incr compressions;
+              if len - 1 > !max_dropped then max_dropped := len - 1
+            end
+      done
     done;
     (!compressions, !max_dropped)
   in
@@ -276,7 +278,7 @@ let classify ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) :
       (* smallest i with rp.(i) >= want *)
       while !hi - !lo > 0 do
         let mid = (!lo + !hi) / 2 in
-        if rp.(mid) < want then lo := mid + 1 else hi := mid
+        if lane rp mid < want then lo := mid + 1 else hi := mid
       done;
       !lo
     end
@@ -290,13 +292,15 @@ let classify ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) :
      entry per query, which is what the oracle's accounting expects *)
   let sources = Array.make (m - exact - stutter) 0 in
   let w = ref 0 in
-  Array.iteri
-    (fun k -> function
+  for i = 0 to n - 1 do
+    for k = lane rp i to lane rp (i + 1) - 1 do
+      match cls.(k) with
       | Some _ -> ()
       | None ->
-          sources.(!w) <- alpha.(srcs.(k));
-          incr w)
-    cls;
+          sources.(!w) <- alpha.(i);
+          incr w
+    done
+  done;
   let oracle = Cr_checker.Paths.oracle ~succ:succ_a ~sources in
   let compressions, max_dropped =
     Array.fold_left
@@ -312,7 +316,7 @@ let classify ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) :
     Cr_obs.Obs.add c_edges_unmatched (m - exact - stutter - compressions);
     Cr_obs.Obs.record_max c_max_dropped max_dropped
   end;
-  ( { srcs; dsts; cls },
+  ( { graph = g; cls },
     { edges = m; exact; stutter; compressions; max_dropped } )
 
 (* Bounded failure evidence.  A relation can fail on every edge (E17's

@@ -77,22 +77,24 @@ type report = {
 val pp_report : Format.formatter -> report -> unit
 
 type classified = {
-  srcs : int array;  (** edge sources, in [Explicit.iter_edges] order *)
-  dsts : int array;  (** edge destinations, parallel to [srcs] *)
+  graph : Cr_kernel.Csr.t;  (** the concrete CSR the classes are for *)
   cls : edge_class option array;
-      (** per-edge class; [None] marks an unmatched edge *)
+      (** per-edge class at the edge's CSR offset, in
+          [Explicit.iter_edges] order; [None] marks an unmatched edge *)
 }
 
 val iter_classified : classified -> (int -> int -> edge_class option -> unit) -> unit
-(** Iterate the classified edges in order: [f src dst class]. *)
+(** Iterate the classified edges in order, walking [graph]'s rows:
+    [f src dst class]. *)
 
 val classify :
   alpha:int array ->
   c:'c Cr_semantics.Explicit.t ->
   a:'a Cr_semantics.Explicit.t ->
   classified * stats
-(** Classify every concrete transition against the abstract system, as
-    flat parallel arrays.  One code path for every job count: a chunked
+(** Classify every concrete transition against the abstract system:
+    one class per edge of [c]'s CSR, which the result carries.  One code
+    path for every job count: a chunked
     stutter/exact sweep, one batched BFS oracle over the abstract graph
     for the remaining edges, and a chunked resolve against it.  A
     non-stutter, non-exact edge is [Some (Compression d)] when the

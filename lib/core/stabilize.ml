@@ -1,6 +1,8 @@
 open Cr_semantics
 module Par = Cr_kernel.Par
 
+let[@inline] lane b k = Int32.to_int (Cr_kernel.Lane.get32u b (4 * k))
+
 (* Stabilization checker (exact for finite systems).
 
    "C is stabilizing to A" iff every computation of C has a suffix that is a
@@ -147,13 +149,13 @@ let stabilizing_to ?alpha ?fair ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
       let sweep lo hi =
         let stuttered = ref false in
         for i = lo to hi - 1 do
-          let klo = rp.(i) and khi = rp.(i + 1) in
+          let klo = lane rp i and khi = lane rp (i + 1) in
           if khi > klo then begin
             let ai = alpha.(i) in
             let k = ref klo in
             let bad = ref (not (in_legit ai)) in
             while (not !bad) && !k < khi do
-              let aj = alpha.(tg.(!k)) in
+              let aj = alpha.(lane tg !k) in
               if aj = ai then stuttered := true
               else if not (in_legit aj && Explicit.has_edge a ai aj) then
                 bad := true;
@@ -209,7 +211,16 @@ let stabilizing_to ?alpha ?fair ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
       Cr_checker.Paths.settle ~succ:succ_c ~bad:bad_seed
     in
     (* the longest recovery, or [None] when a cycle lies outside Good *)
-    let deepest = Option.map (Array.fold_left max 0) depth in
+    let deepest =
+      Option.map
+        (fun d ->
+          let m = ref 0 in
+          for i = 0 to n - 1 do
+            if lane d i > !m then m := lane d i
+          done;
+          !m)
+        depth
+    in
     let good = Cr_kernel.Bitset.complement reaches_bad in
     (* A C-terminal outside Good is itself a bad seed; find one if any. *)
     let terminal_outside =

@@ -109,7 +109,8 @@ let analyze ?(max_k = 8) (p : Program.t)
       for i = 0 to n - 1 do
         if dist.(i) >= 0 && dist.(i) <= k then begin
           incr span;
-          if depth.(i) > !worst then worst := depth.(i);
+          let d = Cr_kernel.Lane.get depth i in
+          if d > !worst then worst := d;
           if Float.is_finite expected.(i) && expected.(i) > !eworst then
             eworst := expected.(i)
         end

@@ -253,16 +253,22 @@ let dense_space layout =
     ~iter_range:(fun lo hi f -> Layout.iter_range layout ~lo ~hi f)
     ()
 
+(* The most successors one state can have: one per action, or the one
+   synchronous step.  The dense compile reserves this many edge lanes
+   per state. *)
+let max_degree ~mode t =
+  match mode with Sync -> 1 | Plain | Priority _ -> List.length t.actions
+
 (* One streamed pass over Sigma: the emitter runs on the odometer's
-   scratch state, and [Explicit.of_space] appends each sorted row
+   scratch state, and [Explicit.of_space] writes each sorted row
    straight into the CSR.  The initial predicate is kept, not
    evaluated: it is swept on the first use of the initial states. *)
 let compile_fresh ~mode t =
   let layout = t.layout in
   let name = mode_name ~mode t in
   Cr_semantics.Explicit.of_space ~name ~space:(dense_space layout)
-    ~step:(step_keys ~mode t) ~is_initial:t.initial
-    ~pp_state:(Layout.pp_state layout)
+    ~max_degree:(max_degree ~mode t) ~step:(step_keys ~mode t)
+    ~is_initial:t.initial ~pp_state:(Layout.pp_state layout)
 
 (* The closure's seeds while the program still steps by the action
    list the closure was taken over: [box] and [with_actions] replace the
@@ -474,23 +480,29 @@ let sparse_key ~mode ~seeding t seeds =
     (if seeding = Closure then "closure:" else "")
     (Array.length seeds) (Memo.Fp.to_hex fp)
 
-(* Refuse, before any key or probe is computed, a space the engine
-   cannot index: the dense engine allocates a [row_ptr] slot per state
-   plus one, and both engines key states by their [int] rank, which a
-   saturated [Layout.num_states] no longer covers. *)
+(* Refuse, before any key, probe or allocation, a space the engine
+   cannot index.  The dense engine indexes states and reserves
+   [max_degree] edge lanes per state in four-byte lanes, so both counts
+   must stay within [Lane.max_lanes]; both engines key states by their
+   [int] rank, which a saturated [Layout.num_states] no longer covers.
+   (The sparse discovery checks its own lanes as it grows.) *)
 let check_size ~mode ~space t =
   let n = Layout.num_states t.layout in
+  let degree = max_degree ~mode t in
   let limit =
     match (space : Space.engine) with
-    | Space.Dense -> Sys.max_array_length - 1
+    | Space.Dense -> Cr_kernel.Lane.max_lanes / max 1 degree
     | Space.Sparse -> max_int - 1
   in
   if n > limit then
     Fmt.kstr
       (fun msg -> raise (Space.Too_large msg))
-      "%s: the %s engine cannot index %s (at most %s)" (mode_name ~mode t)
+      "%s: the %s engine cannot index %s (at most %s%s)" (mode_name ~mode t)
       (Space.engine_name space) (Layout.states_string n)
       (Layout.states_string limit)
+      (if space = Space.Dense && degree > 1 then
+         Printf.sprintf " with %d actions" degree
+       else "")
 
 let compile ~mode ~space ?roots t =
   let module E = Cr_semantics.Explicit in

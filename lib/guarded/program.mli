@@ -105,9 +105,12 @@ val to_explicit :
     never reads them, never calls it.
 
     Raises {!Cr_semantics.Space.Too_large} before any work when the
-    engine cannot index the layout: [Dense] past
-    [Sys.max_array_length - 1] states, either engine once
-    {!Layout.num_states} saturates (ranks no longer fit an [int]).
+    engine cannot index the layout: [Dense] past [2^31 - 1] states or
+    past [2^31 - 1] reserved edge lanes (one per action per state, one
+    per state under the synchronous semantics), either engine once
+    {!Layout.num_states} saturates (ranks no longer fit an [int]).  A
+    sparse discovery raises it past [2^31 - 1] discovered states or
+    edges.
 
     Compiles are memoized in the process-wide [compile]
     {!Cr_kernel.Memo} keyed by a content-addressed fingerprint

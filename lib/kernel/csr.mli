@@ -1,10 +1,17 @@
-(** Compressed sparse row adjacency: flat [targets] + [row_ptr] arrays.
+(** Compressed sparse row adjacency: a flat [targets] store plus a
+    [row_ptr] store, both in four-byte {!Lane}s.
 
     Row [i] occupies offsets [row_ptr.(i), row_ptr.(i+1)) of [targets];
     rows are sorted ascending and deduplicated (the {!Explicit}
     construction invariant).  This is the shared graph type of every
     checker kernel; {!Explicit} stores its transition relation in this
     form and hands it out as a zero-copy view.
+
+    A graph holds at most {!Lane.max_lanes} ([2^31 - 1]) states and as
+    many edges, so every index and offset fits a lane.  Either store may
+    run past its last lane in use ([row_ptr] past lane [num_states],
+    [targets] past lane [num_edges]); that slack is uninitialised and
+    nothing reads it.
 
     Lives in [Cr_kernel], shared by the semantics compiler and every
     checker kernel. *)
@@ -22,8 +29,8 @@ val row : t -> int -> int array
     hot loops). *)
 
 val kth : t -> int -> int -> int
-(** [kth t i k] is the [k]-th successor of [i] (0-based, no bounds
-    check beyond the array's own). *)
+(** [kth t i k] is the [k]-th successor of [i] (0-based); raises
+    [Invalid_argument] outside the row. *)
 
 val iter_row : t -> int -> (int -> unit) -> unit
 val iter_edges : t -> (int -> int -> unit) -> unit
@@ -34,11 +41,13 @@ val mem : t -> int -> int -> bool
 val of_rows : int array array -> t
 (** Flatten per-state rows (each sorted, deduplicated). *)
 
-val unsafe_of_raw : row_ptr:int array -> targets:int array -> t
-(** Adopt raw arrays without copying or checking.  The caller owns the
-    full invariant: [row_ptr] has length n+1 and is nondecreasing from 0
-    to [Array.length targets], and every row is sorted ascending and
-    deduplicated.  For internal flat-merge constructions only. *)
+val unsafe_of_lanes : states:int -> row_ptr:Bytes.t -> targets:Bytes.t -> t
+(** Adopt raw lane stores without copying or checking.  The caller owns
+    the full invariant: [row_ptr] holds at least [states + 1] lanes,
+    nondecreasing from 0 to the edge count [m], [targets] at least [m]
+    lanes, and every row is sorted ascending and deduplicated.  Lanes
+    past those may hold anything.  For the compile's and the sparse
+    discovery's constructions only. *)
 
 val transpose : t -> t
 (** Predecessor graph; rows stay sorted. *)
@@ -53,10 +62,15 @@ val restrict : t -> Bitset.t -> t
     empty, surviving rows keep only masked targets). *)
 
 val equal : t -> t -> bool
+(** Same states, row pointers and targets, compared over the lanes in
+    use only. *)
 
-val row_ptr : t -> int array
-(** The raw offset array (length [num_states + 1]).  Read-only: exposed
-    for allocation-free kernels; mutating it is undefined behaviour. *)
+val row_ptr : t -> Bytes.t
+(** The raw offset lanes: lane [i] is where row [i] starts, lane
+    [num_states] the edge count.  Read them with {!Lane.get32u} (lane
+    [k] at byte [4 * k]).  Read-only: exposed for allocation-free
+    kernels; mutating it is undefined behaviour. *)
 
-val targets : t -> int array
-(** The raw flat edge array.  Read-only, as {!row_ptr}. *)
+val targets : t -> Bytes.t
+(** The raw flat edge lanes, lanes [0 .. num_edges - 1] in use.
+    Read-only, as {!row_ptr}. *)

@@ -56,6 +56,7 @@
    plus the side table and the table over W's domains. *)
 
 open Cr_guarded
+module Lane = Cr_kernel.Lane
 
 type info = {
   action : Action.t;
@@ -81,17 +82,11 @@ let slots_of_mask mask =
 
 (* ---- byte runs, a word at a time ---- *)
 
-external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
-external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
-external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
-external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
-
 (* Buffers carry one word past their last lane, so the word that holds
    a run shorter than a word can be loaded whole. *)
 let pad = 8
 
-(* [get64u prefix (8 - n)] keeps the first [n] bytes of a word: n bytes
+(* [Lane.get64u prefix (8 - n)] keeps the first [n] bytes of a word: n bytes
    of ones, then zeros, in memory order under either endianness. *)
 let prefix = Bytes.init 16 (fun i -> if i < 8 then '\255' else '\000')
 
@@ -147,7 +142,7 @@ let signals buf ~u ~ns ~w ~d ~v0 ~v1 ~off ~target test =
   let t = Int64.mul (Int64.of_int target) (lane_one u) in
   let block = w * d * u and offb = off * u in
   let len = (v1 - v0) * w * u in
-  let short = if len >= 8 then -1L else get64u prefix (8 - len) in
+  let short = if len >= 8 then -1L else Lane.get64u prefix (8 - len) in
   let stop = ns * u in
   let found = ref false and blk = ref (v0 * w * u) in
   while (not !found) && !blk < stop do
@@ -157,8 +152,8 @@ let signals buf ~u ~ns ~w ~d ~v0 ~v1 ~off ~target test =
       let q =
         if !p + 8 <= fin then !p else if fin - 8 > !blk then fin - 8 else !blk
       in
-      let x = get64u buf q in
-      let y = if offb = 0 then t else get64u buf (q + offb) in
+      let x = Lane.get64u buf q in
+      let y = if offb = 0 then t else Lane.get64u buf (q + offb) in
       let mask = if fin - q >= 8 then -1L else short in
       if signal test h mask x y then found := true;
       p := !p + 8
@@ -173,20 +168,20 @@ let signals buf ~u ~ns ~w ~d ~v0 ~v1 ~off ~target test =
 let[@inline] get_lane b u k =
   match u with
   | 1 -> Char.code (Bytes.unsafe_get b k)
-  | 2 -> get16u b (2 * k)
-  | _ -> Int32.to_int (get32u b (4 * k)) land 0xffff_ffff
+  | 2 -> Lane.get16u b (2 * k)
+  | _ -> Int32.to_int (Lane.get32u b (4 * k)) land 0xffff_ffff
 
 let[@inline] set_lane b u k v =
   match u with
   | 1 -> Bytes.unsafe_set b k (Char.unsafe_chr v)
-  | 2 -> set16u b (2 * k) v
-  | _ -> set32u b (4 * k) (Int32.of_int v)
+  | 2 -> Lane.set16u b (2 * k) v
+  | _ -> Lane.set32u b (4 * k) (Int32.of_int v)
 
 (* The sweep keeps each result's rank in a four-byte lane, all ones (a
    value of at least [ns]) for a result outside the layout; so a layout
    may have at most [max_states] states. *)
 let rank_bytes = 4
-let max_states = 0x7fff_ffff
+let max_states = Lane.max_lanes
 
 (* The codes of an action's results and what they stand for. *)
 type codes = {

@@ -10,14 +10,18 @@
    boxed states.  Full-space consumers sweep ([iter_states]) rather than
    index state by state.
 
-   Every constructor but [of_sparse] is one streamed pass ([of_space]):
-   the index range is split into chunks (the CR_JOBS contract of [Par];
-   default 1 = one chunk), each sweeping its range, sorting and
-   deduplicating each row in a scratch buffer and appending it to its own
-   edge blocks and writing the row ends into the shared [row_ptr].  The
-   blocks are concatenated in chunk order.  Row i depends on i alone, so
-   the result is identical for every job count.  [of_sparse] adopts the
-   CSR a sparse discovery built as it went ([Space.discover]).
+   Every constructor but [of_sparse] is one streamed pass ([of_space])
+   into one targets store of [n * max_degree] four-byte lanes, reserved
+   uninitialised: the index range is split into chunks (the CR_JOBS
+   contract of [Par]; default 1 = one chunk), each sweeping its range
+   from its own offset [lo * max_degree], sorting and deduplicating each
+   row in a scratch buffer and writing it straight into the targets and
+   its end into the shared [row_ptr].  The gaps between chunks are then
+   closed in place, in chunk order.  So the targets are held once, and
+   the reserved tail past the last edge is never written (never
+   resident).  Row i depends on i alone, so the result is identical for
+   every job count.  [of_sparse] adopts the CSR a sparse discovery built
+   as it went ([Space.discover]).
 
    Two parts are lazy, each behind one [Atomic] cell: the initial
    states, swept from the kept predicate on the first [is_initial]/
@@ -207,96 +211,87 @@ let sort_prefix (row : int array) k =
     row.(!b + 1) <- x
   done
 
-(* One chunk of the streamed compile: sweep [lo, hi), write each row's
-   end (relative to the chunk's first edge) into [row_ptr.(i + 1)], and
-   return the chunk's edges as blocks in order plus their count.  Blocks
-   double in size up to 64 Ki entries, so a chunk never copies its edges
-   while it grows. *)
+let[@inline] lane b k = Int32.to_int (Cr_kernel.Lane.get32u b (4 * k))
+let[@inline] set_lane b k v = Cr_kernel.Lane.set32u b (4 * k) (Int32.of_int v)
+
+(* One chunk of the streamed compile: sweep [lo, hi), writing each
+   sorted, deduplicated row into [targets] from lane [lo * max_degree]
+   on and the row's end into [row_ptr.(i + 1)]; returns the lane after
+   the chunk's last edge.  A state with more than [max_degree]
+   successors (besides itself) is refused before it writes past its
+   share. *)
 let stream_chunk (type a) (module Sp : Space.S with type state = a) ~step
-    ~row_ptr (lo, hi) =
-  let block_cap = 1 lsl 16 in
-  let full = ref [] and full_edges = ref 0 in
-  let cur = ref (Array.make (max 16 (min block_cap (2 * (hi - lo)))) 0) in
-  let fill = ref 0 in
-  let append x =
-    if !fill = Array.length !cur then begin
-      full := !cur :: !full;
-      full_edges := !full_edges + !fill;
-      cur := Array.make (min block_cap (2 * !fill)) 0;
-      fill := 0
-    end;
-    !cur.(!fill) <- x;
-    incr fill
-  in
-  let row = ref (Array.make 16 0) and k = ref 0 in
+    ~max_degree ~row_ptr ~targets (lo, hi) =
+  let row = Array.make (max 1 max_degree) 0 and k = ref 0 in
   let self = ref 0 in
   let emit j =
     if j <> !self then begin
-      if !k = Array.length !row then begin
-        let bigger = Array.make (2 * !k) 0 in
-        Array.blit !row 0 bigger 0 !k;
-        row := bigger
-      end;
-      !row.(!k) <- j;
+      if !k = max_degree then
+        invalid_arg
+          "Explicit.of_space: a state has more than max_degree successors";
+      row.(!k) <- j;
       incr k
     end
   in
+  let fill = ref (lo * max_degree) in
   let st = step () in
   Sp.iter_range lo hi (fun i s ->
       self := i;
       k := 0;
       st s i emit;
-      let r = !row in
-      sort_prefix r !k;
+      sort_prefix row !k;
       for a = 0 to !k - 1 do
-        if a = 0 || r.(a) <> r.(a - 1) then append r.(a)
+        if a = 0 || row.(a) <> row.(a - 1) then begin
+          set_lane targets !fill row.(a);
+          incr fill
+        end
       done;
-      row_ptr.(i + 1) <- !full_edges + !fill);
-  (List.rev (!cur :: !full), !full_edges + !fill)
+      set_lane row_ptr (i + 1) !fill);
+  !fill
 
 (* The one compile path: a streamed pass over [space] (see the header).
    [step () s i emit] emits the index of every successor of state [s] at
-   index [i]; the [unit ->] stage is a per-chunk factory for private
-   scratch.  Self-loops and duplicates are dropped here. *)
-let of_space (type a) ~name ~(space : a Space.t) ~step ~is_initial ~pp_state :
-    a t =
+   index [i], at most [max_degree] of them besides [i] itself; the
+   [unit ->] stage is a per-chunk factory for private scratch.
+   Self-loops and duplicates are dropped here. *)
+let of_space (type a) ~name ~(space : a Space.t) ~max_degree ~step
+    ~is_initial ~pp_state : a t =
   Cr_obs.Obs.span "explicit.of_space" @@ fun () ->
   let module Sp = (val space) in
   let n = Sp.size in
-  let row_ptr = Array.make (n + 1) 0 in
-  let chunk = stream_chunk (module Sp) ~step ~row_ptr in
+  let max = Cr_kernel.Lane.max_lanes in
+  if n > max || (n > 0 && max_degree > max / n) then
+    raise
+      (Space.Too_large
+         (Printf.sprintf
+            "%s: %d states, up to %d successors each, pass %d lanes" name n
+            max_degree max));
+  let row_ptr = Cr_kernel.Lane.create (n + 1) in
+  set_lane row_ptr 0 0;
+  let targets = Cr_kernel.Lane.create (n * max_degree) in
+  let chunk = stream_chunk (module Sp) ~step ~max_degree ~row_ptr ~targets in
   let bounds = chunk_bounds n in
-  let parts =
+  let ends =
     if Array.length bounds = 1 then [| chunk bounds.(0) |]
     else Par.map_array chunk bounds
   in
-  let total = Array.fold_left (fun acc (_, m) -> acc + m) 0 parts in
-  let targets =
-    match parts with
-    | [| ([ b ], m) |] when m = Array.length b -> b
-    | _ ->
-        let targets = Array.make total 0 in
-        let off = ref 0 in
-        Array.iteri
-          (fun d (blocks, m) ->
-            let base = !off in
-            let lo, hi = bounds.(d) in
-            if base > 0 then
-              for i = lo + 1 to hi do
-                row_ptr.(i) <- row_ptr.(i) + base
-              done;
-            let left = ref m in
-            List.iter
-              (fun b ->
-                let len = min !left (Array.length b) in
-                Array.blit b 0 targets !off len;
-                off := !off + len;
-                left := !left - len)
-              blocks)
-          parts;
-        targets
-  in
-  let succ = Csr.unsafe_of_raw ~row_ptr ~targets in
+  (* close the gaps: chunk [d]'s edges move down to where chunk [d - 1]'s
+     end, and its row ends with them *)
+  let fill = ref 0 in
+  Array.iteri
+    (fun d (lo, hi) ->
+      let first = lo * max_degree in
+      let shift = first - !fill in
+      if shift > 0 then begin
+        Bytes.blit targets (4 * first) targets (4 * !fill)
+          (4 * (ends.(d) - first));
+        for i = lo + 1 to hi do
+          set_lane row_ptr i (lane row_ptr i - shift)
+        done
+      end;
+      fill := ends.(d) - shift)
+    bounds;
+  let succ = Csr.unsafe_of_lanes ~states:n ~row_ptr ~targets in
   record_built
     { name; space; succ; pred = lazy_pred (); initial = is_initial;
       inits = Atomic.make Inits_todo; pp_state }
@@ -327,31 +322,39 @@ let array_space name states =
       done)
     ()
 
-let of_edge_lists ~name ~states ~pp_state ~is_initial ~succ_lists =
-  Cr_obs.Obs.span "explicit.of_edge_lists" @@ fun () ->
-  of_space ~name ~space:(array_space name states)
+let of_lists ~name ~space ~is_initial ~pp_state succ_lists =
+  let max_degree =
+    Array.fold_left (fun d l -> max d (List.length l)) 0 succ_lists
+  in
+  of_space ~name ~space ~max_degree
     ~step:(fun () _ i emit -> List.iter emit succ_lists.(i))
     ~is_initial ~pp_state
+
+let of_edge_lists ~name ~states ~pp_state ~is_initial ~succ_lists =
+  Cr_obs.Obs.span "explicit.of_edge_lists" @@ fun () ->
+  of_lists ~name ~space:(array_space name states) ~is_initial ~pp_state
+    succ_lists
 
 let of_system (type a) (sys : a System.t) =
   Cr_obs.Obs.span "explicit.of_system" @@ fun () ->
   let name = sys.System.name in
   let space = array_space name (Array.of_list sys.System.states) in
   let module Sp = (val space : Space.S with type state = a) in
-  let step () s _ emit =
-    List.iter
-      (fun s' ->
-        match Sp.index_of_state s' with
-        | Some j -> emit j
-        | None ->
-            raise
-              (Unknown_state
-                 (Fmt.str "%s: step produced a state outside Sigma: %a" name
-                    sys.System.pp s')))
-      (sys.System.step s)
+  (* the successor lists first, which bound the out-degree *)
+  let index s' =
+    match Sp.index_of_state s' with
+    | Some j -> j
+    | None ->
+        raise
+          (Unknown_state
+             (Fmt.str "%s: step produced a state outside Sigma: %a" name
+                sys.System.pp s'))
   in
-  of_space ~name ~space ~step ~is_initial:sys.System.is_initial
-    ~pp_state:sys.System.pp
+  let succ_lists = Array.make Sp.size [] in
+  Sp.iter_range 0 Sp.size (fun i s ->
+      succ_lists.(i) <- List.map index (sys.System.step s));
+  of_lists ~name ~space ~is_initial:sys.System.is_initial
+    ~pp_state:sys.System.pp succ_lists
 
 (* Box on explicit systems over the same enumeration: [t2] indexes every
    state of [t1] at the same position.  Systems sharing one space (e.g.
@@ -368,8 +371,10 @@ let same_states t1 t2 =
      | exception Differ -> false)
 
 (* Union of the transition relations, merged row-by-row straight into one
-   flat CSR: no state re-hashing, no per-row arrays.  Initial states come
-   from the left operand; predecessors stay lazy. *)
+   flat CSR: no state re-hashing, no per-row arrays.  The targets store
+   reserves both operands' edge counts and keeps what the shared edges
+   leave unused.  Initial states come from the left operand;
+   predecessors stay lazy. *)
 let box ?name t1 t2 =
   if not (same_states t1 t2) then
     invalid_arg "Explicit.box: systems do not share a state space";
@@ -378,27 +383,36 @@ let box ?name t1 t2 =
   let n = num_states t1 in
   let rp1 = Csr.row_ptr t1.succ and tg1 = Csr.targets t1.succ in
   let rp2 = Csr.row_ptr t2.succ and tg2 = Csr.targets t2.succ in
-  let row_ptr = Array.make (n + 1) 0 in
-  let out = Array.make (Array.length tg1 + Array.length tg2) 0 in
+  let m1 = Csr.num_edges t1.succ and m2 = Csr.num_edges t2.succ in
+  if m1 > Cr_kernel.Lane.max_lanes - m2 then
+    raise
+      (Space.Too_large
+         (Printf.sprintf "%s: %d and %d transitions pass %d edge lanes" name m1
+            m2 Cr_kernel.Lane.max_lanes));
+  let row_ptr = Cr_kernel.Lane.create (n + 1) in
+  set_lane row_ptr 0 0;
+  let out = Cr_kernel.Lane.create (m1 + m2) in
   let k = ref 0 in
+  let put v =
+    set_lane out !k v;
+    incr k
+  in
   for i = 0 to n - 1 do
     (* sorted-merge of the two rows, deduplicating shared edges *)
-    let p1 = ref rp1.(i) and p2 = ref rp2.(i) in
-    let h1 = rp1.(i + 1) and h2 = rp2.(i + 1) in
+    let p1 = ref (lane rp1 i) and p2 = ref (lane rp2 i) in
+    let h1 = lane rp1 (i + 1) and h2 = lane rp2 (i + 1) in
     while !p1 < h1 && !p2 < h2 do
-      let x = tg1.(!p1) and y = tg2.(!p2) in
+      let x = lane tg1 !p1 and y = lane tg2 !p2 in
       let v = if x <= y then x else y in
       if x <= v then incr p1;
       if y <= v then incr p2;
-      out.(!k) <- v;
-      incr k
+      put v
     done;
-    while !p1 < h1 do out.(!k) <- tg1.(!p1); incr p1; incr k done;
-    while !p2 < h2 do out.(!k) <- tg2.(!p2); incr p2; incr k done;
-    row_ptr.(i + 1) <- !k
+    while !p1 < h1 do put (lane tg1 !p1); incr p1 done;
+    while !p2 < h2 do put (lane tg2 !p2); incr p2 done;
+    set_lane row_ptr (i + 1) !k
   done;
-  let targets = if !k = Array.length out then out else Array.sub out 0 !k in
-  let succ = Csr.unsafe_of_raw ~row_ptr ~targets in
+  let succ = Csr.unsafe_of_lanes ~states:n ~row_ptr ~targets:out in
   record_built { t1 with name; succ; pred = lazy_pred () }
 
 let same_transitions t1 t2 = same_states t1 t2 && Csr.equal t1.succ t2.succ

@@ -16,13 +16,19 @@
     index.
 
     Every constructor but {!of_sparse} is one streamed pass
-    ({!of_space}), domain-chunked under the [CR_JOBS] contract of {!Par}:
-    the index range is split into contiguous chunks, each sweeping its
-    range and appending its sorted, deduplicated rows to its own edge
-    blocks, and the chunks are concatenated in order into the CSR.  Row
-    i depends only on i, so the result is identical for every job count
+    ({!of_space}), domain-chunked under the [CR_JOBS] contract of {!Par}.
+    It reserves [num_states * max_degree] four-byte target lanes,
+    uninitialised, and splits the index range into contiguous chunks;
+    each sweeps its range and writes its sorted, deduplicated rows
+    straight into the targets from its own offset, and the gaps between
+    chunks are then closed in place.  The targets are held once, and
+    the reserved tail past the last edge is never written.  Row i
+    depends only on i, so the result is identical for every job count
     (default 1 = the sequential path).  The sparse engine's discovery
-    builds its CSR as it goes, and {!of_sparse} adopts it.  Two parts are computed lazily, each once: the initial
+    builds its CSR as it goes, and {!of_sparse} adopts it.  A graph
+    holds at most [2^31 - 1] states and as many reserved edge lanes
+    ({!Cr_kernel.Lane.max_lanes}).  Two parts are computed lazily, each
+    once: the initial
     states, swept from the kept predicate on the first {!is_initial},
     {!initial_mask} or {!initials} call (a stabilization check never
     reads them), and the predecessor rows, on the first {!predecessors}
@@ -38,6 +44,7 @@ type 'a t
 val of_space :
   name:string ->
   space:'a Space.t ->
+  max_degree:int ->
   step:(unit -> 'a -> int -> (int -> unit) -> unit) ->
   is_initial:('a -> bool) ->
   pp_state:(Format.formatter -> 'a -> unit) ->
@@ -45,8 +52,13 @@ val of_space :
 (** Compile over a {!Space} in one streamed pass.  [step () s i emit]
     must call [emit j] on the index of every successor of the state [s]
     at index [i] (in any order; duplicates and [j = i] are dropped here),
-    reading [s] without retaining it, and raise {!Unknown_state} on a
-    step that escapes the space; the [unit ->] stage is a per-chunk
+    at most [max_degree] times besides [j = i] (more raises
+    [Invalid_argument]), reading [s] without retaining it, and raise
+    {!Unknown_state} on a step that escapes the space.  The targets
+    reserve [max_degree] lanes per state: past
+    {!Cr_kernel.Lane.max_lanes} in all, or past that many states, the
+    compile raises {!Space.Too_large} before it allocates.  The
+    [unit ->] stage is a per-chunk
     factory, so an implementation may allocate private scratch.  [step]
     may run on several domains at once.  [is_initial] is not called
     here: it is kept, and swept over the space (reading each state
@@ -158,7 +170,9 @@ val same_transitions : 'a t -> 'a t -> bool
 
 val box : ?name:string -> 'a t -> 'a t -> 'a t
 (** Union of transition relations over a shared enumeration; initial states
-    are those of the left operand. *)
+    are those of the left operand.  Raises {!Space.Too_large} before it
+    allocates when the two edge counts together pass
+    {!Cr_kernel.Lane.max_lanes}. *)
 
 val with_initials : 'a t -> ('a -> bool) -> 'a t
 (** Replace the initial-state predicate in O(1): the new initial states

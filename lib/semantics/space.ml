@@ -93,8 +93,8 @@ let dense (type a) ~size:(n : int) ~(state_of_index : int -> a)
     let iter_range = iter_range
   end)
 
-(* A growable int array: the discovery log, the CSR under construction
-   and each frontier chunk's emission buffer. *)
+(* A growable int array: the discovery log and each frontier chunk's
+   emission buffer. *)
 type buf = { mutable data : int array; mutable len : int }
 
 let buf cap = { data = Array.make (max 16 cap) 0; len = 0 }
@@ -165,28 +165,58 @@ let rec index_intern t k fresh =
     fresh
   end
 
-(* Insertion sort of the row [a.(lo .. hi - 1)] in place (rows are
-   short: at most one entry per action of a guarded-command program),
-   then its duplicates dropped; returns the row's new end.  Annotated
-   [int array] so that the comparisons are integer ones, not C calls. *)
-let sort_row (a : int array) lo hi =
+let[@inline] lane b k = Int32.to_int (Cr_kernel.Lane.get32u b (4 * k))
+let[@inline] set_lane b k v = Cr_kernel.Lane.set32u b (4 * k) (Int32.of_int v)
+
+(* Insertion sort of the row in lanes [lo .. hi - 1] of [a] in place
+   (rows are short: at most one entry per action of a guarded-command
+   program), then its duplicates dropped; returns the row's new end. *)
+let sort_row a lo hi =
   for x = lo + 1 to hi - 1 do
-    let v = a.(x) in
+    let v = lane a x in
     let y = ref (x - 1) in
-    while !y >= lo && a.(!y) > v do
-      a.(!y + 1) <- a.(!y);
+    while !y >= lo && lane a !y > v do
+      set_lane a (!y + 1) (lane a !y);
       decr y
     done;
-    a.(!y + 1) <- v
+    set_lane a (!y + 1) v
   done;
   let w = ref (min (lo + 1) hi) in
   for r = lo + 1 to hi - 1 do
-    if a.(r) <> a.(!w - 1) then begin
-      a.(!w) <- a.(r);
+    if lane a r <> lane a (!w - 1) then begin
+      set_lane a !w (lane a r);
       incr w
     end
   done;
   !w
+
+(* A growable store of four-byte lanes: the CSR under construction.  It
+   doubles as it grows, up to [Lane.max_lanes], and keeps its slack. *)
+type lanes = { mutable bytes : Bytes.t; mutable used : int }
+
+let lanes cap = { bytes = Cr_kernel.Lane.create (max 16 cap); used = 0 }
+
+let too_many limit what =
+  raise
+    (Too_large
+       (Printf.sprintf "the sparse engine cannot index more than %d %s" limit
+          what))
+
+let reserve_lanes b extra =
+  let limit = Cr_kernel.Lane.max_lanes in
+  if extra > limit - b.used then too_many limit "transitions";
+  let cap = Bytes.length b.bytes / 4 in
+  if b.used + extra > cap then begin
+    let cap = min limit (max (2 * cap) (b.used + extra)) in
+    let bigger = Cr_kernel.Lane.create cap in
+    Bytes.blit b.bytes 0 bigger 0 (4 * b.used);
+    b.bytes <- bigger
+  end
+
+let add_lane b x =
+  reserve_lanes b 1;
+  set_lane b.bytes b.used x;
+  b.used <- b.used + 1
 
 type 'a sparse = { space : 'a t; succ : Cr_kernel.Csr.t; keys : int array }
 
@@ -199,13 +229,17 @@ let discover (type a) ?(sort_keys = false) ~(state_of_key : int -> a)
   let keys = buf (Array.length seed_keys) in
   let intern k =
     let i = index_intern index k keys.len in
-    if i = keys.len then add keys k;
+    if i = keys.len then begin
+      (* [row_ptr] holds one lane more than there are states *)
+      if i = Cr_kernel.Lane.max_lanes - 1 then too_many i "states";
+      add keys k
+    end;
     i
   in
   Array.iter (fun k -> ignore (intern k : int)) seed_keys;
   (* The CSR, written row by row in index order. *)
-  let row_ptr = buf (keys.len + 1) and targets = buf (4 * keys.len) in
-  add row_ptr 0;
+  let row_ptr = lanes (keys.len + 1) and targets = lanes (4 * keys.len) in
+  add_lane row_ptr 0;
   (* Step states [lo + clo, lo + chi) of a frontier: their successor
      keys in emission order, flat, and where each state's run ends. *)
   let emit_chunk lo (clo, chi) =
@@ -240,20 +274,20 @@ let discover (type a) ?(sort_keys = false) ~(state_of_key : int -> a)
         let e = ref 0 in
         Array.iter
           (fun stop ->
-            let start = targets.len in
-            reserve targets (stop - !e);
+            let start = targets.used in
+            reserve_lanes targets (stop - !e);
             for x = !e to stop - 1 do
-              targets.data.(targets.len) <- intern out.data.(x);
-              targets.len <- targets.len + 1
+              set_lane targets.bytes targets.used (intern out.data.(x));
+              targets.used <- targets.used + 1
             done;
-            targets.len <- sort_row targets.data start targets.len;
-            add row_ptr targets.len;
+            targets.used <- sort_row targets.bytes start targets.used;
+            add_lane row_ptr targets.used;
             e := stop)
           ends)
       parts;
     processed := hi
   done;
-  let count = keys.len and edges = targets.len in
+  let count = keys.len and edges = targets.used in
   let keys = Array.sub keys.data 0 count in
   (* Optional renumbering in ascending key order, in one pass over the
      CSR: [perm] lists the discovery indices by key, [inv] maps each to
@@ -262,9 +296,8 @@ let discover (type a) ?(sort_keys = false) ~(state_of_key : int -> a)
   let keys, succ =
     if not sort_keys then
       ( keys,
-        Cr_kernel.Csr.unsafe_of_raw
-          ~row_ptr:(Array.sub row_ptr.data 0 (count + 1))
-          ~targets:(Array.sub targets.data 0 edges) )
+        Cr_kernel.Csr.unsafe_of_lanes ~states:count ~row_ptr:row_ptr.bytes
+          ~targets:targets.bytes )
     else begin
       let perm = Array.init count Fun.id in
       Array.stable_sort (fun i j -> compare keys.(i) keys.(j)) perm;
@@ -274,19 +307,22 @@ let discover (type a) ?(sort_keys = false) ~(state_of_key : int -> a)
         if index.slots.(2 * s) >= 0 then
           index.slots.((2 * s) + 1) <- inv.(index.slots.((2 * s) + 1))
       done;
-      let rp = row_ptr.data and tg = targets.data in
-      let row_ptr = Array.make (count + 1) 0 and targets = Array.make edges 0 in
+      let rp = row_ptr.bytes and tg = targets.bytes in
+      let row_ptr = Cr_kernel.Lane.create (count + 1)
+      and targets = Cr_kernel.Lane.create edges in
+      set_lane row_ptr 0 0;
       Array.iteri
         (fun i old ->
-          let base = row_ptr.(i) in
-          for k = rp.(old) to rp.(old + 1) - 1 do
-            targets.(base + k - rp.(old)) <- inv.(tg.(k))
+          let base = lane row_ptr i and first = lane rp old in
+          let stop = lane rp (old + 1) in
+          for k = first to stop - 1 do
+            set_lane targets (base + k - first) inv.(lane tg k)
           done;
-          row_ptr.(i + 1) <- base + rp.(old + 1) - rp.(old);
-          ignore (sort_row targets base row_ptr.(i + 1) : int))
+          set_lane row_ptr (i + 1) (base + stop - first);
+          ignore (sort_row targets base (lane row_ptr (i + 1)) : int))
         perm;
       ( Array.map (fun old -> keys.(old)) perm,
-        Cr_kernel.Csr.unsafe_of_raw ~row_ptr ~targets )
+        Cr_kernel.Csr.unsafe_of_lanes ~states:count ~row_ptr ~targets )
     end
   in
   let module Sp = struct

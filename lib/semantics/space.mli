@@ -43,8 +43,9 @@ val resolve : ?choice:choice -> default:engine -> unit -> engine
 
 exception Too_large of string
 (** Raised, with a one-line message, when a compile is asked for a space
-    its engine cannot index: a dense space with more states than an
-    array can hold, or a layout whose ranks overflow an [int]. *)
+    its engine cannot index: a graph past [2^31 - 1] states or edge
+    lanes ({!Cr_kernel.Lane.max_lanes}), or a layout whose ranks
+    overflow an [int]. *)
 
 (** The first-class space interface.  [state_of_index]/[index_of_state]
     are mutually inverse between [0 .. size - 1] and the carried state
@@ -95,7 +96,9 @@ val discover :
   unit ->
   'a sparse
 (** Frontier BFS over dense keys, writing each row straight into the
-    CSR.  [key_of_state] must be injective on
+    CSR's lanes, which double as they grow and keep their slack.  It
+    raises {!Too_large} before a state index or an edge offset would
+    pass a lane.  [key_of_state] must be injective on
     Sigma, non-negative on it ([-1] outside Sigma — e.g.
     [Layout.checked_rank]); [state_of_key] its inverse.  [step () s k
     emit] calls [emit] on the dense key of every successor of [s] (own

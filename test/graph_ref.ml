@@ -111,3 +111,17 @@ let fair_sccs (tables : int array array) adj mask =
          tables
   in
   List.filter fair sccs
+
+(* The predecessor rows: [j]'s row lists every [i] with an edge
+   [i -> j], ascending. *)
+let transpose adj =
+  let n = Array.length adj in
+  Array.init n (fun j ->
+      Array.of_list
+        (List.filter (fun i -> Array.mem j adj.(i)) (List.init n Fun.id)))
+
+(* The edges [(i, j)] with [keep i j], rows in their order. *)
+let filter adj keep =
+  Array.mapi
+    (fun i row -> Array.of_list (List.filter (keep i) (Array.to_list row)))
+    adj

@@ -34,6 +34,7 @@ exception Cyclic
    next-child) stack. *)
 let longest_within ~succ ~mask =
   let n = Csr.num_states succ in
+  let lane b k = Cr_kernel.Lane.get b k in
   let rp = Csr.row_ptr succ and tg = Csr.targets succ in
   let memo = Array.make n (-1) in
   let visiting = Array.make n false in
@@ -48,8 +49,8 @@ let longest_within ~succ ~mask =
     while !cp > 0 do
       let i = call_v.(!cp - 1) in
       let c = call_c.(!cp - 1) in
-      if c < rp.(i + 1) - rp.(i) then begin
-        let j = tg.(rp.(i) + c) in
+      if c < lane rp (i + 1) - lane rp i then begin
+        let j = lane tg (lane rp i + c) in
         call_c.(!cp - 1) <- c + 1;
         if Bitset.get mask j then begin
           if visiting.(j) then raise Cyclic;
@@ -65,8 +66,8 @@ let longest_within ~succ ~mask =
         decr cp;
         visiting.(i) <- false;
         let best = ref 0 in
-        for k = rp.(i) to rp.(i + 1) - 1 do
-          let j = tg.(k) in
+        for k = lane rp i to lane rp (i + 1) - 1 do
+          let j = lane tg k in
           let v = 1 + if Bitset.get mask j then memo.(j) else 0 in
           if v > !best then best := v
         done;

@@ -1,7 +1,8 @@
 (* Unit and property tests for cr_checker: reachability, SCC, paths and
-   the forward settle pass.
-   The properties compare each CSR kernel with the textbook references
-   in [Graph_ref]. *)
+   the forward settle pass, over the lane-backed CSR graphs of
+   cr_kernel.
+   The properties compare the CSR and each kernel with the textbook
+   references in [Graph_ref]. *)
 
 (* lift the pool's busy-domain cap so the CR_JOBS-invariance properties
    really fan out across domains on a single-core host *)
@@ -92,7 +93,9 @@ let test_shortest_path () =
 let test_settle () =
   let settle succ bad = Cr_checker.Paths.settle ~succ ~bad in
   let depths (s : Cr_checker.Paths.settled) =
-    match s.depth with Some d -> d | None -> Alcotest.fail "acyclic region"
+    match s.depth with
+    | Some d -> Array.init (Bs.length s.reaches) (Cr_kernel.Lane.get d)
+    | None -> Alcotest.fail "acyclic region"
   in
   (* DAG: 0->1->2, 0->2; every state reaches bad = {2} *)
   let dag = Csr.of_rows [| [| 1; 2 |]; [| 2 |]; [||] |] in
@@ -302,7 +305,7 @@ let prop_settle_agree =
       Bs.to_bool_array s.reaches = region
       &&
       match (s.depth, Graph_ref.longest_within adj region) with
-      | Some got, Ok want -> got = want
+      | Some got, Ok want -> Array.init n (Cr_kernel.Lane.get got) = want
       | None, Error () -> true
       | _ -> false)
 
@@ -356,6 +359,12 @@ let explicit_of_adj name adj inits =
     ~is_initial:(fun s -> List.mem s inits)
     ~succ_lists:(Array.map Array.to_list adj)
 
+(* The classified edges as a list, through [iter_classified]. *)
+let classified_edges cl =
+  let acc = ref [] in
+  Cr_core.Refine.iter_classified cl (fun i j c -> acc := (i, j, c) :: !acc);
+  List.rev !acc
+
 let prop_classify_jobs_invariant =
   QCheck2.Test.make ~name:"classify invariant under CR_JOBS in {1,2,4}"
     ~count:60
@@ -375,12 +384,7 @@ let prop_classify_jobs_invariant =
       let (cl1, st1) = run 1 in
       let (cl2, st2) = run 2 in
       let (cl4, st4) = run 4 in
-      let same (x, sx) (y, sy) =
-        x.Cr_core.Refine.srcs = y.Cr_core.Refine.srcs
-        && x.Cr_core.Refine.dsts = y.Cr_core.Refine.dsts
-        && x.Cr_core.Refine.cls = y.Cr_core.Refine.cls
-        && sx = sy
-      in
+      let same (x, sx) (y, sy) = classified_edges x = classified_edges y && sx = sy in
       same (cl1, st1) (cl2, st2) && same (cl1, st1) (cl4, st4))
 
 (* Classification against a per-edge reference on the same random
@@ -429,9 +433,8 @@ let prop_classify_matches_reference =
         }
       in
       let got, stats = Cr_core.Refine.classify ~alpha ~c ~a in
-      Array.to_list got.Cr_core.Refine.srcs = List.map fst edges
-      && Array.to_list got.Cr_core.Refine.dsts = List.map snd edges
-      && Array.to_list got.Cr_core.Refine.cls = want
+      classified_edges got
+      = List.map2 (fun (i, j) c -> (i, j, c)) edges want
       && stats = want_stats)
 
 (* The CR_JOBS fan-out must be observationally invisible: the full report
@@ -470,9 +473,105 @@ let test_report_jobs_invariant () =
   check "report output non-trivial" true (String.length seq > 1000);
   Alcotest.(check string) "CR_JOBS=4 output = CR_JOBS=1 output" seq par
 
+(* ---- the lane CSR itself ---- *)
+
+(* Random graphs as [gen_graph], but from n = 0 on. *)
+let gen_graph0 =
+  QCheck2.Gen.(
+    let* n = int_bound 12 in
+    if n = 0 then return (0, [])
+    else
+      let* edges =
+        list_size (int_bound 30) (pair (int_bound (n - 1)) (int_bound (n - 1)))
+      in
+      return (n, edges))
+
+(* A CSR's rows, read back through [iter_row]. *)
+let rows_of csr =
+  Array.init (Csr.num_states csr) (fun i ->
+      let acc = ref [] in
+      Csr.iter_row csr i (fun j -> acc := j :: !acc);
+      Array.of_list (List.rev !acc))
+
+let prop_csr_ops_agree =
+  QCheck2.Test.make ~name:"lane CSR operations = array-of-rows reference"
+    ~count:300
+    QCheck2.Gen.(triple gen_graph0 (int_bound 1000) (array_size (int_bound 12) bool))
+    (fun (g, salt, mask_bits) ->
+      let adj = adj_of g in
+      let n = Array.length adj in
+      let csr = Csr.of_rows adj in
+      let mask = Array.init n (fun i -> i < Array.length mask_bits && mask_bits.(i)) in
+      let keep i j = ((i * 7) + (j * 3) + salt) mod 3 <> 0 in
+      let edges = ref [] in
+      Csr.iter_edges csr (fun i j -> edges := (i, j) :: !edges);
+      Csr.num_states csr = n
+      && Csr.num_edges csr = Array.fold_left (fun m r -> m + Array.length r) 0 adj
+      && rows_of csr = adj
+      && List.rev !edges
+         = List.concat
+             (List.init n (fun i -> List.map (fun j -> (i, j)) (Array.to_list adj.(i))))
+      && List.for_all
+           (fun i ->
+             Csr.row csr i = adj.(i)
+             && Csr.degree csr i = Array.length adj.(i)
+             && List.for_all
+                  (fun j -> Csr.mem csr i j = Array.mem j adj.(i))
+                  (List.init n Fun.id))
+           (List.init n Fun.id)
+      && rows_of (Csr.transpose csr) = Graph_ref.transpose adj
+      && rows_of (Csr.filter csr keep) = Graph_ref.filter adj keep
+      && rows_of (Csr.restrict csr (Bs.of_bool_array mask))
+         = Graph_ref.restrict adj mask
+      && Csr.equal csr (Csr.of_rows (rows_of csr)))
+
+(* Two CSRs whose lanes in use agree but whose reserved tails differ:
+   every comparison and key must read the lanes in use only, so a read
+   of the tail shows up as a difference. *)
+let test_reserved_tail () =
+  let with_tail ?(first = 1) fill =
+    (* 3 states, 0 -> 1, 0 -> 2, 1 -> 2, each store 4 lanes too long *)
+    let row_ptr = Bytes.make (4 * (4 + 4)) fill
+    and targets = Bytes.make (4 * (3 + 4)) fill in
+    List.iteri (Cr_kernel.Lane.set row_ptr) [ 0; 2; 3; 3 ];
+    List.iteri (Cr_kernel.Lane.set targets) [ first; 2; 2 ];
+    Csr.unsafe_of_lanes ~states:3 ~row_ptr ~targets
+  in
+  let explicit succ =
+    let space =
+      Cr_semantics.Space.dense ~size:3 ~state_of_index:Fun.id
+        ~index_of_state:(fun s -> if s >= 0 && s < 3 then Some s else None)
+        ~iter_range:(fun lo hi f ->
+          for i = lo to hi - 1 do
+            f i i
+          done)
+        ()
+    in
+    Cr_semantics.Explicit.of_sparse ~name:"tail"
+      { Cr_semantics.Space.space; succ; keys = [| 0; 1; 2 |] }
+      ~is_initial:(fun s -> s = 0) ~pp_state:Fmt.int
+  in
+  let key c =
+    Cr_core.Check_cache.key ~relation:"tail" ~c_initials:true
+      ~alpha:[| 0; 1; 2 |] ~fair:None ~c ~a:c
+  in
+  let zeros = with_tail '\000' and ones = with_tail '\255' in
+  let other = with_tail ~first:2 '\000' in
+  check "Csr.equal ignores the tails" true (Csr.equal zeros ones);
+  check "equal to the exact graph" true
+    (Csr.equal ones (Csr.of_rows [| [| 1; 2 |]; [| 2 |]; [||] |]));
+  check "a differing lane in use differs" false (Csr.equal zeros other);
+  let ez = explicit zeros and eo = explicit ones in
+  check "same_transitions ignores the tails" true
+    (Cr_semantics.Explicit.same_transitions ez eo);
+  Alcotest.(check string) "Check_cache.key ignores the tails" (key ez) (key eo);
+  check "a differing lane in use changes the key" true
+    (key ez <> key (explicit other))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_csr_ops_agree;
       prop_scc_mutual_reach;
       prop_bfs_path_agree;
       prop_oracle_eq_fresh_bfs;
@@ -489,6 +588,11 @@ let qcheck_cases =
 let () =
   Alcotest.run "checker"
     [
+      ( "csr",
+        [
+          Alcotest.test_case "the reserved tail is never read" `Quick
+            test_reserved_tail;
+        ] );
       ( "reach",
         [
           Alcotest.test_case "forward" `Quick test_forward;

@@ -667,26 +667,55 @@ let too_large f =
 
 let test_dense_refuses () =
   Alcotest.(check (option string))
-    "2^60 states: more than an array holds"
+    "2^60 states: more than a lane holds"
     (Some
-       (Printf.sprintf
-          "flip60: the dense engine cannot index 1152921504606846976 states \
-           (at most %d states)"
-          (Sys.max_array_length - 1)))
+       "flip60: the dense engine cannot index 1152921504606846976 states (at \
+        most 2147483647 states)")
     (too_large (fun () -> Program.to_explicit (flip_program 60)));
   Alcotest.(check (option string))
     "2^70 states: the count saturates, worded like lint's B1"
     (Some
        (Printf.sprintf
           "flip70[sync]: the dense engine cannot index more than %d states \
-           (at most %d states)"
-          max_int (Sys.max_array_length - 1)))
+           (at most 2147483647 states)"
+          max_int))
     (too_large (fun () -> Program.to_explicit_synchronous (flip_program 70)));
   Alcotest.(check bool)
     "2^70 states: ranks overflow, so the sparse engine refuses too" true
     (too_large (fun () ->
          Program.to_explicit ~space:Cr_semantics.Space.Sparse (flip_program 70))
     <> None)
+
+(* [bits] boolean slots and [k] actions, action [a] flipping slot [a]. *)
+let flips_program bits k =
+  let layout = Layout.make (List.init bits (fun i -> (Printf.sprintf "b%d" i, 2))) in
+  let flip a =
+    Action.make ~label:(Printf.sprintf "flip%d" a) ~proc:a
+      ~guard:(fun _ -> true)
+      ~assign:[ (a, fun s -> 1 - s.(a)) ]
+      ()
+  in
+  Program.make ~name:(Printf.sprintf "flips%d" bits) ~layout
+    ~actions:(List.init k flip) ~initial:(fun _ -> false)
+
+(* The lane bounds, each refused before the compile allocates: the
+   graph they ask for would take 8 GiB or more of lanes. *)
+let test_lane_bounds () =
+  let refused what want f =
+    let before = Gc.allocated_bytes () in
+    Alcotest.(check (option string)) what (Some want) (too_large f);
+    Alcotest.(check bool)
+      (what ^ ": refused without allocating the graph") true
+      (Gc.allocated_bytes () -. before < 1e6)
+  in
+  refused "2^31 states: one more than a lane indexes"
+    "flip31: the dense engine cannot index 2147483648 states (at most \
+     2147483647 states)"
+    (fun () -> Program.to_explicit (flip_program 31));
+  refused "2^28 states at 8 edge lanes each: 2^31 lanes"
+    "flips28: the dense engine cannot index 268435456 states (at most \
+     268435455 states with 8 actions)"
+    (fun () -> Program.to_explicit (flips_program 28 8))
 
 (* ---- compile cache ---- *)
 
@@ -1018,6 +1047,8 @@ let () =
             test_probe_past_overflow;
           Alcotest.test_case "dense engine refuses unindexable spaces" `Quick
             test_dense_refuses;
+          Alcotest.test_case "past 2^31 - 1 states or edge lanes" `Quick
+            test_lane_bounds;
         ] );
       ( "lazy-pred",
         [
