@@ -112,46 +112,42 @@ minor=$(sed -n 's/^ *minor \([0-9.]*\) Mwords.*/\1/p' "$alloclog")
   exit 1
 }
 
-# Compile-cache smoke: verify builds every graph exactly once — the
-# dense program and the spec's sparse legitimate orbit, two compiles
-# even for btr, whose spec is its program — so the CR_STATS summary
-# must count exactly 2 compile-cache misses.  btr itself is the
-# fault-INtolerant abstract ring, so verify may exit 1 — only a crash or
-# a usage error (exit > 1) fails the gate.
+# Compile smoke: verify builds every graph exactly once — the dense
+# program and the spec's sparse legitimate orbit, two compiles even for
+# btr, whose spec is its program — so the CR_STATS summary must count
+# exactly 2 explicit systems.  btr itself is the fault-INtolerant
+# abstract ring, so verify may exit 1 — only a crash or a usage error
+# (exit > 1) fails the gate.
 cachelog="$work/cache.log"
 rc=0
 CR_JOBS=2 CR_STATS=1 dune exec bin/crcheck.exe -- verify btr --stats \
   > /dev/null 2> "$cachelog" || rc=$?
 [ "$rc" -le 1 ] || { echo "ci: verify btr crashed (rc=$rc)" >&2; cat "$cachelog" >&2; exit 1; }
-misses=$(sed -n 's/^ *compile\.cache\.misses *\([0-9][0-9]*\)$/\1/p' "$cachelog")
-[ "$misses" = 2 ] || {
-  echo "ci: expected exactly 2 compile.cache.misses for verify btr" >&2
+systems=$(sed -n 's/^ *explicit\.systems *\([0-9][0-9]*\)$/\1/p' "$cachelog")
+[ "$systems" = 2 ] || {
+  echo "ci: expected exactly 2 explicit.systems for verify btr" >&2
   cat "$cachelog" >&2
   exit 1
 }
 
-# Cache smoke on the experiment tables: they compile the same registry
-# systems for several tables and ask the same refinement /
-# stabilization questions more than once, so both the memoized compiler
-# and the content-addressed verdict memo must report hits — and
-# disabling every memo with
-# CR_CACHE=0 (compiles and verdicts alike) must not change a single
-# output byte.  CR_CACHE_PARANOID=1 re-computes every hit and asserts it
-# equals the memoized value: it must exit 0 with identical output too.
+# Cache smoke on the experiment tables: they ask the same refinement /
+# stabilization questions more than once, so the content-addressed
+# verdict memo must report hits — and disabling it with CR_CACHE=0
+# must not change a single output byte.  CR_CACHE_PARANOID=1
+# re-computes every hit and asserts it equals the memoized value: it
+# must exit 0 with identical output too.
 expout="$work/exp.out"
 expout0="$work/exp0.out"
 expoutp="$work/expp.out"
 explog="$work/exp.log"
 CR_JOBS=2 CR_STATS=1 dune exec bin/crcheck.exe -- experiments --max-n 3 \
   > /dev/null 2> "$explog"
-for counter in compile check; do
-  hits=$(sed -n "s/^ *$counter\\.cache\\.hits *\\([0-9][0-9]*\\)\$/\\1/p" "$explog")
-  [ -n "$hits" ] && [ "$hits" -ge 1 ] || {
-    echo "ci: expected nonzero $counter.cache.hits in CR_STATS summary" >&2
-    cat "$explog" >&2
-    exit 1
-  }
-done
+hits=$(sed -n 's/^ *check\.cache\.hits *\([0-9][0-9]*\)$/\1/p' "$explog")
+[ -n "$hits" ] && [ "$hits" -ge 1 ] || {
+  echo "ci: expected nonzero check.cache.hits in CR_STATS summary" >&2
+  cat "$explog" >&2
+  exit 1
+}
 # Byte-compare without CR_STATS: the stats cost appendix carries cache
 # counters that legitimately differ between the runs.
 CR_JOBS=2 dune exec bin/crcheck.exe -- experiments --max-n 3 \
@@ -175,8 +171,8 @@ cmp -s "$expout" "$expoutp" || {
 }
 
 # Journal smoke: a CR_JOURNAL run must produce a valid JSONL stream
-# that records the compile-cache traffic, the stabilize verdict and the
-# span lines — and, under CR_JOBS=4, the persistent pool's spawn event.
+# that records the compile and stabilize.check spans and the stabilize
+# verdict — and, under CR_JOBS=4, the persistent pool's spawn event.
 # CR_PAR_CAP lifts the busy-domain cap so the pool really spawns even on
 # a single-core CI host.  At N = 4 the dense compile (243 states, four
 # 64-state chunks) is a fan-out the pool runs.
@@ -185,7 +181,7 @@ journal="$work/journal.jsonl"
 CR_JOBS=4 CR_PAR_CAP=4 CR_JOURNAL="$journal" dune exec bin/crcheck.exe -- verify dijkstra3 -n 4 > /dev/null
 test -s "$journal" || { echo "ci: CR_JOURNAL produced no output" >&2; exit 1; }
 dune exec bin/crcheck.exe -- validate journal "$journal" \
-  --expect compile.cache --expect stabilize.verdict --expect par.pool \
+  --expect compile --expect stabilize.verdict --expect par.pool \
   --expect stabilize.check
 
 # An unwritable journal is one "cr-obs: journal:" line on stderr and

@@ -30,6 +30,5 @@ val key :
     graphs that differ only in their initial states. *)
 
 val clear_all : unit -> unit
-(** {!Cr_kernel.Memo.clear_all}: drop every memoized verdict — and,
-    since there is one memo implementation, every memoized compile too
-    (test/bench support). *)
+(** {!Cr_kernel.Memo.clear_all}: drop every memoized verdict, the only
+    values any memo holds (test/bench support). *)

@@ -151,10 +151,9 @@ let find name = List.find_opt (fun e -> e.name = name) entries
 
 let names () = List.map (fun e -> e.name) entries
 
-(* Compile an entry at size n.  This goes through [Program.to_explicit]
-   and therefore the process-wide compile cache: a caller that compiles
-   the same registry system at the same size twice pays for one
-   compile. *)
+(* Compile an entry at size n: a fresh graph on every call, so a caller
+   that asks several questions of one system compiles it once and
+   passes the graph along ([?ep] below). *)
 let explicit e n = Program.to_explicit (e.program n)
 
 (* Init-anchored compiles: the reachable-fragment (sparse) engine unless

@@ -22,7 +22,7 @@ val names : unit -> string list
 
 val explicit : entry -> int -> Layout.state Cr_semantics.Explicit.t
 (** The entry's program at ring size [n], compiled through
-    {!Program.to_explicit} (and thus the process-wide compile cache). *)
+    {!Program.to_explicit}: a fresh graph on every call. *)
 
 val init_explicit : entry -> int -> Layout.state Cr_semantics.Explicit.t
 (** The entry's program compiled through the init-anchored (sparse,

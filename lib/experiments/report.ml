@@ -111,12 +111,8 @@ let table_kstate ns =
     par_rows
       (fun n ->
         let mk = Ring_exps.kstate_minimal_k n in
-        let st = Ring_exps.kstate_stabilizes ~n ~k:(n + 1) in
-        let refines =
-          (Ring_exps.kstate_refines_wrapped_utr ~n ~k:(n + 1))
-            .Cr_core.Refine.holds
-        in
-        (mk, st, refines))
+        let st, refines = Ring_exps.kstate_checks ~n ~k:(n + 1) in
+        (mk, st, refines.Cr_core.Refine.holds))
       ns
   in
   List.iter2

@@ -177,22 +177,25 @@ let wrapper_vacuity n =
   ( List.for_all (Btr4.w1'_vacuous n) states,
     List.for_all (Btr4.w2'_vacuous n) states )
 
-(* E11: the K-state protocol.  [stabilizes ~n ~k] checks stabilization to
-   UTR; [minimal_k n] finds the least K that stabilizes. *)
+(* E11: the K-state protocol.  [stabilizing ~n ~k e] checks a compile
+   [e] of K-state(n, k) stabilizing to UTR; [minimal_k n] finds the
+   least K that stabilizes. *)
+let kstate_stabilizing ~n ~k e =
+  Registry.stabilizing ~alpha:(Kstate.alpha ~n ~k) e (Utr.program n) ()
+
 let kstate_stabilizes ~n ~k =
-  Registry.stabilizing ~alpha:(Kstate.alpha ~n ~k)
-    (explicit (Kstate.program ~n ~k))
-    (Utr.program n) ()
+  kstate_stabilizing ~n ~k (explicit (Kstate.program ~n ~k))
 
 let kstate_minimal_k n =
   let rec go k = if (kstate_stabilizes ~n ~k).Cr_core.Stabilize.holds then k else go (k + 1) in
   go 2
 
-let kstate_refines_wrapped_utr ~n ~k =
-  (Registry.refining ~alpha:(Kstate.alpha ~n ~k)
-     (explicit (Kstate.program ~n ~k))
-     (Utr.wrapped n))
-    .convergence ()
+(* Both of E11's questions of one K-state(n, k) compile. *)
+let kstate_checks ~n ~k =
+  let e = explicit (Kstate.program ~n ~k) in
+  ( kstate_stabilizing ~n ~k e,
+    (Registry.refining ~alpha:(Kstate.alpha ~n ~k) e (Utr.wrapped n))
+      .convergence () )
 
 let utr_wrapped_stabilization n =
   let stabilizes e =

@@ -80,8 +80,10 @@ val kstate_stabilizes : n:int -> k:int -> Cr_core.Stabilize.report
 val kstate_minimal_k : int -> int
 (** The least stabilizing K for a ring 0..n (exact). *)
 
-val kstate_refines_wrapped_utr : n:int -> k:int -> Cr_core.Refine.report
-(** E11: [Kstate ⪯ UTR [] W1u [] W2u]. *)
+val kstate_checks :
+  n:int -> k:int -> Cr_core.Stabilize.report * Cr_core.Refine.report
+(** E11's two questions of one compile of K-state: {!kstate_stabilizes}
+    and [Kstate ⪯ UTR [] W1u [] W2u]. *)
 
 val utr_wrapped_stabilization : int -> bool * bool
 (** E11: (UTR [] W1u [] W2u) stabilizing to UTR — (unfair, preemptive). *)

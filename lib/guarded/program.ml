@@ -2,7 +2,6 @@
    every system in the paper (rings, wrappers and their compositions). *)
 
 module Space = Cr_semantics.Space
-module Memo = Cr_kernel.Memo
 
 type state = Layout.state
 
@@ -137,7 +136,7 @@ let synchronous_step t s =
       if Array.for_all2 Int.equal s s' then None else Some s'
 
 (* ------------------------------------------------------------------ *)
-(* Explicit compilation: allocation-lean, domain-chunked, memoized.    *)
+(* Explicit compilation: allocation-lean and domain-chunked.          *)
 (* ------------------------------------------------------------------ *)
 
 (* Execution modes a program compiles under.  [Priority bits] carries,
@@ -320,13 +319,11 @@ let ranks_of t states =
   |> List.sort_uniq compare |> Array.of_list
 
 (* Sorted dense ranks of the program's initial states: the BFS roots of
-   the sparse engine, and part of its cache key (a sparse graph depends
-   on where discovery starts; dense graphs are initial-independent and
-   get re-targeted on every hit instead).  Programs built by
-   [with_initial_closure] enumerate their initial set directly: its
-   valid states, so a closure that leaves Sigma fails in the discovery,
-   at the escaping step, as on every other route; anything else pays one
-   allocation-free predicate scan over Sigma. *)
+   the sparse engine.  Programs built by [with_initial_closure]
+   enumerate their initial set directly: its valid states, so a closure
+   that leaves Sigma fails in the discovery, at the escaping step, as on
+   every other route; anything else pays one allocation-free predicate
+   scan over Sigma. *)
 let seed_ranks t =
   match t.closure with
   | Some c -> Array.of_list (List.map fst (closure_ranked t c))
@@ -371,121 +368,12 @@ let compile_sparse ~mode ~seeding t ~seed_ranks:seeds =
   in
   if closure then Cr_semantics.Explicit.all_initial e else e
 
-(* How many states the semantic fingerprint probe samples.  Systems at
-   most this big are keyed by their complete transition semantics
-   (collision-free); larger ones by an evenly spread sample plus the
-   structural part below. *)
-let probe_budget = 256
-
-(* Semantic probe: fold ([Memo.Fp]) the complete firing observations —
-   per sampled state, per action in order, the successor's rank (or a
-   disabled marker) — of up to [probe_budget] evenly spread states
-   (every state when the space is that small).  The raw firing sequence determines
-   the compiled graph for the plain AND priority modes (the wrapper bits
-   live in the structural header), so one probe serves both; the
-   synchronous mode folds its deterministic step instead.  A step that
-   leaves Sigma folds a marker of its own: only the compile reports an
-   escape, from a state it visits, so a sparse compile that never
-   reaches the escaping state succeeds with the cache on as with it
-   off.  A compile that raises stores nothing, so a hit and a miss
-   still fail identically. *)
-let probe ~mode t =
-  let layout = t.layout in
-  let n = Layout.num_states layout in
-  let budget = min n probe_budget in
-  (* [k * n / budget] without forming [k * n], which overflows once [n]
-     passes [max_int / budget] *)
-  let sample k = (k * (n / budget)) + (k * (n mod budget) / budget) in
-  let fp = Memo.Fp.create () in
-  let fold = Memo.Fp.add_int fp in
-  (* markers: -1 disabled, -2 synchronous fixpoint, -3 outside Sigma *)
-  let fold_rank j = fold (if j >= 0 then j else -3) in
-  (match mode with
-  | Sync ->
-      for k = 0 to budget - 1 do
-        let i = sample k in
-        fold i;
-        match synchronous_step t (Layout.unrank layout i) with
-        | None -> fold (-2)
-        | Some s' -> fold_rank (Layout.checked_rank layout s')
-      done
-  | Plain | Priority _ ->
-      let weight, dom = radix layout in
-      for k = 0 to budget - 1 do
-        let i = sample k in
-        let s = Layout.unrank layout i in
-        fold i;
-        List.iter
-          (fun (a : Action.t) ->
-            if a.Action.guard s then fold_rank (target ~weight ~dom a s i)
-            else fold (-1))
-          t.actions
-      done);
-  Memo.Fp.to_hex fp
-
-(* Content-addressed cache key: execution mode, layout (variable names
-   and domain sizes), per-action metadata (label, owning process,
-   assigned slots, wrapper bit) — plus the semantic {!probe}, which is
-   what separates programs whose actions carry identical labels but
-   different guards or assignments.  The initial-state predicate is
-   deliberately NOT part of the key: a cached graph is re-targeted via
-   [Explicit.with_initials] (O(1), swept on first use) on every hit.
-   (The probe is a 126-bit rolling hash, not the exact rows;
-   CR_CACHE_PARANOID=1 turns every hit into a checked recompile for the
-   paranoid.) *)
-let fingerprint ~mode t =
-  let layout = t.layout in
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (match mode with
-    | Plain -> "plain"
-    | Priority _ -> "priority"
-    | Sync -> "sync");
-  for i = 0 to Layout.num_vars layout - 1 do
-    Buffer.add_char buf '|';
-    Buffer.add_string buf (Layout.var_name layout i);
-    Buffer.add_char buf ':';
-    Buffer.add_string buf (string_of_int (Layout.dom layout i))
-  done;
-  List.iteri
-    (fun i a ->
-      Buffer.add_string buf
-        (Printf.sprintf "|%s;%d;%s%s" (Action.label a) (Action.proc a)
-           (String.concat "," (List.map string_of_int (Action.writes a)))
-           (match mode with
-           | Priority bits when bits.(i) -> ";W"
-           | _ -> "")))
-    t.actions;
-  Buffer.add_char buf '|';
-  Buffer.add_string buf (probe ~mode t);
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
-let memo : Layout.state Cr_semantics.Explicit.t Memo.t =
-  Memo.create ~name:"compile"
-
-let clear_compile_cache () = Memo.clear memo
-
-(* Cache keys carry the engine: a dense and a sparse compile of the
-   same program must never alias (their graphs are different objects).
-   The sparse key additionally folds the seed-rank set — a sparse graph
-   depends on where its BFS starts, so programs that share a structural
-   fingerprint but differ in initial states get distinct sparse entries,
-   while dense entries keep being shared and re-targeted via [reinit].
-   A closure-seeded graph is renumbered and all-initial, so it is tagged
-   apart from a discovery from the same seeds. *)
-let sparse_key ~mode ~seeding t seeds =
-  let fp = Memo.Fp.create () in
-  Array.iter (Memo.Fp.add_int fp) seeds;
-  Printf.sprintf "%s|space:sparse:%s%d:%s" (fingerprint ~mode t)
-    (if seeding = Closure then "closure:" else "")
-    (Array.length seeds) (Memo.Fp.to_hex fp)
-
-(* Refuse, before any key, probe or allocation, a space the engine
-   cannot index.  The dense engine indexes states and reserves
-   [max_degree] edge lanes per state in four-byte lanes, so both counts
-   must stay within [Lane.max_lanes]; both engines key states by their
-   [int] rank, which a saturated [Layout.num_states] no longer covers.
-   (The sparse discovery checks its own lanes as it grows.) *)
+(* Refuse, before any allocation, a space the engine cannot index.  The
+   dense engine indexes states and reserves [max_degree] edge lanes per
+   state in four-byte lanes, so both counts must stay within
+   [Lane.max_lanes]; both engines key states by their [int] rank, which
+   a saturated [Layout.num_states] no longer covers.  (The sparse
+   discovery checks its own lanes as it grows.) *)
 let check_size ~mode ~space t =
   let n = Layout.num_states t.layout in
   let degree = max_degree ~mode t in
@@ -504,15 +392,17 @@ let check_size ~mode ~space t =
          Printf.sprintf " with %d actions" degree
        else "")
 
+(* One [compile] span per compile: which engine built the graph, where
+   a sparse discovery started ([seeds]), and how much of the product
+   space ([full]) it holds.  Nothing is memoized: each call builds a
+   fresh graph, and a caller that asks several questions of one program
+   passes its graph along. *)
 let compile ~mode ~space ?roots t =
   let module E = Cr_semantics.Explicit in
   check_size ~mode ~space t;
-  let key, compile, seeding =
+  let seeding, compile =
     match (space : Space.engine) with
-    | Space.Dense ->
-        ( (fun () -> fingerprint ~mode t ^ "|space:dense"),
-          (fun () -> compile_fresh ~mode t),
-          None )
+    | Space.Dense -> (None, fun () -> compile_fresh ~mode t)
     | Space.Sparse ->
         let seeding, seeds =
           match (roots, mode, closure_seeds t) with
@@ -521,42 +411,24 @@ let compile ~mode ~space ?roots t =
           | None, Plain, Some s -> (Closure, ranks_of t s)
           | _ -> (Initial, seed_ranks t)
         in
-        ( (fun () -> sparse_key ~mode ~seeding t seeds),
-          (fun () -> compile_sparse ~mode ~seeding t ~seed_ranks:seeds),
-          Some seeding )
+        ( Some seeding,
+          fun () -> compile_sparse ~mode ~seeding t ~seed_ranks:seeds )
   in
-  (* a closure-seeded hit is all-initial already: renaming re-targets it *)
-  let reinit e =
-    let e = E.rename (mode_name ~mode t) e in
-    if seeding = Some Closure then e else E.with_initials e t.initial
-  in
-  let key = lazy (key ()) in
-  (* one [compile] span per compile that runs: which engine built the
-     graph, where a sparse discovery started ([seeds]), and how much of
-     the product space ([full]) it holds *)
-  let compile () =
-    Cr_obs.Obs.span "compile" compile ~fields:(fun e ->
-        let open Cr_obs.Obs in
-        [
-          ("key", S (Lazy.force key));
-          ("engine", S (Space.engine_name space));
-          ("states", I (E.num_states e));
-          ("transitions", I (E.num_transitions e));
-          ("full", I (Layout.num_states t.layout));
-        ]
-        @ match seeding with
-          | Some s -> [ ("seeds", S (seeding_name s)) ]
-          | None -> [])
-  in
-  (* paranoid mode: the re-targeted cached graph must equal a fresh
-     compile, transitions and initial states alike *)
-  let same cached fresh =
-    let cached = reinit cached in
-    E.same_transitions fresh cached && E.initials fresh = E.initials cached
-  in
-  match Memo.find memo ~key:(fun () -> Lazy.force key) ~same compile with
-  | e, true -> e
-  | e, false -> reinit e
+  Cr_obs.Obs.span "compile" compile ~fields:(fun e ->
+      let open Cr_obs.Obs in
+      [
+        ("engine", S (Space.engine_name space));
+        ("states", I (E.num_states e));
+        ("transitions", I (E.num_transitions e));
+        ("full", I (Layout.num_states t.layout));
+      ]
+      @ match seeding with
+        | Some s -> [ ("seeds", S (seeding_name s)) ]
+        | None -> [])
+
+(* There is no compile cache to empty: kept for callers that reset
+   every cache between measured runs (scenario_bench/replay.ml). *)
+let clear_compile_cache () = ()
 
 let to_explicit ?priority_of ?roots ?(space = Space.Dense) t =
   let mode =
@@ -600,8 +472,8 @@ let action_tables t (e : state Cr_semantics.Explicit.t) =
    configurations (the paper's "initial states follow from those of BTR
    using the mapping"). *)
 let reachable_from t seeds =
-  (* the compile memo keeps each forced closure alive through its
-     program's predicate, so the table starts small and grows on demand *)
+  (* a forced closure lives as long as its program's predicate, and most
+     are small: the table starts small and grows on demand *)
   let seen = Layout.Tbl.create 16 in
   let queue = Queue.create () in
   let push s =

@@ -112,27 +112,21 @@ val to_explicit :
     sparse discovery raises it past [2^31 - 1] discovered states or
     edges.
 
-    Compiles are memoized in the process-wide [compile]
-    {!Cr_kernel.Memo} keyed by a content-addressed fingerprint
-    (execution mode, layout, per-action metadata, and a semantic
-    successor probe over up to 256 evenly spread states) plus an engine
-    tag, so dense and sparse graphs can never alias; the sparse key also
-    folds the seed-rank set, since a sparse graph depends on its BFS
-    roots (a closure-seeded compile also carries a closure tag, since
-    its index order differs from a discovery from the same seeds).  On
-    a hit the cached graph is re-targeted to this program's name and
-    initial predicate, in O(1).  [CR_CACHE=0] disables the memo.  Only
-    the compile raises on a step that leaves Sigma, from a state it
-    visits (the probe folds a marker), so the cache changes no outcome.
+    Compiles are not memoized: every call builds a fresh graph of this
+    program, so no two programs can share a graph by a colliding key.
+    A caller that asks several questions of one program compiles it
+    once and passes the graph along.  A step that leaves Sigma raises
+    only from a state the compile visits.
 
-    Every compile that runs is one [compile] span whose fields give the
-    cache key, the engine, the state and transition counts and the
-    product-space size; a sparse compile also gives [seeds]
-    ([initial], [closure] or [roots]). *)
+    Every compile is one [compile] span whose fields give the engine,
+    the state and transition counts and the product-space size; a
+    sparse compile also gives [seeds] ([initial], [closure] or
+    [roots]). *)
 
 val clear_compile_cache : unit -> unit
-(** Empty the process-wide compile cache (tests and benchmarks that need
-    cold-compile behaviour or counter isolation). *)
+(** A no-op: there is no compile cache.  Kept for callers that reset
+    every cache before a measured run (the verdict memo is emptied by
+    [Cr_core.Check_cache.clear_all]). *)
 
 val synchronous_step : t -> state -> state option
 (** One synchronous (distributed-daemon) step: every process with an
@@ -141,9 +135,8 @@ val synchronous_step : t -> state -> state option
 
 val to_explicit_synchronous :
   ?space:Cr_semantics.Space.engine -> t -> state Cr_semantics.Explicit.t
-(** Explicit graph of the synchronous semantics; chunked, memoized and
-    space-routed like {!to_explicit} (the cache key's mode tag keeps the
-    two semantics of one program distinct). *)
+(** Explicit graph of the synchronous semantics; chunked and
+    space-routed like {!to_explicit}. *)
 
 val action_tables : t -> state Cr_semantics.Explicit.t -> int array array
 (** [tables.(a).(i)]: where action [a] (by position in {!actions})

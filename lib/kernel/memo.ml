@@ -1,9 +1,9 @@
 (* Content-addressed, single-flight memo tables: the one cache behind
-   both the explicit-state compile ([Cr_guarded.Program]) and the
-   checker verdicts ([Cr_core.Refine], [Cr_core.Stabilize]).
+   the checker verdicts ([Cr_core.Refine], [Cr_core.Stabilize]).
 
-   Keys are fingerprints built by the caller (usually through [Fp]);
-   values are whatever the caller computes.  A domain that misses
+   Keys are fingerprints built by the caller (usually through [Fp]) over
+   everything the value depends on; values are whatever the caller
+   computes.  A domain that misses
    publishes an in-flight marker, computes outside the lock, then
    broadcasts; concurrent requesters of the same key block until the
    value lands and count a hit.  Hit/miss totals are therefore exactly

@@ -1,11 +1,12 @@
 (** Content-addressed, single-flight memo tables.
 
-    One implementation serves every cache of the checker: compiled
-    explicit graphs ([compile], owned by [Cr_guarded.Program]) and
-    refinement/stabilization verdicts ([check], owned by
-    [Cr_core.Refine] and [Cr_core.Stabilize]).  Keys are fingerprints
-    the caller builds (usually with {!Fp}); values are whatever the
-    caller computes.
+    The checker's one cache: refinement/stabilization verdicts
+    ([check], owned by [Cr_core.Refine] and [Cr_core.Stabilize], keyed
+    by [Cr_core.Check_cache.key] over the exact transition lanes).
+    Compiled graphs are not memoized.  Keys are fingerprints the caller
+    builds (usually with {!Fp}) from everything the value depends on,
+    never from a sample of it; values are whatever the caller
+    computes.
 
     Lookups are single-flight across domains: concurrent requesters of a
     missing key block while one domain computes, then count a hit — so

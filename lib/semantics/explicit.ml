@@ -63,8 +63,6 @@ type 'a t = {
 
 let name t = t.name
 
-let rename name t = { t with name }
-
 let num_states t = Space.size t.space
 
 let state (type a) (t : a t) i =
@@ -357,8 +355,9 @@ let of_system (type a) (sys : a System.t) =
     ~pp_state:sys.System.pp succ_lists
 
 (* Box on explicit systems over the same enumeration: [t2] indexes every
-   state of [t1] at the same position.  Systems sharing one space (e.g.
-   re-targeted cache hits) pass without a sweep. *)
+   state of [t1] at the same position.  Systems sharing one space (a
+   graph and its {!all_initial} or {!box} derivatives) pass without a
+   sweep. *)
 let same_states t1 t2 =
   num_states t1 = num_states t2
   && (t1.space == t2.space
@@ -416,11 +415,6 @@ let box ?name t1 t2 =
   record_built { t1 with name; succ; pred = lazy_pred () }
 
 let same_transitions t1 t2 = same_states t1 t2 && Csr.equal t1.succ t2.succ
-
-(* Shares the transition CSR, the space and the (possibly already
-   forced) predecessor transpose with the original; the new initial
-   states are swept on first use. *)
-let with_initials t initial = { t with initial; inits = Atomic.make Inits_todo }
 
 let all_initial t =
   let n = num_states t in

@@ -92,7 +92,6 @@ val of_edge_lists :
 (** Low-level constructor from adjacency lists (indices). *)
 
 val name : _ t -> string
-val rename : string -> 'a t -> 'a t
 val num_states : _ t -> int
 val num_transitions : _ t -> int
 val state : 'a t -> int -> 'a
@@ -135,7 +134,7 @@ val predecessors : _ t -> int -> int array
 
 val pred_forced : _ t -> bool
 (** Has the predecessor transpose been computed yet?  (Introspection for
-    tests and telemetry; {!box} and {!with_initials} preserve
+    tests and telemetry; {!box} and {!all_initial} preserve
     laziness.) *)
 
 val is_initial : _ t -> int -> bool
@@ -173,11 +172,6 @@ val box : ?name:string -> 'a t -> 'a t -> 'a t
     are those of the left operand.  Raises {!Space.Too_large} before it
     allocates when the two edge counts together pass
     {!Cr_kernel.Lane.max_lanes}. *)
-
-val with_initials : 'a t -> ('a -> bool) -> 'a t
-(** Replace the initial-state predicate in O(1): the new initial states
-    are swept on first use; the graph, the space and the predecessor
-    transpose are shared. *)
 
 val all_initial : 'a t -> 'a t
 (** Every state initial, the full mask set at once without a sweep (a

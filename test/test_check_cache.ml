@@ -4,13 +4,13 @@
    sign-flipped elements.  The verdict memos over the full registry
    at N = 3: warm hits return the same verdicts a fresh check computes,
    a report table and crcheck's route share one entry per question,
-   a registry sweep under CR_CACHE=0 counts no compile or verdict cache
-   traffic and yields the same verdicts, and
-   CR_CACHE_PARANOID=1 recheck-and-assert passes on every hit, and a
-   stabilization key leaves out C's initial states while a refinement
-   key folds them.  And two
-   compiles of one program in different index orders (closure-seeded
-   and seeded with [?roots]) never share a compile-cache entry. *)
+   a registry sweep under CR_CACHE=0 counts no verdict cache traffic
+   and yields the same verdicts, and CR_CACHE_PARANOID=1
+   recheck-and-assert passes on every hit, and a stabilization key
+   leaves out C's initial states while a refinement key folds them.
+   And two compiles of one program in different index orders
+   (closure-seeded and seeded with [?roots]) each keep their own
+   order. *)
 
 module Obs = Cr_obs.Obs
 module Memo = Cr_kernel.Memo
@@ -24,7 +24,6 @@ let counter snap name =
 
 (* Cold caches + fresh counters, then [f]; returns (result, counters). *)
 let with_cold_counters f =
-  Cr_guarded.Program.clear_compile_cache ();
   Cr_core.Check_cache.clear_all ();
   Obs.reset ();
   Obs.force_collect ();
@@ -141,13 +140,7 @@ let test_table_and_verify_share_entry () =
   Alcotest.(check int) "no check miss" 0 (moved "check.cache.misses");
   Alcotest.(check int) "no stabilize run" 0 (moved "stabilize.runs")
 
-let cache_counters =
-  [
-    "compile.cache.hits";
-    "compile.cache.misses";
-    "check.cache.hits";
-    "check.cache.misses";
-  ]
+let cache_counters = [ "check.cache.hits"; "check.cache.misses" ]
 
 let test_cache_disabled_by_env () =
   let cached, _ = with_cold_counters all_verdicts in
@@ -179,9 +172,9 @@ let test_paranoid_recheck_passes () =
 
 (* A closure-seeded compile is renumbered in ascending rank; a compile
    from the same seeds given as [?roots] keeps discovery order.  Two
-   index orders of one graph: whichever is compiled first, they must
-   never share a compile-cache entry. *)
-let test_closure_and_roots_keys () =
+   index orders of one graph: whichever is compiled first, each keeps
+   its own. *)
+let test_closure_and_roots_orders () =
   let module Program = Cr_guarded.Program in
   let p = Cr_tokenring.Btr3.dijkstra3 n in
   let layout = Program.layout p in
@@ -198,26 +191,21 @@ let test_closure_and_roots_keys () =
     Cr_semantics.Explicit.same_transitions a b
     && Cr_semantics.Explicit.initials a = Cr_semantics.Explicit.initials b
   in
-  let fresh_closure = Memo.bypass closure in
-  let fresh_roots = Memo.bypass from_roots in
+  let fresh_closure = closure () in
+  let fresh_roots = from_roots () in
   check "the two index orders differ" false
     (Cr_semantics.Explicit.same_transitions fresh_closure fresh_roots);
   List.iter
     (fun closure_first ->
       let label = if closure_first then "closure first" else "roots first" in
-      let (c, r), snap =
-        with_cold_counters (fun () ->
-            if closure_first then
-              let c = closure () in
-              (c, from_roots ())
-            else
-              let r = from_roots () in
-              (closure (), r))
+      let c, r =
+        if closure_first then
+          let c = closure () in
+          (c, from_roots ())
+        else
+          let r = from_roots () in
+          (closure (), r)
       in
-      Alcotest.(check int) (label ^ ": two misses") 2
-        (counter snap "compile.cache.misses");
-      Alcotest.(check int) (label ^ ": no hit") 0
-        (counter snap "compile.cache.hits");
       check (label ^ ": closure-seeded graph") true (same c fresh_closure);
       check (label ^ ": roots graph") true (same r fresh_roots))
     [ true; false ]
@@ -288,9 +276,9 @@ let () =
           Alcotest.test_case "C's initial states key refinement only" `Quick
             test_initials_in_keys;
         ] );
-      ( "compile cache",
+      ( "compile",
         [
-          Alcotest.test_case "closure and roots compiles never share" `Quick
-            test_closure_and_roots_keys;
+          Alcotest.test_case "closure and roots compiles keep their orders"
+            `Quick test_closure_and_roots_orders;
         ] );
     ]

@@ -1,17 +1,16 @@
-(* Tests of the chunked, memoized explicit compiler: domain-chunked
+(* Tests of the chunked explicit compiler: domain-chunked
    [Program.to_explicit] must be byte-identical to the sequential path
-   for every execution mode, the compile memo must be transparent
-   (including under CR_CACHE_PARANOID) and bypassable with CR_CACHE=0,
-   predecessor rows must stay lazy until a backward query needs them,
-   and the initial predicate must run once, on the first use of the
-   initial states, and never during a compile or a stabilization
-   check. *)
+   for every execution mode, every compile must build the graph of its
+   own program (two programs that agree on a sample of states never
+   share one), predecessor rows must stay lazy until a backward query
+   needs them, and the initial predicate must run once, on the first
+   use of the initial states, and never during a compile or a
+   stabilization check. *)
 
 open Cr_guarded
 module E = Cr_semantics.Explicit
 module Memo = Cr_kernel.Memo
 module Par = Cr_kernel.Par
-module Obs = Cr_obs.Obs
 
 (* ---- random program generation (as in test_guarded_props) ---- *)
 
@@ -65,9 +64,6 @@ let build { doms; acts } =
    initial states (names may differ). *)
 let same a b = E.same_transitions a b && E.initials a = E.initials b
 
-let fresh_with_jobs jobs f =
-  Memo.bypass (fun () -> Par.with_jobs jobs (fun () -> f ()))
-
 (* ---- chunked compilation is byte-identical to sequential ---- *)
 
 let prop_chunked_plain_sync =
@@ -77,11 +73,11 @@ let prop_chunked_plain_sync =
     (fun raw ->
       let p = build raw in
       same
-        (fresh_with_jobs 1 (fun () -> Program.to_explicit p))
-        (fresh_with_jobs 4 (fun () -> Program.to_explicit p))
+        (Par.with_jobs 1 (fun () -> Program.to_explicit p))
+        (Par.with_jobs 4 (fun () -> Program.to_explicit p))
       && same
-           (fresh_with_jobs 1 (fun () -> Program.to_explicit_synchronous p))
-           (fresh_with_jobs 4 (fun () -> Program.to_explicit_synchronous p)))
+           (Par.with_jobs 1 (fun () -> Program.to_explicit_synchronous p))
+           (Par.with_jobs 4 (fun () -> Program.to_explicit_synchronous p)))
 
 let prop_chunked_priority =
   QCheck2.Test.make
@@ -91,17 +87,17 @@ let prop_chunked_priority =
       let rw = { rw with doms = rb.doms } in
       let combined, is_w = Program.box_priority (build rb) (build rw) in
       same
-        (fresh_with_jobs 1 (fun () ->
+        (Par.with_jobs 1 (fun () ->
              Program.to_explicit ~priority_of:is_w combined))
-        (fresh_with_jobs 4 (fun () ->
+        (Par.with_jobs 4 (fun () ->
              Program.to_explicit ~priority_of:is_w combined)))
 
 (* The same invariance through the real environment contract. *)
 let test_env_jobs () =
   let p = Cr_tokenring.Btr3.dijkstra3 4 in
-  let seq = fresh_with_jobs 1 (fun () -> Program.to_explicit p) in
+  let seq = Par.with_jobs 1 (fun () -> Program.to_explicit p) in
   Unix.putenv "CR_JOBS" "4";
-  let par = Memo.bypass (fun () -> Program.to_explicit p) in
+  let par = Program.to_explicit p in
   Unix.putenv "CR_JOBS" "1";
   Alcotest.(check bool) "CR_JOBS=4 graph equals sequential" true (same seq par)
 
@@ -235,16 +231,16 @@ let prop_streamed_eq_reference =
       let p, is_w = build_tab raw in
       List.for_all
         (fun jobs ->
-          let fresh f () = fresh_with_jobs jobs f in
+          let at_jobs f () = Par.with_jobs jobs f in
           agrees
             (fun () -> Compile_ref.compile p)
-            (fresh (fun () -> Program.to_explicit p))
+            (at_jobs (fun () -> Program.to_explicit p))
           && agrees
                (fun () -> Compile_ref.compile ~priority_of:is_w p)
-               (fresh (fun () -> Program.to_explicit ~priority_of:is_w p))
+               (at_jobs (fun () -> Program.to_explicit ~priority_of:is_w p))
           && agrees
                (fun () -> Compile_ref.compile ~sync:true p)
-               (fresh (fun () -> Program.to_explicit_synchronous p)))
+               (at_jobs (fun () -> Program.to_explicit_synchronous p)))
         all_jobs)
 
 (* The sparse engine on the same random programs, under every job
@@ -298,17 +294,17 @@ let prop_sparse_eq_reference =
       in
       List.for_all
         (fun jobs ->
-          let fresh f () = fresh_with_jobs jobs f in
+          let at_jobs f () = Par.with_jobs jobs f in
           agrees
             (fun () -> Compile_ref.compile_sparse ~seeds p)
-            (fresh (sparse p))
+            (at_jobs (sparse p))
           && agrees
                (fun () -> Compile_ref.compile_sparse ~priority_of:is_w ~seeds p)
-               (fresh (sparse ~priority_of:is_w p))
+               (at_jobs (sparse ~priority_of:is_w p))
           && agrees
                (fun () -> Compile_ref.compile_sparse ~seeds p)
-               (fresh (sparse ~roots:(Array.append seeds seeds) p))
-          && agrees closure (fresh (sparse closed)))
+               (at_jobs (sparse ~roots:(Array.append seeds seeds) p))
+          && agrees closure (at_jobs (sparse closed)))
         all_jobs)
 
 (* Every registry program at N = 2..4 whose dense space the reference
@@ -327,7 +323,7 @@ let registry_cases =
 
 (* The initial states are swept on first use: force them under the
    same job count as the compile. *)
-let with_initials_forced e =
+let forcing_initials e =
   ignore (E.initial_mask e);
   e
 
@@ -341,14 +337,14 @@ let test_registry_reference ((e : Cr_experiments.Registry.entry), n) () =
         (Printf.sprintf "%s n=%d jobs=%d: plain = reference" e.name n jobs)
         true
         (agrees_with_ref plain
-           (fresh_with_jobs jobs (fun () ->
-                with_initials_forced (Program.to_explicit p))));
+           (Par.with_jobs jobs (fun () ->
+                forcing_initials (Program.to_explicit p))));
       Alcotest.(check bool)
         (Printf.sprintf "%s n=%d jobs=%d: sync = reference" e.name n jobs)
         true
         (agrees_with_ref sync
-           (fresh_with_jobs jobs (fun () ->
-                with_initials_forced (Program.to_explicit_synchronous p)))))
+           (Par.with_jobs jobs (fun () ->
+                forcing_initials (Program.to_explicit_synchronous p)))))
     all_jobs
 
 (* ---- closure-seeded sparse compile = the sparse reference ---- *)
@@ -406,7 +402,7 @@ let test_closure_seeded ((e : Cr_experiments.Registry.entry), n, seeds) () =
         (Printf.sprintf "%s n=%d jobs=%d: closure-seeded = reference" e.name n
            jobs)
         true
-        (agrees_with_ref reference (fresh_with_jobs jobs (fun () -> sparse p))))
+        (agrees_with_ref reference (Par.with_jobs jobs (fun () -> sparse p))))
     all_jobs
 
 (* ---- initial- and root-seeded sparse compiles = the sparse reference ---- *)
@@ -439,7 +435,7 @@ let test_initial_seeded ((e : Cr_experiments.Registry.entry), n) () =
            jobs)
         true
         (agrees_with_ref reference
-           (fresh_with_jobs jobs (fun () -> with_initials_forced (sparse p)))))
+           (Par.with_jobs jobs (fun () -> forcing_initials (sparse p)))))
     all_jobs
 
 (* Every registry spec at N = 2..4 discovered from the α-images of its
@@ -455,9 +451,7 @@ let test_roots_seeded ((e : Cr_experiments.Registry.entry), n) () =
   let spec = e.spec n in
   let layout = Program.layout spec in
   let images = ref [] in
-  E.iter_states
-    (Memo.bypass (fun () -> sparse (e.program n)))
-    (fun _ s ->
+  E.iter_states (sparse (e.program n)) (fun _ s ->
       images :=
         Layout.rank layout (Cr_semantics.Abstraction.apply (e.alpha n) s)
         :: !images);
@@ -470,8 +464,8 @@ let test_roots_seeded ((e : Cr_experiments.Registry.entry), n) () =
            n jobs)
         true
         (agrees_with_ref reference
-           (fresh_with_jobs jobs (fun () ->
-                with_initials_forced
+           (Par.with_jobs jobs (fun () ->
+                forcing_initials
                   (Program.to_explicit ~roots ~space:Cr_semantics.Space.Sparse
                      spec)))))
     all_jobs
@@ -514,7 +508,7 @@ let test_closure_variants () =
                jobs)
             true
             (agrees_with_ref reference
-               (fresh_with_jobs jobs (fun () -> sparse ?priority_of q))))
+               (Par.with_jobs jobs (fun () -> sparse ?priority_of q))))
         all_jobs)
     [ ("boxed", boxed, None); ("with_actions", fewer, None);
       ("priority", prio, Some is_w) ];
@@ -543,7 +537,7 @@ let test_closure_variants () =
     "priority over the closure's own actions: = reference from the closure"
     true
     (agrees_with_ref reference
-       (fresh_with_jobs 1 (fun () -> sparse ~priority_of tiny)))
+       (Par.with_jobs 1 (fun () -> sparse ~priority_of tiny)))
 
 (* An effect that leaves Sigma is reported exactly as the reference
    reports it, from whichever chunk the escaping state falls in. *)
@@ -581,7 +575,7 @@ let test_escape_message () =
           Alcotest.(check (option string))
             (Printf.sprintf "%s jobs=%d: same Unknown_state message" label jobs)
             expected
-            (message (fun () -> fresh_with_jobs jobs streamed)))
+            (message (fun () -> Par.with_jobs jobs streamed)))
         all_jobs)
     [
       ( "plain",
@@ -649,11 +643,9 @@ let flip_program bits =
     ~initial:(fun _ -> false)
   |> Program.with_initial_closure ~seeds:[ Array.make bits 0 ]
 
-(* 2^60 states: the fingerprint probe's sample index [k * n / 256]
-   overflowed here and sampled invalid states, which the probe then
-   reported as escaping Sigma. *)
-let test_probe_past_overflow () =
-  Program.clear_compile_cache ();
+(* 2^60 states, two of them reachable: the sparse compile reads only
+   those two, and no step of theirs leaves Sigma. *)
+let test_sparse_2_60 () =
   let e = Program.to_explicit ~space:Cr_semantics.Space.Sparse (flip_program 60) in
   Alcotest.(check int) "two reachable states" 2 (E.num_states e);
   Alcotest.(check (list (pair int int)))
@@ -717,38 +709,36 @@ let test_lane_bounds () =
      268435455 states with 8 actions)"
     (fun () -> Program.to_explicit (flips_program 28 8))
 
-(* ---- compile cache ---- *)
+(* ---- every compile builds its own program's graph ---- *)
 
-let counter snap name =
-  match List.assoc_opt name snap with Some v -> v | None -> 0
-
-(* Sharing is observed on the CSR adjacency itself: a cache hit hands
-   back the same physical graph, so the two views are [==]. *)
-let rows_shared e1 e2 = Some (E.csr e1 == E.csr e2)
-
-let with_counters f =
-  Obs.reset ();
-  Obs.force_collect ();
-  let r = f () in
-  (r, Obs.merged_snapshot ())
-
-let test_cache_hit_shares () =
-  Program.clear_compile_cache ();
-  let (e1, e2), snap =
-    with_counters (fun () ->
-        ( Program.to_explicit (Cr_tokenring.Btr.program 3),
-          Program.to_explicit (Cr_tokenring.Btr.program 3) ))
-  in
+let test_compiles_agree () =
+  let e1 = Program.to_explicit (Cr_tokenring.Btr.program 3) in
+  let e2 = Program.to_explicit (Cr_tokenring.Btr.program 3) in
   Alcotest.(check bool) "identical graphs" true (same e1 e2);
-  Alcotest.(check (option bool))
-    "successor rows physically shared" (Some true) (rows_shared e1 e2);
   Alcotest.(check bool)
-    "at least one miss then one hit" true
-    (counter snap "compile.cache.misses" >= 1
-    && counter snap "compile.cache.hits" >= 1)
+    "each compile builds its own successor rows" false (E.csr e1 == E.csr e2)
 
-let test_cache_retargets_initials () =
-  Program.clear_compile_cache ();
+(* The compile reads no memo switch: with [var] set it builds the graph
+   it builds without it, and still shares no rows between compiles. *)
+let test_switch_changes_no_graph var value () =
+  let p = Cr_tokenring.Btr.program 3 in
+  let plain = Program.to_explicit p in
+  Unix.putenv var value;
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv var "")
+    (fun () ->
+      let e1 = Program.to_explicit p in
+      let e2 = Program.to_explicit p in
+      Alcotest.(check bool)
+        (var ^ ": the graph of the unset switch") true
+        (same plain e1 && same e1 e2);
+      Alcotest.(check bool)
+        (var ^ ": rows not shared") false
+        (E.csr plain == E.csr e1 || E.csr e1 == E.csr e2))
+
+(* Two programs that differ only in their initial predicate: the same
+   transitions, each graph with its own initial states. *)
+let test_own_initials () =
   let p = Cr_tokenring.Btr.program 3 in
   let q = Program.with_initial (fun s -> s.(0) = 1) p in
   let ep = Program.to_explicit p in
@@ -760,51 +750,53 @@ let test_cache_retargets_initials () =
     Array.for_all (fun i -> pred (E.state e i)) (E.initials e)
   in
   Alcotest.(check bool)
-    "hit graph obeys the requesting program's initial predicate" true
+    "each graph obeys its own program's initial predicate" true
     (expected_initials eq (fun s -> s.(0) = 1)
     && E.initials ep <> E.initials eq)
 
-let test_cache_paranoid () =
-  Program.clear_compile_cache ();
-  Unix.putenv "CR_CACHE_PARANOID" "1";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "CR_CACHE_PARANOID" "")
-    (fun () ->
-      let e1 = Program.to_explicit (Cr_tokenring.Btr3.dijkstra3 3) in
-      (* hit: paranoid mode recompiles and asserts equality — must not
-         raise *)
-      let e2 = Program.to_explicit (Cr_tokenring.Btr3.dijkstra3 3) in
-      Alcotest.(check bool) "paranoid hit equals miss" true (same e1 e2))
-
-let test_cache_disabled () =
-  Program.clear_compile_cache ();
-  Unix.putenv "CR_CACHE" "0";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "CR_CACHE" "")
-    (fun () ->
-      let (e1, e2), snap =
-        with_counters (fun () ->
-            ( Program.to_explicit (Cr_tokenring.Btr.program 3),
-              Program.to_explicit (Cr_tokenring.Btr.program 3) ))
-      in
-      Alcotest.(check bool) "identical graphs without the cache" true (same e1 e2);
-      Alcotest.(check int)
-        "no hits counted" 0
-        (counter snap "compile.cache.hits");
-      Alcotest.(check int)
-        "no misses counted" 0
-        (counter snap "compile.cache.misses");
-      Alcotest.(check (option bool))
-        "rows not shared" (Some false) (rows_shared e1 e2))
+(* Nine boolean slots (512 states) and two programs named [p] whose one
+   [flip] action differs only in its guard: [true], or [b0 = 0 || b1 =
+   0], which is false exactly where b0 = b1 = 1, on odd ranks only, so
+   no key that samples the even ranks tells them apart.  In either
+   order, on the dense, synchronous and root-seeded sparse routes, each
+   graph keeps its own transition count. *)
+let test_near_identical_programs () =
+  let layout = Layout.make (List.init 9 (fun i -> (Printf.sprintf "b%d" i, 2))) in
+  let program guard =
+    let flip =
+      Action.make ~label:"flip" ~proc:0 ~guard
+        ~assign:[ (8, fun s -> 1 - s.(8)) ]
+        ()
+    in
+    Program.make ~name:"p" ~layout ~actions:[ flip ] ~initial:(fun _ -> true)
+  in
+  let always = (program (fun _ -> true), 512) in
+  let mostly = (program (fun s -> s.(0) = 0 || s.(1) = 0), 384) in
+  let roots = Array.init 512 Fun.id in
+  List.iter
+    (fun (route, compile) ->
+      List.iter
+        (fun ((p1, n1), (p2, n2)) ->
+          let e1 = compile p1 in
+          let e2 = compile p2 in
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "%s: %d then %d transitions" route n1 n2)
+            (n1, n2)
+            (E.num_transitions e1, E.num_transitions e2))
+        [ (always, mostly); (mostly, always) ])
+    [
+      ("dense", fun p -> Program.to_explicit p);
+      ("synchronous", fun p -> Program.to_explicit_synchronous p);
+      ( "sparse from every root",
+        fun p -> Program.to_explicit ~roots ~space:Cr_semantics.Space.Sparse p );
+    ]
 
 (* A step that leaves Sigma only from a state the sparse discovery
-   never reaches (y := 2 at y = 1, from x = y = 0): the key's probe
-   samples all of Sigma, so it folds the escape instead of raising, and
-   the cached sparse compile is the uncached one.  The dense compile
-   visits the escaping state and fails with one message, cached or not,
-   also after the same program with that step disabled was cached: the
-   probe's escape marker is not its disabled one. *)
-let test_cache_probe_escape () =
+   never reaches (y := 2 at y = 1, from x = y = 0): the sparse compile
+   succeeds on the two reachable states.  The dense compile visits the
+   escaping state and fails, with one message, also after the same
+   program with that step disabled was compiled. *)
+let test_unreached_escape () =
   let layout = Layout.make [ ("x", 3); ("y", 2) ] in
   let set label slot ~at v =
     Action.make ~label ~proc:slot
@@ -823,36 +815,26 @@ let test_cache_probe_escape () =
   in
   List.iter
     (fun (label, compile) ->
-      Program.clear_compile_cache ();
-      let cached = compile Cr_semantics.Space.Sparse p in
-      let uncached =
-        Memo.bypass (fun () -> compile Cr_semantics.Space.Sparse p)
-      in
+      let e = compile Cr_semantics.Space.Sparse p in
       Alcotest.(check (pair int int))
         (label ^ ": 2 states, 1 transition") (2, 1)
-        (E.num_states cached, E.num_transitions cached);
-      Alcotest.(check bool)
-        (label ^ ": cached sparse = uncached") true (same cached uncached);
+        (E.num_states e, E.num_transitions e);
       let dense () = message (fun () -> compile Cr_semantics.Space.Dense p) in
-      let uncached = Memo.bypass dense in
-      Alcotest.(check bool) (label ^ ": dense raises") true (uncached <> None);
-      Alcotest.(check (option string))
-        (label ^ ": the same message cached") uncached (dense ());
+      let first = dense () in
+      Alcotest.(check bool) (label ^ ": dense raises") true (first <> None);
       ignore (compile Cr_semantics.Space.Dense disabled);
       Alcotest.(check (option string))
-        (label ^ ": and after the disabled step's compile") uncached (dense ()))
+        (label ^ ": the same message after the disabled step's compile") first
+        (dense ()))
     [
       ("plain", fun space p -> Program.to_explicit ~space p);
       ("sync", fun space p -> Program.to_explicit_synchronous ~space p);
     ]
 
-(* Warm-cache compiles of random programs still agree with the step
-   function: the content-addressed key (with its semantic probe) must
-   never alias two behaviourally different programs.  The cache is
-   deliberately left warm across the 200 cases. *)
-let prop_cache_never_aliases =
-  QCheck2.Test.make ~name:"warm cache: compile agrees with step function"
-    ~count:200 gen_prog
+(* Compiles of random programs agree with the step function. *)
+let prop_agrees_with_step =
+  QCheck2.Test.make ~name:"compile agrees with step function" ~count:200
+    gen_prog
     (fun raw ->
       let p = build raw in
       let e = Program.to_explicit p in
@@ -874,20 +856,14 @@ let prop_cache_never_aliases =
 (* ---- lazy predecessors ---- *)
 
 let test_lazy_pred () =
-  let e =
-    Memo.bypass (fun () -> Program.to_explicit (Cr_tokenring.Btr3.dijkstra3 3))
-  in
+  let e = Program.to_explicit (Cr_tokenring.Btr3.dijkstra3 3) in
   Alcotest.(check bool) "pred not forced by compile" false (E.pred_forced e);
   ignore (E.successors e 0);
   ignore (E.num_transitions e);
   Alcotest.(check bool)
     "forward queries leave pred lazy" false (E.pred_forced e);
-  let with_inits = E.with_initials e (fun _ -> false) in
   ignore (E.predecessors e 0);
   Alcotest.(check bool) "backward query forces pred" true (E.pred_forced e);
-  Alcotest.(check bool)
-    "with_initials shares the forced transpose" true
-    (E.pred_forced with_inits);
   (* the transpose is consistent with the successor rows *)
   let n = E.num_states e in
   let ok = ref true in
@@ -934,7 +910,7 @@ let counting_dijkstra3 () =
 
 let test_lazy_initials () =
   let p, calls = counting_dijkstra3 () in
-  let e = Memo.bypass (fun () -> Program.to_explicit p) in
+  let e = Program.to_explicit p in
   Alcotest.(check int) "a dense compile calls it 0 times" 0 (Atomic.get calls);
   let entry = Option.get (Cr_experiments.Registry.find "dijkstra3") in
   (* a cold verdict memo: the check runs, and its key is computed *)
@@ -959,31 +935,6 @@ let test_lazy_initials () =
     "the swept states are the one-token states"
     (Compile_ref.compile p).Compile_ref.initials inits
 
-(* [with_initials] replaces the predicate in O(1): nothing is called
-   until the new mask is forced, and the original keeps its own. *)
-let test_with_initials_lazy () =
-  let e =
-    Memo.bypass (fun () -> Program.to_explicit (Cr_tokenring.Btr3.dijkstra3 3))
-  in
-  let before = E.initials e in
-  let calls = Atomic.make 0 in
-  let e' =
-    E.with_initials e (fun s ->
-        Atomic.incr calls;
-        s.(0) = 0)
-  in
-  Alcotest.(check int) "with_initials calls nothing" 0 (Atomic.get calls);
-  let mask = E.initial_mask e' in
-  Alcotest.(check int) "forcing sweeps once" (E.num_states e)
-    (Atomic.get calls);
-  Alcotest.(check bool)
-    "the new mask follows the new predicate" true
-    (List.for_all
-       (fun i -> Cr_kernel.Bitset.get mask i = ((E.state e i).(0) = 0))
-       (List.init (E.num_states e) Fun.id));
-  Alcotest.(check (array int)) "the original keeps its initials" before
-    (E.initials e)
-
 let () =
   Alcotest.run "compile"
     [
@@ -991,19 +942,22 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_chunked_plain_sync; prop_chunked_priority ]
         @ [ Alcotest.test_case "env CR_JOBS=4" `Quick test_env_jobs ] );
-      ( "cache",
+      ( "own graph",
         [
-          Alcotest.test_case "hit shares the compiled graph" `Quick
-            test_cache_hit_shares;
-          Alcotest.test_case "hit re-targets initial states" `Quick
-            test_cache_retargets_initials;
-          Alcotest.test_case "paranoid mode accepts honest hits" `Quick
-            test_cache_paranoid;
-          Alcotest.test_case "CR_CACHE=0 disables" `Quick test_cache_disabled;
+          Alcotest.test_case "two compiles give identical graphs" `Quick
+            test_compiles_agree;
+          Alcotest.test_case "each graph keeps its own initial states" `Quick
+            test_own_initials;
+          Alcotest.test_case "CR_CACHE=0 changes no graph" `Quick
+            (test_switch_changes_no_graph "CR_CACHE" "0");
+          Alcotest.test_case "CR_CACHE_PARANOID=1 changes no graph" `Quick
+            (test_switch_changes_no_graph "CR_CACHE_PARANOID" "1");
+          Alcotest.test_case "programs that differ on odd ranks only" `Quick
+            test_near_identical_programs;
           Alcotest.test_case "an escape the discovery never reaches" `Quick
-            test_cache_probe_escape;
+            test_unreached_escape;
         ]
-        @ List.map QCheck_alcotest.to_alcotest [ prop_cache_never_aliases ] );
+        @ List.map QCheck_alcotest.to_alcotest [ prop_agrees_with_step ] );
       ( "reference",
         List.map QCheck_alcotest.to_alcotest
           [ prop_streamed_eq_reference; prop_sparse_eq_reference ]
@@ -1043,8 +997,8 @@ let () =
             roots_cases );
       ( "overflow",
         [
-          Alcotest.test_case "probe samples a 2^60-state space" `Quick
-            test_probe_past_overflow;
+          Alcotest.test_case "a sparse compile of a 2^60-state space" `Quick
+            test_sparse_2_60;
           Alcotest.test_case "dense engine refuses unindexable spaces" `Quick
             test_dense_refuses;
           Alcotest.test_case "past 2^31 - 1 states or edge lanes" `Quick
@@ -1061,7 +1015,5 @@ let () =
         [
           Alcotest.test_case "swept once, on first use only" `Quick
             test_lazy_initials;
-          Alcotest.test_case "with_initials calls nothing until forced" `Quick
-            test_with_initials_lazy;
         ] );
     ]

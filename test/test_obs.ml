@@ -46,9 +46,8 @@ let merged_after_report ~jobs =
      memoization is orthogonal to the job count being varied *)
   ignore (Cr_experiments.Fig_exps.fig1_a ());
   ignore (Cr_experiments.Fig_exps.fig1_c ());
-  (* start from cold compile and verdict caches so hit/miss totals don't
-     depend on how many runs came before this one *)
-  Cr_guarded.Program.clear_compile_cache ();
+  (* start from a cold verdict cache so hit/miss totals don't depend on
+     how many runs came before this one *)
   Cr_core.Check_cache.clear_all ();
   Obs.reset ();
   Obs.force_collect ();
@@ -107,7 +106,6 @@ let value_histograms hs =
 
 let hists_after_report ~jobs =
   Unix.putenv "CR_JOBS" (string_of_int jobs);
-  Cr_guarded.Program.clear_compile_cache ();
   Cr_core.Check_cache.clear_all ();
   Obs.reset ();
   Obs.force_collect ();

@@ -101,10 +101,16 @@ let test_box_priority () =
   check "base acts when wrapper is a no-op" true
     (Explicit.has_edge q (Explicit.find q 0) (Explicit.find q 1))
 
-let test_with_initials () =
+let test_all_initial () =
   let e = Explicit.of_system chain in
-  let e' = Explicit.with_initials e (fun s -> s >= 2) in
-  check_int "two initials now" 2 (Array.length (Explicit.initials e'))
+  let a = Explicit.all_initial e in
+  check_int "every state initial" 4 (Array.length (Explicit.initials a));
+  check "same transitions" true (Explicit.same_transitions e a);
+  check_int "the original keeps its one initial" 1
+    (Array.length (Explicit.initials e));
+  check "pred still lazy" false (Explicit.pred_forced a);
+  ignore (Explicit.predecessors e 0);
+  check "shares the forced transpose" true (Explicit.pred_forced a)
 
 (* Computations *)
 
@@ -353,7 +359,7 @@ let () =
             test_escaping_step_rejected;
           Alcotest.test_case "box union" `Quick test_box_union;
           Alcotest.test_case "box priority" `Quick test_box_priority;
-          Alcotest.test_case "with_initials" `Quick test_with_initials;
+          Alcotest.test_case "all_initial" `Quick test_all_initial;
           Alcotest.test_case "dot export" `Quick test_dot_export;
         ] );
       ( "computation",

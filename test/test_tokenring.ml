@@ -142,10 +142,8 @@ let test_rewriting () =
 let test_kstate () =
   List.iter
     (fun n ->
-      check "K = N+1 stabilizes" true
-        (Cr_experiments.Ring_exps.kstate_stabilizes ~n ~k:(n + 1))
-          .Cr_core.Stabilize.holds;
-      let r = Cr_experiments.Ring_exps.kstate_refines_wrapped_utr ~n ~k:(n + 1) in
+      let st, r = Cr_experiments.Ring_exps.kstate_checks ~n ~k:(n + 1) in
+      check "K = N+1 stabilizes" true st.Cr_core.Stabilize.holds;
       check "[Kstate ⪯ UTR[]W1u[]W2u]" true r.Cr_core.Refine.holds)
     ns;
   check "K = 2 fails for n = 3" false
