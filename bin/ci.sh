@@ -112,6 +112,19 @@ minor=$(sed -n 's/^ *minor \([0-9.]*\) Mwords.*/\1/p' "$alloclog")
   exit 1
 }
 
+# An α-table builds no image either: each of verify dijkstra3 -n 9's
+# 59,049 states is ranked straight into the spec's rank index, so the
+# run stays under 0.1 Mwords of minor allocation (building a BTR state
+# per concrete state took 1.3 Mwords).
+CR_JOBS=1 CR_STATS=1 dune exec bin/crcheck.exe -- verify dijkstra3 -n 9 \
+  > /dev/null 2> "$alloclog"
+minor=$(sed -n 's/^ *minor \([0-9.]*\) Mwords.*/\1/p' "$alloclog")
+[ -n "$minor" ] && awk -v m="$minor" 'BEGIN { exit !(m < 0.1) }' || {
+  echo "ci: verify dijkstra3 -n 9 allocated ${minor:-?} Mwords minor, want < 0.1" >&2
+  cat "$alloclog" >&2
+  exit 1
+}
+
 # Compile smoke: verify builds every graph exactly once — the dense
 # program and the spec's sparse legitimate orbit, two compiles even for
 # btr, whose spec is its program — so the CR_STATS summary must count

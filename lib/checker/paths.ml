@@ -146,18 +146,26 @@ let shortest_path ~succ ~src ~dst =
    steps a run can take while staying in the region, the step that
    leaves it counted.
 
-   Scratch is five four-byte lanes per state — [index] (the DFS number
-   while on the Tarjan stack, then whether the state's SCC reaches
-   [bad]), [low] (the Tarjan low-link, overwritten with the depth once
-   the state's SCC closes), the Tarjan stack, and the DFS vertex and
-   cursor — and [low] is returned as the depth lanes.  Only [index] is
-   read before it is written, so the other four are allocated
-   uninitialised: only the pages the DFS reaches become resident. *)
+   One lane per state is resident, after Pearce's space-efficient SCC
+   algorithm ("A space-efficient algorithm for finding strongly
+   connected components", IPL 116(1), 2016).  Lane [i] holds
+   [unvisited], or while [i] is on the Tarjan stack its low-link: its
+   DFS number, lowered in place as the scan finds lower ones, or once
+   its SCC has closed a negative settled mark — [settled_out], or
+   [settled_in - d] for a member that reaches [bad] with depth [d].  A
+   state's DFS number is its position on the Tarjan stack (a closed
+   SCC frees its positions for the next states), so the root test at a
+   state's finish is whether the stack holds the state itself at the
+   position its low-link names, and that position is where its SCC
+   starts.  One final pass rewrites the lane to plain depths, which are
+   returned.  The Tarjan stack and the DFS frames (vertex and row
+   cursor) are three more lanes, allocated uninitialised: only as many
+   pages as the search goes deep become resident. *)
 type settled = { reaches : Bitset.t; depth : Bytes.t option }
 
-let unvisited = -1
-let settled_out = -2
-let settled_in = -3
+let unvisited = Lane.max_lanes (* past every DFS number *)
+let settled_out = -1
+let settled_in = -2 (* a member of depth [d] holds [settled_in - d] *)
 
 let settle ~succ ~bad =
   Cr_obs.Obs.span "paths.settle" @@ fun () ->
@@ -166,52 +174,46 @@ let settle ~succ ~bad =
   let rp = Csr.row_ptr succ and tg = Csr.targets succ in
   let reaches = Bitset.copy bad in
   let index = Lane.make n unvisited in
-  let low = Lane.create n in
   let stack = Lane.create n and sp = ref 0 in
   let dfs_v = Lane.create n and dfs_k = Lane.create n and dp = ref 0 in
-  let next = ref 0 in
   let cyclic = ref false in
   let start i =
-    set_lane index i !next;
-    set_lane low i !next;
-    incr next;
+    set_lane index i !sp;
     set_lane stack !sp i;
     incr sp;
     set_lane dfs_v !dp i;
     set_lane dfs_k !dp (lane rp i);
     incr dp
   in
-  (* Pop the SCC rooted at [i] (the Tarjan stack from [i] up) and
-     settle it: every member reaches [bad] or none does. *)
-  let close i =
-    let base = ref (!sp - 1) in
-    while lane stack !base <> i do
-      decr base
-    done;
+  (* Pop the SCC on the Tarjan stack from position [base] up (its root
+     [i] at [base]) and settle it: every member reaches [bad] or none
+     does. *)
+  let close i base =
     let hit = ref false in
-    for p = !base to !sp - 1 do
+    for p = base to !sp - 1 do
       if Bitset.get reaches (lane stack p) then hit := true
     done;
     let mark = if !hit then settled_in else settled_out in
-    for p = !base to !sp - 1 do
+    for p = base to !sp - 1 do
       let m = lane stack p in
       set_lane index m mark;
-      set_lane low m 0;
       if !hit then Bitset.set reaches m
     done;
     if !hit then
-      if !sp - !base > 1 then cyclic := true
+      if !sp - base > 1 then cyclic := true
       else if not !cyclic then begin
         let d = ref 0 in
         for k = lane rp i to lane rp (i + 1) - 1 do
           let j = lane tg k in
           if j = i then cyclic := true;
-          let v = 1 + if lane index j = settled_in then lane low j else 0 in
+          let x = lane index j in
+          (* 1 + the depth of a settled member, 1 for a step out *)
+          let v = if x <= settled_in then 1 + settled_in - x else 1 in
           if v > !d then d := v
         done;
-        set_lane low i !d
+        set_lane index i (settled_in - !d)
       end;
-    sp := !base
+    sp := base
   in
   for root = 0 to n - 1 do
     if lane index root = unvisited then begin
@@ -222,7 +224,7 @@ let settle ~succ ~bad =
         let i = lane dfs_v top in
         let hi = lane rp (i + 1) in
         let k = ref (lane dfs_k top) and child = ref unvisited in
-        let li = ref (lane low i) and hit = ref false in
+        let li = ref (lane index i) and hit = ref false in
         while !child = unvisited && !k < hi do
           let j = lane tg !k in
           incr k;
@@ -231,9 +233,9 @@ let settle ~succ ~bad =
           else if x >= 0 then begin
             if x < !li then li := x
           end
-          else if x = settled_in then hit := true
+          else if x <= settled_in then hit := true
         done;
-        set_lane low i !li;
+        set_lane index i !li;
         if !hit then Bitset.set reaches i;
         if !child <> unvisited then begin
           set_lane dfs_k top !k;
@@ -241,17 +243,24 @@ let settle ~succ ~bad =
         end
         else begin
           decr dp;
-          if !li = lane index i then close i;
+          if lane stack !li = i then close i !li;
           if !dp > 0 then begin
             let p = lane dfs_v (!dp - 1) in
             let x = lane index i in
             if x >= 0 then begin
-              if lane low i < lane low p then set_lane low p (lane low i)
+              if x < lane index p then set_lane index p x
             end
-            else if x = settled_in then Bitset.set reaches p
+            else if x <= settled_in then Bitset.set reaches p
           end
         end
       done
     end
   done;
-  { reaches; depth = (if !cyclic then None else Some low) }
+  if !cyclic then { reaches; depth = None }
+  else begin
+    for i = 0 to n - 1 do
+      let x = lane index i in
+      set_lane index i (if x <= settled_in then settled_in - x else 0)
+    done;
+    { reaches; depth = Some index }
+  end

@@ -33,9 +33,14 @@ type settled = {
 }
 
 val settle : succ:Cr_kernel.Csr.t -> bad:Cr_kernel.Bitset.t -> settled
-(** One forward Tarjan pass: no transpose, five four-byte lanes of
-    scratch per state, four of them uninitialised until the DFS reaches
-    them.  When [bad] is a stabilization check's bad seeds, [reaches]
-    is the complement of the converged region and the largest depth is
-    the exact worst-case convergence time.  Raises [Invalid_argument]
-    when the mask's length is not the graph's state count. *)
+(** One forward Tarjan pass: no transpose, and one resident four-byte
+    lane per state (after Pearce's space-efficient SCC algorithm): each
+    state's DFS number, lowered in place to its low-link, then a
+    settled mark carrying its depth, then — after one final pass — its
+    depth, which is the lane returned.  The Tarjan stack and the DFS
+    frames are three more lanes, uninitialised until the search goes
+    that deep.  When [bad] is a stabilization check's bad seeds,
+    [reaches] is the complement of the converged region and the
+    largest depth is the exact worst-case convergence time.  Raises
+    [Invalid_argument] when the mask's length is not the graph's state
+    count. *)

@@ -13,7 +13,7 @@
 val key :
   relation:string ->
   c_initials:bool ->
-  alpha:int array ->
+  alpha:Bytes.t ->
   fair:int array array option ->
   c:_ Cr_semantics.Explicit.t ->
   a:_ Cr_semantics.Explicit.t ->
@@ -21,7 +21,8 @@ val key :
 (** The memo key of one verdict question: [relation] (a readable tag
     that must separate every check variant), both system names, and a
     double-FNV fingerprint ({!Cr_kernel.Memo.Fp}) of both systems' exact
-    transition structure, the abstraction table, the fairness tables
+    transition structure, the α-table (its lanes as ints, after their
+    count), the fairness tables
     (or their absence, distinctly) and the initial states the verdict
     reads.  Those are always [a]'s, and [c]'s when [c_initials]:
     {!Refine} reads them ([c_initials:true]); {!Stabilize} quantifies

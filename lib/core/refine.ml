@@ -195,6 +195,7 @@ let c_max_dropped = Cr_obs.Obs.counter ~kind:Cr_obs.Obs.Max "refine.max_dropped"
    classes are all the classification adds to the CSR. *)
 let classify ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) :
     classified * stats =
+  Abstraction.check_length ~who:"Refine.classify" alpha c;
   Cr_obs.Obs.span "refine.classify" @@ fun () ->
   let succ_a = Explicit.csr a in
   let g = Explicit.csr c in
@@ -215,10 +216,10 @@ let classify ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) :
       if khi > klo then begin
         (* the source image and its abstract row bounds are fixed per
            row, so they are hoisted out of the inner edge loop *)
-        let ai = alpha.(i) in
+        let ai = lane alpha i in
         let alo = lane arp ai and ahi = lane arp (ai + 1) in
         for k = klo to khi - 1 do
-          let aj = alpha.(lane tg k) in
+          let aj = lane alpha (lane tg k) in
           if ai = aj then begin
             incr stutter;
             cls.(k) <- some_stutter
@@ -251,8 +252,8 @@ let classify ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) :
         | Some _ -> ()
         | None ->
             let len =
-              Cr_checker.Paths.distance oracle ~src:alpha.(i)
-                ~dst:alpha.(lane tg k)
+              Cr_checker.Paths.distance oracle ~src:(lane alpha i)
+                ~dst:(lane alpha (lane tg k))
             in
             if len >= 2 then begin
               cls.(k) <- Some (Compression len);
@@ -297,7 +298,7 @@ let classify ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) :
       match cls.(k) with
       | Some _ -> ()
       | None ->
-          sources.(!w) <- alpha.(i);
+          sources.(!w) <- lane alpha i;
           incr w
     done
   done;
@@ -372,7 +373,8 @@ let note l i =
 
 let initial_failures col ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) =
   Array.iter
-    (fun i -> if not (Explicit.is_initial a alpha.(i)) then note col.initial i)
+    (fun i ->
+      if not (Explicit.is_initial a (lane alpha i)) then note col.initial i)
     (Explicit.initials c)
 
 let terminal_failures col ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t)
@@ -384,7 +386,7 @@ let terminal_failures col ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t)
   in
   for i = 0 to Explicit.num_states c - 1 do
     if consider i && Explicit.is_terminal c i
-       && not (Explicit.is_terminal a alpha.(i))
+       && not (Explicit.is_terminal a (lane alpha i))
     then note col.terminal i
   done
 
@@ -439,8 +441,13 @@ let memo : report Cr_kernel.Memo.t = Cr_kernel.Memo.create ~name:"check"
 
 let same_report r1 r2 = { r1 with cost = None } = { r2 with cost = None }
 
-let resolve_alpha ~c = function
-  | Some t -> t
+(* The α-table a relation reads: the caller's, checked once against C
+   here (every later read is an unchecked lane load), or the
+   identity. *)
+let resolve_alpha ~who ~c = function
+  | Some t ->
+      Abstraction.check_length ~who t c;
+      t
   | None -> Abstraction.identity_table (Explicit.num_states c)
 
 (* One journal event per verdict delivered to a caller.  [cached] is
@@ -499,7 +506,8 @@ let stutter_check ~alpha ~fair ~(c : _ Explicit.t) ~(a : _ Explicit.t)
     Cr_obs.Obs.span "refine.stutter_check" @@ fun () ->
     let n = Explicit.num_states c in
     let stutter_adj =
-      Cr_kernel.Csr.filter (Explicit.csr c) (fun i j -> alpha.(i) = alpha.(j))
+      Cr_kernel.Csr.filter (Explicit.csr c) (fun i j ->
+          lane alpha i = lane alpha j)
     in
     let on_stutter_cycle =
       match fair with
@@ -514,13 +522,13 @@ let stutter_check ~alpha ~fair ~(c : _ Explicit.t) ~(a : _ Explicit.t)
           fun i -> analysis.Fair.fair.(i)
     in
     for i = 0 to n - 1 do
-      if on_stutter_cycle i && not (Explicit.is_terminal a alpha.(i)) then
+      if on_stutter_cycle i && not (Explicit.is_terminal a (lane alpha i)) then
         push col Stutter_loop i i
     done
 
 (* [C ⊑ A]_init *)
 let init_refinement ?alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
-  let alpha = resolve_alpha ~c alpha in
+  let alpha = resolve_alpha ~who:"Refine.init_refinement" ~c alpha in
   cached ~relation:"⊑_init" ~alpha ~fair:None ~c ~a @@ fun () ->
   with_cost "refine.init" @@ fun () ->
   let reach = Cr_checker.Reach.reachable_from_initial c in
@@ -530,7 +538,7 @@ let init_refinement ?alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
   Explicit.iter_edges c (fun i j ->
       if Cr_kernel.Bitset.get reach i then begin
         incr edges;
-        if Explicit.has_edge a alpha.(i) alpha.(j) then incr exact
+        if Explicit.has_edge a (lane alpha i) (lane alpha j) then incr exact
         else push col Init_edge i j
       end);
   terminal_failures col ~alpha ~c ~a ~restrict:(Some reach);
@@ -539,7 +547,7 @@ let init_refinement ?alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
 
 (* [C ⊑ A] — everywhere refinement *)
 let everywhere_refinement ?alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
-  let alpha = resolve_alpha ~c alpha in
+  let alpha = resolve_alpha ~who:"Refine.everywhere_refinement" ~c alpha in
   cached ~relation:"⊑" ~alpha ~fair:None ~c ~a @@ fun () ->
   with_cost "refine.everywhere" @@ fun () ->
   let col = collector () in
@@ -547,7 +555,7 @@ let everywhere_refinement ?alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
   let edges = ref 0 and exact = ref 0 in
   Explicit.iter_edges c (fun i j ->
       incr edges;
-      if Explicit.has_edge a alpha.(i) alpha.(j) then incr exact
+      if Explicit.has_edge a (lane alpha i) (lane alpha j) then incr exact
       else push col Init_edge i j);
   terminal_failures col ~alpha ~c ~a ~restrict:None;
   let stats = { empty_stats with edges = !edges; exact = !exact } in
@@ -557,7 +565,7 @@ let everywhere_refinement ?alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
    "on a weakly-fair cycle" (see [edge_on_cycle]). *)
 let convergence_refinement ?alpha ?fair ~(c : _ Explicit.t)
     ~(a : _ Explicit.t) () =
-  let alpha = resolve_alpha ~c alpha in
+  let alpha = resolve_alpha ~who:"Refine.convergence_refinement" ~c alpha in
   cached ~relation:"⪯" ~alpha ~fair ~c ~a @@ fun () ->
   with_cost "refine.convergence" @@ fun () ->
   let classified, stats = classify ~alpha ~c ~a in
@@ -596,7 +604,9 @@ let convergence_refinement ?alpha ?fair ~(c : _ Explicit.t)
    a non-terminal image.  Init refinement is still required. *)
 let everywhere_eventually_refinement ?alpha ?fair ~(c : _ Explicit.t)
     ~(a : _ Explicit.t) () =
-  let alpha = resolve_alpha ~c alpha in
+  let alpha =
+    resolve_alpha ~who:"Refine.everywhere_eventually_refinement" ~c alpha
+  in
   cached ~relation:"⊑_ee" ~alpha ~fair ~c ~a @@ fun () ->
   with_cost "refine.everywhere_eventually" @@ fun () ->
   let classified, stats = classify ~alpha ~c ~a in

@@ -1,12 +1,15 @@
 (** Refinement checkers — the paper's Section 2 relations, decided on
     explicit finite-state systems.
 
-    All checkers accept an optional tabulated abstraction [alpha] (from
-    {!Cr_semantics.Abstraction.tabulate}) mapping concrete state indices to
-    abstract state indices; it defaults to the identity (shared state
-    space).  Stuttering of the abstract image is treated as the paper's "τ
-    steps": images are compared modulo consecutive repetition (DESIGN.md,
-    section 2).
+    All checkers accept an optional α-table [alpha] (from
+    {!Cr_semantics.Abstraction.tabulate}, or [Registry.refining]'s rank
+    sweep): one four-byte lane per concrete state holding the abstract
+    index of its image.  It defaults to the identity (shared state
+    space).  Each checker raises [Invalid_argument], naming itself, when
+    the table's lane count is not [c]'s state count: every later read is
+    an unchecked lane load.  Stuttering of the abstract image is treated
+    as the paper's "τ steps": images are compared modulo consecutive
+    repetition (DESIGN.md, section 2).
 
     The checkers are sound: [holds = true] implies the trace-theoretic
     relation.
@@ -88,7 +91,7 @@ val iter_classified : classified -> (int -> int -> edge_class option -> unit) ->
     [f src dst class]. *)
 
 val classify :
-  alpha:int array ->
+  alpha:Bytes.t ->
   c:'c Cr_semantics.Explicit.t ->
   a:'a Cr_semantics.Explicit.t ->
   classified * stats
@@ -102,7 +105,7 @@ val classify :
     (unmatched) otherwise. *)
 
 val init_refinement :
-  ?alpha:int array ->
+  ?alpha:Bytes.t ->
   c:'c Cr_semantics.Explicit.t ->
   a:'a Cr_semantics.Explicit.t ->
   unit ->
@@ -111,7 +114,7 @@ val init_refinement :
     computation of [a]. *)
 
 val everywhere_refinement :
-  ?alpha:int array ->
+  ?alpha:Bytes.t ->
   c:'c Cr_semantics.Explicit.t ->
   a:'a Cr_semantics.Explicit.t ->
   unit ->
@@ -119,7 +122,7 @@ val everywhere_refinement :
 (** [[C ⊑ A]] — every computation of [c] is a computation of [a]. *)
 
 val convergence_refinement :
-  ?alpha:int array ->
+  ?alpha:Bytes.t ->
   ?fair:Fair.tables ->
   c:'c Cr_semantics.Explicit.t ->
   a:'a Cr_semantics.Explicit.t ->
@@ -131,7 +134,7 @@ val convergence_refinement :
     computations of [c] are restricted to weakly fair ones. *)
 
 val everywhere_eventually_refinement :
-  ?alpha:int array ->
+  ?alpha:Bytes.t ->
   ?fair:Fair.tables ->
   c:'c Cr_semantics.Explicit.t ->
   a:'a Cr_semantics.Explicit.t ->

@@ -129,7 +129,9 @@ let same_report r1 r2 = { r1 with cost = None } = { r2 with cost = None }
 let stabilizing_to ?alpha ?fair ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
   let alpha =
     match alpha with
-    | Some t -> t
+    | Some t ->
+        Abstraction.check_length ~who:"Stabilize.stabilizing_to" t c;
+        t
     | None -> Abstraction.identity_table (Explicit.num_states c)
   in
   let run () =
@@ -151,11 +153,11 @@ let stabilizing_to ?alpha ?fair ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
         for i = lo to hi - 1 do
           let klo = lane rp i and khi = lane rp (i + 1) in
           if khi > klo then begin
-            let ai = alpha.(i) in
+            let ai = lane alpha i in
             let k = ref klo in
             let bad = ref (not (in_legit ai)) in
             while (not !bad) && !k < khi do
-              let aj = alpha.(lane tg !k) in
+              let aj = lane alpha (lane tg !k) in
               if aj = ai then stuttered := true
               else if not (in_legit aj && Explicit.has_edge a ai aj) then
                 bad := true;
@@ -186,18 +188,21 @@ let stabilizing_to ?alpha ?fair ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
     (if stuttered then
        let sscc =
          Cr_checker.Scc.compute
-           (Cr_kernel.Csr.filter succ_c (fun i j -> alpha.(i) = alpha.(j)))
+           (Cr_kernel.Csr.filter succ_c (fun i j ->
+                lane alpha i = lane alpha j))
        in
        for i = 0 to n - 1 do
          if
            Cr_checker.Scc.on_cycle sscc i
-           && not (in_legit alpha.(i) && Explicit.is_terminal a alpha.(i))
+           && not
+                  (in_legit (lane alpha i)
+                  && Explicit.is_terminal a (lane alpha i))
          then Cr_kernel.Bitset.set bad_seed i
        done);
     let bad_terminal = ref None in
     for i = 0 to n - 1 do
       if Explicit.is_terminal c i then
-        let ai = alpha.(i) in
+        let ai = lane alpha i in
         if not (in_legit ai && Explicit.is_terminal a ai) then begin
           Cr_kernel.Bitset.set bad_seed i;
           if !bad_terminal = None then bad_terminal := Some i

@@ -36,16 +36,20 @@ type report = {
 val pp_report : Format.formatter -> report -> unit
 
 val stabilizing_to :
-  ?alpha:int array ->
+  ?alpha:Bytes.t ->
   ?fair:Fair.tables ->
   c:'c Cr_semantics.Explicit.t ->
   a:'a Cr_semantics.Explicit.t ->
   unit ->
   report
-(** Decide "C is stabilizing to A", optionally through a tabulated
-    abstraction.  With [?fair] (action tables for [c]), divergence is
-    checked over weakly-fair computations only; [worst_case_recovery] is
-    [None] when recovery is finite but unbounded.
+(** Decide "C is stabilizing to A", optionally through an α-table
+    ({!Cr_semantics.Abstraction.tabulate}: one four-byte lane per state
+    of [c]; the identity by default).  Raises [Invalid_argument] naming
+    this check when the table's lane count is not [c]'s state count
+    (every later read is an unchecked lane load).  With [?fair] (action
+    tables for [c]), divergence is checked over weakly-fair computations
+    only; [worst_case_recovery] is [None] when recovery is finite but
+    unbounded.
 
     A transition of [c] whose image does not move (a τ-step) is
     acceptable inside the legitimate states L, but a state on a cycle of

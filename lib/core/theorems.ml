@@ -13,13 +13,27 @@ type verdict =
 let implication premises conclusion =
   if not premises then Vacuous else if conclusion then Witnessed else Refuted
 
+(* The α-table of [alpha_ab] after [alpha_ca], lane by lane.  Lane
+   reads are unchecked, so an image of [ca] outside [ab] is refused. *)
+let compose_tables ca ab =
+  let module Lane = Cr_kernel.Lane in
+  let n = Lane.length ca and m = Lane.length ab in
+  let out = Lane.create n in
+  for i = 0 to n - 1 do
+    let j = Lane.get ca i in
+    if j < 0 || j >= m then
+      invalid_arg "Theorems: an alpha_ca image is not a state of alpha_ab";
+    Lane.set out i (Lane.get ab j)
+  done;
+  out
+
 (* Theorems 0 and 1 differ only in their refinement premise: [refines]
    relates C to A, A is stabilizing to B, and then C must be stabilizing
    to B through the composed abstraction. *)
 let via_refinement ~refines ?alpha_ca ?alpha_ab ~c ~a ~b () =
   let alpha_cb =
     match (alpha_ca, alpha_ab) with
-    | Some ca, Some ab -> Some (Array.map (Array.get ab) ca)
+    | Some ca, Some ab -> Some (compose_tables ca ab)
     | ca, None -> ca
     | None, ab -> ab
   in

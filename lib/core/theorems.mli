@@ -2,13 +2,18 @@
 
     Because the refinement checkers are sound but not complete, a failed
     premise yields {!Vacuous}; {!Refuted} would indicate a genuine
-    counterexample (and a bug in either the checkers or the theory). *)
+    counterexample (and a bug in either the checkers or the theory).
+
+    The abstractions are α-tables ({!Cr_semantics.Abstraction.tabulate}:
+    one four-byte lane per concrete state), the identity when omitted;
+    Theorems 0 and 1 compose [alpha_ab] after [alpha_ca] lane by lane
+    for the conclusion. *)
 
 type verdict = Witnessed | Vacuous | Refuted
 
 val theorem_0 :
-  ?alpha_ca:int array ->
-  ?alpha_ab:int array ->
+  ?alpha_ca:Bytes.t ->
+  ?alpha_ab:Bytes.t ->
   c:'c Cr_semantics.Explicit.t ->
   a:'a Cr_semantics.Explicit.t ->
   b:'b Cr_semantics.Explicit.t ->
@@ -17,8 +22,8 @@ val theorem_0 :
 (** [[C ⊑ A]] and A stabilizing to B => C stabilizing to B. *)
 
 val theorem_1 :
-  ?alpha_ca:int array ->
-  ?alpha_ab:int array ->
+  ?alpha_ca:Bytes.t ->
+  ?alpha_ab:Bytes.t ->
   c:'c Cr_semantics.Explicit.t ->
   a:'a Cr_semantics.Explicit.t ->
   b:'b Cr_semantics.Explicit.t ->
@@ -54,7 +59,7 @@ val theorem_5 :
     stabilizing to A and [[W' ⪯ W]] => (C [] W') stabilizing to A. *)
 
 val strength_chain :
-  ?alpha:int array ->
+  ?alpha:Bytes.t ->
   c:'c Cr_semantics.Explicit.t ->
   a:'a Cr_semantics.Explicit.t ->
   unit ->

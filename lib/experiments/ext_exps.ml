@@ -83,7 +83,7 @@ let rw_experiment n =
   let init_ok = ref true in
   Cr_semantics.Explicit.iter_edges e (fun i j ->
       if Cr_kernel.Bitset.get reach i then begin
-        let ai = ac.(i) and aj = ac.(j) in
+        let ai = Cr_kernel.Lane.get ac i and aj = Cr_kernel.Lane.get ac j in
         if not (ai = aj || Cr_semantics.Explicit.has_edge d3 ai aj) then
           init_ok := false
       end);

@@ -37,7 +37,11 @@ let vm_experiment () =
   let refines_init = ref true in
   Explicit.iter_edges machine (fun i j ->
       if Cr_kernel.Bitset.get reach i
-         && not (alpha_src.(i) = alpha_src.(j) && alpha_src.(i) = Explicit.find source 0)
+         &&
+         let ai = Cr_kernel.Lane.get alpha_src i in
+         not
+           (ai = Cr_kernel.Lane.get alpha_src j
+           && ai = Explicit.find source 0)
       then refines_init := false);
   {
     compiler_matches_paper = compiled;

@@ -17,7 +17,10 @@ type entry = {
          the point of the abstract execution model, cf. Section 3) *)
 }
 
-let id_alpha _n = Cr_semantics.Abstraction.identity ()
+(* Ranked in the spec's layout: the identity's image is the state
+   itself, so its rank is the state's own (-1 outside that layout). *)
+let id_alpha layout n =
+  Cr_semantics.Abstraction.identity ~rank:(Layout.checked_rank (layout n)) ()
 
 let entries : entry list =
   [
@@ -96,7 +99,7 @@ let entries : entry list =
       describe = "the abstract bidirectional token ring (fault-intolerant)";
       program = Cr_tokenring.Btr.program;
       spec = Cr_tokenring.Btr.program;
-      alpha = id_alpha;
+      alpha = id_alpha Cr_tokenring.Btr.layout;
       converged = Cr_tokenring.Btr.invariant;
       render = (fun n s -> Cr_tokenring.Render.tokens_line n s);
       lint_allow = [ "P1" ];
@@ -106,7 +109,7 @@ let entries : entry list =
       describe = "BTR [] W1 [] W2, union semantics (Theorem 6's subject)";
       program = Cr_tokenring.Btr.wrapped;
       spec = Cr_tokenring.Btr.program;
-      alpha = id_alpha;
+      alpha = id_alpha Cr_tokenring.Btr.layout;
       converged = Cr_tokenring.Btr.invariant;
       render = (fun n s -> Cr_tokenring.Render.tokens_line n s);
       lint_allow = [ "P1" ];
@@ -140,7 +143,7 @@ let entries : entry list =
       describe = "the abstract unidirectional token ring (fault-intolerant)";
       program = Cr_tokenring.Utr.program;
       spec = Cr_tokenring.Utr.program;
-      alpha = id_alpha;
+      alpha = id_alpha Cr_tokenring.Utr.layout;
       converged = (fun _n s -> Cr_tokenring.Utr.invariant s);
       render = (fun _n s -> Cr_tokenring.Render.utr_line s);
       lint_allow = [ "P1" ];
@@ -200,37 +203,43 @@ type refiners = {
   ee : ?fair:Cr_core.Fair.tables -> unit -> Cr_core.Refine.report;
 }
 
+let[@inline] lane b k = Int32.to_int (Cr_kernel.Lane.get32u b (4 * k))
+let[@inline] set_lane b k v = Cr_kernel.Lane.set32u b (4 * k) (Int32.of_int v)
+
 (* Refine reads the spec only at α-images — is_initial, has_edge and
    is_terminal there, and BFS distances from them — all inside the
-   forward closure of α(Σ_C).  So one sweep over c ranks every image,
-   the spec is compiled from the distinct ranks as roots (sparse unless
-   CR_SPACE forces the dense spec), and the α-table maps each rank to
-   its index there. *)
+   forward closure of α(Σ_C).  So one sweep over c ranks every image
+   (by α's own rank, or for an abstraction without one by ranking the
+   image it builds) and numbers the distinct ranks in a [Keytbl]: each
+   state's lane of the α-table holds its image's number.  The spec is
+   compiled from the distinct ranks as roots (sparse unless CR_SPACE
+   forces the dense spec), and each lane is then rewritten in place to
+   its image's index there, through the spec's rank index. *)
 let refining ~alpha c spec =
   let module E = Cr_semantics.Explicit in
+  let module A = Cr_semantics.Abstraction in
   let layout = Program.layout spec in
-  let ranks = Array.make (E.num_states c) 0 in
-  let index = Hashtbl.create 64 in
+  let rank =
+    match A.rank alpha with
+    | Some rank -> rank
+    | None -> fun s -> Layout.checked_rank layout (A.apply alpha s)
+  in
+  let n = E.num_states c in
+  let table = Cr_kernel.Lane.create n in
+  let images = Cr_kernel.Keytbl.create 64 in
   Cr_obs.Obs.span "abstraction.tabulate" (fun () ->
       E.iter_states c (fun i s ->
-          let r =
-            Layout.checked_rank layout (Cr_semantics.Abstraction.apply alpha s)
-          in
+          let r = rank s in
           if r < 0 then
-            raise
-              (Cr_semantics.Abstraction.Not_total
-                 (Fmt.str
-                    "abstraction %s: image of concrete state %s not a state \
-                     of %s"
-                    (Cr_semantics.Abstraction.name alpha)
-                    (E.state_to_string c i) (Program.name spec)));
-          ranks.(i) <- r;
-          Hashtbl.replace index r (-1)));
-  let a = anchored ~roots:(Array.of_seq (Hashtbl.to_seq_keys index)) spec in
-  Hashtbl.filter_map_inplace
-    (fun r _ -> Some (E.find a (Layout.unrank layout r)))
-    index;
-  let alpha = Array.map (Hashtbl.find index) ranks in
+            raise (A.not_total alpha c i ~target:(Program.name spec));
+          set_lane table i (Cr_kernel.Keytbl.intern images r)));
+  let ranks = Cr_kernel.Keytbl.keys images in
+  let a = anchored ~roots:ranks spec in
+  let index = Array.map (Option.get (E.rank_index a)) ranks in
+  for i = 0 to n - 1 do
+    set_lane table i index.(lane table i)
+  done;
+  let alpha = table in
   let open Cr_core.Refine in
   {
     abstract = a;

@@ -32,9 +32,14 @@ val init_explicit : entry -> int -> Layout.state Cr_semantics.Explicit.t
     premise only quantifies over the fragment reachable from the
     initial states, which the sparse engine materializes exactly. *)
 
-val id_alpha : int -> (Layout.state, Layout.state) Cr_semantics.Abstraction.t
-(** The identity abstraction, for systems over their spec's own layout
-    (btr, btr-wrapped, utr and the abstract wrapper compositions). *)
+val id_alpha :
+  (int -> Layout.t) ->
+  int ->
+  (Layout.state, Layout.state) Cr_semantics.Abstraction.t
+(** [id_alpha layout n]: the identity abstraction, for systems over
+    their spec's own layout [layout n] (btr, btr-wrapped, utr and the
+    abstract wrapper compositions), ranked by
+    {!Layout.checked_rank} in that layout. *)
 
 val stabilizing :
   alpha:(Layout.state, Layout.state) Cr_semantics.Abstraction.t ->
@@ -88,12 +93,14 @@ val refining :
     the last two with [?fair] passed through.  The one route for a
     guarded-command refinement question.  Staged: applied to
     [~alpha c spec], it makes one α sweep over [c] that ranks every
-    image, compiles the spec from the distinct images as
-    {!Program.to_explicit} [?roots] (their forward closure, the
+    image (by [alpha]'s own rank when it carries one, building no
+    image; else by {!Layout.checked_rank} of the image) into a
+    four-byte lane per state, compiles the spec from the distinct ranks
+    as {!Program.to_explicit} [?roots] (their forward closure, the
     α-closure; sparse unless [CR_SPACE] forces the dense spec) and
-    tabulates α against it.  Refine reads the spec only at α-images
-    and along paths from them, so every report is the one the full
-    dense spec gives, memoized in the verdict cache.  Raises
+    rewrites each lane to its image's index there.  Refine reads the
+    spec only at α-images and along paths from them, so every report is
+    the one the full dense spec gives, memoized in the verdict cache.  Raises
     {!Cr_semantics.Abstraction.Not_total} when an image is not a state
     of the spec's layout. *)
 

@@ -291,13 +291,12 @@ let table_mutex ns =
     par_rows
       (fun n ->
         List.map
-          (fun (name, p, to_tokens, privileged) ->
+          (fun (name, p, alpha, privileged) ->
             let e = Cr_guarded.Program.to_explicit p in
             let r =
-              Registry.stabilizing
-                ~alpha:(Cr_semantics.Abstraction.make ~name:"t" to_tokens)
-                e (Cr_tokenring.Btr.program n) ()
+              Registry.stabilizing ~alpha e (Cr_tokenring.Btr.program n) ()
             in
+            let to_tokens = Cr_semantics.Abstraction.apply alpha in
             let good = r.Cr_core.Stabilize.good_mask in
             let v =
               Cr_tokenring.Mutex.check ~privileged ~num_procs:(n + 1) p ~good e
@@ -309,13 +308,13 @@ let table_mutex ns =
           [
             ( "Dijkstra-3state",
               Cr_tokenring.Btr3.dijkstra3 n,
-              Cr_tokenring.Btr3.to_tokens n,
+              Cr_tokenring.Btr3.alpha n,
               fun s j ->
                 Cr_tokenring.Btr3.has_up n s j || Cr_tokenring.Btr3.has_dn n s j
             );
             ( "Dijkstra-4state",
               Cr_tokenring.Btr4.dijkstra4 n,
-              Cr_tokenring.Btr4.to_tokens n,
+              Cr_tokenring.Btr4.alpha n,
               fun s j ->
                 let ts = Cr_tokenring.Btr4.to_tokens n s in
                 Cr_tokenring.Btr.up n ts j || Cr_tokenring.Btr.dn n ts j );

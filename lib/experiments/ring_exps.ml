@@ -50,7 +50,7 @@ let wrapped_stabilization ~(mk_union : int -> Program.t)
 (* E4 / Theorem 6: (BTR [] W1 [] W2) stabilizing to BTR. *)
 let theorem6 n =
   wrapped_stabilization ~mk_union:Btr.wrapped ~mk_priority:Btr.wrapped_priority
-    ~mk_alpha:Registry.id_alpha n
+    ~mk_alpha:(Registry.id_alpha Btr.layout) n
 
 (* E7 / Lemma 9: (BTR_3 [] W1'' [] W2') stabilizing to BTR via alpha3. *)
 let lemma9 n =
@@ -107,7 +107,7 @@ let lemma7 n =
 (* E8 / Lemma 10 as stated (same state space): documented discrepancy —
    see EXPERIMENTS.md; the strict check fails. *)
 let lemma10 n =
-  (Registry.refining ~alpha:(Registry.id_alpha n)
+  (Registry.refining ~alpha:(Registry.id_alpha Btr3.layout n)
      (explicit (Btr3.c2_wrapped n))
      (Btr3.btr3_wrapped n))
     .convergence ()
@@ -127,7 +127,7 @@ type wrapper_relations = {
 
 let wrapper_refinement n =
   let r =
-    Registry.refining ~alpha:(Registry.id_alpha n)
+    Registry.refining ~alpha:(Registry.id_alpha Btr3.layout n)
       (explicit (Btr3.w1_local n))
       (Btr3.w1_global n)
   in
@@ -199,7 +199,8 @@ let kstate_checks ~n ~k =
 
 let utr_wrapped_stabilization n =
   let stabilizes e =
-    (Registry.stabilizing ~alpha:(Registry.id_alpha n) e (Utr.program n) ())
+    (Registry.stabilizing ~alpha:(Registry.id_alpha Utr.layout n) e
+       (Utr.program n) ())
       .Cr_core.Stabilize.holds
   in
   let union = stabilizes (explicit (Utr.wrapped n)) in
@@ -218,7 +219,8 @@ let compression_witness n =
   let witness = ref None in
   Explicit.iter_edges c1 (fun i j ->
       if !witness = None then begin
-        let ai = alpha.(i) and aj = alpha.(j) in
+        let ai = Cr_kernel.Lane.get alpha i
+        and aj = Cr_kernel.Lane.get alpha j in
         let ti = Btr.token_count n (Explicit.state btr ai) in
         let tj = Btr.token_count n (Explicit.state btr aj) in
         if ti = 2 && tj = 1 && not (Explicit.has_edge btr ai aj) then

@@ -241,14 +241,16 @@ let step_keys ~mode t () =
             let j = rank_checked ~name layout s' in
             if j <> i then emit j)
 
-(* The dense engine: Sigma itself, indexed by rank, swept by the
-   layout's odometer — never materialized. *)
+(* The dense engine: Sigma itself, indexed by rank (so its rank index
+   is the identity), swept by the layout's odometer — never
+   materialized. *)
 let dense_space layout =
-  Space.dense ~size:(Layout.num_states layout)
-    ~state_of_index:(Layout.unrank layout)
+  let n = Layout.num_states layout in
+  Space.dense ~size:n ~state_of_index:(Layout.unrank layout)
     ~index_of_state:(fun s ->
       let r = Layout.checked_rank layout s in
       if r < 0 then None else Some r)
+    ~index_of_key:(fun r -> if r >= 0 && r < n then r else -1)
     ~iter_range:(fun lo hi f -> Layout.iter_range layout ~lo ~hi f)
     ()
 

@@ -20,3 +20,12 @@ let make n v =
     set b k v
   done;
   b
+
+let length b = Bytes.length b / 4
+
+let of_array a =
+  let b = create (Array.length a) in
+  Array.iteri (set b) a;
+  b
+
+let to_array b = Array.init (length b) (get b)

@@ -1,5 +1,6 @@
 (** Fixed-width integer lanes in [Bytes]: the half-width store of the
-    CSR graphs ({!Csr}), the settle pass's scratch
+    CSR graphs ({!Csr}), the α-tables
+    ([Cr_semantics.Abstraction.tabulate]), the settle pass's lane
     ({!Cr_checker.Paths.settle}) and the read/write-set codes of
     [Cr_lint.Rwsets].
 
@@ -35,6 +36,15 @@ val create : int -> Bytes.t
 
 val make : int -> int -> Bytes.t
 (** [make n v]: [n] four-byte lanes, each holding [v]. *)
+
+val length : Bytes.t -> int
+(** The number of four-byte lanes a store holds (its bytes over 4). *)
+
+val of_array : int array -> Bytes.t
+(** One lane per element, in order; every element must fit a lane. *)
+
+val to_array : Bytes.t -> int array
+(** Every lane of the store, in order. *)
 
 val get : Bytes.t -> int -> int
 (** [get b k]: four-byte lane [k], for code off the hot path (a call per

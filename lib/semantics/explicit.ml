@@ -74,6 +74,10 @@ let find_opt (type a) (t : a t) s =
   let module Sp = (val t.space) in
   Sp.index_of_state s
 
+let rank_index (type a) (t : a t) =
+  let module Sp = (val t.space) in
+  Sp.index_of_key
+
 let iter_states (type a) (t : a t) f =
   let module Sp = (val t.space) in
   Sp.iter_range 0 Sp.size f

@@ -107,6 +107,15 @@ val iter_states : 'a t -> (int -> 'a -> unit) -> unit
 
 val find : 'a t -> 'a -> int
 val find_opt : 'a t -> 'a -> int option
+
+val rank_index : _ t -> (int -> int) option
+(** The graph's own rank index, when its space is keyed by a layout's
+    dense ranks (every {!Cr_guarded.Program} compile): the index of the
+    state of a given rank, [-1] when the graph does not hold it;
+    allocation-free.  The identity on a dense compile, the discovery's
+    key table on a sparse one; [None] for a graph over an enumeration
+    held in memory.  {!Abstraction.tabulate}'s rank route. *)
+
 val successors : _ t -> int -> int array
 (** Copy of one successor row.  Hot loops should use {!csr} (zero-copy)
     or {!out_degree}/{!successor} instead. *)

@@ -72,6 +72,7 @@ module type S = sig
   val size : int
   val state_of_index : int -> state
   val index_of_state : state -> int option
+  val index_of_key : (int -> int) option
   val iter_range : int -> int -> (int -> state -> unit) -> unit
 end
 
@@ -82,7 +83,7 @@ let size (type a) (sp : a t) =
   Sp.size
 
 let dense (type a) ~size:(n : int) ~(state_of_index : int -> a)
-    ~(index_of_state : a -> int option)
+    ~(index_of_state : a -> int option) ?index_of_key
     ~(iter_range : int -> int -> (int -> a -> unit) -> unit) () : a t =
   (module struct
     type state = a
@@ -90,6 +91,7 @@ let dense (type a) ~size:(n : int) ~(state_of_index : int -> a)
     let size = n
     let state_of_index = state_of_index
     let index_of_state = index_of_state
+    let index_of_key = index_of_key
     let iter_range = iter_range
   end)
 
@@ -110,60 +112,6 @@ let add b x =
   if b.len = Array.length b.data then reserve b 1;
   b.data.(b.len) <- x;
   b.len <- b.len + 1
-
-(* The dense-key -> index table: open addressing with linear probing
-   over one flat array of (key, index) slot pairs, a key of [-1]
-   marking a free slot (keys are non-negative).  Fibonacci hashing of
-   the key, no polymorphic hash and no boxed binding per entry; the
-   table doubles at half load. *)
-type index = { mutable slots : int array; mutable bits : int; mutable count : int }
-
-let index_create expected =
-  let bits = ref 4 in
-  while 1 lsl !bits < 2 * expected do
-    incr bits
-  done;
-  { slots = Array.make (2 lsl !bits) (-1); bits = !bits; count = 0 }
-
-let home t k = ((k * 0x1e3779b97f4a7c15) lsr (Sys.int_size - t.bits)) lsl 1
-
-(* The slot of [k]: where it is bound, or the free slot where it
-   belongs. *)
-let probe t k =
-  let slots = t.slots and last = Array.length t.slots - 2 in
-  let s = ref (home t k) in
-  while slots.(!s) <> k && slots.(!s) >= 0 do
-    s := if !s = last then 0 else !s + 2
-  done;
-  !s
-
-let index_find t k =
-  let s = probe t k in
-  if t.slots.(s) = k then t.slots.(s + 1) else -1
-
-(* The index bound to [k], binding it to [fresh] first if unbound. *)
-let rec index_intern t k fresh =
-  let s = probe t k in
-  if t.slots.(s) = k then t.slots.(s + 1)
-  else if 2 * (t.count + 1) > Array.length t.slots lsr 1 then begin
-    let old = t.slots in
-    t.bits <- t.bits + 1;
-    t.slots <- Array.make (2 * Array.length old) (-1);
-    for o = 0 to (Array.length old / 2) - 1 do
-      if old.(2 * o) >= 0 then begin
-        let s = probe t old.(2 * o) in
-        t.slots.(s) <- old.(2 * o);
-        t.slots.(s + 1) <- old.((2 * o) + 1)
-      end
-    done;
-    index_intern t k fresh
-  end
-  else begin
-    t.slots.(s) <- k;
-    t.slots.(s + 1) <- fresh;
-    t.count <- t.count + 1;
-    fresh
-  end
 
 let[@inline] lane b k = Int32.to_int (Cr_kernel.Lane.get32u b (4 * k))
 let[@inline] set_lane b k v = Cr_kernel.Lane.set32u b (4 * k) (Int32.of_int v)
@@ -224,11 +172,13 @@ let discover (type a) ?(sort_keys = false) ~(state_of_key : int -> a)
     ~(key_of_state : a -> int)
     ~(step : unit -> a -> int -> (int -> unit) -> unit)
     ~(seed_keys : int array) () : a sparse =
-  let index = index_create (Array.length seed_keys) in
+  (* The dense-key -> index table: a key's index is its discovery
+     order. *)
+  let index = Cr_kernel.Keytbl.create (Array.length seed_keys) in
   (* Append-only discovery log: the BFS queue IS the index sequence. *)
   let keys = buf (Array.length seed_keys) in
   let intern k =
-    let i = index_intern index k keys.len in
+    let i = Cr_kernel.Keytbl.intern index k in
     if i = keys.len then begin
       (* [row_ptr] holds one lane more than there are states *)
       if i = Cr_kernel.Lane.max_lanes - 1 then too_many i "states";
@@ -303,10 +253,7 @@ let discover (type a) ?(sort_keys = false) ~(state_of_key : int -> a)
       Array.stable_sort (fun i j -> compare keys.(i) keys.(j)) perm;
       let inv = Array.make count 0 in
       Array.iteri (fun i old -> inv.(old) <- i) perm;
-      for s = 0 to (Array.length index.slots / 2) - 1 do
-        if index.slots.(2 * s) >= 0 then
-          index.slots.((2 * s) + 1) <- inv.(index.slots.((2 * s) + 1))
-      done;
+      Cr_kernel.Keytbl.renumber index (Array.get inv);
       let rp = row_ptr.bytes and tg = targets.bytes in
       let row_ptr = Cr_kernel.Lane.create (count + 1)
       and targets = Cr_kernel.Lane.create edges in
@@ -332,11 +279,10 @@ let discover (type a) ?(sort_keys = false) ~(state_of_key : int -> a)
     let state_of_index i = state_of_key keys.(i)
 
     let index_of_state s =
-      let k = key_of_state s in
-      if k < 0 then None
-      else
-        let i = index_find index k in
-        if i < 0 then None else Some i
+      let i = Cr_kernel.Keytbl.find index (key_of_state s) in
+      if i < 0 then None else Some i
+
+    let index_of_key = Some (Cr_kernel.Keytbl.find index)
 
     let iter_range lo hi f =
       for i = lo to hi - 1 do

@@ -51,6 +51,12 @@ exception Too_large of string
     are mutually inverse between [0 .. size - 1] and the carried state
     set; [index_of_state] is [None] on states outside it (for the dense
     engine: outside Sigma; for sparse: also anything unreachable).
+    [index_of_key] is the rank index of a space keyed by dense ranks
+    (a guarded-command layout's {!Cr_guarded.Layout.rank}): the index of
+    the state with a given key, [-1] for a key it does not carry —
+    allocation-free, the identity on a dense layout space and the
+    discovery's key table on a sparse one; [None] for a space with no
+    keys (an enumeration held in memory).
     [iter_range lo hi f] calls [f i (state_of_index i)] for
     [i = lo .. hi - 1] in order; the state may be a scratch value that
     the next call overwrites, so [f] must neither retain nor mutate it.
@@ -61,6 +67,7 @@ module type S = sig
   val size : int
   val state_of_index : int -> state
   val index_of_state : state -> int option
+  val index_of_key : (int -> int) option
   val iter_range : int -> int -> (int -> state -> unit) -> unit
 end
 
@@ -72,19 +79,21 @@ val dense :
   size:int ->
   state_of_index:(int -> 'a) ->
   index_of_state:('a -> int option) ->
+  ?index_of_key:(int -> int) ->
   iter_range:(int -> int -> (int -> 'a -> unit) -> unit) ->
   unit ->
   'a t
 (** The full-space engine over a caller-supplied rank/unrank pair and
     range sweep (e.g. {!Cr_guarded.Layout.iter_range}, or [Array] access
-    for an enumeration held in memory). *)
+    for an enumeration held in memory), with the rank index when the
+    space is keyed. *)
 
 (** Result of a sparse discovery: the space itself plus the transition
     graph the BFS built on the way, a CSR over sparse indices (rows
     sorted ascending, deduplicated, self-loops dropped) that the compile
     adopts as it is instead of stepping every state a second time.
     [keys.(i)] is the dense key of sparse index [i]: the sparse↔dense
-    bijection. *)
+    bijection, and the space's [index_of_key] its inverse. *)
 type 'a sparse = { space : 'a t; succ : Cr_kernel.Csr.t; keys : int array }
 
 val discover :
@@ -113,7 +122,7 @@ val discover :
     domain-chunked under the [CR_JOBS] contract of {!Cr_kernel.Par}
     exactly like the dense row build: each chunk emits its successor
     keys into one flat buffer, and a sequential merge in chunk order
-    indexes them (an int-keyed open-addressing table) and appends each
+    indexes them ({!Cr_kernel.Keytbl}) and appends each
     sorted row to the CSR, so the result is byte-identical for every
     job count.  With [~sort_keys:true] the discovered states are then
     renumbered in ascending key order, in one pass over the CSR, so the

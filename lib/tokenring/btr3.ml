@@ -48,9 +48,26 @@ let to_tokens n (s : state) : Btr.state =
   done;
   t
 
+(* The rank of [to_tokens n s] in BTR's layout without building it: the
+   weight of every token slot held, summed.  It reads the counters
+   c.0 .. c.N alone. *)
+let token_rank n =
+  let btr = Btr.layout n in
+  let wu = Array.init (n + 1) (fun j -> Layout.weight btr (Btr.up_slot n j))
+  and wd = Array.init (n + 1) (fun j -> Layout.weight btr (Btr.dn_slot n j)) in
+  fun (s : state) ->
+    let r = ref 0 in
+    for j = 1 to n do
+      if has_up n s j then r := !r + wu.(j)
+    done;
+    for j = 0 to n - 1 do
+      if has_dn n s j then r := !r + wd.(j)
+    done;
+    !r
+
 let alpha n =
   Cr_semantics.Abstraction.make ~name:(Printf.sprintf "alpha3(%d)" n)
-    (to_tokens n)
+    ~rank:(token_rank n) (to_tokens n)
 
 let token_count n s = Btr.token_count n (to_tokens n s)
 

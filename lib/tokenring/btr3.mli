@@ -23,7 +23,17 @@ val has_dn : int -> state -> int -> bool
 (** ↓t.j ≡ c.(j+1) = c.j ⊕ 1 *)
 
 val to_tokens : int -> state -> Btr.state
+
+val token_rank : int -> state -> int
+(** [token_rank n s] is [Layout.rank (Btr.layout n) (to_tokens n s)],
+    summed from the token slots' weights without building the token
+    state.  It reads the counters [c.0 .. c.N] (slots [0 .. N]) alone,
+    so it also ranks any state whose first [N + 1] slots are those
+    counters. *)
+
 val alpha : int -> (state, Btr.state) Cr_semantics.Abstraction.t
+(** α₃: {!to_tokens}, ranked by {!token_rank}. *)
+
 val token_count : int -> state -> int
 
 val one_token : int -> state -> bool

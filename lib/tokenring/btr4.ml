@@ -51,9 +51,32 @@ let to_tokens n (s : state) : Btr.state =
   done;
   Btr.state_of_tokens n !ts
 
+(* ↑t.j and ↓t.j of the Section 4 mapping.  With up.0 = true and
+   up.N = false pinned, the interior formulas also give ↑t.N and ↓t.0. *)
+let has_up n s j =
+  c n s j <> c n s (j - 1) && up n s (j - 1) && not (up n s j)
+
+let has_dn n s j =
+  c n s j = c n s (j + 1) && (not (up n s (j + 1))) && up n s j
+
+(* The rank of [to_tokens n s] in BTR's layout without building it. *)
+let token_rank n =
+  let btr = Btr.layout n in
+  let wu = Array.init (n + 1) (fun j -> Layout.weight btr (Btr.up_slot n j))
+  and wd = Array.init (n + 1) (fun j -> Layout.weight btr (Btr.dn_slot n j)) in
+  fun (s : state) ->
+    let r = ref 0 in
+    for j = 1 to n do
+      if has_up n s j then r := !r + wu.(j)
+    done;
+    for j = 0 to n - 1 do
+      if has_dn n s j then r := !r + wd.(j)
+    done;
+    !r
+
 let alpha n =
   Cr_semantics.Abstraction.make ~name:(Printf.sprintf "alpha4(%d)" n)
-    (to_tokens n)
+    ~rank:(token_rank n) (to_tokens n)
 
 let token_count n s = Btr.token_count n (to_tokens n s)
 

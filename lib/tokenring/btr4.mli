@@ -17,6 +17,8 @@ val to_tokens : int -> state -> Btr.state
 (** The Section 4 mapping from (c, up) states to token states. *)
 
 val alpha : int -> (state, Btr.state) Cr_semantics.Abstraction.t
+(** α₄: {!to_tokens}, ranked in BTR's layout by the weights of the token
+    slots held. *)
 
 val token_count : int -> state -> int
 

@@ -33,10 +33,21 @@ let to_tokens n (s : state) : Utr.state =
   done;
   t
 
+(* The rank of [to_tokens n s] in UTR's layout without building it. *)
+let token_rank n =
+  let utr = Utr.layout n in
+  let w = Array.init (n + 1) (Layout.weight utr) in
+  fun (s : state) ->
+    let r = ref 0 in
+    for j = 0 to n do
+      if has_token n s j then r := !r + w.(j)
+    done;
+    !r
+
 let alpha ~n ~k =
   Cr_semantics.Abstraction.make
     ~name:(Printf.sprintf "alphaK(n=%d,K=%d)" n k)
-    (to_tokens n)
+    ~rank:(token_rank n) (to_tokens n)
 
 let token_count n s = Utr.token_count (to_tokens n s)
 

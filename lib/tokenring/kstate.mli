@@ -10,6 +10,9 @@ val c : state -> int -> int
 val has_token : int -> state -> int -> bool
 val to_tokens : int -> state -> Utr.state
 val alpha : n:int -> k:int -> (state, Utr.state) Cr_semantics.Abstraction.t
+(** α_K: {!to_tokens}, ranked in UTR's layout by the weights of the
+    token slots held. *)
+
 val token_count : int -> state -> int
 val initial : int -> state -> bool
 val program : n:int -> k:int -> Program.t

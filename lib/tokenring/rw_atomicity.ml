@@ -58,9 +58,12 @@ let p1 = Btr3.p1
 (* Forget the caches. *)
 let to_counters n (s : state) : Btr3.state = Array.sub s 0 (n + 1)
 
+(* Both ranks read the counters, slots 0..n, in place: Dijkstra-3's
+   layout is the counters alone, so its rank folds just those slots. *)
 let alpha_counters n =
   Cr_semantics.Abstraction.make
     ~name:(Printf.sprintf "forget-caches(%d)" n)
+    ~rank:(Layout.rank (Btr3.layout n))
     (to_counters n)
 
 let to_tokens n (s : state) : Btr.state = Btr3.to_tokens n (to_counters n s)
@@ -68,7 +71,7 @@ let to_tokens n (s : state) : Btr.state = Btr3.to_tokens n (to_counters n s)
 let alpha n =
   Cr_semantics.Abstraction.make
     ~name:(Printf.sprintf "alpha3-rw(%d)" n)
-    (to_tokens n)
+    ~rank:(Btr3.token_rank n) (to_tokens n)
 
 let actions n =
   let reads =

@@ -70,12 +70,18 @@ let stutter_check ~alpha ~fair ~c ~a ~(stats : stats) failures =
     done
   end
 
-let alpha_of ~c = function
-  | Some t -> t
-  | None -> Cr_semantics.Abstraction.identity_table (E.num_states c)
+(* The α-table as lanes, which [Refine.classify] reads, and as the array
+   this reference reads. *)
+let alpha_of ~c alpha =
+  let t =
+    match alpha with
+    | Some t -> t
+    | None -> Cr_semantics.Abstraction.identity_table (E.num_states c)
+  in
+  (t, Cr_kernel.Lane.to_array t)
 
 let init_refinement ?alpha ~c ~a () =
-  let alpha = alpha_of ~c alpha in
+  let _, alpha = alpha_of ~c alpha in
   let reach = Cr_checker.Reach.reachable_from_initial c in
   let failures = ref (initial_failures ~alpha ~c ~a) in
   let edges = ref 0 and exact = ref 0 in
@@ -95,7 +101,7 @@ let init_refinement ?alpha ~c ~a () =
     failures
 
 let everywhere_refinement ?alpha ~c ~a () =
-  let alpha = alpha_of ~c alpha in
+  let _, alpha = alpha_of ~c alpha in
   let failures = ref (initial_failures ~alpha ~c ~a) in
   let edges = ref 0 and exact = ref 0 in
   E.iter_edges c (fun i j ->
@@ -110,8 +116,8 @@ let everywhere_refinement ?alpha ~c ~a () =
     failures
 
 let convergence_refinement ?alpha ?fair ~c ~a () =
-  let alpha = alpha_of ~c alpha in
-  let classified, stats = classify ~alpha ~c ~a in
+  let table, alpha = alpha_of ~c alpha in
+  let classified, stats = classify ~alpha:table ~c ~a in
   let on_cycle = edge_on_cycle ~fair (E.csr c) in
   let failures = ref (initial_failures ~alpha ~c ~a) in
   let reach = Cr_checker.Reach.reachable_from_initial c in
@@ -132,8 +138,8 @@ let convergence_refinement ?alpha ?fair ~c ~a () =
   make_report ~relation:"⪯" ~c ~a ~stats failures
 
 let everywhere_eventually_refinement ?alpha ?fair ~c ~a () =
-  let alpha = alpha_of ~c alpha in
-  let classified, stats = classify ~alpha ~c ~a in
+  let table, alpha = alpha_of ~c alpha in
+  let classified, stats = classify ~alpha:table ~c ~a in
   let on_cycle = edge_on_cycle ~fair (E.csr c) in
   let failures = ref (initial_failures ~alpha ~c ~a) in
   let reach = Cr_checker.Reach.reachable_from_initial c in

@@ -115,7 +115,8 @@ let find_cycle_within succ mask =
 let stabilizing_to ?alpha ?fair ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
   let n = Explicit.num_states c in
   let alpha =
-    match alpha with Some t -> t | None -> Abstraction.identity_table n
+    Cr_kernel.Lane.to_array
+      (match alpha with Some t -> t | None -> Abstraction.identity_table n)
   in
   let legit = Cr_checker.Reach.reachable_from_initial a in
   let in_legit ai = ai >= 0 && Bitset.get legit ai in

@@ -251,6 +251,26 @@ let test_initials_in_keys () =
   in
   moved "refinement" snap ~misses:2 ~hits:0
 
+(* A key folds every lane of the α-table: two tables differing in one
+   lane key two questions, the same lanes in another store one. *)
+let test_alpha_lanes_in_keys () =
+  let module Program = Cr_guarded.Program in
+  let module Lane = Cr_kernel.Lane in
+  let e = Option.get (Registry.find "dijkstra3") in
+  let c = Program.to_explicit (e.program n) in
+  let a = Program.to_explicit (e.spec n) in
+  let table = Cr_semantics.Abstraction.tabulate (e.alpha n) c a in
+  let key alpha =
+    Cr_core.Check_cache.key ~relation:"stab" ~c_initials:false ~alpha
+      ~fair:None ~c ~a
+  in
+  let last = Lane.length table - 1 in
+  let moved = Bytes.copy table in
+  Lane.set moved last
+    ((Lane.get table last + 1) mod Cr_semantics.Explicit.num_states a);
+  check "same lanes, same key" true (key table = key (Bytes.copy table));
+  check "one lane apart, two keys" false (key table = key moved)
+
 let () =
   Alcotest.run "check_cache"
     [
@@ -275,6 +295,8 @@ let () =
             test_paranoid_recheck_passes;
           Alcotest.test_case "C's initial states key refinement only" `Quick
             test_initials_in_keys;
+          Alcotest.test_case "every alpha lane keys the verdict" `Quick
+            test_alpha_lanes_in_keys;
         ] );
       ( "compile",
         [

@@ -113,7 +113,31 @@ let test_settle () =
   let s3 = settle g (Graph_ref.mask 6 [ 4 ]) in
   Alcotest.(check (list int))
     "0..4 reach 4" [ 0; 1; 2; 3; 4 ] (Bs.members s3.reaches);
-  check "a cycle in the region gives no depth" true (s3.depth = None)
+  check "a cycle in the region gives no depth" true (s3.depth = None);
+  (* a 2^20-state chain 0 -> 1 -> ... -> n-1 into bad = {n-1}: one DFS
+     as deep as the graph, depth n - 1 at its head; closed into a ring
+     by n-1 -> 0 it is one SCC through the DFS root, with no depth *)
+  let n = 1 lsl 20 in
+  let chain ~ring =
+    let m = if ring then n else n - 1 in
+    let row_ptr = Cr_kernel.Lane.create (n + 1)
+    and targets = Cr_kernel.Lane.create m in
+    for i = 0 to n do
+      Cr_kernel.Lane.set row_ptr i (min i m)
+    done;
+    for k = 0 to m - 1 do
+      Cr_kernel.Lane.set targets k ((k + 1) mod n)
+    done;
+    Csr.unsafe_of_lanes ~states:n ~row_ptr ~targets
+  in
+  let bad = Graph_ref.mask n [ n - 1 ] in
+  let s4 = settle (chain ~ring:false) bad in
+  check_int "the whole chain reaches its end" n (Bs.count s4.reaches);
+  check_int "depth n - 1 at the head" (n - 1) (depths s4).(0);
+  check_int "depth 0 at the end" 0 (depths s4).(n - 1);
+  let s5 = settle (chain ~ring:true) bad in
+  check_int "the whole ring reaches bad" n (Bs.count s5.reaches);
+  check "a ring through the DFS root gives no depth" true (s5.depth = None)
 
 (* properties: on random graphs, SCC component equality agrees with mutual
    reachability, and bfs distance agrees with reconstructed path length. *)
@@ -276,20 +300,28 @@ let prop_csr_paths_agree =
       !ok)
 
 (* Random graphs, half of them DAGs (every edge oriented upward), with a
-   random [bad] mask: the settle pass marks exactly the reference
-   co-reachable set, and gives the reference longest runs inside it
-   exactly when the reference finds no cycle there. *)
+   random [bad] mask (each state bad with odds 1/2 to 1/9): the settle
+   pass marks exactly the reference co-reachable set, and gives the
+   reference longest runs inside it exactly when the reference finds no
+   cycle there. *)
 let prop_settle_agree =
   QCheck2.Test.make ~name:"Paths.settle = reference coreach and longest_within"
     ~count:300
     QCheck2.Gen.(
-      let* n, edges = gen_graph in
+      (* up to 64 states and 4n edges: nested SCCs and cycles through the
+         DFS root; a sparse or a dense [bad] *)
+      let* n = int_range 1 64 in
+      let* edges =
+        list_size (int_bound (4 * n))
+          (pair (int_bound (n - 1)) (int_bound (n - 1)))
+      in
       let* dag = bool in
       let edges =
         if dag then List.map (fun (i, j) -> (min i j, max i j)) edges
         else edges
       in
-      let* bits = array_repeat n bool in
+      let* odds = int_range 1 8 in
+      let* bits = array_repeat n (map (( = ) 0) (int_bound odds)) in
       return ((n, edges), bits))
     (fun (g, bits) ->
       let adj = adj_of g in
@@ -374,7 +406,10 @@ let prop_classify_jobs_invariant =
       let a = explicit_of_adj "A" (adj_of ga) [ 0 ] in
       let nc = Cr_semantics.Explicit.num_states c in
       let na = Cr_semantics.Explicit.num_states a in
-      let alpha = Array.init nc (fun i -> (i * 31 + salt) mod na) in
+      let alpha =
+        Cr_kernel.Lane.of_array
+          (Array.init nc (fun i -> ((i * 31) + salt) mod na))
+      in
       let run jobs =
         Unix.putenv "CR_JOBS" (string_of_int jobs);
         Fun.protect
@@ -432,7 +467,9 @@ let prop_classify_matches_reference =
               0 want;
         }
       in
-      let got, stats = Cr_core.Refine.classify ~alpha ~c ~a in
+      let got, stats =
+        Cr_core.Refine.classify ~alpha:(Cr_kernel.Lane.of_array alpha) ~c ~a
+      in
       classified_edges got
       = List.map2 (fun (i, j) c -> (i, j, c)) edges want
       && stats = want_stats)
@@ -553,7 +590,7 @@ let test_reserved_tail () =
   in
   let key c =
     Cr_core.Check_cache.key ~relation:"tail" ~c_initials:true
-      ~alpha:[| 0; 1; 2 |] ~fair:None ~c ~a:c
+      ~alpha:(Cr_kernel.Lane.of_array [| 0; 1; 2 |]) ~fair:None ~c ~a:c
   in
   let zeros = with_tail '\000' and ones = with_tail '\255' in
   let other = with_tail ~first:2 '\000' in

@@ -465,7 +465,10 @@ let test_refine_leading_failures () =
         (fun i -> List.filter_map (fun (x, y) -> if x = i then Some y else None) edges)
         initial
     in
-    let alpha = Array.init 30 (fun i -> Explicit.find a (image i)) in
+    let alpha =
+      Cr_kernel.Lane.of_array
+        (Array.init 30 (fun i -> Explicit.find a (image i)))
+    in
     List.iter2
       (fun (label, got) (_, want) ->
         Alcotest.(check (option string))
@@ -513,6 +516,39 @@ let test_failures_allocate_nothing () =
         Alcotest.failf "%s: %.0f minor words for 17040 failures" label words)
     [ ("init", r.R.init); ("everywhere", r.R.everywhere) ]
 
+(* The checkers read α-tables through unchecked lane loads, so a table
+   with fewer lanes than C has states is refused at entry, by name. *)
+let test_short_alpha_refused () =
+  let short = Cr_kernel.Lane.of_array [| 0; 1; 2; 3 |] in
+  let c = fig1_c and a = fig1_a in
+  List.iter
+    (fun (name, run) ->
+      match run () with
+      | () -> Alcotest.failf "%s accepted 4 lanes for 5 states" name
+      | exception Invalid_argument msg ->
+          check (name ^ " names itself") true
+            (String.starts_with ~prefix:(name ^ ":") msg))
+    [
+      ( "Stabilize.stabilizing_to",
+        fun () ->
+          ignore (Cr_core.Stabilize.stabilizing_to ~alpha:short ~c ~a ()) );
+      ( "Refine.init_refinement",
+        fun () ->
+          ignore (Cr_core.Refine.init_refinement ~alpha:short ~c ~a ()) );
+      ( "Refine.everywhere_refinement",
+        fun () ->
+          ignore (Cr_core.Refine.everywhere_refinement ~alpha:short ~c ~a ()) );
+      ( "Refine.convergence_refinement",
+        fun () ->
+          ignore
+            (Cr_core.Refine.convergence_refinement ~alpha:short ~c ~a ()) );
+      ( "Refine.everywhere_eventually_refinement",
+        fun () ->
+          ignore
+            (Cr_core.Refine.everywhere_eventually_refinement ~alpha:short ~c ~a
+               ()) );
+    ]
+
 let () =
   Alcotest.run "core"
     [
@@ -540,6 +576,8 @@ let () =
           Alcotest.test_case "terminal mismatch rejected" `Quick
             test_terminal_mismatch;
           Alcotest.test_case "graybox Theorems 3 and 5" `Quick test_graybox;
+          Alcotest.test_case "a short alpha table is refused by every check"
+            `Quick test_short_alpha_refused;
         ] );
       ( "stabilization",
         [

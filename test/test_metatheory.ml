@@ -271,7 +271,9 @@ let prop_quotient_theorem1 =
       let a = explicit_of { n = m; edges = a_edges; inits = [ i0 ] } "A" in
       let inits = List.filter (fun i -> q.(i) = i0) (List.init n (fun i -> i)) in
       let c = explicit_of { n; edges = c_edges; inits } "C" in
-      let alpha = Array.init n (fun i -> Explicit.find a q.(i)) in
+      let alpha =
+        Cr_kernel.Lane.of_array (Array.init n (fun i -> Explicit.find a q.(i)))
+      in
       let p1 = (Cr_core.Refine.convergence_refinement ~alpha ~c ~a ()).Cr_core.Refine.holds in
       let p2 = (Cr_core.Stabilize.self_stabilizing a).Cr_core.Stabilize.holds in
       let concl = (Cr_core.Stabilize.stabilizing_to ~alpha ~c ~a ()).Cr_core.Stabilize.holds in
@@ -283,7 +285,9 @@ let prop_quotient_strength =
       let a = explicit_of { n = m; edges = a_edges; inits = [ i0 ] } "A" in
       let inits = List.filter (fun i -> q.(i) = i0) (List.init n (fun i -> i)) in
       let c = explicit_of { n; edges = c_edges; inits } "C" in
-      let alpha = Array.init n (fun i -> Explicit.find a q.(i)) in
+      let alpha =
+        Cr_kernel.Lane.of_array (Array.init n (fun i -> Explicit.find a q.(i)))
+      in
       Cr_core.Theorems.strength_chain ~alpha ~c ~a ())
 
 (* The library's one-pass stabilization route against the reference
@@ -316,7 +320,9 @@ let prop_stabilize_reference =
       let c = explicit_of craw "C" and a = explicit_of araw "A" in
       let qa = explicit_of { n = m; edges = a_edges; inits = [ i0 ] } "A" in
       let qc = explicit_of { n; edges = c_edges; inits = [] } "C" in
-      let alpha = Array.init n (fun i -> Explicit.find qa q.(i)) in
+      let alpha =
+        Cr_kernel.Lane.of_array (Array.init n (fun i -> Explicit.find qa q.(i)))
+      in
       same_as_reference ~c ~a () && same_as_reference ~alpha ~c:qc ~a:qa ())
 
 (* The library's bounded failure collector against the list-building
@@ -367,7 +373,9 @@ let refine_case_reports ((craw, araw), (m, n, q, a_edges, c_edges, i0), (uc, ua)
     =
   let qa = explicit_of { n = m; edges = a_edges; inits = [ i0 ] } "A" in
   let qc = explicit_of { n; edges = c_edges; inits = [ 0; n - 1 ] } "C" in
-  let alpha = Array.init n (fun i -> Explicit.find qa q.(i)) in
+  let alpha =
+    Cr_kernel.Lane.of_array (Array.init n (fun i -> Explicit.find qa q.(i)))
+  in
   refine_reports ~c:(explicit_of craw "C") ~a:(explicit_of araw "A") ()
   @ refine_reports ~alpha ~c:qc ~a:qa ()
   @ refine_reports
@@ -428,7 +436,9 @@ let test_four_state_case () =
   let c =
     explicit_of { n = 4; edges = [ (1, 2); (0, 3); (3, 0) ]; inits = [ 1 ] } "C"
   in
-  let alpha = Array.map (Explicit.find a) [| 0; 1; 0; 0 |] in
+  let alpha =
+    Cr_kernel.Lane.of_array (Array.map (Explicit.find a) [| 0; 1; 0; 0 |])
+  in
   Alcotest.(check bool)
     "Theorem 1 witnessed" true
     (Cr_core.Theorems.theorem_1 ~alpha_ca:alpha ~c ~a ~b:a ()
@@ -469,7 +479,9 @@ let test_small_scope () =
    let a = explicit_of { n = m; edges = a_edges; inits = a_inits } "A" in
    let* n = List.init (5 - m) (fun k -> m + k) in
    let* q = List.map Array.of_list (onto n m) in
-   let alpha = Array.map (Explicit.find a) q in
+   let alpha =
+     Cr_kernel.Lane.of_array (Array.map (Explicit.find a) q)
+   in
    let inits = List.filter (fun i -> List.mem q.(i) a_inits) (states n) in
    let* edges = subsets (pairs n) in
    let c = explicit_of { n; edges; inits } "C" in

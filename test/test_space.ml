@@ -131,7 +131,8 @@ let test_alpha (e, n) () =
     (fun k d ->
       Alcotest.(check int)
         (case_name (e, n) ^ ": alpha image agrees at sparse index")
-        tab_d.(d) tab_s.(k))
+        (Cr_kernel.Lane.get tab_d d)
+        (Cr_kernel.Lane.get tab_s k))
     bij
 
 (* The four refinement relations, computed on the sparse compile and on

@@ -223,13 +223,15 @@ let test_abstractions () =
   let btr = Cr_guarded.Program.to_explicit (Cr_tokenring.Btr.program n) in
   let c1 = Cr_guarded.Program.to_explicit (Cr_tokenring.Btr4.c1 n) in
   let a4 = Cr_semantics.Abstraction.tabulate (Cr_tokenring.Btr4.alpha n) c1 btr in
-  check "alpha4 total" true (Array.length a4 = Cr_semantics.Explicit.num_states c1);
+  check "alpha4 total" true
+    (Cr_kernel.Lane.length a4 = Cr_semantics.Explicit.num_states c1);
   check "alpha4 not onto the full token space" false
     (Cr_semantics.Abstraction.is_onto a4
        ~num_abstract:(Cr_semantics.Explicit.num_states btr));
   let d3 = Cr_guarded.Program.to_explicit (Cr_tokenring.Btr3.dijkstra3 n) in
   let a3 = Cr_semantics.Abstraction.tabulate (Cr_tokenring.Btr3.alpha n) d3 btr in
-  check "alpha3 total" true (Array.length a3 = Cr_semantics.Explicit.num_states d3)
+  check "alpha3 total" true
+    (Cr_kernel.Lane.length a3 = Cr_semantics.Explicit.num_states d3)
 
 (* BTR basics *)
 let test_btr_basics () =
@@ -373,6 +375,72 @@ let test_spec_closures () =
            (Cr_tokenring.Utr.program n) Cr_tokenring.Utr.invariant))
     [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
+(* The rank route of [Abstraction.tabulate] (α's own rank looked up in
+   the abstract graph's rank index, no image built) against the
+   state-building reference (test/alpha_ref.ml), on every registry
+   entry at N = 2..5 (rw-dijkstra3 at N = 2..3) and on the read/write
+   ring's counter projection into Dijkstra-3: into the dense spec and
+   into the sparse legitimate orbit, total and [~partial:true].  A
+   [Not_total] carries the reference's message byte for byte. *)
+let test_rank_route () =
+  let module A = Cr_semantics.Abstraction in
+  let module E = Cr_semantics.Explicit in
+  let module P = Cr_guarded.Program in
+  let module Space = Cr_semantics.Space in
+  let module Registry = Cr_experiments.Registry in
+  let refusals = ref 0 in
+  let outcome f =
+    match f () with
+    | t -> Ok t
+    | exception A.Not_total msg ->
+        incr refusals;
+        Error msg
+  in
+  let agree what alpha c spec =
+    if A.rank alpha = None then Alcotest.failf "%s: alpha carries no rank" what;
+    List.iter
+      (fun space ->
+        let a = P.to_explicit ~space spec in
+        if E.rank_index a = None then
+          Alcotest.failf "%s: the spec has no rank index" what;
+        List.iter
+          (fun partial ->
+            let got =
+              outcome (fun () ->
+                  Cr_kernel.Lane.to_array (A.tabulate ~partial alpha c a))
+            in
+            let want =
+              outcome (fun () ->
+                  Alpha_ref.tabulate ~partial ~layout:(P.layout spec) alpha c a)
+            in
+            match (got, want) with
+            | Ok g, Ok w when g = w -> ()
+            | Error g, Error w when g = w -> ()
+            | Error g, Error w -> Alcotest.failf "%s: %S <> %S" what g w
+            | _ ->
+                Alcotest.failf "%s (%s, partial %b): the routes differ" what
+                  (Space.engine_name space) partial)
+          [ false; true ])
+      [ Space.Dense; Space.Sparse ]
+  in
+  List.iter
+    (fun (e : Registry.entry) ->
+      for n = 2 to if e.name = "rw-dijkstra3" then 3 else 5 do
+        agree
+          (Printf.sprintf "%s n=%d" e.name n)
+          (e.alpha n) (Registry.explicit e n) (e.spec n)
+      done)
+    Registry.entries;
+  let rw = Option.get (Registry.find "rw-dijkstra3") in
+  for n = 2 to 3 do
+    agree
+      (Printf.sprintf "rw-dijkstra3 counters n=%d" n)
+      (Cr_tokenring.Rw_atomicity.alpha_counters n)
+      (Registry.explicit rw n) (Cr_tokenring.Btr3.dijkstra3 n)
+  done;
+  (* images outside the orbit: the totality refusals were compared too *)
+  check "some tabulation refused" true (!refusals > 0)
+
 let () =
   Alcotest.run "tokenring"
     [
@@ -415,6 +483,7 @@ let () =
           Alcotest.test_case "totality and onto-ness" `Quick test_abstractions;
           Alcotest.test_case "to_tokens = list-building reference" `Quick
             test_tokens_reference;
+          Alcotest.test_case "rank route = state route" `Quick test_rank_route;
         ] );
       ("render", [ Alcotest.test_case "ascii lines" `Quick test_render ]);
       ( "mutex service",
