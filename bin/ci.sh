@@ -16,6 +16,16 @@ trap 'rm -rf "$work"' EXIT
 trace="$work/trace"
 lintjson="$work/lint.json"
 
+# runtest diffs crcheck's golden transcripts (test/golden/); the
+# experiment harness's stdout is one more golden, compared here.
+benchout="$work/bench.out"
+dune exec bench/main.exe > "$benchout"
+cmp -s test/golden/bench-main.expected "$benchout" || {
+  echo "ci: bench/main.exe output differs from test/golden/bench-main.expected" >&2
+  diff test/golden/bench-main.expected "$benchout" >&2 || true
+  exit 1
+}
+
 # test_metatheory's qcheck properties under fixed seeds as well as
 # dune's random one: Theorem 1 was refuted through an abstraction under
 # seed 847234730 while Stabilize rejected τ-steps.  Its other groups
