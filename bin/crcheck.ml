@@ -177,7 +177,7 @@ let refine name n stats space =
           pf "%-14s %a@." label Cr_core.Refine.pp_report report;
           if stats then pp_cost label report.Cr_core.Refine.cost)
         reports;
-      (* a verdict-cache hit: "convergence" was just computed above *)
+      (* the convergence report printed above *)
       let conv = List.assoc "convergence" reports in
       let reach = Cr_checker.Reach.reachable_from_initial ep in
       List.iter

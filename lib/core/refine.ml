@@ -34,8 +34,8 @@ let[@inline] lane b k = Int32.to_int (Cr_kernel.Lane.get32u b (4 * k))
    Classification has one code path for every job count: a chunked
    stutter/exact sweep, one batched BFS oracle for the remaining path
    queries, and a chunked resolve against it, all under the CR_JOBS
-   contract of [Par].  Every verdict is memoized in a content-addressed
-   [Cr_kernel.Memo] keyed by [Check_cache.key]. *)
+   contract of [Par].  Every call runs its checker: no verdict is
+   memoized. *)
 
 type edge_class = Stutter | Exact | Compression of int
 
@@ -195,7 +195,7 @@ let c_max_dropped = Cr_obs.Obs.counter ~kind:Cr_obs.Obs.Max "refine.max_dropped"
    classes are all the classification adds to the CSR. *)
 let classify ~alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) :
     classified * stats =
-  Abstraction.check_length ~who:"Refine.classify" alpha c;
+  Abstraction.check_table ~who:"Refine.classify" alpha ~c ~a;
   Cr_obs.Obs.span "refine.classify" @@ fun () ->
   let succ_a = Explicit.csr a in
   let g = Explicit.csr c in
@@ -425,58 +425,39 @@ let make_report ~relation ~c ~a ~stats col =
     cost = None;
   }
 
-(* Run one checker under a named span and attach its domain-local
-   counter and allocation cost ([Obs.domain_cost]) to the verdict. *)
-let with_cost span_name f =
-  Cr_obs.Obs.span span_name @@ fun () ->
-  let report, cost = Cr_obs.Obs.domain_cost f in
-  { report with cost }
-
-(* Verdict memo shared by all four relations: the key covers the
-   relation tag, both systems (names, exact transition structure,
-   initial states), the resolved abstraction table and the fairness
-   tables, so a hit can only return a report computed for an identical
-   question (see [Check_cache.key]). *)
-let memo : report Cr_kernel.Memo.t = Cr_kernel.Memo.create ~name:"check"
-
-let same_report r1 r2 = { r1 with cost = None } = { r2 with cost = None }
-
-(* The α-table a relation reads: the caller's, checked once against C
-   here (every later read is an unchecked lane load), or the
-   identity. *)
-let resolve_alpha ~who ~c = function
-  | Some t ->
-      Abstraction.check_length ~who t c;
-      t
-  | None -> Abstraction.identity_table (Explicit.num_states c)
-
-(* One journal event per verdict delivered to a caller.  [cached] is
-   true when the report came out of the verdict cache without running
-   the checker (under CR_CACHE_PARANOID the paranoid re-check makes a
-   hit look fresh — the honest reading, since the work was done). *)
-let emit_verdict ~was_cached (r : report) =
-  if Cr_obs.Obs.tracking () then
-    let open Cr_obs.Obs in
-    event "refine.verdict"
-      ([
-         ("relation", S r.relation);
-         ("concrete", S r.concrete);
-         ("abstract", S r.abstract);
-         ("holds", B r.holds);
-         ("edges", I r.stats.edges);
-         ("failures", I r.total_failures);
-         ("cached", B was_cached);
-       ]
-      @ match r.cost with Some snap -> [ ("cost", Snap snap) ] | None -> [])
-
-let cached ~relation ~alpha ~fair ~c ~a check =
-  let r, ran =
-    Cr_kernel.Memo.find memo
-      ~key:(fun () ->
-        Check_cache.key ~relation ~c_initials:true ~alpha ~fair ~c ~a)
-      ~same:same_report check
+(* The α-table a relation reads, the caller's or the identity, checked
+   once against C and A here: every later read of it, and of A's graph
+   at its lanes, is an unchecked load. *)
+let resolve_alpha ~who ~c ~a alpha =
+  let t =
+    match alpha with
+    | Some t -> t
+    | None -> Abstraction.identity_table (Explicit.num_states c)
   in
-  emit_verdict ~was_cached:(not ran) r;
+  Abstraction.check_table ~who t ~c ~a;
+  t
+
+(* Run one checker under a named span, attach its domain-local counter
+   and allocation cost ([Obs.domain_cost]) to the verdict, and emit one
+   journal event per verdict. *)
+let checked span_name f =
+  let r =
+    Cr_obs.Obs.span span_name @@ fun () ->
+    let report, cost = Cr_obs.Obs.domain_cost f in
+    { report with cost }
+  in
+  (if Cr_obs.Obs.tracking () then
+     let open Cr_obs.Obs in
+     event "refine.verdict"
+       ([
+          ("relation", S r.relation);
+          ("concrete", S r.concrete);
+          ("abstract", S r.abstract);
+          ("holds", B r.holds);
+          ("edges", I r.stats.edges);
+          ("failures", I r.total_failures);
+        ]
+       @ match r.cost with Some snap -> [ ("cost", Snap snap) ] | None -> []));
   r
 
 (* Does edge (i, j) of [c] lie on a cycle — a weakly-fair one under
@@ -528,9 +509,8 @@ let stutter_check ~alpha ~fair ~(c : _ Explicit.t) ~(a : _ Explicit.t)
 
 (* [C ⊑ A]_init *)
 let init_refinement ?alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
-  let alpha = resolve_alpha ~who:"Refine.init_refinement" ~c alpha in
-  cached ~relation:"⊑_init" ~alpha ~fair:None ~c ~a @@ fun () ->
-  with_cost "refine.init" @@ fun () ->
+  let alpha = resolve_alpha ~who:"Refine.init_refinement" ~c ~a alpha in
+  checked "refine.init" @@ fun () ->
   let reach = Cr_checker.Reach.reachable_from_initial c in
   let col = collector () in
   initial_failures col ~alpha ~c ~a;
@@ -547,9 +527,8 @@ let init_refinement ?alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
 
 (* [C ⊑ A] — everywhere refinement *)
 let everywhere_refinement ?alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
-  let alpha = resolve_alpha ~who:"Refine.everywhere_refinement" ~c alpha in
-  cached ~relation:"⊑" ~alpha ~fair:None ~c ~a @@ fun () ->
-  with_cost "refine.everywhere" @@ fun () ->
+  let alpha = resolve_alpha ~who:"Refine.everywhere_refinement" ~c ~a alpha in
+  checked "refine.everywhere" @@ fun () ->
   let col = collector () in
   initial_failures col ~alpha ~c ~a;
   let edges = ref 0 and exact = ref 0 in
@@ -565,9 +544,8 @@ let everywhere_refinement ?alpha ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
    "on a weakly-fair cycle" (see [edge_on_cycle]). *)
 let convergence_refinement ?alpha ?fair ~(c : _ Explicit.t)
     ~(a : _ Explicit.t) () =
-  let alpha = resolve_alpha ~who:"Refine.convergence_refinement" ~c alpha in
-  cached ~relation:"⪯" ~alpha ~fair ~c ~a @@ fun () ->
-  with_cost "refine.convergence" @@ fun () ->
+  let alpha = resolve_alpha ~who:"Refine.convergence_refinement" ~c ~a alpha in
+  checked "refine.convergence" @@ fun () ->
   let classified, stats = classify ~alpha ~c ~a in
   let succ_c = Explicit.csr c in
   let edge_on_cycle = edge_on_cycle ~fair succ_c in
@@ -605,10 +583,9 @@ let convergence_refinement ?alpha ?fair ~(c : _ Explicit.t)
 let everywhere_eventually_refinement ?alpha ?fair ~(c : _ Explicit.t)
     ~(a : _ Explicit.t) () =
   let alpha =
-    resolve_alpha ~who:"Refine.everywhere_eventually_refinement" ~c alpha
+    resolve_alpha ~who:"Refine.everywhere_eventually_refinement" ~c ~a alpha
   in
-  cached ~relation:"⊑_ee" ~alpha ~fair ~c ~a @@ fun () ->
-  with_cost "refine.everywhere_eventually" @@ fun () ->
+  checked "refine.everywhere_eventually" @@ fun () ->
   let classified, stats = classify ~alpha ~c ~a in
   let succ_c = Explicit.csr c in
   let edge_on_cycle = edge_on_cycle ~fair succ_c in

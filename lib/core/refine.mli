@@ -5,20 +5,21 @@
     {!Cr_semantics.Abstraction.tabulate}, or [Registry.refining]'s rank
     sweep): one four-byte lane per concrete state holding the abstract
     index of its image.  It defaults to the identity (shared state
-    space).  Each checker raises [Invalid_argument], naming itself, when
-    the table's lane count is not [c]'s state count: every later read is
-    an unchecked lane load.  Stuttering of the abstract image is treated
-    as the paper's "τ steps": images are compared modulo consecutive
-    repetition (DESIGN.md, section 2).
+    space).  Each checker, {!classify} included, raises
+    [Invalid_argument], naming itself, before any lane load when the
+    table's lane count is not [c]'s state count or a lane is not a state
+    index of [a] ({!Cr_semantics.Abstraction.check_table}): every later
+    read of the table, and of [a]'s graph at its lanes, is unchecked.
+    Stuttering of the abstract image is treated as the paper's "τ
+    steps": images are compared modulo consecutive repetition
+    (DESIGN.md, section 2).
 
     The checkers are sound: [holds = true] implies the trace-theoretic
     relation.
 
-    Verdicts are memoized in a content-addressed {!Cr_kernel.Memo} keyed
-    ({!Check_cache.key}) on the relation, both systems' exact structure,
-    the abstraction and the fairness tables — disable with [CR_CACHE=0],
-    audit with [CR_CACHE_PARANOID=1].  Classification is chunked under
-    [CR_JOBS] ({!Cr_kernel.Par}) with job-count-independent results. *)
+    No verdict is memoized: every call runs its checker.  Classification
+    is chunked under [CR_JOBS] ({!Cr_kernel.Par}) with
+    job-count-independent results. *)
 
 type edge_class =
   | Stutter  (** the abstract image does not move *)

@@ -40,8 +40,8 @@ let[@inline] lane b k = Int32.to_int (Cr_kernel.Lane.get32u b (4 * k))
    them — the recovery depth, whose maximum is the worst case.  No
    transpose of C is built.  All sweeps run over the systems' flat CSR
    graphs and packed bitsets; the bad-seed sweep is domain-chunked
-   under the CR_JOBS contract of [Par], and verdicts are memoized in a
-   content-addressed [Cr_kernel.Memo] keyed by [Check_cache.key]. *)
+   under the CR_JOBS contract of [Par].  Every call runs the check: no
+   verdict is memoized. *)
 
 type report = {
   holds : bool;
@@ -119,21 +119,14 @@ let find_cycle_within (succ : Cr_kernel.Csr.t) (mask : Cr_kernel.Bitset.t) =
 let c_runs = Cr_obs.Obs.counter "stabilize.runs"
 let c_bad_seeds = Cr_obs.Obs.counter "stabilize.bad_seeds"
 
-(* Verdict memo: keyed on both systems' exact structure, A's initial
-   states (C's are never read), the abstraction and the fairness tables
-   (see [Check_cache.key]). *)
-let memo : report Cr_kernel.Memo.t = Cr_kernel.Memo.create ~name:"check"
-
-let same_report r1 r2 = { r1 with cost = None } = { r2 with cost = None }
-
 let stabilizing_to ?alpha ?fair ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
   let alpha =
     match alpha with
-    | Some t ->
-        Abstraction.check_length ~who:"Stabilize.stabilizing_to" t c;
-        t
+    | Some t -> t
     | None -> Abstraction.identity_table (Explicit.num_states c)
   in
+  Abstraction.check_table ~who:"Stabilize.stabilizing_to" ~partial:true alpha
+    ~c ~a;
   let run () =
     let legit = Cr_checker.Reach.reachable_from_initial a in
     let in_legit ai = ai >= 0 && Cr_kernel.Bitset.get legit ai in
@@ -272,16 +265,10 @@ let stabilizing_to ?alpha ?fair ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
       cost = None;
     }
   in
-  let check () =
+  let r =
     Cr_obs.Obs.span "stabilize.check" @@ fun () ->
     let r, cost = Cr_obs.Obs.domain_cost run in
     { r with cost }
-  in
-  let r, ran =
-    Cr_kernel.Memo.find memo
-      ~key:(fun () ->
-        Check_cache.key ~relation:"stab" ~c_initials:false ~alpha ~fair ~c ~a)
-      ~same:same_report check
   in
   (if Cr_obs.Obs.tracking () then
      let open Cr_obs.Obs in
@@ -293,7 +280,6 @@ let stabilizing_to ?alpha ?fair ~(c : _ Explicit.t) ~(a : _ Explicit.t) () =
           ("states", I r.states);
           ("legitimate", I r.legitimate);
           ("good", I r.good);
-          ("cached", B (not ran));
         ]
        @ (match r.worst_case_recovery with
          | Some w -> [ ("worst_case_recovery", I w) ]

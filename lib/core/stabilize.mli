@@ -8,10 +8,8 @@
     decided in one forward pass over [C]'s graph
     ({!Cr_checker.Paths.settle}), which also gives the recovery depths;
     no transpose of [C] is built, and [C]'s initial states are never
-    read.  Verdicts are memoized in a content-addressed
-    {!Cr_kernel.Memo} keyed by {!Check_cache.key} ([CR_CACHE=0]
-    disables, [CR_CACHE_PARANOID=1] audits every hit); the bad-seed
-    sweep is domain-chunked under [CR_JOBS] with a
+    read.  No verdict is memoized: every call runs the check.  The
+    bad-seed sweep is domain-chunked under [CR_JOBS] with a
     job-count-independent result. *)
 
 type report = {
@@ -45,8 +43,10 @@ val stabilizing_to :
 (** Decide "C is stabilizing to A", optionally through an α-table
     ({!Cr_semantics.Abstraction.tabulate}: one four-byte lane per state
     of [c]; the identity by default).  Raises [Invalid_argument] naming
-    this check when the table's lane count is not [c]'s state count
-    (every later read is an unchecked lane load).  With [?fair] (action
+    this check when the table's lane count is not [c]'s state count or
+    a lane lies outside [[-1, |Sigma_A|)]
+    ({!Cr_semantics.Abstraction.check_table} [~partial:true]): every
+    later read is an unchecked lane load.  With [?fair] (action
     tables for [c]), divergence is checked over weakly-fair computations
     only; [worst_case_recovery] is [None] when recovery is finite but
     unbounded.

@@ -182,10 +182,9 @@ let init_explicit e n = anchored (e.program n)
    crcheck's verify, dot, spans and kstate, the flow audit and every
    report table — goes through [stabilizing], and every refinement
    question — crcheck refine, [refinements] and the lemma tables —
-   through [refining]; so the verdict memo inside Refine/Stabilize keeps
-   one entry per question.  Staged: the spec's fragment and the α-table
-   are built once per [~alpha c spec], and the checker can be asked
-   again (the fair re-check). *)
+   through [refining].  Staged: the spec's fragment and the α-table are
+   built once per [~alpha c spec], and the checker can be asked again
+   (the fair re-check). *)
 let stabilizing ~alpha c spec =
   let a = anchored spec in
   let alpha = Cr_semantics.Abstraction.tabulate ~partial:true alpha c a in

@@ -56,8 +56,7 @@ val stabilizing :
     [alpha] against it with [~partial:true]; the returned checker is
     {!Cr_core.Stabilize.stabilizing_to} with [?fair] passed through,
     and can be asked again without rebuilding either.
-    The report is the one the full dense spec gives, memoized in the
-    verdict cache ({!Cr_core.Check_cache}): one entry per question. *)
+    The report is the one the full dense spec gives. *)
 
 val stabilization :
   ?ep:Layout.state Cr_semantics.Explicit.t ->
@@ -100,7 +99,7 @@ val refining :
     α-closure; sparse unless [CR_SPACE] forces the dense spec) and
     rewrites each lane to its image's index there.  Refine reads the
     spec only at α-images and along paths from them, so every report is
-    the one the full dense spec gives, memoized in the verdict cache.  Raises
+    the one the full dense spec gives.  Raises
     {!Cr_semantics.Abstraction.Not_total} when an image is not a state
     of the spec's layout. *)
 

@@ -142,10 +142,10 @@ let checked_rank t (s : state) =
 (* Hash tables keyed by whole states.  The polymorphic [Hashtbl.hash]
    reads at most 10 fields of an array, so the states of any layout
    wider than that collide on everything past slot 9; this hash folds
-   every slot (FNV-1a over native ints, like [Cr_kernel.Memo.Fp]) and
-   then xors the well-mixed high bits down, because the table
-   indexes buckets by the low bits.  Keys are whole arrays rather than
-   ranks: closures may hold domain-invalid states, which have no rank. *)
+   every slot (FNV-1a over native ints) and then xors the well-mixed
+   high bits down, because the table indexes buckets by the low bits.
+   Keys are whole arrays rather than ranks: closures may hold
+   domain-invalid states, which have no rank. *)
 let hash (s : state) =
   let h = ref 0x3bf29ce484222325 in
   for i = 0 to Array.length s - 1 do

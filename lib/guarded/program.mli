@@ -124,8 +124,9 @@ val to_explicit :
     [roots]). *)
 
 val clear_compile_cache : unit -> unit
-(** A no-op: there is no compile cache.  Kept for callers that reset
-    every cache before a measured run (the verdict memo is emptied by
+(** A no-op: there is no compile cache, and no verdict memo either.
+    Kept only because [scenario_bench/replay.ml] resets every cache
+    before a measured run (as it calls the no-op
     [Cr_core.Check_cache.clear_all]). *)
 
 val synchronous_step : t -> state -> state option

@@ -81,10 +81,20 @@ let identity_table n =
   done;
   table
 
-let check_length ~who alpha c =
-  let n = Explicit.num_states c in
+let check_table ~who ?(partial = false) alpha ~c ~a =
+  let n = Explicit.num_states c and m = Explicit.num_states a in
   if Lane.length alpha <> n then
     invalid_arg
       (Printf.sprintf
          "%s: the alpha table has %d entries for %d concrete states" who
-         (Lane.length alpha) n)
+         (Lane.length alpha) n);
+  let lo = if partial then -1 else 0 in
+  for i = 0 to n - 1 do
+    let j = Int32.to_int (Lane.get32u alpha (4 * i)) in
+    if j < lo || j >= m then
+      invalid_arg
+        (Printf.sprintf
+           "%s: the alpha table maps concrete state %d to %d, outside [%d, \
+            %d)"
+           who i j lo m)
+  done

@@ -7,7 +7,7 @@
     abstract index of the image of concrete state [i] ([-1] for an
     image outside a compiled fragment, see {!tabulate}).  It is the one
     table format of [Cr_core]'s checkers ([Stabilize], [Refine],
-    [Theorems], [Check_cache]). *)
+    [Theorems]). *)
 
 type ('c, 'a) t
 
@@ -55,7 +55,11 @@ val is_onto : Bytes.t -> num_abstract:int -> bool
 val identity_table : int -> Bytes.t
 (** The α-table [0, 1, ..., n - 1]. *)
 
-val check_length : who:string -> Bytes.t -> _ Explicit.t -> unit
+val check_table :
+  who:string -> ?partial:bool -> Bytes.t -> c:_ Explicit.t -> a:_ Explicit.t -> unit
 (** Raises [Invalid_argument], naming [who], unless the α-table has one
-    lane per state of the concrete system.  The checkers read α-tables
-    through unchecked lane loads, so each checks this once at entry. *)
+    lane per state of [c] and every lane is a state index of [a], in
+    [[0, |Sigma_A|)] ([[-1, |Sigma_A|)] with [~partial:true], as
+    {!tabulate} [~partial:true] writes).  The checkers read α-tables,
+    and [a]'s graph at their lanes, through unchecked loads, so each
+    checks this once at entry. *)

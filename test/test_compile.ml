@@ -9,7 +9,6 @@
 
 open Cr_guarded
 module E = Cr_semantics.Explicit
-module Memo = Cr_kernel.Memo
 module Par = Cr_kernel.Par
 
 (* ---- random program generation (as in test_guarded_props) ---- *)
@@ -718,23 +717,41 @@ let test_compiles_agree () =
   Alcotest.(check bool)
     "each compile builds its own successor rows" false (E.csr e1 == E.csr e2)
 
-(* The compile reads no memo switch: with [var] set it builds the graph
-   it builds without it, and still shares no rows between compiles. *)
-let test_switch_changes_no_graph var value () =
-  let p = Cr_tokenring.Btr.program 3 in
-  let plain = Program.to_explicit p in
-  Unix.putenv var value;
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv var "")
-    (fun () ->
-      let e1 = Program.to_explicit p in
-      let e2 = Program.to_explicit p in
+(* A closure-seeded compile is renumbered in ascending rank; a compile
+   from the same seeds given as [?roots] keeps discovery order.  Two
+   index orders of one graph: whichever is compiled first, each keeps
+   its own. *)
+let test_closure_and_roots_orders () =
+  let p = Cr_tokenring.Btr3.dijkstra3 3 in
+  let roots =
+    Array.of_list
+      (List.map (Layout.rank (Program.layout p))
+         (Option.get (Program.closure_seeds p)))
+  in
+  let sparse ?roots () =
+    Program.to_explicit ?roots ~space:Cr_semantics.Space.Sparse p
+  in
+  let closure () = sparse () and from_roots () = sparse ~roots () in
+  let fresh_closure = closure () in
+  let fresh_roots = from_roots () in
+  Alcotest.(check bool)
+    "the two index orders differ" false
+    (E.same_transitions fresh_closure fresh_roots);
+  List.iter
+    (fun closure_first ->
+      let label = if closure_first then "closure first" else "roots first" in
+      let c, r =
+        if closure_first then
+          let c = closure () in
+          (c, from_roots ())
+        else
+          let r = from_roots () in
+          (closure (), r)
+      in
       Alcotest.(check bool)
-        (var ^ ": the graph of the unset switch") true
-        (same plain e1 && same e1 e2);
-      Alcotest.(check bool)
-        (var ^ ": rows not shared") false
-        (E.csr plain == E.csr e1 || E.csr e1 == E.csr e2))
+        (label ^ ": closure-seeded graph") true (same c fresh_closure);
+      Alcotest.(check bool) (label ^ ": roots graph") true (same r fresh_roots))
+    [ true; false ]
 
 (* Two programs that differ only in their initial predicate: the same
    transitions, each graph with its own initial states. *)
@@ -885,11 +902,8 @@ let test_lazy_pred () =
    decided in one forward pass. *)
 let test_stabilization_leaves_pred_lazy () =
   let e = Option.get (Cr_experiments.Registry.find "dijkstra3") in
-  let ep, r =
-    Memo.bypass (fun () ->
-        let ep = Cr_experiments.Registry.explicit e 3 in
-        (ep, Cr_experiments.Registry.stabilization ~ep e 3 ()))
-  in
+  let ep = Cr_experiments.Registry.explicit e 3 in
+  let r = Cr_experiments.Registry.stabilization ~ep e 3 () in
   Alcotest.(check bool) "dijkstra3 stabilizes" true r.Cr_core.Stabilize.holds;
   Alcotest.(check bool)
     "pred not forced by a stabilization check" false (E.pred_forced ep)
@@ -913,8 +927,6 @@ let test_lazy_initials () =
   let e = Program.to_explicit p in
   Alcotest.(check int) "a dense compile calls it 0 times" 0 (Atomic.get calls);
   let entry = Option.get (Cr_experiments.Registry.find "dijkstra3") in
-  (* a cold verdict memo: the check runs, and its key is computed *)
-  Cr_core.Check_cache.clear_all ();
   let r =
     Cr_experiments.Registry.stabilizing ~alpha:(entry.alpha 3) e
       (entry.spec 3) ()
@@ -948,10 +960,8 @@ let () =
             test_compiles_agree;
           Alcotest.test_case "each graph keeps its own initial states" `Quick
             test_own_initials;
-          Alcotest.test_case "CR_CACHE=0 changes no graph" `Quick
-            (test_switch_changes_no_graph "CR_CACHE" "0");
-          Alcotest.test_case "CR_CACHE_PARANOID=1 changes no graph" `Quick
-            (test_switch_changes_no_graph "CR_CACHE_PARANOID" "1");
+          Alcotest.test_case "closure and roots compiles keep their orders"
+            `Quick test_closure_and_roots_orders;
           Alcotest.test_case "programs that differ on odd ranks only" `Quick
             test_near_identical_programs;
           Alcotest.test_case "an escape the discovery never reaches" `Quick

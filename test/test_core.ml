@@ -265,9 +265,8 @@ let test_stutter_rule_chunked () =
         (Printf.sprintf "jobs=%d: the reference's report" jobs)
         true
         (Stabilize_ref.agrees
-           (Cr_kernel.Memo.bypass (fun () ->
-                Cr_kernel.Par.with_jobs jobs (fun () ->
-                    Cr_core.Stabilize.stabilizing_to ~alpha ~c ~a ())))
+           (Cr_kernel.Par.with_jobs jobs (fun () ->
+                Cr_core.Stabilize.stabilizing_to ~alpha ~c ~a ()))
            want))
     [ 1; 2; 4 ]
 
@@ -429,12 +428,11 @@ let test_refine_reference ((e : Cr_experiments.Registry.entry), n) () =
   let alpha = Cr_semantics.Abstraction.tabulate ~partial:true (e.alpha n) c a in
   let fair = Cr_sim.Glue.fair_tables (e.program n) c in
   let got =
-    Cr_kernel.Memo.bypass (fun () ->
-        R.relations r
-        @ [
-            ("convergence fair", r.R.convergence ~fair ());
-            ("ee fair", r.R.ee ~fair ());
-          ])
+    R.relations r
+    @ [
+        ("convergence fair", r.R.convergence ~fair ());
+        ("ee fair", r.R.ee ~fair ());
+      ]
   in
   let want =
     Refine_ref.relations ~alpha ~c ~a ()
@@ -473,14 +471,13 @@ let test_refine_leading_failures () =
       (fun (label, got) (_, want) ->
         Alcotest.(check (option string))
           (label ^ ": no field differs") None (Refine_ref.mismatch got want))
-      (Cr_kernel.Memo.bypass (fun () ->
-           let open Cr_core.Refine in
-           [
-             ("init", init_refinement ~alpha ~c ~a ());
-             ("everywhere", everywhere_refinement ~alpha ~c ~a ());
-             ("convergence", convergence_refinement ~alpha ~c ~a ());
-             ("ee", everywhere_eventually_refinement ~alpha ~c ~a ());
-           ]))
+      (let open Cr_core.Refine in
+       [
+         ("init", init_refinement ~alpha ~c ~a ());
+         ("everywhere", everywhere_refinement ~alpha ~c ~a ());
+         ("convergence", convergence_refinement ~alpha ~c ~a ());
+         ("ee", everywhere_eventually_refinement ~alpha ~c ~a ());
+       ])
       (Refine_ref.relations ~alpha ~c ~a ())
   in
   (* 30 initial and 30 terminal failures, no edge *)
@@ -494,7 +491,7 @@ let test_refine_leading_failures () =
     ~image:(fun _ -> 1)
 
 (* A failing edge allocates nothing: at N = 6 each of rw-dijkstra3's
-   plain relations fails on 17,040 edges, and a whole uncached check
+   plain relations fails on 17,040 edges, and a whole check
    allocates fewer minor words than that (the list-building route
    allocated about ten words per failure). *)
 let test_failures_allocate_nothing () =
@@ -508,7 +505,7 @@ let test_failures_allocate_nothing () =
   List.iter
     (fun (label, check_relation) ->
       let before = Gc.minor_words () in
-      let report = Cr_kernel.Memo.bypass check_relation in
+      let report = check_relation () in
       let words = Gc.minor_words () -. before in
       Alcotest.(check int)
         (label ^ ": failures") 17_040 report.Cr_core.Refine.total_failures;
@@ -516,38 +513,61 @@ let test_failures_allocate_nothing () =
         Alcotest.failf "%s: %.0f minor words for 17040 failures" label words)
     [ ("init", r.R.init); ("everywhere", r.R.everywhere) ]
 
+(* Every check that takes an α-table, under the name it raises with. *)
+let table_checks ~c ~a =
+  let open Cr_core in
+  [
+    ( "Stabilize.stabilizing_to",
+      fun alpha -> ignore (Stabilize.stabilizing_to ~alpha ~c ~a ()) );
+    ( "Refine.init_refinement",
+      fun alpha -> ignore (Refine.init_refinement ~alpha ~c ~a ()) );
+    ( "Refine.everywhere_refinement",
+      fun alpha -> ignore (Refine.everywhere_refinement ~alpha ~c ~a ()) );
+    ( "Refine.convergence_refinement",
+      fun alpha -> ignore (Refine.convergence_refinement ~alpha ~c ~a ()) );
+    ( "Refine.everywhere_eventually_refinement",
+      fun alpha ->
+        ignore (Refine.everywhere_eventually_refinement ~alpha ~c ~a ()) );
+    ("Refine.classify", fun alpha -> ignore (Refine.classify ~alpha ~c ~a));
+  ]
+
+let refused what name run =
+  match run () with
+  | () -> Alcotest.failf "%s accepted %s" name what
+  | exception Invalid_argument msg ->
+      check (name ^ " names itself") true
+        (String.starts_with ~prefix:(name ^ ":") msg)
+
 (* The checkers read α-tables through unchecked lane loads, so a table
    with fewer lanes than C has states is refused at entry, by name. *)
 let test_short_alpha_refused () =
   let short = Cr_kernel.Lane.of_array [| 0; 1; 2; 3 |] in
-  let c = fig1_c and a = fig1_a in
   List.iter
     (fun (name, run) ->
-      match run () with
-      | () -> Alcotest.failf "%s accepted 4 lanes for 5 states" name
-      | exception Invalid_argument msg ->
-          check (name ^ " names itself") true
-            (String.starts_with ~prefix:(name ^ ":") msg))
-    [
-      ( "Stabilize.stabilizing_to",
-        fun () ->
-          ignore (Cr_core.Stabilize.stabilizing_to ~alpha:short ~c ~a ()) );
-      ( "Refine.init_refinement",
-        fun () ->
-          ignore (Cr_core.Refine.init_refinement ~alpha:short ~c ~a ()) );
-      ( "Refine.everywhere_refinement",
-        fun () ->
-          ignore (Cr_core.Refine.everywhere_refinement ~alpha:short ~c ~a ()) );
-      ( "Refine.convergence_refinement",
-        fun () ->
-          ignore
-            (Cr_core.Refine.convergence_refinement ~alpha:short ~c ~a ()) );
-      ( "Refine.everywhere_eventually_refinement",
-        fun () ->
-          ignore
-            (Cr_core.Refine.everywhere_eventually_refinement ~alpha:short ~c ~a
-               ()) );
-    ]
+      refused "4 lanes for 5 states" name (fun () -> run short))
+    (table_checks ~c:fig1_c ~a:fig1_a)
+
+(* So is a lane that is not a state of A, before any lane load: lane 2
+   of a 2-state A once sent [classify] past the end of A's row pointers
+   and killed the process.  Stabilize reads a partial table, whose -1
+   marks an image outside the compiled fragment, so it accepts -1 and
+   refuses -2. *)
+let test_alpha_out_of_range_refused () =
+  let a = mk "A" [ 0; 1 ] (function 0 -> [ 1 ] | _ -> [ 0 ]) (fun s -> s = 0) in
+  let c =
+    mk "C" [ 0; 1; 2 ] (function 2 -> [ 0 ] | s -> [ s + 1 ]) (fun s -> s = 0)
+  in
+  List.iter
+    (fun (name, run) ->
+      List.iter
+        (fun lane ->
+          let alpha = Cr_kernel.Lane.of_array [| 0; lane; 1 |] in
+          if lane = -1 && name = "Stabilize.stabilizing_to" then run alpha
+          else
+            refused (Printf.sprintf "lane %d of a 2-state A" lane) name
+              (fun () -> run alpha))
+        [ 2; 5000; -1; -2 ])
+    (table_checks ~c ~a)
 
 let () =
   Alcotest.run "core"
@@ -578,6 +598,8 @@ let () =
           Alcotest.test_case "graybox Theorems 3 and 5" `Quick test_graybox;
           Alcotest.test_case "a short alpha table is refused by every check"
             `Quick test_short_alpha_refused;
+          Alcotest.test_case "an alpha lane outside A is refused by every check"
+            `Quick test_alpha_out_of_range_refused;
         ] );
       ( "stabilization",
         [

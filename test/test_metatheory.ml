@@ -342,15 +342,14 @@ let refine_reports ?alpha ~c ~a () =
   let fair = fair_tables c in
   let open Cr_core.Refine in
   let got =
-    Cr_kernel.Memo.bypass (fun () ->
-        [
-          init_refinement ?alpha ~c ~a ();
-          everywhere_refinement ?alpha ~c ~a ();
-          convergence_refinement ?alpha ~c ~a ();
-          everywhere_eventually_refinement ?alpha ~c ~a ();
-          convergence_refinement ?alpha ~fair ~c ~a ();
-          everywhere_eventually_refinement ?alpha ~fair ~c ~a ();
-        ])
+    [
+      init_refinement ?alpha ~c ~a ();
+      everywhere_refinement ?alpha ~c ~a ();
+      convergence_refinement ?alpha ~c ~a ();
+      everywhere_eventually_refinement ?alpha ~c ~a ();
+      convergence_refinement ?alpha ~fair ~c ~a ();
+      everywhere_eventually_refinement ?alpha ~fair ~c ~a ();
+    ]
   in
   let want =
     List.map snd (Refine_ref.relations ?alpha ~c ~a ())
@@ -471,8 +470,7 @@ let test_small_scope () =
     List.map (List.cons 0) (from 1 0)
   in
   let systems = ref 0 in
-  (Cr_kernel.Memo.bypass @@ fun () ->
-   let ( let* ) l f = List.iter f l in
+  (let ( let* ) l f = List.iter f l in
    let* m = [ 1; 2 ] in
    let* a_edges = subsets (pairs m) in
    let* a_inits = List.filter (( <> ) []) (subsets (states m)) in

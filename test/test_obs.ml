@@ -46,9 +46,6 @@ let merged_after_report ~jobs =
      memoization is orthogonal to the job count being varied *)
   ignore (Cr_experiments.Fig_exps.fig1_a ());
   ignore (Cr_experiments.Fig_exps.fig1_c ());
-  (* start from a cold verdict cache so hit/miss totals don't depend on
-     how many runs came before this one *)
-  Cr_core.Check_cache.clear_all ();
   Obs.reset ();
   Obs.force_collect ();
   silently (fun () -> Cr_experiments.Report.all ());
@@ -106,7 +103,6 @@ let value_histograms hs =
 
 let hists_after_report ~jobs =
   Unix.putenv "CR_JOBS" (string_of_int jobs);
-  Cr_core.Check_cache.clear_all ();
   Obs.reset ();
   Obs.force_collect ();
   silently (fun () -> Cr_experiments.Report.all ~ns:[ 2; 3 ] ());
@@ -226,12 +222,7 @@ let test_verdict_cost () =
   let alpha =
     Cr_semantics.Abstraction.tabulate (Cr_tokenring.Btr3.alpha n) d3 btr
   in
-  (* bypass the verdict cache: a warm hit would replay an older run's
-     cost snapshot instead of counting this one *)
-  let r =
-    Cr_kernel.Memo.bypass (fun () ->
-        Cr_core.Stabilize.stabilizing_to ~alpha ~c:d3 ~a:btr ())
-  in
+  let r = Cr_core.Stabilize.stabilizing_to ~alpha ~c:d3 ~a:btr () in
   match r.Cr_core.Stabilize.cost with
   | None -> Alcotest.fail "expected a cost snapshot while tracking"
   | Some cost ->

@@ -22,9 +22,8 @@ let compile ~space e n = Program.to_explicit ~space (e.Registry.program n)
    every spec-fragment route must agree with. *)
 let dense_spec e n = Program.to_explicit (e.Registry.spec n)
 
-(* Fresh compile, no cache, with the job count forced. *)
+(* A compile with the job count forced. *)
 let fresh ~space ~jobs e n =
-  Cr_kernel.Memo.bypass @@ fun () ->
   Cr_kernel.Par.with_jobs jobs @@ fun () -> compile ~space e n
 
 (* Keep the dense side of each comparison small: the point of sparse is
