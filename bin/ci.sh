@@ -135,12 +135,13 @@ minor=$(sed -n 's/^ *minor \([0-9.]*\) Mwords.*/\1/p' "$alloclog")
   exit 1
 }
 
-# Compile smoke: verify builds every graph exactly once — the dense
-# program and the spec's sparse legitimate orbit, two compiles even for
-# btr, whose spec is its program — so the CR_STATS summary must count
-# exactly 2 explicit systems.  btr itself is the fault-INtolerant
-# abstract ring, so verify may exit 1 — only a crash or a usage error
-# (exit > 1) fails the gate.
+# Compile smoke: verify builds every graph at most once — the spec's
+# sparse legitimate orbit, and the dense program's CSR, which a check
+# builds only for a divergence witness or the fair re-check — two
+# builds even for btr, whose spec is its program, so the CR_STATS
+# summary must count exactly 2 explicit systems.  btr itself is the
+# fault-INtolerant abstract ring, so verify exits 1 with such a
+# witness — only a crash or a usage error (exit > 1) fails the gate.
 compilelog="$work/compile.log"
 rc=0
 CR_JOBS=2 CR_STATS=1 dune exec bin/crcheck.exe -- verify btr --stats \
@@ -317,15 +318,30 @@ for n in 11 12; do
 done
 
 # The dense verify frontier: kstate -n 7 (8^8 = 16,777,216 states,
-# 104,857,600 edges) holds its graph and the settle pass's scratch in
+# 104,857,600 edges) keeps its α-table and the settle pass's scratch in
 # four-byte lanes, so it answers within a 1.5 GB address-space limit
-# (with full-width ints it needed about 2.5 GB).
+# (with full-width ints and its graph stored it needed about 2.5 GB).
 dense="$work/dense.out"
 rc=0
 (ulimit -v 1500000; timeout 120 dune exec bin/crcheck.exe -- verify kstate -n 7) \
   > "$dense" 2>&1 || rc=$?
 [ "$rc" = 0 ] && grep -qxF 'Kstate(n=7,K=8) stabilizes to UTR(7) (|Sigma|=16777216, |L|=8, |Good|=400, worst-case recovery 75 steps)' "$dense" || {
   echo "ci: verify kstate -n 7 did not answer within the limit (rc=$rc)" >&2
+  head -n 5 "$dense" >&2
+  exit 1
+}
+
+# Past the dense CSR's edge reservation: a stabilization check that
+# holds reads each state's row from the program's emitter and builds no
+# graph, so dijkstra3 -n 14 (3^15 = 14,348,907 states, whose CSR would
+# reserve 28 edge lanes a state, 1.6 GB) answers within a 1 GB
+# address-space limit (about 15 s at a 122 MiB peak); building the CSR
+# runs out of address space at once.
+rc=0
+(ulimit -v 1000000; timeout 120 dune exec bin/crcheck.exe -- verify dijkstra3 -n 14) \
+  > "$dense" 2>&1 || rc=$?
+[ "$rc" = 0 ] && grep -q '^Dijkstra3(14) stabilizes to BTR(14) ' "$dense" || {
+  echo "ci: verify dijkstra3 -n 14 did not answer within the limit (rc=$rc)" >&2
   head -n 5 "$dense" >&2
   exit 1
 }

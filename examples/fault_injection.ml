@@ -28,7 +28,11 @@ let campaign ~name (p : Cr_guarded.Program.t) ~converged ~n =
         Cr_kernel.Bitset.get unconverged i)
   in
   let depth =
-    match (Cr_checker.Paths.settle ~succ:cut ~bad:unconverged).depth with
+    match
+      (Cr_checker.Paths.settle ~succ:(Cr_kernel.Csr.source cut)
+         ~bad:unconverged)
+        .depth
+    with
     | Some depth ->
         Array.init
           (Cr_semantics.Explicit.num_states e)

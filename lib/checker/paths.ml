@@ -1,7 +1,7 @@
-(* Shortest-path queries (a batched BFS oracle, one shortest path) and
-   the forward settle pass (who reaches a set, and for how long), over
-   CSR graphs.  The textbook references they are property-tested
-   against live in the test suite. *)
+(* Shortest-path queries (a batched BFS oracle, one shortest path) over
+   CSR graphs, and the forward settle pass (who reaches a set, and for
+   how long) over a successor source.  The textbook references they are
+   property-tested against live in the test suite. *)
 
 module Csr = Cr_kernel.Csr
 module Par = Cr_kernel.Par
@@ -133,7 +133,9 @@ let shortest_path ~succ ~src ~dst =
 
 (* Which states reach [bad], and how long a run can stay among them —
    the non-converged region of a stabilization check and its recovery
-   depths, in one forward pass (no transpose).
+   depths, in one forward pass (no transpose) that reads each state's
+   row once, from a successor source: a built CSR, or a compile's
+   emitter re-run on the state, so the graph need not be stored.
 
    One iterative Tarjan pass over the whole graph, roots in index order.
    An SCC closes only after every SCC it reaches, so when it closes
@@ -144,7 +146,8 @@ let shortest_path ~succ ~src ~dst =
    cycle (two or more members, or a self-loop) makes the region
    cyclic; a trivial one gets its depth by rescanning its row: the most
    steps a run can take while staying in the region, the step that
-   leaves it counted.
+   leaves it counted.  A state whose row is empty reaches [bad] only
+   when it is in [bad]; the least such is [terminal].
 
    One lane per state is resident, after Pearce's space-efficient SCC
    algorithm ("A space-efficient algorithm for finding strongly
@@ -158,37 +161,59 @@ let shortest_path ~succ ~src ~dst =
    state's finish is whether the stack holds the state itself at the
    position its low-link names, and that position is where its SCC
    starts.  One final pass rewrites the lane to plain depths, which are
-   returned.  The Tarjan stack and the DFS frames (vertex and row
-   cursor) are three more lanes, allocated uninitialised: only as many
-   pages as the search goes deep become resident. *)
-type settled = { reaches : Bitset.t; depth : Bytes.t option }
+   returned.  The Tarjan stack and the DFS frames (vertex, row cursor
+   and row start) are four more lanes, allocated uninitialised; each
+   frame's row is read once, when the frame starts, onto an edge stack
+   that holds the rows of the DFS path and grows by doubling.  So only
+   as many pages as the search goes deep become resident. *)
+type settled = {
+  reaches : Bitset.t;
+  depth : Bytes.t option;
+  terminal : int option;
+}
 
 let unvisited = Lane.max_lanes (* past every DFS number *)
 let settled_out = -1
 let settled_in = -2 (* a member of depth [d] holds [settled_in - d] *)
 
-let settle ~succ ~bad =
+let settle ~(succ : Csr.source) ~bad =
   Cr_obs.Obs.span "paths.settle" @@ fun () ->
-  let n = Csr.num_states succ in
+  let n = succ.Csr.states in
   if Bitset.length bad <> n then invalid_arg "Paths.settle: bad mask length";
-  let rp = Csr.row_ptr succ and tg = Csr.targets succ in
+  let read = succ.Csr.reader () in
   let reaches = Bitset.copy bad in
   let index = Lane.make n unvisited in
   let stack = Lane.create n and sp = ref 0 in
-  let dfs_v = Lane.create n and dfs_k = Lane.create n and dp = ref 0 in
-  let cyclic = ref false in
+  let dfs_v = Lane.create n and dfs_k = Lane.create n
+  and dfs_lo = Lane.create n and dp = ref 0 in
+  let edges = ref (Lane.create 1024) and cap = ref 1024 and ep = ref 0 in
+  let push j =
+    if !ep = !cap then begin
+      let bigger = Lane.create (2 * !cap) in
+      Bytes.blit !edges 0 bigger 0 (4 * !ep);
+      edges := bigger;
+      cap := 2 * !cap
+    end;
+    set_lane !edges !ep j;
+    incr ep
+  in
+  let cyclic = ref false and terminal = ref n in
   let start i =
     set_lane index i !sp;
     set_lane stack !sp i;
     incr sp;
+    let lo = !ep in
+    read i push;
+    if !ep = lo && i < !terminal && Bitset.get bad i then terminal := i;
     set_lane dfs_v !dp i;
-    set_lane dfs_k !dp (lane rp i);
+    set_lane dfs_k !dp lo;
+    set_lane dfs_lo !dp lo;
     incr dp
   in
   (* Pop the SCC on the Tarjan stack from position [base] up (its root
-     [i] at [base]) and settle it: every member reaches [bad] or none
-     does. *)
-  let close i base =
+     [i] at [base], whose row is the top of the edge stack from [lo])
+     and settle it: every member reaches [bad] or none does. *)
+  let close i base lo =
     let hit = ref false in
     for p = base to !sp - 1 do
       if Bitset.get reaches (lane stack p) then hit := true
@@ -203,8 +228,8 @@ let settle ~succ ~bad =
       if !sp - base > 1 then cyclic := true
       else if not !cyclic then begin
         let d = ref 0 in
-        for k = lane rp i to lane rp (i + 1) - 1 do
-          let j = lane tg k in
+        for k = lo to !ep - 1 do
+          let j = lane !edges k in
           if j = i then cyclic := true;
           let x = lane index j in
           (* 1 + the depth of a settled member, 1 for a step out *)
@@ -221,12 +246,11 @@ let settle ~succ ~bad =
       while !dp > 0 do
         (* scan the top vertex's row until an unvisited successor *)
         let top = !dp - 1 in
-        let i = lane dfs_v top in
-        let hi = lane rp (i + 1) in
+        let i = lane dfs_v top and es = !edges in
         let k = ref (lane dfs_k top) and child = ref unvisited in
         let li = ref (lane index i) and hit = ref false in
-        while !child = unvisited && !k < hi do
-          let j = lane tg !k in
+        while !child = unvisited && !k < !ep do
+          let j = lane es !k in
           incr k;
           let x = lane index j in
           if x = unvisited then child := j
@@ -243,7 +267,9 @@ let settle ~succ ~bad =
         end
         else begin
           decr dp;
-          if lane stack !li = i then close i !li;
+          let lo = lane dfs_lo top in
+          if lane stack !li = i then close i !li lo;
+          ep := lo;
           if !dp > 0 then begin
             let p = lane dfs_v (!dp - 1) in
             let x = lane index i in
@@ -256,11 +282,12 @@ let settle ~succ ~bad =
       done
     end
   done;
-  if !cyclic then { reaches; depth = None }
+  let terminal = if !terminal < n then Some !terminal else None in
+  if !cyclic then { reaches; depth = None; terminal }
   else begin
     for i = 0 to n - 1 do
       let x = lane index i in
       set_lane index i (if x <= settled_in then settled_in - x else 0)
     done;
-    { reaches; depth = Some index }
+    { reaches; depth = Some index; terminal }
   end

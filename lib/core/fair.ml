@@ -17,13 +17,16 @@
    confined to [C] — or to any subset of [C] — starves [a].)  This makes
    the per-SCC check exact.
 
-   Actions are given as a table over state indices:
-   [next.(a).(i) = j] when action [a] fires from state [i] to [j], and
-   [-1] when [a] is disabled at [i] (a no-op firing counts as disabled:
-   it generates no transition). *)
+   Actions are given as a table over state indices, one four-byte lane
+   per state ([Cr_kernel.Lane]): lane [i] of [next.(a)] is [j] when
+   action [a] fires from state [i] to [j], and [-1] when [a] is
+   disabled at [i] (a no-op firing counts as disabled: it generates no
+   transition). *)
 
-type tables = int array array
-(** [next.(action).(state)] = successor index, or [-1]. *)
+type tables = Bytes.t array
+(** lane [state] of [next.(action)] = successor index, or [-1]. *)
+
+let[@inline] lane b k = Int32.to_int (Cr_kernel.Lane.get32u b (4 * k))
 
 type analysis = {
   component : int array;  (* component id per state; -1 outside the mask *)
@@ -31,7 +34,7 @@ type analysis = {
   sccs : int list list;  (* the fair-admissible SCCs *)
 }
 
-let enabled (next : tables) a i = next.(a).(i) >= 0
+let enabled (next : tables) a i = lane next.(a) i >= 0
 
 (* [edge] is membership in the (restricted) adjacency the run is confined
    to: a step counts as "taken inside" only if it is an edge of that graph
@@ -51,7 +54,7 @@ let admissible (next : tables) ~(edge : int -> int -> bool)
             let taken_inside =
               List.exists
                 (fun i ->
-                  let j = next.(a).(i) in
+                  let j = lane next.(a) i in
                   j >= 0 && in_scc j && edge i j)
                 states
             in

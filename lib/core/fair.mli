@@ -8,9 +8,10 @@
     {!Stabilize.stabilizing_to} and {!Refine.convergence_refinement} via
     their [?fair] parameter. *)
 
-type tables = int array array
-(** [next.(action).(state)] = successor state index, or [-1] when the
-    action is disabled (or a no-op) there. *)
+type tables = Bytes.t array
+(** One store of four-byte {!Cr_kernel.Lane}s per action, one lane per
+    state: lane [i] of [next.(action)] is the successor state index, or
+    [-1] when the action is disabled (or a no-op) at state [i]. *)
 
 type analysis = {
   component : int array;

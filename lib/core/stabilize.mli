@@ -5,12 +5,16 @@
     state of [A], modulo τ-steps (see {!stabilizing_to}).
 
     The converged region Good (the states that reach no bad seed) is
-    decided in one forward pass over [C]'s graph
-    ({!Cr_checker.Paths.settle}), which also gives the recovery depths;
-    no transpose of [C] is built, and [C]'s initial states are never
-    read.  No verdict is memoized: every call runs the check.  The
-    bad-seed sweep is domain-chunked under [CR_JOBS] with a
-    job-count-independent result. *)
+    decided in one forward pass over [C]'s successors
+    ({!Cr_checker.Paths.settle}), which also gives the recovery depths
+    and the deadlock witness; no transpose of [C] is built, and [C]'s
+    initial states are never read.  The bad-seed sweep and the pass
+    read each row through {!Cr_semantics.Explicit.source}, so a check
+    that holds never builds [C]'s CSR
+    ({!Cr_semantics.Explicit.succ_forced} stays false); a divergence
+    witness and [?fair] build it.  No verdict is memoized: every call
+    runs the check.  The bad-seed sweep is domain-chunked under
+    [CR_JOBS] with a job-count-independent result. *)
 
 type report = {
   holds : bool;
@@ -54,7 +58,8 @@ val stabilizing_to :
     A transition of [c] whose image does not move (a τ-step) is
     acceptable inside the legitimate states L, but a state on a cycle of
     them whose image is not an [a]-terminal is a bad seed; that cycle
-    test runs only when some τ-step was accepted.
+    test runs over the τ-steps of the states whose image is in L, which
+    the bad-seed sweep collects, and only when there are some.
 
     The verdict reads [a] only through its legitimate states L (those
     reachable from I_A).  So [a] may be any successor-closed fragment of

@@ -92,7 +92,8 @@ let analyze ?(max_k = 8) (p : Program.t)
      that set gives each one's longest run outside Good. *)
   let depth =
     match
-      (Cr_checker.Paths.settle ~succ ~bad:(Cr_kernel.Bitset.complement good))
+      (Cr_checker.Paths.settle ~succ:(Cr_kernel.Csr.source succ)
+         ~bad:(Cr_kernel.Bitset.complement good))
         .Cr_checker.Paths.depth
     with
     | Some depth -> depth

@@ -78,15 +78,20 @@ let weight t i =
   done;
   !w
 
-let unrank t k =
-  let n = Array.length t.vars in
-  let s = Array.make n 0 in
+(* One division per slot: the remainder is recovered from the
+   quotient. *)
+let unrank_into t k (s : state) =
   let k = ref k in
-  for i = 0 to n - 1 do
+  for i = 0 to Array.length t.vars - 1 do
     let d = t.vars.(i).dom in
-    s.(i) <- !k mod d;
-    k := !k / d
-  done;
+    let q = !k / d in
+    s.(i) <- !k - (q * d);
+    k := q
+  done
+
+let unrank t k =
+  let s = Array.make (Array.length t.vars) 0 in
+  unrank_into t k s;
   s
 
 (* Enumerate all states in mixed-radix order (slot 0 fastest). *)

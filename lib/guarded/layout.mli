@@ -38,6 +38,10 @@ val rank : t -> state -> int
 val unrank : t -> int -> state
 (** Inverse of {!rank}: the state at a given index. *)
 
+val unrank_into : t -> int -> state -> unit
+(** [unrank_into t k s] writes {!unrank}[ t k] into [s] (of the
+    layout's length), allocating nothing. *)
+
 val checked_rank : t -> state -> int
 (** The validity test (the layout's length, every slot in its domain)
     and {!rank} fused into one allocation-free pass: the rank of a valid

@@ -98,11 +98,15 @@ val to_explicit :
     against its domain.  It is
     domain-chunked under the [CR_JOBS] contract of {!Cr_kernel.Par} —
     identical output for every job count (the guards and right-hand
-    sides may run on several domains at once).  The compile does not
-    evaluate the initial predicate: the graph keeps it and sweeps it on
-    the first use of its initial states
-    ({!Cr_semantics.Explicit.initials}), so a stabilization check, which
-    never reads them, never calls it.
+    sides may run on several domains at once).  The dense compile runs
+    neither the emitter nor the initial predicate: the graph keeps
+    both.  It builds its CSR from the emitter on the first use of an
+    edge reader, and until then {!Cr_semantics.Explicit.source} runs
+    the emitter on one state at a time, so a stabilization check that
+    holds never builds it (and a step that leaves Sigma raises where a
+    row is read).  It sweeps the predicate on the first use of its
+    initial states ({!Cr_semantics.Explicit.initials}), so a
+    stabilization check, which never reads them, never calls it.
 
     Raises {!Cr_semantics.Space.Too_large} before any work when the
     engine cannot index the layout: [Dense] past [2^31 - 1] states or
@@ -119,9 +123,10 @@ val to_explicit :
     only from a state the compile visits.
 
     Every compile is one [compile] span whose fields give the engine,
-    the state and transition counts and the product-space size; a
-    sparse compile also gives [seeds] ([initial], [closure] or
-    [roots]). *)
+    the state count and the product-space size, and the transition
+    count where the compile built the CSR (a sparse one: a dense
+    graph's span must not build it); a sparse compile also gives
+    [seeds] ([initial], [closure] or [roots]). *)
 
 val clear_compile_cache : unit -> unit
 (** A no-op: there is no compile cache, and no verdict memo either.
@@ -139,10 +144,12 @@ val to_explicit_synchronous :
 (** Explicit graph of the synchronous semantics; chunked and
     space-routed like {!to_explicit}. *)
 
-val action_tables : t -> state Cr_semantics.Explicit.t -> int array array
-(** [tables.(a).(i)]: where action [a] (by position in {!actions})
-    leads from state [i] of a compile of the program, by rank delta;
-    [-1] where it is disabled, a no-op, or leaves the graph. *)
+val action_tables : t -> state Cr_semantics.Explicit.t -> Bytes.t array
+(** One store of four-byte {!Cr_kernel.Lane}s per action: lane [i] of
+    [tables.(a)] is where action [a] (by position in {!actions}) leads
+    from state [i] of a compile of the program, by rank delta; [-1]
+    where it is disabled, a no-op, or leaves the graph.  One sweep of
+    the graph's states; it reads no edge of the graph. *)
 
 val reachable_from : t -> state list -> unit Layout.Tbl.t
 (** All states reachable from the seeds under the program's transitions,

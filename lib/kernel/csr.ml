@@ -77,6 +77,18 @@ let mem t i j =
   done;
   !hi > !lo && lane t.targets !lo = j
 
+type source = { states : int; reader : unit -> int -> (int -> unit) -> unit }
+
+let source t =
+  {
+    states = t.n;
+    reader =
+      (fun () i f ->
+        for k = lane t.row_ptr i to lane t.row_ptr (i + 1) - 1 do
+          f (lane t.targets k)
+        done);
+  }
+
 (* Trusted constructor: the lanes must already satisfy every invariant
    (lengths, monotonicity, sorted deduplicated rows).  Used by the
    streamed compile and the flat row-merge in [Explicit], and by the

@@ -38,6 +38,19 @@ val iter_edges : t -> (int -> int -> unit) -> unit
 val mem : t -> int -> int -> bool
 (** Edge membership by binary search in the sorted row: O(log degree). *)
 
+type source = { states : int; reader : unit -> int -> (int -> unit) -> unit }
+(** A graph's successors without a stored graph: the interface of the
+    passes that need each state's row once (the settle pass, the
+    stabilization sweep).  [reader ()] makes a reader with private
+    scratch, one per domain, and [read i f] calls [f j] on every
+    successor [j] of state [i] in ascending order, each once: the row
+    {!row} would copy.  [Explicit.source] gives a compiled graph's,
+    which reads its CSR once that is built and otherwise re-runs the
+    compile's emitter on the state. *)
+
+val source : t -> source
+(** The source that reads this graph's rows. *)
+
 val of_rows : int array array -> t
 (** Flatten per-state rows (each sorted, deduplicated). *)
 

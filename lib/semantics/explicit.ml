@@ -6,24 +6,31 @@
    States are not stored: a system keeps the [Space] it was compiled
    over, which hands states out by index and sweeps index ranges — over a
    guarded-command layout by unranking and by an odometer advancing one
-   scratch state — so a dense compile of Sigma holds its graph and no
-   boxed states.  Full-space consumers sweep ([iter_states]) rather than
-   index state by state.
+   scratch state — so a dense compile of Sigma holds no boxed states.
+   Full-space consumers sweep ([iter_states]) rather than index state by
+   state.
 
-   Every constructor but [of_sparse] is one streamed pass ([of_space])
-   into one targets store of [n * max_degree] four-byte lanes, reserved
-   uninitialised: the index range is split into chunks (the CR_JOBS
-   contract of [Par]; default 1 = one chunk), each sweeping its range
-   from its own offset [lo * max_degree], sorting and deduplicating each
-   row in a scratch buffer and writing it straight into the targets and
-   its end into the shared [row_ptr].  The gaps between chunks are then
-   closed in place, in chunk order.  So the targets are held once, and
-   the reserved tail past the last edge is never written (never
-   resident).  Row i depends on i alone, so the result is identical for
-   every job count.  [of_sparse] adopts the CSR a sparse discovery built
-   as it went ([Space.discover]).
+   [of_space] keeps its emitter, and the CSR is built from it on first
+   use, in one streamed pass into one targets store of
+   [n * max_degree] four-byte lanes, reserved uninitialised: the index
+   range is split into chunks (the CR_JOBS contract of [Par]; default 1
+   = one chunk), each sweeping its range from its own offset
+   [lo * max_degree], sorting and deduplicating each row in a scratch
+   buffer and writing it straight into the targets and its end into
+   the shared [row_ptr].  The gaps between chunks are then closed in
+   place, in chunk order.  So the targets are held once, and the
+   reserved tail past the last edge is never written (never resident).
+   Row i depends on i alone, so the result is identical for every job
+   count.  Until then [source] answers a row by running the same
+   emitter on the state, unranked into the reader's scratch, and
+   sorting and deduplicating the same way, so a pass that needs each
+   row once (a stabilization check that holds) never builds the graph.
+   [of_sparse], [box] and the list-built constructors build their CSR
+   at once: the sparse discovery builds it as it goes
+   ([Space.discover]).
 
-   Two parts are lazy, each behind one [Atomic] cell: the initial
+   Three parts are lazy, each behind one [Atomic] cell: the successor
+   CSR, on the first use of any edge reader but [source]; the initial
    states, swept from the kept predicate on the first [is_initial]/
    [initial_mask]/[initials] use, chunked like the compile (a
    stabilization check quantifies over every state and never reads
@@ -47,6 +54,15 @@ let c_states = Cr_obs.Obs.counter "explicit.states"
 let c_transitions = Cr_obs.Obs.counter "explicit.transitions"
 let c_largest = Cr_obs.Obs.counter ~kind:Cr_obs.Obs.Max "explicit.largest"
 
+(* The successor CSR (each row sorted ascending, deduplicated), or the
+   emitter it is built from and the per-state bound on its rows. *)
+type 'a succ =
+  | Succ of Csr.t
+  | Succ_todo of {
+      max_degree : int;
+      step : unit -> 'a -> int -> (int -> unit) -> unit;
+    }
+
 type pred = Pred_todo | Pred of Csr.t
 type initial_states = { mask : Bitset.t; members : int array }
 type inits = Inits_todo | Inits of initial_states
@@ -54,7 +70,7 @@ type inits = Inits_todo | Inits of initial_states
 type 'a t = {
   name : string;
   space : 'a Space.t;  (* index <-> state bijection and range sweeps *)
-  succ : Csr.t;  (* each row sorted ascending, deduplicated *)
+  succ : 'a succ Atomic.t;  (* built from the kept emitter on first use *)
   pred : pred Atomic.t;  (* transposed from [succ] on first use *)
   initial : 'a -> bool;  (* swept into [inits] on first use *)
   inits : inits Atomic.t;
@@ -90,16 +106,6 @@ let find t s =
   match find_opt t s with
   | Some i -> i
   | None -> raise (Unknown_state t.name)
-
-(* Hands out the internal CSR directly — every checker kernel consumes
-   this view without a copy. *)
-let csr t = t.succ
-
-let successors t i = Csr.row t.succ i
-
-let out_degree t i = Csr.degree t.succ i
-
-let successor t i k = Csr.kth t.succ i k
 
 let initials_of mask =
   let out = Array.make (Bitset.count mask) 0 in
@@ -148,55 +154,21 @@ let initial_mask t = (force_inits t).mask
 
 let initials t = (force_inits t).members
 
-let is_terminal t i = Csr.degree t.succ i = 0
-
-(* Successor rows are sorted, so membership is a binary search — this is
-   the innermost operation of every refinement/stabilization checker. *)
-let has_edge t i j = Csr.mem t.succ i j
-
-let num_transitions t = Csr.num_edges t.succ
-
-let iter_edges t f = Csr.iter_edges t.succ f
-
-let fold_edges t f acc =
-  let acc = ref acc in
-  iter_edges t (fun i j -> acc := f i j !acc);
-  !acc
-
-let lazy_pred () = Atomic.make Pred_todo
-
-(* No counter or span in here: a benign cross-domain race may compute the
-   transpose twice (both results identical), and telemetry totals must
-   stay CR_JOBS-invariant. *)
-let force_pred t =
-  match Atomic.get t.pred with
-  | Pred p -> p
-  | Pred_todo ->
-      let p = Csr.transpose t.succ in
-      if Atomic.compare_and_set t.pred Pred_todo (Pred p) then p
-      else ( match Atomic.get t.pred with Pred p -> p | Pred_todo -> p)
-
-let pred_csr = force_pred
-
-let predecessors t i = Csr.row (force_pred t) i
-
-let pred_forced t =
-  match Atomic.get t.pred with Pred _ -> true | Pred_todo -> false
-
-let record_built t =
+(* One event per built CSR, when it is built: at construction, or for a
+   kept emitter when the graph is first forced. *)
+let record_built t succ =
   if Cr_obs.Obs.tracking () then begin
     Cr_obs.Obs.incr c_systems;
     Cr_obs.Obs.add c_states (num_states t);
-    Cr_obs.Obs.add c_transitions (num_transitions t);
+    Cr_obs.Obs.add c_transitions (Csr.num_edges succ);
     Cr_obs.Obs.record_max c_largest (num_states t);
     Cr_obs.Obs.event "explicit.built"
       [
         ("name", Cr_obs.Obs.S (name t));
         ("states", Cr_obs.Obs.I (num_states t));
-        ("transitions", Cr_obs.Obs.I (num_transitions t));
+        ("transitions", Cr_obs.Obs.I (Csr.num_edges succ));
       ]
-  end;
-  t
+  end
 
 (* Insertion sort of [row.(0 .. k-1)] in place: rows are short (at most
    one entry per action of a guarded-command program), where it is
@@ -216,14 +188,12 @@ let sort_prefix (row : int array) k =
 let[@inline] lane b k = Int32.to_int (Cr_kernel.Lane.get32u b (4 * k))
 let[@inline] set_lane b k v = Cr_kernel.Lane.set32u b (4 * k) (Int32.of_int v)
 
-(* One chunk of the streamed compile: sweep [lo, hi), writing each
-   sorted, deduplicated row into [targets] from lane [lo * max_degree]
-   on and the row's end into [row_ptr.(i + 1)]; returns the lane after
-   the chunk's last edge.  A state with more than [max_degree]
-   successors (besides itself) is refused before it writes past its
-   share. *)
-let stream_chunk (type a) (module Sp : Space.S with type state = a) ~step
-    ~max_degree ~row_ptr ~targets (lo, hi) =
+(* One reader's row scratch over the emitter [step]: [fill s i] runs it
+   on the state [s] at index [i] and leaves the successors, sorted,
+   deduplicated and without [i] itself, in [row.(0 .. len - 1)],
+   returning [len].  A state with more than [max_degree] successors
+   (besides itself) is refused before it writes past the scratch. *)
+let row_builder ~max_degree ~step =
   let row = Array.make (max 1 max_degree) 0 and k = ref 0 in
   let self = ref 0 in
   let emit j =
@@ -235,39 +205,44 @@ let stream_chunk (type a) (module Sp : Space.S with type state = a) ~step
       incr k
     end
   in
-  let fill = ref (lo * max_degree) in
   let st = step () in
+  let fill s i =
+    self := i;
+    k := 0;
+    st s i emit;
+    sort_prefix row !k;
+    let len = ref 0 in
+    for a = 0 to !k - 1 do
+      if a = 0 || row.(a) <> row.(!len - 1) then begin
+        row.(!len) <- row.(a);
+        incr len
+      end
+    done;
+    !len
+  in
+  (row, fill)
+
+(* One chunk of the streamed build: sweep [lo, hi), writing each row
+   into [targets] from lane [lo * max_degree] on and the row's end into
+   [row_ptr.(i + 1)]; returns the lane after the chunk's last edge. *)
+let stream_chunk (type a) (module Sp : Space.S with type state = a) ~step
+    ~max_degree ~row_ptr ~targets (lo, hi) =
+  let row, fill_row = row_builder ~max_degree ~step in
+  let fill = ref (lo * max_degree) in
   Sp.iter_range lo hi (fun i s ->
-      self := i;
-      k := 0;
-      st s i emit;
-      sort_prefix row !k;
-      for a = 0 to !k - 1 do
-        if a = 0 || row.(a) <> row.(a - 1) then begin
-          set_lane targets !fill row.(a);
-          incr fill
-        end
+      for a = 0 to fill_row s i - 1 do
+        set_lane targets !fill row.(a);
+        incr fill
       done;
       set_lane row_ptr (i + 1) !fill);
   !fill
 
-(* The one compile path: a streamed pass over [space] (see the header).
-   [step () s i emit] emits the index of every successor of state [s] at
-   index [i], at most [max_degree] of them besides [i] itself; the
-   [unit ->] stage is a per-chunk factory for private scratch.
-   Self-loops and duplicates are dropped here. *)
-let of_space (type a) ~name ~(space : a Space.t) ~max_degree ~step
-    ~is_initial ~pp_state : a t =
+(* The CSR of a kept emitter: a streamed pass over the space (see the
+   header). *)
+let build (type a) (space : a Space.t) ~max_degree ~step =
   Cr_obs.Obs.span "explicit.of_space" @@ fun () ->
   let module Sp = (val space) in
   let n = Sp.size in
-  let max = Cr_kernel.Lane.max_lanes in
-  if n > max || (n > 0 && max_degree > max / n) then
-    raise
-      (Space.Too_large
-         (Printf.sprintf
-            "%s: %d states, up to %d successors each, pass %d lanes" name n
-            max_degree max));
   let row_ptr = Cr_kernel.Lane.create (n + 1) in
   set_lane row_ptr 0 0;
   let targets = Cr_kernel.Lane.create (n * max_degree) in
@@ -293,18 +268,119 @@ let of_space (type a) ~name ~(space : a Space.t) ~max_degree ~step
       end;
       fill := ends.(d) - shift)
     bounds;
-  let succ = Csr.unsafe_of_lanes ~states:n ~row_ptr ~targets in
-  record_built
-    { name; space; succ; pred = lazy_pred (); initial = is_initial;
-      inits = Atomic.make Inits_todo; pp_state }
+  Csr.unsafe_of_lanes ~states:n ~row_ptr ~targets
+
+(* The one place a kept emitter is built; the domain whose result wins
+   records it, so the telemetry counts one build per graph. *)
+let force_succ t =
+  match Atomic.get t.succ with
+  | Succ g -> g
+  | Succ_todo { max_degree; step } as todo ->
+      let g = build t.space ~max_degree ~step in
+      if Atomic.compare_and_set t.succ todo (Succ g) then begin
+        record_built t g;
+        g
+      end
+      else ( match Atomic.get t.succ with Succ g -> g | Succ_todo _ -> g)
+
+let succ_forced t =
+  match Atomic.get t.succ with Succ _ -> true | Succ_todo _ -> false
+
+(* Every edge reader below forces the CSR; [source] does not. *)
+let csr = force_succ
+
+let successors t i = Csr.row (force_succ t) i
+
+let out_degree t i = Csr.degree (force_succ t) i
+
+let successor t i k = Csr.kth (force_succ t) i k
+
+let is_terminal t i = Csr.degree (force_succ t) i = 0
+
+(* Successor rows are sorted, so membership is a binary search — this is
+   the innermost operation of every refinement/stabilization checker. *)
+let has_edge t i j = Csr.mem (force_succ t) i j
+
+let num_transitions t = Csr.num_edges (force_succ t)
+
+let iter_edges t f = Csr.iter_edges (force_succ t) f
+
+let fold_edges t f acc =
+  let acc = ref acc in
+  iter_edges t (fun i j -> acc := f i j !acc);
+  !acc
+
+(* A built CSR's rows, or else per reader the emitter's scratch: the
+   state unranked into the space's scratch reader, each row sorted and
+   deduplicated as [build] writes it. *)
+let source (type a) (t : a t) =
+  match Atomic.get t.succ with
+  | Succ g -> Csr.source g
+  | Succ_todo { max_degree; step } ->
+      let module Sp = (val t.space) in
+      let reader () =
+        let row, fill = row_builder ~max_degree ~step in
+        let read = Sp.reader () in
+        fun i f ->
+          for a = 0 to fill (read i) i - 1 do
+            f row.(a)
+          done
+      in
+      { Csr.states = Sp.size; reader }
+
+let lazy_pred () = Atomic.make Pred_todo
+
+(* No counter or span in here: a benign cross-domain race may compute the
+   transpose twice (both results identical), and telemetry totals must
+   stay CR_JOBS-invariant. *)
+let force_pred t =
+  match Atomic.get t.pred with
+  | Pred p -> p
+  | Pred_todo ->
+      let p = Csr.transpose (force_succ t) in
+      if Atomic.compare_and_set t.pred Pred_todo (Pred p) then p
+      else ( match Atomic.get t.pred with Pred p -> p | Pred_todo -> p)
+
+let pred_csr = force_pred
+
+let predecessors t i = Csr.row (force_pred t) i
+
+let pred_forced t =
+  match Atomic.get t.pred with Pred _ -> true | Pred_todo -> false
+
+(* The compile path of every list- and layout-built graph: refuse up
+   front a reservation past the lane bound, then keep the emitter (see
+   the header).  [step () s i emit] emits the index of every successor
+   of state [s] at index [i], at most [max_degree] of them besides [i]
+   itself; the [unit ->] stage is a per-chunk factory for private
+   scratch.  Self-loops and duplicates are dropped when a row is
+   read. *)
+let of_space (type a) ~name ~(space : a Space.t) ~max_degree ~step
+    ~is_initial ~pp_state : a t =
+  let n = Space.size space in
+  let max = Cr_kernel.Lane.max_lanes in
+  if n > max || (n > 0 && max_degree > max / n) then
+    raise
+      (Space.Too_large
+         (Printf.sprintf
+            "%s: %d states, up to %d successors each, pass %d lanes" name n
+            max_degree max));
+  { name; space; succ = Atomic.make (Succ_todo { max_degree; step });
+    pred = lazy_pred (); initial = is_initial;
+    inits = Atomic.make Inits_todo; pp_state }
+
+let built t succ =
+  record_built t succ;
+  t
 
 (* The sparse engine's compile: the discovery already built the CSR
    over its space, so it is adopted as it is. *)
 let of_sparse ~name (sparse : 'a Space.sparse) ~is_initial ~pp_state : 'a t =
-  record_built
-    { name; space = sparse.Space.space; succ = sparse.Space.succ;
-      pred = lazy_pred (); initial = is_initial;
-      inits = Atomic.make Inits_todo; pp_state }
+  built
+    { name; space = sparse.Space.space;
+      succ = Atomic.make (Succ sparse.Space.succ); pred = lazy_pred ();
+      initial = is_initial; inits = Atomic.make Inits_todo; pp_state }
+    sparse.Space.succ
 
 (* An enumeration held in memory, indexed by a hashtable built once. *)
 let array_space name states =
@@ -324,13 +400,19 @@ let array_space name states =
       done)
     ()
 
+(* A graph given by its successor lists is built at once: the lists
+   are already in memory. *)
 let of_lists ~name ~space ~is_initial ~pp_state succ_lists =
   let max_degree =
     Array.fold_left (fun d l -> max d (List.length l)) 0 succ_lists
   in
-  of_space ~name ~space ~max_degree
-    ~step:(fun () _ i emit -> List.iter emit succ_lists.(i))
-    ~is_initial ~pp_state
+  let t =
+    of_space ~name ~space ~max_degree
+      ~step:(fun () _ i emit -> List.iter emit succ_lists.(i))
+      ~is_initial ~pp_state
+  in
+  ignore (force_succ t : Csr.t);
+  t
 
 let of_edge_lists ~name ~states ~pp_state ~is_initial ~succ_lists =
   Cr_obs.Obs.span "explicit.of_edge_lists" @@ fun () ->
@@ -384,9 +466,10 @@ let box ?name t1 t2 =
   Cr_obs.Obs.span "explicit.box" @@ fun () ->
   let name = match name with Some n -> n | None -> t1.name ^ "[]" ^ t2.name in
   let n = num_states t1 in
-  let rp1 = Csr.row_ptr t1.succ and tg1 = Csr.targets t1.succ in
-  let rp2 = Csr.row_ptr t2.succ and tg2 = Csr.targets t2.succ in
-  let m1 = Csr.num_edges t1.succ and m2 = Csr.num_edges t2.succ in
+  let g1 = force_succ t1 and g2 = force_succ t2 in
+  let rp1 = Csr.row_ptr g1 and tg1 = Csr.targets g1 in
+  let rp2 = Csr.row_ptr g2 and tg2 = Csr.targets g2 in
+  let m1 = Csr.num_edges g1 and m2 = Csr.num_edges g2 in
   if m1 > Cr_kernel.Lane.max_lanes - m2 then
     raise
       (Space.Too_large
@@ -416,9 +499,12 @@ let box ?name t1 t2 =
     set_lane row_ptr (i + 1) !k
   done;
   let succ = Csr.unsafe_of_lanes ~states:n ~row_ptr ~targets:out in
-  record_built { t1 with name; succ; pred = lazy_pred () }
+  built
+    { t1 with name; succ = Atomic.make (Succ succ); pred = lazy_pred () }
+    succ
 
-let same_transitions t1 t2 = same_states t1 t2 && Csr.equal t1.succ t2.succ
+let same_transitions t1 t2 =
+  same_states t1 t2 && Csr.equal (force_succ t1) (force_succ t2)
 
 let all_initial t =
   let n = num_states t in

@@ -74,6 +74,7 @@ module type S = sig
   val index_of_state : state -> int option
   val index_of_key : (int -> int) option
   val iter_range : int -> int -> (int -> state -> unit) -> unit
+  val reader : unit -> int -> state
 end
 
 type 'a t = (module S with type state = 'a)
@@ -84,7 +85,8 @@ let size (type a) (sp : a t) =
 
 let dense (type a) ~size:(n : int) ~(state_of_index : int -> a)
     ~(index_of_state : a -> int option) ?index_of_key
-    ~(iter_range : int -> int -> (int -> a -> unit) -> unit) () : a t =
+    ~(iter_range : int -> int -> (int -> a -> unit) -> unit)
+    ?(reader = fun () -> state_of_index) () : a t =
   (module struct
     type state = a
 
@@ -93,6 +95,7 @@ let dense (type a) ~size:(n : int) ~(state_of_index : int -> a)
     let index_of_state = index_of_state
     let index_of_key = index_of_key
     let iter_range = iter_range
+    let reader = reader
   end)
 
 (* A growable int array: the discovery log and each frontier chunk's
@@ -288,5 +291,7 @@ let discover (type a) ?(sort_keys = false) ~(state_of_key : int -> a)
       for i = lo to hi - 1 do
         f i (state_of_key keys.(i))
       done
+
+    let reader () = state_of_index
   end in
   { space = (module Sp); succ; keys }

@@ -60,7 +60,10 @@ exception Too_large of string
     [iter_range lo hi f] calls [f i (state_of_index i)] for
     [i = lo .. hi - 1] in order; the state may be a scratch value that
     the next call overwrites, so [f] must neither retain nor mutate it.
-    Disjoint ranges may be swept from different domains. *)
+    Disjoint ranges may be swept from different domains.  [reader ()]
+    is [state_of_index] for one domain, which may likewise hand out
+    one scratch value that its next call overwrites (the dense layout
+    space unranks into it, allocating nothing). *)
 module type S = sig
   type state
 
@@ -69,6 +72,7 @@ module type S = sig
   val index_of_state : state -> int option
   val index_of_key : (int -> int) option
   val iter_range : int -> int -> (int -> state -> unit) -> unit
+  val reader : unit -> int -> state
 end
 
 type 'a t = (module S with type state = 'a)
@@ -81,12 +85,14 @@ val dense :
   index_of_state:('a -> int option) ->
   ?index_of_key:(int -> int) ->
   iter_range:(int -> int -> (int -> 'a -> unit) -> unit) ->
+  ?reader:(unit -> int -> 'a) ->
   unit ->
   'a t
 (** The full-space engine over a caller-supplied rank/unrank pair and
     range sweep (e.g. {!Cr_guarded.Layout.iter_range}, or [Array] access
     for an enumeration held in memory), with the rank index when the
-    space is keyed. *)
+    space is keyed, and a scratch reader ([state_of_index] by
+    default). *)
 
 (** Result of a sparse discovery: the space itself plus the transition
     graph the BFS built on the way, a CSR over sparse indices (rows

@@ -51,26 +51,26 @@ let to_tokens n (s : state) : Btr.state =
   done;
   Btr.state_of_tokens n !ts
 
-(* ↑t.j and ↓t.j of the Section 4 mapping.  With up.0 = true and
-   up.N = false pinned, the interior formulas also give ↑t.N and ↓t.0. *)
-let has_up n s j =
-  c n s j <> c n s (j - 1) && up n s (j - 1) && not (up n s j)
-
-let has_dn n s j =
-  c n s j = c n s (j + 1) && (not (up n s (j + 1))) && up n s j
-
-(* The rank of [to_tokens n s] in BTR's layout without building it. *)
+(* The rank of [to_tokens n s] in BTR's layout without building it, in
+   one branch-free fold over the neighbour pairs (j, j+1) that carries
+   up.j: a pair with up.j and not up.(j+1) holds ↑t.(j+1) when the
+   colours differ and ↓t.j when they agree; no other pair holds either
+   token.  Slot [up_slot n n] is pinned at 0, which is up.N, and up.0
+   (pinned true) starts the fold. *)
 let token_rank n =
   let btr = Btr.layout n in
   let wu = Array.init (n + 1) (fun j -> Layout.weight btr (Btr.up_slot n j))
   and wd = Array.init (n + 1) (fun j -> Layout.weight btr (Btr.dn_slot n j)) in
   fun (s : state) ->
-    let r = ref 0 in
-    for j = 1 to n do
-      if has_up n s j then r := !r + wu.(j)
-    done;
+    let r = ref 0 and up_j = ref 1 in
     for j = 0 to n - 1 do
-      if has_dn n s j then r := !r + wd.(j)
+      let up_next = s.(up_slot n (j + 1)) in
+      let differ = s.(c_slot n j) lxor s.(c_slot n (j + 1)) in
+      r :=
+        !r
+        + (!up_j land (1 - up_next))
+          * ((differ * wu.(j + 1)) + ((1 - differ) * wd.(j)));
+      up_j := up_next
     done;
     !r
 

@@ -1,7 +1,8 @@
 (* The stabilization route [Stabilize.stabilizing_to] replaced, kept as
    its reference: the bad seeds marked by a sequential sweep, the
-   pure-stutter cycle test run on every system (the library runs it
-   only when its sweep accepted a τ-step), the seeds walked back over
+   pure-stutter cycle test run on every system over all of C's edges
+   (the library runs it over the τ-steps its sweep collected from the
+   states whose image is in L), the seeds walked back over
    the transpose of C ([Reach.backward]) to the states that reach one,
    the recovery depths by a separate iterative longest-path DFS (which
    doubles as the cycle test), and the converged region copied into a

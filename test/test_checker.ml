@@ -91,7 +91,7 @@ let test_shortest_path () =
 (* The forward settle pass on the three longest-path cases: a DAG, the
    same DAG with a smaller region, and a cyclic region. *)
 let test_settle () =
-  let settle succ bad = Cr_checker.Paths.settle ~succ ~bad in
+  let settle g bad = Cr_checker.Paths.settle ~succ:(Csr.source g) ~bad in
   let depths (s : Cr_checker.Paths.settled) =
     match s.depth with
     | Some d -> Array.init (Bs.length s.reaches) (Cr_kernel.Lane.get d)
@@ -101,6 +101,7 @@ let test_settle () =
   let dag = Csr.of_rows [| [| 1; 2 |]; [| 2 |]; [||] |] in
   let s = settle dag (Graph_ref.mask 3 [ 2 ]) in
   Alcotest.(check (list int)) "all reach 2" [ 0; 1; 2 ] (Bs.members s.reaches);
+  Alcotest.(check (option int)) "2 is the terminal" (Some 2) s.terminal;
   check_int "longest from 0" 2 (depths s).(0);
   check_int "longest from 2" 0 (depths s).(2);
   (* only 0 and 1 reach bad = {1}: the edge out of the region still
@@ -301,9 +302,9 @@ let prop_csr_paths_agree =
 
 (* Random graphs, half of them DAGs (every edge oriented upward), with a
    random [bad] mask (each state bad with odds 1/2 to 1/9): the settle
-   pass marks exactly the reference co-reachable set, and gives the
-   reference longest runs inside it exactly when the reference finds no
-   cycle there. *)
+   pass marks exactly the reference co-reachable set, names its least
+   state with no successor, and gives the reference longest runs inside
+   it exactly when the reference finds no cycle there. *)
 let prop_settle_agree =
   QCheck2.Test.make ~name:"Paths.settle = reference coreach and longest_within"
     ~count:300
@@ -327,7 +328,7 @@ let prop_settle_agree =
       let adj = adj_of g in
       let n = Array.length adj in
       let s =
-        Cr_checker.Paths.settle ~succ:(Csr.of_rows adj)
+        Cr_checker.Paths.settle ~succ:(Csr.source (Csr.of_rows adj))
           ~bad:(Bs.of_bool_array bits)
       in
       let region =
@@ -335,6 +336,10 @@ let prop_settle_agree =
           (List.filter (fun i -> bits.(i)) (List.init n Fun.id))
       in
       Bs.to_bool_array s.reaches = region
+      && s.terminal
+         = List.find_opt
+             (fun i -> region.(i) && adj.(i) = [||])
+             (List.init n Fun.id)
       &&
       match (s.depth, Graph_ref.longest_within adj region) with
       | Some got, Ok want -> Array.init n (Cr_kernel.Lane.get got) = want
@@ -361,7 +366,9 @@ let prop_csr_fair_agree =
                 else row.((s * 7 + a) mod d)))
       in
       let r =
-        Cr_core.Fair.analyze tables ~succ:(Csr.of_rows adj)
+        Cr_core.Fair.analyze
+          (Array.map Cr_kernel.Lane.of_array tables)
+          ~succ:(Csr.of_rows adj)
           ~mask:(Bs.of_bool_array mask)
       in
       let want = Graph_ref.fair_sccs tables adj mask in

@@ -210,9 +210,14 @@ let agrees_with_ref (r : Compile_ref.compiled) e =
           r.Compile_ref.states)
 
 (* A compile that escapes Sigma agrees with a reference that escapes
-   with the same message. *)
+   with the same message.  A dense compile runs its emitter when its CSR
+   is built, on first use, so the compiled routes force it ([built]). *)
 let outcome f =
   match f () with v -> Ok v | exception E.Unknown_state msg -> Error msg
+
+let built e =
+  ignore (E.csr e : Cr_kernel.Csr.t);
+  e
 
 let agrees reference compiled =
   match (outcome reference, outcome compiled) with
@@ -230,7 +235,7 @@ let prop_streamed_eq_reference =
       let p, is_w = build_tab raw in
       List.for_all
         (fun jobs ->
-          let at_jobs f () = Par.with_jobs jobs f in
+          let at_jobs f () = Par.with_jobs jobs (fun () -> built (f ())) in
           agrees
             (fun () -> Compile_ref.compile p)
             (at_jobs (fun () -> Program.to_explicit p))
@@ -539,7 +544,8 @@ let test_closure_variants () =
        (Par.with_jobs 1 (fun () -> sparse ~priority_of tiny)))
 
 (* An effect that leaves Sigma is reported exactly as the reference
-   reports it, from whichever chunk the escaping state falls in. *)
+   reports it, from whichever chunk the escaping state falls in, when
+   the dense CSR is built. *)
 let test_escape_message () =
   (* 384 states: six 64-state words, so jobs = 2 and 4 split the sweep;
      the first escape is at rank 142, in the third word *)
@@ -579,10 +585,10 @@ let test_escape_message () =
     [
       ( "plain",
         (fun () -> Compile_ref.compile p),
-        fun () -> Program.to_explicit p );
+        fun () -> E.csr (Program.to_explicit p) );
       ( "sync",
         (fun () -> Compile_ref.compile ~sync:true p),
-        fun () -> Program.to_explicit_synchronous p );
+        fun () -> E.csr (Program.to_explicit_synchronous p) );
     ]
 
 (* A boxed closure program whose closure leaves Sigma (x steps 0, 1, 2,
@@ -621,7 +627,7 @@ let test_closure_escape () =
       Alcotest.(check (option string))
         (Cr_semantics.Space.engine_name space ^ ": fails at the escaping step")
         (Some "leaky[]never: step produced a state outside Sigma: {x=3}")
-        (message (fun () -> Program.to_explicit ~space p)))
+        (message (fun () -> E.csr (Program.to_explicit ~space p))))
     [ Cr_semantics.Space.Dense; Cr_semantics.Space.Sparse ]
 
 (* ---- state counts past what an array or an int can index ---- *)
@@ -810,9 +816,9 @@ let test_near_identical_programs () =
 
 (* A step that leaves Sigma only from a state the sparse discovery
    never reaches (y := 2 at y = 1, from x = y = 0): the sparse compile
-   succeeds on the two reachable states.  The dense compile visits the
-   escaping state and fails, with one message, also after the same
-   program with that step disabled was compiled. *)
+   succeeds on the two reachable states.  The dense CSR's build visits
+   the escaping state and fails, with one message, also after the same
+   program with that step disabled was compiled and built. *)
 let test_unreached_escape () =
   let layout = Layout.make [ ("x", 3); ("y", 2) ] in
   let set label slot ~at v =
@@ -836,10 +842,12 @@ let test_unreached_escape () =
       Alcotest.(check (pair int int))
         (label ^ ": 2 states, 1 transition") (2, 1)
         (E.num_states e, E.num_transitions e);
-      let dense () = message (fun () -> compile Cr_semantics.Space.Dense p) in
+      let dense () =
+        message (fun () -> E.csr (compile Cr_semantics.Space.Dense p))
+      in
       let first = dense () in
       Alcotest.(check bool) (label ^ ": dense raises") true (first <> None);
-      ignore (compile Cr_semantics.Space.Dense disabled);
+      ignore (E.csr (compile Cr_semantics.Space.Dense disabled));
       Alcotest.(check (option string))
         (label ^ ": the same message after the disabled step's compile") first
         (dense ()))
@@ -907,6 +915,80 @@ let test_stabilization_leaves_pred_lazy () =
   Alcotest.(check bool) "dijkstra3 stabilizes" true r.Cr_core.Stabilize.holds;
   Alcotest.(check bool)
     "pred not forced by a stabilization check" false (E.pred_forced ep)
+
+(* ---- lazy successors ---- *)
+
+(* Every registry program at N = 2..4 (rw-dijkstra3 at N = 2..3), plain,
+   with every other action a preempting wrapper, and synchronous: before
+   the CSR is built, [E.source] runs the program's emitter on each state,
+   and each row it yields is the row the CSR then holds. *)
+let lazy_cases =
+  List.concat_map
+    (fun (e : Cr_experiments.Registry.entry) ->
+      List.filter_map
+        (fun n ->
+          if e.name = "rw-dijkstra3" && n > 3 then None else Some (e, n))
+        [ 2; 3; 4 ])
+    Cr_experiments.Registry.entries
+
+let test_expanded_rows ((e : Cr_experiments.Registry.entry), n) () =
+  let p = e.program n in
+  let wrappers = List.filteri (fun k _ -> k mod 2 = 1) (Program.actions p) in
+  List.iter
+    (fun (mode, g) ->
+      let label = Printf.sprintf "%s n=%d %s" e.name n mode in
+      Alcotest.(check bool) (label ^ ": compiled unbuilt") false
+        (E.succ_forced g);
+      let read = (E.source g).Cr_kernel.Csr.reader () in
+      let expanded =
+        Array.init (E.num_states g) (fun i ->
+            let row = ref [] in
+            read i (fun j -> row := j :: !row);
+            Array.of_list (List.rev !row))
+      in
+      Alcotest.(check bool) (label ^ ": expanding builds nothing") false
+        (E.succ_forced g);
+      let csr = E.csr g in
+      Alcotest.(check bool) (label ^ ": built on first use") true
+        (E.succ_forced g);
+      Array.iteri
+        (fun i row ->
+          if row <> Cr_kernel.Csr.row csr i then
+            Alcotest.failf "%s: state %d expands to another row" label i)
+        expanded)
+    [
+      ("plain", Program.to_explicit p);
+      ( "priority",
+        Program.to_explicit ~priority_of:(fun a -> List.memq a wrappers) p );
+      ("sync", Program.to_explicit_synchronous p);
+    ]
+
+(* A stabilization check reads C's rows through [E.source]: one that
+   holds never builds C's CSR (as it never transposes it), one that finds
+   a divergent cycle builds it for the witness, and one that fails by a
+   deadlock alone takes its witness from the settle pass and builds
+   none; every registry entry at N = 2..4 (rw-dijkstra3 at N = 2..3). *)
+let test_stabilization_leaves_succ_lazy () =
+  let kinds = Hashtbl.create 3 in
+  List.iter
+    (fun ((e : Cr_experiments.Registry.entry), n) ->
+      let c = Cr_experiments.Registry.explicit e n in
+      let r = Cr_experiments.Registry.stabilization ~ep:c e n () in
+      let label = Printf.sprintf "%s n=%d" e.name n in
+      let kind =
+        match Cr_core.Stabilize.(r.holds, r.bad_cycle) with
+        | true, _ -> "holds"
+        | false, Some _ -> "cycle"
+        | false, None -> "deadlock"
+      in
+      Hashtbl.replace kinds kind ();
+      Alcotest.(check bool)
+        (Printf.sprintf "%s (%s): CSR built iff a cycle witness" label kind)
+        (kind = "cycle") (E.succ_forced c);
+      Alcotest.(check bool) (label ^ ": no transpose") false (E.pred_forced c))
+    lazy_cases;
+  Alcotest.(check int) "every kind of verdict was checked" 3
+    (Hashtbl.length kinds)
 
 (* ---- lazy initial states ---- *)
 
@@ -1026,4 +1108,14 @@ let () =
           Alcotest.test_case "swept once, on first use only" `Quick
             test_lazy_initials;
         ] );
+      ( "lazy-succ",
+        Alcotest.test_case "a stabilization check builds C's CSR only for a \
+                            cycle witness" `Quick
+          test_stabilization_leaves_succ_lazy
+        :: List.map
+             (fun (((e : Cr_experiments.Registry.entry), n) as case) ->
+               Alcotest.test_case
+                 (Printf.sprintf "expanded rows = CSR rows: %s n=%d" e.name n)
+                 `Quick (test_expanded_rows case))
+             lazy_cases );
     ]

@@ -3,6 +3,10 @@
 
 open Cr_semantics
 
+(* lift the pool's busy-domain cap so CR_JOBS = 4 really fans out across
+   domains on a small host *)
+let () = Unix.putenv "CR_PAR_CAP" "4"
+
 let check = Alcotest.(check bool)
 
 let mk name states step init =
@@ -240,8 +244,8 @@ let test_stutter_rule () =
   check "τ-step inside L: holds" true r3.Cr_core.Stabilize.holds;
   Alcotest.(check int) "every state converged" 3 r3.Cr_core.Stabilize.good
 
-(* The τ-cycle test runs when any chunk of the bad-seed sweep accepted a
-   τ-step.  Here only the last of four 64-state chunks has one: the cycle
+(* The τ-cycle test runs when any chunk of the bad-seed sweep collected
+   a τ-step.  Here only the last of four 64-state chunks has one: the cycle
    254 <-> 255 at the non-terminal image 0, while every other state
    halts at the A-terminal image 9.  Every job count rejects C with the
    reference's report. *)
@@ -270,6 +274,56 @@ let test_stutter_rule_chunked () =
            want))
     [ 1; 2; 4 ]
 
+(* A pure-stutter cycle on a guarded-command program compiled dense: C
+   counts x = 0, 1, 2 and flips y wherever x = k, a τ-cycle since α
+   forgets y; A counts a = 0, 1, 2 and halts at 2.  With the spin at
+   x = 0, a non-terminal image, the spinning states are bad seeds and C
+   does not stabilize: the cycle is its witness.  At x = 2, A's
+   terminal, C stabilizes.  Each check runs on the lazy graph, builds
+   C's CSR only for the failure's witness, and gives the reference's
+   report. *)
+let test_tau_cycles_dense () =
+  let open Cr_guarded in
+  let count =
+    Action.make ~label:"count" ~proc:0
+      ~guard:(fun s -> s.(0) < 2)
+      ~assign:[ (0, fun s -> s.(0) + 1) ]
+      ()
+  in
+  let layout = Layout.make [ ("x", 3); ("y", 2) ] in
+  let spin k =
+    Action.make ~label:"spin" ~proc:1
+      ~guard:(fun s -> s.(0) = k)
+      ~assign:[ (1, fun s -> 1 - s.(1)) ]
+      ()
+  in
+  let spec_layout = Layout.make [ ("a", 3) ] in
+  let a =
+    Program.to_explicit ~space:Space.Sparse
+      (Program.make ~name:"count" ~layout:spec_layout
+         ~actions:[ count ] ~initial:(fun s -> s.(0) = 0))
+  in
+  let forget_y = Abstraction.make ~name:"x" (fun s -> [| s.(0) |]) in
+  List.iter
+    (fun (k, holds) ->
+      let label = Printf.sprintf "spin at x = %d" k in
+      let c =
+        Program.to_explicit
+          (Program.make ~name:(Printf.sprintf "spin%d" k) ~layout
+             ~actions:[ count; spin k ] ~initial:(fun _ -> true))
+      in
+      let alpha = Abstraction.tabulate forget_y c a in
+      check (label ^ ": C's CSR unbuilt") false (Explicit.succ_forced c);
+      let r = Cr_core.Stabilize.stabilizing_to ~alpha ~c ~a () in
+      check (label ^ ": verdict") holds r.Cr_core.Stabilize.holds;
+      check (label ^ ": the τ-cycle is the witness") (not holds)
+        (r.Cr_core.Stabilize.bad_cycle <> None);
+      check (label ^ ": CSR built for the witness only") (not holds)
+        (Explicit.succ_forced c);
+      check (label ^ ": the reference's report") true
+        (Stabilize_ref.agrees r (Stabilize_ref.stabilizing_to ~alpha ~c ~a ())))
+    [ (0, false); (2, true) ]
+
 let test_fair_stabilization () =
   (* Divergent cycle 1 <-> 2, but action "exit" (1 -> 0) is continuously
      enabled on it: under weak fairness the system stabilizes. *)
@@ -286,7 +340,10 @@ let test_fair_stabilization () =
   let next_exit = [| 0; 0; -1 |] in
   (* exit enabled at 0? no: -1 *)
   next_exit.(0) <- -1;
-  let tables = [| [| -1; 2; -1 |] (* osc1 *); [| -1; -1; 1 |] (* osc2 *); next_exit |] in
+  let tables =
+    Array.map Cr_kernel.Lane.of_array
+      [| [| -1; 2; -1 |] (* osc1 *); [| -1; -1; 1 |] (* osc2 *); next_exit |]
+  in
   check "unfair: fails" false
     (Cr_core.Stabilize.stabilizing_to ~alpha ~c ~a ()).Cr_core.Stabilize.holds;
   let r = Cr_core.Stabilize.stabilizing_to ~alpha ~fair:tables ~c ~a () in
@@ -302,7 +359,10 @@ let test_fair_stabilization () =
       (fun s -> s = 0)
   in
   let alpha2 = Abstraction.tabulate (Abstraction.make ~name:"id" (fun s -> s)) c2 a in
-  let tables2 = [| [| -1; 2; -1 |]; [| -1; -1; 1 |]; [| -1; 0; 0 |] |] in
+  let tables2 =
+    Array.map Cr_kernel.Lane.of_array
+      [| [| -1; 2; -1 |]; [| -1; -1; 1 |]; [| -1; 0; 0 |] |]
+  in
   check "unfair: fails" false
     (Cr_core.Stabilize.stabilizing_to ~alpha:alpha2 ~c:c2 ~a ()).Cr_core.Stabilize.holds;
   check "weak fairness: holds" true
@@ -363,9 +423,10 @@ let prop_legit_orbit =
       (* one action per successor rank: action k takes the k-th edge *)
       let tables =
         Array.init nc (fun k ->
-            Array.init nc (fun i ->
-                if k < Explicit.out_degree c i then Explicit.successor c i k
-                else -1))
+            Cr_kernel.Lane.of_array
+              (Array.init nc (fun i ->
+                   if k < Explicit.out_degree c i then Explicit.successor c i k
+                   else -1)))
       in
       List.for_all
         (fun fair ->
@@ -406,6 +467,53 @@ let test_matches_reference ((e : Cr_experiments.Registry.entry), n) () =
   agree "plain" ();
   if not (stab ()).Cr_core.Stabilize.holds then
     agree "weakly fair" ~fair:(Cr_sim.Glue.fair_tables (e.program n) c) ()
+
+(* ---- the lazy successor CSR: a check on a graph whose CSR is not
+   built reads each row from the program's emitter, and its report is
+   the one the same compile gives with its CSR built first, field by
+   field, for every registry entry at N = 2..4 (rw-dijkstra3 at
+   N = 2..3), at CR_JOBS 1 and 4, plain and weakly fair. *)
+let report_diff (r : Cr_core.Stabilize.report) (s : Cr_core.Stabilize.report) =
+  let open Cr_core.Stabilize in
+  List.find_map
+    (fun (field, same) -> if same then None else Some field)
+    [
+      ("holds", r.holds = s.holds);
+      ("legitimate", r.legitimate = s.legitimate);
+      ("good", r.good = s.good);
+      ("worst_case_recovery", r.worst_case_recovery = s.worst_case_recovery);
+      ("bad_cycle", r.bad_cycle = s.bad_cycle);
+      ("bad_terminal", r.bad_terminal = s.bad_terminal);
+      ( "good_mask",
+        Cr_kernel.Bitset.to_bool_array r.good_mask
+        = Cr_kernel.Bitset.to_bool_array s.good_mask );
+    ]
+
+let test_lazy_matches_forced ((e : Cr_experiments.Registry.entry), n) () =
+  let module R = Cr_experiments.Registry in
+  let p = e.program n in
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun fair ->
+          let run ~build =
+            Cr_kernel.Par.with_jobs jobs (fun () ->
+                let c = R.explicit e n in
+                if build then ignore (Explicit.csr c);
+                let fair =
+                  if fair then Some (Cr_sim.Glue.fair_tables p c) else None
+                in
+                check "the fair tables build no CSR" build
+                  (Explicit.succ_forced c);
+                R.stabilization ~ep:c e n ?fair ())
+          in
+          Alcotest.(check (option string))
+            (Printf.sprintf "jobs=%d%s: no field differs" jobs
+               (if fair then " weakly fair" else ""))
+            None
+            (report_diff (run ~build:false) (run ~build:true)))
+        [ false; true ])
+    [ 1; 4 ]
 
 (* ---- the bounded failure collector against the list-building route
    (test/refine_ref.ml): identical reports — verdict, stats, shown
@@ -608,6 +716,8 @@ let () =
           Alcotest.test_case "stutter rule" `Quick test_stutter_rule;
           Alcotest.test_case "stutter rule across sweep chunks" `Quick
             test_stutter_rule_chunked;
+          Alcotest.test_case "τ-cycles on a dense compile" `Quick
+            test_tau_cycles_dense;
           Alcotest.test_case "weak fairness" `Quick test_fair_stabilization;
           Alcotest.test_case "strength chain" `Quick test_strength_chain;
           QCheck_alcotest.to_alcotest prop_legit_orbit;
@@ -619,6 +729,14 @@ let () =
               (Printf.sprintf "registry %s n=%d" e.name n)
               `Quick
               (test_matches_reference case))
+          reference_cases );
+      ( "lazy successors",
+        List.map
+          (fun (((e : Cr_experiments.Registry.entry), n) as case) ->
+            Alcotest.test_case
+              (Printf.sprintf "unbuilt = built: %s n=%d" e.name n)
+              `Quick
+              (test_lazy_matches_forced case))
           reference_cases );
       ( "refine-reference",
         Alcotest.test_case "failing edges allocate nothing" `Quick

@@ -7,9 +7,12 @@ module Bs = Cr_kernel.Bitset
 
 let check = Alcotest.(check bool)
 
+(* [tables] as rows of ints, one per action; the analysis reads them as
+   lanes *)
 let analyze tables rows mask =
-  Cr_core.Fair.analyze tables ~succ:(Csr.of_rows rows)
-    ~mask:(Bs.of_bool_array mask)
+  Cr_core.Fair.analyze
+    (Array.map Cr_kernel.Lane.of_array tables)
+    ~succ:(Csr.of_rows rows) ~mask:(Bs.of_bool_array mask)
 
 (* A two-state cycle 0 <-> 1 with action tables. *)
 let cycle_succ = [| [| 1 |]; [| 0 |] |]
@@ -89,7 +92,9 @@ let test_fair_tables () =
     Program.make ~name:"four" ~layout ~actions ~initial:(fun _ -> false)
   in
   let p = program [ one; next; noop ] in
-  let tables e = Cr_sim.Glue.fair_tables p e in
+  let tables e =
+    Array.map Cr_kernel.Lane.to_array (Cr_sim.Glue.fair_tables p e)
+  in
   let expected =
     [| [| 1; -1; -1; -1 |]; [| -1; 2; 3; 0 |]; [| 3; -1; -1; -1 |] |]
   in
@@ -142,7 +147,8 @@ let test_fair_tables_registry () =
               check
                 (Printf.sprintf "%s n=%d %s" e.name n engine)
                 true
-                (Cr_sim.Glue.fair_tables p g = reference p g))
+                (Array.map Cr_kernel.Lane.to_array (Cr_sim.Glue.fair_tables p g)
+                = reference p g))
             [ ("dense", R.explicit e n); ("sparse", R.init_explicit e n) ])
         [ 2; 3 ])
     R.entries

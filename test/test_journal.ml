@@ -241,6 +241,55 @@ let test_unwritable_journal () =
   check "no journal file" false (Sys.file_exists path);
   check "no directory" false (Sys.file_exists dir)
 
+(* ---------- the lazy CSR's build events ---------- *)
+
+(* Telemetry follows the lazy CSR: a dense compile's span carries no
+   [transitions] field (reading them would build the CSR) where a sparse
+   one's does, and a stabilization check that holds journals no
+   [explicit.built] for C; the first edge reader builds C's CSR and
+   journals it then, with its transitions. *)
+let test_lazy_build_events () =
+  let tmp = Filename.temp_file "cr_journal" ".jsonl" in
+  Obs.set_journal_path (Some tmp);
+  Obs.reset ();
+  let e = Option.get (Cr_experiments.Registry.find "dijkstra3") in
+  let c = Cr_experiments.Registry.explicit e 3 in
+  let r = Cr_experiments.Registry.stabilization ~ep:c e 3 () in
+  let m = Cr_semantics.Explicit.num_transitions c in
+  Obs.set_journal_path None;
+  let parsed = parsed_lines (read_file tmp) in
+  Sys.remove tmp;
+  check "dijkstra3 stabilizes" true r.Cr_core.Stabilize.holds;
+  let str key j = Option.bind (J.member key j) J.to_string in
+  let int key j = Option.bind (J.member key j) J.to_int in
+  let seq_of ev =
+    List.filter_map
+      (fun j -> if ev_of j = ev then int "seq" j else None)
+      parsed
+  in
+  List.iter
+    (fun j ->
+      if ev_of j = "compile" then
+        Alcotest.(check bool)
+          (Printf.sprintf "a %s compile span carries transitions iff sparse"
+             (Option.value ~default:"?" (str "engine" j)))
+          (str "engine" j = Some "sparse")
+          (J.member "transitions" j <> None))
+    parsed;
+  let built_c =
+    List.filter
+      (fun j ->
+        ev_of j = "explicit.built" && str "name" j = Some "Dijkstra3(3)")
+      parsed
+  in
+  Alcotest.(check int) "C's CSR built once" 1 (List.length built_c);
+  let built = List.hd built_c in
+  Alcotest.(check (option int)) "with its transitions" (Some m)
+    (int "transitions" built);
+  let verdict = List.hd (seq_of "stabilize.verdict") in
+  check "after the verdict" true
+    (Option.get (int "seq" built) > verdict)
+
 (* ---------- JSONL validator ---------- *)
 
 let test_jsonl_validator () =
@@ -279,6 +328,8 @@ let () =
             test_counter_folds;
           Alcotest.test_case "unwritable path is ignored" `Quick
             test_unwritable_journal;
+          Alcotest.test_case "a lazy CSR journals its build when forced"
+            `Quick test_lazy_build_events;
           Alcotest.test_case "JSONL validator accept/reject" `Quick
             test_jsonl_validator;
         ] );

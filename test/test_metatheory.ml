@@ -296,15 +296,17 @@ let prop_quotient_strength =
    field, on random systems — directly and through random quotient
    maps, plain and weakly fair (action tables drawn from C's own
    edges).  The reference runs the pure-stutter cycle test on every
-   system, so agreement also shows that the library's guard on it
-   (skip it when the sweep accepted no τ-step) loses nothing. *)
+   system over all of C's edges, so agreement also shows that the
+   library's restriction of it (to the τ-steps its sweep collected from
+   the states whose image is in L) loses nothing. *)
 let same_as_reference ?alpha ~c ~a () =
   let tables =
     Array.init 2 (fun k ->
-        Array.init (Explicit.num_states c) (fun s ->
-            let d = Explicit.out_degree c s in
-            if d = 0 || (s + k) mod 3 = 0 then -1
-            else Explicit.successor c s ((s + k) mod d)))
+        Cr_kernel.Lane.of_array
+          (Array.init (Explicit.num_states c) (fun s ->
+               let d = Explicit.out_degree c s in
+               if d = 0 || (s + k) mod 3 = 0 then -1
+               else Explicit.successor c s ((s + k) mod d))))
   in
   List.for_all
     (fun fair ->
@@ -333,10 +335,11 @@ let prop_stabilize_reference =
    (action tables drawn from C's own edges). *)
 let fair_tables c =
   Array.init 2 (fun k ->
-      Array.init (Explicit.num_states c) (fun s ->
-          let d = Explicit.out_degree c s in
-          if d = 0 || (s + k) mod 3 = 0 then -1
-          else Explicit.successor c s ((s + k) mod d)))
+      Cr_kernel.Lane.of_array
+        (Array.init (Explicit.num_states c) (fun s ->
+             let d = Explicit.out_degree c s in
+             if d = 0 || (s + k) mod 3 = 0 then -1
+             else Explicit.successor c s ((s + k) mod d))))
 
 let refine_reports ?alpha ~c ~a () =
   let fair = fair_tables c in
