@@ -71,6 +71,10 @@ type rw_verdict = {
 let rw_experiment n =
   let p = Rw_atomicity.program n in
   let e = Program.to_explicit p in
+  (* the refinement half below reads the graph, so its reachable part
+     is taken first: the stabilization checks then read the built
+     graph's rows instead of re-running the program *)
+  let reach = Cr_checker.Reach.reachable_from_initial e in
   let stab = Registry.stabilizing ~alpha:(Rw_atomicity.alpha n) e (Btr.program n) in
   let unfair = stab () in
   let fairr = stab ~fair:(Cr_sim.Glue.fair_tables p e) () in
@@ -79,7 +83,6 @@ let rw_experiment n =
      Dijkstra-3 or pure read stutters *)
   let d3 = Program.to_explicit (Btr3.dijkstra3 n) in
   let ac = Cr_semantics.Abstraction.tabulate (Rw_atomicity.alpha_counters n) e d3 in
-  let reach = Cr_checker.Reach.reachable_from_initial e in
   let init_ok = ref true in
   Cr_semantics.Explicit.iter_edges e (fun i j ->
       if Cr_kernel.Bitset.get reach i then begin
@@ -118,8 +121,10 @@ let hitting ~name ~(mk : int -> Program.t)
     ~(mk_alpha : int -> (Layout.state, Layout.state) Cr_semantics.Abstraction.t)
     n =
   let e = Program.to_explicit (mk n) in
-  let r = Registry.stabilizing ~alpha:(mk_alpha n) e (mk_spec n) () in
+  (* the hitting times read the graph, so it is built before the check,
+     which then reads its rows instead of re-running the program *)
   let succ = Cr_semantics.Explicit.csr e in
+  let r = Registry.stabilizing ~alpha:(mk_alpha n) e (mk_spec n) () in
   let pred = Cr_semantics.Explicit.pred_csr e in
   let ex =
     Cr_checker.Hitting.expected ~succ ~pred
